@@ -7,8 +7,8 @@ import "ppsim/internal/admission"
 // all. Attach a spec via Options.Admission; the zero/nil spec is always-admit
 // and byte-identical to no admission configuration. Token buckets use exact
 // integer arithmetic with lazy closed-form refill, so decisions are
-// deterministic and identical across the serial, stage-parallel,
-// fast-forward and event-driven engines. Deadline-drop composes with
+// deterministic and identical across the serial, stage-parallel and
+// event-driven engines. Deadline-drop composes with
 // WithDeadline-wrapped traffic: arrivals already past their deadline are
 // refused at admission, and deliveries that miss it are reclassified as
 // expired at egress. Result/Report carry the accounting (offered, admitted,

@@ -70,14 +70,14 @@ type benchResult struct {
 	// Drops counts cells lost to injected plane faults (DropCount policy);
 	// absent in fault-free runs.
 	Drops uint64 `json:"drops,omitempty"`
-	// SlotsElided counts the slots the quiescence fast-forward or the
-	// event-driven core jumped over; absent for stepped runs, so older files
-	// read (and diff) unchanged.
+	// SlotsElided counts the slots the event-driven core jumped over; absent
+	// for stepped runs, so older files read (and diff) unchanged.
 	SlotsElided uint64 `json:"slots_elided,omitempty"`
 	// Engine records which slot-execution core actually ran this case
-	// ("stepped", "fastforward", "event"); EngineReason is non-empty when a
-	// requested core degraded and says why. Both absent in files written
-	// before the fields existed (those runs were stepped).
+	// ("stepped" or "event"; files up to PR 5 may say "fastforward");
+	// EngineReason is non-empty when a requested core degraded and says why.
+	// Both absent in files written before the fields existed (those runs
+	// were stepped).
 	Engine       string `json:"engine,omitempty"`
 	EngineReason string `json:"engine_reason,omitempty"`
 	// Percentiles is the per-component delay decomposition tail block
@@ -120,9 +120,6 @@ type benchFile struct {
 	// older files read (and diff) unchanged.
 	Faults      string `json:"faults,omitempty"`
 	FaultPolicy string `json:"fault_policy,omitempty"`
-	// FastForward echoes the -fastforward flag; absent (false) in stepped
-	// baselines, keeping the schema backward-readable.
-	FastForward bool `json:"fastforward,omitempty"`
 	// Count echoes the -count flag when repeats were requested: each
 	// result is the fastest of Count runs. Absent for single-run files.
 	Count int `json:"count,omitempty"`
@@ -169,10 +166,10 @@ func suite(horizon int64) []benchCase {
 			Seed:    1,
 		})
 	}
-	// Low-load cases are the quiescence fast-forward's payoff scenario: a few
-	// concentrated bursty flows at per-flow load 0.05 leave most slots
-	// globally silent, so -fastforward elides them while the stepped engine
-	// still pays O(N) per slot. Full horizon even at large N — long idle
+	// Low-load cases are idle elision's payoff scenario: a few concentrated
+	// bursty flows at per-flow load 0.05 leave most slots globally silent, so
+	// the event core jumps over them while the stepped engine still pays
+	// O(N) per slot. Full horizon even at large N — long idle
 	// stretches are exactly the workload being priced.
 	// The N=16384 and N=65536 points price the event-driven core's O(events)
 	// claim: per-slot cost must stay flat in N when the working sets (two
@@ -240,7 +237,7 @@ func buildSource(c benchCase) (ppsim.Source, error) {
 	case "bursty-low":
 		// Two concentrated on/off flows at per-flow load 0.05 (mean on 8,
 		// mean off 152): the switch is globally silent ~90% of slots, which
-		// is the regime the quiescence fast-forward elides. Arrivals use
+		// is the regime the event core elides. Arrivals use
 		// ports [0, 2), legal in any suite fabric (N >= 8).
 		return ppsim.NewOnOff(2, 8, 152, ppsim.Time(c.Slots), c.Seed)
 	case "overload-hot":
@@ -273,7 +270,7 @@ func buildSource(c benchCase) (ppsim.Source, error) {
 // the smallest K in the suite). A non-empty admission spec gates every
 // arrival and records the goodput / on-time outcome; deadlineRel > 0 stamps
 // each arrival with a departure deadline of its arrival slot + deadlineRel.
-func run(c benchCase, workers int, sched *ppsim.FaultSchedule, policy ppsim.FaultPolicy, eng ppsim.Engine, fastforward bool, adm *ppsim.AdmissionSpec, deadlineRel int64) (benchResult, error) {
+func run(c benchCase, workers int, sched *ppsim.FaultSchedule, policy ppsim.FaultPolicy, eng ppsim.Engine, adm *ppsim.AdmissionSpec, deadlineRel int64) (benchResult, error) {
 	src, err := buildSource(c)
 	if err != nil {
 		return benchResult{}, err
@@ -286,7 +283,7 @@ func run(c benchCase, workers int, sched *ppsim.FaultSchedule, policy ppsim.Faul
 		DisableChecks: true,
 		Algorithm:     ppsim.Algorithm{Name: "rr", Seed: c.Seed},
 	}
-	opts := ppsim.Options{Horizon: ppsim.Time(c.Slots) * 8, Workers: workers, Faults: sched, FaultPolicy: policy, Engine: eng, FastForward: fastforward}
+	opts := ppsim.Options{Horizon: ppsim.Time(c.Slots) * 8, Workers: workers, Faults: sched, FaultPolicy: policy, Engine: eng}
 	if !adm.Empty() {
 		opts.Admission = adm
 	}
@@ -372,8 +369,8 @@ func main() {
 		workers   = flag.Int("workers", 0, "stage-parallel fabric workers: 0 serial, -1 auto, >0 explicit")
 		faultSpec = flag.String("faults", "", "fault schedule injected into every case, e.g. fail:0@1000,recover:0@3000")
 		faultPol  = flag.String("fault-policy", "abort", "degradation policy: abort or dropcount")
-		engineStr = flag.String("engine", "auto", "slot-execution core: auto, stepped, fastforward, event")
-		fastfwd   = flag.Bool("fastforward", false, "elide quiescent intervals (bit-identical results; records slots_elided)")
+		engineStr = flag.String("engine", "auto", "slot-execution core: auto, stepped, event")
+		fastfwd   = flag.Bool("fastforward", false, "deprecated: same as -engine auto, which already elides idle slots")
 		count     = flag.Int("count", 1, "repeats per case; the fastest (minimum wall time) repeat is reported")
 		admSpec   = flag.String("admission", "", "admission policy applied to every case, e.g. rate:1/2,burst:16,deadline")
 		deadline  = flag.Int64("deadline", 0, "stamp each arrival with a departure deadline of its arrival slot + N (0 = off)")
@@ -393,6 +390,10 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ppsbench:", err)
 		os.Exit(2)
+	}
+	// Deprecated spellings of auto, accepted so old command lines keep working.
+	if *fastfwd || *engineStr == "fastforward" {
+		fmt.Fprintln(os.Stderr, "ppsbench: -fastforward / -engine fastforward are deprecated spellings of -engine auto (the event core elides idle slots)")
 	}
 	schedule, err := ppsim.ParseFaultSpec(*faultSpec)
 	if err != nil {
@@ -467,15 +468,14 @@ func main() {
 	}
 
 	report := benchFile{
-		Rev:         *rev,
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Quick:       *quick,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		Workers:     *workers,
-		FastForward: *fastfwd,
+		Rev:        *rev,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		Quick:      *quick,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Workers:    *workers,
 	}
 	if *count > 1 {
 		report.Count = *count
@@ -500,13 +500,13 @@ func main() {
 		// Min-of-count: measurements are deterministic across repeats, so
 		// only the wall-clock figures differ — the fastest repeat is the
 		// least scheduler-noise estimate of the machine's throughput.
-		res, err := run(c, *workers, sched, policy, eng, *fastfwd, adm, *deadline)
+		res, err := run(c, *workers, sched, policy, eng, adm, *deadline)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ppsbench:", err)
 			os.Exit(1)
 		}
 		for r := 1; r < *count; r++ {
-			again, err := run(c, *workers, sched, policy, eng, *fastfwd, adm, *deadline)
+			again, err := run(c, *workers, sched, policy, eng, adm, *deadline)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "ppsbench:", err)
 				os.Exit(1)
@@ -615,9 +615,9 @@ func printDelta(w io.Writer, baselinePath string, cur benchFile, gatePct float64
 		byName[r.Name] = r
 	}
 	fmt.Fprintf(w, "\n### ppsbench: %s vs baseline %s\n\n", cur.Rev, base.Rev)
-	if base.Quick != cur.Quick || base.Workers != cur.Workers || base.FastForward != cur.FastForward || base.Engine != cur.Engine {
-		fmt.Fprintf(w, "> note: configurations differ (quick %v/%v, workers %d/%d, fastforward %v/%v, engine %s/%s) — deltas are indicative only\n\n",
-			base.Quick, cur.Quick, base.Workers, cur.Workers, base.FastForward, cur.FastForward,
+	if base.Quick != cur.Quick || base.Workers != cur.Workers || base.Engine != cur.Engine {
+		fmt.Fprintf(w, "> note: configurations differ (quick %v/%v, workers %d/%d, engine %s/%s) — deltas are indicative only\n\n",
+			base.Quick, cur.Quick, base.Workers, cur.Workers,
 			engineLabel(base.Engine), engineLabel(cur.Engine))
 	}
 	hasQoS := false

@@ -295,7 +295,7 @@ func TestTailRegressed(t *testing.T) {
 // idle-invariant algorithm lands on the event core with no degradation.
 func TestRunRecordsPercentiles(t *testing.T) {
 	c := benchCase{Name: "t", Traffic: "uniform", N: 8, K: 2, RPrime: 2, Slots: 400, Seed: 1}
-	res, err := run(c, 0, nil, ppsim.FaultAbort, ppsim.EngineAuto, false, nil, 0)
+	res, err := run(c, 0, nil, ppsim.FaultAbort, ppsim.EngineAuto, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestRunRecordsPercentiles(t *testing.T) {
 // pre-schema JSON diffs stay stable).
 func TestRunRecordsShardGeometry(t *testing.T) {
 	c := benchCase{Name: "t", Traffic: "uniform", N: 64, K: 2, RPrime: 2, Slots: 200, Seed: 1}
-	par, err := run(c, 4, nil, ppsim.FaultAbort, ppsim.EngineAuto, false, nil, 0)
+	par, err := run(c, 4, nil, ppsim.FaultAbort, ppsim.EngineAuto, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestRunRecordsShardGeometry(t *testing.T) {
 	if len(par.ShardPorts) != 4 || total != c.N {
 		t.Errorf("ShardPorts = %v, want 4 shards covering %d ports", par.ShardPorts, c.N)
 	}
-	ser, err := run(c, 0, nil, ppsim.FaultAbort, ppsim.EngineAuto, false, nil, 0)
+	ser, err := run(c, 0, nil, ppsim.FaultAbort, ppsim.EngineAuto, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,11 +348,11 @@ func TestRunRecordsShardGeometry(t *testing.T) {
 // the engine record and the wall-clock figures, never a measurement.
 func TestRunForcedSteppedMatchesEvent(t *testing.T) {
 	c := benchCase{Name: "t", Traffic: "bursty-low", N: 32, K: 8, RPrime: 2, Slots: 600, Seed: 1}
-	stepped, err := run(c, 0, nil, ppsim.FaultAbort, ppsim.EngineStepped, false, nil, 0)
+	stepped, err := run(c, 0, nil, ppsim.FaultAbort, ppsim.EngineStepped, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	event, err := run(c, 0, nil, ppsim.FaultAbort, ppsim.EngineEvent, false, nil, 0)
+	event, err := run(c, 0, nil, ppsim.FaultAbort, ppsim.EngineEvent, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

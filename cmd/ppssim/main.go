@@ -39,8 +39,8 @@ func main() {
 		verbose    = flag.Bool("v", false, "print utilization per output")
 		pctl       = flag.Bool("percentiles", false, "print the per-component delay percentile table (rqd, demux, plane, reseq, total, inter-departure gap)")
 		workers    = flag.Int("workers", 0, "stage-parallel fabric workers: 0 serial, -1 auto, >0 explicit")
-		engine     = flag.String("engine", "auto", "slot-execution core: auto, stepped, fastforward, event")
-		fastfwd    = flag.Bool("fastforward", false, "elide quiescent intervals (bit-identical results; ignored with -trace)")
+		engine     = flag.String("engine", "auto", "slot-execution core: auto, stepped, event")
+		fastfwd    = flag.Bool("fastforward", false, "deprecated: same as -engine auto, which already elides idle slots")
 		trace      = flag.String("trace", "", "write a JSONL event trace to FILE")
 		series     = flag.String("series", "", "write per-slot probe series CSV to FILE")
 		stride     = flag.Int64("stride", 1, "sample every stride-th slot (with -series)")
@@ -69,6 +69,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ppssim:", err)
 		flag.Usage()
 		os.Exit(2)
+	}
+	// Deprecated spellings of auto, accepted so old command lines keep working.
+	deprecated := *fastfwd || *engine == "fastforward"
+	if deprecated {
+		fmt.Fprintln(os.Stderr, "ppssim: -fastforward / -engine fastforward are deprecated spellings of -engine auto (the event core elides idle slots)")
 	}
 	policy, err := ppsim.ParseFaultPolicy(*faultPol)
 	if err != nil {
@@ -142,7 +147,6 @@ func main() {
 		FailPlanes:  failed,
 		FaultPolicy: policy,
 		Engine:      eng,
-		FastForward: *fastfwd,
 	}
 	if !adm.Empty() {
 		opts.Admission = adm
@@ -174,10 +178,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ppssim:", err)
 		os.Exit(1)
 	}
-	// A forced engine or -fastforward request can silently degrade (tracer
-	// attached, no lookahead, no idle invariant, parallel workers). Surface
-	// the recorded reason so users asking for elision learn they ran stepped.
-	if res.EngineReason != "" && (eng != ppsim.EngineAuto || *fastfwd) {
+	// An explicit request for elision can silently degrade (tracer attached,
+	// no lookahead, no idle invariant, parallel workers). Surface the
+	// recorded reason so users asking for elision learn they ran stepped.
+	if res.EngineReason != "" && (eng != ppsim.EngineAuto || deprecated) {
 		fmt.Fprintf(os.Stderr, "ppssim: engine degraded to %s: %s\n", res.Engine, res.EngineReason)
 	}
 
@@ -230,8 +234,8 @@ func buildTraffic(cfg ppsim.Config, kind string, load float64, seed int64, slots
 		// Two concentrated on/off flows at per-flow load -load; the other
 		// N-2 inputs stay silent. Unlike onoff (where every input carries a
 		// flow, so some input is almost always on at large N), the fabric is
-		// globally quiescent most slots — the long-horizon workload that
-		// -fastforward elides.
+		// globally quiescent most slots — the long-horizon workload the
+		// event core elides.
 		meanOn := 8.0
 		meanOff := meanOn * (1 - load) / load
 		if meanOff < 1 {

@@ -8,9 +8,9 @@
 //   - token-bucket: a deterministic integer token bucket per input, plus an
 //     optional aggregate bucket over the whole switch. Rates are exact
 //     rationals (num/den cells per slot) and refill is computed in closed
-//     form from the gap since the previous decision, so the quiescence
-//     fast-forward and event engines — which never execute idle slots —
-//     make exactly the decisions a stepped run would.
+//     form from the gap since the previous decision, so the event engine —
+//     which never executes idle slots — makes exactly the decisions a
+//     stepped run would.
 //   - deadline-drop: cells carry absolute slot deadlines (assigned by the
 //     traffic deadline wrapper); a cell whose deadline has already passed is
 //     refused at admission, and one that expires inside the fabric is
@@ -19,7 +19,7 @@
 // A Spec is immutable once built and may be shared across runs; the per-run
 // mutable token state lives in a Runtime, constructed per execution. All
 // arithmetic is integer, so two runs over the same spec — serial,
-// stage-parallel, fast-forward or event-driven — admit exactly the same
+// stage-parallel or event-driven — admit exactly the same
 // cells.
 package admission
 

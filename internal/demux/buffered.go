@@ -175,14 +175,14 @@ func (a *BufferedRR) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
 	return a.ptr[in], true
 }
 
-// IdleInvariant certifies the fast-forward capability for the input-buffered
+// IdleInvariant certifies the idle-elision capability for the input-buffered
 // CPA simulation. Slot does scan the input buffers on silent slots, but with
 // every buffer empty it mutates nothing and sends nothing — and the harness
 // only elides slots on which the fabric counts zero pending cells, which is
 // exactly the empty-buffers condition.
 func (a *BufferedCPA) IdleInvariant() bool { return true }
 
-// IdleInvariant certifies the fast-forward capability; see
+// IdleInvariant certifies the idle-elision capability; see
 // BufferedCPA.IdleInvariant for why empty buffers make the silent-slot scan
 // a no-op.
 func (a *BufferedRR) IdleInvariant() bool { return true }

@@ -137,7 +137,7 @@ func (a *CPA) choose(t cell.Time, in, out cell.Port, deadline cell.Time) (cell.P
 // Buffered implements Algorithm (bufferless).
 func (a *CPA) Buffered(cell.Port) int { return 0 }
 
-// IdleInvariant certifies the fast-forward capability: the shadow-departure
+// IdleInvariant certifies the idle-elision capability: the shadow-departure
 // oracle and link reservations advance only on arrivals, so a silent slot
 // leaves the algorithm's state untouched.
 func (a *CPA) IdleInvariant() bool { return true }

@@ -26,22 +26,19 @@ import (
 // Selection reduces to one argmin: both the preferred AIL∩AOL choice and
 // the degraded empty-intersection choice pick the AIL plane whose clamped
 // line time max(linkNext, t) is earliest (ties: lowest plane index), with a
-// miss counted exactly when that minimum exceeds the deadline — so for
-// K <= 64 planes the per-output linkBuckets structure answers each cell in
-// O(1) amortized (DESIGN.md §15 carries the equivalence argument). Wider
-// switches keep the original O(K) set construction.
+// miss counted exactly when that minimum exceeds the deadline — so the
+// per-output linkBuckets structure answers each cell in O(1) amortized
+// (DESIGN.md §15 carries the equivalence argument).
 type CPASets struct {
 	sendScratch
 	env    Env
 	oracle *shadow.Oracle
 	masker GateMasker
-	// links[j] buckets planes by their (k, j) line's next-free slot;
-	// nil when K > 64 (legacy path below).
-	links []linkBuckets
-	// linkNext[k*N+j]: earliest slot a new cell can cross line (k, j),
-	// assuming earlier assignments drain greedily. Legacy K > 64 state.
-	linkNext []cell.Time
-	misses   uint64
+	// links[j] buckets planes by their (k, j) line's next-free slot: the
+	// earliest slot a new cell can cross it, assuming earlier assignments
+	// drain greedily.
+	links  []linkBuckets
+	misses uint64
 }
 
 // NewCPASets returns the sets-formulation CPA.
@@ -51,14 +48,10 @@ func NewCPASets(env Env) (*CPASets, error) {
 		env:    env,
 		oracle: shadow.NewOracle(n),
 		masker: gateMasker(env),
+		links:  make([]linkBuckets, n),
 	}
-	if k <= 64 {
-		a.links = make([]linkBuckets, n)
-		for j := range a.links {
-			a.links[j] = newLinkBuckets(k)
-		}
-	} else {
-		a.linkNext = make([]cell.Time, n*k)
+	for j := range a.links {
+		a.links[j] = newLinkBuckets(k)
 	}
 	return a, nil
 }
@@ -74,9 +67,6 @@ func (a *CPASets) Misses() uint64 { return a.misses }
 func (a *CPASets) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	if len(arrivals) == 0 {
 		return nil, nil
-	}
-	if a.links == nil {
-		return a.slotWide(t, arrivals)
 	}
 	sends := a.take()
 	for _, c := range arrivals {
@@ -96,57 +86,10 @@ func (a *CPASets) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	return a.keep(sends), nil
 }
 
-// ail returns the planes input i may start a transmission to at slot t
-// (legacy K > 64 path).
-func (a *CPASets) ail(in cell.Port, t cell.Time) []cell.Plane {
-	var out []cell.Plane
-	for k := 0; k < a.env.Planes(); k++ {
-		if a.env.InputGateFreeAt(in, cell.Plane(k)) <= t {
-			out = append(out, cell.Plane(k))
-		}
-	}
-	return out
-}
-
-// slotWide is the historical set-building path, kept for K > 64 where plane
-// sets do not fit a bitmask.
-func (a *CPASets) slotWide(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
-	n := a.env.Ports()
-	sends := a.take()
-	for _, c := range arrivals {
-		deadline := a.oracle.Departure(t, c.Flow.Out)
-		ail := a.ail(c.Flow.In, t)
-		if len(ail) == 0 {
-			return nil, fmt.Errorf("demux: cpa-sets input %d has no free gate at slot %d", c.Flow.In, t)
-		}
-		// One pass over AIL finds the plane whose clamped line time is
-		// earliest (ties: lowest index, since ail ascends); the AIL∩AOL
-		// preference falls out of it — if even this minimum misses the
-		// deadline the intersection was empty, which is the degraded case.
-		chosen := cell.NoPlane
-		var chosenNext cell.Time
-		for _, k := range ail {
-			next := a.linkNext[int(k)*n+int(c.Flow.Out)]
-			if next < t {
-				next = t
-			}
-			if chosen == cell.NoPlane || next < chosenNext {
-				chosen, chosenNext = k, next
-			}
-		}
-		if chosenNext > deadline {
-			a.misses++
-		}
-		a.linkNext[int(chosen)*n+int(c.Flow.Out)] = chosenNext + cell.Time(a.env.RPrime())
-		sends = append(sends, Send{Cell: c, Plane: chosen})
-	}
-	return a.keep(sends), nil
-}
-
 // Buffered implements Algorithm (bufferless).
 func (a *CPASets) Buffered(cell.Port) int { return 0 }
 
-// IdleInvariant certifies the fast-forward capability: the AIL/AOL sets
+// IdleInvariant certifies the idle-elision capability: the AIL/AOL sets
 // mutate only on arrivals.
 func (a *CPASets) IdleInvariant() bool { return true }
 

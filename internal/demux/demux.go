@@ -76,7 +76,7 @@ func (s *sendScratch) keep(sends []Send) []Send {
 }
 
 // IdleInvariant is an optional Algorithm capability for the harness's
-// quiescence fast-forward and event-driven cores: an algorithm returns true
+// event-driven core: an algorithm returns true
 // to certify that Slot(t, nil) on a slot with no arrivals — and, for
 // input-buffered algorithms, no buffered cells — leaves every piece of its
 // observable state (pointers, counters, RNG streams, log cursors) unchanged
@@ -136,27 +136,27 @@ type Env interface {
 // the free-gate gate for the O(1) amortized plane-selection structures, so
 // fault-aware wrappers compose by clearing dead planes' bits.
 //
-// The capability is only meaningful when Planes() <= 64; algorithms must
-// fall back to the per-plane scan on wider switches even when the Env
-// asserts the interface. Queries for an input must come with non-decreasing
-// t (the fabric's per-slot dispatch order guarantees this).
+// Plane sets are single words (Planes() <= MaxPlanes). Queries for an input
+// must come with non-decreasing t (the fabric's per-slot dispatch order
+// guarantees this).
 type GateMasker interface {
 	FreeGateMask(in cell.Port, t cell.Time) uint64
 }
 
-// gateMasker resolves env's GateMasker capability, nil when absent or when
-// the plane count exceeds the 64-bit mask width.
+// MaxPlanes is the widest center stage the simulator supports: plane sets
+// are one-word bitmasks everywhere (GateMasker, planeBuckets, linkBuckets),
+// and fabric.Config.Validate rejects anything wider.
+const MaxPlanes = 64
+
+// gateMasker resolves env's GateMasker capability, nil when absent.
 func gateMasker(env Env) GateMasker {
-	if env.Planes() > 64 {
-		return nil
-	}
 	m, _ := env.(GateMasker)
 	return m
 }
 
 // freeMask returns the bitmask of planes whose gate from input `in` is free
 // at slot t: one capability call when masker is non-nil, a per-plane scan
-// over env otherwise. Callers must ensure env.Planes() <= 64.
+// over env otherwise (test Envs without the capability).
 func freeMask(env Env, masker GateMasker, in cell.Port, t cell.Time) uint64 {
 	if masker != nil {
 		return masker.FreeGateMask(in, t)

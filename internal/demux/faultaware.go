@@ -45,7 +45,7 @@ func (m maskedEnv) InputGateFreeAt(in cell.Port, k cell.Plane) cell.Time {
 // FreeGateMask implements GateMasker so the wrapper composes with the O(1)
 // selection structures: the inner environment's mask (or, absent the
 // capability, a scan of the masked gate view) with failed planes' bits
-// cleared. Only called for K <= 64 (see GateMasker).
+// cleared.
 func (m maskedEnv) FreeGateMask(in cell.Port, t cell.Time) uint64 {
 	if m.masker == nil {
 		var mask uint64
@@ -115,7 +115,7 @@ func (f *FaultAware) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
 	return cell.NoPlane, false
 }
 
-// IdleInvariant delegates the fast-forward capability to the wrapped
+// IdleInvariant delegates the idle-elision capability to the wrapped
 // algorithm: the mask itself holds no per-slot state.
 func (f *FaultAware) IdleInvariant() bool {
 	ii, ok := f.inner.(IdleInvariant)

@@ -119,6 +119,6 @@ func (a *FTD) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
 	return fs.ptr, true
 }
 
-// IdleInvariant certifies the fast-forward capability: flow state and block
+// IdleInvariant certifies the idle-elision capability: flow state and block
 // fall-back counters move only on arrivals.
 func (a *FTD) IdleInvariant() bool { return true }

@@ -107,6 +107,6 @@ func (sp *StaticPartition) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
 	return base + sp.ptr[in]%cell.Plane(sp.d), true
 }
 
-// IdleInvariant certifies the fast-forward capability: partition pointers
+// IdleInvariant certifies the idle-elision capability: partition pointers
 // advance only on dispatch.
 func (sp *StaticPartition) IdleInvariant() bool { return true }

@@ -7,7 +7,7 @@ import (
 )
 
 // planeBuckets is the incremental bucketed-counter argmin over per-plane
-// dispatch counts, for K <= 64 planes: planes are grouped by counter value
+// dispatch counts: planes are grouped by counter value
 // into ascending buckets, each bucket a (value, plane-bitmask) pair, so
 // "least-loaded free plane, lowest index on ties" is answered by scanning
 // buckets from the front and taking the lowest set bit of bits & freeMask —

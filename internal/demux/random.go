@@ -18,11 +18,11 @@ import (
 // balls-into-bins concentration still yields Theta(sqrt(N)-ish) collisions
 // per plane; experiment E13 contrasts the two regimes empirically.
 //
-// For K <= 64 the free set is a bitmask (one GateMasker call when the Env
-// has the capability) and the draw selects the idx-th set bit — the same
-// plane the historical ascending free-list indexed at idx, off the same
-// Intn(count) variate, so the dispatch stream is bit-identical while the
-// per-cell cost drops from an O(K) scan plus list build to a few word ops.
+// The free set is a bitmask (one GateMasker call when the Env has the
+// capability) and the draw selects the idx-th set bit — the same plane an
+// ascending free-list indexed at idx would give, off the same Intn(count)
+// variate, at a few word ops per cell instead of an O(K) scan plus list
+// build.
 type Random struct {
 	sendScratch
 	env    Env
@@ -51,9 +51,6 @@ func (r *Random) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	if len(arrivals) == 0 {
 		return nil, nil
 	}
-	if r.env.Planes() > 64 {
-		return r.slotWide(t, arrivals)
-	}
 	sends := r.take()
 	for _, c := range arrivals {
 		in := c.Flow.In
@@ -61,8 +58,8 @@ func (r *Random) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 		if m == 0 {
 			return nil, fmt.Errorf("demux: random input %d has no free gate at slot %d", in, t)
 		}
-		// The idx-th lowest set bit is exactly free[idx] of the historical
-		// ascending free list, so the same Intn draw lands on the same plane.
+		// The idx-th lowest set bit is exactly free[idx] of the ascending
+		// free list, so the same Intn draw lands on the same plane.
 		idx := r.rngs[in].Intn(bits.OnesCount64(m))
 		for ; idx > 0; idx-- {
 			m &= m - 1
@@ -72,32 +69,10 @@ func (r *Random) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	return r.keep(sends), nil
 }
 
-// slotWide is the historical free-list path, kept for K > 64 where the free
-// set does not fit a bitmask.
-func (r *Random) slotWide(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
-	sends := r.take()
-	free := make([]cell.Plane, 0, r.env.Planes())
-	for _, c := range arrivals {
-		in := c.Flow.In
-		free = free[:0]
-		for k := 0; k < r.env.Planes(); k++ {
-			if r.env.InputGateFreeAt(in, cell.Plane(k)) <= t {
-				free = append(free, cell.Plane(k))
-			}
-		}
-		if len(free) == 0 {
-			return nil, fmt.Errorf("demux: random input %d has no free gate at slot %d", in, t)
-		}
-		p := free[r.rngs[in].Intn(len(free))]
-		sends = append(sends, Send{Cell: c, Plane: p})
-	}
-	return r.keep(sends), nil
-}
-
 // Buffered implements Algorithm (bufferless).
 func (r *Random) Buffered(cell.Port) int { return 0 }
 
-// IdleInvariant certifies the fast-forward capability: Slot returns before
+// IdleInvariant certifies the idle-elision capability: Slot returns before
 // any RNG draw when there are no arrivals, so eliding silent slots preserves
 // the per-input random streams bit-for-bit.
 func (r *Random) IdleInvariant() bool { return true }

@@ -106,6 +106,6 @@ func (rr *RoundRobin) setPointer(f cell.Flow, p cell.Plane) {
 	rr.ptr[f.In] = p
 }
 
-// IdleInvariant certifies the fast-forward capability: with no arrivals,
+// IdleInvariant certifies the idle-elision capability: with no arrivals,
 // Slot returns before touching any pointer state.
 func (rr *RoundRobin) IdleInvariant() bool { return true }

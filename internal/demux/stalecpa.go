@@ -99,7 +99,7 @@ func (a *StaleCPA) Staleness() cell.Time { return a.u }
 
 // Slot implements Algorithm.
 //
-// StaleCPA deliberately does NOT implement the IdleInvariant fast-forward
+// StaleCPA deliberately does NOT implement the IdleInvariant idle-elision
 // capability: the advanceView call below runs before the empty-arrivals
 // check, consuming global-log events up to t-u on every slot — silent ones
 // included — and mutating the cursor, the per-output oracle view and the

@@ -28,11 +28,11 @@ import (
 type Config struct {
 	// N is the number of external input- and output-ports.
 	N int
-	// K is the number of center-stage planes. The paper's premise is
-	// K < N planes running slower than the external line; K >= N is legal
-	// hardware and accepted here (useful for speedup sweeps), but it is
-	// outside the model the lower bounds are proved for — interpret RQD
-	// figures at K >= N accordingly.
+	// K is the number of center-stage planes, at most demux.MaxPlanes (64).
+	// The paper's premise is K < N planes running slower than the external
+	// line; K >= N is legal hardware and accepted here (useful for speedup
+	// sweeps), but it is outside the model the lower bounds are proved for —
+	// interpret RQD figures at K >= N accordingly.
 	K int
 	// RPrime is r' = R/r: the slots an internal line is occupied per cell.
 	// The speedup is S = K*r/R = K/RPrime.
@@ -72,6 +72,9 @@ func (c Config) Validate() error {
 	}
 	if c.K <= 0 {
 		return fmt.Errorf("fabric: K must be positive, got %d", c.K)
+	}
+	if c.K > demux.MaxPlanes {
+		return fmt.Errorf("fabric: K must be at most %d planes (plane sets are one-word bitmasks), got %d", demux.MaxPlanes, c.K)
 	}
 	if c.RPrime < 1 {
 		return fmt.Errorf("fabric: r' must be >= 1, got %d", c.RPrime)
@@ -197,11 +200,11 @@ type PPS struct {
 	// busyList is the sorted working set of outputs that may still hold
 	// work (cells queued in a plane or parked in the resequencer). Dispatch
 	// stages a newly-busy output in busyAdd (guarded by busyMark); the
-	// sparse mux sweeps (DrainStep, EventStep) merge the additions, walk the
-	// set in ascending output order — preserving the serial engine's
-	// departure and EvXmit order — and compact drained outputs out. The set
-	// is a conservative superset: a full Step never shrinks it, so any legal
-	// Step/DrainStep/EventStep interleaving keeps it valid.
+	// sparse mux sweep (EventStep) merges the additions, walks the set in
+	// ascending output order — preserving the serial engine's departure and
+	// EvXmit order — and compacts drained outputs out. The set is a
+	// conservative superset: a full Step never shrinks it, so any
+	// Step/EventStep interleaving keeps it valid.
 	busyMark []bool
 	busyList []cell.Port
 	busyAdd  []cell.Port
@@ -306,9 +309,8 @@ func (e envView) InputGateFreeAt(in cell.Port, k cell.Plane) cell.Time {
 // FreeGateMask implements the optional demux.GateMasker capability: the
 // bitmask of planes whose line from input `in` is free at slot t, served
 // from the gate matrix's per-row busy masks in O(busy) — at most r'-1 bits
-// per input — rather than K virtual calls. Only valid when K <= 64
-// (demux.GateMasker's contract); algorithms fall back to the per-plane scan
-// otherwise.
+// per input — rather than K virtual calls. The input-side matrix is always
+// masked: Validate caps K at demux.MaxPlanes.
 func (e envView) FreeGateMask(in cell.Port, t cell.Time) uint64 {
 	return e.p.inGates.FreeColsMask(int(in), t)
 }
@@ -687,7 +689,7 @@ func (p *PPS) mergeBusy() {
 
 // sweepBusy runs the multiplexing stage over the busy working set in
 // ascending output order (the serial engine's departure and EvXmit order)
-// and compacts outputs that drained. Shared by DrainStep and EventStep.
+// and compacts outputs that drained.
 func (p *PPS) sweepBusy(t cell.Time, dst []cell.Cell) ([]cell.Cell, error) {
 	keep := p.busyList[:0]
 	for _, j := range p.busyList {
@@ -721,7 +723,7 @@ func (p *PPS) removePending(in cell.Port) {
 
 // stepOutput runs the multiplexing stage for one output: pull per policy,
 // emit, verify flow order, and account the departure. Shared by the serial
-// Step loop, DrainStep and EventStep.
+// Step loop and EventStep.
 func (p *PPS) stepOutput(t cell.Time, j cell.Port, dst []cell.Cell) ([]cell.Cell, error) {
 	pv := &p.pviews[j]
 	c, ok, err := p.outputs[j].Step(t, pv)
@@ -807,12 +809,6 @@ func (p *PPS) Step(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cell.C
 	return dst, nil
 }
 
-// PendingTotal reports the number of arrived-but-undispatched cells across
-// all inputs — the first term of the harness's quiescence predicate (zero
-// pending also means a buffered algorithm's silent-slot release scan is a
-// provable no-op).
-func (p *PPS) PendingTotal() int { return p.pendingTotal }
-
 // IdleInvariant reports whether the demultiplexing algorithm certifies
 // demux.IdleInvariant — a precondition for eliding its Slot calls on idle
 // slots. Stale-information algorithms do not, so they always run stepped.
@@ -822,7 +818,7 @@ func (p *PPS) IdleInvariant() bool {
 }
 
 // NextFaultSlot reports the slot of the next unapplied fault-schedule event,
-// or cell.None. The harness truncates a fast-forward jump at this slot so
+// or cell.None. The harness truncates an idle jump at this slot so
 // fail/recover events (and their drop accounting) land exactly where the
 // stepped engine would apply them.
 func (p *PPS) NextFaultSlot() cell.Time {
@@ -837,29 +833,6 @@ func (p *PPS) NextFaultSlot() cell.Time {
 // incremental per-output plane-backlog counter.
 func (p *PPS) outputBusy(j cell.Port) bool {
 	return p.outputs[j].Buffered() > 0 || p.queuedPerOut[j] > 0
-}
-
-// DrainStep advances the PPS by one slot running only the multiplexing
-// stage, over only the outputs that still hold work. It is the quiescence
-// drain micro-step of the harness's fast-forward and is bit-identical to
-// Step(t, nil, dst) under the caller-guaranteed preconditions: no pending
-// input cells (so demuxing, input audits and the buffered algorithms'
-// release scans are no-ops), no arrivals, no fault event due at t, and an
-// idle-invariant algorithm. The skipped conservation audit is implied by the
-// previous slot's audit plus this slot moving cells only from planes/outputs
-// to departed. The busy-output working set is persistent — dispatch adds
-// outputs, only the sweep removes drained ones, and a full Step never
-// shrinks it — so any legal Step/DrainStep/EventStep interleaving keeps it a
-// valid (conservative) superset of the truly-busy outputs.
-func (p *PPS) DrainStep(t cell.Time, dst []cell.Cell) ([]cell.Cell, error) {
-	if t <= p.lastSlot {
-		return dst, fmt.Errorf("fabric: non-monotone slot %d after %d", t, p.lastSlot)
-	}
-	p.lastSlot = t
-	if len(p.slotDrops) > 0 {
-		p.slotDrops = p.slotDrops[:0]
-	}
-	return p.sweepBusy(t, dst)
 }
 
 // EventStep advances the PPS by one slot at O(events) cost: the dispatch

@@ -75,6 +75,19 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidatePlaneLimit pins the one-word plane-set limit: K = 64 is
+// the widest legal center stage, and K = 65 is rejected with an error that
+// names the limit (no silent fallback to a scan path exists any more).
+func TestConfigValidatePlaneLimit(t *testing.T) {
+	if err := (Config{N: 128, K: demux.MaxPlanes, RPrime: 2}).Validate(); err != nil {
+		t.Errorf("K=%d rejected: %v", demux.MaxPlanes, err)
+	}
+	err := (Config{N: 128, K: demux.MaxPlanes + 1, RPrime: 2}).Validate()
+	if err == nil || !strings.Contains(err.Error(), "at most 64 planes") {
+		t.Errorf("K=65 must be rejected naming the limit, got %v", err)
+	}
+}
+
 func TestSingleCellTraversesInOneSlot(t *testing.T) {
 	// The propagation-free accounting: a lone cell departs the PPS in its
 	// arrival slot, exactly like the shadow switch.

@@ -410,8 +410,8 @@ func (r *Runtime) Due(t cell.Time) []Event {
 
 // Next returns the slot of the earliest scheduled event the cursor has not
 // yet applied, or cell.None when the schedule is exhausted. The harness's
-// quiescence fast-forward uses it to truncate an idle jump at the next
-// fail/recover event, so the fault cursor advances exactly as it would have
+// event core uses it to truncate an idle jump at the next fail/recover
+// event, so the fault cursor advances exactly as it would have
 // in a stepped run.
 func (r *Runtime) Next() cell.Time {
 	if r.idx >= len(r.sched.events) {

@@ -123,15 +123,15 @@ func TestAdmissionMatchesSerialMatrix(t *testing.T) {
 }
 
 // TestAdmissionMatchesSteppedEngines runs the admission cases through the
-// fast-forward and event cores against the stepped oracle on sparse bursty
-// traffic (so slots actually get elided): the lazy closed-form token refill
-// must make exactly the decisions per-slot stepping would.
+// event core against the stepped oracle on sparse bursty traffic (so slots
+// actually get elided): the lazy closed-form token refill must make exactly
+// the decisions per-slot stepping would.
 func TestAdmissionMatchesSteppedEngines(t *testing.T) {
 	const n = 16
 	horizon := cell.Time(512)
 	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1, CheckInvariants: true}
 	for _, ac := range admissionCases {
-		run := func(eng Engine, ff bool) (Result, cell.Time) {
+		run := func(eng Engine) (Result, cell.Time) {
 			inner, err := traffic.NewOnOff(n, 2, 24, horizon, 5)
 			if err != nil {
 				t.Fatal(err)
@@ -143,7 +143,7 @@ func TestAdmissionMatchesSteppedEngines(t *testing.T) {
 			var elided cell.Time
 			res, err := Run(cfg, rrFactory, src, Options{
 				Validate: true, Utilization: true,
-				Engine: eng, FastForward: ff,
+				Engine:        eng,
 				Admission:     mustAdmission(t, ac.spec),
 				OnFastForward: func(from, to cell.Time) { elided += to - from },
 			})
@@ -152,28 +152,19 @@ func TestAdmissionMatchesSteppedEngines(t *testing.T) {
 			}
 			return res, elided
 		}
-		stepped, _ := run(EngineStepped, false)
+		stepped, _ := run(EngineStepped)
 		if stepped.Report.Cells == 0 {
 			t.Fatalf("%s: empty stepped run", ac.name)
 		}
-		for _, variant := range []struct {
-			name string
-			eng  Engine
-			ff   bool
-		}{
-			{"fastforward", EngineStepped, true},
-			{"event", EngineEvent, false},
-		} {
-			t.Run(ac.name+"/"+variant.name, func(t *testing.T) {
-				res, elided := run(variant.eng, variant.ff)
-				if elided == 0 {
-					t.Errorf("sparse run elided no slots; the lazy-refill path was not exercised")
-				}
-				if !reflect.DeepEqual(stripEngine(stepped), stripEngine(res)) {
-					t.Errorf("%s result diverges from stepped\nstepped: %+v\ngot:     %+v", variant.name, stepped, res)
-				}
-			})
-		}
+		t.Run(ac.name+"/event", func(t *testing.T) {
+			res, elided := run(EngineEvent)
+			if elided == 0 {
+				t.Errorf("sparse run elided no slots; the lazy-refill path was not exercised")
+			}
+			if !reflect.DeepEqual(stripEngine(stepped), stripEngine(res)) {
+				t.Errorf("event result diverges from stepped\nstepped: %+v\ngot:     %+v", stepped, res)
+			}
+		})
 	}
 }
 

@@ -14,110 +14,69 @@ type Engine int
 
 const (
 	// EngineAuto runs the event-driven core when the run qualifies (serial,
-	// untraced, a Lookahead source, an IdleInvariant algorithm) and falls
-	// back to the stepped core — honoring Options.FastForward — otherwise.
+	// untraced, a Lookahead source, an IdleInvariant algorithm) and the
+	// stepped core otherwise.
 	EngineAuto Engine = iota
-	// EngineStepped forces the historical slot-by-slot core. With
-	// Options.FastForward set it still elides idle intervals when eligible
-	// (the PR-5 behavior); without it, every slot executes.
+	// EngineStepped forces the naive slot-by-slot core: every slot executes
+	// through fabric.Step. It is the oracle the event core is tested against.
 	EngineStepped
-	// EngineFastForward forces the stepped core with quiescence elision,
-	// falling back to plain stepped (with Result.EngineReason set) when the
-	// run does not qualify.
-	EngineFastForward
-	// EngineEvent forces the event-driven core, degrading to fastforward or
-	// stepped (with Result.EngineReason set) when the run does not qualify.
+	// EngineEvent asks for the event-driven core, degrading to stepped (with
+	// Result.EngineReason set) when the run does not qualify.
 	EngineEvent
 )
 
-// String returns the flag-friendly name ("auto", "stepped", "fastforward",
-// "event").
+// String returns the flag-friendly name ("auto", "stepped", "event").
 func (e Engine) String() string {
 	switch e {
 	case EngineAuto:
 		return "auto"
 	case EngineStepped:
 		return "stepped"
-	case EngineFastForward:
-		return "fastforward"
 	case EngineEvent:
 		return "event"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine maps a CLI flag value to an Engine.
+// ParseEngine maps a CLI flag value to an Engine. "fastforward" is accepted
+// as a deprecated spelling of "auto": the event core elides idle slots, so
+// old command lines keep their meaning.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "auto":
+	case "auto", "fastforward":
 		return EngineAuto, nil
 	case "stepped":
 		return EngineStepped, nil
-	case "fastforward":
-		return EngineFastForward, nil
 	case "event":
 		return EngineEvent, nil
 	}
-	return EngineAuto, fmt.Errorf("harness: unknown engine %q (want auto, stepped, fastforward or event)", s)
+	return EngineAuto, fmt.Errorf("harness: unknown engine %q (want auto, stepped or event)", s)
 }
 
 // selectEngine resolves the requested engine against the run's eligibility
-// and returns the effective engine (never EngineAuto), the source's
-// Lookahead when it has one, and — when the choice is a degradation from
-// what was requested (or, under EngineAuto, from the event core) — the
+// and returns the effective engine (never EngineAuto) and — when the event
+// core was wanted (requested, or implied by EngineAuto) but cannot run — the
 // human-readable reason, surfaced as Result.EngineReason.
 //
-// Eligibility is layered: quiescence elision (fastforward) needs an
-// untraced run, a traffic.Lookahead source and a demux.IdleInvariant
-// algorithm; the event core additionally needs a fully serial run — its
-// sparse audit and busy-output sweep assume single-goroutine ownership of
-// the fabric, and the stage-parallel engine's barrier already prices in
-// touching every port.
-func selectEngine(pps *fabric.PPS, src traffic.Source, opts Options) (Engine, traffic.Lookahead, string) {
-	look, _ := src.(traffic.Lookahead)
-	ffWhy := ""
+// Eliding idle slots needs an untraced run, a traffic.Lookahead source and a
+// demux.IdleInvariant algorithm; the event core additionally needs a fully
+// serial run — its sparse audit and busy-output sweep assume
+// single-goroutine ownership of the fabric, and the stage-parallel engine's
+// barrier already prices in touching every port.
+func selectEngine(pps *fabric.PPS, src traffic.Source, opts Options) (Engine, string) {
+	if opts.Engine == EngineStepped {
+		return EngineStepped, ""
+	}
+	_, look := src.(traffic.Lookahead)
 	switch {
 	case opts.Tracer != nil:
-		ffWhy = "tracer attached: the event stream is inherently per-slot"
-	case look == nil:
-		ffWhy = "source does not implement traffic.Lookahead"
+		return EngineStepped, "tracer attached: the event stream is inherently per-slot"
+	case !look:
+		return EngineStepped, "source does not implement traffic.Lookahead"
 	case !pps.IdleInvariant():
-		ffWhy = "algorithm " + pps.Algorithm().Name() + " does not certify demux.IdleInvariant"
+		return EngineStepped, "algorithm " + pps.Algorithm().Name() + " does not certify demux.IdleInvariant"
+	case opts.Workers != 0 || pps.Workers() > 0:
+		return EngineStepped, "stage-parallel run: the event core is serial"
 	}
-	evWhy := ffWhy
-	if evWhy == "" && (opts.Workers != 0 || pps.Workers() > 0) {
-		evWhy = "stage-parallel run: the event core is serial"
-	}
-
-	switch opts.Engine {
-	case EngineStepped:
-		if opts.FastForward {
-			if ffWhy == "" {
-				return EngineFastForward, look, ""
-			}
-			return EngineStepped, look, ffWhy
-		}
-		return EngineStepped, look, ""
-	case EngineFastForward:
-		if ffWhy == "" {
-			return EngineFastForward, look, ""
-		}
-		return EngineStepped, look, ffWhy
-	case EngineEvent:
-		if evWhy == "" {
-			return EngineEvent, look, ""
-		}
-		if ffWhy == "" {
-			return EngineFastForward, look, evWhy
-		}
-		return EngineStepped, look, ffWhy
-	default: // EngineAuto
-		if evWhy == "" {
-			return EngineEvent, look, ""
-		}
-		if opts.FastForward && ffWhy == "" {
-			return EngineFastForward, look, evWhy
-		}
-		return EngineStepped, look, evWhy
-	}
+	return EngineEvent, ""
 }

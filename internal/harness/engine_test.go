@@ -6,18 +6,20 @@ import (
 	"testing"
 
 	"ppsim/internal/cell"
+	"ppsim/internal/demux"
 	"ppsim/internal/fabric"
 	"ppsim/internal/faults"
 	"ppsim/internal/obs"
 	"ppsim/internal/traffic"
 )
 
-// ffShapes are the traffic shapes of the fast-forward equivalence matrix:
-// saturated uniform traffic (no quiescent interval ever — fast-forward must
+// engineShapes are the traffic shapes of the engine equivalence matrix:
+// saturated uniform traffic (no quiescent interval ever — idle elision must
 // be a perfect no-op), sparse bursty traffic (long idle gaps — the payoff
 // case), and full-rate adversarial permutation traffic (quiesces only in the
-// tail drain, exercising the drain micro-step against heavy backlogs).
-var ffShapes = []struct {
+// tail drain, exercising the sparse busy-output sweep against heavy
+// backlogs).
+var engineShapes = []struct {
 	name    string
 	horizon cell.Time
 	mk      func(n int, horizon cell.Time) traffic.Source
@@ -59,8 +61,8 @@ func stripEngine(r Result) Result {
 // slot-execution core, in the style of TestParallelMatchesSerialMatrix: for
 // every registered algorithm, traffic shape, worker count and fault schedule
 // (none, and an outage straddling idle gaps under DropCount), the
-// fast-forward, event-driven and auto-selected engines must produce Results
-// deeply equal to the forced-stepped oracle — decimated series (ring state
+// event-driven and auto-selected engines must produce Results deeply equal
+// to the forced-stepped oracle — decimated series (ring state
 // included, since DeepEqual follows the Series pointers into their
 // unexported fields), drop counters, RQD/RDJ statistics, burstiness,
 // utilization, everything except the Engine/EngineReason record itself.
@@ -85,13 +87,13 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 			return faults.NewSchedule().Outage(1, 100, 160)
 		}, faults.DropCount},
 	}
-	var elidedFF, elidedEvent cell.Time
+	var elided cell.Time
 	eventRuns, fallbacks := 0, 0
 	for _, alg := range matrixAlgs {
-		for _, shape := range ffShapes {
+		for _, shape := range engineShapes {
 			for _, w := range []int{0, 4} {
 				for _, sched := range schedules {
-					run := func(eng Engine, ff bool) Result {
+					run := func(eng Engine) Result {
 						opts := Options{
 							Validate:    true,
 							Utilization: true,
@@ -99,25 +101,19 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 							Faults:      sched.mk(),
 							FaultPolicy: sched.polcy,
 							Engine:      eng,
-							FastForward: ff,
 							Probes:      obs.StandardProbes(n, cfg.K, 3, 16),
 						}
-						if shape.name == "sparse" {
-							switch {
-							case ff:
-								opts.OnFastForward = func(from, to cell.Time) { elidedFF += to - from }
-							case eng == EngineEvent:
-								opts.OnFastForward = func(from, to cell.Time) { elidedEvent += to - from }
-							}
+						if shape.name == "sparse" && eng == EngineEvent {
+							opts.OnFastForward = func(from, to cell.Time) { elided += to - from }
 						}
 						res, err := Run(cfg, alg.mk, shape.mk(n, shape.horizon), opts)
 						if err != nil {
-							t.Fatalf("%s/%s/w%d/%s engine=%v ff=%v: %v", alg.name, shape.name, w, sched.name, eng, ff, err)
+							t.Fatalf("%s/%s/w%d/%s engine=%v: %v", alg.name, shape.name, w, sched.name, eng, err)
 						}
 						return res
 					}
 					t.Run(fmt.Sprintf("%s/%s/w%d/%s", alg.name, shape.name, w, sched.name), func(t *testing.T) {
-						stepped := run(EngineStepped, false)
+						stepped := run(EngineStepped)
 						if stepped.Report.Cells == 0 {
 							t.Fatal("empty stepped run")
 						}
@@ -128,14 +124,13 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 							name string
 							res  Result
 						}{
-							{"fastforward", run(EngineStepped, true)},
-							{"event", run(EngineEvent, false)},
+							{"event", run(EngineEvent)},
 						}
 						if w == 0 {
 							variants = append(variants, struct {
 								name string
 								res  Result
-							}{"auto", run(EngineAuto, false)})
+							}{"auto", run(EngineAuto)})
 						}
 						for _, v := range variants {
 							if !reflect.DeepEqual(stripEngine(stepped), stripEngine(v.res)) {
@@ -161,10 +156,7 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 			}
 		}
 	}
-	if elidedFF == 0 {
-		t.Error("sparse shape elided no slots under fast-forward: the elision path was never exercised")
-	}
-	if elidedEvent == 0 {
+	if elided == 0 {
 		t.Error("sparse shape elided no slots under the event core: the quiet jump was never exercised")
 	}
 	if eventRuns == 0 {
@@ -175,13 +167,14 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestFastForwardSlotAllocFree pins the elided-interval path at zero heap
-// allocations per interval, the fast-forward analogue of
+// TestIdleJumpAllocFree pins the event core's elided-interval path at zero
+// heap allocations per interval, the idle analogue of
 // TestSteadyStateSlotAllocFree: one closed-form probe synthesis over a
 // 64-slot span (rings warmed to capacity so ObserveSpan runs its overwrite
-// arithmetic), one drain micro-step on the drained fabric, and one lookahead
-// query plus its consuming Arrivals call on an RNG-backed source.
-func TestFastForwardSlotAllocFree(t *testing.T) {
+// arithmetic), the EventStep that lands on the quiet fabric at the end of
+// the jump, and one memoized lookahead query plus its consuming Arrivals
+// call on an RNG-backed source.
+func TestIdleJumpAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations; guard only meaningful on plain builds")
 	}
@@ -205,13 +198,13 @@ func TestFastForwardSlotAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var look traffic.Lookahead = onoff
+	next := traffic.NewEventFeed(onoff)
 	var buf []traffic.Arrival
 	after := cell.Time(-1)
 	// Warm the lookahead scan buffers (pend and the consumer slice) across
 	// enough bursts to reach their steady-state capacities.
 	for i := 0; i < 128; i++ {
-		na := look.NextArrival(after)
+		na := next.Next(after)
 		buf = onoff.Arrivals(na, buf[:0])
 		after = na
 	}
@@ -219,16 +212,89 @@ func TestFastForwardSlotAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(64, func() {
 		sampleIdleSpan(probes, view, cursor, cursor+64)
 		var err error
-		s.deps, err = s.pps.DrainStep(cursor, s.deps[:0])
+		s.deps, err = s.pps.EventStep(cursor+64, nil, s.deps[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		cursor += 65
-		na := look.NextArrival(after)
+		na := next.Next(after)
 		buf = onoff.Arrivals(na, buf[:0])
 		after = na
 	})
 	if allocs != 0 {
 		t.Errorf("elided interval allocates: %.2f allocs/interval, want 0", allocs)
+	}
+}
+
+// opaqueSource hides every optional capability of the wrapped source
+// (Lookahead, BatchSource): only the embedded interface's methods promote.
+type opaqueSource struct{ traffic.Source }
+
+// TestSelectEngine is the whole engine-resolution table: every request
+// against every disqualifier. Stepped is always honored silently; auto and
+// event resolve to the event core only for a serial, untraced run over a
+// Lookahead source and an IdleInvariant algorithm, and otherwise run stepped
+// with the single reason that disqualified them.
+func TestSelectEngine(t *testing.T) {
+	const n = 8
+	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1}
+	stale := func(e demux.Env) (demux.Algorithm, error) { return demux.NewStaleCPA(e, 4) }
+	look := traffic.NewBernoulli(n, 0.5, 64, 1)
+	cases := []struct {
+		name    string
+		mk      func(demux.Env) (demux.Algorithm, error)
+		src     traffic.Source
+		opts    Options
+		workers int
+		reason  string // "" = eligible for the event core
+	}{
+		{name: "eligible", mk: rrFactory, src: look},
+		{name: "tracer", mk: rrFactory, src: look, opts: Options{Tracer: obs.NewTracer(obs.NewRingSink(8))},
+			reason: "tracer attached: the event stream is inherently per-slot"},
+		{name: "no-lookahead", mk: rrFactory, src: opaqueSource{look},
+			reason: "source does not implement traffic.Lookahead"},
+		{name: "stale-family", mk: stale, src: look,
+			reason: "algorithm stale-cpa-u4 does not certify demux.IdleInvariant"},
+		{name: "workers", mk: rrFactory, src: look, workers: 2,
+			reason: "stage-parallel run: the event core is serial"},
+	}
+	for _, tc := range cases {
+		c := cfg
+		c.Workers = tc.workers
+		pps, err := fabric.New(c, tc.mk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pps.Close()
+		for _, req := range []Engine{EngineAuto, EngineStepped, EngineEvent} {
+			opts := tc.opts
+			opts.Engine, opts.Workers = req, tc.workers
+			wantEng, wantWhy := EngineEvent, ""
+			if req == EngineStepped {
+				wantEng = EngineStepped
+			} else if tc.reason != "" {
+				wantEng, wantWhy = EngineStepped, tc.reason
+			}
+			if eng, why := selectEngine(pps, tc.src, opts); eng != wantEng || why != wantWhy {
+				t.Errorf("%s, requested %v: got (%v, %q), want (%v, %q)", tc.name, req, eng, why, wantEng, wantWhy)
+			}
+		}
+	}
+}
+
+// TestParseEngineRoundTripAndDeprecatedSpelling: every Engine parses back
+// from its String, and "fastforward" — the removed third core — is still
+// accepted as a spelling of auto.
+func TestParseEngineRoundTripAndDeprecatedSpelling(t *testing.T) {
+	for _, e := range []Engine{EngineAuto, EngineStepped, EngineEvent} {
+		if got, err := ParseEngine(e.String()); err != nil || got != e {
+			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
+		}
+	}
+	if got, err := ParseEngine("fastforward"); err != nil || got != EngineAuto {
+		t.Errorf(`ParseEngine("fastforward") = %v, %v; want auto`, got, err)
+	}
+	if _, err := ParseEngine("warp"); err == nil {
+		t.Error("unknown engine name accepted")
 	}
 }

@@ -80,43 +80,63 @@ func TestParallelMatchesSerialFaults(t *testing.T) {
 }
 
 // TestFaultAwareMatchesSerial runs the faultaware wrapper through the same
-// degraded scenario on both engines: masking changes which planes the inner
-// algorithm sees, and that masked view must also be deterministic.
+// degraded scenario on every engine — the serial event core against the
+// stepped oracle and the stage-parallel workers: masking changes which
+// planes the inner algorithm sees, and that masked view must also be
+// deterministic. Round-robin consults the masked per-plane gate view; the
+// other three consume maskedEnv.FreeGateMask, so the outage exercises the
+// mask with a dead plane's bit cleared and restored.
 func TestFaultAwareMatchesSerial(t *testing.T) {
 	const n = 16
 	horizon := cell.Time(192)
 	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1, CheckInvariants: true}
-	mk := func(e demux.Env) (demux.Algorithm, error) {
-		return demux.NewFaultAware(e, func(e demux.Env) (demux.Algorithm, error) {
-			return demux.NewRoundRobin(e, demux.PerInput)
+	inners := []struct {
+		name string
+		mk   func(demux.Env) (demux.Algorithm, error)
+	}{
+		{"rr", func(e demux.Env) (demux.Algorithm, error) { return demux.NewRoundRobin(e, demux.PerInput) }},
+		{"local-least-loaded", func(e demux.Env) (demux.Algorithm, error) { return demux.NewLocalLeastLoaded(e) }},
+		{"random", func(e demux.Env) (demux.Algorithm, error) { return demux.NewRandom(e, 7) }},
+		{"cpa-sets", func(e demux.Env) (demux.Algorithm, error) { return demux.NewCPASets(e) }},
+	}
+	for _, inner := range inners {
+		inner := inner
+		t.Run(inner.name, func(t *testing.T) {
+			mk := func(e demux.Env) (demux.Algorithm, error) { return demux.NewFaultAware(e, inner.mk) }
+			run := func(workers int, eng Engine) Result {
+				src := traffic.NewBernoulli(n, 0.6, horizon, 11)
+				res, err := Run(cfg, mk, src, Options{
+					Validate: true, Utilization: true, Workers: workers, Engine: eng,
+					Faults:      faults.NewSchedule().Outage(0, 40, 120),
+					FaultPolicy: faults.DropCount,
+				})
+				if err != nil {
+					t.Fatalf("workers=%d engine=%v: %v", workers, eng, err)
+				}
+				return res
+			}
+			serial := run(0, EngineAuto)
+			if want := "faultaware(" + inner.name + ")"; serial.AlgorithmName != want {
+				t.Fatalf("AlgorithmName = %q, want %q", serial.AlgorithmName, want)
+			}
+			if serial.Engine != "event" {
+				t.Fatalf("serial run recorded engine %q (%q), want the event core", serial.Engine, serial.EngineReason)
+			}
+			// Masking routes around the outage, so only plane 0's backlog at
+			// the failure instant can drop — never a fresh dispatch.
+			if serial.Drops > uint64(serial.Report.Cells/10) {
+				t.Errorf("faultaware drops = %d of %d cells; masking should prevent dead-plane dispatches",
+					serial.Drops, serial.Report.Cells)
+			}
+			if stepped := run(0, EngineStepped); !reflect.DeepEqual(stripEngine(serial), stripEngine(stepped)) {
+				t.Errorf("stepped faultaware result diverges from the event core")
+			}
+			for _, w := range []int{1, 4} {
+				if par := run(w, EngineAuto); !reflect.DeepEqual(stripEngine(serial), stripEngine(par)) {
+					t.Errorf("workers=%d: faultaware result diverges from serial", w)
+				}
+			}
 		})
-	}
-	run := func(workers int) Result {
-		src := traffic.NewBernoulli(n, 0.6, horizon, 11)
-		res, err := Run(cfg, mk, src, Options{
-			Validate: true, Utilization: true, Workers: workers,
-			Faults:      faults.NewSchedule().Outage(0, 40, 120),
-			FaultPolicy: faults.DropCount,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return res
-	}
-	serial := run(0)
-	if serial.AlgorithmName != "faultaware(rr)" {
-		t.Fatalf("AlgorithmName = %q, want faultaware(rr)", serial.AlgorithmName)
-	}
-	// Masking routes around the outage, so only plane 0's backlog at the
-	// failure instant can drop — never a fresh dispatch.
-	if serial.Drops > uint64(serial.Report.Cells/10) {
-		t.Errorf("faultaware drops = %d of %d cells; masking should prevent dead-plane dispatches",
-			serial.Drops, serial.Report.Cells)
-	}
-	for _, w := range []int{1, 4} {
-		if par := run(w); !reflect.DeepEqual(stripEngine(serial), stripEngine(par)) {
-			t.Errorf("workers=%d: faultaware result diverges from serial", w)
-		}
 	}
 }
 

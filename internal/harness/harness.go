@@ -25,7 +25,9 @@ type Options struct {
 	// unbounded; 0 means "trust the source's End()". A run with an
 	// unbounded source and Horizon 0 is an error.
 	Horizon cell.Time
-	// MaxSlots aborts a run that fails to drain (default 1<<22).
+	// MaxSlots caps the run length (default 1<<22): a run that reaches it
+	// before the horizon is consumed and both switches have drained returns
+	// an error, never a truncated Result.
 	MaxSlots cell.Time
 	// OnPPSDepart, if non-nil, observes every PPS departure (with all
 	// stage stamps set).
@@ -94,7 +96,9 @@ type Options struct {
 	// positive request bypasses the floor. Result.Workers and
 	// Result.ShardPorts record what actually ran. Any non-zero value also
 	// overlaps the shadow-switch step with the PPS step inside Drive (both
-	// consume the same arrival stream and synchronize at slot end).
+	// consume the same arrival stream and synchronize at slot end), and pins
+	// the run to the stepped core: every slot executes, idle ones included,
+	// so sparse long-horizon runs belong on the serial event core.
 	// Results are bit-identical across all settings; Run forwards the
 	// value to fabric.Config.Workers when the config leaves it zero.
 	Workers int
@@ -104,24 +108,10 @@ type Options struct {
 	// bit-identical, and Result.Engine/Result.EngineReason record what
 	// actually ran and why a request was degraded.
 	Engine Engine
-	// FastForward opts into the quiescence fast-forward under
-	// EngineStepped (and EngineAuto runs that fall back to stepped): when
-	// no cell is pending at any input, no arrival or fault event is due,
-	// and the demultiplexing algorithm certifies idle-invariance
-	// (demux.IdleInvariant), the engine drains the remaining mux backlog
-	// with reduced micro-steps and then jumps the clock to the next event in
-	// one step, synthesizing the probe samples the stepped engine would have
-	// recorded. Results are bit-identical to the stepped engine — series,
-	// drop counters, RQD statistics and violations included. Runs with a
-	// Tracer (the event stream is inherently per-slot), a source without
-	// traffic.Lookahead, or a non-certifying algorithm (the stale-info
-	// family) fall back to stepping every slot, recording the reason in
-	// Result.EngineReason.
-	FastForward bool
-	// OnFastForward, if non-nil, observes every idle jump as the half-open
-	// elided interval [from, to). It is a callback rather than a Result
-	// field so fast-forwarded and stepped runs of the same workload produce
-	// deeply equal Results.
+	// OnFastForward, if non-nil, observes every idle jump of the event core
+	// as the half-open elided interval [from, to). It is a callback rather
+	// than a Result field so event and stepped runs of the same workload
+	// produce deeply equal Results.
 	OnFastForward func(from, to cell.Time)
 }
 
@@ -150,15 +140,16 @@ type Result struct {
 	// DropCount fault policy (0 under Abort); Report.DropsPerPlane and
 	// Report.DropsPerInput break it down.
 	Drops uint64
-	// Engine records the slot-execution core that actually ran: "stepped",
-	// "fastforward" or "event". All cores produce identical measurements,
-	// so tests comparing engines normalize these two fields away.
+	// Engine records the slot-execution core that actually ran: "stepped"
+	// or "event". Both produce identical measurements, so tests comparing
+	// engines normalize these two fields away.
 	Engine string
 	// EngineReason is empty when the requested engine (or, under
 	// EngineAuto, the event core) ran, and otherwise explains the
-	// degradation — e.g. a tracer pinning the run to the stepped core, or a
-	// stale-information algorithm that cannot certify idle elision. CLIs
-	// surface it so users asking for elision learn they ran stepped.
+	// degradation — e.g. a tracer or a worker pool pinning the run to the
+	// stepped core, or a stale-information algorithm that cannot certify
+	// idle elision. CLIs surface it so users expecting elision learn they
+	// ran stepped.
 	EngineReason string
 	// Workers records the effective stage-parallel worker count the fabric
 	// resolved for the run (0 = serial engine). Note that Options.Workers
@@ -269,14 +260,12 @@ func (v *slotView) AdmittedTotal() uint64     { return v.rec.AdmittedTotal() }
 func (v *slotView) RejectedTotal() uint64     { return v.rec.RejectedTotal() }
 func (v *slotView) ExpiredTotal() uint64      { return v.rec.ExpiredTotal() }
 
-// driver bundles the per-run state shared by the slot-execution cores
-// (runStepped, runEvent) and Drive's teardown: both switches, the stamper,
-// the recorder, the probe view, the telemetry sinks and the reusable
-// scratch buffers. Exactly one core runs per driver.
+// driver bundles the per-run state shared by the slot loop (run) and
+// Drive's teardown: both switches, the stamper, the recorder, the probe
+// view, the telemetry sinks and the reusable scratch buffers.
 type driver struct {
 	pps     *fabric.PPS
 	sh      *shadow.Switch
-	src     traffic.Source
 	opts    *Options
 	end     cell.Time
 	st      *cell.Stamper
@@ -286,12 +275,12 @@ type driver struct {
 	view    *slotView
 	tel     *obs.Telemetry
 	telPrev *obs.DelaySet
-	look    traffic.Lookahead
 	// feed serves the arrival phase: one slab of arrivals per span when the
 	// source implements traffic.BatchSource, a per-slot pass-through
-	// otherwise. All engines (and the admission gate inside feedSlot)
-	// consume slots through it, and d.look is its Lookahead view so slab
-	// state and quiescence queries stay interleaved correctly.
+	// otherwise. Both cores (and the admission gate inside feedSlot) consume
+	// slots through it, and the event core's quiescence queries go through
+	// its Lookahead view so slab state and lookahead state stay interleaved
+	// correctly.
 	feed *traffic.SpanFeed
 	// adm is the admission runtime, nil under always-admit (nil or empty
 	// spec) — the gate in feedSlot then reduces to the bare counters, so a
@@ -299,9 +288,6 @@ type driver struct {
 	adm *admission.Runtime
 
 	deps, shDeps, cellsBuf []cell.Cell
-	// slot is where the core stopped: the first slot after both switches
-	// drained, or MaxSlots.
-	slot cell.Time
 }
 
 // feedSlot reads, validates, admits and stamps slot t's arrivals into the
@@ -387,21 +373,31 @@ func (d *driver) sampleSlot(t cell.Time) {
 	}
 }
 
-// runStepped is the historical slot-by-slot core, optionally (elide) with
-// the PR-5 quiescence fast-forward; selectEngine guarantees elide is only
-// set when the run qualifies (d.look non-nil, IdleInvariant certified, no
-// tracer). It is the oracle the other cores are equivalence-tested against.
-func (d *driver) runStepped(elide bool) error {
+// run is the slot loop, shared by both cores. The stepped core (event false)
+// executes every slot through fabric.Step — the naive oracle, and the only
+// core that runs traced, stage-parallel, non-Lookahead or stale-information
+// configurations. The event core (event true) differs in two places: slots
+// execute through fabric.EventStep, which only touches the pending inputs
+// and busy outputs, and when both switches are fully quiet the clock jumps
+// in one step to the next event — the source's next arrival, the next fault
+// due time, or the horizon, whichever comes first — with the probe samples
+// of the elided span synthesized in closed form. Cost is then O(events), not
+// O(slots), and results are bit-identical to stepping (DESIGN.md §10).
+// selectEngine guarantees the event core's preconditions: serial run, no
+// tracer, Lookahead source, IdleInvariant algorithm. run returns where the
+// loop stopped: the first slot at or past the horizon with both switches
+// drained, or MaxSlots.
+func (d *driver) run(event bool) (cell.Time, error) {
 	pps, sh, opts, end := d.pps, d.sh, d.opts, d.end
 
-	// Overlapped shadow pipeline: with Workers != 0 the shadow switch
-	// steps on its own persistent goroutine while the PPS steps on this
-	// one. Both only read the slot's stamped cells; the recorder is fed
-	// exclusively from this goroutine, in the serial order (PPS departures
-	// first, then shadow departures), after the slot-end synchronization —
-	// so results stay bit-identical to the serial loop. The channels are
-	// buffered so the per-slot handoff never allocates or blocks the
-	// worker on send.
+	// Overlapped shadow pipeline: with Workers != 0 (stepped core only) the
+	// shadow switch steps on its own persistent goroutine while the PPS steps
+	// on this one. Both only read the slot's stamped cells; the recorder is
+	// fed exclusively from this goroutine, in the serial order (PPS
+	// departures first, then shadow departures), after the slot-end
+	// synchronization — so results stay bit-identical to the serial loop. The
+	// channels are buffered so the per-slot handoff never allocates or blocks
+	// the worker on send.
 	overlap := opts.Workers != 0
 	var shadowIn chan shadowSlot
 	var shadowOut chan []cell.Cell
@@ -418,112 +414,13 @@ func (d *driver) runStepped(elide bool) error {
 		defer close(shadowIn)
 	}
 
-	var err error
-	slot := cell.Time(0)
-	for ; slot < opts.MaxSlots; slot++ {
-		if slot >= end && pps.Drained() && sh.Drained() {
-			break
-		}
-		// Quiescence detection: with no cell pending at any input and no
-		// arrival or fault event due this slot, the arrival, demux, audit
-		// and fault stages are provable no-ops. If both switches are also
-		// fully drained nothing at all can move before the next event, so
-		// the clock jumps there in one step; otherwise the slot runs as a
-		// reduced drain micro-step (mux stage only, busy outputs only).
-		drain := false
-		if elide && pps.PendingTotal() == 0 {
-			na := cell.None
-			if slot < end {
-				na = d.look.NextArrival(slot - 1)
-				if na != cell.None && na >= end {
-					na = cell.None // beyond the horizon: never fed
-				}
-			}
-			if na != slot && pps.NextFaultSlot() != slot {
-				if pps.Drained() && sh.Drained() {
-					// Idle jump. slot < end here (the loop would have
-					// terminated above otherwise), and the next arrival and
-					// fault slots are strictly ahead, so until > slot.
-					until := opts.MaxSlots
-					if end < until {
-						until = end
-					}
-					if na != cell.None && na < until {
-						until = na
-					}
-					if nf := pps.NextFaultSlot(); nf != cell.None && nf < until {
-						until = nf
-					}
-					if d.probing {
-						sampleIdleSpan(opts.Probes, d.view, slot, until)
-					}
-					if opts.OnFastForward != nil {
-						opts.OnFastForward(slot, until)
-					}
-					slot = until - 1 // loop post-increment resumes at until
-					continue
-				}
-				drain = true
-			}
-		}
-		cells := d.cellsBuf[:0]
-		if !drain && slot < end {
-			if cells, err = d.feedSlot(slot); err != nil {
-				return err
-			}
-		}
-		if overlap {
-			shadowIn <- shadowSlot{t: slot, cells: cells}
-		}
-		if drain {
-			d.deps, err = pps.DrainStep(slot, d.deps[:0])
-		} else {
-			d.deps, err = pps.Step(slot, cells, d.deps[:0])
-		}
-		if err != nil {
-			return err
-		}
-		d.recordDepartures()
-		if overlap {
-			// Slot-end synchronization: the worker hands back its own
-			// departure buffer; it will not touch it again until the next
-			// shadowIn send, which happens only after this goroutine is
-			// done reading (and after cells is rebuilt next iteration).
-			d.shDeps = <-shadowOut
-		} else {
-			d.shDeps = sh.Step(slot, cells, d.shDeps[:0])
-		}
-		for _, c := range d.shDeps {
-			d.rec.ShadowDepart(c)
-		}
-		if d.probing {
-			d.sampleSlot(slot)
-		}
-		if d.tel != nil {
-			d.tel.Tick(int64(slot), pps.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
-			if slot%telemetryFlushStride == 0 {
-				d.tel.ObserveDelays(d.rec.Delays(), d.telPrev)
-			}
-		}
+	var next *traffic.EventFeed
+	if event {
+		next = traffic.NewEventFeed(d.feed.Look())
 	}
-	d.slot = slot
-	return nil
-}
-
-// runEvent is the event-driven core: cost is O(events), not O(slots).
-// While anything is in flight, slots execute through fabric.EventStep —
-// which itself only touches the pending inputs and busy outputs, advancing
-// busy outputs independently of idle ones — and when both switches are
-// fully quiet the clock jumps in one step to the next event: the source's
-// next arrival (served by the memoized lookahead feed), the next fault due
-// time, or the horizon, whichever comes first. Probe samples for elided
-// spans are synthesized exactly as the fast-forward path does, so results
-// are bit-identical to runStepped. selectEngine guarantees the
-// preconditions: serial run, no tracer, Lookahead source, IdleInvariant
-// algorithm.
-func (d *driver) runEvent() error {
-	pps, sh, opts, end := d.pps, d.sh, d.opts, d.end
-	feed := traffic.NewEventFeed(d.look)
+	// executed counts slots that ran (all of them under the stepped core); it
+	// paces the telemetry flush, which a mostly-elided run would otherwise
+	// hit on almost every executed slot (or never).
 	executed := cell.Time(0)
 	var err error
 	slot := cell.Time(0)
@@ -531,13 +428,13 @@ func (d *driver) runEvent() error {
 		if slot >= end && pps.Drained() && sh.Drained() {
 			break
 		}
-		if pps.Backlog() == 0 && sh.Drained() {
+		if event && pps.Backlog() == 0 && sh.Drained() {
 			// Fully quiet (the O(1) backlog counter makes this check free):
 			// nothing can move before the next arrival or fault, so unless
 			// one is due this very slot, jump. slot < end here — otherwise
 			// the loop would have terminated above — so the feed query is
 			// within the monotone-consumption contract.
-			na := feed.Next(slot - 1)
+			na := next.Next(slot - 1)
 			if na != cell.None && na >= end {
 				na = cell.None // beyond the horizon: never fed
 			}
@@ -566,15 +463,30 @@ func (d *driver) runEvent() error {
 		cells := d.cellsBuf[:0]
 		if slot < end {
 			if cells, err = d.feedSlot(slot); err != nil {
-				return err
+				return slot, err
 			}
 		}
-		d.deps, err = pps.EventStep(slot, cells, d.deps[:0])
+		if overlap {
+			shadowIn <- shadowSlot{t: slot, cells: cells}
+		}
+		if event {
+			d.deps, err = pps.EventStep(slot, cells, d.deps[:0])
+		} else {
+			d.deps, err = pps.Step(slot, cells, d.deps[:0])
+		}
 		if err != nil {
-			return err
+			return slot, err
 		}
 		d.recordDepartures()
-		d.shDeps = sh.Step(slot, cells, d.shDeps[:0])
+		if overlap {
+			// Slot-end synchronization: the worker hands back its own
+			// departure buffer; it will not touch it again until the next
+			// shadowIn send, which happens only after this goroutine is
+			// done reading (and after cells is rebuilt next iteration).
+			d.shDeps = <-shadowOut
+		} else {
+			d.shDeps = sh.Step(slot, cells, d.shDeps[:0])
+		}
 		for _, c := range d.shDeps {
 			d.rec.ShadowDepart(c)
 		}
@@ -583,17 +495,13 @@ func (d *driver) runEvent() error {
 		}
 		if d.tel != nil {
 			d.tel.Tick(int64(slot), pps.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
-			// Flush cadence counts executed slots, not wall-clock slots: a
-			// mostly-elided run would otherwise flush on almost every
-			// executed slot (or never), defeating the coarse stride.
 			if executed%telemetryFlushStride == 0 {
 				d.tel.ObserveDelays(d.rec.Delays(), d.telPrev)
 			}
 			executed++
 		}
 	}
-	d.slot = slot
-	return nil
+	return slot, nil
 }
 
 // Drive is Run against an existing PPS (so callers can inject plane
@@ -630,7 +538,6 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 	d := &driver{
 		pps:  pps,
 		sh:   sh,
-		src:  src,
 		opts: &opts,
 		end:  end,
 		st:   cell.NewStamperSized(cfg.N),
@@ -664,22 +571,14 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 		defer d.tel.RunFinished()
 	}
 
-	// The span feed serves every engine's arrival phase; engine eligibility
-	// is still keyed off the raw source (selectEngine), but quiescence
-	// queries must go through the feed so they interleave with slab state.
+	// The span feed serves both cores' arrival phase; engine eligibility is
+	// keyed off the raw source (selectEngine).
 	d.feed = traffic.NewSpanFeed(src, end)
-	eng, _, reason := selectEngine(pps, src, opts)
-	d.look = d.feed.Look()
-	var err error
-	if eng == EngineEvent {
-		err = d.runEvent()
-	} else {
-		err = d.runStepped(eng == EngineFastForward)
-	}
+	eng, reason := selectEngine(pps, src, opts)
+	slot, err := d.run(eng == EngineEvent)
 	if err != nil {
 		return Result{}, err
 	}
-	slot := d.slot
 	if d.tel != nil {
 		d.tel.ObserveDelays(d.rec.Delays(), d.telPrev)
 		d.tel.Tick(int64(slot), pps.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
@@ -687,6 +586,10 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 	if !pps.Drained() || !sh.Drained() {
 		return Result{}, fmt.Errorf("harness: not drained after %d slots (pps backlog %d, shadow backlog %d)",
 			slot, pps.Backlog(), sh.Backlog())
+	}
+	if slot < end {
+		return Result{}, fmt.Errorf("harness: MaxSlots %d reached before the horizon %d: the run would be truncated (raise Options.MaxSlots)",
+			opts.MaxSlots, end)
 	}
 	if d.probing && slot > 0 {
 		// Final-slot flush: stride decimation would otherwise drop the last
@@ -748,8 +651,8 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 	return res, nil
 }
 
-// sampleIdleSpan replays probe sampling for the elided slots [from, to) of a
-// fast-forward jump. Probes implementing obs.IdleSpanSampler synthesize
+// sampleIdleSpan replays probe sampling for the elided slots [from, to) of an
+// idle jump. Probes implementing obs.IdleSpanSampler synthesize
 // their points in closed form; any other probe is driven through its regular
 // per-slot Sample so correctness never depends on the capability. No cell
 // departs inside an idle span, so the view's front-RQD is cleared once for

@@ -82,6 +82,28 @@ func TestMaxSlotsAborts(t *testing.T) {
 	}
 }
 
+// TestMaxSlotsBeforeHorizonErrors is the silent-truncation regression: the
+// cap is reached while both switches happen to be empty (the first cell has
+// long departed, the second is not due until slot 5000), so the drain check
+// alone passes. The run must fail naming MaxSlots and the horizon instead
+// of returning a shortened Result — under both cores.
+func TestMaxSlotsBeforeHorizonErrors(t *testing.T) {
+	cfg := fabric.Config{N: 4, K: 4, RPrime: 2}
+	for _, eng := range []Engine{EngineEvent, EngineStepped} {
+		tr := traffic.NewTrace()
+		tr.MustAdd(0, 0, 0)
+		tr.MustAdd(5000, 0, 0)
+		res, err := Run(cfg, rrFactory, tr, Options{MaxSlots: 1000, Engine: eng})
+		if err == nil {
+			t.Errorf("%v: truncated run returned no error (Slots=%d, Offered=%d)", eng, res.Slots, res.Report.Offered)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "MaxSlots 1000") || !strings.Contains(msg, "horizon 5001") {
+			t.Errorf("%v: error should name MaxSlots and the horizon: %v", eng, err)
+		}
+	}
+}
+
 func TestOnPPSDepartSeesStamps(t *testing.T) {
 	cfg := fabric.Config{N: 2, K: 2, RPrime: 1, CheckInvariants: true}
 	tr := traffic.NewTrace()

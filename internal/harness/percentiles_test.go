@@ -69,14 +69,16 @@ func checkQuantiles(t *testing.T, name string, q obs.Quantiles, samples []int64)
 // of the delay-attribution histograms: for every registered algorithm, the
 // histogram-derived p50/p99/p999 of each component must sit within one log
 // bucket of the exact sorted-sample percentiles, and the full Result —
-// percentile block included — must stay bit-identical across the serial,
-// stage-parallel (1 and 4 workers) and fast-forward engines.
+// percentile block included — must stay bit-identical across the serial
+// event core, the stage-parallel stepped core (1 and 4 workers), and an
+// explicit event request in each worker configuration (which degrades to
+// stepped, with a recorded reason, under workers).
 func TestPercentilesMatchExactMatrix(t *testing.T) {
 	const n = 8
 	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1, CheckInvariants: true}
 	// On/off traffic: bursts stress the resequencer (non-trivial component
-	// tails) and the idle gaps between bursts give the fast-forward engine
-	// real intervals to elide.
+	// tails) and the idle gaps between bursts give the event core real
+	// intervals to elide.
 	mkSrc := func() traffic.Source {
 		src, err := traffic.NewOnOff(n, 8, 48, 512, 5)
 		if err != nil {
@@ -86,17 +88,17 @@ func TestPercentilesMatchExactMatrix(t *testing.T) {
 	}
 	for _, alg := range matrixAlgs {
 		t.Run(alg.name, func(t *testing.T) {
-			run := func(workers int, ff bool, on func(cell.Cell)) Result {
+			run := func(workers int, eng Engine, on func(cell.Cell)) Result {
 				res, err := Run(cfg, alg.mk, mkSrc(),
 					Options{Validate: true, Utilization: true, Workers: workers,
-						FastForward: ff, OnPPSDepart: on})
+						Engine: eng, OnPPSDepart: on})
 				if err != nil {
-					t.Fatalf("workers=%d ff=%v: %v", workers, ff, err)
+					t.Fatalf("workers=%d engine=%v: %v", workers, eng, err)
 				}
 				return res
 			}
 			dc := newDelayCollector()
-			serial := run(0, false, dc.observe)
+			serial := run(0, EngineAuto, dc.observe)
 			if serial.Report.Cells == 0 {
 				t.Fatal("empty run")
 			}
@@ -127,15 +129,31 @@ func TestPercentilesMatchExactMatrix(t *testing.T) {
 				t.Fatalf("rqd histogram holds %d samples, want %d", q.RQD.N, serial.Report.Cells)
 			}
 			// Engine matrix: every variant must reproduce the serial Result
-			// bit-identically, streaming percentile block included.
+			// bit-identically, streaming percentile block included. The
+			// "ff" label predates the event core and is kept so the subtest
+			// IDs stay stable: ff=true is an explicit request for idle
+			// elision (Engine: EngineEvent), ff=false leaves the choice to
+			// auto. Elision is serial-only, so a request under workers must
+			// degrade to stepped and say why.
 			for _, v := range []struct {
 				workers int
-				ff      bool
+				elide   bool
 			}{{1, false}, {4, false}, {0, true}, {1, true}, {4, true}} {
 				v := v
-				t.Run(fmt.Sprintf("w%d_ff%v", v.workers, v.ff), func(t *testing.T) {
-					if got := run(v.workers, v.ff, nil); !reflect.DeepEqual(stripEngine(serial), stripEngine(got)) {
+				t.Run(fmt.Sprintf("w%d_ff%v", v.workers, v.elide), func(t *testing.T) {
+					eng := EngineAuto
+					if v.elide {
+						eng = EngineEvent
+					}
+					got := run(v.workers, eng, nil)
+					if !reflect.DeepEqual(stripEngine(serial), stripEngine(got)) {
 						t.Errorf("result diverges from serial\nserial: %+v\nvariant: %+v", serial, got)
+					}
+					if got.Engine == "stepped" && got.EngineReason == "" {
+						t.Errorf("run degraded to stepped without a reason")
+					}
+					if v.workers != 0 && got.Engine != "stepped" {
+						t.Errorf("stage-parallel run recorded engine %q, want stepped", got.Engine)
 					}
 				})
 			}

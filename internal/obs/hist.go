@@ -85,8 +85,8 @@ func NewLogHist() *LogHist { return &LogHist{} }
 // Record adds one sample.
 func (h *LogHist) Record(v int64) { h.RecordN(v, 1) }
 
-// RecordN adds n identical samples in O(1) — the closed-form batch path the
-// quiescence fast-forward and span-style callers rely on. n <= 0 records
+// RecordN adds n identical samples in O(1) — the closed-form batch path
+// idle-span synthesis and span-style callers rely on. n <= 0 records
 // nothing.
 func (h *LogHist) RecordN(v int64, n int64) {
 	if n <= 0 {

@@ -66,7 +66,7 @@ type Probe interface {
 }
 
 // IdleSpanSampler is an optional Probe capability used by the harness's
-// quiescence fast-forward. SampleIdleSpan must leave the probe's series
+// idle jumps. SampleIdleSpan must leave the probe's series
 // byte-identical to calling Sample once per slot for every slot in
 // [from, to) under the quiescence preconditions: no arrivals, no cells in
 // flight, no departures, no fault events — so every quantity a probe reads

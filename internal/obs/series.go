@@ -101,8 +101,8 @@ func (s *Series) Observe(slot cell.Time, v float64) bool {
 
 // ObserveSpan records value v for every stride-aligned slot in [from, to),
 // leaving the ring byte-identical to calling Observe(slot, v) for each slot
-// of the span in order. It is the batch path behind the harness's quiescence
-// fast-forward: during an elided idle interval every probe value is
+// of the span in order. It is the batch path behind the harness's idle
+// jumps: during an elided idle interval every probe value is
 // constant, so the aligned points can be synthesized in closed form —
 // appends while free capacity lasts, then ring arithmetic for the
 // overwritten tail — without touching the heap.

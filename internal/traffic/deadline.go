@@ -12,8 +12,8 @@ import (
 // deadline" sentinel on both Arrival and cell.Cell. The wrapper changes
 // nothing else about the stream (same slots, same inputs, same outputs), so
 // it composes with every generator, trace and shaper; when the inner source
-// implements Lookahead the wrapper forwards it, preserving fast-forward and
-// event-engine eligibility.
+// implements Lookahead the wrapper forwards it, preserving event-engine
+// eligibility.
 func WithDeadline(src Source, rel cell.Time) Source {
 	if rel < 1 {
 		panic(fmt.Sprintf("traffic: deadline offset must be >= 1, got %d", rel))

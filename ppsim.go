@@ -65,14 +65,13 @@ type (
 // value) picks the fastest eligible core, the others force one with
 // documented degradation recorded in Result.Engine/Result.EngineReason.
 const (
-	EngineAuto        = harness.EngineAuto
-	EngineStepped     = harness.EngineStepped
-	EngineFastForward = harness.EngineFastForward
-	EngineEvent       = harness.EngineEvent
+	EngineAuto    = harness.EngineAuto
+	EngineStepped = harness.EngineStepped
+	EngineEvent   = harness.EngineEvent
 )
 
-// ParseEngine maps a CLI flag value ("auto", "stepped", "fastforward",
-// "event") to an Engine.
+// ParseEngine maps a CLI flag value ("auto", "stepped", "event"; the
+// deprecated "fastforward" means "auto") to an Engine.
 func ParseEngine(s string) (Engine, error) { return harness.ParseEngine(s) }
 
 // NoTime is the unset-time sentinel (used as "unbounded" for sources).
