@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"ppsim/internal/admission"
 	"ppsim/internal/cell"
+	"ppsim/internal/demux"
 	"ppsim/internal/fabric"
 	"ppsim/internal/metrics"
 	"ppsim/internal/obs"
@@ -64,24 +66,28 @@ func BenchmarkHarnessActiveTracer(b *testing.B) {
 	}
 }
 
-// slotStepper replicates Drive's per-slot operations (arrivals, PPS step,
-// shadow step, departure recording) against shared scratch buffers, so
-// tests and benchmarks can meter individual slots — Drive itself only
-// exposes whole runs.
+// slotStepper replicates Drive's per-slot operations (arrivals, admission,
+// PPS step, departure recording) against shared scratch buffers, so tests
+// and benchmarks can meter individual slots — Drive itself only exposes
+// whole runs. Unlike Drive it steps a real shadow.Switch and reports each
+// shadow departure in the slot it happens, PPS departures first: it is the
+// reference TestDriveMatchesSteppedShadow holds the closed form to.
 type slotStepper struct {
-	tb                  testing.TB
-	pps                 *fabric.PPS
-	sh                  *shadow.Switch
-	st                  *cell.Stamper
-	rec                 *metrics.Recorder
-	src                 traffic.Source
-	buf                 []traffic.Arrival
-	deps, shDeps, cells []cell.Cell
-	slot                cell.Time
+	tb                      testing.TB
+	pps                     *fabric.PPS
+	sh                      *shadow.Switch
+	st                      *cell.Stamper
+	rec                     *metrics.Recorder
+	src                     traffic.Source
+	buf                     []traffic.Arrival
+	deps, shadowDeps, cells []cell.Cell
+	slot                    cell.Time
 	// tel/telPrev, when set, replicate Drive's live-telemetry path: a tick
 	// per slot and a histogram delta-flush at the flush stride.
 	tel     *obs.Telemetry
 	telPrev *obs.DelaySet
+	// adm, when set, is Drive's admission gate and egress deadline check.
+	adm *admission.Runtime
 }
 
 func newSlotStepper(tb testing.TB, src traffic.Source) *slotStepper {
@@ -89,7 +95,11 @@ func newSlotStepper(tb testing.TB, src traffic.Source) *slotStepper {
 }
 
 func newSlotStepperCfg(tb testing.TB, cfg fabric.Config, src traffic.Source) *slotStepper {
-	pps, err := fabric.New(cfg, rrFactory)
+	return newSlotStepperAlg(tb, cfg, rrFactory, src)
+}
+
+func newSlotStepperAlg(tb testing.TB, cfg fabric.Config, mk func(demux.Env) (demux.Algorithm, error), src traffic.Source) *slotStepper {
+	pps, err := fabric.New(cfg, mk)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -103,7 +113,21 @@ func (s *slotStepper) step() {
 	s.cells = s.cells[:0]
 	s.buf = s.src.Arrivals(s.slot, s.buf[:0])
 	for _, a := range s.buf {
-		s.cells = append(s.cells, s.st.Stamp(cell.Flow{In: a.In, Out: a.Out}, s.slot))
+		s.rec.OfferCell()
+		if s.adm != nil {
+			if s.adm.Expired(s.slot, a.Deadline) {
+				s.rec.ExpireAtAdmission()
+				continue
+			}
+			if !s.adm.Admit(s.slot, a.In) {
+				s.rec.RejectCell(a.In)
+				continue
+			}
+		}
+		s.rec.AdmitCell()
+		c := s.st.Stamp(cell.Flow{In: a.In, Out: a.Out}, s.slot)
+		c.Deadline = a.Deadline
+		s.cells = append(s.cells, c)
 	}
 	var err error
 	s.deps, err = s.pps.Step(s.slot, s.cells, s.deps[:0])
@@ -111,13 +135,20 @@ func (s *slotStepper) step() {
 		s.tb.Fatal(err)
 	}
 	for _, d := range s.deps {
+		if s.adm != nil && s.adm.Expired(d.Depart, d.Deadline) {
+			s.rec.PPSExpired(d)
+			continue
+		}
 		s.rec.PPSDepart(d)
+		if d.Deadline == 0 || d.Depart <= d.Deadline {
+			s.rec.OnTimeCell()
+		}
 	}
 	for _, d := range s.pps.SlotDrops() {
 		s.rec.PPSDrop(d)
 	}
-	s.shDeps = s.sh.Step(s.slot, s.cells, s.shDeps[:0])
-	for _, d := range s.shDeps {
+	s.shadowDeps = s.sh.Step(s.slot, s.cells, s.shadowDeps[:0])
+	for _, d := range s.shadowDeps {
 		s.rec.ShadowDepart(d)
 	}
 	if s.tel != nil {
@@ -139,10 +170,10 @@ func (s *slotStepper) attachTelemetry() {
 // TestSteadyStateSlotAllocFree is the allocation guard: with checks,
 // tracing and probes all disabled, a slot of the drained-steady-state
 // engine must not touch the heap. The warm-up drives every lazily-built
-// structure (flow maps, ring capacities, per-flow heaps) to its
-// steady-state footprint, and Recorder.Reserve removes the amortized
-// growth of the per-cell tables, so any allocation in the measured window
-// is a regression on the hot path. Percentile recording (the recorder's
+// structure (flow maps, ring capacities, per-flow heaps, the recorder's
+// in-flight window and RQD count table) to its steady-state footprint with
+// nothing pre-sized, so any allocation in the measured window is a
+// regression on the hot path. Percentile recording (the recorder's
 // streaming delay histograms are always on) and the live-telemetry tick +
 // delta-flush path are included: the measured window straddles a flush
 // stride, so the O(buckets) fold is exercised too.
@@ -154,7 +185,6 @@ func TestSteadyStateSlotAllocFree(t *testing.T) {
 	horizon := cell.Time(warm + window + 16)
 	s := newSlotStepper(t, traffic.NewBernoulli(benchCfg().N, 0.6, horizon, 1))
 	s.attachTelemetry()
-	s.rec.Reserve(benchCfg().N * int(horizon))
 	for s.slot < warm {
 		s.step()
 	}
@@ -190,7 +220,6 @@ func TestParallelSlotAllocFree(t *testing.T) {
 	if got := s.pps.ShardPorts(); len(got) != 4 {
 		t.Fatalf("ShardPorts() = %v, want 4 shards", got)
 	}
-	s.rec.Reserve(cfg.N * int(horizon))
 	for s.slot < warm {
 		s.step()
 	}
@@ -208,7 +237,6 @@ func TestParallelSlotAllocFree(t *testing.T) {
 func BenchmarkHarnessSteadyStateSlot(b *testing.B) {
 	horizon := cell.Time(b.N + 4096 + 16)
 	s := newSlotStepper(b, traffic.NewBernoulli(benchCfg().N, 0.6, horizon, 1))
-	s.rec.Reserve(benchCfg().N * int(horizon))
 	for s.slot < 4096 {
 		s.step()
 	}

@@ -10,6 +10,7 @@ import (
 	"ppsim/internal/fabric"
 	"ppsim/internal/faults"
 	"ppsim/internal/obs"
+	"ppsim/internal/shadow"
 	"ppsim/internal/traffic"
 )
 
@@ -181,12 +182,13 @@ func TestIdleJumpAllocFree(t *testing.T) {
 	const warm = 512
 	cfg := benchCfg()
 	s := newSlotStepper(t, traffic.NewBernoulli(cfg.N, 0.6, warm, 1))
-	s.rec.Reserve(cfg.N * warm * 2)
 	for s.slot < warm || s.pps.Backlog() > 0 || s.sh.Backlog() > 0 {
 		s.step()
 	}
 	probes := obs.StandardProbes(cfg.N, cfg.K, 4, 32)
-	view := &slotView{pps: s.pps, sh: s.sh, rec: s.rec}
+	// The stepper drained its own shadow switch; an untouched oracle is the
+	// same empty reference as far as the view is concerned.
+	view := &slotView{pps: s.pps, sh: shadow.NewOracle(cfg.N), rec: s.rec}
 	// Warm every ring past capacity (stride 4 x cap 32 < 192 slots) so the
 	// measured spans exercise the steady-state overwrite path, not append
 	// growth.

@@ -284,7 +284,6 @@ func TestFaultSlotAllocFree(t *testing.T) {
 	cfg.Faults = faults.NewSchedule().Outage(0, 100, 2000)
 	cfg.FaultPolicy = faults.DropCount
 	s := newSlotStepperCfg(t, cfg, traffic.NewBernoulli(cfg.N, 0.6, horizon, 1))
-	s.rec.Reserve(cfg.N * int(horizon))
 	for s.slot < warm {
 		s.step()
 	}

@@ -1,7 +1,7 @@
-// Package harness runs matched executions: one traffic source feeding both
-// a PPS under test and the shadow reference switch, slot by slot, until both
-// drain. It is the engine behind the public API, the experiment suite and
-// the adversary's scratch simulations.
+// Package harness runs matched executions: one traffic source feeding a PPS
+// under test, slot by slot, and the shadow reference switch in closed form,
+// until both drain. It is the engine behind the public API, the experiment
+// suite and the adversary's scratch simulations.
 package harness
 
 import (
@@ -94,9 +94,7 @@ type Options struct {
 	// the per-slot stage barrier costs more than such small shards save —
 	// so -1 on a small switch can legitimately resolve to 0; an explicit
 	// positive request bypasses the floor. Result.Workers and
-	// Result.ShardPorts record what actually ran. Any non-zero value also
-	// overlaps the shadow-switch step with the PPS step inside Drive (both
-	// consume the same arrival stream and synchronize at slot end), and pins
+	// Result.ShardPorts record what actually ran. Any non-zero value pins
 	// the run to the stepped core: every slot executes, idle ones included,
 	// so sparse long-horizon runs belong on the serial event core.
 	// Results are bit-identical across all settings; Run forwards the
@@ -224,18 +222,11 @@ func Run(cfg fabric.Config, factory func(demux.Env) (demux.Algorithm, error), sr
 // most this many slots stale.
 const telemetryFlushStride = 4096
 
-// shadowSlot is one slot of work handed to the overlapped shadow pipeline:
-// the slot index and the stamped arrivals (read-only for both switches).
-type shadowSlot struct {
-	t     cell.Time
-	cells []cell.Cell
-}
-
 // slotView adapts the matched execution for obs.Probe sampling. It is
 // refreshed (slot and front-RQD) each slot and handed to every probe.
 type slotView struct {
 	pps   *fabric.PPS
-	sh    *shadow.Switch
+	sh    *shadow.Oracle
 	rec   *metrics.Recorder
 	slot  cell.Time
 	rqd   cell.Time
@@ -252,7 +243,7 @@ func (v *slotView) OutputBuffered(j int) int  { return v.pps.Output(cell.Port(j)
 func (v *slotView) OutputPulls(j int) int64   { return v.pps.OutputPulls(cell.Port(j)) }
 func (v *slotView) DispatchedTo(k int) uint64 { return v.pps.DispatchedTo(cell.Plane(k)) }
 func (v *slotView) PPSInFlight() int          { return v.pps.Backlog() }
-func (v *slotView) ShadowInFlight() int       { return v.sh.Backlog() }
+func (v *slotView) ShadowInFlight() int       { return v.sh.Backlog(v.slot) }
 func (v *slotView) FrontRQD() (int64, bool)   { return int64(v.rqd), v.rqdOK }
 func (v *slotView) LivePlanes() int           { return v.pps.LivePlanes() }
 func (v *slotView) DroppedTotal() uint64      { return v.pps.Dropped() }
@@ -264,8 +255,13 @@ func (v *slotView) ExpiredTotal() uint64      { return v.rec.ExpiredTotal() }
 // Drive's teardown: both switches, the stamper, the recorder, the probe
 // view, the telemetry sinks and the reusable scratch buffers.
 type driver struct {
-	pps     *fabric.PPS
-	sh      *shadow.Switch
+	pps *fabric.PPS
+	// sh is the reference switch in closed form (DESIGN.md §10): an admitted
+	// cell's shadow departure is known the slot it arrives, and shLast, the
+	// latest one handed out, makes "the shadow switch has drained before slot
+	// t" the test shLast < t.
+	sh      *shadow.Oracle
+	shLast  cell.Time
 	opts    *Options
 	end     cell.Time
 	st      *cell.Stamper
@@ -287,7 +283,7 @@ type driver struct {
 	// run without admission is byte-identical to the pre-admission harness.
 	adm *admission.Runtime
 
-	deps, shDeps, cellsBuf []cell.Cell
+	deps, cellsBuf []cell.Cell
 }
 
 // feedSlot reads, validates, admits and stamps slot t's arrivals into the
@@ -296,7 +292,7 @@ type driver struct {
 // never stamped: sequence numbers stay dense and the PPS, the shadow switch
 // and every engine see the identical admitted stream. The validator observes
 // the *offered* traffic (burstiness measures what was asked of the switch,
-// not what the policy let through). Both switches copy cells into their own
+// not what the policy let through). The fabric copies cells into its own
 // queues, so the scratch slice is safe to reuse across slots.
 func (d *driver) feedSlot(t cell.Time) ([]cell.Cell, error) {
 	cells := d.cellsBuf[:0]
@@ -330,14 +326,33 @@ func (d *driver) feedSlot(t cell.Time) ([]cell.Cell, error) {
 	return cells, nil
 }
 
+// recordShadow gives every cell the fabric accepted this slot its departure
+// from the reference switch — an FCFS work-conserving output queue emits it
+// at max(arrival, next free slot of its output) — and hands it to the
+// recorder. It runs after the fabric step, which has by then rejected any
+// destination outside the switch.
+func (d *driver) recordShadow(cells []cell.Cell) {
+	for _, c := range cells {
+		c.Depart = d.sh.Departure(c.Arrive, c.Flow.Out)
+		if c.Depart > d.shLast {
+			d.shLast = c.Depart
+		}
+		d.rec.ShadowDepart(c)
+	}
+}
+
+// shadowDrained reports whether the reference switch is empty at the start
+// of slot t.
+func (d *driver) shadowDrained(t cell.Time) bool { return d.shLast < t }
+
 // recordDepartures feeds the slot's PPS departures and drops into the
 // recorder (and the caller's observer). Only the driving goroutine touches
-// the recorder, in the serial order: PPS departures, drops, then shadow
-// departures. Under deadline-drop admission a delivery that missed its
-// deadline is reclassified here as expired — the lazy-egress design of
-// DESIGN.md §14: the cell physically traversed the fabric (so the mux stage
-// stays engine-identical), but it counts as dropped at resequencing, not as
-// a delivery.
+// the recorder, in the serial order: shadow departures of the slot's
+// arrivals, then PPS departures, then drops. Under deadline-drop admission a
+// delivery that missed its deadline is reclassified here as expired — the
+// lazy-egress design of DESIGN.md §14: the cell physically traversed the
+// fabric (so the mux stage stays engine-identical), but it counts as dropped
+// at resequencing, not as a delivery.
 func (d *driver) recordDepartures() {
 	for _, c := range d.deps {
 		if d.adm != nil && d.adm.Expired(c.Depart, c.Deadline) {
@@ -388,31 +403,7 @@ func (d *driver) sampleSlot(t cell.Time) {
 // loop stopped: the first slot at or past the horizon with both switches
 // drained, or MaxSlots.
 func (d *driver) run(event bool) (cell.Time, error) {
-	pps, sh, opts, end := d.pps, d.sh, d.opts, d.end
-
-	// Overlapped shadow pipeline: with Workers != 0 (stepped core only) the
-	// shadow switch steps on its own persistent goroutine while the PPS steps
-	// on this one. Both only read the slot's stamped cells; the recorder is
-	// fed exclusively from this goroutine, in the serial order (PPS
-	// departures first, then shadow departures), after the slot-end
-	// synchronization — so results stay bit-identical to the serial loop. The
-	// channels are buffered so the per-slot handoff never allocates or blocks
-	// the worker on send.
-	overlap := opts.Workers != 0
-	var shadowIn chan shadowSlot
-	var shadowOut chan []cell.Cell
-	if overlap {
-		shadowIn = make(chan shadowSlot, 1)
-		shadowOut = make(chan []cell.Cell, 1)
-		go func() {
-			var out []cell.Cell
-			for job := range shadowIn {
-				out = sh.Step(job.t, job.cells, out[:0])
-				shadowOut <- out
-			}
-		}()
-		defer close(shadowIn)
-	}
+	pps, opts, end := d.pps, d.opts, d.end
 
 	var next *traffic.EventFeed
 	if event {
@@ -425,10 +416,10 @@ func (d *driver) run(event bool) (cell.Time, error) {
 	var err error
 	slot := cell.Time(0)
 	for ; slot < opts.MaxSlots; slot++ {
-		if slot >= end && pps.Drained() && sh.Drained() {
+		if slot >= end && pps.Drained() && d.shadowDrained(slot) {
 			break
 		}
-		if event && pps.Backlog() == 0 && sh.Drained() {
+		if event && pps.Backlog() == 0 && d.shadowDrained(slot) {
 			// Fully quiet (the O(1) backlog counter makes this check free):
 			// nothing can move before the next arrival or fault, so unless
 			// one is due this very slot, jump. slot < end here — otherwise
@@ -466,9 +457,6 @@ func (d *driver) run(event bool) (cell.Time, error) {
 				return slot, err
 			}
 		}
-		if overlap {
-			shadowIn <- shadowSlot{t: slot, cells: cells}
-		}
 		if event {
 			d.deps, err = pps.EventStep(slot, cells, d.deps[:0])
 		} else {
@@ -477,19 +465,8 @@ func (d *driver) run(event bool) (cell.Time, error) {
 		if err != nil {
 			return slot, err
 		}
+		d.recordShadow(cells)
 		d.recordDepartures()
-		if overlap {
-			// Slot-end synchronization: the worker hands back its own
-			// departure buffer; it will not touch it again until the next
-			// shadowIn send, which happens only after this goroutine is
-			// done reading (and after cells is rebuilt next iteration).
-			d.shDeps = <-shadowOut
-		} else {
-			d.shDeps = sh.Step(slot, cells, d.shDeps[:0])
-		}
-		for _, c := range d.shDeps {
-			d.rec.ShadowDepart(c)
-		}
 		if d.probing {
 			d.sampleSlot(slot)
 		}
@@ -534,14 +511,14 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 	// goroutines; a driven fabric can never be driven again, so close it.
 	// Close keeps the fabric inspectable and serially steppable.
 	defer pps.Close()
-	sh := shadow.New(cfg.N)
 	d := &driver{
-		pps:  pps,
-		sh:   sh,
-		opts: &opts,
-		end:  end,
-		st:   cell.NewStamperSized(cfg.N),
-		rec:  metrics.NewRecorderSized(cfg.N),
+		pps:    pps,
+		sh:     shadow.NewOracle(cfg.N),
+		shLast: cell.None,
+		opts:   &opts,
+		end:    end,
+		st:     cell.NewStamperSized(cfg.N),
+		rec:    metrics.NewRecorderSized(cfg.N),
 	}
 	if opts.Validate {
 		d.vd = traffic.NewValidator(cfg.N)
@@ -554,7 +531,7 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 	}
 	d.probing = len(opts.Probes) > 0
 	if d.probing {
-		d.view = &slotView{pps: pps, sh: sh, rec: d.rec}
+		d.view = &slotView{pps: pps, sh: d.sh, rec: d.rec}
 	}
 
 	// Live telemetry: explicit Options.Telemetry wins, else the process
@@ -583,9 +560,9 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 		d.tel.ObserveDelays(d.rec.Delays(), d.telPrev)
 		d.tel.Tick(int64(slot), pps.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
 	}
-	if !pps.Drained() || !sh.Drained() {
+	if !pps.Drained() || !d.shadowDrained(slot) {
 		return Result{}, fmt.Errorf("harness: not drained after %d slots (pps backlog %d, shadow backlog %d)",
-			slot, pps.Backlog(), sh.Backlog())
+			slot, pps.Backlog(), d.sh.Backlog(slot-1))
 	}
 	if slot < end {
 		return Result{}, fmt.Errorf("harness: MaxSlots %d reached before the horizon %d: the run would be truncated (raise Options.MaxSlots)",
@@ -657,8 +634,11 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 // per-slot Sample so correctness never depends on the capability. No cell
 // departs inside an idle span, so the view's front-RQD is cleared once for
 // the whole span, and the view is left on the last elided slot — exactly the
-// state the stepped loop would leave behind.
+// state the stepped loop would leave behind. Closed-form samplers read the
+// view once for the whole span, so it is moved onto the span first: both
+// switches are empty from there on.
 func sampleIdleSpan(probes []obs.Probe, view *slotView, from, to cell.Time) {
+	view.slot = from
 	view.rqd, view.rqdOK = 0, false
 	for _, pb := range probes {
 		if is, ok := pb.(obs.IdleSpanSampler); ok {

@@ -68,8 +68,8 @@ func (m *minmax) jitter() cell.Time {
 	return m.max - m.min
 }
 
-// dropMark flags a Seq the PPS dropped (DropCount fault policy) in the
-// ppsDep table: the cell will never depart the PPS, and recording either a
+// dropMark flags a Seq the PPS dropped (DropCount fault policy) as its PPS
+// fate: the cell will never depart the PPS, and recording either a
 // departure or a second drop for it is a harness bug.
 const dropMark = cell.Time(-2)
 
@@ -78,21 +78,34 @@ const dropMark = cell.Time(-2)
 // egress and excluded from every delay statistic, like a fault drop.
 const expiredMark = cell.Time(-3)
 
+// fate is the join state of one in-flight cell: the slot it leaves the
+// shadow switch and its PPS fate — a departure slot, dropMark or
+// expiredMark. cell.None = not yet reported.
+type fate struct{ shadow, pps cell.Time }
+
+// fateRingCap is the initial capacity of the in-flight window (4 KiB); it
+// doubles whenever more sequence numbers than that are in flight at once.
+const fateRingCap = 256
+
 // Recorder joins the two departure streams by global sequence number.
 // Departures may be reported in any order and from either switch first.
 // Cells the PPS dropped (failed planes under the DropCount policy) are
 // reported through PPSDrop; they depart the shadow switch — the reference
 // never drops — but are excluded from every delay statistic.
 type Recorder struct {
-	shadowDep []cell.Time // indexed by Seq; cell.None = not yet departed
-	ppsDep    []cell.Time
-	arriveAt  []cell.Time
+	// ring holds the fates of the in-flight sequence window [base, hi), cell
+	// seq at ring[seq&(len-1)] (len is a power of two). hi advances when a
+	// new Seq is first reported, base when the oldest cell has both fates, so
+	// memory follows the in-flight span, not the run length. Every Seq below
+	// base has both fates recorded: reporting one again is a double record.
+	ring     []fate
+	base, hi uint64
 
 	drops         uint64
 	dropsPerPlane []uint64
 	dropsPerInput []uint64
 
-	rqd stats.Summary
+	rqd stats.Counts
 
 	// Per-flow delay extremes, indexed by a compact flow id assigned at
 	// first sight. The id table is a dense n*n array when the recorder was
@@ -143,8 +156,13 @@ type Recorder struct {
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
+func NewRecorder() *Recorder { return newRecorderRing(fateRingCap) }
+
+// newRecorderRing is NewRecorder with an explicit initial window capacity (a
+// power of two), so tests can force wrap and growth with a handful of cells.
+func newRecorderRing(capacity int) *Recorder {
 	return &Recorder{
+		ring:    make([]fate, capacity),
 		flowIDs: make(map[cell.Flow]int32),
 		delays:  obs.NewDelaySet(),
 	}
@@ -200,45 +218,85 @@ func grow(s []cell.Time, idx uint64) []cell.Time {
 	return s
 }
 
-func reserveTimes(s []cell.Time, n int) []cell.Time {
-	if cap(s) >= n {
-		return s
+// fate returns cell seq's entry in the in-flight window, opening the window
+// up to seq when it is new, or nil when seq was already retired.
+func (r *Recorder) fate(seq uint64) *fate {
+	if seq < r.base {
+		return nil
 	}
-	out := make([]cell.Time, len(s), n)
-	copy(out, s)
-	return out
+	if seq >= r.hi {
+		r.open(seq)
+	}
+	return &r.ring[seq&uint64(len(r.ring)-1)]
 }
 
-// Reserve pre-sizes the per-cell tables for n total cells. Callers that know
-// (or can bound) the cell count — benchmarks, the allocation guard — use it
-// to keep the per-departure record path free of amortized slice growth.
-func (r *Recorder) Reserve(n int) {
-	r.shadowDep = reserveTimes(r.shadowDep, n)
-	r.ppsDep = reserveTimes(r.ppsDep, n)
-	r.arriveAt = reserveTimes(r.arriveAt, n)
-	r.rqd.Reserve(n)
+// open advances hi past seq, doubling the ring first when [base, seq] no
+// longer fits. Growth moves every entry the old ring still held — retired
+// ones included, so RQD keeps answering for cells retired this slot.
+func (r *Recorder) open(seq uint64) {
+	if old, span := uint64(len(r.ring)), seq+1-r.base; span > old {
+		size := old
+		for size < span {
+			size *= 2
+		}
+		grown := make([]fate, size)
+		for s := r.hi - min(r.hi, old); s < r.hi; s++ {
+			grown[s&(size-1)] = r.ring[s&(old-1)]
+		}
+		r.ring = grown
+	}
+	mask := uint64(len(r.ring) - 1)
+	for s := r.hi; s <= seq; s++ {
+		r.ring[s&mask] = fate{shadow: cell.None, pps: cell.None}
+	}
+	r.hi = seq + 1
+}
+
+// settle runs after one fate of cell seq was recorded: it joins the cell if
+// it has now departed both switches, and retires the front of the window
+// while the oldest cell has both fates.
+func (r *Recorder) settle(seq uint64, f *fate) {
+	if f.shadow == cell.None || f.pps == cell.None {
+		return
+	}
+	if f.pps != dropMark && f.pps != expiredMark {
+		d := f.pps - f.shadow
+		r.rqd.Add(int64(d))
+		r.delays.RQD.Record(int64(d))
+		if !r.maxRQDok || d > r.maxRQD {
+			r.maxRQD, r.maxRQDok = d, true
+		}
+		r.matched++
+	}
+	if seq != r.base {
+		return
+	}
+	mask := uint64(len(r.ring) - 1)
+	for r.base++; r.base < r.hi; r.base++ {
+		if f := r.ring[r.base&mask]; f.shadow == cell.None || f.pps == cell.None {
+			break
+		}
+	}
 }
 
 // ShadowDepart records a departure from the reference switch.
 func (r *Recorder) ShadowDepart(c cell.Cell) {
-	r.shadowDep = grow(r.shadowDep, c.Seq)
-	r.arriveAt = grow(r.arriveAt, c.Seq)
-	if r.shadowDep[c.Seq] != cell.None {
+	f := r.fate(c.Seq)
+	if f == nil || f.shadow != cell.None {
 		panic(fmt.Sprintf("metrics: shadow departure of cell %d recorded twice", c.Seq))
 	}
-	r.shadowDep[c.Seq] = c.Depart
-	r.arriveAt[c.Seq] = c.Arrive
+	f.shadow = c.Depart
 	r.flowSh[r.flowID(c.Flow)].add(c.Depart - c.Arrive)
-	r.tryMatch(c.Seq)
+	r.settle(c.Seq, f)
 }
 
 // PPSDepart records a departure from the PPS.
 func (r *Recorder) PPSDepart(c cell.Cell) {
-	r.ppsDep = grow(r.ppsDep, c.Seq)
-	if r.ppsDep[c.Seq] != cell.None {
+	f := r.fate(c.Seq)
+	if f == nil || f.pps != cell.None {
 		panic(fmt.Sprintf("metrics: PPS departure of cell %d recorded twice", c.Seq))
 	}
-	r.ppsDep[c.Seq] = c.Depart
+	f.pps = c.Depart
 	mm := &r.flowPPS[r.flowID(c.Flow)]
 	if mm.n == 0 {
 		r.ppsFlows++
@@ -261,18 +319,14 @@ func (r *Recorder) PPSDepart(c cell.Cell) {
 		r.delays.Gap.Record(int64(c.Depart - last))
 	}
 	r.lastDepart[out] = c.Depart
-	r.tryMatch(c.Seq)
+	r.settle(c.Seq, f)
 }
 
 // PPSDrop records that the PPS lost cell c to a failed plane (c.Via names
 // the plane). The cell still departs the shadow switch; the drop satisfies
 // the recorder's every-cell-accounted check in its place.
 func (r *Recorder) PPSDrop(c cell.Cell) {
-	r.ppsDep = grow(r.ppsDep, c.Seq)
-	if r.ppsDep[c.Seq] != cell.None {
-		panic(fmt.Sprintf("metrics: PPS fate of cell %d recorded twice", c.Seq))
-	}
-	r.ppsDep[c.Seq] = dropMark
+	r.setPPSFate(c.Seq, dropMark)
 	r.drops++
 	for int(c.Via) >= len(r.dropsPerPlane) {
 		r.dropsPerPlane = append(r.dropsPerPlane, 0)
@@ -315,12 +369,18 @@ func (r *Recorder) ExpireAtAdmission() { r.expiredAdmit++ }
 // the conservation audit (the shadow still departs it) but contributes to
 // no delay statistic.
 func (r *Recorder) PPSExpired(c cell.Cell) {
-	r.ppsDep = grow(r.ppsDep, c.Seq)
-	if r.ppsDep[c.Seq] != cell.None {
-		panic(fmt.Sprintf("metrics: PPS fate of cell %d recorded twice", c.Seq))
-	}
-	r.ppsDep[c.Seq] = expiredMark
+	r.setPPSFate(c.Seq, expiredMark)
 	r.expiredReseq++
+}
+
+// setPPSFate records a non-departure PPS fate (dropMark or expiredMark).
+func (r *Recorder) setPPSFate(seq uint64, mark cell.Time) {
+	f := r.fate(seq)
+	if f == nil || f.pps != cell.None {
+		panic(fmt.Sprintf("metrics: PPS fate of cell %d recorded twice", seq))
+	}
+	f.pps = mark
+	r.settle(seq, f)
 }
 
 // OnTimeCell counts one PPS delivery that met its deadline (cells without a
@@ -338,23 +398,6 @@ func (r *Recorder) RejectedTotal() uint64 { return r.rejected }
 // ExpiredTotal reports deadline expiries so far (at admission and egress).
 func (r *Recorder) ExpiredTotal() uint64 { return r.expiredAdmit + r.expiredReseq }
 
-func (r *Recorder) tryMatch(seq uint64) {
-	if uint64(len(r.shadowDep)) <= seq || uint64(len(r.ppsDep)) <= seq {
-		return
-	}
-	sd, pd := r.shadowDep[seq], r.ppsDep[seq]
-	if sd == cell.None || pd == cell.None || pd == dropMark || pd == expiredMark {
-		return
-	}
-	d := pd - sd
-	r.rqd.Add(int64(d))
-	r.delays.RQD.Record(int64(d))
-	if !r.maxRQDok || d > r.maxRQD {
-		r.maxRQD, r.maxRQDok = d, true
-	}
-	r.matched++
-}
-
 // Matched reports how many cells have departed both switches.
 func (r *Recorder) Matched() uint64 { return r.matched }
 
@@ -363,18 +406,24 @@ func (r *Recorder) Matched() uint64 { return r.matched }
 // the goroutine feeding the recorder.
 func (r *Recorder) Delays() *obs.DelaySet { return r.delays }
 
-// RQD returns the relative queuing delay of cell seq; ok is false until
-// both switches have reported its departure. The per-slot front-RQD probe
-// uses it to sample the delay of the departing front as the run unfolds.
+// RQD returns the relative queuing delay of a cell that has left both
+// switches by its PPS departure slot — the slot the per-slot front-RQD probe
+// samples it in. A cell the PPS delivered ahead of the reference (negative
+// RQD) is still queued in the shadow switch at that slot, so like a cell
+// with a fate missing, dropped or expired it reads as not yet joined. The
+// answer outlives retirement until a later Seq reuses the ring entry, which
+// covers every cell retired in the current slot: the window only opens for
+// the next slot's arrivals.
 func (r *Recorder) RQD(seq uint64) (cell.Time, bool) {
-	if uint64(len(r.shadowDep)) <= seq || uint64(len(r.ppsDep)) <= seq {
+	if seq >= r.hi || r.hi-seq > uint64(len(r.ring)) {
 		return 0, false
 	}
-	sd, pd := r.shadowDep[seq], r.ppsDep[seq]
-	if sd == cell.None || pd == cell.None || pd == dropMark || pd == expiredMark {
+	f := r.ring[seq&uint64(len(r.ring)-1)]
+	// None and both marks are negative; departure slots are not.
+	if f.shadow == cell.None || f.pps < 0 || f.pps < f.shadow {
 		return 0, false
 	}
-	return pd - sd, true
+	return f.pps - f.shadow, true
 }
 
 // Report summarizes an execution.
@@ -386,7 +435,7 @@ type Report struct {
 	// MeanRQD is the mean per-cell relative queuing delay.
 	MeanRQD float64
 	// P50RQD, P99RQD and P999RQD are exact nearest-rank percentiles of the
-	// per-cell relative queuing delay, from the retained sample set.
+	// per-cell relative queuing delay, from an exact per-value count table.
 	P50RQD  cell.Time
 	P99RQD  cell.Time
 	P999RQD cell.Time
@@ -448,9 +497,9 @@ type Report struct {
 // accounted for: departed both switches, or departed the shadow and was
 // dropped by the PPS (the harness must drain both switches).
 func (r *Recorder) Report() Report {
-	if r.matched+r.drops+r.expiredReseq != uint64(len(r.shadowDep)) || uint64(len(r.ppsDep)) > uint64(len(r.shadowDep)) {
-		panic(fmt.Sprintf("metrics: unmatched departures (shadow %d, pps %d, matched %d, dropped %d, expired %d)",
-			len(r.shadowDep), len(r.ppsDep), r.matched, r.drops, r.expiredReseq))
+	if r.base != r.hi || r.matched+r.drops+r.expiredReseq != r.hi {
+		panic(fmt.Sprintf("metrics: unmatched departures (%d cells seen, cell %d still lacks a fate; matched %d, dropped %d, expired %d)",
+			r.hi, r.base, r.matched, r.drops, r.expiredReseq))
 	}
 	// Conservation audit on the admission side: every offered cell is
 	// admitted, rejected or expired-at-admission, and every admitted cell
@@ -461,8 +510,8 @@ func (r *Recorder) Report() Report {
 			panic(fmt.Sprintf("metrics: admission leak (offered %d, admitted %d, rejected %d, expired %d)",
 				r.offered, r.admitted, r.rejected, r.expiredAdmit))
 		}
-		if r.admitted != uint64(len(r.shadowDep)) {
-			panic(fmt.Sprintf("metrics: admitted %d cells but shadow departed %d", r.admitted, len(r.shadowDep)))
+		if r.admitted != r.hi {
+			panic(fmt.Sprintf("metrics: admitted %d cells but shadow departed %d", r.admitted, r.hi))
 		}
 	}
 	rep := Report{

@@ -182,6 +182,20 @@ func (o *Oracle) Departure(t cell.Time, j cell.Port) cell.Time {
 	return d
 }
 
+// Backlog reports how many of the cells presented so far are still queued
+// after slot t, for t no earlier than the latest arrival: output j then holds
+// one cell for every slot in (t, next[j]), its busy period being gap-free
+// from t on. O(N) — for probes and error messages, not the per-cell path.
+func (o *Oracle) Backlog(t cell.Time) int {
+	total := 0
+	for _, next := range o.next {
+		if next > t+1 {
+			total += int(next - (t + 1))
+		}
+	}
+	return total
+}
+
 // Peek returns the departure slot Departure would assign, without reserving.
 func (o *Oracle) Peek(t cell.Time, j cell.Port) cell.Time {
 	d := o.next[j]

@@ -25,17 +25,6 @@ func (s *Summary) Add(v int64) {
 	s.sorted = false
 }
 
-// Reserve pre-sizes the sample buffer for n total samples, so callers that
-// know the workload size up front can keep subsequent Adds allocation-free.
-func (s *Summary) Reserve(n int) {
-	if cap(s.samples) >= n {
-		return
-	}
-	out := make([]int64, len(s.samples), n)
-	copy(out, s.samples)
-	s.samples = out
-}
-
 // N reports the number of recorded samples.
 func (s *Summary) N() int { return len(s.samples) }
 
@@ -118,6 +107,80 @@ func (s *Summary) ensureSorted() {
 	}
 	sort.Slice(s.samples, func(i, j int) bool { return s.samples[i] < s.samples[j] })
 	s.sorted = true
+}
+
+// Counts is an exact per-value frequency table: Mean and Percentile answer
+// bit-identically to a Summary fed the same samples, but no sample is
+// retained — memory is one counter per integer between the smallest and the
+// largest value seen, which for delays measured in slots is a few KiB where
+// a Summary holds 8 bytes per cell. The zero value is empty and ready for
+// use; Add allocates only when a sample falls outside the covered range.
+type Counts struct {
+	lo     int64 // value counted by counts[0]
+	counts []uint64
+	n      uint64
+	sum    int64
+}
+
+// Add records one sample.
+func (c *Counts) Add(v int64) {
+	i := uint64(v - c.lo)
+	if i >= uint64(len(c.counts)) { // below lo wraps to a huge index
+		c.cover(v)
+		i = uint64(v - c.lo)
+	}
+	c.counts[i]++
+	c.n++
+	c.sum += v
+}
+
+// cover widens the table to include v, at least doubling it on the side v
+// fell off so a drifting range costs amortized O(1) per sample.
+func (c *Counts) cover(v int64) {
+	if len(c.counts) == 0 {
+		c.lo, c.counts = v, make([]uint64, 16)
+		return
+	}
+	lo, hi := c.lo, c.lo+int64(len(c.counts))
+	size := 2 * int64(len(c.counts))
+	if v < lo {
+		size = max(size, hi-v)
+		lo = hi - size
+	} else {
+		size = max(size, v+1-lo)
+	}
+	grown := make([]uint64, size)
+	copy(grown[c.lo-lo:], c.counts)
+	c.lo, c.counts = lo, grown
+}
+
+// Mean returns the arithmetic mean, or 0 when empty.
+func (c *Counts) Mean() float64 {
+	if c.n == 0 {
+		return 0
+	}
+	return float64(c.sum) / float64(c.n)
+}
+
+// Percentile returns the p-th percentile (0 <= p <= 100) by the nearest-rank
+// method of the package-level Percentile, or 0 when empty.
+func (c *Counts) Percentile(p float64) int64 {
+	if c.n == 0 {
+		return 0
+	}
+	rank := uint64(1)
+	if p >= 100 {
+		rank = c.n
+	} else if p > 0 {
+		rank = max(1, uint64(math.Ceil(p/100*float64(c.n))))
+	}
+	var below uint64
+	for i, k := range c.counts {
+		if below += k; below >= rank {
+			return c.lo + int64(i)
+		}
+	}
+	panic("stats: count table lost samples")
 }
 
 // FormatLine renders the shared one-line distribution summary

@@ -158,3 +158,50 @@ func TestMinMaxInt64(t *testing.T) {
 		t.Error("MinInt64")
 	}
 }
+
+// TestCountsMatchSummary pins the count table to the retained-sample
+// Summary it replaced in the recorder: same mean, same nearest-rank
+// percentiles, bit for bit, on signed samples in any order.
+func TestCountsMatchSummary(t *testing.T) {
+	prop := func(raw []int16) bool {
+		var s Summary
+		var c Counts
+		for _, v := range raw {
+			s.Add(int64(v))
+			c.Add(int64(v))
+		}
+		if c.Mean() != s.Mean() {
+			return false
+		}
+		for _, p := range []float64{0, 50, 99, 99.9, 100} {
+			if c.Percentile(p) != s.Percentile(p) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCountsDriftingRange walks the covered range far in both directions,
+// so the table regrows on each side several times with earlier counts kept.
+func TestCountsDriftingRange(t *testing.T) {
+	var s Summary
+	var c Counts
+	for i := int64(0); i < 2000; i++ {
+		for _, v := range []int64{i, -3 * i, i / 7} {
+			s.Add(v)
+			c.Add(v)
+		}
+	}
+	if c.Mean() != s.Mean() {
+		t.Errorf("Mean = %v, want %v", c.Mean(), s.Mean())
+	}
+	for p := 0.0; p <= 100; p += 0.5 {
+		if got, want := c.Percentile(p), s.Percentile(p); got != want {
+			t.Errorf("Percentile(%v) = %d, want %d", p, got, want)
+		}
+	}
+}
