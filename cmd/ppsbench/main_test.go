@@ -291,7 +291,7 @@ func TestTailRegressed(t *testing.T) {
 // TestRunRecordsPercentiles runs one tiny case end to end and checks the
 // measured result carries a populated tail block whose components agree in
 // count (every delivered cell contributes one sample to each component),
-// plus the engine record: an auto run over a lookahead-capable source and an
+// plus the engine record: an auto run over a read-ahead (batch) source and an
 // idle-invariant algorithm lands on the event core with no degradation.
 func TestRunRecordsPercentiles(t *testing.T) {
 	c := benchCase{Name: "t", Traffic: "uniform", N: 8, K: 2, RPrime: 2, Slots: 400, Seed: 1}

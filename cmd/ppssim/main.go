@@ -179,7 +179,7 @@ func main() {
 		os.Exit(1)
 	}
 	// An explicit request for elision can silently degrade (tracer attached,
-	// no lookahead, no idle invariant, parallel workers). Surface the
+	// per-slot source, no idle invariant, parallel workers). Surface the
 	// recorded reason so users asking for elision learn they ran stepped.
 	if res.EngineReason != "" && (eng != ppsim.EngineAuto || deprecated) {
 		fmt.Fprintf(os.Stderr, "ppssim: engine degraded to %s: %s\n", res.Engine, res.EngineReason)

@@ -14,8 +14,8 @@ type Engine int
 
 const (
 	// EngineAuto runs the event-driven core when the run qualifies (serial,
-	// untraced, a Lookahead source, an IdleInvariant algorithm) and the
-	// stepped core otherwise.
+	// untraced, a source read ahead in spans, an IdleInvariant algorithm)
+	// and the stepped core otherwise.
 	EngineAuto Engine = iota
 	// EngineStepped forces the naive slot-by-slot core: every slot executes
 	// through fabric.Step. It is the oracle the event core is tested against.
@@ -58,21 +58,22 @@ func ParseEngine(s string) (Engine, error) {
 // core was wanted (requested, or implied by EngineAuto) but cannot run — the
 // human-readable reason, surfaced as Result.EngineReason.
 //
-// Eliding idle slots needs an untraced run, a traffic.Lookahead source and a
+// Eliding idle slots needs an untraced run, a source the feed reads ahead in
+// spans (a traffic.BatchSource — a per-slot source is only ever called at its
+// slot, so nobody can say when its next arrival is due) and a
 // demux.IdleInvariant algorithm; the event core additionally needs a fully
 // serial run — its sparse audit and busy-output sweep assume
 // single-goroutine ownership of the fabric, and the stage-parallel engine's
 // barrier already prices in touching every port.
-func selectEngine(pps *fabric.PPS, src traffic.Source, opts Options) (Engine, string) {
+func selectEngine(pps *fabric.PPS, feed *traffic.SpanFeed, opts Options) (Engine, string) {
 	if opts.Engine == EngineStepped {
 		return EngineStepped, ""
 	}
-	_, look := src.(traffic.Lookahead)
 	switch {
 	case opts.Tracer != nil:
 		return EngineStepped, "tracer attached: the event stream is inherently per-slot"
-	case !look:
-		return EngineStepped, "source does not implement traffic.Lookahead"
+	case !feed.Batched():
+		return EngineStepped, "source does not implement traffic.BatchSource"
 	case !pps.IdleInvariant():
 		return EngineStepped, "algorithm " + pps.Algorithm().Name() + " does not certify demux.IdleInvariant"
 	case opts.Workers != 0 || pps.Workers() > 0:

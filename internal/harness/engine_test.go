@@ -173,8 +173,9 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 // TestSteadyStateSlotAllocFree: one closed-form probe synthesis over a
 // 64-slot span (rings warmed to capacity so ObserveSpan runs its overwrite
 // arithmetic), the EventStep that lands on the quiet fabric at the end of
-// the jump, and one memoized lookahead query plus its consuming Arrivals
-// call on an RNG-backed source.
+// the jump, and one memoized next-arrival query plus its consuming
+// SlotArrivals call on a span feed over an RNG-backed source (slab refills
+// included).
 func TestIdleJumpAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations; guard only meaningful on plain builds")
@@ -200,15 +201,13 @@ func TestIdleJumpAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := traffic.NewEventFeed(onoff)
-	var buf []traffic.Arrival
+	feed := traffic.NewSpanFeed(onoff, cell.None)
+	next := traffic.NewEventFeed(feed.Look())
 	after := cell.Time(-1)
-	// Warm the lookahead scan buffers (pend and the consumer slice) across
-	// enough bursts to reach their steady-state capacities.
+	// Warm the feed across enough bursts for its span to settle.
 	for i := 0; i < 128; i++ {
-		na := next.Next(after)
-		buf = onoff.Arrivals(na, buf[:0])
-		after = na
+		after = next.Next(after)
+		feed.SlotArrivals(after)
 	}
 
 	allocs := testing.AllocsPerRun(64, func() {
@@ -219,29 +218,28 @@ func TestIdleJumpAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		cursor += 65
-		na := next.Next(after)
-		buf = onoff.Arrivals(na, buf[:0])
-		after = na
+		after = next.Next(after)
+		feed.SlotArrivals(after)
 	})
 	if allocs != 0 {
 		t.Errorf("elided interval allocates: %.2f allocs/interval, want 0", allocs)
 	}
 }
 
-// opaqueSource hides every optional capability of the wrapped source
-// (Lookahead, BatchSource): only the embedded interface's methods promote.
+// opaqueSource hides the wrapped source's BatchSource capability: only the
+// embedded interface's methods promote.
 type opaqueSource struct{ traffic.Source }
 
 // TestSelectEngine is the whole engine-resolution table: every request
 // against every disqualifier. Stepped is always honored silently; auto and
 // event resolve to the event core only for a serial, untraced run over a
-// Lookahead source and an IdleInvariant algorithm, and otherwise run stepped
-// with the single reason that disqualified them.
+// source read ahead in spans and an IdleInvariant algorithm, and otherwise
+// run stepped with the single reason that disqualified them.
 func TestSelectEngine(t *testing.T) {
 	const n = 8
 	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1}
 	stale := func(e demux.Env) (demux.Algorithm, error) { return demux.NewStaleCPA(e, 4) }
-	look := traffic.NewBernoulli(n, 0.5, 64, 1)
+	batch := traffic.NewBernoulli(n, 0.5, 64, 1)
 	cases := []struct {
 		name    string
 		mk      func(demux.Env) (demux.Algorithm, error)
@@ -250,14 +248,14 @@ func TestSelectEngine(t *testing.T) {
 		workers int
 		reason  string // "" = eligible for the event core
 	}{
-		{name: "eligible", mk: rrFactory, src: look},
-		{name: "tracer", mk: rrFactory, src: look, opts: Options{Tracer: obs.NewTracer(obs.NewRingSink(8))},
+		{name: "eligible", mk: rrFactory, src: batch},
+		{name: "tracer", mk: rrFactory, src: batch, opts: Options{Tracer: obs.NewTracer(obs.NewRingSink(8))},
 			reason: "tracer attached: the event stream is inherently per-slot"},
-		{name: "no-lookahead", mk: rrFactory, src: opaqueSource{look},
-			reason: "source does not implement traffic.Lookahead"},
-		{name: "stale-family", mk: stale, src: look,
+		{name: "per-slot-source", mk: rrFactory, src: opaqueSource{batch},
+			reason: "source does not implement traffic.BatchSource"},
+		{name: "stale-family", mk: stale, src: batch,
 			reason: "algorithm stale-cpa-u4 does not certify demux.IdleInvariant"},
-		{name: "workers", mk: rrFactory, src: look, workers: 2,
+		{name: "workers", mk: rrFactory, src: batch, workers: 2,
 			reason: "stage-parallel run: the event core is serial"},
 	}
 	for _, tc := range cases {
@@ -277,10 +275,93 @@ func TestSelectEngine(t *testing.T) {
 			} else if tc.reason != "" {
 				wantEng, wantWhy = EngineStepped, tc.reason
 			}
-			if eng, why := selectEngine(pps, tc.src, opts); eng != wantEng || why != wantWhy {
+			if eng, why := selectEngine(pps, traffic.NewSpanFeed(tc.src, 64), opts); eng != wantEng || why != wantWhy {
 				t.Errorf("%s, requested %v: got (%v, %q), want (%v, %q)", tc.name, req, eng, why, wantEng, wantWhy)
 			}
 		}
+	}
+}
+
+// pingPong is a closed-loop per-slot source: a window of one cell, the next
+// offered the slot after the previous one left the PPS. Read ahead of the
+// clock it would never see a departure and stall after its first cell.
+type pingPong struct {
+	until   cell.Time
+	calls   []cell.Time
+	credits int
+}
+
+func (p *pingPong) Arrivals(t cell.Time, dst []traffic.Arrival) []traffic.Arrival {
+	p.calls = append(p.calls, t)
+	if p.credits > 0 {
+		p.credits--
+		dst = append(dst, traffic.Arrival{In: 0, Out: 1})
+	}
+	return dst
+}
+func (p *pingPong) End() cell.Time { return p.until }
+
+// TestPerSlotSourceIsCalledAtItsSlot is the plain-Source rung of the arrival
+// contract: whatever engine is requested, a source without AppendArrivals is
+// called exactly once per slot, at its slot — so it may react to the run it
+// feeds — and the run reports the stepped core and why.
+func TestPerSlotSourceIsCalledAtItsSlot(t *testing.T) {
+	const until = 40
+	cfg := fabric.Config{N: 4, K: 2, RPrime: 2, BufferCap: -1}
+	for _, req := range []Engine{EngineAuto, EngineEvent, EngineStepped} {
+		src := &pingPong{until: until, credits: 1}
+		res, err := Run(cfg, rrFactory, src, Options{Engine: req, OnPPSDepart: func(cell.Cell) { src.credits++ }})
+		if err != nil {
+			t.Fatalf("engine=%v: %v", req, err)
+		}
+		wantWhy := "source does not implement traffic.BatchSource"
+		if req == EngineStepped {
+			wantWhy = ""
+		}
+		if res.Engine != "stepped" || res.EngineReason != wantWhy {
+			t.Errorf("engine=%v: ran %q (%q), want stepped (%q)", req, res.Engine, res.EngineReason, wantWhy)
+		}
+		for i, at := range src.calls {
+			if at != cell.Time(i) {
+				t.Fatalf("engine=%v: call %d asked for slot %d", req, i, at)
+			}
+		}
+		if len(src.calls) != until {
+			t.Errorf("engine=%v: %d calls over %d slots", req, len(src.calls), until)
+		}
+		if res.Report.Cells < 2 {
+			t.Errorf("engine=%v: the loop never closed: %d cells", req, res.Report.Cells)
+		}
+	}
+}
+
+// TestShapedSilentSourceElidesToHorizon: a Regulator (ppsim.Shape) over an
+// unbounded source that never emits cannot be proved silent — its End stays
+// None — so the look-ahead scan is bounded by the explicit Horizon alone, no
+// hidden cap: the event run terminates, elides every slot up to the horizon
+// in one jump and equals the stepped run.
+func TestShapedSilentSourceElidesToHorizon(t *testing.T) {
+	const n, horizon = 4, 50_000
+	cfg := fabric.Config{N: n, K: 2, RPrime: 2, BufferCap: -1}
+	var jumps [][2]cell.Time
+	run := func(eng Engine) Result {
+		src := traffic.NewRegulator(n, 2, traffic.NewBernoulli(n, 0, cell.None, 1))
+		res, err := Run(cfg, rrFactory, src, Options{Horizon: horizon, Engine: eng, Validate: true,
+			OnFastForward: func(from, to cell.Time) { jumps = append(jumps, [2]cell.Time{from, to}) }})
+		if err != nil {
+			t.Fatalf("engine=%v: %v", eng, err)
+		}
+		return res
+	}
+	event, stepped := run(EngineEvent), run(EngineStepped)
+	if event.Engine != "event" || event.Slots != horizon {
+		t.Errorf("event run: engine %q, %d slots, want event, %d", event.Engine, event.Slots, horizon)
+	}
+	if want := [][2]cell.Time{{0, horizon}}; !reflect.DeepEqual(jumps, want) {
+		t.Errorf("idle jumps %v, want %v", jumps, want)
+	}
+	if !reflect.DeepEqual(stripEngine(event), stripEngine(stepped)) {
+		t.Errorf("event result diverges from stepped\nstepped: %+v\nevent: %+v", stepped, event)
 	}
 }
 

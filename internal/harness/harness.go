@@ -271,12 +271,11 @@ type driver struct {
 	view    *slotView
 	tel     *obs.Telemetry
 	telPrev *obs.DelaySet
-	// feed serves the arrival phase: one slab of arrivals per span when the
-	// source implements traffic.BatchSource, a per-slot pass-through
-	// otherwise. Both cores (and the admission gate inside feedSlot) consume
-	// slots through it, and the event core's quiescence queries go through
-	// its Lookahead view so slab state and lookahead state stay interleaved
-	// correctly.
+	// feed serves the arrival phase: a traffic.BatchSource is read ahead in
+	// spans, one slab per span, and the slab answers the event core's "when
+	// is the next arrival?"; any other source is called per slot, at its
+	// slot. Both cores (and the admission gate inside feedSlot) consume
+	// slots through it.
 	feed *traffic.SpanFeed
 	// adm is the admission runtime, nil under always-admit (nil or empty
 	// spec) — the gate in feedSlot then reduces to the bare counters, so a
@@ -390,7 +389,7 @@ func (d *driver) sampleSlot(t cell.Time) {
 
 // run is the slot loop, shared by both cores. The stepped core (event false)
 // executes every slot through fabric.Step — the naive oracle, and the only
-// core that runs traced, stage-parallel, non-Lookahead or stale-information
+// core that runs traced, stage-parallel, per-slot-source or stale-information
 // configurations. The event core (event true) differs in two places: slots
 // execute through fabric.EventStep, which only touches the pending inputs
 // and busy outputs, and when both switches are fully quiet the clock jumps
@@ -399,9 +398,9 @@ func (d *driver) sampleSlot(t cell.Time) {
 // of the elided span synthesized in closed form. Cost is then O(events), not
 // O(slots), and results are bit-identical to stepping (DESIGN.md §10).
 // selectEngine guarantees the event core's preconditions: serial run, no
-// tracer, Lookahead source, IdleInvariant algorithm. run returns where the
-// loop stopped: the first slot at or past the horizon with both switches
-// drained, or MaxSlots.
+// tracer, a source read ahead in spans, IdleInvariant algorithm. run returns
+// where the loop stopped: the first slot at or past the horizon with both
+// switches drained, or MaxSlots.
 func (d *driver) run(event bool) (cell.Time, error) {
 	pps, opts, end := d.pps, d.opts, d.end
 
@@ -548,10 +547,10 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 		defer d.tel.RunFinished()
 	}
 
-	// The span feed serves both cores' arrival phase; engine eligibility is
-	// keyed off the raw source (selectEngine).
+	// The span feed serves both cores' arrival phase, and whether it reads
+	// ahead is the source's half of engine eligibility (selectEngine).
 	d.feed = traffic.NewSpanFeed(src, end)
-	eng, reason := selectEngine(pps, src, opts)
+	eng, reason := selectEngine(pps, d.feed, opts)
 	slot, err := d.run(eng == EngineEvent)
 	if err != nil {
 		return Result{}, err

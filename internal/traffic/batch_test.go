@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,184 +9,141 @@ import (
 	"ppsim/internal/cell"
 )
 
-// batchTwinCases builds, for every bundled generator, a factory returning a
-// fresh identically-configured source. Each test draws two instances: one
-// consumed through BatchSource.AppendArrivals over random span partitions,
-// one stepped slot-by-slot through Arrivals — the streams must be
-// bit-identical, including the RNG-backed sources' draw order.
-func batchTwinCases(t *testing.T) []struct {
+// twinCase is one row of the generator table: mk returns a fresh,
+// identically-configured source per call (seed feeds the randomized ones),
+// so a read-ahead walk and a slot-by-slot replay run on independent twins.
+type twinCase struct {
 	name string
-	mk   func() Source
-} {
-	t.Helper()
-	mkTrace := func() Source {
+	mk   func(seed int64) Source
+}
+
+// batchTwinCases is the one generator table of the package: every bundled
+// generator, dense and sparse, bounded and unbounded, each also under
+// WithDeadline. TestBatchArrivalsMatchPerSlotTwin drives the rows through
+// raw AppendArrivals, the SpanFeed tests and FuzzSpanFeed through the feed.
+func batchTwinCases() []twinCase {
+	// The configurations are constants, so a constructor error is a bug in
+	// the table (and FuzzSpanFeed builds sources where no *testing.T reaches).
+	must := func(src Source, err error) Source {
+		if err != nil {
+			panic(err)
+		}
+		return src
+	}
+	mkTrace := func() *Trace {
 		tr := NewTrace()
 		for _, e := range []struct {
 			t       cell.Time
 			in, out cell.Port
-		}{{0, 0, 1}, {0, 1, 0}, {3, 2, 2}, {17, 0, 3}, {17, 3, 0}, {64, 1, 1}, {65, 2, 0}} {
-			if err := tr.Add(e.t, e.in, e.out); err != nil {
-				t.Fatal(err)
-			}
+		}{{0, 0, 1}, {0, 1, 0}, {3, 2, 2}, {17, 0, 3}, {17, 3, 0}, {64, 1, 1}, {65, 2, 0}, {199, 3, 3}} {
+			tr.MustAdd(e.t, e.in, e.out)
 		}
 		return tr
 	}
-	mkBvN := func() Source {
-		const n = 4
-		lambda := make([][]float64, n)
-		for i := range lambda {
-			lambda[i] = make([]float64, n)
-			for j := range lambda[i] {
-				lambda[i][j] = 0.8 / n
-			}
+	cbr := func(period cell.Time, phase ...cell.Time) Source {
+		return &CBR{
+			Flows:  []cell.Flow{{In: 0, Out: 1}, {In: 1, Out: 2}, {In: 2, Out: 0}},
+			Period: period,
+			Phase:  phase,
+			Until:  cell.None,
 		}
-		src, err := NewBvN(lambda, cell.None, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
 	}
-	return []struct {
-		name string
-		mk   func() Source
-	}{
-		{"cbr", func() Source {
-			return &CBR{
-				Flows:  []cell.Flow{{In: 0, Out: 1}, {In: 1, Out: 2}, {In: 2, Out: 0}},
-				Period: 3,
-				Phase:  []cell.Time{0, 1, 2},
-				Until:  120,
+	base := []twinCase{
+		{"cbr", func(int64) Source { return cbr(3, 0, 1, 2) }},
+		{"cbr-long-period", func(int64) Source { return cbr(151, 40, 0, 97) }},
+		{"permutation", func(int64) Source { return must(NewPermutation([]cell.Port{2, 0, 3, 1}, 90)) }},
+		{"flood", func(int64) Source { return &Flood{N: 3, Out: 1, Until: 75} }},
+		{"trace", func(int64) Source { return mkTrace() }},
+		{"trace-replayed", func(int64) Source {
+			// The serialize round-trip: a trace marshalled to its canonical
+			// JSON and decoded into a fresh replay source.
+			data, err := json.Marshal(mkTrace())
+			replay := NewTrace()
+			if err == nil {
+				err = json.Unmarshal(data, replay)
 			}
+			return must(replay, err)
 		}},
-		{"permutation", func() Source {
-			p, err := NewPermutation([]cell.Port{2, 0, 3, 1}, 90)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
+		{"concat", func(int64) Source {
+			return must(NewConcat(
+				Part{Source: &Flood{N: 2, Out: 0, Until: 5}, GapAfter: 37},
+				Part{Source: mkTrace(), GapAfter: 0},
+			))
 		}},
-		{"flood", func() Source { return &Flood{N: 3, Out: 1, Until: 75} }},
-		{"trace", mkTrace},
-		{"concat", func() Source {
-			c, err := NewConcat(
-				Part{Source: &Flood{N: 2, Out: 0, Until: 5}, GapAfter: 7},
-				Part{Source: mkTrace().(*Trace), GapAfter: 0},
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
+		{"bernoulli", func(seed int64) Source { return NewBernoulli(8, 0.4, cell.None, seed) }},
+		{"bernoulli-sparse", func(seed int64) Source { return NewBernoulli(6, 0.01, cell.None, seed) }},
+		{"bernoulli-finite", func(seed int64) Source { return NewBernoulli(8, 0.6, 100, seed) }},
+		{"bernoulli-zero-load", func(seed int64) Source { return NewBernoulli(6, 0, cell.None, seed) }},
+		{"onoff", func(seed int64) Source { return must(NewOnOff(8, 3, 60, cell.None, seed)) }},
+		{"hotspot", func(seed int64) Source { return must(NewHotspot(8, 0.05, 0.6, 2, cell.None, seed)) }},
+		{"bvn", func(int64) Source {
+			return must(NewBvN([][]float64{
+				{0.30, 0.00, 0.10},
+				{0.00, 0.25, 0.00},
+				{0.05, 0.00, 0.20},
+			}, cell.None, 0))
 		}},
-		{"bernoulli", func() Source { return NewBernoulli(8, 0.4, cell.None, 7) }},
-		{"bernoulli-finite", func() Source { return NewBernoulli(8, 0.6, 100, 9) }},
-		{"onoff", func() Source {
-			o, err := NewOnOff(8, 5, 9, cell.None, 11)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return o
-		}},
-		{"hotspot", func() Source {
-			h, err := NewHotspot(8, 0.5, 0.6, 2, cell.None, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return h
-		}},
-		{"bvn", mkBvN},
-		{"regulator", func() Source { return NewRegulator(8, 4, NewBernoulli(8, 0.9, cell.None, 5)) }},
-		{"deadline-onoff", func() Source {
-			o, err := NewOnOff(6, 4, 6, cell.None, 13)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return WithDeadline(o, 32)
-		}},
-		{"deadline-trace", func() Source { return WithDeadline(mkTrace(), 10) }},
+		{"regulator", func(seed int64) Source { return NewRegulator(8, 4, NewBernoulli(8, 0.9, cell.None, seed)) }},
+		// A finite demand: End turns finite only once the backlog drains.
+		{"regulator-bernoulli", func(seed int64) Source { return NewRegulator(6, 2, NewBernoulli(6, 0.3, 120, seed)) }},
 	}
+	cases := base
+	for _, tc := range base {
+		cases = append(cases, twinCase{"deadline-" + tc.name, func(seed int64) Source { return WithDeadline(tc.mk(seed), 32) }})
+	}
+	return cases
+}
+
+// steppedTwin replays src slot by slot over [0, end) — the reference every
+// read-ahead view is checked against — stamping each arrival's slot the way
+// AppendArrivals does.
+func steppedTwin(src Source, end cell.Time) [][]Arrival {
+	want := make([][]Arrival, end)
+	for s := cell.Time(0); s < end; s++ {
+		want[s] = src.Arrivals(s, nil)
+		stamp(want[s], s)
+	}
+	return want
 }
 
 // TestBatchArrivalsMatchPerSlotTwin is the batch/per-slot equivalence
 // property: for every bundled generator, AppendArrivals over a random
 // partition of the horizon into spans yields exactly the arrivals a
-// slot-by-slot twin produces — same cells, same order, same slot stamps —
-// even when Lookahead queries are interleaved between spans (which forces
-// the RNG-backed sources through their buffered-replay path).
+// slot-by-slot twin produces — same cells, same order, same slot stamps.
 func TestBatchArrivalsMatchPerSlotTwin(t *testing.T) {
 	const horizon = 260
-	for _, tc := range batchTwinCases(t) {
+	for _, tc := range batchTwinCases() {
 		for trial := int64(0); trial < 4; trial++ {
 			rng := rand.New(rand.NewSource(trial*1009 + 17))
-			batch, ok := tc.mk().(BatchSource)
+			batch, ok := tc.mk(trial).(BatchSource)
 			if !ok {
 				t.Fatalf("%s: source does not implement BatchSource", tc.name)
 			}
-			twin := tc.mk()
-			bLook, _ := batch.(Lookahead)
-			tLook, _ := twin.(Lookahead)
-
-			var got, want []Arrival
+			var want []Arrival
+			for _, as := range steppedTwin(tc.mk(trial), horizon) {
+				want = append(want, as...)
+			}
+			var got []Arrival
 			for from := cell.Time(0); from < horizon; {
-				to := from + 1 + cell.Time(rng.Intn(9))
-				if to > horizon {
-					to = horizon
-				}
+				to := min(from+1+cell.Time(rng.Intn(9)), horizon)
 				got = batch.AppendArrivals(got, from, to)
-				for s := from; s < to; s++ {
-					start := len(want)
-					want = twin.Arrivals(s, want)
-					for i := start; i < len(want); i++ {
-						want[i].T = s
-					}
-				}
-				// Interleaved lookahead: both twins must answer identically
-				// and the query must not perturb either stream.
-				if bLook != nil && tLook != nil && rng.Intn(3) == 0 {
-					bn, tn := bLook.NextArrival(to-1), tLook.NextArrival(to-1)
-					if bn != tn {
-						t.Fatalf("%s trial %d: NextArrival(%d) = %d (batch) vs %d (per-slot)", tc.name, trial, to-1, bn, tn)
-					}
-				}
 				from = to
 			}
 			if !reflect.DeepEqual(got, want) {
-				if len(got) != len(want) {
-					t.Fatalf("%s trial %d: %d batched arrivals vs %d per-slot", tc.name, trial, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s trial %d: arrival %d differs: batch %+v vs per-slot %+v", tc.name, trial, i, got[i], want[i])
-					}
-				}
+				t.Fatalf("%s trial %d: batched stream differs from per-slot twin:\n batch    %+v\n per-slot %+v", tc.name, trial, got, want)
 			}
 		}
 	}
 }
 
-// TestSpanFeedMatchesDirectSource drives a SpanFeed over every generator and
-// checks the slab view reproduces the per-slot stream and that NextArrival
-// stays consistent with the slab's own silence certificate.
-func TestSpanFeedMatchesDirectSource(t *testing.T) {
-	const horizon = 200
-	for _, tc := range batchTwinCases(t) {
-		feed := NewSpanFeed(tc.mk(), horizon)
-		twin := tc.mk()
-		var want []Arrival
-		for s := cell.Time(0); s < horizon; s++ {
-			got := feed.SlotArrivals(s)
-			want = twin.Arrivals(s, want[:0])
-			if len(got) != len(want) {
-				t.Fatalf("%s: slot %d: %d arrivals via feed, %d direct", tc.name, s, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].In != want[i].In || got[i].Out != want[i].Out || got[i].Deadline != want[i].Deadline {
-					t.Fatalf("%s: slot %d: arrival %d differs: %+v vs %+v", tc.name, s, i, got[i], want[i])
-				}
-				if got[i].T != s {
-					t.Fatalf("%s: slot %d: arrival %d stamped T=%d", tc.name, s, i, got[i].T)
-				}
-			}
-		}
+// TestCBRSpanIsClosedForm: a span over a long-period CBR costs O(emissions),
+// not O(slots) — this span would take hours slot by slot.
+func TestCBRSpanIsClosedForm(t *testing.T) {
+	src := &CBR{Flows: []cell.Flow{{In: 0, Out: 1}, {In: 1, Out: 0}}, Period: 1 << 40, Phase: []cell.Time{7, 1 << 39}, Until: cell.None}
+	got := src.AppendArrivals(nil, 3, 1<<41)
+	want := []Arrival{{In: 0, Out: 1, T: 7}, {In: 1, Out: 0, T: 1 << 39}, {In: 0, Out: 1, T: 1<<40 + 7}, {In: 1, Out: 0, T: 1<<40 + 1<<39}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
 	}
 }
 

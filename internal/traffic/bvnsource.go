@@ -21,11 +21,7 @@ type BvN struct {
 	// emitCredit implements the per-cell thinning of padded slack.
 	emitCredit [][]float64
 	until      cell.Time
-	last       cell.Time
-	la         lookaheadBuffer
-	// active caches whether any permutation cell carries real demand; an
-	// all-padding decomposition never emits, so NextArrival must not scan.
-	active bool
+	guard      slotGuard
 }
 
 // NewBvN builds the source for an n x n rate matrix lambda (row-major,
@@ -41,41 +37,23 @@ func NewBvN(lambda [][]float64, until cell.Time, tol float64) (*BvN, error) {
 	for i := range ec {
 		ec[i] = make([]float64, n)
 	}
-	b := &BvN{
+	return &BvN{
 		n:          n,
 		d:          d,
 		sched:      bvn.NewSchedule(d),
 		emitCredit: ec,
 		until:      until,
-		last:       -1,
-	}
-	for _, perm := range d.Perms {
-		for r, c := range perm {
-			if d.RealFraction(r, c) > 0 {
-				b.active = true
-			}
-		}
-	}
-	return b, nil
+	}, nil
 }
 
 // Permutations reports the decomposition size (the burstiness scale).
 func (b *BvN) Permutations() int { return len(b.d.Perms) }
 
-// Arrivals implements Source. Slots must be queried in increasing order;
-// the scheduler advances once per queried slot.
+// Arrivals implements Source: one slot of the deficit-weighted schedule.
+// Slots must be queried in increasing order; the scheduler advances once per
+// queried slot.
 func (b *BvN) Arrivals(t cell.Time, dst []Arrival) []Arrival {
-	return b.la.arrivals(t, dst, b.generate)
-}
-
-// generate serves one slot of the deficit-weighted schedule, advancing the
-// scheduler exactly once — NextArrival scans route through it so a jumped
-// run serves the same permutation sequence as a stepped one.
-func (b *BvN) generate(t cell.Time, dst []Arrival) []Arrival {
-	if t <= b.last {
-		panic("traffic: BvN slots must be queried in increasing order")
-	}
-	b.last = t
+	b.guard.claim(t)
 	if b.until != cell.None && t >= b.until {
 		return dst
 	}
@@ -101,19 +79,7 @@ func (b *BvN) generate(t cell.Time, dst []Arrival) []Arrival {
 // End implements Source.
 func (b *BvN) End() cell.Time { return b.until }
 
-// AppendArrivals implements BatchSource via the lookahead buffer's span
-// path; the scheduler advances exactly once per fresh slot, as stepped.
+// AppendArrivals implements BatchSource.
 func (b *BvN) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
-	return b.la.appendSpan(from, to, dst, b.generate)
-}
-
-// NextArrival implements Lookahead. Thinning defers at most one slot of
-// credit per served permutation cell, so an active decomposition emits
-// within a bounded number of schedule rounds and the scan terminates even
-// when until is unbounded.
-func (b *BvN) NextArrival(after cell.Time) cell.Time {
-	if !b.active {
-		return cell.None
-	}
-	return b.la.nextArrival(after, b.until, b.generate)
+	return appendPerSlot(b, dst, from, to)
 }

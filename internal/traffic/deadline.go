@@ -12,19 +12,15 @@ import (
 // deadline" sentinel on both Arrival and cell.Cell. The wrapper changes
 // nothing else about the stream (same slots, same inputs, same outputs), so
 // it composes with every generator, trace and shaper; when the inner source
-// implements Lookahead the wrapper forwards it, preserving event-engine
-// eligibility.
+// implements BatchSource so does the wrapper, preserving read-ahead and
+// event-engine eligibility.
 func WithDeadline(src Source, rel cell.Time) Source {
 	if rel < 1 {
 		panic(fmt.Sprintf("traffic: deadline offset must be >= 1, got %d", rel))
 	}
 	d := deadlined{src: src, rel: rel}
-	if look, ok := src.(Lookahead); ok {
-		dl := deadlinedLookahead{deadlined: d, look: look}
-		if batch, ok := src.(BatchSource); ok {
-			return &deadlinedBatch{deadlinedLookahead: dl, batch: batch}
-		}
-		return &dl
+	if batch, ok := src.(BatchSource); ok {
+		return &deadlinedBatch{deadlined: d, batch: batch}
 	}
 	return &d
 }
@@ -51,25 +47,12 @@ func (d *deadlined) Arrivals(t cell.Time, dst []Arrival) []Arrival {
 // End implements Source.
 func (d *deadlined) End() cell.Time { return d.src.End() }
 
-// deadlinedLookahead is the variant returned when the inner source supports
-// Lookahead. Keeping it a separate type (rather than giving deadlined a
-// NextArrival that fails at runtime) means a wrapped non-Lookahead source
-// never falsely satisfies the interface check in the engine selector.
-type deadlinedLookahead struct {
-	deadlined
-	look Lookahead
-}
-
-// NextArrival implements Lookahead: deadlines do not move arrivals.
-func (d *deadlinedLookahead) NextArrival(after cell.Time) cell.Time {
-	return d.look.NextArrival(after)
-}
-
-// deadlinedBatch additionally forwards BatchSource when the inner source
-// supports span generation (all bundled batch sources also implement
-// Lookahead, so the wrapper only distinguishes this combination).
+// deadlinedBatch is the variant returned when the inner source supports span
+// generation. Keeping it a separate type (rather than giving deadlined an
+// AppendArrivals that fails at runtime) means a wrapped per-slot source never
+// falsely satisfies the BatchSource check in the feed and the engine selector.
 type deadlinedBatch struct {
-	deadlinedLookahead
+	deadlined
 	batch BatchSource
 }
 

@@ -48,41 +48,19 @@ func TestWithDeadlinePreservesStream(t *testing.T) {
 }
 
 func TestWithDeadlineLookaheadForwarding(t *testing.T) {
-	// A Lookahead inner keeps the capability and agrees with it...
-	inner := NewBernoulli(2, 0.3, 128, 3)
-	probe := NewBernoulli(2, 0.3, 128, 3)
-	wrapped := WithDeadline(inner, 4)
-	look, ok := wrapped.(Lookahead)
-	if !ok {
-		t.Fatal("Lookahead inner lost the capability through WithDeadline")
+	// A batch inner keeps AppendArrivals — read-ahead, and with it the event
+	// core; the deadline-* rows of batchTwinCases check the stream itself...
+	if _, ok := WithDeadline(NewBernoulli(2, 0.3, 128, 3), 4).(BatchSource); !ok {
+		t.Fatal("BatchSource inner lost the capability through WithDeadline")
 	}
-	var buf []Arrival
-	at := cell.Time(-1)
-	for i := 0; i < 16; i++ {
-		next := look.NextArrival(at)
-		// Advance the probe slot-by-slot to verify the jump is exact.
-		for s := at + 1; next != cell.None && s < next; s++ {
-			if buf = probe.Arrivals(s, buf[:0]); len(buf) > 0 {
-				t.Fatalf("NextArrival(%d)=%d skipped arrivals at %d", at, next, s)
-			}
-		}
-		if next == cell.None {
-			break
-		}
-		if buf = probe.Arrivals(next, buf[:0]); len(buf) == 0 {
-			t.Fatalf("NextArrival(%d)=%d but slot is silent", at, next)
-		}
-		wrapped.Arrivals(next, buf[:0])
-		at = next
-	}
-
-	// ...and a non-Lookahead inner must not falsely qualify.
-	if _, ok := WithDeadline(opaque{NewTrace()}, 4).(Lookahead); ok {
-		t.Fatal("non-Lookahead inner falsely satisfies Lookahead through WithDeadline")
+	// ...and a per-slot inner must not falsely qualify: the feed would read
+	// it ahead of its slot.
+	if _, ok := WithDeadline(opaque{NewTrace()}, 4).(BatchSource); ok {
+		t.Fatal("per-slot inner falsely satisfies BatchSource through WithDeadline")
 	}
 }
 
-// opaque hides a source's Lookahead capability.
+// opaque hides a source's BatchSource capability.
 type opaque struct{ src Source }
 
 func (o opaque) Arrivals(t cell.Time, dst []Arrival) []Arrival { return o.src.Arrivals(t, dst) }

@@ -78,3 +78,17 @@ func FuzzValidatorConsistency(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSpanFeed decodes (generator row, seed, horizon, op sequence) and holds
+// the feed against a slot-by-slot twin (checkFeedOps); the generator table
+// under one mixed op pattern is the seed corpus, which is all `go test`
+// replays.
+func FuzzSpanFeed(f *testing.F) {
+	cases := batchTwinCases()
+	for i := range cases {
+		f.Add(uint8(i), int64(i), uint16(300), []byte{opJump, opPeek, opStep, opHop + 5*numOps, opJump, opStep, opStep, opHop + 40*numOps})
+	}
+	f.Fuzz(func(t *testing.T, row uint8, seed int64, end uint16, ops []byte) {
+		checkFeedOps(t, cases[int(row)%len(cases)], seed, 1+cell.Time(end%2048), ops)
+	})
+}

@@ -37,32 +37,9 @@ func (c *CBR) Arrivals(t cell.Time, dst []Arrival) []Arrival {
 // End implements Source.
 func (c *CBR) End() cell.Time { return c.Until }
 
-// appendPerSlot expands a span for stateless closed-form sources: replay
-// Arrivals for each slot of [from, to) into dst and stamp each appended
-// entry's slot. One call's worth of loop overhead replaces to-from interface
-// crossings on the harness side.
-func appendPerSlot(src Source, dst []Arrival, from, to cell.Time) []Arrival {
-	if end := src.End(); end != cell.None && to > end {
-		to = end
-	}
-	for t := from; t < to; t++ {
-		start := len(dst)
-		dst = src.Arrivals(t, dst)
-		for i := start; i < len(dst); i++ {
-			dst[i].T = t
-		}
-	}
-	return dst
-}
-
-// AppendArrivals implements BatchSource.
-func (c *CBR) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
-	return appendPerSlot(c, dst, from, to)
-}
-
-// NextArrival implements Lookahead in closed form: the earliest per-flow
-// emission slot strictly after `after`, minimized over flows.
-func (c *CBR) NextArrival(after cell.Time) cell.Time {
+// nextEmission returns the earliest slot >= from at which some flow emits,
+// or cell.None past Until.
+func (c *CBR) nextEmission(from cell.Time) cell.Time {
 	best := cell.None
 	for i := range c.Flows {
 		var ph cell.Time
@@ -70,17 +47,66 @@ func (c *CBR) NextArrival(after cell.Time) cell.Time {
 			ph = c.Phase[i]
 		}
 		t := ph
-		if after >= ph {
-			t = ph + ((after-ph)/c.Period+1)*c.Period
-		}
-		if c.Until != cell.None && t >= c.Until {
-			continue
+		if from > ph {
+			t = ph + (from-ph+c.Period-1)/c.Period*c.Period
 		}
 		if best == cell.None || t < best {
 			best = t
 		}
 	}
+	if c.Until != cell.None && best >= c.Until {
+		return cell.None
+	}
 	return best
+}
+
+// AppendArrivals implements BatchSource in closed form: the walk visits only
+// emission slots, so a long period costs nothing per silent slot.
+func (c *CBR) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
+	for t := c.nextEmission(from); t != cell.None && t < to; t = c.nextEmission(t + 1) {
+		start := len(dst)
+		dst = c.Arrivals(t, dst)
+		stamp(dst[start:], t)
+	}
+	return dst
+}
+
+// stamp sets the slot of the arrivals a BatchSource just appended for slot t.
+func stamp(as []Arrival, t cell.Time) {
+	for i := range as {
+		as[i].T = t
+	}
+}
+
+// appendPerSlot is the span loop of every source without a closed form:
+// replay Arrivals for each slot of [from, to) into dst and stamp each
+// appended entry's slot. Stateful sources draw exactly what a stepped replay
+// draws, in the same order, because it is the same calls.
+func appendPerSlot(src Source, dst []Arrival, from, to cell.Time) []Arrival {
+	if end := src.End(); end != cell.None && to > end {
+		to = end
+	}
+	for t := from; t < to; t++ {
+		start := len(dst)
+		dst = src.Arrivals(t, dst)
+		stamp(dst[start:], t)
+	}
+	return dst
+}
+
+// slotGuard enforces the stateful generators' strictly-increasing-slot
+// contract: their stream is a function of how many slots were generated, so
+// a replayed slot would silently fork the RNG (or schedule) stream. Skipping
+// slots is fine, going back panics. The zero value is ready to use.
+type slotGuard struct {
+	next cell.Time // first slot not yet generated
+}
+
+func (g *slotGuard) claim(t cell.Time) {
+	if t < g.next {
+		panic("traffic: slots must be queried in increasing order")
+	}
+	g.next = t + 1
 }
 
 // Bernoulli is independent identically distributed traffic: each slot, each
@@ -93,7 +119,7 @@ type Bernoulli struct {
 	dist  []float64 // per-input CDF over outputs, row-major n*n
 	rng   *rand.Rand
 	until cell.Time
-	la    lookaheadBuffer
+	guard slotGuard
 }
 
 // NewBernoulli returns iid traffic on an n x n switch at the given per-input
@@ -149,16 +175,10 @@ func NewBernoulliWeighted(n int, load float64, weights []float64, until cell.Tim
 	}, nil
 }
 
-// Arrivals implements Source. Note that successive calls must be made with
-// strictly increasing t for the stream to be reproducible.
+// Arrivals implements Source. Successive calls must be made with strictly
+// increasing t for the stream to be reproducible.
 func (b *Bernoulli) Arrivals(t cell.Time, dst []Arrival) []Arrival {
-	return b.la.arrivals(t, dst, b.generate)
-}
-
-// generate draws slot t's arrivals, advancing the RNG exactly as a stepped
-// replay would — lookaheadBuffer routes both Arrivals and NextArrival scans
-// through it so the stream stays reproducible either way.
-func (b *Bernoulli) generate(t cell.Time, dst []Arrival) []Arrival {
+	b.guard.claim(t)
 	if b.until != cell.None && t >= b.until {
 		return dst
 	}
@@ -180,19 +200,9 @@ func (b *Bernoulli) generate(t cell.Time, dst []Arrival) []Arrival {
 // End implements Source.
 func (b *Bernoulli) End() cell.Time { return b.until }
 
-// AppendArrivals implements BatchSource via the lookahead buffer's span
-// path, so the RNG draw order matches a stepped replay bit for bit.
+// AppendArrivals implements BatchSource.
 func (b *Bernoulli) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
-	return b.la.appendSpan(from, to, dst, b.generate)
-}
-
-// NextArrival implements Lookahead by scanning forward through generate, so
-// the RNG draws land in the same order as a stepped replay.
-func (b *Bernoulli) NextArrival(after cell.Time) cell.Time {
-	if b.load <= 0 {
-		return cell.None // zero load never emits; an unbounded scan would spin
-	}
-	return b.la.nextArrival(after, b.until, b.generate)
+	return appendPerSlot(b, dst, from, to)
 }
 
 // OnOff is bursty two-state traffic: each input alternates between an ON
@@ -207,7 +217,7 @@ type OnOff struct {
 	on           []bool
 	target       []cell.Port
 	retargetOnOn bool
-	la           lookaheadBuffer
+	guard        slotGuard
 }
 
 // NewOnOff returns bursty traffic on an n x n switch. meanOn and meanOff are
@@ -233,14 +243,10 @@ func NewOnOff(n int, meanOn, meanOff float64, until cell.Time, seed int64) (*OnO
 	return o, nil
 }
 
-// Arrivals implements Source.
+// Arrivals implements Source: every input's two-state chain advances by one
+// slot per call, so slots must be queried in strictly increasing order.
 func (o *OnOff) Arrivals(t cell.Time, dst []Arrival) []Arrival {
-	return o.la.arrivals(t, dst, o.generate)
-}
-
-// generate advances every input's two-state chain by one slot, drawing the
-// RNG exactly as a stepped replay would (see Bernoulli.generate).
-func (o *OnOff) generate(t cell.Time, dst []Arrival) []Arrival {
+	o.guard.claim(t)
 	if o.until != cell.None && t >= o.until {
 		return dst
 	}
@@ -263,15 +269,9 @@ func (o *OnOff) generate(t cell.Time, dst []Arrival) []Arrival {
 // End implements Source.
 func (o *OnOff) End() cell.Time { return o.until }
 
-// AppendArrivals implements BatchSource (see Bernoulli.AppendArrivals).
+// AppendArrivals implements BatchSource.
 func (o *OnOff) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
-	return o.la.appendSpan(from, to, dst, o.generate)
-}
-
-// NextArrival implements Lookahead. The scan terminates with probability one:
-// pOffToOn >= 1/meanOff > 0, so some input eventually turns on.
-func (o *OnOff) NextArrival(after cell.Time) cell.Time {
-	return o.la.nextArrival(after, o.until, o.generate)
+	return appendPerSlot(o, dst, from, to)
 }
 
 // Permutation emits, every slot, one cell per input following a fixed
@@ -312,21 +312,6 @@ func (p *Permutation) End() cell.Time { return p.Until }
 // AppendArrivals implements BatchSource.
 func (p *Permutation) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
 	return appendPerSlot(p, dst, from, to)
-}
-
-// NextArrival implements Lookahead: a non-empty permutation emits every slot.
-func (p *Permutation) NextArrival(after cell.Time) cell.Time {
-	if len(p.Perm) == 0 {
-		return cell.None
-	}
-	t := after + 1
-	if t < 0 {
-		t = 0
-	}
-	if p.Until != cell.None && t >= p.Until {
-		return cell.None
-	}
-	return t
 }
 
 // Hotspot sends a fraction of every input's Bernoulli traffic to a single
@@ -372,11 +357,6 @@ func (h *Hotspot) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
 	return h.inner.AppendArrivals(dst, from, to)
 }
 
-// NextArrival implements Lookahead by delegating to the weighted Bernoulli.
-func (h *Hotspot) NextArrival(after cell.Time) cell.Time {
-	return h.inner.NextArrival(after)
-}
-
 // Flood sends, every slot, one cell from every input to the same output —
 // rate N*R toward one port. It is deliberately NOT leaky-bucket conformant
 // for any fixed B; Section 5 uses it to create congested periods.
@@ -403,19 +383,4 @@ func (f *Flood) End() cell.Time { return f.Until }
 // AppendArrivals implements BatchSource.
 func (f *Flood) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
 	return appendPerSlot(f, dst, from, to)
-}
-
-// NextArrival implements Lookahead: a flood with inputs emits every slot.
-func (f *Flood) NextArrival(after cell.Time) cell.Time {
-	if f.N <= 0 {
-		return cell.None
-	}
-	t := after + 1
-	if t < 0 {
-		t = 0
-	}
-	if f.Until != cell.None && t >= f.Until {
-		return cell.None
-	}
-	return t
 }

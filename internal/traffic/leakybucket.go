@@ -180,7 +180,6 @@ type Regulator struct {
 	queues [][]Arrival // per-input FIFO of pending arrivals
 	last   cell.Time
 	walked cell.Time // next slot to pull from inner
-	la     lookaheadBuffer
 }
 
 // NewRegulator wraps src (which must be bounded for End to be meaningful)
@@ -198,15 +197,9 @@ func NewRegulator(n int, b int64, src Source) *Regulator {
 	}
 }
 
-// Arrivals implements Source. Slots must be queried in increasing order.
+// Arrivals implements Source: one shaping step. Slots must be queried in
+// increasing order.
 func (r *Regulator) Arrivals(t cell.Time, dst []Arrival) []Arrival {
-	return r.la.arrivals(t, dst, r.release)
-}
-
-// release is the raw per-slot shaping step (the pre-lookahead Arrivals
-// body); both Arrivals and NextArrival scans route through it so the shaping
-// queues and token buckets evolve identically either way.
-func (r *Regulator) release(t cell.Time, dst []Arrival) []Arrival {
 	if t <= r.last {
 		panic("traffic: Regulator slots must be queried in increasing order")
 	}
@@ -252,16 +245,16 @@ func (r *Regulator) release(t cell.Time, dst []Arrival) []Arrival {
 	return dst
 }
 
-// AppendArrivals implements BatchSource via the lookahead buffer's span
-// path; token refills and demand pulls advance slot by slot inside release,
-// exactly as a stepped replay would.
+// AppendArrivals implements BatchSource. The span stops at End, which turns
+// finite once the backlog has drained: nothing can be released after that.
 func (r *Regulator) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
-	return r.la.appendSpan(from, to, dst, r.release)
+	return appendPerSlot(r, dst, from, to)
 }
 
 // End implements Source. The regulator itself cannot know when its backlog
 // will drain, so it reports unbounded unless both the demand has ended and
-// the queues are empty.
+// the queues are empty — End is dynamic, and SpanFeed re-reads it at every
+// refill so a drained regulator stops being scanned.
 func (r *Regulator) End() cell.Time {
 	end := r.inner.End()
 	if end == cell.None {
@@ -279,64 +272,6 @@ func (r *Regulator) End() cell.Time {
 		return r.last + 1
 	}
 	return end
-}
-
-// RegulatorScanHorizon bounds Regulator.NextArrival's slot-by-slot forward
-// scan when the inner source is unbounded (End() == cell.None), offers no
-// Lookahead of its own, and the shaping backlog is empty: past this many
-// silent slots beyond `after` the scan gives up and answers cell.None (see
-// the contract note on Lookahead in lookahead.go). The value matches the
-// harness's default MaxSlots cap, so within any default-length run the
-// capped answer is exact; previously such a source — e.g. a custom
-// zero-rate generator — made the scan loop forever.
-const RegulatorScanHorizon = 1 << 22
-
-// NextArrival implements Lookahead. The scan cannot use a fixed limit — the
-// shaped backlog drains past the inner source's end — so it guards
-// exhaustion explicitly: empty shaping queues plus a provably silent inner
-// source (walked past a bounded End, or an inner Lookahead reporting None)
-// mean no release can ever happen. When the inner source implements
-// Lookahead and the backlog is empty, the scan also jumps straight to the
-// inner's next arrival slot — the slots between cannot release anything.
-// An unbounded inner source without Lookahead cannot be proved silent, so
-// once the backlog is empty the scan is capped at RegulatorScanHorizon
-// slots past `after` and answers cell.None beyond it.
-func (r *Regulator) NextArrival(after cell.Time) cell.Time {
-	if r.la.pendOK {
-		if r.la.pendSlot > after {
-			return r.la.pendSlot
-		}
-		panic("traffic: NextArrival would skip a buffered unconsumed slot; consume Arrivals in order")
-	}
-	t := r.la.next
-	if t <= after {
-		t = after + 1
-	}
-	for {
-		if r.Backlog() == 0 {
-			if end := r.inner.End(); end != cell.None && r.walked >= end {
-				return cell.None
-			}
-			if il, ok := r.inner.(Lookahead); ok {
-				s := il.NextArrival(r.walked - 1)
-				if s == cell.None {
-					return cell.None
-				}
-				if s > t {
-					t = s
-				}
-			} else if r.inner.End() == cell.None && t > after+RegulatorScanHorizon {
-				return cell.None
-			}
-		}
-		r.la.pend = r.release(t, r.la.pend[:0])
-		r.la.next = t + 1
-		if len(r.la.pend) > 0 {
-			r.la.pendSlot, r.la.pendOK = t, true
-			return t
-		}
-		t++
-	}
 }
 
 // Backlog reports the number of cells currently held in shaping queues.

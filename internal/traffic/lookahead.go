@@ -2,30 +2,16 @@ package traffic
 
 import "ppsim/internal/cell"
 
-// Lookahead is an optional Source capability: the harness's event core asks
-// a source when its next arrival is due so idle slots can be elided without
-// being executed.
+// Lookahead is the event core's question to the arrival phase: when is the
+// next arrival due, so idle slots can be elided without being executed.
+// SpanFeed is its only implementation — the slab it has already read ahead
+// is the answer — and sources opt in by implementing BatchSource.
 //
-// NextArrival returns the earliest slot strictly after `after` at which
-// Arrivals would return a non-empty slice, or cell.None when the source is
-// silent forever past `after`. The answer must be consistent with Arrivals:
-// a subsequent Arrivals call on the returned slot yields exactly the cells a
-// slot-by-slot replay would have produced there.
-//
-// Queries must be monotone and interleave with consumption: callers query
+// NextArrival returns the earliest slot strictly after `after` that holds an
+// arrival, or cell.None when there is none before the feed's end. Queries
+// must be monotone and interleave with consumption: callers query
 // NextArrival(t-1) only when every slot <= t-1 has already been consumed
-// through Arrivals (this is the natural engine pattern — peek ahead, jump,
-// consume). RNG-backed sources rely on this to keep their draw sequence
-// identical to a stepped run.
-//
-// Bounded-scan caveat: a source that can only answer by scanning forward
-// slot-by-slot (a Regulator wrapping an inner source that lacks Lookahead)
-// may cap the scan at a documented horizon — RegulatorScanHorizon — and
-// answer cell.None beyond it, meaning "silent for at least that many slots
-// past `after`", not necessarily silent forever. The horizon matches the
-// harness's default run-length cap, so for engine purposes (elide to the
-// run's end) the capped answer is exact; without the cap a never-emitting
-// inner source made the scan loop forever.
+// (the natural engine pattern — peek ahead, jump, consume).
 type Lookahead interface {
 	NextArrival(after cell.Time) cell.Time
 }
@@ -34,9 +20,7 @@ type Lookahead interface {
 // asks "when is the next arrival?" once per quiet stretch, and Next serves
 // repeated queries from the cached answer while it remains valid (strictly
 // ahead of the cursor), requerying only when the cached slot is consumed or
-// stale. Requeries after a cell.None answer are cheap for the repo's
-// sources — their lookahead cursors advance monotonically, so a repeated
-// scan resumes where the last one stopped rather than rescanning.
+// stale.
 type EventFeed struct {
 	look Lookahead
 	next cell.Time
@@ -62,129 +46,4 @@ func (f *EventFeed) Next(after cell.Time) cell.Time {
 	f.next = f.look.NextArrival(after)
 	f.ok = f.next != cell.None
 	return f.next
-}
-
-// lookaheadBuffer lets an RNG-stateful generator answer NextArrival without
-// perturbing its stream: looking ahead must draw exactly the variates a
-// stepped replay would, so the scan generates slots in order and buffers the
-// first non-empty one until Arrivals consumes it.
-//
-// The zero value is ready to use. Invariants: every slot < next has been
-// generated exactly once; when pendOK, pend holds slot pendSlot's arrivals
-// (pendSlot < next) and they have not been consumed yet.
-type lookaheadBuffer struct {
-	next     cell.Time // first slot not yet generated
-	pendSlot cell.Time // slot of the buffered arrivals (valid when pendOK)
-	pendOK   bool
-	pend     []Arrival
-	// served/servedOK track the last slot delivered through arrivals, so the
-	// buffer can keep enforcing the sources' strictly-increasing query
-	// contract (a scan-generated slot would otherwise be replayed silently).
-	served   cell.Time
-	servedOK bool
-}
-
-// arrivals serves slot t: replay the buffered slot, stay silent for slots a
-// lookahead scan already proved empty, or generate fresh via gen (which must
-// be the source's raw per-slot generator, advancing its RNG exactly once).
-func (b *lookaheadBuffer) arrivals(t cell.Time, dst []Arrival, gen func(cell.Time, []Arrival) []Arrival) []Arrival {
-	if b.servedOK && t <= b.served {
-		panic("traffic: slots must be queried in increasing order")
-	}
-	b.served, b.servedOK = t, true
-	if b.pendOK && t == b.pendSlot {
-		dst = append(dst, b.pend...)
-		b.pendOK = false
-		return dst
-	}
-	if t < b.next {
-		// Already generated by a NextArrival scan and known silent (or its
-		// arrivals were replayed above); no fresh draws.
-		return dst
-	}
-	b.next = t + 1
-	return gen(t, dst)
-}
-
-// appendSpan serves the half-open span [from, to) in one call: it replays
-// the buffered slot if it falls inside the span, stays silent for slots an
-// earlier NextArrival scan already proved empty, and generates the rest
-// fresh in slot order — so the RNG draw sequence is bit-identical to
-// serving the same slots through arrivals one at a time. Appended entries
-// are stamped with their slot in T, implementing the BatchSource contract
-// for RNG-backed sources.
-func (b *lookaheadBuffer) appendSpan(from, to cell.Time, dst []Arrival, gen func(cell.Time, []Arrival) []Arrival) []Arrival {
-	if to <= from {
-		return dst
-	}
-	if b.servedOK && from <= b.served {
-		panic("traffic: slots must be queried in increasing order")
-	}
-	b.served, b.servedOK = to-1, true
-	t := from
-	if b.pendOK && b.pendSlot < from {
-		panic("traffic: span would skip a buffered unconsumed slot; consume slots in order")
-	}
-	// Slots below next were generated by a NextArrival scan: all silent
-	// except the one buffered in pend, which replays here.
-	if b.pendOK && b.pendSlot < to {
-		start := len(dst)
-		dst = append(dst, b.pend...)
-		for i := start; i < len(dst); i++ {
-			dst[i].T = b.pendSlot
-		}
-		b.pendOK = false
-	}
-	if t < b.next {
-		t = b.next
-		if t > to {
-			t = to
-		}
-	}
-	for ; t < to; t++ {
-		start := len(dst)
-		dst = gen(t, dst)
-		for i := start; i < len(dst); i++ {
-			dst[i].T = t
-		}
-	}
-	if to > b.next {
-		b.next = to
-	}
-	return dst
-}
-
-// nextArrival scans forward from max(next, after+1) until gen produces a
-// non-empty slot (buffered for replay) or the scan reaches limit
-// (cell.None = unbounded; the caller must guarantee termination then, e.g.
-// positive load). Draws happen in exactly the order a stepped replay would.
-func (b *lookaheadBuffer) nextArrival(after, limit cell.Time, gen func(cell.Time, []Arrival) []Arrival) cell.Time {
-	if b.pendOK {
-		if b.pendSlot > after {
-			return b.pendSlot
-		}
-		// A buffered, unconsumed slot at or before `after` would be skipped
-		// by the scan, silently losing its arrivals. The engine consumes
-		// slots in order, so this is a caller bug, not a traffic pattern.
-		panic("traffic: NextArrival would skip a buffered unconsumed slot; consume Arrivals in order")
-	}
-	t := b.next
-	if t <= after {
-		t = after + 1
-	}
-	for ; limit == cell.None || t < limit; t++ {
-		b.pend = gen(t, b.pend[:0])
-		b.next = t + 1
-		if len(b.pend) > 0 {
-			b.pendSlot, b.pendOK = t, true
-			return t
-		}
-	}
-	if limit != cell.None && b.next < limit {
-		// Every slot in [next, limit) is beyond the source's horizon;
-		// record them as generated so later Arrivals calls stay silent
-		// without consulting gen.
-		b.next = limit
-	}
-	return cell.None
 }

@@ -39,6 +39,12 @@ type Arrival struct {
 // deterministic given their construction parameters (randomized sources take
 // explicit seeds), so that the PPS and the shadow switch can replay the same
 // stream.
+//
+// A plain Source is called exactly once per slot, at its slot, so it may be
+// closed-loop (framer.Segmenter accepts packets mid-run); the price is the
+// stepped core. A source whose stream is fixed in advance — the paper's
+// model, Definition 3 — opts into being read ahead of the clock, and into
+// the event core, by also implementing BatchSource.
 type Source interface {
 	// Arrivals appends the arrivals of slot t to dst and returns the
 	// extended slice. A source must emit at most one arrival per
@@ -50,20 +56,17 @@ type Source interface {
 	End() cell.Time
 }
 
-// BatchSource is an optional Source capability: the harness's arrival phase
-// pulls one slab of arrivals per span instead of one interface call per slot.
+// BatchSource is the read-ahead capability: SpanFeed pulls one slab of
+// arrivals per span instead of one interface call per slot, ahead of the
+// clock, and answers "when is the next arrival?" from the slab.
 //
 // AppendArrivals appends every arrival of the half-open span [from, to) to
 // dst, in slot order (and per-slot in the same order Arrivals would emit),
 // with each appended Arrival's T field stamped with its slot. The result must
 // be exactly the concatenation a slot-by-slot Arrivals replay over the span
-// would produce — RNG-backed sources must advance their draw sequence
-// identically, which the lookaheadBuffer span path guarantees.
-//
-// Spans obey the same strictly-increasing contract as Lookahead-interleaved
-// Arrivals: each call's `from` must be past every slot already consumed, and
-// NextArrival interleaves as if the span's slots had been consumed one at a
-// time.
+// would produce — for the stateful generators it is that replay
+// (appendPerSlot). Spans obey the same strictly-increasing contract as
+// Arrivals: each call's `from` must be past every slot already generated.
 type BatchSource interface {
 	Source
 	AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival
@@ -75,7 +78,7 @@ type BatchSource interface {
 type Trace struct {
 	slots map[cell.Time][]Arrival
 	end   cell.Time // one past the last populated slot
-	// keys caches the non-empty slots in ascending order for NextArrival's
+	// keys caches the non-empty slots in ascending order for AppendArrivals'
 	// binary search; keysOK is invalidated by Add and rebuilt lazily.
 	keys   []cell.Time
 	keysOK bool
@@ -141,18 +144,6 @@ func (tr *Trace) ensureKeys() {
 	tr.keysOK = true
 }
 
-// NextArrival implements Lookahead: binary search over the lazily built
-// sorted slot index. Unlike generator lookaheads, trace queries are free of
-// state, so non-monotone queries are fine.
-func (tr *Trace) NextArrival(after cell.Time) cell.Time {
-	tr.ensureKeys()
-	i := sort.Search(len(tr.keys), func(i int) bool { return tr.keys[i] > after })
-	if i == len(tr.keys) {
-		return cell.None
-	}
-	return tr.keys[i]
-}
-
 // AppendArrivals implements BatchSource closed-form: a binary search finds
 // the first populated slot in the span and the walk visits only populated
 // slots, so silent stretches cost nothing regardless of span length.
@@ -163,9 +154,7 @@ func (tr *Trace) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
 		t := tr.keys[i]
 		start := len(dst)
 		dst = tr.Arrivals(t, dst)
-		for j := start; j < len(dst); j++ {
-			dst[j].T = t
-		}
+		stamp(dst[start:], t)
 	}
 	return dst
 }
@@ -249,11 +238,6 @@ func (c *Concat) Arrivals(t cell.Time, dst []Arrival) []Arrival {
 
 // End implements Source.
 func (c *Concat) End() cell.Time { return c.trace.End() }
-
-// NextArrival implements Lookahead via the flattened trace.
-func (c *Concat) NextArrival(after cell.Time) cell.Time {
-	return c.trace.NextArrival(after)
-}
 
 // AppendArrivals implements BatchSource via the flattened trace.
 func (c *Concat) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {

@@ -45,7 +45,14 @@ type (
 	Cell = cell.Cell
 	// Flow is an (input, output) pair.
 	Flow = cell.Flow
-	// Source produces cell arrivals per slot.
+	// Source produces cell arrivals per slot. A custom source that
+	// implements only Arrivals and End is called exactly once per slot, at
+	// its slot — so it may react to the run it feeds (a Segmenter accepts
+	// packets mid-run) — and runs on the stepped core. One whose stream is fixed in advance
+	// opts into being read ahead in spans, and into the event core, by also
+	// implementing AppendArrivals(dst []Arrival, from, to Time) []Arrival:
+	// every arrival of slots [from, to), in slot order, each stamped with
+	// its slot in Arrival.T. All bundled generators do.
 	Source = traffic.Source
 	// Arrival is one (input, output) arrival event.
 	Arrival = traffic.Arrival
