@@ -175,13 +175,13 @@ type PPS struct {
 	// failScratch is the reusable buffer FailDrop drains a dying plane's
 	// backlog into.
 	failScratch []cell.Cell
-	// dropGaps[out][in], allocated only under DropCount, records the
-	// FlowSeqs of dropped cells so checkFlowOrder can verify that a
-	// departure gap is exactly the flow's accounted drops. Min-heaps:
-	// multiple plane failures can drop a flow's cells out of FlowSeq
-	// order. Written in the serial phases (slot start, dispatch), consumed
-	// by the output's own mux shard after the stage barrier.
-	dropGaps []map[cell.Port]*queue.Heap[uint64]
+	// dropGaps[out], allocated only under DropCount, holds the (In,
+	// FlowSeq) keys of dropped cells so checkFlowOrder can verify that a
+	// departure gap is exactly the flow's accounted drops — the referee's
+	// own record, not the resequencer's. Written in the serial phases (slot
+	// start, dispatch), consumed by the output's own mux shard after the
+	// stage barrier.
+	dropGaps []queue.SeqTable
 
 	// pool is the stage-parallel worker pool, nil for the serial engine.
 	pool *workerPool
@@ -276,10 +276,7 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 	if cfg.FaultPolicy == faults.DropCount {
 		// Allocated on policy, not schedule: planes failed before slot 0
 		// (harness FailPlanes) drop under DropCount with no schedule at all.
-		p.dropGaps = make([]map[cell.Port]*queue.Heap[uint64], cfg.N)
-		for j := range p.dropGaps {
-			p.dropGaps[j] = make(map[cell.Port]*queue.Heap[uint64])
-		}
+		p.dropGaps = make([]queue.SeqTable, cfg.N)
 	}
 	alg, err := makeAlg(envView{p})
 	if err != nil {
@@ -399,11 +396,12 @@ func (p *PPS) checkFlowOrder(c cell.Cell) error {
 	if c.FlowSeq != expect && p.dropGaps != nil {
 		// The per-output dropGaps shard is filled in the serial phases and
 		// consumed only here, by the shard that owns output c.Flow.Out.
-		if h := p.dropGaps[c.Flow.Out][c.Flow.In]; h != nil {
-			for !h.Empty() && h.Peek() == expect {
-				h.Pop()
-				expect++
+		gaps := &p.dropGaps[c.Flow.Out]
+		for {
+			if _, dropped := gaps.Take(int32(c.Flow.In), expect); !dropped {
+				break
 			}
+			expect++
 		}
 	}
 	if c.FlowSeq != expect {
@@ -418,21 +416,15 @@ func (p *PPS) checkFlowOrder(c cell.Cell) error {
 
 // recordDrop accounts one cell lost under the DropCount policy: the run
 // total, the slot's drop list (the harness turns it into per-plane and
-// per-input counters), the order referee's gap heap, and the output
-// resequencer's skip set — the flow's successors must not park forever
+// per-input counters), the order referee's gap table, and the output
+// resequencer's own record — the flow's successors must not park forever
 // behind a cell that will never be delivered. Called only from the serial
 // phases of Step, so the mux shards observe a consistent view after the
 // stage barrier.
 func (p *PPS) recordDrop(t cell.Time, c cell.Cell) {
 	p.dropped++
 	p.slotDrops = append(p.slotDrops, c)
-	m := p.dropGaps[c.Flow.Out]
-	h := m[c.Flow.In]
-	if h == nil {
-		h = queue.NewHeap(func(a, b uint64) bool { return a < b })
-		m[c.Flow.In] = h
-	}
-	h.Push(c.FlowSeq)
+	p.dropGaps[c.Flow.Out].Put(int32(c.Flow.In), c.FlowSeq, 0)
 	p.outputs[c.Flow.Out].Skip(c.Flow, c.FlowSeq)
 	if p.trace {
 		p.tracer.Emit(obs.Event{T: t, Kind: obs.EvDrop, Seq: c.Seq, In: c.Flow.In, Out: c.Flow.Out, Plane: c.Via})

@@ -319,10 +319,10 @@ func (pl *workerPool) muxShard(w int) {
 // Fault injection needs no changes here: every drop happens in the serial
 // phases of Step (schedule application at slot start, the dispatch loop of
 // stage 2), so by the time the shards run, the drop counters, the dropGaps
-// referee heaps, and the mux skip sets are final for the slot. The shards
-// only *read* fault state — checkFlowOrder consumes the dropGaps heap of its
-// own output, and Buffer.Skip-advanced resequencers release parked cells —
-// which keeps the sharded engine bit-identical to the serial one under any
+// referee tables, and the resequencers' drop tables are final for the slot.
+// A shard only takes from the tables of its own outputs — checkFlowOrder
+// from dropGaps[out], Buffer.advance from that output's buffer — which
+// keeps the sharded engine bit-identical to the serial one under any
 // schedule.
 func (p *PPS) stepSharded(t cell.Time, dst []cell.Cell) ([]cell.Cell, error) {
 	pl := p.pool

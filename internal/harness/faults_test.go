@@ -272,8 +272,8 @@ func TestFailPlanesConsolidatedError(t *testing.T) {
 // once a DropCount schedule's events have all fired (drops recorded, plane
 // recovered), the steady-state slot must still not touch the heap — the
 // fault runtime's exhausted cursor is one bounds check, and every drop-side
-// structure (gap heaps, skip sets, drop counters) has reached its
-// steady-state footprint during warm-up.
+// structure (the referee's gap tables, the resequencers' drop tables, drop
+// counters) has reached its steady-state footprint during warm-up.
 func TestFaultSlotAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations; guard only meaningful on plain builds")

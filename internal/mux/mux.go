@@ -18,8 +18,7 @@
 // Cells are addressed by cell.Ref into the shared columnar cell.Store
 // (DESIGN.md §13): the view hands the policies a batch of eligible plane
 // heads in one call, the policy takes the refs it wants in one call, and
-// the resequencing heaps order {key, ref} pairs without touching the cell
-// bodies.
+// the resequencer files {key, ref} pairs without touching the cell bodies.
 package mux
 
 import (
@@ -175,24 +174,24 @@ func (LazyFCFS) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 // PPS, as the paper's relative-delay accounting requires.
 //
 // Every flow that can reach an output shares that output, so flow state is
-// keyed by the input-port alone: next and parked are dense arrays indexed
-// by In, lazily allocated on the output's first cell — an output that never
-// sees traffic costs nothing, and an active one replaces the historical
-// per-flow map lookups (and their steady growth) with array indexing.
+// keyed by the input-port alone. The only question ever asked of the parked
+// cells is "is (in, next[in]) here?", a point lookup: they live in one hash
+// table per output, and so do the dropped FlowSeqs the flow must step over.
 type Buffer struct {
 	s *cell.Store
 	n int // ports: bounds the In index space
 
-	emittable *queue.Heap[entry]   // keyed by Seq (global FCFS)
-	parked    []*queue.Heap[entry] // [In], keyed by FlowSeq
-	next      []uint64             // [In]: next FlowSeq the output may emit
-	parkedLen int
-	// skips holds per-flow FlowSeqs the fabric reported dropped (failed
-	// planes, DropCount policy): a parked cell must not wait forever for a
-	// predecessor that will never be delivered. Min-heaps, because two
-	// planes failing in turn can drop a flow's cells out of FlowSeq order.
-	// Nil until the first Skip, so fault-free runs never touch it.
-	skips map[cell.Port]*queue.Heap[uint64]
+	emittable *queue.Heap[entry] // keyed by Seq (global FCFS)
+	next      []uint64           // [In]: next FlowSeq the output may emit
+	parked    queue.SeqTable     // (In, FlowSeq) -> ref of a cell waiting for its predecessor
+	// drops holds the (In, FlowSeq) keys the fabric reported dropped ahead
+	// of the flow's frontier (failed planes, DropCount policy): a parked
+	// cell must not wait forever for a predecessor that will never be
+	// delivered. A record waits for the flow's frontier to reach it and is
+	// not a cell: Len does not count it, so an output holding only records
+	// is idle. Nil until the first such Skip, which keeps an Output the
+	// size it was before the tables (fabric.New builds N of them).
+	drops *queue.SeqTable
 
 	// heads and refs are the pull policies' per-slot scratch, owned by the
 	// buffer so policies stay stateless values.
@@ -200,16 +199,14 @@ type Buffer struct {
 	refs  []cell.Ref
 }
 
-// entry is one heap element: the ordering key (Seq for the emittable heap,
-// FlowSeq for parked heaps) alongside the ref, so sift operations never
-// dereference the store.
+// entry is one emittable-heap element: the global Seq alongside the ref, so
+// sift operations never dereference the store.
 type entry struct {
 	key uint64
 	ref cell.Ref
 }
 
-func byKey(a, b entry) bool    { return a.key < b.key }
-func byValue(a, b uint64) bool { return a < b }
+func byKey(a, b entry) bool { return a.key < b.key }
 
 // NewBuffer returns a resequencing buffer for an n-port switch over store s.
 func NewBuffer(s *cell.Store, n int) *Buffer {
@@ -226,13 +223,13 @@ func (b *Buffer) init(s *cell.Store, n int) {
 	b.n = n
 }
 
-// lazyInit allocates the flow-state arrays on the output's first activity.
+// lazyInit allocates the flow cursors on the output's first activity: an
+// output that never sees traffic costs nothing.
 func (b *Buffer) lazyInit() {
 	if b.next != nil {
 		return
 	}
 	b.next = make([]uint64, b.n)
-	b.parked = make([]*queue.Heap[entry], b.n)
 	b.emittable = queue.NewHeap(byKey)
 }
 
@@ -241,21 +238,11 @@ func (b *Buffer) Push(t cell.Time, r cell.Ref) {
 	b.lazyInit()
 	c := b.s.At(r)
 	c.AtOutput = t
-	in := c.Flow.In
-	if c.FlowSeq == b.next[in] {
+	if c.FlowSeq == b.next[c.Flow.In] {
 		b.emittable.Push(entry{key: c.Seq, ref: r})
 		return
 	}
-	h := b.parked[in]
-	if h == nil {
-		// One parked heap per input, kept for the run: inputs are bounded
-		// by N, so retaining empty heaps trades bounded memory for an
-		// allocation-free steady state.
-		h = queue.NewHeap(byKey)
-		b.parked[in] = h
-	}
-	h.Push(entry{key: c.FlowSeq, ref: r})
-	b.parkedLen++
+	b.parked.Put(int32(c.Flow.In), c.FlowSeq, uint32(r))
 }
 
 // PushBatch inserts every ref in order (the batched form of Push).
@@ -270,7 +257,7 @@ func (b *Buffer) Len() int {
 	if b.emittable == nil {
 		return 0
 	}
-	return b.emittable.Len() + b.parkedLen
+	return b.emittable.Len() + b.parked.Len()
 }
 
 // Skip records that flow f's cell FlowSeq fs was dropped inside the switch
@@ -280,35 +267,33 @@ func (b *Buffer) Len() int {
 // flow's progression and to each other.
 func (b *Buffer) Skip(f cell.Flow, fs uint64) {
 	b.lazyInit()
-	if fs == b.next[f.In] {
-		b.next[f.In] = fs + 1
-		b.advance(f.In)
+	if fs != b.next[f.In] {
+		if b.drops == nil {
+			b.drops = new(queue.SeqTable)
+		}
+		b.drops.Put(int32(f.In), fs, 0)
 		return
 	}
-	if b.skips == nil {
-		b.skips = make(map[cell.Port]*queue.Heap[uint64])
-	}
-	h := b.skips[f.In]
-	if h == nil {
-		h = queue.NewHeap(byValue)
-		b.skips[f.In] = h
-	}
-	h.Push(fs)
+	b.next[f.In] = fs + 1
+	b.advance(f.In)
 }
 
-// advance consumes any now-reached skipped FlowSeqs of input in's flow and
-// releases the parked successor the advancement uncovers, if any.
+// advance moves input in's flow on from a next[in] that was just bumped:
+// it releases the parked cell now in order, if there is one, and otherwise
+// steps over every consecutive dropped FlowSeq to look again.
 func (b *Buffer) advance(in cell.Port) {
-	if sk := b.skips[in]; sk != nil {
-		for !sk.Empty() && sk.Peek() == b.next[in] {
-			sk.Pop()
-			b.next[in]++
+	for {
+		if r, ok := b.parked.Take(int32(in), b.next[in]); ok {
+			b.emittable.Push(entry{key: b.s.At(cell.Ref(r)).Seq, ref: cell.Ref(r)})
+			return
 		}
-	}
-	if h := b.parked[in]; h != nil && !h.Empty() && h.Peek().key == b.next[in] {
-		e := h.Pop()
-		b.emittable.Push(entry{key: b.s.At(e.ref).Seq, ref: e.ref})
-		b.parkedLen--
+		if b.drops == nil {
+			return
+		}
+		if _, dropped := b.drops.Take(int32(in), b.next[in]); !dropped {
+			return
+		}
+		b.next[in]++
 	}
 }
 

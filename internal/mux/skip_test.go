@@ -70,7 +70,10 @@ func TestSkipFarAheadParksUntilReached(t *testing.T) {
 	// intervening cells are delivered.
 	f := cell.Flow{In: 2, Out: 0}
 	b, push := testBuffer(4)
-	b.Skip(f, 2)            // dropped, but 0 and 1 are still in flight
+	b.Skip(f, 2) // dropped, but 0 and 1 are still in flight
+	if b.Len() != 0 {
+		t.Fatalf("Len = %d: a drop record was counted as a buffered cell", b.Len())
+	}
 	push(skipCell(f, 9, 3)) // parks behind the gap
 	push(skipCell(f, 4, 0)) // in order: emittable
 	if got := popAll(b); len(got) != 1 || got[0] != 0 {
