@@ -117,27 +117,3 @@ func BenchmarkAblationCPATieBreak(b *testing.B) {
 	rot.Algorithm.Name = "cpa-rotate"
 	b.Run("rotate", func(b *testing.B) { runOnce(b, rot, 3) })
 }
-
-// BenchmarkEngineThroughput measures raw fabric slot rate with invariant
-// auditing on and off.
-func BenchmarkEngineThroughput(b *testing.B) {
-	run := func(b *testing.B, disable bool) {
-		cfg := ppsim.Config{
-			N: 32, K: 8, RPrime: 2,
-			Algorithm:     ppsim.Algorithm{Name: "rr"},
-			DisableChecks: disable,
-		}
-		var totalCells uint64
-		for i := 0; i < b.N; i++ {
-			src := ppsim.NewBernoulli(cfg.N, 0.8, 5000, 9)
-			res, err := ppsim.Run(cfg, src, ppsim.Options{Horizon: 40_000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			totalCells += res.Report.Cells
-		}
-		b.ReportMetric(float64(totalCells)/b.Elapsed().Seconds(), "cells/s")
-	}
-	b.Run("audited", func(b *testing.B) { run(b, false) })
-	b.Run("unaudited", func(b *testing.B) { run(b, true) })
-}

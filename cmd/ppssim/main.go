@@ -40,7 +40,6 @@ func main() {
 		pctl       = flag.Bool("percentiles", false, "print the per-component delay percentile table (rqd, demux, plane, reseq, total, inter-departure gap)")
 		workers    = flag.Int("workers", 0, "stage-parallel fabric workers: 0 serial, -1 auto, >0 explicit")
 		engine     = flag.String("engine", "auto", "slot-execution core: auto, stepped, event")
-		fastfwd    = flag.Bool("fastforward", false, "deprecated: same as -engine auto, which already elides idle slots")
 		trace      = flag.String("trace", "", "write a JSONL event trace to FILE")
 		series     = flag.String("series", "", "write per-slot probe series CSV to FILE")
 		stride     = flag.Int64("stride", 1, "sample every stride-th slot (with -series)")
@@ -69,11 +68,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ppssim:", err)
 		flag.Usage()
 		os.Exit(2)
-	}
-	// Deprecated spellings of auto, accepted so old command lines keep working.
-	deprecated := *fastfwd || *engine == "fastforward"
-	if deprecated {
-		fmt.Fprintln(os.Stderr, "ppssim: -fastforward / -engine fastforward are deprecated spellings of -engine auto (the event core elides idle slots)")
 	}
 	policy, err := ppsim.ParseFaultPolicy(*faultPol)
 	if err != nil {
@@ -181,7 +175,7 @@ func main() {
 	// An explicit request for elision can silently degrade (tracer attached,
 	// per-slot source, no idle invariant, parallel workers). Surface the
 	// recorded reason so users asking for elision learn they ran stepped.
-	if res.EngineReason != "" && (eng != ppsim.EngineAuto || deprecated) {
+	if res.EngineReason != "" && eng != ppsim.EngineAuto {
 		fmt.Fprintf(os.Stderr, "ppssim: engine degraded to %s: %s\n", res.Engine, res.EngineReason)
 	}
 

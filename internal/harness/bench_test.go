@@ -33,11 +33,33 @@ func benchRun(b testing.TB, opts Options) {
 }
 
 // BenchmarkHarnessBaseline is the uninstrumented hot path: invariants off,
-// no tracer, no probes, no utilization scan.
+// no tracer, no probes, no utilization scan. n16 is the small run the
+// instrumentation benchmarks below are read against; dense is benchmark/'s
+// dense-bursty geometry through Run itself, the profile target of
+// EXPERIMENTS.md "Benchmark workflow" (benchmark/run.sh stays the ruler).
 func BenchmarkHarnessBaseline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchRun(b, Options{})
-	}
+	b.Run("n16", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchRun(b, Options{})
+		}
+	})
+	b.Run("dense", func(b *testing.B) {
+		cfg := benchCfg()
+		cfg.N = 1024
+		var cells uint64
+		for i := 0; i < b.N; i++ {
+			src, err := traffic.NewOnOff(1024, 8, 5.33, 1250, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := Run(cfg, rrFactory, src, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cells += res.Report.Cells
+		}
+		b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
+	})
 }
 
 // BenchmarkHarnessIdleInstrumentation is the same run with the

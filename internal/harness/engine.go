@@ -38,12 +38,10 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine maps a CLI flag value to an Engine. "fastforward" is accepted
-// as a deprecated spelling of "auto": the event core elides idle slots, so
-// old command lines keep their meaning.
+// ParseEngine maps a CLI flag value to an Engine.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "auto", "fastforward":
+	case "auto":
 		return EngineAuto, nil
 	case "stepped":
 		return EngineStepped, nil

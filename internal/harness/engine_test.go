@@ -366,18 +366,17 @@ func TestShapedSilentSourceElidesToHorizon(t *testing.T) {
 }
 
 // TestParseEngineRoundTripAndDeprecatedSpelling: every Engine parses back
-// from its String, and "fastforward" — the removed third core — is still
-// accepted as a spelling of auto.
+// from its String, and a name that is no engine — "fastforward", the removed
+// third core, included — is rejected.
 func TestParseEngineRoundTripAndDeprecatedSpelling(t *testing.T) {
 	for _, e := range []Engine{EngineAuto, EngineStepped, EngineEvent} {
 		if got, err := ParseEngine(e.String()); err != nil || got != e {
 			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
 		}
 	}
-	if got, err := ParseEngine("fastforward"); err != nil || got != EngineAuto {
-		t.Errorf(`ParseEngine("fastforward") = %v, %v; want auto`, got, err)
-	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Error("unknown engine name accepted")
+	for _, name := range []string{"fastforward", "warp"} {
+		if _, err := ParseEngine(name); err == nil {
+			t.Errorf("unknown engine name %q accepted", name)
+		}
 	}
 }

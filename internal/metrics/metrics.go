@@ -20,31 +20,6 @@ import (
 	"ppsim/internal/stats"
 )
 
-// waitAccum streams count/sum/max of one stage-wait distribution. The
-// report only needs mean and max, so no samples are retained — unlike
-// stats.Summary this never allocates, keeping the per-slot record path
-// allocation-free.
-type waitAccum struct {
-	n   uint64
-	sum int64
-	max int64
-}
-
-func (w *waitAccum) add(v int64) {
-	w.n++
-	w.sum += v
-	if v > w.max {
-		w.max = v
-	}
-}
-
-func (w *waitAccum) mean() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return float64(w.sum) / float64(w.n)
-}
-
 // minmax tracks delay extremes for one flow in one switch.
 type minmax struct {
 	min, max cell.Time
@@ -120,26 +95,21 @@ type Recorder struct {
 	flowSh    []minmax // flow id → shadow delay extremes
 	ppsFlows  int      // flows with >= 1 PPS departure (Report.Flows)
 
-	// Stage decomposition of PPS delay: input buffer, plane queue + line,
-	// output resequencing buffer.
-	inputWait  waitAccum
-	planeWait  waitAccum
-	outputWait waitAccum
-
 	// delays holds the streaming log-bucketed histograms behind the report's
-	// percentile block: RQD, the three-stage decomposition, the total PPS
-	// delay and the per-output inter-departure gap. Recording is O(1) and
-	// allocation-free; the recorder is fed from one goroutine in the serial
-	// order (the stage-parallel engine merges departures before recording),
-	// so the histograms are bit-identical across engines.
+	// percentile block: RQD, the three-stage decomposition (input buffer,
+	// plane queue + line, output resequencing buffer), the total PPS delay
+	// and the per-output inter-departure gap. Each keeps exact n, sum, min
+	// and max beside its buckets, so the report's MaxRQD and stage means and
+	// maxima are read from them too. Recording is O(1) and allocation-free;
+	// the recorder is fed from one goroutine in the serial order (the
+	// stage-parallel engine merges departures before recording), so the
+	// histograms are bit-identical across engines.
 	delays *obs.DelaySet
 	// lastDepart remembers, per output port, the slot of the previous PPS
 	// departure, so consecutive departures yield inter-departure gaps.
 	lastDepart []cell.Time
 
-	matched  uint64
-	maxRQD   cell.Time
-	maxRQDok bool
+	matched uint64
 
 	// Admission accounting. offered and admitted are counted for every
 	// arrival the harness feeds, whether or not an admission policy is
@@ -263,9 +233,6 @@ func (r *Recorder) settle(seq uint64, f *fate) {
 		d := f.pps - f.shadow
 		r.rqd.Add(int64(d))
 		r.delays.RQD.Record(int64(d))
-		if !r.maxRQDok || d > r.maxRQD {
-			r.maxRQD, r.maxRQDok = d, true
-		}
 		r.matched++
 	}
 	if seq != r.base {
@@ -305,9 +272,6 @@ func (r *Recorder) PPSDepart(c cell.Cell) {
 	// Stage decomposition, when the intermediate stamps are present (the
 	// fabric always sets them; foreign departures may not).
 	if c.Dispatch != cell.None && c.AtOutput != cell.None {
-		r.inputWait.add(int64(c.Dispatch - c.Arrive))
-		r.planeWait.add(int64(c.AtOutput - c.Dispatch))
-		r.outputWait.add(int64(c.Depart - c.AtOutput))
 		r.delays.Demux.Record(int64(c.Dispatch - c.Arrive))
 		r.delays.Plane.Record(int64(c.AtOutput - c.Dispatch))
 		r.delays.Reseq.Record(int64(c.Depart - c.AtOutput))
@@ -516,19 +480,19 @@ func (r *Recorder) Report() Report {
 	}
 	rep := Report{
 		Cells:          r.matched,
-		MaxRQD:         r.maxRQD,
+		MaxRQD:         cell.Time(r.delays.RQD.Max()),
 		MeanRQD:        r.rqd.Mean(),
 		P50RQD:         cell.Time(r.rqd.Percentile(50)),
 		P99RQD:         cell.Time(r.rqd.Percentile(99)),
 		P999RQD:        cell.Time(r.rqd.Percentile(99.9)),
 		Percentiles:    r.delays.Quantiles(),
 		Flows:          r.ppsFlows,
-		MeanInputWait:  r.inputWait.mean(),
-		MeanPlaneWait:  r.planeWait.mean(),
-		MeanOutputWait: r.outputWait.mean(),
-		MaxInputWait:   cell.Time(r.inputWait.max),
-		MaxPlaneWait:   cell.Time(r.planeWait.max),
-		MaxOutputWait:  cell.Time(r.outputWait.max),
+		MeanInputWait:  r.delays.Demux.Mean(),
+		MeanPlaneWait:  r.delays.Plane.Mean(),
+		MeanOutputWait: r.delays.Reseq.Mean(),
+		MaxInputWait:   cell.Time(r.delays.Demux.Max()),
+		MaxPlaneWait:   cell.Time(r.delays.Plane.Max()),
+		MaxOutputWait:  cell.Time(r.delays.Reseq.Max()),
 		Drops:          r.drops,
 		Offered:        r.offered,
 		Admitted:       r.admitted,

@@ -58,7 +58,7 @@ func tableReport(records []record) (Report, uint64) {
 	}
 	lastDepart := map[cell.Port]cell.Time{}
 	delays := obs.NewDelaySet()
-	var input, plane, output waitAccum
+	var input, plane, output stats.Summary
 	var rep Report
 	bump := func(s []uint64, i int) []uint64 {
 		for len(s) <= i {
@@ -77,9 +77,9 @@ func tableReport(records []record) (Report, uint64) {
 		case recDepart:
 			ppsAt[c.Seq] = c.Depart
 			flow(c.Flow).pps.add(c.Depart - c.Arrive)
-			input.add(int64(c.Dispatch - c.Arrive))
-			plane.add(int64(c.AtOutput - c.Dispatch))
-			output.add(int64(c.Depart - c.AtOutput))
+			input.Add(int64(c.Dispatch - c.Arrive))
+			plane.Add(int64(c.AtOutput - c.Dispatch))
+			output.Add(int64(c.Depart - c.AtOutput))
 			delays.Demux.Record(int64(c.Dispatch - c.Arrive))
 			delays.Plane.Record(int64(c.AtOutput - c.Dispatch))
 			delays.Reseq.Record(int64(c.Depart - c.AtOutput))
@@ -117,9 +117,9 @@ func tableReport(records []record) (Report, uint64) {
 	rep.P99RQD = cell.Time(rqd.Percentile(99))
 	rep.P999RQD = cell.Time(rqd.Percentile(99.9))
 	rep.Percentiles = delays.Quantiles()
-	rep.MeanInputWait, rep.MaxInputWait = input.mean(), cell.Time(input.max)
-	rep.MeanPlaneWait, rep.MaxPlaneWait = plane.mean(), cell.Time(plane.max)
-	rep.MeanOutputWait, rep.MaxOutputWait = output.mean(), cell.Time(output.max)
+	rep.MeanInputWait, rep.MaxInputWait = input.Mean(), cell.Time(input.Max())
+	rep.MeanPlaneWait, rep.MaxPlaneWait = plane.Mean(), cell.Time(plane.Max())
+	rep.MeanOutputWait, rep.MaxOutputWait = output.Mean(), cell.Time(output.Max())
 	for _, x := range flows {
 		if x.pps.n == 0 {
 			continue

@@ -12,8 +12,9 @@
 package traffic
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ppsim/internal/cell"
 )
@@ -76,12 +77,12 @@ type BatchSource interface {
 // adversarial constructions: each lower-bound proof is realized by building
 // a Trace slot by slot.
 type Trace struct {
+	// slots holds each populated slot's arrivals ordered by input-port, and
+	// keys the populated slots in ascending order; Add maintains both, so
+	// every read is pure and one Trace may feed concurrent runs.
 	slots map[cell.Time][]Arrival
+	keys  []cell.Time
 	end   cell.Time // one past the last populated slot
-	// keys caches the non-empty slots in ascending order for AppendArrivals'
-	// binary search; keysOK is invalidated by Add and rebuilt lazily.
-	keys   []cell.Time
-	keysOK bool
 }
 
 // NewTrace returns an empty trace.
@@ -95,13 +96,18 @@ func (tr *Trace) Add(t cell.Time, in, out cell.Port) error {
 	if t < 0 {
 		return fmt.Errorf("traffic: arrival at negative slot %d", t)
 	}
-	for _, a := range tr.slots[t] {
-		if a.In == in {
-			return fmt.Errorf("traffic: input %d already has an arrival at slot %d", in, t)
-		}
+	as := tr.slots[t]
+	i, dup := slices.BinarySearchFunc(as, in, func(a Arrival, in cell.Port) int { return cmp.Compare(a.In, in) })
+	if dup {
+		return fmt.Errorf("traffic: input %d already has an arrival at slot %d", in, t)
 	}
-	tr.slots[t] = append(tr.slots[t], Arrival{In: in, Out: out})
-	tr.keysOK = false
+	if len(as) == 0 {
+		// Constructions build slot by slot, so a new slot is almost always
+		// past every earlier one and this is an append.
+		k, _ := slices.BinarySearch(tr.keys, t)
+		tr.keys = slices.Insert(tr.keys, k, t)
+	}
+	tr.slots[t] = slices.Insert(as, i, Arrival{In: in, Out: out})
 	if t+1 > tr.end {
 		tr.end = t + 1
 	}
@@ -116,44 +122,23 @@ func (tr *Trace) MustAdd(t cell.Time, in, out cell.Port) {
 	}
 }
 
-// Arrivals implements Source.
+// Arrivals implements Source; a slot's arrivals come out ordered by input.
 func (tr *Trace) Arrivals(t cell.Time, dst []Arrival) []Arrival {
-	as := tr.slots[t]
-	// Deterministic order: by input port.
-	if len(as) > 1 && !sort.SliceIsSorted(as, func(i, j int) bool { return as[i].In < as[j].In }) {
-		sort.Slice(as, func(i, j int) bool { return as[i].In < as[j].In })
-	}
-	return append(dst, as...)
+	return append(dst, tr.slots[t]...)
 }
 
 // End implements Source.
 func (tr *Trace) End() cell.Time { return tr.end }
 
-// ensureKeys rebuilds the sorted non-empty slot index if Add invalidated it.
-func (tr *Trace) ensureKeys() {
-	if tr.keysOK {
-		return
-	}
-	tr.keys = tr.keys[:0]
-	for t, as := range tr.slots {
-		if len(as) > 0 {
-			tr.keys = append(tr.keys, t)
-		}
-	}
-	sort.Slice(tr.keys, func(i, j int) bool { return tr.keys[i] < tr.keys[j] })
-	tr.keysOK = true
-}
-
 // AppendArrivals implements BatchSource closed-form: a binary search finds
 // the first populated slot in the span and the walk visits only populated
 // slots, so silent stretches cost nothing regardless of span length.
 func (tr *Trace) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
-	tr.ensureKeys()
-	i := sort.Search(len(tr.keys), func(i int) bool { return tr.keys[i] >= from })
+	i, _ := slices.BinarySearch(tr.keys, from)
 	for ; i < len(tr.keys) && tr.keys[i] < to; i++ {
 		t := tr.keys[i]
 		start := len(dst)
-		dst = tr.Arrivals(t, dst)
+		dst = append(dst, tr.slots[t]...)
 		stamp(dst[start:], t)
 	}
 	return dst
@@ -171,8 +156,8 @@ func (tr *Trace) Count() int {
 // Shift returns a copy of the trace with every arrival delayed by d slots.
 func (tr *Trace) Shift(d cell.Time) *Trace {
 	out := NewTrace()
-	for t, as := range tr.slots {
-		for _, a := range as {
+	for _, t := range tr.keys {
+		for _, a := range tr.slots[t] {
 			out.MustAdd(t+d, a.In, a.Out)
 		}
 	}
@@ -182,8 +167,8 @@ func (tr *Trace) Shift(d cell.Time) *Trace {
 // Append merges other into tr, delaying other's arrivals by offset slots.
 // It returns an error on any per-input per-slot collision.
 func (tr *Trace) Append(other *Trace, offset cell.Time) error {
-	for t, as := range other.slots {
-		for _, a := range as {
+	for _, t := range other.keys {
+		for _, a := range other.slots[t] {
 			if err := tr.Add(t+offset, a.In, a.Out); err != nil {
 				return err
 			}

@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"ppsim/internal/cell"
@@ -66,6 +68,46 @@ func TestTraceShiftAppend(t *testing.T) {
 	if err := a.Append(c, 0); err == nil {
 		t.Error("Append with collision must error")
 	}
+}
+
+// TestTraceConcurrentReaders shares one trace — built out of slot order and
+// out of input order, so nothing about it is sorted by accident — between
+// goroutines that read it both ways, as RunSeeds/RunSweep points do. Reads
+// must be pure: the race job runs this under the detector.
+func TestTraceConcurrentReaders(t *testing.T) {
+	const slots, ports = 64, 4
+	tr := NewTrace()
+	var want []Arrival
+	for s := cell.Time(slots - 1); s >= 0; s-- {
+		for in := cell.Port(ports - 1); in >= 0; in-- {
+			tr.MustAdd(3*s, in, (in+cell.Port(s))%ports)
+		}
+	}
+	for s := cell.Time(0); s < slots; s++ {
+		for in := cell.Port(0); in < ports; in++ {
+			want = append(want, Arrival{In: in, Out: (in + cell.Port(s)) % ports, T: 3 * s})
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := tr.AppendArrivals(nil, 0, tr.End()); !slices.Equal(got, want) {
+				t.Errorf("AppendArrivals over a shared trace diverged from slot/input order")
+			}
+			var perSlot []Arrival
+			for s := cell.Time(0); s < tr.End(); s++ {
+				n := len(perSlot)
+				perSlot = tr.Arrivals(s, perSlot)
+				stamp(perSlot[n:], s)
+			}
+			if !slices.Equal(perSlot, want) {
+				t.Errorf("Arrivals over a shared trace diverged from slot/input order")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestConcatSequentialComposition(t *testing.T) {

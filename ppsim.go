@@ -77,8 +77,8 @@ const (
 	EngineEvent   = harness.EngineEvent
 )
 
-// ParseEngine maps a CLI flag value ("auto", "stepped", "event"; the
-// deprecated "fastforward" means "auto") to an Engine.
+// ParseEngine maps a CLI flag value ("auto", "stepped", "event") to an
+// Engine.
 func ParseEngine(s string) (Engine, error) { return harness.ParseEngine(s) }
 
 // NoTime is the unset-time sentinel (used as "unbounded" for sources).
