@@ -10,12 +10,11 @@ import (
 	"ppsim"
 )
 
-// startDebugServer serves net/http/pprof plus a plain-text /metrics endpoint
-// backed by the suite's registry and a /telemetry JSON endpoint backed by
-// the live telemetry aggregator on addr (e.g. "localhost:6060"). It returns
-// the bound address so callers (and tests) can use ":0". tel may be nil,
-// in which case /telemetry serves the zero snapshot.
-func startDebugServer(addr string, reg *ppsim.MetricsRegistry, tel *ppsim.Telemetry) (string, error) {
+// startDebugServer serves net/http/pprof plus a /telemetry JSON endpoint
+// backed by the telemetry aggregator on addr (e.g. "localhost:6060"). It
+// returns the bound address so callers (and tests) can use ":0". tel may be
+// nil, in which case /telemetry serves the zero snapshot.
+func startDebugServer(addr string, tel *ppsim.Telemetry) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
@@ -25,10 +24,6 @@ func startDebugServer(addr string, reg *ppsim.MetricsRegistry, tel *ppsim.Teleme
 	// tests bind several on port 0 — from panicking on duplicate patterns.
 	mux := http.NewServeMux()
 	mux.Handle("/debug/pprof/", http.DefaultServeMux)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		reg.Snapshot().WriteText(w)
-	})
 	mux.HandleFunc("/telemetry", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := tel.WriteJSON(w); err != nil {

@@ -21,25 +21,36 @@ func getBody(t *testing.T, addr, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// TestDebugServerServesMetricsAndPprof pins the debug server's surface:
+// /telemetry carries the finished-run totals, pprof is served, and the
+// retired /metrics endpoint is gone.
 func TestDebugServerServesMetricsAndPprof(t *testing.T) {
-	reg := ppsim.NewMetricsRegistry()
-	reg.Counter("experiments_run").Add(3)
-	reg.Counter("experiment_failures").Inc()
-	addr, err := startDebugServer("127.0.0.1:0", reg, ppsim.NewTelemetry())
+	tel := ppsim.NewTelemetry()
+	addr, err := startDebugServer("127.0.0.1:0", tel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, body := getBody(t, addr, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics status %d", code)
+	cfg := ppsim.Config{N: 4, K: 2, RPrime: 2, Algorithm: ppsim.Algorithm{Name: "rr"}}
+	res, err := ppsim.Run(cfg, ppsim.NewBernoulli(4, 0.5, 100, 1), ppsim.Options{Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"experiments_run 3", "experiment_failures 1"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, body)
-		}
+	code, body := getBody(t, addr, "/telemetry")
+	if code != http.StatusOK {
+		t.Fatalf("/telemetry status %d", code)
+	}
+	var snap ppsim.TelemetrySnapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("/telemetry not valid JSON: %v\n%s", err, body)
+	}
+	if !strings.Contains(body, `"totals"`) || snap.Totals.Slots != int64(res.Slots) || snap.Totals.Cells != int64(res.Report.Cells) {
+		t.Errorf("/telemetry totals do not match the run (slots %d, cells %d):\n%s", res.Slots, res.Report.Cells, body)
 	}
 	if code, _ := getBody(t, addr, "/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline status %d", code)
+	}
+	if code, _ := getBody(t, addr, "/metrics"); code != http.StatusNotFound {
+		t.Errorf("/metrics status %d, want 404", code)
 	}
 }
 
@@ -48,7 +59,7 @@ func TestDebugServerServesMetricsAndPprof(t *testing.T) {
 // live snapshot while the run is in progress, then the finished state after.
 func TestTelemetryEndpointLiveSnapshot(t *testing.T) {
 	tel := ppsim.NewTelemetry()
-	addr, err := startDebugServer("127.0.0.1:0", ppsim.NewMetricsRegistry(), tel)
+	addr, err := startDebugServer("127.0.0.1:0", tel)
 	if err != nil {
 		t.Fatal(err)
 	}

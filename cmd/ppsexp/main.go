@@ -6,10 +6,9 @@
 //	ppsexp [-quick] [-markdown] [-run E4,E5]
 //
 // Without -run it executes the full suite in ID order. With -debug-addr it
-// also serves net/http/pprof, a /metrics endpoint (suite telemetry:
-// experiments run, failures, table rows, wall-time histogram) and a
-// /telemetry JSON endpoint (live run state: per-slot gauges plus streaming
-// delay-percentile histograms) while the suite executes.
+// also serves net/http/pprof and a /telemetry JSON endpoint (per-slot gauges,
+// streaming delay-percentile histograms, finished-run totals) while the suite
+// executes.
 package main
 
 import (
@@ -29,7 +28,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV rows (experiment ID as the first column)")
 	run := flag.String("run", "", "comma-separated experiment IDs (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /telemetry on this address (e.g. localhost:6060)")
 	admSpec := flag.String("admission", "", "override the admission experiment's (E28) token-bucket policy, e.g. rate:1/4,burst:4")
 	deadline := flag.Int64("deadline", 0, "stamp the admission experiment's (E28) traffic with deadlines of arrival slot + N (0 = off)")
 	flag.Parse()
@@ -44,19 +43,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	reg := ppsim.NewMetricsRegistry()
 	if *debugAddr != "" {
 		// Live telemetry is installed process-wide (the experiment layer does
 		// not thread harness options), so every run the suite starts reports
 		// its per-slot gauges and delay histograms to /telemetry.
 		tel := ppsim.NewTelemetry()
 		ppsim.SetGlobalTelemetry(tel)
-		addr, err := startDebugServer(*debugAddr, reg, tel)
+		addr, err := startDebugServer(*debugAddr, tel)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ppsexp:", err)
 			os.Exit(2)
 		}
-		fmt.Fprintf(os.Stderr, "ppsexp: pprof, /metrics and /telemetry on http://%s\n", addr)
+		fmt.Fprintf(os.Stderr, "ppsexp: pprof and /telemetry on http://%s\n", addr)
 	}
 
 	if *list {
@@ -89,15 +87,11 @@ func main() {
 	for _, e := range selected {
 		start := time.Now()
 		tab, err := e.Run(opts)
-		reg.Counter("experiments_run").Inc()
-		reg.Histogram("experiment_ms", 250, 64).Add(time.Since(start).Milliseconds())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ppsexp: %s failed: %v\n", e.ID, err)
-			reg.Counter("experiment_failures").Inc()
 			failures++
 			continue
 		}
-		reg.Counter("table_rows").Add(int64(len(tab.Rows)))
 		switch {
 		case *csv:
 			fmt.Print(tab.CSV())

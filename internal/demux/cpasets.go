@@ -33,7 +33,6 @@ type CPASets struct {
 	sendScratch
 	env    Env
 	oracle *shadow.Oracle
-	masker GateMasker
 	// links[j] buckets planes by their (k, j) line's next-free slot: the
 	// earliest slot a new cell can cross it, assuming earlier assignments
 	// drain greedily.
@@ -47,7 +46,6 @@ func NewCPASets(env Env) (*CPASets, error) {
 	a := &CPASets{
 		env:    env,
 		oracle: shadow.NewOracle(n),
-		masker: gateMasker(env),
 		links:  make([]linkBuckets, n),
 	}
 	for j := range a.links {
@@ -71,7 +69,7 @@ func (a *CPASets) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	sends := a.take()
 	for _, c := range arrivals {
 		deadline := a.oracle.Departure(t, c.Flow.Out)
-		mask := freeMask(a.env, a.masker, c.Flow.In, t)
+		mask := a.env.FreeGateMask(c.Flow.In, t)
 		if mask == 0 {
 			return nil, fmt.Errorf("demux: cpa-sets input %d has no free gate at slot %d", c.Flow.In, t)
 		}

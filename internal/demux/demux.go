@@ -125,50 +125,24 @@ type Env interface {
 	// start a transmission to plane k. The input's own gates are local
 	// information, available to every class of algorithm.
 	InputGateFreeAt(in cell.Port, k cell.Plane) cell.Time
+	// FreeGateMask returns the set of planes whose line from input in is
+	// free at slot t, as a bitmask over plane indices: the batched form of
+	// InputGateFreeAt — one call per cell instead of K — and the free-gate
+	// gate for the O(1) amortized plane-selection structures, so fault-aware
+	// wrappers compose by clearing dead planes' bits. Plane sets are single
+	// words (Planes() <= MaxPlanes). Queries for an input must come with
+	// non-decreasing t (the fabric's per-slot dispatch order guarantees
+	// this).
+	FreeGateMask(in cell.Port, t cell.Time) uint64
 	// Log returns the global event log. Fully-distributed algorithms must
 	// not call it; u-RT algorithms must cap reads at t-u.
 	Log() *Log
 }
 
-// GateMasker is an optional Env capability: the set of planes whose line
-// from input `in` is free at slot t, as a bitmask over plane indices. It is
-// the batched form of InputGateFreeAt — one call per cell instead of K — and
-// the free-gate gate for the O(1) amortized plane-selection structures, so
-// fault-aware wrappers compose by clearing dead planes' bits.
-//
-// Plane sets are single words (Planes() <= MaxPlanes). Queries for an input
-// must come with non-decreasing t (the fabric's per-slot dispatch order
-// guarantees this).
-type GateMasker interface {
-	FreeGateMask(in cell.Port, t cell.Time) uint64
-}
-
 // MaxPlanes is the widest center stage the simulator supports: plane sets
-// are one-word bitmasks everywhere (GateMasker, planeBuckets, linkBuckets),
-// and fabric.Config.Validate rejects anything wider.
+// are one-word bitmasks everywhere (Env.FreeGateMask, planeBuckets,
+// linkBuckets), and fabric.Config.Validate rejects anything wider.
 const MaxPlanes = 64
-
-// gateMasker resolves env's GateMasker capability, nil when absent.
-func gateMasker(env Env) GateMasker {
-	m, _ := env.(GateMasker)
-	return m
-}
-
-// freeMask returns the bitmask of planes whose gate from input `in` is free
-// at slot t: one capability call when masker is non-nil, a per-plane scan
-// over env otherwise (test Envs without the capability).
-func freeMask(env Env, masker GateMasker, in cell.Port, t cell.Time) uint64 {
-	if masker != nil {
-		return masker.FreeGateMask(in, t)
-	}
-	var m uint64
-	for k := env.Planes() - 1; k >= 0; k-- {
-		if env.InputGateFreeAt(in, cell.Plane(k)) <= t {
-			m |= 1 << uint(k)
-		}
-	}
-	return m
-}
 
 // EventKind discriminates global log entries.
 type EventKind uint8

@@ -25,6 +25,15 @@ func (e *fakeEnv) RPrime() int64 { return e.rp }
 func (e *fakeEnv) InputGateFreeAt(in cell.Port, k cell.Plane) cell.Time {
 	return e.gates.Gate(int(in), int(k)).FreeAt()
 }
+func (e *fakeEnv) FreeGateMask(in cell.Port, t cell.Time) uint64 {
+	var m uint64
+	for k := 0; k < e.k; k++ {
+		if e.InputGateFreeAt(in, cell.Plane(k)) <= t {
+			m |= 1 << uint(k)
+		}
+	}
+	return m
+}
 func (e *fakeEnv) Log() *Log { return &e.log }
 
 // exec runs one slot of the algorithm and seizes gates like the fabric.

@@ -32,7 +32,6 @@ const neverFree = cell.Time(1) << 62
 type maskedEnv struct {
 	Env
 	health PlaneHealth
-	masker GateMasker // inner env's batched capability, nil when absent
 }
 
 func (m maskedEnv) InputGateFreeAt(in cell.Port, k cell.Plane) cell.Time {
@@ -42,21 +41,10 @@ func (m maskedEnv) InputGateFreeAt(in cell.Port, k cell.Plane) cell.Time {
 	return m.Env.InputGateFreeAt(in, k)
 }
 
-// FreeGateMask implements GateMasker so the wrapper composes with the O(1)
-// selection structures: the inner environment's mask (or, absent the
-// capability, a scan of the masked gate view) with failed planes' bits
-// cleared.
+// FreeGateMask composes the wrapper with the O(1) selection structures: the
+// inner environment's mask with failed planes' bits cleared.
 func (m maskedEnv) FreeGateMask(in cell.Port, t cell.Time) uint64 {
-	if m.masker == nil {
-		var mask uint64
-		for k := m.Env.Planes() - 1; k >= 0; k-- {
-			if m.InputGateFreeAt(in, cell.Plane(k)) <= t {
-				mask |= 1 << uint(k)
-			}
-		}
-		return mask
-	}
-	mask := m.masker.FreeGateMask(in, t)
+	mask := m.Env.FreeGateMask(in, t)
 	for b := mask; b != 0; b &= b - 1 {
 		if !m.health.PlaneUp(cell.Plane(bits.TrailingZeros64(b))) {
 			mask &^= b & -b
@@ -88,7 +76,7 @@ func NewFaultAware(env Env, mk func(Env) (Algorithm, error)) (Algorithm, error) 
 	if !ok {
 		return nil, fmt.Errorf("demux: faultaware needs an environment with plane health (got %T)", env)
 	}
-	inner, err := mk(maskedEnv{Env: env, health: h, masker: gateMasker(env)})
+	inner, err := mk(maskedEnv{Env: env, health: h})
 	if err != nil {
 		return nil, err
 	}

@@ -111,57 +111,33 @@ func TestFaultAwareWouldChooseWithoutProber(t *testing.T) {
 	}
 }
 
-// healthMaskerEnv is healthEnv over an inner environment that also offers
-// the batched GateMasker capability (the shape of the fabric's own env).
-type healthMaskerEnv struct {
-	maskerEnv
-	down map[cell.Plane]bool
-}
-
-func (h healthMaskerEnv) PlaneUp(k cell.Plane) bool { return !h.down[k] }
-
 // TestMaskedEnvFreeGateMaskMatchesScan pins maskedEnv.FreeGateMask to its
 // definition — bit k set iff the masked per-plane view reports plane k's
-// gate free — with a dead plane and busy gates in play, for an inner env
-// without GateMasker (the scan arm) and with it (the clear-dead-bits arm).
+// gate free — with a dead plane and busy gates in play.
 func TestMaskedEnvFreeGateMaskMatchesScan(t *testing.T) {
 	const n, k, rp = 2, 6, 3
-	down := map[cell.Plane]bool{4: true}
-	plain := &healthEnv{fakeEnv: newFakeEnv(n, k, rp), down: down}
-	batched := healthMaskerEnv{maskerEnv: maskerEnv{newFakeEnv(n, k, rp)}, down: down}
-	for _, tc := range []struct {
-		name  string
-		env   Env
-		gates *fakeEnv
-	}{
-		{"scan", plain, plain.fakeEnv},
-		{"masker", batched, batched.fakeEnv},
-	} {
-		m := maskedEnv{Env: tc.env, health: tc.env.(PlaneHealth), masker: gateMasker(tc.env)}
-		if (m.masker != nil) != (tc.name == "masker") {
-			t.Fatalf("%s: masker capability resolved to %v", tc.name, m.masker)
+	env := &healthEnv{fakeEnv: newFakeEnv(n, k, rp), down: map[cell.Plane]bool{4: true}}
+	m := maskedEnv{Env: env, health: env}
+	// Busy the gates to planes 1 (live) and 4 (dead) from input 0 at slot 0:
+	// both hold until slot rp.
+	for _, p := range []int{1, 4} {
+		if err := env.gates.SeizeAt(0, p, 0); err != nil {
+			t.Fatal(err)
 		}
-		// Busy the gates to planes 1 (live) and 4 (dead) from input 0 at
-		// slot 0: both hold until slot rp.
-		for _, p := range []int{1, 4} {
-			if err := tc.gates.gates.SeizeAt(0, p, 0); err != nil {
-				t.Fatal(err)
+	}
+	for slot := cell.Time(0); slot <= rp; slot++ {
+		for in := cell.Port(0); in < n; in++ {
+			var want uint64
+			for p := 0; p < k; p++ {
+				if m.InputGateFreeAt(in, cell.Plane(p)) <= slot {
+					want |= 1 << uint(p)
+				}
 			}
-		}
-		for slot := cell.Time(0); slot <= rp; slot++ {
-			for in := cell.Port(0); in < n; in++ {
-				var want uint64
-				for p := 0; p < k; p++ {
-					if m.InputGateFreeAt(in, cell.Plane(p)) <= slot {
-						want |= 1 << uint(p)
-					}
-				}
-				if want&(1<<4) != 0 {
-					t.Fatalf("%s: dead plane 4 visible in the reference scan", tc.name)
-				}
-				if got := m.FreeGateMask(in, slot); got != want {
-					t.Errorf("%s: FreeGateMask(%d, %d) = %#b, scan says %#b", tc.name, in, slot, got, want)
-				}
+			if want&(1<<4) != 0 {
+				t.Fatal("dead plane 4 visible in the reference scan")
+			}
+			if got := m.FreeGateMask(in, slot); got != want {
+				t.Errorf("FreeGateMask(%d, %d) = %#b, scan says %#b", in, slot, got, want)
 			}
 		}
 	}

@@ -21,11 +21,10 @@ import (
 // Selection is O(1) amortized per cell: the per-flow counters live in a
 // planeBuckets structure whose bucket scan reproduces the lowest-index
 // argmin of an O(K) counter scan exactly (DESIGN.md §15), and the free-gate
-// set comes from the Env's GateMasker capability when present.
+// set is one Env.FreeGateMask call.
 type LocalLeastLoaded struct {
 	sendScratch
 	env    Env
-	masker GateMasker // nil → per-plane free-gate scan
 	counts map[cell.Flow]*planeBuckets
 }
 
@@ -34,7 +33,7 @@ func NewLocalLeastLoaded(env Env) (*LocalLeastLoaded, error) {
 	if int64(env.Planes()) < env.RPrime() {
 		return nil, fmt.Errorf("demux: least-loaded needs K >= r' (K=%d, r'=%d)", env.Planes(), env.RPrime())
 	}
-	return &LocalLeastLoaded{env: env, masker: gateMasker(env), counts: make(map[cell.Flow]*planeBuckets)}, nil
+	return &LocalLeastLoaded{env: env, counts: make(map[cell.Flow]*planeBuckets)}, nil
 }
 
 // Name implements Algorithm.
@@ -48,7 +47,7 @@ func (a *LocalLeastLoaded) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, erro
 	sends := a.take()
 	for _, c := range arrivals {
 		pb := a.flowBuckets(c.Flow)
-		best := pb.argmin(freeMask(a.env, a.masker, c.Flow.In, t))
+		best := pb.argmin(a.env.FreeGateMask(c.Flow.In, t))
 		if best == cell.NoPlane {
 			return nil, fmt.Errorf("demux: least-loaded input %d has no free gate at slot %d", c.Flow.In, t)
 		}

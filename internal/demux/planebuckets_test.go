@@ -97,23 +97,14 @@ func TestLinkBucketsMatchScan(t *testing.T) {
 	}
 }
 
-// maskerEnv is fakeEnv with the GateMasker capability wired to the timing
-// matrix's busy masks; seizures must go through SeizeAt to be tracked.
-type maskerEnv struct{ *fakeEnv }
-
-func (e maskerEnv) FreeGateMask(in cell.Port, t cell.Time) uint64 {
-	return e.gates.FreeColsMask(int(in), t)
-}
-
 // TestRandomMatchesFreeListReference pins the bitmask order-statistics draw
 // to the historical implementation: build the ascending free list, draw
-// Intn(len(free)), index it. Both the scan-fallback path (plain fakeEnv) and
-// the GateMasker capability path must reproduce the reference dispatch
-// sequence plane-for-plane off identical RNG streams.
+// Intn(len(free)), index it — the dispatch sequence must match plane-for-plane
+// off identical RNG streams.
 func TestRandomMatchesFreeListReference(t *testing.T) {
 	const n, k, rp, slots, seed = 4, 8, 3, 400, 42
 
-	// Arrival pattern shared by all three runs: pat[slot][in] destination,
+	// Arrival pattern shared by both runs: pat[slot][in] destination,
 	// cell.Port(-1) meaning no arrival at that input.
 	patRNG := rand.New(rand.NewSource(99))
 	pat := make([][]cell.Port, slots)
@@ -160,13 +151,9 @@ func TestRandomMatchesFreeListReference(t *testing.T) {
 		return out
 	}()
 
-	subject := func(masked bool) []cell.Plane {
+	got := func() []cell.Plane {
 		fe := newFakeEnv(n, k, rp)
-		var env Env = fe
-		if masked {
-			env = maskerEnv{fe}
-		}
-		a, err := NewRandom(env, seed)
+		a, err := NewRandom(fe, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,25 +172,17 @@ func TestRandomMatchesFreeListReference(t *testing.T) {
 				t.Fatalf("slot %d: %v", s, err)
 			}
 			for _, snd := range sends {
-				if masked {
-					err = fe.gates.SeizeAt(int(snd.Cell.Flow.In), int(snd.Plane), s)
-				} else {
-					err = fe.gates.Gate(int(snd.Cell.Flow.In), int(snd.Plane)).Seize(s)
-				}
-				if err != nil {
+				if err := fe.gates.Gate(int(snd.Cell.Flow.In), int(snd.Plane)).Seize(s); err != nil {
 					t.Fatal(err)
 				}
 				out = append(out, snd.Plane)
 			}
 		}
 		return out
-	}
+	}()
 
-	if got := subject(false); !reflect.DeepEqual(got, ref) {
-		t.Fatalf("scan-fallback Random diverged from free-list reference:\n got %v\nwant %v", got, ref)
-	}
-	if got := subject(true); !reflect.DeepEqual(got, ref) {
-		t.Fatalf("GateMasker Random diverged from free-list reference:\n got %v\nwant %v", got, ref)
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("Random diverged from free-list reference:\n got %v\nwant %v", got, ref)
 	}
 }
 

@@ -18,16 +18,14 @@ import (
 // balls-into-bins concentration still yields Theta(sqrt(N)-ish) collisions
 // per plane; experiment E13 contrasts the two regimes empirically.
 //
-// The free set is a bitmask (one GateMasker call when the Env has the
-// capability) and the draw selects the idx-th set bit — the same plane an
-// ascending free-list indexed at idx would give, off the same Intn(count)
-// variate, at a few word ops per cell instead of an O(K) scan plus list
-// build.
+// The free set is a bitmask (one Env.FreeGateMask call) and the draw selects
+// the idx-th set bit — the same plane an ascending free-list indexed at idx
+// would give, off the same Intn(count) variate, at a few word ops per cell
+// instead of an O(K) scan plus list build.
 type Random struct {
 	sendScratch
-	env    Env
-	masker GateMasker
-	rngs   []*rand.Rand // one per input: independent local randomness
+	env  Env
+	rngs []*rand.Rand // one per input: independent local randomness
 }
 
 // NewRandom returns the randomized dispatcher seeded deterministically from
@@ -36,7 +34,7 @@ func NewRandom(env Env, seed int64) (*Random, error) {
 	if int64(env.Planes()) < env.RPrime() {
 		return nil, fmt.Errorf("demux: random needs K >= r' (K=%d, r'=%d)", env.Planes(), env.RPrime())
 	}
-	r := &Random{env: env, masker: gateMasker(env), rngs: make([]*rand.Rand, env.Ports())}
+	r := &Random{env: env, rngs: make([]*rand.Rand, env.Ports())}
 	for i := range r.rngs {
 		r.rngs[i] = rand.New(rand.NewSource(seed + int64(i)))
 	}
@@ -54,7 +52,7 @@ func (r *Random) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	sends := r.take()
 	for _, c := range arrivals {
 		in := c.Flow.In
-		m := freeMask(r.env, r.masker, in, t)
+		m := r.env.FreeGateMask(in, t)
 		if m == 0 {
 			return nil, fmt.Errorf("demux: random input %d has no free gate at slot %d", in, t)
 		}

@@ -303,11 +303,10 @@ func (e envView) InputGateFreeAt(in cell.Port, k cell.Plane) cell.Time {
 	return e.p.inGates.Gate(int(in), int(k)).FreeAt()
 }
 
-// FreeGateMask implements the optional demux.GateMasker capability: the
-// bitmask of planes whose line from input `in` is free at slot t, served
-// from the gate matrix's per-row busy masks in O(busy) — at most r'-1 bits
-// per input — rather than K virtual calls. The input-side matrix is always
-// masked: Validate caps K at demux.MaxPlanes.
+// FreeGateMask serves the bitmask of planes whose line from input `in` is
+// free at slot t from the gate matrix's per-row busy masks in O(busy) — at
+// most r'-1 bits per input — rather than K virtual calls. The input-side
+// matrix is always masked: Validate caps K at demux.MaxPlanes.
 func (e envView) FreeGateMask(in cell.Port, t cell.Time) uint64 {
 	return e.p.inGates.FreeColsMask(int(in), t)
 }

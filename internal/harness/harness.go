@@ -75,14 +75,11 @@ type Options struct {
 	// dispatch, plane-enqueue, mux-pull, depart, constraint-violation)
 	// from the fabric.
 	Tracer *obs.Tracer
-	// Metrics, if non-nil, accumulates cumulative run telemetry
-	// (harness_* counters and histograms) at the end of the run. A single
-	// registry may be shared across runs; it is concurrency-safe.
-	Metrics *obs.Registry
 	// Telemetry, if non-nil, receives live run state: per-slot gauges every
 	// slot (atomic stores, allocation-free) and the delay-attribution
 	// histograms at a coarse flush cadence, so external observers (ppsexp's
-	// /telemetry endpoint) can snapshot a run mid-flight. When nil, the
+	// /telemetry endpoint) can snapshot a run mid-flight; a successful run
+	// adds its end-of-run totals, a failed one is counted. When nil, the
 	// process-global aggregator (obs.SetGlobalTelemetry) is used if one is
 	// installed. A single Telemetry may be shared across concurrent runs.
 	Telemetry *obs.Telemetry
@@ -485,7 +482,7 @@ func (d *driver) run(event bool) (cell.Time, error) {
 // per-run accounting (output utilization windows, peak queues, dispatch
 // counters) is cumulative, so driving a fabric twice would silently blend
 // the runs; Drive rejects a used fabric instead.
-func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
+func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (res Result, err error) {
 	if s := pps.CurrentSlot(); s != -1 {
 		return Result{}, fmt.Errorf("harness: fabric already driven through slot %d; build a fresh PPS per run", s)
 	}
@@ -535,8 +532,9 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 
 	// Live telemetry: explicit Options.Telemetry wins, else the process
 	// global. Per-slot ticks are atomic stores; the delay histograms are
-	// delta-flushed every telemetryFlushStride slots (and once at the end),
-	// so the steady-state slot path stays lock- and allocation-free.
+	// delta-flushed every telemetryFlushStride slots and once at the end —
+	// of a failed run too, whose tail samples would otherwise be lost — so
+	// the steady-state slot path stays lock- and allocation-free.
 	d.tel = opts.Telemetry
 	if d.tel == nil {
 		d.tel = obs.GlobalTelemetry()
@@ -544,7 +542,12 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 	if d.tel != nil {
 		d.telPrev = obs.NewDelaySet()
 		d.tel.RunStarted()
-		defer d.tel.RunFinished()
+		defer func() {
+			d.tel.ObserveDelays(d.rec.Delays(), d.telPrev)
+			rep := &res.Report
+			d.tel.RunFinished(err == nil, int64(res.Slots), rep.Cells, res.Drops,
+				rep.Rejected, rep.ExpiredAdmit+rep.ExpiredReseq, res.TraceEvents, res.PeakPlaneQueue)
+		}()
 	}
 
 	// The span feed serves both cores' arrival phase, and whether it reads
@@ -556,7 +559,6 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	if d.tel != nil {
-		d.tel.ObserveDelays(d.rec.Delays(), d.telPrev)
 		d.tel.Tick(int64(slot), pps.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
 	}
 	if !pps.Drained() || !d.shadowDrained(slot) {
@@ -581,7 +583,7 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 		}
 	}
 
-	res := Result{
+	res = Result{
 		Report:         d.rec.Report(),
 		PeakPlaneQueue: pps.PeakPlaneQueue(),
 		Slots:          slot,
@@ -609,45 +611,20 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 	if d.probing {
 		res.Series = obs.CollectSeries(opts.Probes)
 	}
-	if m := opts.Metrics; m != nil {
-		m.Counter("harness_runs").Inc()
-		m.Counter("harness_slots").Add(int64(slot))
-		m.Counter("harness_cells").Add(int64(res.Report.Cells))
-		m.Counter("harness_trace_events").Add(int64(res.TraceEvents))
-		m.Counter("harness_drops").Add(int64(res.Drops))
-		m.Gauge("harness_last_peak_plane_queue").Set(int64(res.PeakPlaneQueue))
-		m.Histogram("harness_max_rqd", 8, 64).Add(int64(res.Report.MaxRQD))
-		// Admission counters only when a policy shed something, so bare
-		// runs leave the registry exactly as before this layer existed.
-		if rej, exp := res.Report.Rejected, res.Report.ExpiredAdmit+res.Report.ExpiredReseq; rej > 0 || exp > 0 {
-			m.Counter("harness_rejected").Add(int64(rej))
-			m.Counter("harness_expired").Add(int64(exp))
-		}
-	}
 	return res, nil
 }
 
 // sampleIdleSpan replays probe sampling for the elided slots [from, to) of an
-// idle jump. Probes implementing obs.IdleSpanSampler synthesize
-// their points in closed form; any other probe is driven through its regular
-// per-slot Sample so correctness never depends on the capability. No cell
-// departs inside an idle span, so the view's front-RQD is cleared once for
-// the whole span, and the view is left on the last elided slot — exactly the
-// state the stepped loop would leave behind. Closed-form samplers read the
-// view once for the whole span, so it is moved onto the span first: both
+// idle jump. No cell departs inside an idle span, so the view's front-RQD is
+// cleared once for the whole span, and the view is left on the last elided
+// slot — exactly the state the stepped loop would leave behind. Probes read
+// the view once for the whole span, so it is moved onto the span first: both
 // switches are empty from there on.
 func sampleIdleSpan(probes []obs.Probe, view *slotView, from, to cell.Time) {
 	view.slot = from
 	view.rqd, view.rqdOK = 0, false
 	for _, pb := range probes {
-		if is, ok := pb.(obs.IdleSpanSampler); ok {
-			is.SampleIdleSpan(view, from, to)
-			continue
-		}
-		for t := from; t < to; t++ {
-			view.slot = t
-			pb.Sample(view)
-		}
+		pb.SampleIdleSpan(view, from, to)
 	}
 	view.slot = to - 1
 }

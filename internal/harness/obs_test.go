@@ -2,10 +2,13 @@ package harness
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"ppsim/internal/admission"
 	"ppsim/internal/cell"
 	"ppsim/internal/fabric"
+	"ppsim/internal/faults"
 	"ppsim/internal/obs"
 	"ppsim/internal/traffic"
 )
@@ -157,26 +160,121 @@ func TestUtilizationOptIn(t *testing.T) {
 	}
 }
 
-// TestRunFillsMetricsRegistry checks the cumulative telemetry counters.
-func TestRunFillsMetricsRegistry(t *testing.T) {
-	cfg := fabric.Config{N: 4, K: 2, RPrime: 1, CheckInvariants: true}
-	reg := obs.NewRegistry()
-	for i := 0; i < 2; i++ {
-		tr := traffic.NewTrace()
-		tr.MustAdd(0, 0, 1)
-		tr.MustAdd(1, 1, 2)
-		if _, err := Run(cfg, rrFactory, tr, Options{Metrics: reg}); err != nil {
-			t.Fatal(err)
+// telemetryRun is one of the mixed runs the totals tests share a Telemetry
+// between: by index it is a tight token bucket (rejections), an
+// overloaded deadline-drop run (expiries) or a mid-run outage under
+// DropCount (drops), always traced, so every field of the totals block moves.
+func telemetryRun(tel *obs.Telemetry, i int) (Result, error) {
+	const n = 8
+	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1, CheckInvariants: true}
+	opts := Options{Telemetry: tel, Tracer: obs.NewTracer(obs.NewRingSink(16))}
+	var src traffic.Source = traffic.NewBernoulli(n, 0.7, 96, int64(i+1))
+	switch i % 3 {
+	case 0:
+		opts.Admission = &admission.Spec{RateNum: 1, RateDen: 4, Burst: 1}
+	case 1:
+		cfg.K, cfg.RPrime = 2, 1
+		hot, err := traffic.NewHotspot(n, 0.9, 0.8, 0, 96, int64(i+1))
+		if err != nil {
+			return Result{}, err
 		}
+		src = traffic.WithDeadline(hot, 6)
+		opts.Admission = &admission.Spec{DeadlineDrop: true}
+	case 2:
+		opts.Faults = faults.NewSchedule().Outage(0, 20, 60)
+		opts.FaultPolicy = faults.DropCount
 	}
-	if got := reg.Counter("harness_runs").Value(); got != 2 {
-		t.Errorf("harness_runs = %d, want 2", got)
+	return Run(cfg, rrFactory, src, opts)
+}
+
+// checkTotals asserts tel's totals block is exactly the sum of results.
+func checkTotals(t *testing.T, tel *obs.Telemetry, results []Result) {
+	t.Helper()
+	want := obs.TelemetrySnapshot{}.Totals
+	for _, r := range results {
+		want.Slots += int64(r.Slots)
+		want.Cells += int64(r.Report.Cells)
+		want.Drops += int64(r.Drops)
+		want.Rejected += int64(r.Report.Rejected)
+		want.Expired += int64(r.Report.ExpiredAdmit + r.Report.ExpiredReseq)
+		want.TraceEvents += int64(r.TraceEvents)
+		want.PeakPlaneQueue = max(want.PeakPlaneQueue, int64(r.PeakPlaneQueue))
 	}
-	if got := reg.Counter("harness_cells").Value(); got != 4 {
-		t.Errorf("harness_cells = %d, want 4", got)
+	if want.Cells == 0 || want.Drops == 0 || want.Rejected == 0 || want.Expired == 0 || want.TraceEvents == 0 || want.PeakPlaneQueue == 0 {
+		t.Fatalf("runs too tame to test the totals: %+v", want)
 	}
-	if reg.Counter("harness_slots").Value() == 0 {
-		t.Error("harness_slots not recorded")
+	snap := tel.Snapshot()
+	if snap.Totals != want {
+		t.Errorf("totals = %+v, want %+v", snap.Totals, want)
+	}
+	if want := int64(len(results)); snap.RunsStarted != want || snap.RunsFinished != want || snap.Active != 0 || snap.RunsFailed != 0 {
+		t.Errorf("run accounting wrong after %d clean runs: %+v", want, snap)
+	}
+	if snap.Delay.RQD.N != want.Cells {
+		t.Errorf("delay.rqd.n = %d, want the %d delivered cells (no double count)", snap.Delay.RQD.N, want.Cells)
+	}
+}
+
+// TestRunFillsMetricsRegistry checks the cross-run totals block: runs
+// sharing one Telemetry — back to back, then eight at once (meaningful under
+// -race) — leave totals equal to the sum of their Results.
+func TestRunFillsMetricsRegistry(t *testing.T) {
+	t.Run("sequential", func(t *testing.T) {
+		tel := obs.NewTelemetry()
+		results := make([]Result, 3)
+		for i := range results {
+			var err error
+			if results[i], err = telemetryRun(tel, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkTotals(t, tel, results)
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		tel := obs.NewTelemetry()
+		results := make([]Result, 8)
+		errs := make([]error, len(results))
+		var wg sync.WaitGroup
+		for i := range results {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i], errs[i] = telemetryRun(tel, i)
+			}(i)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkTotals(t, tel, results)
+	})
+}
+
+// TestFailedRunCountedAndFlushed pins Drive's error path: a run that aborts
+// mid-flight (a plane fails under the Abort policy) still flushes the delay
+// samples of its last partial flush stride, and shows up as runs_failed
+// rather than as a clean finished run; totals stay successful-runs-only.
+func TestFailedRunCountedAndFlushed(t *testing.T) {
+	tel := obs.NewTelemetry()
+	cfg := fabric.Config{N: 8, K: 4, RPrime: 2, CheckInvariants: true}
+	_, err := Run(cfg, rrFactory, traffic.NewBernoulli(8, 0.7, 400, 5), Options{
+		Telemetry: tel,
+		Faults:    faults.NewSchedule().FailAt(1, 200),
+	})
+	if err == nil {
+		t.Fatal("dispatch into a failed plane under Abort did not fail the run")
+	}
+	snap := tel.Snapshot()
+	if snap.RunsStarted != 1 || snap.RunsFinished != 1 || snap.Active != 0 || snap.RunsFailed != 1 {
+		t.Errorf("failed run accounting wrong: %+v", snap)
+	}
+	if snap.Delay.RQD.N == 0 {
+		t.Error("failed run's delay samples never reached the telemetry")
+	}
+	if snap.Totals != (obs.TelemetrySnapshot{}.Totals) {
+		t.Errorf("failed run leaked into totals: %+v", snap.Totals)
 	}
 }
 

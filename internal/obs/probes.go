@@ -61,20 +61,15 @@ type Probe interface {
 	Name() string
 	// Sample reads the view and appends to the probe's series.
 	Sample(v SlotView)
+	// SampleIdleSpan covers the slots [from, to) the event core's idle jump
+	// elides. It must leave the probe's series byte-identical to calling
+	// Sample once per slot of the span under the quiescence preconditions:
+	// no arrivals, no cells in flight, no departures, no fault events — so
+	// every quantity a probe reads from the view is constant across the
+	// span.
+	SampleIdleSpan(v SlotView, from, to cell.Time)
 	// Series exposes the sampled series for export.
 	Series() []*Series
-}
-
-// IdleSpanSampler is an optional Probe capability used by the harness's
-// idle jumps. SampleIdleSpan must leave the probe's series
-// byte-identical to calling Sample once per slot for every slot in
-// [from, to) under the quiescence preconditions: no arrivals, no cells in
-// flight, no departures, no fault events — so every quantity a probe reads
-// from the view is constant across the span. Probes without the capability
-// force the harness onto a per-slot sampling fallback for elided intervals
-// (still correct, just not O(1)).
-type IdleSpanSampler interface {
-	SampleIdleSpan(v SlotView, from, to cell.Time)
 }
 
 // PlaneBacklogProbe samples every plane's total backlog into one series per
@@ -306,7 +301,7 @@ func (p *FaultProbe) Sample(v SlotView) {
 // Series implements Probe.
 func (p *FaultProbe) Series() []*Series { return []*Series{p.live, p.drops} }
 
-// SampleIdleSpan implements IdleSpanSampler. Backlogs are constant (in an
+// SampleIdleSpan implements Probe. Backlogs are constant (in an
 // idle span they are in fact zero, but the probe only relies on constancy).
 func (p *PlaneBacklogProbe) SampleIdleSpan(v SlotView, from, to cell.Time) {
 	for i, s := range p.s {
@@ -314,7 +309,7 @@ func (p *PlaneBacklogProbe) SampleIdleSpan(v SlotView, from, to cell.Time) {
 	}
 }
 
-// SampleIdleSpan implements IdleSpanSampler. The peak is cumulative, hence
+// SampleIdleSpan implements Probe. The peak is cumulative, hence
 // constant while nothing moves.
 func (p *PeakPlaneQueueProbe) SampleIdleSpan(v SlotView, from, to cell.Time) {
 	peak := 0
@@ -326,7 +321,7 @@ func (p *PeakPlaneQueueProbe) SampleIdleSpan(v SlotView, from, to cell.Time) {
 	p.s.ObserveSpan(from, to, float64(peak))
 }
 
-// SampleIdleSpan implements IdleSpanSampler.
+// SampleIdleSpan implements Probe.
 func (p *InputDepthProbe) SampleIdleSpan(v SlotView, from, to cell.Time) {
 	total, max := 0, 0
 	for i := 0; i < v.Ports(); i++ {
@@ -340,7 +335,7 @@ func (p *InputDepthProbe) SampleIdleSpan(v SlotView, from, to cell.Time) {
 	p.max.ObserveSpan(from, to, float64(max))
 }
 
-// SampleIdleSpan implements IdleSpanSampler. The cumulative pull count is
+// SampleIdleSpan implements Probe. The cumulative pull count is
 // frozen across an idle span, so the first recorded point flushes the window
 // since the previous sample and every later point in the span records a zero
 // rate — replayed per-slot only until that first recorded point (at most one
@@ -363,11 +358,11 @@ func (p *MuxPullProbe) SampleIdleSpan(v SlotView, from, to cell.Time) {
 	}
 }
 
-// SampleIdleSpan implements IdleSpanSampler. No cell departs during an idle
+// SampleIdleSpan implements Probe. No cell departs during an idle
 // span, so the per-slot Sample would record nothing: a no-op.
 func (p *FrontRQDProbe) SampleIdleSpan(SlotView, cell.Time, cell.Time) {}
 
-// SampleIdleSpan implements IdleSpanSampler. Dispatch counters are
+// SampleIdleSpan implements Probe. Dispatch counters are
 // cumulative, hence constant while nothing moves.
 func (p *DispatchImbalanceProbe) SampleIdleSpan(v SlotView, from, to cell.Time) {
 	var total, max uint64
@@ -383,14 +378,14 @@ func (p *DispatchImbalanceProbe) SampleIdleSpan(v SlotView, from, to cell.Time) 
 	p.s.ObserveSpan(from, to, float64(max)-ideal)
 }
 
-// SampleIdleSpan implements IdleSpanSampler. Both switches are empty (and
+// SampleIdleSpan implements Probe. Both switches are empty (and
 // stay empty) across an idle span.
 func (p *InFlightProbe) SampleIdleSpan(v SlotView, from, to cell.Time) {
 	p.pps.ObserveSpan(from, to, float64(v.PPSInFlight()))
 	p.sh.ObserveSpan(from, to, float64(v.ShadowInFlight()))
 }
 
-// SampleIdleSpan implements IdleSpanSampler. A fault event due inside the
+// SampleIdleSpan implements Probe. A fault event due inside the
 // interval truncates the jump, so the degradation state is constant here.
 func (p *FaultProbe) SampleIdleSpan(v SlotView, from, to cell.Time) {
 	p.live.ObserveSpan(from, to, float64(v.LivePlanes()))
@@ -427,7 +422,7 @@ func (p *AdmissionProbe) Sample(v SlotView) {
 // Series implements Probe.
 func (p *AdmissionProbe) Series() []*Series { return []*Series{p.admitted, p.rejected, p.expired} }
 
-// SampleIdleSpan implements IdleSpanSampler. An idle span has no arrivals,
+// SampleIdleSpan implements Probe. An idle span has no arrivals,
 // hence no admission decisions: all three cumulative counters are constant.
 func (p *AdmissionProbe) SampleIdleSpan(v SlotView, from, to cell.Time) {
 	p.admitted.ObserveSpan(from, to, float64(v.AdmittedTotal()))

@@ -7,18 +7,20 @@ import (
 	"sync/atomic"
 )
 
-// Telemetry aggregates live run state for external observers (ppsexp's
-// /telemetry endpoint). The harness ticks the per-slot gauges with atomic
-// stores — the steady-state slot path stays lock- and allocation-free — and
-// folds its delay histograms into the cross-run totals only at a coarse
-// flush cadence (every telemetry flush stride slots and at run end), under a
-// mutex. Snapshot may be called concurrently from any goroutine mid-run.
+// Telemetry is the one cross-run aggregate, served to external observers by
+// ppsexp's /telemetry endpoint. The harness ticks the per-slot gauges with
+// atomic stores — the steady-state slot path stays lock- and allocation-free
+// — and, under a mutex, folds its delay histograms into the cross-run set at
+// a coarse flush cadence (every telemetry flush stride slots and at run end)
+// and its end-of-run totals once per successful run. Snapshot may be called
+// concurrently from any goroutine mid-run.
 //
 // A nil *Telemetry is valid and inert, so the harness threads it without
 // nil checks at every site.
 type Telemetry struct {
 	runsStarted  atomic.Int64
 	runsFinished atomic.Int64
+	runsFailed   atomic.Int64
 	slot         atomic.Int64
 	inFlight     atomic.Int64
 	matched      atomic.Int64
@@ -28,12 +30,31 @@ type Telemetry struct {
 	expired      atomic.Int64
 
 	mu     sync.Mutex
-	totals *DelaySet
+	delays *DelaySet
+	totals runTotals
+}
+
+// runTotals is the cross-run sum of successful runs' end-of-run results, the
+// "totals" block of TelemetrySnapshot. The largest RQD of any run is already
+// the snapshot's delay.rqd.max.
+type runTotals struct {
+	// Slots sums Result.Slots; Cells the delivered cells (Report.Cells).
+	Slots int64 `json:"slots"`
+	Cells int64 `json:"cells"`
+	// Drops, Rejected and Expired sum the cells lost to failed planes,
+	// refused by a token bucket, and expired (admission + egress).
+	Drops    int64 `json:"drops"`
+	Rejected int64 `json:"rejected"`
+	Expired  int64 `json:"expired"`
+	// TraceEvents sums the events emitted to the runs' tracers.
+	TraceEvents int64 `json:"trace_events"`
+	// PeakPlaneQueue is the largest Result.PeakPlaneQueue of any run.
+	PeakPlaneQueue int64 `json:"peak_plane_queue"`
 }
 
 // NewTelemetry returns an empty telemetry aggregator.
 func NewTelemetry() *Telemetry {
-	return &Telemetry{totals: NewDelaySet()}
+	return &Telemetry{delays: NewDelaySet()}
 }
 
 // RunStarted marks one run as live. Safe on nil.
@@ -44,10 +65,26 @@ func (t *Telemetry) RunStarted() {
 	t.runsStarted.Add(1)
 }
 
-// RunFinished marks one run as done. Safe on nil.
-func (t *Telemetry) RunFinished() {
+// RunFinished marks one run as done. A successful run (ok) folds its
+// end-of-run results into the cross-run totals; a failed one is counted in
+// runs_failed and its remaining arguments are ignored, so the totals stay
+// successful-runs-only. Safe on nil.
+func (t *Telemetry) RunFinished(ok bool, slots int64, cells, drops, rejected, expired, traceEvents uint64, peakPlaneQueue int) {
 	if t == nil {
 		return
+	}
+	if ok {
+		t.mu.Lock()
+		t.totals.Slots += slots
+		t.totals.Cells += int64(cells)
+		t.totals.Drops += int64(drops)
+		t.totals.Rejected += int64(rejected)
+		t.totals.Expired += int64(expired)
+		t.totals.TraceEvents += int64(traceEvents)
+		t.totals.PeakPlaneQueue = max(t.totals.PeakPlaneQueue, int64(peakPlaneQueue))
+		t.mu.Unlock()
+	} else {
+		t.runsFailed.Add(1)
 	}
 	t.runsFinished.Add(1)
 }
@@ -72,7 +109,7 @@ func (t *Telemetry) Tick(slot int64, inFlight int, matched, dropped, admitted, r
 }
 
 // ObserveDelays folds the growth of a run's delay histograms since the
-// previous flush into the cross-run totals, then advances prev to cur
+// previous flush into the cross-run set, then advances prev to cur
 // (prev must be owned by the calling run and start empty). Incremental
 // delta-merging keeps repeated flushes of the same run from double counting.
 // Safe on nil.
@@ -81,7 +118,7 @@ func (t *Telemetry) ObserveDelays(cur, prev *DelaySet) {
 		return
 	}
 	t.mu.Lock()
-	t.totals.MergeDelta(cur, prev)
+	t.delays.MergeDelta(cur, prev)
 	t.mu.Unlock()
 	prev.CopyFrom(cur)
 }
@@ -109,6 +146,13 @@ type TelemetrySnapshot struct {
 	// Delay is the cross-run delay-attribution percentile block, current to
 	// the last histogram flush (at most one flush stride behind the run).
 	Delay DelayQuantiles `json:"delay"`
+	// Totals sums the end-of-run results of every successful run: slots,
+	// cells, drops, rejected, expired, trace_events, and the largest
+	// peak_plane_queue.
+	Totals runTotals `json:"totals"`
+	// RunsFailed counts the finished runs that returned an error; their
+	// delay samples are in Delay, their results are not in Totals.
+	RunsFailed int64 `json:"runs_failed"`
 }
 
 // Snapshot freezes the telemetry. Safe for concurrent use; returns the zero
@@ -127,10 +171,12 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 		Admitted:     t.admitted.Load(),
 		Rejected:     t.rejected.Load(),
 		Expired:      t.expired.Load(),
+		RunsFailed:   t.runsFailed.Load(),
 	}
 	snap.Active = snap.RunsStarted - snap.RunsFinished
 	t.mu.Lock()
-	snap.Delay = t.totals.Quantiles()
+	snap.Delay = t.delays.Quantiles()
+	snap.Totals = t.totals
 	t.mu.Unlock()
 	return snap
 }

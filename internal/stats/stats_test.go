@@ -121,44 +121,6 @@ func TestSummaryMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 3)
-	for _, v := range []int64{0, 5, 9, 10, 25, 31, -1} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Bucket(0) != 3 || h.Bucket(1) != 1 || h.Bucket(2) != 1 {
-		t.Errorf("buckets = %d %d %d", h.Bucket(0), h.Bucket(1), h.Bucket(2))
-	}
-	if h.Overflow() != 1 || h.Underflow() != 1 {
-		t.Errorf("over/under = %d/%d", h.Overflow(), h.Underflow())
-	}
-	out := h.Render(20)
-	if !strings.Contains(out, "#") {
-		t.Errorf("Render produced no bars: %q", out)
-	}
-}
-
-func TestHistogramPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHistogram(0, 10)
-}
-
-func TestMinMaxInt64(t *testing.T) {
-	if MaxInt64(2, 3) != 3 || MaxInt64(3, 2) != 3 {
-		t.Error("MaxInt64")
-	}
-	if MinInt64(2, 3) != 2 || MinInt64(3, 2) != 2 {
-		t.Error("MinInt64")
-	}
-}
-
 // TestCountsMatchSummary pins the count table to the retained-sample
 // Summary it replaced in the recorder: same mean, same nearest-rank
 // percentiles, bit for bit, on signed samples in any order.

@@ -12,7 +12,8 @@ import (
 // "Observability" section for the probe list and the JSONL trace schema.
 type (
 	// Probe samples the switch once per slot (after the mux phase) into
-	// ring-buffered time series.
+	// ring-buffered time series. A custom probe must also synthesize, in
+	// SampleIdleSpan, the samples of the idle slots the event core elides.
 	Probe = obs.Probe
 	// Series is one named, ring-buffered time series with stride
 	// decimation.
@@ -27,12 +28,10 @@ type (
 	TraceSink = obs.Sink
 	// RingSink retains the last N trace events in memory.
 	RingSink = obs.RingSink
-	// MetricsRegistry names and owns counters, gauges and histograms;
-	// plug one into Options.Metrics for cumulative run telemetry.
-	MetricsRegistry = obs.Registry
-	// Telemetry aggregates live run state (per-slot gauges plus streaming
-	// delay histograms); plug one into Options.Telemetry, or install it
-	// process-wide with SetGlobalTelemetry, and snapshot it mid-run.
+	// Telemetry is the cross-run aggregate: live per-slot gauges, streaming
+	// delay histograms and the summed totals of finished runs; plug one into
+	// Options.Telemetry, or install it process-wide with SetGlobalTelemetry,
+	// and snapshot it mid-run.
 	Telemetry = obs.Telemetry
 	// TelemetrySnapshot is the frozen live state (the /telemetry JSON
 	// schema of ppsexp).
@@ -48,9 +47,10 @@ type (
 
 // StandardProbes returns the full probe set for an N-port, K-plane switch:
 // per-plane backlog, cumulative peak plane queue, input buffer depths, mux
-// pull rate, departing-front RQD, demux dispatch imbalance, and the
-// PPS-vs-shadow in-flight populations. stride decimates sampling (1 =
-// every slot); capacity bounds each series' ring (<= 0 uses the default).
+// pull rate, departing-front RQD, demux dispatch imbalance, the
+// PPS-vs-shadow in-flight populations, the fault degradation state, and the
+// admission boundary counters. stride decimates sampling (1 = every slot);
+// capacity bounds each series' ring (<= 0 uses the default).
 func StandardProbes(n, k int, stride Time, capacity int) []Probe {
 	return obs.StandardProbes(n, k, cell.Time(stride), capacity)
 }
@@ -66,9 +66,6 @@ func NewRingTracer(capacity int) (*Tracer, *RingSink) {
 	ring := obs.NewRingSink(capacity)
 	return obs.NewTracer(ring), ring
 }
-
-// NewMetricsRegistry returns an empty, concurrency-safe metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // NewTelemetry returns an empty live-telemetry aggregator.
 func NewTelemetry() *Telemetry { return obs.NewTelemetry() }

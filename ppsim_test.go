@@ -1,11 +1,33 @@
 package ppsim_test
 
 import (
+	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"ppsim"
 )
+
+// TestDocsNameLiveOptions fails when README.md or DESIGN.md names an
+// Options.<Field> that Options does not have: a knob deleted from the code
+// must leave the prose too.
+func TestDocsNameLiveOptions(t *testing.T) {
+	opts := reflect.TypeOf(ppsim.Options{})
+	ref := regexp.MustCompile(`\bOptions\.([A-Z]\w*)`)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllSubmatch(text, -1) {
+			if _, ok := opts.FieldByName(string(m[1])); !ok {
+				t.Errorf("%s names Options.%s, which is not a field of Options", doc, m[1])
+			}
+		}
+	}
+}
 
 func TestRunQuickstart(t *testing.T) {
 	cfg := ppsim.Config{
