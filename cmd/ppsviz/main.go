@@ -16,6 +16,8 @@ import (
 	"ppsim/internal/cell"
 	"ppsim/internal/demux"
 	"ppsim/internal/fabric"
+	"ppsim/internal/harness"
+	"ppsim/internal/obs"
 	"ppsim/internal/traffic"
 )
 
@@ -52,48 +54,24 @@ func run(n, k int, rprime int64, alg string, u int64, kind string, load float64,
 		return err
 	}
 
-	pps, err := fabric.New(cfg, factory)
-	if err != nil {
-		return err
-	}
 	end := src.End()
 	if end == cell.None {
 		return fmt.Errorf("traffic %q is unbounded; give -slots", kind)
 	}
-	// Run once to learn the drain time, sampling every slot.
-	type sample []int // backlog per plane
-	var samples []sample
-	st := cell.NewStamper()
-	var buf []traffic.Arrival
-	var deps []cell.Cell
-	for slot := cell.Time(0); ; slot++ {
-		if slot >= end && pps.Drained() {
-			break
-		}
-		if slot > end*16+1<<16 {
-			return fmt.Errorf("switch did not drain")
-		}
-		var cells []cell.Cell
-		if slot < end {
-			buf = src.Arrivals(slot, buf[:0])
-			for _, a := range buf {
-				cells = append(cells, st.Stamp(cell.Flow{In: a.In, Out: a.Out}, slot))
-			}
-		}
-		deps, err = pps.Step(slot, cells, deps[:0])
-		if err != nil {
-			return err
-		}
-		s := make(sample, k)
-		for p := 0; p < k; p++ {
-			s[p] = pps.Plane(cell.Plane(p)).Backlog()
-		}
-		samples = append(samples, s)
+	// One point per slot until both switches drain, within a drain bound of
+	// 16x the horizon plus 64 Ki slots.
+	maxSlots := end*16 + 1<<16 + 1
+	probe := obs.NewPlaneBacklogProbe(k, 1, int(maxSlots))
+	if _, err := harness.Run(cfg, factory, src, harness.Options{MaxSlots: maxSlots, Probes: []obs.Probe{probe}}); err != nil {
+		return err
 	}
-
 	// Downsample to the terminal width; each column shows the max backlog
 	// in its slot bucket.
-	total := len(samples)
+	pts := make([][]obs.Point, k)
+	for p, s := range probe.Series() {
+		pts[p] = s.Points()
+	}
+	total := len(pts[0])
 	if width > total {
 		width = total
 	}
@@ -105,17 +83,11 @@ func run(n, k int, rprime int64, alg string, u int64, kind string, load float64,
 			hi = lo + 1
 		}
 		col := make([]int, k)
-		for _, s := range samples[lo:hi] {
-			for p, v := range s {
-				if v > col[p] {
-					col[p] = v
-				}
+		for p := range col {
+			for _, pt := range pts[p][lo:hi] {
+				col[p] = max(col[p], int(pt.Value))
 			}
-		}
-		for _, v := range col {
-			if v > maxAll {
-				maxAll = v
-			}
+			maxAll = max(maxAll, col[p])
 		}
 		cols[c] = col
 	}

@@ -15,8 +15,9 @@
 package cioq
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ppsim/internal/cell"
 	"ppsim/internal/queue"
@@ -27,19 +28,24 @@ import (
 type Switch struct {
 	n       int
 	speedup int
-	voq     []queue.FIFO[cell.Cell] // [i*n+j]
+	voq     []queue.FIFO[queued]    // [i*n+j]
 	outBuf  []queue.FIFO[cell.Cell] // per output, in deadline (= Seq) order
 	oracle  *shadow.Oracle
-	// deadline[seq] is the shadow departure slot assigned at arrival,
-	// indexed densely by global sequence number.
-	deadline []cell.Time
 
 	arrived  uint64
 	departed uint64
 	lastSlot cell.Time
 
-	// scratch
-	order []hol
+	// scratch, reused by every matching phase
+	order           []hol
+	inUsed, outUsed []bool
+}
+
+// queued is a VOQ entry: the cell and the shadow departure slot it was
+// assigned at arrival, its deadline.
+type queued struct {
+	c        cell.Cell
+	deadline cell.Time
 }
 
 type hol struct {
@@ -59,10 +65,12 @@ func New(n, speedup int) (*Switch, error) {
 	return &Switch{
 		n:        n,
 		speedup:  speedup,
-		voq:      make([]queue.FIFO[cell.Cell], n*n),
+		voq:      make([]queue.FIFO[queued], n*n),
 		outBuf:   make([]queue.FIFO[cell.Cell], n),
 		oracle:   shadow.NewOracle(n),
 		lastSlot: -1,
+		inUsed:   make([]bool, n),
+		outUsed:  make([]bool, n),
 	}, nil
 }
 
@@ -77,13 +85,6 @@ func (s *Switch) Backlog() int { return int(s.arrived - s.departed) }
 
 // Drained reports whether everything has departed.
 func (s *Switch) Drained() bool { return s.arrived == s.departed }
-
-func (s *Switch) noteDeadline(seq uint64, d cell.Time) {
-	for uint64(len(s.deadline)) <= seq {
-		s.deadline = append(s.deadline, cell.None)
-	}
-	s.deadline[seq] = d
-}
 
 // Step advances one external slot: arrivals enter VOQs (and receive shadow
 // deadlines), the fabric runs `speedup` urgency-ordered matching phases,
@@ -102,8 +103,7 @@ func (s *Switch) Step(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cel
 		if i < 0 || i >= s.n || j < 0 || j >= s.n {
 			return dst, fmt.Errorf("cioq: cell %v outside %dx%d switch", c, s.n, s.n)
 		}
-		s.noteDeadline(c.Seq, s.oracle.Departure(t, c.Flow.Out))
-		s.voq[i*s.n+j].Push(c)
+		s.voq[i*s.n+j].Push(queued{c, s.oracle.Departure(t, c.Flow.Out)})
 		s.arrived++
 	}
 
@@ -146,27 +146,24 @@ func (s *Switch) matchPhase(t cell.Time) {
 				continue
 			}
 			h := q.Peek()
-			s.order = append(s.order, hol{i: i, j: j, deadline: s.deadline[h.Seq], seq: h.Seq})
+			s.order = append(s.order, hol{i: i, j: j, deadline: h.deadline, seq: h.c.Seq})
 		}
 	}
 	if len(s.order) == 0 {
 		return
 	}
-	sort.Slice(s.order, func(a, b int) bool {
-		if s.order[a].deadline != s.order[b].deadline {
-			return s.order[a].deadline < s.order[b].deadline
-		}
-		return s.order[a].seq < s.order[b].seq
+	slices.SortFunc(s.order, func(a, b hol) int {
+		return cmp.Or(cmp.Compare(a.deadline, b.deadline), cmp.Compare(a.seq, b.seq))
 	})
-	inUsed := make([]bool, s.n)
-	outUsed := make([]bool, s.n)
+	clear(s.inUsed)
+	clear(s.outUsed)
 	for _, h := range s.order {
-		if inUsed[h.i] || outUsed[h.j] {
+		if s.inUsed[h.i] || s.outUsed[h.j] {
 			continue
 		}
-		inUsed[h.i] = true
-		outUsed[h.j] = true
-		c := s.voq[h.i*s.n+h.j].Pop()
+		s.inUsed[h.i] = true
+		s.outUsed[h.j] = true
+		c := s.voq[h.i*s.n+h.j].Pop().c
 		c.AtOutput = t
 		s.outBuf[h.j].Push(c)
 	}

@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 
 	"ppsim/internal/cell"
-	"ppsim/internal/shadow"
+	"ppsim/internal/harness"
 	"ppsim/internal/traffic"
 )
 
@@ -38,52 +38,23 @@ func TestSingleCellImmediate(t *testing.T) {
 	}
 }
 
-// run drives the CIOQ switch and an OQ shadow on the same stream, returning
-// the max relative delay.
+// run drives the CIOQ switch through harness.Drive, against the reference
+// on the same stream, checks that every offered cell crossed, and returns
+// the max relative delay. Sources without an end are fed for maxSlots/2.
 func run(t *testing.T, n, speedup int, src traffic.Source, maxSlots cell.Time) cell.Time {
 	t.Helper()
 	s, err := New(n, speedup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := shadow.New(n)
-	st := cell.NewStamper()
-	shadowDep := map[uint64]cell.Time{}
-	var worst cell.Time
-	end := src.End()
-	var buf []traffic.Arrival
-	var deps, shDeps []cell.Cell
-	pending := map[uint64]cell.Time{}
-	for slot := cell.Time(0); slot < maxSlots; slot++ {
-		if slot >= end && s.Drained() && sh.Drained() {
-			for seq, pd := range pending {
-				if rqd := pd - shadowDep[seq]; rqd > worst {
-					worst = rqd
-				}
-			}
-			return worst
-		}
-		var cells []cell.Cell
-		if slot < end {
-			buf = src.Arrivals(slot, buf[:0])
-			for _, a := range buf {
-				cells = append(cells, st.Stamp(cell.Flow{In: a.In, Out: a.Out}, slot))
-			}
-		}
-		deps, err = s.Step(slot, cells, deps[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range deps {
-			pending[d.Seq] = d.Depart
-		}
-		shDeps = sh.Step(slot, cells, shDeps[:0])
-		for _, d := range shDeps {
-			shadowDep[d.Seq] = d.Depart
-		}
+	res, err := harness.Drive(s, src, harness.Options{Horizon: maxSlots / 2, MaxSlots: maxSlots})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("did not drain in %d slots", maxSlots)
-	return 0
+	if rep := res.Report; rep.Cells == 0 || rep.Cells != rep.Offered {
+		t.Fatalf("%d of %d offered cells crossed", rep.Cells, rep.Offered)
+	}
+	return res.Report.MaxRQD
 }
 
 func TestSpeedupTwoTracksOQ(t *testing.T) {
@@ -187,5 +158,38 @@ func TestStepValidation(t *testing.T) {
 	s3, _ := New(2, 1)
 	if _, err := s3.Step(0, []cell.Cell{st.Stamp(cell.Flow{In: 0, Out: 1}, 5)}, nil); err == nil {
 		t.Error("mis-stamped arrival must be rejected")
+	}
+}
+
+// TestCIOQSteadyStateAllocFree: once the queues have grown to their working
+// size a slot allocates nothing — each cell's deadline rides in its VOQ
+// entry, so the switch's state is O(backlog), not O(run).
+func TestCIOQSteadyStateAllocFree(t *testing.T) {
+	const n, warm, runs = 8, 2000, 1000
+	s, _ := New(n, 2)
+	src := traffic.NewBernoulli(n, 0.8, warm+runs+1, 1)
+	st := cell.NewStamperSized(n)
+	slots := make([][]cell.Cell, warm+runs+1)
+	var buf []traffic.Arrival
+	for i := range slots {
+		buf = src.Arrivals(cell.Time(i), buf[:0])
+		for _, a := range buf {
+			slots[i] = append(slots[i], st.Stamp(cell.Flow{In: a.In, Out: a.Out}, cell.Time(i)))
+		}
+	}
+	var deps []cell.Cell
+	slot := 0
+	step := func() {
+		var err error
+		if deps, err = s.Step(cell.Time(slot), slots[slot], deps[:0]); err != nil {
+			t.Fatal(err)
+		}
+		slot++
+	}
+	for slot < warm {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+		t.Errorf("%v allocs per Step in steady state, want 0", allocs)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 
 	"ppsim/internal/cell"
-	"ppsim/internal/shadow"
+	"ppsim/internal/harness"
 	"ppsim/internal/traffic"
 )
 
@@ -211,52 +211,28 @@ func TestVOQFIFOWithinFlow(t *testing.T) {
 func TestHOLBlockingVersusShadow(t *testing.T) {
 	// The u-RT character: with one iteration and adversarial VOQ
 	// contention, the crossbar falls behind an output-queued switch.
-	const n = 4
+	const n, slots = 4, 50
 	s, _ := New(n, 1)
-	sh := shadow.New(n)
-	st := cell.NewStamper()
-	shadowDep := make(map[uint64]cell.Time)
-	var worst cell.Time
-	var deps, shDeps []cell.Cell
-	ppsDep := make(map[uint64]cell.Time)
-	for slot := cell.Time(0); slot < 200; slot++ {
-		var cells []cell.Cell
-		if slot < 50 {
-			// All inputs fight for output 0 and also feed other outputs.
-			for i := 0; i < n; i++ {
-				out := cell.Port(0)
-				if (int(slot)+i)%2 == 1 {
-					out = cell.Port(1 + (i % (n - 1)))
-				}
-				cells = append(cells, st.Stamp(cell.Flow{In: cell.Port(i), Out: out}, slot))
+	tr := traffic.NewTrace()
+	for slot := cell.Time(0); slot < slots; slot++ {
+		// All inputs fight for output 0 and also feed other outputs.
+		for i := 0; i < n; i++ {
+			out := cell.Port(0)
+			if (int(slot)+i)%2 == 1 {
+				out = cell.Port(1 + (i % (n - 1)))
 			}
-		}
-		var err error
-		deps, err = s.Step(slot, cells, deps[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range deps {
-			ppsDep[d.Seq] = d.Depart
-		}
-		shDeps = sh.Step(slot, cells, shDeps[:0])
-		for _, d := range shDeps {
-			shadowDep[d.Seq] = d.Depart
-		}
-		if slot > 50 && s.Drained() && sh.Drained() {
-			break
+			tr.MustAdd(slot, cell.Port(i), out)
 		}
 	}
-	if !s.Drained() {
-		t.Fatal("crossbar did not drain")
+	res, err := harness.Drive(s, tr, harness.Options{MaxSlots: 200})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for seq, pd := range ppsDep {
-		if rqd := pd - shadowDep[seq]; rqd > worst {
-			worst = rqd
-		}
+	if res.Report.Cells != n*slots {
+		t.Errorf("%d of %d cells crossed", res.Report.Cells, n*slots)
 	}
-	if worst <= 0 {
-		t.Errorf("expected positive relative delay under contention, got %d", worst)
+	if res.Report.MaxRQD <= 0 {
+		t.Errorf("expected positive relative delay under contention, got %d", res.Report.MaxRQD)
 	}
 }
 

@@ -35,32 +35,23 @@ func e21Calculus(o Opts) (*Table, error) {
 		horizon = 300
 	}
 
-	// Measured shadow delay and backlog under shaped (R, B=bb) traffic.
+	// Measured shadow delay and backlog under shaped (R, B=bb) traffic: a
+	// cell's delay is its Oracle departure minus its arrival, and output j
+	// still holds Peek(t+1, j) - (t+1) cells after slot t.
 	demand := traffic.NewRegulator(n, bb, traffic.NewBernoulli(n, 0.8, horizon, 3))
-	sh := shadow.New(n)
-	st := cell.NewStamper()
+	sh := shadow.NewOracle(n)
 	var worstDelay cell.Time
 	worstQ := 0
 	var buf []traffic.Arrival
-	var deps []cell.Cell
 	for slot := cell.Time(0); slot < horizon*8; slot++ {
-		buf = demand.Arrivals(slot, nil)
-		cells := make([]cell.Cell, 0, len(buf))
+		buf = demand.Arrivals(slot, buf[:0])
 		for _, a := range buf {
-			cells = append(cells, st.Stamp(cell.Flow{In: a.In, Out: a.Out}, slot))
-		}
-		deps = sh.Step(slot, cells, deps[:0])
-		for _, d := range deps {
-			if d.QueuingDelay() > worstDelay {
-				worstDelay = d.QueuingDelay()
-			}
+			worstDelay = max(worstDelay, sh.Departure(slot, a.Out)-slot)
 		}
 		for j := 0; j < n; j++ {
-			if q := sh.QueueLen(cell.Port(j)); q > worstQ {
-				worstQ = q
-			}
+			worstQ = max(worstQ, int(sh.Peek(slot+1, cell.Port(j))-(slot+1)))
 		}
-		if slot > horizon && sh.Drained() {
+		if slot > horizon && sh.Backlog(slot) == 0 {
 			break
 		}
 	}

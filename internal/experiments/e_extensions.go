@@ -10,7 +10,6 @@ import (
 	"ppsim/internal/demux"
 	"ppsim/internal/fabric"
 	"ppsim/internal/harness"
-	"ppsim/internal/shadow"
 	"ppsim/internal/stats"
 	"ppsim/internal/traffic"
 )
@@ -65,64 +64,18 @@ func e16CIOQ(o Opts) (*Table, error) {
 				}
 				src = tr
 			}
-			maxD, meanD, err := runCIOQ(n, sp, src)
+			xb, err := cioq.New(n, sp)
+			if err != nil {
+				return nil, err
+			}
+			res, err := harness.Drive(xb, src, harness.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("E16 s=%d %s: %w", sp, kind, err)
 			}
-			t.AddRow(itoa(sp), kind, itoa(maxD), ftoa(meanD))
+			t.AddRow(itoa(sp), kind, itoa(res.Report.MaxRQD), ftoa(res.Report.MeanRQD))
 		}
 	}
 	return t, nil
-}
-
-func runCIOQ(n, speedup int, src traffic.Source) (cell.Time, float64, error) {
-	xb, err := cioq.New(n, speedup)
-	if err != nil {
-		return 0, 0, err
-	}
-	sh := shadow.New(n)
-	st := cell.NewStamper()
-	shadowDep := map[uint64]cell.Time{}
-	ppsDep := map[uint64]cell.Time{}
-	end := src.End()
-	var buf []traffic.Arrival
-	var deps, shDeps []cell.Cell
-	for slot := cell.Time(0); slot < 1<<20; slot++ {
-		if slot >= end && xb.Drained() && sh.Drained() {
-			var max cell.Time
-			var sum float64
-			for seq, pd := range ppsDep {
-				d := pd - shadowDep[seq]
-				sum += float64(d)
-				if d > max {
-					max = d
-				}
-			}
-			if len(ppsDep) == 0 {
-				return 0, 0, fmt.Errorf("no cells crossed")
-			}
-			return max, sum / float64(len(ppsDep)), nil
-		}
-		var cells []cell.Cell
-		if slot < end {
-			buf = src.Arrivals(slot, buf[:0])
-			for _, a := range buf {
-				cells = append(cells, st.Stamp(cell.Flow{In: a.In, Out: a.Out}, slot))
-			}
-		}
-		deps, err = xb.Step(slot, cells, deps[:0])
-		if err != nil {
-			return 0, 0, err
-		}
-		for _, d := range deps {
-			ppsDep[d.Seq] = d.Depart
-		}
-		shDeps = sh.Step(slot, cells, shDeps[:0])
-		for _, d := range shDeps {
-			shadowDep[d.Seq] = d.Depart
-		}
-	}
-	return 0, 0, fmt.Errorf("cioq run did not drain")
 }
 
 // e17Universality runs the identical steering construction against every

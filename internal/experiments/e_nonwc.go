@@ -1,13 +1,15 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ppsim/internal/adversary"
 	"ppsim/internal/cell"
 	"ppsim/internal/fabric"
+	"ppsim/internal/harness"
 	"ppsim/internal/shadow"
-	"ppsim/internal/traffic"
 )
 
 func init() {
@@ -33,73 +35,28 @@ func e26NonWC(o Opts) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pps, err := fabric.New(fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}, rrFactory)
-	if err != nil {
+	var deps []cell.Cell
+	cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
+	if _, err := harness.Run(cfg, rrFactory, tr, harness.Options{
+		OnPPSDepart: func(c cell.Cell) { deps = append(deps, c) },
+	}); err != nil {
 		return nil, err
 	}
-	st := cell.NewStamper()
-	type arr struct {
-		slot  cell.Time
-		cells []cell.Cell
-	}
-	var history []arr
-	ppsDep := map[uint64]cell.Time{}
-	var buf []traffic.Arrival
-	var deps []cell.Cell
-	for slot := cell.Time(0); slot < 1<<16; slot++ {
-		if slot >= tr.End() && pps.Drained() {
-			break
-		}
-		buf = tr.Arrivals(slot, buf[:0])
-		var cells []cell.Cell
-		for _, a := range buf {
-			cells = append(cells, st.Stamp(cell.Flow{In: a.In, Out: a.Out}, slot))
-		}
-		history = append(history, arr{slot, cells})
-		deps, err = pps.Step(slot, cells, deps[:0])
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range deps {
-			ppsDep[d.Seq] = d.Depart
-		}
-	}
+	slices.SortFunc(deps, func(a, b cell.Cell) int { return cmp.Compare(a.Seq, b.Seq) })
 
-	// Replay the identical arrivals through each reference and compare.
+	// A reference that holds every cell D slots, then serializes it FCFS on
+	// its output, departs it at the work-conserving FCFS slot of a cell that
+	// arrived D slots later: score the PPS against that Oracle.
 	ds := []cell.Time{0, 8, 16, 32, 64}
 	if o.Quick {
 		ds = []cell.Time{0, 16, 64}
 	}
 	for _, d := range ds {
-		ref, err := shadow.NewShaped(n, d)
-		if err != nil {
-			return nil, err
-		}
-		refDep := map[uint64]cell.Time{}
-		var rdeps []cell.Cell
-		slot := cell.Time(0)
-		hi := 0
-		for !ref.Drained() || hi < len(history) {
-			var cells []cell.Cell
-			if hi < len(history) && history[hi].slot == slot {
-				cells = history[hi].cells
-				hi++
-			}
-			rdeps = ref.Step(slot, cells, rdeps[:0])
-			for _, c := range rdeps {
-				refDep[c.Seq] = c.Depart
-			}
-			slot++
-			if slot > 1<<16 {
-				return nil, fmt.Errorf("E26: shaped reference did not drain")
-			}
-		}
+		ref := shadow.NewOracle(n)
 		var worst cell.Time
-		first := true
-		for seq, pd := range ppsDep {
-			delta := pd - refDep[seq]
-			if first || delta > worst {
-				worst, first = delta, false
+		for i, c := range deps {
+			if delta := c.Depart - ref.Departure(c.Arrive+d, c.Flow.Out); i == 0 || delta > worst {
+				worst = delta
 			}
 		}
 		label := fmt.Sprintf("shaped D=%d", d)

@@ -318,6 +318,9 @@ func (e envView) PlaneUp(k cell.Plane) bool { return !e.p.planes[k].Failed() }
 // Config returns the switch geometry.
 func (p *PPS) Config() Config { return p.cfg }
 
+// Ports returns N.
+func (p *PPS) Ports() int { return p.cfg.N }
+
 // Algorithm returns the demultiplexing algorithm under test.
 func (p *PPS) Algorithm() demux.Algorithm { return p.alg }
 

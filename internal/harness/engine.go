@@ -56,18 +56,21 @@ func ParseEngine(s string) (Engine, error) {
 // core was wanted (requested, or implied by EngineAuto) but cannot run — the
 // human-readable reason, surfaced as Result.EngineReason.
 //
-// Eliding idle slots needs an untraced run, a source the feed reads ahead in
-// spans (a traffic.BatchSource — a per-slot source is only ever called at its
-// slot, so nobody can say when its next arrival is due) and a
-// demux.IdleInvariant algorithm; the event core additionally needs a fully
-// serial run — its sparse audit and busy-output sweep assume
-// single-goroutine ownership of the fabric, and the stage-parallel engine's
-// barrier already prices in touching every port.
+// Eliding idle slots needs a PPS under test (pps nil is a baseline, which
+// only steps), an untraced run, a source the feed reads ahead in spans (a
+// traffic.BatchSource — a per-slot source is only ever called at its slot, so
+// nobody can say when its next arrival is due) and a demux.IdleInvariant
+// algorithm; the event core additionally needs a fully serial run — its
+// sparse audit and busy-output sweep assume single-goroutine ownership of the
+// fabric, and the stage-parallel engine's barrier already prices in touching
+// every port.
 func selectEngine(pps *fabric.PPS, feed *traffic.SpanFeed, opts Options) (Engine, string) {
 	if opts.Engine == EngineStepped {
 		return EngineStepped, ""
 	}
 	switch {
+	case pps == nil:
+		return EngineStepped, "switch under test is not a PPS"
 	case opts.Tracer != nil:
 		return EngineStepped, "tracer attached: the event stream is inherently per-slot"
 	case !feed.Batched():

@@ -1,7 +1,8 @@
-// Package harness runs matched executions: one traffic source feeding a PPS
-// under test, slot by slot, and the shadow reference switch in closed form,
-// until both drain. It is the engine behind the public API, the experiment
-// suite and the adversary's scratch simulations.
+// Package harness runs matched executions: one traffic source feeding a
+// switch under test — the PPS or a baseline — slot by slot, and the shadow
+// reference switch in closed form, until both drain. It is the engine behind
+// the public API, the experiment suite and the adversary's scratch
+// simulations.
 package harness
 
 import (
@@ -29,8 +30,8 @@ type Options struct {
 	// before the horizon is consumed and both switches have drained returns
 	// an error, never a truncated Result.
 	MaxSlots cell.Time
-	// OnPPSDepart, if non-nil, observes every PPS departure (with all
-	// stage stamps set).
+	// OnPPSDepart, if non-nil, observes every departure of the switch
+	// under test (a PPS sets all stage stamps).
 	OnPPSDepart func(cell.Cell)
 	// Validate measures the traffic's leaky-bucket burstiness during the
 	// run (cheap; on by default in the public API).
@@ -248,10 +249,25 @@ func (v *slotView) AdmittedTotal() uint64     { return v.rec.AdmittedTotal() }
 func (v *slotView) RejectedTotal() uint64     { return v.rec.RejectedTotal() }
 func (v *slotView) ExpiredTotal() uint64      { return v.rec.ExpiredTotal() }
 
+// Switch is a switch under test: the PPS, or a baseline such as the crossbar
+// or the CIOQ switch. Step presents slot t's stamped arrivals and appends the
+// slot's departures, Depart set, to dst. A baseline runs on the stepped core,
+// and the PPS-only options (Probes, Tracer, Faults, FailPlanes, FaultPolicy
+// DropCount, Workers, Utilization) are errors for it.
+type Switch interface {
+	Ports() int
+	Step(t cell.Time, arrivals, dst []cell.Cell) ([]cell.Cell, error)
+	Backlog() int
+	Drained() bool
+}
+
 // driver bundles the per-run state shared by the slot loop (run) and
 // Drive's teardown: both switches, the stamper, the recorder, the probe
 // view, the telemetry sinks and the reusable scratch buffers.
 type driver struct {
+	sw Switch
+	// pps is sw when it is a PPS and nil for a baseline; the event core,
+	// drops, probes and the fabric's own statistics read it.
 	pps *fabric.PPS
 	// sh is the reference switch in closed form (DESIGN.md §10): an admitted
 	// cell's shadow departure is known the slot it arrives, and shLast, the
@@ -325,7 +341,7 @@ func (d *driver) feedSlot(t cell.Time) ([]cell.Cell, error) {
 // recordShadow gives every cell the fabric accepted this slot its departure
 // from the reference switch — an FCFS work-conserving output queue emits it
 // at max(arrival, next free slot of its output) — and hands it to the
-// recorder. It runs after the fabric step, which has by then rejected any
+// recorder. It runs after the switch's step, which has by then rejected any
 // destination outside the switch.
 func (d *driver) recordShadow(cells []cell.Cell) {
 	for _, c := range cells {
@@ -363,8 +379,10 @@ func (d *driver) recordDepartures() {
 			d.opts.OnPPSDepart(c)
 		}
 	}
-	for _, c := range d.pps.SlotDrops() {
-		d.rec.PPSDrop(c)
+	if d.pps != nil {
+		for _, c := range d.pps.SlotDrops() {
+			d.rec.PPSDrop(c)
+		}
 	}
 }
 
@@ -385,21 +403,22 @@ func (d *driver) sampleSlot(t cell.Time) {
 }
 
 // run is the slot loop, shared by both cores. The stepped core (event false)
-// executes every slot through fabric.Step — the naive oracle, and the only
-// core that runs traced, stage-parallel, per-slot-source or stale-information
-// configurations. The event core (event true) differs in two places: slots
-// execute through fabric.EventStep, which only touches the pending inputs
-// and busy outputs, and when both switches are fully quiet the clock jumps
-// in one step to the next event — the source's next arrival, the next fault
-// due time, or the horizon, whichever comes first — with the probe samples
-// of the elided span synthesized in closed form. Cost is then O(events), not
-// O(slots), and results are bit-identical to stepping (DESIGN.md §10).
-// selectEngine guarantees the event core's preconditions: serial run, no
-// tracer, a source read ahead in spans, IdleInvariant algorithm. run returns
-// where the loop stopped: the first slot at or past the horizon with both
-// switches drained, or MaxSlots.
+// executes every slot through the switch's Step — the naive oracle, and the
+// only core that runs baselines and traced, stage-parallel, per-slot-source
+// or stale-information configurations. The event core (event true) differs
+// in two places: slots execute through fabric.EventStep, which only touches
+// the pending inputs and busy outputs, and when both switches are fully
+// quiet the clock jumps in one step to the next event — the source's next
+// arrival, the next fault due time, or the horizon, whichever comes first —
+// with the probe samples of the elided span synthesized in closed form. Cost
+// is then O(events), not O(slots), and results are bit-identical to stepping
+// (DESIGN.md §10).
+// selectEngine guarantees the event core's preconditions: a PPS under test,
+// serial run, no tracer, a source read ahead in spans, IdleInvariant
+// algorithm. run returns where the loop stopped: the first slot at or past
+// the horizon with both switches drained, or MaxSlots.
 func (d *driver) run(event bool) (cell.Time, error) {
-	pps, opts, end := d.pps, d.opts, d.end
+	sw, pps, opts, end := d.sw, d.pps, d.opts, d.end
 
 	var next *traffic.EventFeed
 	if event {
@@ -412,7 +431,7 @@ func (d *driver) run(event bool) (cell.Time, error) {
 	var err error
 	slot := cell.Time(0)
 	for ; slot < opts.MaxSlots; slot++ {
-		if slot >= end && pps.Drained() && d.shadowDrained(slot) {
+		if slot >= end && sw.Drained() && d.shadowDrained(slot) {
 			break
 		}
 		if event && pps.Backlog() == 0 && d.shadowDrained(slot) {
@@ -456,7 +475,7 @@ func (d *driver) run(event bool) (cell.Time, error) {
 		if event {
 			d.deps, err = pps.EventStep(slot, cells, d.deps[:0])
 		} else {
-			d.deps, err = pps.Step(slot, cells, d.deps[:0])
+			d.deps, err = sw.Step(slot, cells, d.deps[:0])
 		}
 		if err != nil {
 			return slot, err
@@ -467,7 +486,7 @@ func (d *driver) run(event bool) (cell.Time, error) {
 			d.sampleSlot(slot)
 		}
 		if d.tel != nil {
-			d.tel.Tick(int64(slot), pps.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
+			d.tel.Tick(int64(slot), sw.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
 			if executed%telemetryFlushStride == 0 {
 				d.tel.ObserveDelays(d.rec.Delays(), d.telPrev)
 			}
@@ -477,16 +496,21 @@ func (d *driver) run(event bool) (cell.Time, error) {
 	return slot, nil
 }
 
-// Drive is Run against an existing PPS (so callers can inject plane
-// failures or inspect internals afterwards). The PPS must be fresh (slot -1):
-// per-run accounting (output utilization windows, peak queues, dispatch
-// counters) is cumulative, so driving a fabric twice would silently blend
-// the runs; Drive rejects a used fabric instead.
-func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (res Result, err error) {
-	if s := pps.CurrentSlot(); s != -1 {
+// Drive is Run against an existing switch under test: a PPS (so callers can
+// inject plane failures or inspect internals afterwards) or a baseline. A PPS
+// must be fresh (slot -1): per-run accounting (output utilization windows,
+// peak queues, dispatch counters) is cumulative, so driving a fabric twice
+// would silently blend the runs; Drive rejects a used fabric instead.
+func Drive(sw Switch, src traffic.Source, opts Options) (res Result, err error) {
+	pps, _ := sw.(*fabric.PPS)
+	if pps == nil {
+		if name := ppsOnlyOption(&opts); name != "" {
+			return Result{}, fmt.Errorf("harness: Options.%s needs a PPS under test, not a %T", name, sw)
+		}
+	} else if s := pps.CurrentSlot(); s != -1 {
 		return Result{}, fmt.Errorf("harness: fabric already driven through slot %d; build a fresh PPS per run", s)
 	}
-	cfg := pps.Config()
+	n := sw.Ports()
 	if opts.MaxSlots <= 0 {
 		opts.MaxSlots = 1 << 22
 	}
@@ -500,30 +524,33 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (res Result, err e
 		end = opts.Horizon
 	}
 
-	if opts.Tracer != nil {
-		pps.SetTracer(opts.Tracer)
+	if pps != nil {
+		if opts.Tracer != nil {
+			pps.SetTracer(opts.Tracer)
+		}
+		// The fabric's worker pool (if any) outlives the run only to leak
+		// goroutines; a driven fabric can never be driven again, so close it.
+		// Close keeps the fabric inspectable and serially steppable.
+		defer pps.Close()
 	}
-	// The fabric's worker pool (if any) outlives the run only to leak
-	// goroutines; a driven fabric can never be driven again, so close it.
-	// Close keeps the fabric inspectable and serially steppable.
-	defer pps.Close()
 	d := &driver{
+		sw:     sw,
 		pps:    pps,
-		sh:     shadow.NewOracle(cfg.N),
+		sh:     shadow.NewOracle(n),
 		shLast: cell.None,
 		opts:   &opts,
 		end:    end,
-		st:     cell.NewStamperSized(cfg.N),
-		rec:    metrics.NewRecorderSized(cfg.N),
+		st:     cell.NewStamperSized(n),
+		rec:    metrics.NewRecorderSized(n),
 	}
 	if opts.Validate {
-		d.vd = traffic.NewValidator(cfg.N)
+		d.vd = traffic.NewValidator(n)
 	}
 	if err := opts.Admission.Validate(); err != nil {
 		return Result{}, err
 	}
 	if !opts.Admission.Empty() {
-		d.adm = admission.NewRuntime(opts.Admission, cfg.N)
+		d.adm = admission.NewRuntime(opts.Admission, n)
 	}
 	d.probing = len(opts.Probes) > 0
 	if d.probing {
@@ -559,11 +586,11 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (res Result, err e
 		return Result{}, err
 	}
 	if d.tel != nil {
-		d.tel.Tick(int64(slot), pps.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
+		d.tel.Tick(int64(slot), sw.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
 	}
-	if !pps.Drained() || !d.shadowDrained(slot) {
-		return Result{}, fmt.Errorf("harness: not drained after %d slots (pps backlog %d, shadow backlog %d)",
-			slot, pps.Backlog(), d.sh.Backlog(slot-1))
+	if !sw.Drained() || !d.shadowDrained(slot) {
+		return Result{}, fmt.Errorf("harness: not drained after %d slots (switch backlog %d, shadow backlog %d)",
+			slot, sw.Backlog(), d.sh.Backlog(slot-1))
 	}
 	if slot < end {
 		return Result{}, fmt.Errorf("harness: MaxSlots %d reached before the horizon %d: the run would be truncated (raise Options.MaxSlots)",
@@ -584,15 +611,11 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (res Result, err e
 	}
 
 	res = Result{
-		Report:         d.rec.Report(),
-		PeakPlaneQueue: pps.PeakPlaneQueue(),
-		Slots:          slot,
-		AlgorithmName:  pps.Algorithm().Name(),
-		TraceEvents:    opts.Tracer.Events(),
-		Engine:         eng.String(),
-		EngineReason:   reason,
-		Workers:        pps.Workers(),
-		ShardPorts:     pps.ShardPorts(),
+		Report:       d.rec.Report(),
+		Slots:        slot,
+		TraceEvents:  opts.Tracer.Events(),
+		Engine:       eng.String(),
+		EngineReason: reason,
 	}
 	res.Drops = res.Report.Drops
 	res.OnTimeFraction = res.Report.OnTimeFraction
@@ -602,9 +625,14 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (res Result, err e
 	if d.vd != nil {
 		res.Burstiness = d.vd.Burstiness()
 	}
+	if pps != nil {
+		res.PeakPlaneQueue = pps.PeakPlaneQueue()
+		res.AlgorithmName = pps.Algorithm().Name()
+		res.Workers, res.ShardPorts = pps.Workers(), pps.ShardPorts()
+	}
 	if opts.Utilization {
-		res.Utilization = make([]float64, cfg.N)
-		for j := 0; j < cfg.N; j++ {
+		res.Utilization = make([]float64, n)
+		for j := range res.Utilization {
 			res.Utilization[j] = pps.Output(cell.Port(j)).Utilization()
 		}
 	}
@@ -612,6 +640,28 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (res Result, err e
 		res.Series = obs.CollectSeries(opts.Probes)
 	}
 	return res, nil
+}
+
+// ppsOnlyOption names the first option set that only a PPS under test can
+// honour, or returns "" when none is.
+func ppsOnlyOption(o *Options) string {
+	switch {
+	case len(o.Probes) > 0:
+		return "Probes"
+	case o.Tracer != nil:
+		return "Tracer"
+	case o.Faults != nil:
+		return "Faults"
+	case len(o.FailPlanes) > 0:
+		return "FailPlanes"
+	case o.FaultPolicy != faults.Abort:
+		return "FaultPolicy"
+	case o.Workers != 0:
+		return "Workers"
+	case o.Utilization:
+		return "Utilization"
+	}
+	return ""
 }
 
 // sampleIdleSpan replays probe sampling for the elided slots [from, to) of an

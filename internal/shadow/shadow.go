@@ -19,9 +19,11 @@ import (
 	"ppsim/internal/queue"
 )
 
-// Switch is the FCFS output-queued reference switch. Arrivals of a slot are
-// enqueued in global sequence order and each output emits at most one cell
-// per slot, in the same slot it arrived when the output is idle.
+// Switch is the stepped FCFS output-queued reference switch, the tested twin
+// of the Oracle (TestOracleMatchesSwitch) that every run is measured
+// against. Arrivals of a slot are enqueued in global sequence order and each
+// output emits at most one cell per slot, in the same slot it arrived when
+// the output is idle.
 type Switch struct {
 	n      int
 	queues []queue.FIFO[cell.Cell]

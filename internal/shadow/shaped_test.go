@@ -6,88 +6,39 @@ import (
 	"ppsim/internal/cell"
 )
 
-func TestShapedValidation(t *testing.T) {
-	if _, err := NewShaped(0, 1); err == nil {
-		t.Error("n=0 must be rejected")
-	}
-	if _, err := NewShaped(2, -1); err == nil {
-		t.Error("negative delay must be rejected")
-	}
-	s, err := NewShaped(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Ports() != 2 || s.TargetDelay() != 3 {
-		t.Error("accessors wrong")
-	}
-}
+// A jitter-shaping (non-work-conserving) reference holds every cell D slots,
+// then serializes it FCFS on its output: cell c departs at
+// Oracle.Departure(c.Arrive+D, out), cells presented in Seq order. These
+// tests pin that reading, which experiment E26 scores the PPS against.
 
 func TestShapedHoldsExactlyD(t *testing.T) {
-	s, _ := NewShaped(2, 4)
-	st := cell.NewStamper()
-	c := st.Stamp(cell.Flow{In: 0, Out: 1}, 2)
-	var deps []cell.Cell
-	for slot := cell.Time(2); slot < 10; slot++ {
-		var in []cell.Cell
-		if slot == 2 {
-			in = []cell.Cell{c}
-		}
-		deps = s.Step(slot, in, deps)
-	}
-	if len(deps) != 1 || deps[0].Depart != 6 {
-		t.Fatalf("departure = %v, want slot 6", deps)
+	if got := NewOracle(2).Departure(2+4, 1); got != 6 {
+		t.Fatalf("departure = %d, want slot 6", got)
 	}
 }
 
 func TestShapedIsNotWorkConserving(t *testing.T) {
 	// A cell is pending at slot 0 but nothing departs until D: the
 	// defining violation of work conservation.
-	s, _ := NewShaped(2, 5)
-	st := cell.NewStamper()
-	deps := s.Step(0, []cell.Cell{st.Stamp(cell.Flow{In: 0, Out: 0}, 0)}, nil)
-	if len(deps) != 0 {
-		t.Fatal("shaped switch must idle while the cell ages")
-	}
-	if s.Backlog() != 1 {
-		t.Fatal("cell should be queued")
+	if wc, shaped := NewOracle(2).Departure(0, 0), NewOracle(2).Departure(0+5, 0); wc != 0 || shaped != 5 {
+		t.Fatalf("work-conserving departs at %d, shaped at %d; want 0 and 5", wc, shaped)
 	}
 }
 
 func TestShapedSerializesBursts(t *testing.T) {
 	// Three simultaneous cells for one output: first departs at D, the
 	// rest on the following slots (one per slot).
-	s, _ := NewShaped(4, 2)
-	st := cell.NewStamper()
-	var cells []cell.Cell
-	for i := 0; i < 3; i++ {
-		cells = append(cells, st.Stamp(cell.Flow{In: cell.Port(i), Out: 0}, 0))
-	}
-	var deps []cell.Cell
-	for slot := cell.Time(0); !s.Drained(); slot++ {
-		var in []cell.Cell
-		if slot == 0 {
-			in = cells
-		}
-		deps = s.Step(slot, in, deps)
-		if slot > 20 {
-			t.Fatal("did not drain")
-		}
-	}
-	want := []cell.Time{2, 3, 4}
-	for i, d := range deps {
-		if d.Depart != want[i] {
-			t.Errorf("departure %d at slot %d, want %d", i, d.Depart, want[i])
+	o := NewOracle(4)
+	for i, want := range []cell.Time{2, 3, 4} {
+		if got := o.Departure(0+2, 0); got != want {
+			t.Errorf("departure %d at slot %d, want %d", i, got, want)
 		}
 	}
 }
 
 func TestShapedZeroDelayIsFCFSLike(t *testing.T) {
 	// D = 0 behaves like the work-conserving switch for a single flow.
-	s, _ := NewShaped(2, 0)
-	st := cell.NewStamper()
-	c := st.Stamp(cell.Flow{In: 0, Out: 1}, 0)
-	deps := s.Step(0, []cell.Cell{c}, nil)
-	if len(deps) != 1 || deps[0].Depart != 0 {
-		t.Errorf("D=0 should emit immediately: %v", deps)
+	if got := NewOracle(2).Departure(0+0, 1); got != 0 {
+		t.Errorf("D=0 should emit immediately, departed at %d", got)
 	}
 }

@@ -1,7 +1,12 @@
 package ppsim_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
@@ -26,6 +31,46 @@ func TestDocsNameLiveOptions(t *testing.T) {
 				t.Errorf("%s names Options.%s, which is not a field of Options", doc, m[1])
 			}
 		}
+	}
+}
+
+// TestNoHandRolledReference fails when a non-test Go file outside
+// benchmark/ and internal/shadow names shadow.New, shadow.Switch or
+// shadow.NewShaped: every switch under test is measured through
+// harness.Drive against the Oracle, so a second hand-stepped reference must
+// not return. benchmark/ is the one user left to migrate.
+func TestNoHandRolledReference(t *testing.T) {
+	banned := map[string]bool{"New": true, "Switch": true, "NewShaped": true}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || path == filepath.Join("internal", "shadow") || path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "shadow" && banned[sel.Sel.Name] {
+					t.Errorf("%s names shadow.%s; drive the switch through harness.Drive", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
