@@ -166,12 +166,21 @@ type Event struct {
 	K    cell.Plane
 }
 
-// Log is the append-only record of globally visible switch events, written
-// by the fabric in slot order. Readers hold independent cursors, so several
-// u-RT viewers with different staleness can share one log.
+// Log is the record of globally visible switch events, written by the fabric
+// in slot order. Readers hold independent cursors registered through
+// NewCursor, so several u-RT viewers with different staleness can share one
+// log. The log retains only the events its slowest registered cursor has not
+// yet read: a u-RT reader that keeps up pins O(events of the last u slots),
+// not the whole run.
 type Log struct {
-	events []Event
+	events  []Event
+	base    int // absolute position of events[0]
+	cursors []*Cursor
 }
+
+// logCompactFloor is the smallest consumed prefix worth copying down; below
+// it the retained slice is left alone, so short runs never compact.
+const logCompactFloor = 256
 
 // Append records an event. Events must be appended in non-decreasing slot
 // order; the fabric guarantees this.
@@ -182,21 +191,53 @@ func (l *Log) Append(e Event) {
 	l.events = append(l.events, e)
 }
 
-// Len reports the number of recorded events.
-func (l *Log) Len() int { return len(l.events) }
+// Len reports the number of events ever recorded, dropped ones included.
+func (l *Log) Len() int { return l.base + len(l.events) }
 
-// Cursor tracks a reader's position in the log. The zero value starts at
-// the beginning.
-type Cursor struct{ idx int }
+// Cursor is a registered reader's absolute position in a Log.
+type Cursor struct {
+	log *Log
+	pos int
+}
+
+// NewCursor registers a reader positioned at the oldest retained event. A
+// cursor registered before the first Append reads the full stream; the log
+// keeps every event some registered cursor has not read yet.
+func (l *Log) NewCursor() *Cursor {
+	c := &Cursor{log: l, pos: l.base}
+	l.cursors = append(l.cursors, c)
+	return c
+}
 
 // Read invokes fn for every unread event with T <= upto, advancing the
 // cursor past them. Events with T > upto remain unread — this is how u-RT
-// algorithms are physically prevented from seeing the last u slots.
+// algorithms are physically prevented from seeing the last u slots. Read
+// then drops the prefix every registered cursor has passed.
 func (l *Log) Read(c *Cursor, upto cell.Time, fn func(Event)) {
-	for c.idx < len(l.events) && l.events[c.idx].T <= upto {
-		fn(l.events[c.idx])
-		c.idx++
+	if c.log != l {
+		panic("demux: Read with a cursor not registered on this log")
 	}
+	for i := c.pos - l.base; i < len(l.events) && l.events[i].T <= upto; i++ {
+		fn(l.events[i])
+		c.pos++
+	}
+	l.compact()
+}
+
+// compact drops the events every registered cursor has read. The copy-down
+// runs only once the consumed prefix is past logCompactFloor and at least
+// half the slice, so each retained event is moved O(1) times amortized.
+func (l *Log) compact() {
+	low := l.cursors[0].pos
+	for _, c := range l.cursors[1:] {
+		low = min(low, c.pos)
+	}
+	done := low - l.base
+	if done < logCompactFloor || 2*done < len(l.events) {
+		return
+	}
+	l.events = l.events[:copy(l.events, l.events[done:])]
+	l.base = low
 }
 
 // pickFree scans planes cyclically from start and returns the first plane

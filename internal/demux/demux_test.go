@@ -61,22 +61,68 @@ func arr(st *cell.Stamper, t cell.Time, in, out cell.Port) cell.Cell {
 
 func TestLogCursorStaleness(t *testing.T) {
 	var l Log
+	c := l.NewCursor()
+	slow := l.NewCursor()
 	for i := cell.Time(0); i < 5; i++ {
 		l.Append(Event{T: i, Kind: EvArrival})
 	}
-	var c Cursor
 	var seen []cell.Time
-	l.Read(&c, 2, func(e Event) { seen = append(seen, e.T) })
+	l.Read(c, 2, func(e Event) { seen = append(seen, e.T) })
 	if len(seen) != 3 || seen[2] != 2 {
 		t.Errorf("Read(upto=2) saw %v", seen)
 	}
-	l.Read(&c, 10, func(e Event) { seen = append(seen, e.T) })
+	l.Read(c, 10, func(e Event) { seen = append(seen, e.T) })
 	if len(seen) != 5 {
 		t.Errorf("cursor did not resume: %v", seen)
 	}
 	if l.Len() != 5 {
 		t.Errorf("Len = %d", l.Len())
 	}
+
+	// The fast cursor keeps up far past the compaction floor while the slow
+	// one reads nothing: the slow cursor pins every event.
+	const total = 4 * logCompactFloor
+	for i := cell.Time(5); i < total; i++ {
+		l.Append(Event{T: i, Kind: EvArrival})
+		l.Read(c, i, func(e Event) { seen = append(seen, e.T) })
+	}
+	if len(l.events) != total || l.Len() != total {
+		t.Fatalf("slow cursor did not pin the prefix: retained %d, Len %d", len(l.events), l.Len())
+	}
+	var slowSeen []cell.Time
+	l.Read(slow, total, func(e Event) { slowSeen = append(slowSeen, e.T) })
+	for _, got := range [][]cell.Time{seen, slowSeen} {
+		if len(got) != total {
+			t.Fatalf("read %d events, want %d", len(got), total)
+		}
+		for i, ts := range got {
+			if ts != cell.Time(i) {
+				t.Fatalf("event %d has slot %d", i, ts)
+			}
+		}
+	}
+
+	// Both cursors have passed everything: the prefix is dropped, Len still
+	// counts it, and a late cursor starts at the oldest retained event.
+	if len(l.events) != 0 || l.Len() != total {
+		t.Errorf("after catch-up: retained %d, Len %d; want 0, %d", len(l.events), l.Len(), total)
+	}
+	l.Append(Event{T: total, Kind: EvArrival})
+	var late []cell.Time
+	l.Read(l.NewCursor(), total, func(e Event) { late = append(late, e.T) })
+	if len(late) != 1 || late[0] != total || l.Len() != total+1 {
+		t.Errorf("late cursor read %v, Len %d", late, l.Len())
+	}
+}
+
+func TestLogRejectsUnregisteredCursor(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	var l, other Log
+	l.Read(other.NewCursor(), 0, func(Event) {})
 }
 
 func TestLogRejectsTimeTravel(t *testing.T) {

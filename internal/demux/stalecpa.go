@@ -33,7 +33,7 @@ type StaleCPA struct {
 	// scatter instead of piling onto one plane.
 	rngs []*rand.Rand
 
-	cur Cursor
+	cur *Cursor
 	// Stale reconstruction (events with T <= t-u).
 	oracleNext []cell.Time // per output: stale shadow departure counter
 	linkNext   []cell.Time // per (k, j): stale earliest next line slot
@@ -57,13 +57,13 @@ func NewStaleCPA(env Env, u cell.Time) (*StaleCPA, error) {
 		return nil, fmt.Errorf("demux: stale-cpa staleness must be >= 1, got %d", u)
 	}
 	n, k := env.Ports(), env.Planes()
-	// Request the global log now: the fabric records events only for
+	// Register on the global log now: the fabric records events only for
 	// registered readers, and registering before the first slot guarantees
 	// the stale reconstruction sees the complete stream.
-	env.Log()
 	return &StaleCPA{
 		env:        env,
 		u:          u,
+		cur:        env.Log().NewCursor(),
 		oracleNext: make([]cell.Time, n),
 		linkNext:   make([]cell.Time, n*k),
 		backlog:    make([]int64, n*k),
@@ -160,7 +160,7 @@ func (a *StaleCPA) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 func (a *StaleCPA) advanceView(upto cell.Time) {
 	n := a.env.Ports()
 	rp := cell.Time(a.env.RPrime())
-	a.env.Log().Read(&a.cur, upto, func(e Event) {
+	a.env.Log().Read(a.cur, upto, func(e Event) {
 		switch e.Kind {
 		case EvArrival:
 			d := a.oracleNext[e.Out]

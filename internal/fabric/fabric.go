@@ -125,9 +125,9 @@ type PPS struct {
 	// logArmed is set the first time the global event log is requested
 	// (by a u-RT algorithm through its Env, or by a diagnostic caller via
 	// Log). An unrequested log records nothing: the append stream is pure
-	// overhead — it grew without bound at three events per cell — when no
-	// reader exists, and fully-distributed algorithms are forbidden from
-	// reading it anyway.
+	// overhead when no reader exists, and fully-distributed algorithms are
+	// forbidden from reading it anyway. An armed log is bounded by its
+	// slowest registered cursor: it drops the events every cursor has read.
 	logArmed bool
 
 	// pendingPerIn counts arrived-but-undispatched cells per input; the
@@ -978,9 +978,9 @@ func (p *PPS) PeakPlaneQueue() int {
 
 // Log exposes the global event log (used by diagnostics; algorithms receive
 // it through their Env). The log records events only once requested: a
-// diagnostic caller that wants the full stream must call Log before the
-// first Step. Algorithms that read the log request it at construction, so
-// their view is always complete.
+// diagnostic caller that wants the full stream must call Log and register a
+// cursor with NewCursor before the first Step. Algorithms that read the log
+// register at construction, so their view is always complete.
 func (p *PPS) Log() *demux.Log {
 	p.logArmed = true
 	return &p.log

@@ -413,12 +413,12 @@ func TestLogRecordsAllStages(t *testing.T) {
 	// Request the log before driving: recording starts when a reader
 	// registers, so an unobserved run pays no logging cost.
 	log := p.Log()
+	cur := log.NewCursor()
 	tr := traffic.NewTrace()
 	tr.MustAdd(0, 0, 1)
 	drive(t, p, tr, 10)
 	counts := map[demux.EventKind]int{}
-	var cur demux.Cursor
-	log.Read(&cur, 1000, func(e demux.Event) { counts[e.Kind]++ })
+	log.Read(cur, 1000, func(e demux.Event) { counts[e.Kind]++ })
 	if counts[demux.EvArrival] != 1 || counts[demux.EvDispatch] != 1 || counts[demux.EvXmit] != 1 {
 		t.Errorf("log counts = %v", counts)
 	}

@@ -50,15 +50,16 @@ func TestValidateRejectsBadWorkers(t *testing.T) {
 func stepBoth(t *testing.T, workers int) {
 	t.Helper()
 	const n, horizon = 16, 400
-	mk := func(w int) (*PPS, *demux.Log) {
+	mk := func(w int) (*PPS, *demux.Log, *demux.Cursor) {
 		p, err := New(Config{N: n, K: 4, RPrime: 2, CheckInvariants: true, Workers: w}, rrFactory(demux.PerInput))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p, p.Log() // arm the log before the first Step
+		log := p.Log() // arm the log and register before the first Step
+		return p, log, log.NewCursor()
 	}
-	serial, slog := mk(0)
-	par, plog := mk(workers)
+	serial, slog, c1 := mk(0)
+	par, plog, c2 := mk(workers)
 	defer par.Close()
 	if got := par.Workers(); got != workers {
 		t.Fatalf("Workers() = %d, want %d", got, workers)
@@ -101,10 +102,9 @@ func stepBoth(t *testing.T, workers int) {
 	if slog.Len() != plog.Len() {
 		t.Fatalf("log lengths diverge: serial %d, parallel %d", slog.Len(), plog.Len())
 	}
-	var c1, c2 demux.Cursor
 	var ev1, ev2 []demux.Event
-	slog.Read(&c1, cell.Time(1<<40), func(e demux.Event) { ev1 = append(ev1, e) })
-	plog.Read(&c2, cell.Time(1<<40), func(e demux.Event) { ev2 = append(ev2, e) })
+	slog.Read(c1, cell.Time(1<<40), func(e demux.Event) { ev1 = append(ev1, e) })
+	plog.Read(c2, cell.Time(1<<40), func(e demux.Event) { ev2 = append(ev2, e) })
 	if !reflect.DeepEqual(ev1, ev2) {
 		t.Fatal("global event logs diverge between serial and parallel engines")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ppsim/internal/cell"
+	"ppsim/internal/queue"
 )
 
 // Validator checks (R, B) leaky-bucket conformance of an arrival stream with
@@ -171,13 +172,16 @@ func WindowBurstiness(n int, src Source, tau cell.Time) (int64, error) {
 //
 // The regulator preserves per-flow order. It is used to build conformant
 // versions of bursty demands and in property tests asserting that its output
-// always validates.
+// always validates. In steady state it allocates nothing: the pull buffer and
+// the ring queues keep their backing arrays across slots.
 type Regulator struct {
 	n      int
 	inner  Source
 	b      int64
 	tokens []int64
-	queues [][]Arrival // per-input FIFO of pending arrivals
+	queues []queue.FIFO[Arrival] // per-input FIFO of pending arrivals
+	held   int                   // cells across all queues
+	pull   []Arrival             // reused buffer for the inner source's slots
 	last   cell.Time
 	walked cell.Time // next slot to pull from inner
 }
@@ -192,7 +196,7 @@ func NewRegulator(n int, b int64, src Source) *Regulator {
 	return &Regulator{
 		n: n, inner: src, b: b,
 		tokens: tok,
-		queues: make([][]Arrival, n),
+		queues: make([]queue.FIFO[Arrival], n),
 		last:   -1,
 	}
 }
@@ -217,30 +221,30 @@ func (r *Regulator) Arrivals(t cell.Time, dst []Arrival) []Arrival {
 	r.last = t
 
 	// Pull demand for every slot up to and including t.
-	var buf []Arrival
 	for ; r.walked <= t; r.walked++ {
 		if end := r.inner.End(); end != cell.None && r.walked >= end {
 			break
 		}
-		buf = r.inner.Arrivals(r.walked, buf[:0])
-		for _, a := range buf {
-			r.queues[a.In] = append(r.queues[a.In], a)
+		r.pull = r.inner.Arrivals(r.walked, r.pull[:0])
+		for _, a := range r.pull {
+			r.queues[a.In].Push(a)
 		}
+		r.held += len(r.pull)
 	}
 
 	// Release at most one cell per input, head-of-line, token permitting.
-	for i := 0; i < r.n; i++ {
-		q := r.queues[i]
-		if len(q) == 0 {
+	for i := range r.queues {
+		q := &r.queues[i]
+		if q.Empty() {
 			continue
 		}
-		a := q[0]
-		if r.tokens[a.Out] <= 0 {
+		out := q.Peek().Out
+		if r.tokens[out] <= 0 {
 			continue // head-of-line blocks to preserve flow order
 		}
-		r.tokens[a.Out]--
-		r.queues[i] = q[1:]
-		dst = append(dst, a)
+		r.tokens[out]--
+		r.held--
+		dst = append(dst, q.Pop())
 	}
 	return dst
 }
@@ -257,15 +261,7 @@ func (r *Regulator) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival 
 // refill so a drained regulator stops being scanned.
 func (r *Regulator) End() cell.Time {
 	end := r.inner.End()
-	if end == cell.None {
-		return cell.None
-	}
-	for _, q := range r.queues {
-		if len(q) > 0 {
-			return cell.None
-		}
-	}
-	if r.walked < end {
+	if end == cell.None || r.held > 0 || r.walked < end {
 		return cell.None
 	}
 	if r.last+1 > end {
@@ -275,10 +271,4 @@ func (r *Regulator) End() cell.Time {
 }
 
 // Backlog reports the number of cells currently held in shaping queues.
-func (r *Regulator) Backlog() int {
-	n := 0
-	for _, q := range r.queues {
-		n += len(q)
-	}
-	return n
-}
+func (r *Regulator) Backlog() int { return r.held }

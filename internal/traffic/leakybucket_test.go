@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +232,138 @@ func TestRegulatorAlwaysConformant(t *testing.T) {
 		return v.Burstiness() <= b
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestRegulatorSteadyStateAllocFree(t *testing.T) {
+	const n = 32
+	reg := NewRegulator(n, 4, NewBernoulli(n, 0.75, cell.None, 1))
+	var dst []Arrival
+	slot := cell.Time(0)
+	for ; slot < 10_000; slot++ {
+		dst = reg.Arrivals(slot, dst[:0])
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		dst = reg.Arrivals(slot, dst[:0])
+		slot++
+	})
+	if allocs != 0 {
+		t.Errorf("Regulator.Arrivals allocates %.2f times per slot in steady state, want 0", allocs)
+	}
+}
+
+// sliceRegulator is the slice-queue regulator the ring-queue one replaced,
+// kept as the reference its released stream must match cell for cell.
+type sliceRegulator struct {
+	n      int
+	inner  Source
+	b      int64
+	tokens []int64
+	queues [][]Arrival
+	last   cell.Time
+	walked cell.Time
+}
+
+func newSliceRegulator(n int, b int64, src Source) *sliceRegulator {
+	tok := make([]int64, n)
+	for j := range tok {
+		tok[j] = b + 1
+	}
+	return &sliceRegulator{n: n, inner: src, b: b, tokens: tok, queues: make([][]Arrival, n), last: -1}
+}
+
+func (r *sliceRegulator) Arrivals(t cell.Time, dst []Arrival) []Arrival {
+	gap := int64(t - r.last)
+	if r.last < 0 {
+		gap = 0
+	}
+	for j := 0; j < r.n; j++ {
+		r.tokens[j] += gap
+		if r.tokens[j] > r.b+1 {
+			r.tokens[j] = r.b + 1
+		}
+	}
+	r.last = t
+	var buf []Arrival
+	for ; r.walked <= t; r.walked++ {
+		if end := r.inner.End(); end != cell.None && r.walked >= end {
+			break
+		}
+		buf = r.inner.Arrivals(r.walked, buf[:0])
+		for _, a := range buf {
+			r.queues[a.In] = append(r.queues[a.In], a)
+		}
+	}
+	for i := 0; i < r.n; i++ {
+		q := r.queues[i]
+		if len(q) == 0 {
+			continue
+		}
+		a := q[0]
+		if r.tokens[a.Out] <= 0 {
+			continue
+		}
+		r.tokens[a.Out]--
+		r.queues[i] = q[1:]
+		dst = append(dst, a)
+	}
+	return dst
+}
+
+func (r *sliceRegulator) End() cell.Time {
+	end := r.inner.End()
+	if end == cell.None {
+		return cell.None
+	}
+	for _, q := range r.queues {
+		if len(q) > 0 {
+			return cell.None
+		}
+	}
+	if r.walked < end {
+		return cell.None
+	}
+	if r.last+1 > end {
+		return r.last + 1
+	}
+	return end
+}
+
+func (r *sliceRegulator) Backlog() int {
+	n := 0
+	for _, q := range r.queues {
+		n += len(q)
+	}
+	return n
+}
+
+// Property: the ring-queue regulator releases exactly the slice reference's
+// stream, and reports the same End and Backlog, at every slot — including
+// skipped slots, which exercise the multi-slot pull and token refill.
+func TestRegulatorMatchesSliceReference(t *testing.T) {
+	prop := func(nRaw, bRaw, loadRaw uint8, seed int64) bool {
+		n := 1 + int(nRaw%24)
+		b := int64(bRaw % 6)
+		load := float64(loadRaw) / 255
+		const until = 300
+		got := NewRegulator(n, b, NewBernoulli(n, load, until, seed))
+		want := newSliceRegulator(n, b, NewBernoulli(n, load, until, seed))
+		var g, w []Arrival
+		for s := cell.Time(0); s < 20*until; s += 1 + s%3/2 {
+			g, w = got.Arrivals(s, g[:0]), want.Arrivals(s, w[:0])
+			if !slices.Equal(g, w) || got.End() != want.End() || got.Backlog() != want.Backlog() {
+				t.Logf("n=%d b=%d load=%.2f seed=%d slot %d: arrivals %v / %v, End %d / %d, Backlog %d / %d",
+					n, b, load, seed, s, g, w, got.End(), want.End(), got.Backlog(), want.Backlog())
+				return false
+			}
+			if want.End() != cell.None && s > want.End() {
+				return true
+			}
+		}
+		return want.End() != cell.None
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
