@@ -75,6 +75,19 @@ func (s *sendScratch) keep(sends []Send) []Send {
 	return sends
 }
 
+// appendDoubling appends v to a per-flow column, doubling its capacity (from
+// 16) whenever it is full: a run allocates about twice its final column,
+// where append's 1.25× steps past 256 entries would allocate about five
+// times.
+func appendDoubling[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		grown := make([]T, len(s), max(2*len(s), 16))
+		copy(grown, s)
+		s = grown
+	}
+	return append(s, v)
+}
+
 // IdleInvariant is an optional Algorithm capability for the harness's
 // event-driven core: an algorithm returns true
 // to certify that Slot(t, nil) on a slot with no arrivals — and, for

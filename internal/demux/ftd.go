@@ -25,33 +25,40 @@ import (
 // with S >= K - floor(K/2)). When every unused plane's gate is busy the
 // implementation falls back to any free gate and counts the violation,
 // rather than dropping the cell.
+//
+// Each flow's block state is a 16-byte record held by value in one column
+// indexed by a flow id, its used-plane set one word (K <= MaxPlanes).
 type FTD struct {
 	sendScratch
 	env   Env
 	h     float64
 	block int
-	flows map[cell.Flow]*ftdFlow
-	falls uint64 // block-discipline violations (fallback dispatches)
+	ids   map[cell.Flow]int32
+	flows []ftdFlow // flow id → block state
+	falls uint64    // block-discipline violations (fallback dispatches)
 }
 
 type ftdFlow struct {
-	used    []bool // planes used in the current block
-	inBlock int
+	used    uint64 // planes used in the current block, bit k = plane k
+	inBlock int32
 	ptr     cell.Plane
 }
 
 // NewFTD returns the dispatcher with block parameter h > 1. It returns an
-// error if the implied block size exceeds K (a block could never use
-// distinct planes).
+// error if K > MaxPlanes or if the implied block size exceeds K (a block
+// could never use distinct planes).
 func NewFTD(env Env, h float64) (*FTD, error) {
 	if h <= 1 {
 		return nil, fmt.Errorf("demux: ftd parameter h must exceed 1, got %g", h)
+	}
+	if env.Planes() > MaxPlanes {
+		return nil, fmt.Errorf("demux: ftd supports at most %d planes, got K=%d", MaxPlanes, env.Planes())
 	}
 	block := int(math.Ceil(h * float64(env.RPrime())))
 	if block > env.Planes() {
 		return nil, fmt.Errorf("demux: ftd block %d exceeds K=%d planes", block, env.Planes())
 	}
-	return &FTD{env: env, h: h, block: block, flows: make(map[cell.Flow]*ftdFlow)}, nil
+	return &FTD{env: env, h: h, block: block, ids: make(map[cell.Flow]int32)}, nil
 }
 
 // Name implements Algorithm.
@@ -70,12 +77,15 @@ func (a *FTD) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	}
 	sends := a.take()
 	for _, c := range arrivals {
-		fs := a.flows[c.Flow]
-		if fs == nil {
-			fs = &ftdFlow{used: make([]bool, a.env.Planes())}
-			a.flows[c.Flow] = fs
+		id, ok := a.ids[c.Flow]
+		if !ok {
+			id = int32(len(a.flows))
+			a.ids[c.Flow] = id
+			a.flows = appendDoubling(a.flows, ftdFlow{})
 		}
-		p := pickFree(a.env, c.Flow.In, t, fs.ptr, func(k cell.Plane) bool { return !fs.used[k] })
+		fs := &a.flows[id]
+		used := fs.used
+		p := pickFree(a.env, c.Flow.In, t, fs.ptr, func(k cell.Plane) bool { return used&(1<<uint(k)) == 0 })
 		if p == cell.NoPlane {
 			// Block discipline unsatisfiable this slot: fall back to any
 			// free gate rather than dropping the cell.
@@ -85,14 +95,12 @@ func (a *FTD) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 			}
 			a.falls++
 		}
-		fs.used[p] = true
+		fs.used |= 1 << uint(p)
 		fs.inBlock++
 		fs.ptr = (p + 1) % cell.Plane(a.env.Planes())
-		if fs.inBlock == a.block {
+		if int(fs.inBlock) == a.block {
 			fs.inBlock = 0
-			for i := range fs.used {
-				fs.used[i] = false
-			}
+			fs.used = 0
 		}
 		sends = append(sends, Send{Cell: c, Plane: p})
 	}
@@ -105,14 +113,15 @@ func (a *FTD) Buffered(cell.Port) int { return 0 }
 // WouldChoose implements Prober: the next in-block plane for the flow,
 // assuming all gates free.
 func (a *FTD) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
-	fs := a.flows[cell.Flow{In: in, Out: out}]
-	if fs == nil {
+	id, ok := a.ids[cell.Flow{In: in, Out: out}]
+	if !ok {
 		return 0, true
 	}
+	fs := a.flows[id]
 	k := a.env.Planes()
 	for d := 0; d < k; d++ {
 		p := cell.Plane((int(fs.ptr) + d) % k)
-		if !fs.used[p] {
+		if fs.used&(1<<uint(p)) == 0 {
 			return p, true
 		}
 	}

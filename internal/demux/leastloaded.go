@@ -21,19 +21,30 @@ import (
 // Selection is O(1) amortized per cell: the per-flow counters live in a
 // planeBuckets structure whose bucket scan reproduces the lowest-index
 // argmin of an O(K) counter scan exactly (DESIGN.md §15), and the free-gate
-// set is one Env.FreeGateMask call.
+// set is one Env.FreeGateMask call. The structures are held by value in one
+// column indexed by a flow id, and their slices are cut from fixed-size
+// slabs that never move, so a new flow costs no heap object of its own.
 type LocalLeastLoaded struct {
 	sendScratch
-	env    Env
-	counts map[cell.Flow]*planeBuckets
+	env   Env
+	ids   map[cell.Flow]int32
+	flows []planeBuckets // flow id → counters and buckets
+	slab  []uint64       // unused tail of the current storage slab
 }
 
-// NewLocalLeastLoaded returns the algorithm. It returns an error if K < r'.
+// bucketSlabFlows is how many flows' planeBuckets storage one slab holds.
+const bucketSlabFlows = 64
+
+// NewLocalLeastLoaded returns the algorithm. It returns an error if K < r'
+// or K > MaxPlanes.
 func NewLocalLeastLoaded(env Env) (*LocalLeastLoaded, error) {
+	if env.Planes() > MaxPlanes {
+		return nil, fmt.Errorf("demux: least-loaded supports at most %d planes, got K=%d", MaxPlanes, env.Planes())
+	}
 	if int64(env.Planes()) < env.RPrime() {
 		return nil, fmt.Errorf("demux: least-loaded needs K >= r' (K=%d, r'=%d)", env.Planes(), env.RPrime())
 	}
-	return &LocalLeastLoaded{env: env, counts: make(map[cell.Flow]*planeBuckets)}, nil
+	return &LocalLeastLoaded{env: env, ids: make(map[cell.Flow]int32)}, nil
 }
 
 // Name implements Algorithm.
@@ -57,22 +68,37 @@ func (a *LocalLeastLoaded) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, erro
 	return a.keep(sends), nil
 }
 
+// flowBuckets returns flow f's structure, adding a fresh one on first
+// sight. The pointer is valid until the next call.
 func (a *LocalLeastLoaded) flowBuckets(f cell.Flow) *planeBuckets {
-	pb := a.counts[f]
-	if pb == nil {
-		pb = newPlaneBuckets(a.env.Planes())
-		a.counts[f] = pb
+	if id, ok := a.ids[f]; ok {
+		return &a.flows[id]
 	}
-	return pb
+	k := a.env.Planes()
+	w := planeBucketWords(k)
+	if len(a.slab) < w {
+		a.slab = make([]uint64, bucketSlabFlows*w)
+	}
+	var pb planeBuckets
+	pb.init(k, a.slab[:w:w])
+	a.slab = a.slab[w:]
+	a.ids[f] = int32(len(a.flows))
+	a.flows = appendDoubling(a.flows, pb)
+	return &a.flows[len(a.flows)-1]
 }
 
 // Buffered implements Algorithm (bufferless).
 func (a *LocalLeastLoaded) Buffered(cell.Port) int { return 0 }
 
 // WouldChoose implements Prober: the least-loaded plane for the flow
-// assuming all gates free.
+// assuming all gates free. It only reads: an unseen flow answers plane 0,
+// as a fresh structure would.
 func (a *LocalLeastLoaded) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
-	return a.flowBuckets(cell.Flow{In: in, Out: out}).argmin(^uint64(0)), true
+	id, ok := a.ids[cell.Flow{In: in, Out: out}]
+	if !ok {
+		return 0, true
+	}
+	return a.flows[id].argmin(^uint64(0)), true
 }
 
 // IdleInvariant certifies the idle-elision capability: the per-flow counts

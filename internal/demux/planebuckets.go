@@ -20,20 +20,31 @@ import (
 // in place), so the slice juggling is O(distinct values touched) — O(1)
 // amortized over a run, and in the common saturated state (all counts within
 // one of each other) exactly two buckets exist.
+//
+// The three slices are cut from caller-provided storage (init), so a table
+// of flows can keep its structures by value over shared slabs: vals and
+// bits start with room for bucketInline buckets each, and a flow that ever
+// holds more distinct counter values spills to the heap through append.
 type planeBuckets struct {
 	count []uint64 // per-plane dispatch counters (the scan's counts slice)
 	vals  []uint64 // ascending distinct counter values present
 	bits  []uint64 // bits[i] = planes whose counter equals vals[i]; never 0
 }
 
-// newPlaneBuckets returns the structure for k planes, all counters zero.
-// k must be in (0, 64].
-func newPlaneBuckets(k int) *planeBuckets {
-	return &planeBuckets{
-		count: make([]uint64, k),
-		vals:  []uint64{0},
-		bits:  []uint64{^uint64(0) >> uint(64-k)},
-	}
+// bucketInline is the bucket capacity a planeBuckets gets from its storage
+// before spilling; the saturated steady state needs two.
+const bucketInline = 4
+
+// planeBucketWords is the storage init takes for k planes.
+func planeBucketWords(k int) int { return k + 2*bucketInline }
+
+// init sets up the structure for k planes, all counters zero, over words
+// (zeroed, planeBucketWords(k) long). k must be in (0, 64].
+func (b *planeBuckets) init(k int, words []uint64) {
+	b.count = words[:k:k]
+	b.vals = words[k : k+1 : k+bucketInline]
+	b.bits = words[k+bucketInline : k+bucketInline+1 : k+2*bucketInline]
+	b.bits[0] = ^uint64(0) >> uint(64-k)
 }
 
 // argmin returns the lowest-indexed plane among those in mask with the

@@ -9,6 +9,13 @@ import (
 	"ppsim/internal/cell"
 )
 
+// newPlaneBuckets returns the structure for k planes over storage of its own.
+func newPlaneBuckets(k int) *planeBuckets {
+	b := &planeBuckets{}
+	b.init(k, make([]uint64, planeBucketWords(k)))
+	return b
+}
+
 // TestPlaneBucketsMatchScan pins the bucketed argmin to the historical
 // counter scan: for random masks and increment sequences, argmin(mask) must
 // return exactly the plane `counts[p] < counts[best]` over ascending p picks.

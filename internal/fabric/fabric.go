@@ -115,7 +115,7 @@ type PPS struct {
 	outShard []int32
 	inGates  *timing.Matrix // N x K
 	outGates *timing.Matrix // K x N
-	outputs  []*mux.Output
+	outputs  []mux.Output   // one slab, output j at index j
 	// pviews are the persistent per-output planeView adapters. Passing a
 	// value-type view would box it into the mux.PlaneView interface — one
 	// heap allocation per output per slot; pointers into this slice convert
@@ -263,9 +263,7 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 	for k := 0; k < cfg.K; k++ {
 		p.planes = append(p.planes, plane.New(cell.Plane(k), cfg.N, p.store))
 	}
-	for j := 0; j < cfg.N; j++ {
-		p.outputs = append(p.outputs, mux.NewOutput(cell.Port(j), cfg.Mux, p.store, cfg.N))
-	}
+	p.outputs = mux.NewOutputs(cfg.N, cfg.Mux, p.store)
 	p.pviews = make([]planeView, cfg.N)
 	for j := range p.pviews {
 		p.pviews[j] = planeView{p: p, j: cell.Port(j)}
@@ -328,7 +326,7 @@ func (p *PPS) Algorithm() demux.Algorithm { return p.alg }
 func (p *PPS) Plane(k cell.Plane) *plane.Plane { return p.planes[k] }
 
 // Output returns output-port j's multiplexor (for utilization reports).
-func (p *PPS) Output(j cell.Port) *mux.Output { return p.outputs[j] }
+func (p *PPS) Output(j cell.Port) *mux.Output { return &p.outputs[j] }
 
 // SetTracer attaches a structured event tracer; call before the first Step.
 // A nil tracer (or one over the null sink) keeps the hot path untraced.
@@ -908,8 +906,8 @@ func (p *PPS) audit() error {
 		inPlanes += pl.Backlog()
 	}
 	inOutputs := 0
-	for _, o := range p.outputs {
-		inOutputs += o.Buffered()
+	for j := range p.outputs {
+		inOutputs += p.outputs[j].Buffered()
 	}
 	if inPlanes != p.cellsInPlanes || inOutputs != p.cellsInOutputs {
 		return fmt.Errorf("fabric: backlog counters drifted: planes hold %d (counter %d), outputs hold %d (counter %d)",

@@ -88,6 +88,24 @@ func TestConfigValidatePlaneLimit(t *testing.T) {
 	}
 }
 
+// TestNewAllocsIndependentOfN: construction makes a fixed number of heap
+// objects whatever N is — the output stage is one slab, not one object per
+// port — so a 4096-port fabric costs about as many allocations as a 64-port
+// one.
+func TestNewAllocsIndependentOfN(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(4, func() {
+			if _, err := New(Config{N: n, K: 8, RPrime: 2}, rrFactory(demux.PerInput)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(4096)
+	if large > small+4 {
+		t.Errorf("fabric.New makes %.0f allocations at N=4096 vs %.0f at N=64: construction scales with N", large, small)
+	}
+}
+
 func TestSingleCellTraversesInOneSlot(t *testing.T) {
 	// The propagation-free accounting: a lone cell departs the PPS in its
 	// arrival slot, exactly like the shadow switch.

@@ -13,6 +13,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"ppsim/internal/cell"
@@ -20,28 +21,34 @@ import (
 	"ppsim/internal/stats"
 )
 
-// minmax tracks delay extremes for one flow in one switch.
-type minmax struct {
-	min, max cell.Time
-	n        int
-}
+// minmax tracks delay extremes for one flow in one switch. An empty record
+// is the sentinel min > max (emptyMinMax), so no sample count is kept: the
+// only questions asked of it are "seen at all?" and the jitter, which is 0
+// for a single sample (min == max) exactly as for none.
+type minmax struct{ min, max cell.Time }
+
+var emptyMinMax = minmax{min: math.MaxInt64, max: math.MinInt64}
 
 func (m *minmax) add(v cell.Time) {
-	if m.n == 0 || v < m.min {
-		m.min = v
-	}
-	if m.n == 0 || v > m.max {
-		m.max = v
-	}
-	m.n++
+	m.min = min(m.min, v)
+	m.max = max(m.max, v)
 }
 
+func (m *minmax) seen() bool { return m.min <= m.max }
+
 func (m *minmax) jitter() cell.Time {
-	if m.n < 2 {
+	if !m.seen() {
 		return 0
 	}
 	return m.max - m.min
 }
+
+// flowStat is one flow's record: its delay extremes in the PPS and in the
+// shadow switch, 32 bytes.
+type flowStat struct{ pps, sh minmax }
+
+// flowColumnMin is the flow column's first capacity; it doubles from there.
+const flowColumnMin = 16
 
 // dropMark flags a Seq the PPS dropped (DropCount fault policy) as its PPS
 // fate: the cell will never depart the PPS, and recording either a
@@ -66,7 +73,9 @@ const fateRingCap = 256
 // Departures may be reported in any order and from either switch first.
 // Cells the PPS dropped (failed planes under the DropCount policy) are
 // reported through PPSDrop; they depart the shadow switch — the reference
-// never drops — but are excluded from every delay statistic.
+// never drops — but are excluded from every delay statistic. Per-flow state
+// is one 32-byte record per flow, held by value in a column that doubles:
+// no heap object per flow.
 type Recorder struct {
 	// ring holds the fates of the in-flight sequence window [base, hi), cell
 	// seq at ring[seq&(len-1)] (len is a power of two). hi advances when a
@@ -87,13 +96,15 @@ type Recorder struct {
 	// sized (NewRecorderSized — the harness path; profiling showed the two
 	// per-departure map lookups near the top of the slot profile) and a map
 	// otherwise; out-of-range flows of a sized recorder fall back to the
-	// map, so behavior is identical either way.
+	// map, so behavior is identical either way. The records themselves are
+	// one by-value column of 32-byte flowStats that grows by doubling, so a
+	// run allocates about twice its final column, not the ~5× that
+	// append's 1.25× steps past 256 entries would cost.
 	flowN     int
 	flowDense []int32 // n*n → flow id + 1; 0 = unassigned
 	flowIDs   map[cell.Flow]int32
-	flowPPS   []minmax // flow id → PPS delay extremes
-	flowSh    []minmax // flow id → shadow delay extremes
-	ppsFlows  int      // flows with >= 1 PPS departure (Report.Flows)
+	flows     []flowStat // flow id → PPS and shadow delay extremes
+	ppsFlows  int        // flows with >= 1 PPS departure (Report.Flows)
 
 	// delays holds the streaming log-bucketed histograms behind the report's
 	// percentile block: RQD, the three-stage decomposition (input buffer,
@@ -155,7 +166,7 @@ func NewRecorderSized(n int) *Recorder {
 }
 
 // flowID returns the compact id of flow f, assigning the next id on first
-// sight (and growing the per-id minmax tables in step).
+// sight (and growing the flow column in step).
 func (r *Recorder) flowID(f cell.Flow) int {
 	if uint32(f.In) < uint32(r.flowN) && uint32(f.Out) < uint32(r.flowN) {
 		idx := int(f.In)*r.flowN + int(f.Out)
@@ -175,9 +186,13 @@ func (r *Recorder) flowID(f cell.Flow) int {
 }
 
 func (r *Recorder) newFlowID() int {
-	id := len(r.flowPPS)
-	r.flowPPS = append(r.flowPPS, minmax{})
-	r.flowSh = append(r.flowSh, minmax{})
+	id := len(r.flows)
+	if id == cap(r.flows) {
+		grown := make([]flowStat, id, max(2*id, flowColumnMin))
+		copy(grown, r.flows)
+		r.flows = grown
+	}
+	r.flows = append(r.flows, flowStat{pps: emptyMinMax, sh: emptyMinMax})
 	return id
 }
 
@@ -253,7 +268,7 @@ func (r *Recorder) ShadowDepart(c cell.Cell) {
 		panic(fmt.Sprintf("metrics: shadow departure of cell %d recorded twice", c.Seq))
 	}
 	f.shadow = c.Depart
-	r.flowSh[r.flowID(c.Flow)].add(c.Depart - c.Arrive)
+	r.flows[r.flowID(c.Flow)].sh.add(c.Depart - c.Arrive)
 	r.settle(c.Seq, f)
 }
 
@@ -264,8 +279,8 @@ func (r *Recorder) PPSDepart(c cell.Cell) {
 		panic(fmt.Sprintf("metrics: PPS departure of cell %d recorded twice", c.Seq))
 	}
 	f.pps = c.Depart
-	mm := &r.flowPPS[r.flowID(c.Flow)]
-	if mm.n == 0 {
+	mm := &r.flows[r.flowID(c.Flow)].pps
+	if !mm.seen() {
 		r.ppsFlows++
 	}
 	mm.add(c.Depart - c.Arrive)
@@ -511,9 +526,9 @@ func (r *Recorder) Report() Report {
 	if r.rejected > 0 {
 		rep.RejectedPerInput = append([]uint64(nil), r.rejectedPerInput...)
 	}
-	for id := range r.flowPPS {
-		mp := &r.flowPPS[id]
-		if mp.n == 0 {
+	for id := range r.flows {
+		mp := &r.flows[id].pps
+		if !mp.seen() {
 			continue // seen only by the shadow: not a PPS flow
 		}
 		if mp.max > rep.MaxPPSDelay {
@@ -523,7 +538,7 @@ func (r *Recorder) Report() Report {
 		if j > rep.MaxPPSJitter {
 			rep.MaxPPSJitter = j
 		}
-		if ms := &r.flowSh[id]; ms.n > 0 {
+		if ms := &r.flows[id].sh; ms.seen() {
 			if rel := j - ms.jitter(); rel > rep.RDJ {
 				rep.RDJ = rel
 			}

@@ -40,6 +40,30 @@ func (r *Recorder) apply(e record) {
 	}
 }
 
+// refExtremes is the reference's own per-flow record: extremes beside a
+// sample count, independent of the recorder's sentinel layout.
+type refExtremes struct {
+	min, max cell.Time
+	n        int
+}
+
+func (m *refExtremes) add(v cell.Time) {
+	if m.n == 0 || v < m.min {
+		m.min = v
+	}
+	if m.n == 0 || v > m.max {
+		m.max = v
+	}
+	m.n++
+}
+
+func (m *refExtremes) jitter() cell.Time {
+	if m.n < 2 {
+		return 0
+	}
+	return m.max - m.min
+}
+
 // tableReport is the reference the windowed Recorder is checked against: the
 // join done the obvious way, with one table entry for every cell ever seen
 // and every RQD sample retained, over the same records in the same order.
@@ -48,7 +72,7 @@ func tableReport(records []record) (Report, uint64) {
 	shadowAt := map[uint64]cell.Time{}
 	ppsAt := map[uint64]cell.Time{} // departures only
 	fated := map[uint64]int{}       // fates recorded per Seq (2 = settled)
-	type extremes struct{ pps, sh minmax }
+	type extremes struct{ pps, sh refExtremes }
 	flows := map[cell.Flow]*extremes{}
 	flow := func(f cell.Flow) *extremes {
 		if flows[f] == nil {
@@ -140,15 +164,15 @@ func tableReport(records []record) (Report, uint64) {
 // so a small bound slides a narrow window (ring wrap) and a large one holds
 // many cells open at once (ring growth). shadowLag 1 is the harness order,
 // shadow fate first at arrival; ppsLag 1 is the replica's order for cells
-// that beat the reference.
-func randomRecords(rng *rand.Rand, cells, shadowLag, ppsLag int) []record {
+// that beat the reference. Flows are drawn uniformly from ports × ports.
+func randomRecords(rng *rand.Rand, cells, ports, shadowLag, ppsLag int) []record {
 	type keyed struct {
 		at int
 		record
 	}
 	var all []keyed
 	for seq := 0; seq < cells; seq++ {
-		f := cell.Flow{In: cell.Port(rng.Intn(3)), Out: cell.Port(rng.Intn(3))}
+		f := cell.Flow{In: cell.Port(rng.Intn(ports)), Out: cell.Port(rng.Intn(ports))}
 		arrive := cell.Time(seq / 2)
 		sh := cell.New(uint64(seq), 0, f, arrive)
 		sh.Depart = arrive + cell.Time(rng.Intn(6))
@@ -179,8 +203,28 @@ func randomRecords(rng *rand.Rand, cells, shadowLag, ppsLag int) []record {
 // whichever order the two switches report, with the ring wrapping many times
 // over or forced to grow from two entries, the Report is the one full
 // per-cell tables give — and the ring never holds more than the widest
-// in-flight span the order produced.
+// in-flight span the order produced. One row spreads its cells over
+// thousands of flows, so the flow column doubles many times over.
 func TestWindowedJoinMatchesTables(t *testing.T) {
+	check := func(name string, records []record) *Recorder {
+		r := newRecorderRing(2)
+		for _, e := range records {
+			r.apply(e)
+		}
+		want, span := tableReport(records)
+		if got := r.Report(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: windowed report diverges from the tables\n got: %+v\nwant: %+v", name, got, want)
+		}
+		ring := uint64(2)
+		for ring < span {
+			ring *= 2
+		}
+		if uint64(len(r.ring)) != ring {
+			t.Errorf("%s: ring holds %d entries for a widest in-flight span of %d, want %d",
+				name, len(r.ring), span, ring)
+		}
+		return r
+	}
 	rng := rand.New(rand.NewSource(1))
 	for _, lag := range []struct{ shadow, pps int }{
 		{1, 1}, {1, 2}, {1, 40}, {1, 700}, // shadow first: the harness
@@ -189,24 +233,40 @@ func TestWindowedJoinMatchesTables(t *testing.T) {
 	} {
 		for trial := 0; trial < 8; trial++ {
 			name := fmt.Sprintf("shadow<%d/pps<%d/#%d", lag.shadow, lag.pps, trial)
-			records := randomRecords(rng, 1500, lag.shadow, lag.pps)
-			r := newRecorderRing(2)
-			for _, e := range records {
-				r.apply(e)
-			}
-			want, span := tableReport(records)
-			if got := r.Report(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: windowed report diverges from the tables\n got: %+v\nwant: %+v", name, got, want)
-			}
-			ring := uint64(2)
-			for ring < span {
-				ring *= 2
-			}
-			if uint64(len(r.ring)) != ring {
-				t.Errorf("%s: ring holds %d entries for a widest in-flight span of %d, want %d",
-					name, len(r.ring), span, ring)
-			}
+			check(name, randomRecords(rng, 1500, 3, lag.shadow, lag.pps))
 		}
+	}
+
+	// Many flows. The row must hold single-cell flows and shadow-only flows
+	// (every PPS fate dropped or expired): the two shapes an empty flow
+	// record has to tell apart from a seen one.
+	records := randomRecords(rng, 12000, 100, 3, 3)
+	type shape struct{ cells, departs int }
+	flows := map[cell.Flow]shape{}
+	for _, e := range records {
+		s := flows[e.c.Flow]
+		switch e.kind {
+		case recShadow:
+			s.cells++
+		case recDepart:
+			s.departs++
+		}
+		flows[e.c.Flow] = s
+	}
+	single, shadowOnly := 0, 0
+	for _, s := range flows {
+		if s.cells == 1 && s.departs == 1 {
+			single++
+		}
+		if s.departs == 0 {
+			shadowOnly++
+		}
+	}
+	if len(flows) < 5000 || single == 0 || shadowOnly == 0 {
+		t.Fatalf("many-flows row too narrow: %d flows, %d single-cell, %d shadow-only", len(flows), single, shadowOnly)
+	}
+	if r := check("many-flows", records); len(r.flows) != len(flows) {
+		t.Errorf("flow column holds %d records for %d flows", len(r.flows), len(flows))
 	}
 }
 

@@ -335,15 +335,37 @@ type Output struct {
 // NewOutput returns output-port j of an n-port switch with the given pull
 // policy, resequencing over store s. It panics on a nil policy or store.
 func NewOutput(j cell.Port, p Policy, s *cell.Store, n int) *Output {
+	checkOutputArgs(p, s, n)
+	o := &Output{}
+	o.init(j, p, s, n)
+	return o
+}
+
+// NewOutputs returns all n output-ports of an n-port switch in one slab,
+// output j at index j, each as NewOutput(j, p, s, n) builds it: one heap
+// object for the whole output stage instead of one per port. It panics on
+// a nil policy or store.
+func NewOutputs(n int, p Policy, s *cell.Store) []Output {
+	checkOutputArgs(p, s, n)
+	outs := make([]Output, n)
+	for j := range outs {
+		outs[j].init(cell.Port(j), p, s, n)
+	}
+	return outs
+}
+
+func checkOutputArgs(p Policy, s *cell.Store, n int) {
 	if p == nil {
 		panic("mux: nil policy")
 	}
 	if s == nil || n <= 0 {
 		panic(fmt.Sprintf("mux: output needs a store and n > 0 (n=%d)", n))
 	}
-	o := &Output{j: j, policy: p, firstSlot: cell.None, lastSlot: cell.None}
+}
+
+func (o *Output) init(j cell.Port, p Policy, s *cell.Store, n int) {
+	*o = Output{j: j, policy: p, firstSlot: cell.None, lastSlot: cell.None}
 	o.buf.init(s, n)
-	return o
 }
 
 // Step advances the output by one slot: pull per policy, then emit the

@@ -1,6 +1,7 @@
 package mux
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -344,6 +345,28 @@ func TestNewOutputNilStorePanics(t *testing.T) {
 		}
 	}()
 	NewOutput(0, Eager{}, nil, 2)
+}
+
+// TestNewOutputsMatchesNewOutput: the slab holds, at index j, exactly the
+// output NewOutput(j, ...) builds, and it panics on the same arguments.
+func TestNewOutputsMatchesNewOutput(t *testing.T) {
+	const n = 5
+	s := cell.NewStore(1)
+	outs := NewOutputs(n, LazyFCFS{}, s)
+	if len(outs) != n {
+		t.Fatalf("NewOutputs built %d outputs, want %d", len(outs), n)
+	}
+	for j := range outs {
+		if want := NewOutput(cell.Port(j), LazyFCFS{}, s, n); !reflect.DeepEqual(&outs[j], want) {
+			t.Errorf("output %d = %+v, NewOutput gives %+v", j, outs[j], *want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewOutputs accepted a nil policy")
+		}
+	}()
+	NewOutputs(n, nil, s)
 }
 
 // Property: with eager pulling and hold 1, departures are exactly in global
