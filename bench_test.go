@@ -83,7 +83,7 @@ func BenchmarkAblationMuxPolicy(b *testing.B) {
 	base := ppsim.Config{N: 16, K: 8, RPrime: 2, Algorithm: ppsim.Algorithm{Name: "rr"}}
 	b.Run("eager", func(b *testing.B) { runOnce(b, base, 1) })
 	lazy := base
-	lazy.LazyMux = true
+	lazy.MuxBudget = 1
 	b.Run("lazy-fcfs", func(b *testing.B) { runOnce(b, lazy, 1) })
 }
 

@@ -113,8 +113,10 @@ func main() {
 	cfg := ppsim.Config{
 		N: *n, K: *k, RPrime: *rprime,
 		BufferCap: *bufcap,
-		LazyMux:   *lazy,
 		Algorithm: ppsim.Algorithm{Name: *alg, D: *d, U: ppsim.Time(*u), H: *h, Seed: *seed, Capacity: *cap, FaultAware: *faultaware},
+	}
+	if *lazy {
+		cfg.MuxBudget = 1
 	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "ppssim:", err)
@@ -173,7 +175,7 @@ func main() {
 		os.Exit(1)
 	}
 	// An explicit request for elision can silently degrade (tracer attached,
-	// per-slot source, no idle invariant, parallel workers). Surface the
+	// per-slot source, a u-RT algorithm, parallel workers). Surface the
 	// recorded reason so users asking for elision learn they ran stepped.
 	if res.EngineReason != "" && eng != ppsim.EngineAuto {
 		fmt.Fprintf(os.Stderr, "ppssim: engine degraded to %s: %s\n", res.Engine, res.EngineReason)

@@ -72,9 +72,10 @@ func (a *BufferedCPA) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 			deadline := a.oracle.Departure(c.Arrive, c.Flow.Out) + a.u
 			bestP := cell.NoPlane
 			var bestReserve cell.Time
+			free := a.env.FreeGateMask(cell.Port(i), t)
 			for kk := 0; kk < k; kk++ {
 				p := cell.Plane(kk)
-				if a.env.InputGateFreeAt(cell.Port(i), p) > t {
+				if free&(1<<uint(kk)) == 0 {
 					continue
 				}
 				reserve := a.linkNext[kk*n+int(c.Flow.Out)]
@@ -149,7 +150,7 @@ func (a *BufferedRR) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	for i := range a.bufs {
 		in := cell.Port(i)
 		for !a.bufs[i].Empty() {
-			p := pickFree(a.env, in, t, a.ptr[i], nil)
+			p := pickFree(a.env, in, t, a.ptr[i], ^uint64(0))
 			if p == cell.NoPlane {
 				break // every gate busy; try again next slot
 			}
@@ -174,15 +175,3 @@ func (a *BufferedRR) Buffered(in cell.Port) int { return a.bufs[in].Len() }
 func (a *BufferedRR) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
 	return a.ptr[in], true
 }
-
-// IdleInvariant certifies the idle-elision capability for the input-buffered
-// CPA simulation. Slot does scan the input buffers on silent slots, but with
-// every buffer empty it mutates nothing and sends nothing — and the harness
-// only elides slots on which the fabric counts zero pending cells, which is
-// exactly the empty-buffers condition.
-func (a *BufferedCPA) IdleInvariant() bool { return true }
-
-// IdleInvariant certifies the idle-elision capability; see
-// BufferedCPA.IdleInvariant for why empty buffers make the silent-slot scan
-// a no-op.
-func (a *BufferedRR) IdleInvariant() bool { return true }

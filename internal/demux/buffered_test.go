@@ -15,8 +15,8 @@ func TestStaleCPAValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Staleness() != 3 || a.Name() != "stale-cpa-u3" {
-		t.Errorf("Staleness/Name wrong: %d %q", a.Staleness(), a.Name())
+	if a.Name() != "stale-cpa-u3" {
+		t.Errorf("Name = %q", a.Name())
 	}
 }
 

@@ -55,9 +55,6 @@ func TestCPAMissesAccessor(t *testing.T) {
 func TestStaticPartitionAccessors(t *testing.T) {
 	e := newFakeEnv(8, 4, 2)
 	a, _ := NewStaticPartition(e, 2)
-	if a.D() != 2 {
-		t.Errorf("D = %d", a.D())
-	}
 	p, ok := a.WouldChoose(1, 0)
 	if !ok {
 		t.Fatal("partition must support WouldChoose")

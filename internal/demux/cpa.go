@@ -99,9 +99,10 @@ func (a *CPA) choose(t cell.Time, in, out cell.Port, deadline cell.Time) (cell.P
 	if a.tie == RotateTie {
 		start = int(a.rotate[out])
 	}
+	free := a.env.FreeGateMask(in, t)
 	for d := 0; d < k; d++ {
 		p := cell.Plane((start + d) % k)
-		if a.env.InputGateFreeAt(in, p) > t {
+		if free&(1<<uint(p)) == 0 {
 			continue // input constraint: line (in, p) busy
 		}
 		reserve := a.linkNext[int(p)*n+int(out)]
@@ -136,8 +137,3 @@ func (a *CPA) choose(t cell.Time, in, out cell.Port, deadline cell.Time) (cell.P
 
 // Buffered implements Algorithm (bufferless).
 func (a *CPA) Buffered(cell.Port) int { return 0 }
-
-// IdleInvariant certifies the idle-elision capability: the shadow-departure
-// oracle and link reservations advance only on arrivals, so a silent slot
-// leaves the algorithm's state untouched.
-func (a *CPA) IdleInvariant() bool { return true }

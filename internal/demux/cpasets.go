@@ -87,10 +87,6 @@ func (a *CPASets) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 // Buffered implements Algorithm (bufferless).
 func (a *CPASets) Buffered(cell.Port) int { return 0 }
 
-// IdleInvariant certifies the idle-elision capability: the AIL/AOL sets
-// mutate only on arrivals.
-func (a *CPASets) IdleInvariant() bool { return true }
-
 // linkBuckets buckets the K planes of one output by the next-free slot of
 // their (plane, output) line: vals ascends, bits[i] holds the planes whose
 // line frees at vals[i], and every plane is in exactly one bucket. clamp

@@ -22,6 +22,7 @@ package demux
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ppsim/internal/cell"
 )
@@ -48,7 +49,9 @@ type Algorithm interface {
 	// so). Slot is called for every slot, including silent ones, so
 	// buffered algorithms can release held cells — except that engines may
 	// elide the call on slots that are provably idle (no arrivals, no
-	// buffered cells anywhere) when the algorithm certifies IdleInvariant.
+	// buffered cells anywhere) unless the algorithm reads the global Log.
+	// Slot(t, nil) with nothing buffered must therefore leave the state of
+	// an algorithm that does not read the Log unchanged and send nothing.
 	// The returned slice is only valid until the next Slot call:
 	// algorithms reuse its backing array across slots to keep the steady
 	// state allocation-free.
@@ -88,33 +91,6 @@ func appendDoubling[T any](s []T, v T) []T {
 	return append(s, v)
 }
 
-// IdleInvariant is an optional Algorithm capability for the harness's
-// event-driven core: an algorithm returns true
-// to certify that Slot(t, nil) on a slot with no arrivals — and, for
-// input-buffered algorithms, no buffered cells — leaves every piece of its
-// observable state (pointers, counters, RNG streams, log cursors) unchanged
-// and returns no sends. Under that certificate the engine may skip Slot
-// entirely on elided idle slots and still produce bit-identical results.
-//
-// The certificate also makes *partial* idleness sound for the event core's
-// sparse bookkeeping: because an idle Slot call is a provable no-op, the
-// only inputs whose buffer reports can change on any slot are those holding
-// pending cells plus those receiving an arrival, and the only outputs that
-// can emit are those already holding queued work — so auditing just those
-// working sets observes everything a full O(N) walk would. An algorithm
-// whose Slot could touch per-input or per-output state *outside* those sets
-// on a non-idle slot is still fine (the fabric executes every non-idle slot
-// in full); only idle-slot mutation breaks the contract.
-//
-// Algorithms whose per-slot work is driven by wall-clock time rather than
-// arrivals must NOT implement this (or must return false): the stale-info
-// family advances its delayed view of the global log every slot, including
-// silent ones, so eliding a slot would change which events it has digested
-// when the next burst lands.
-type IdleInvariant interface {
-	IdleInvariant() bool
-}
-
 // Prober is implemented by deterministic algorithms that can reveal which
 // plane they would pick next for a given (input, output) pair, assuming all
 // input gates free and no intervening arrivals. The steering adversary of
@@ -134,14 +110,10 @@ type Env interface {
 	Planes() int
 	// RPrime returns r' = R/r, the slots an internal line is held per cell.
 	RPrime() int64
-	// InputGateFreeAt returns the earliest slot at which input in may
-	// start a transmission to plane k. The input's own gates are local
-	// information, available to every class of algorithm.
-	InputGateFreeAt(in cell.Port, k cell.Plane) cell.Time
 	// FreeGateMask returns the set of planes whose line from input in is
-	// free at slot t, as a bitmask over plane indices: the batched form of
-	// InputGateFreeAt — one call per cell instead of K — and the free-gate
-	// gate for the O(1) amortized plane-selection structures, so fault-aware
+	// free at slot t, as a bitmask over plane indices — the input
+	// constraint as one word per cell. The input's own gates are local
+	// information, available to every class of algorithm, and fault-aware
 	// wrappers compose by clearing dead planes' bits. Plane sets are single
 	// words (Planes() <= MaxPlanes). Queries for an input must come with
 	// non-decreasing t (the fabric's per-slot dispatch order guarantees
@@ -253,20 +225,17 @@ func (l *Log) compact() {
 	l.base = low
 }
 
-// pickFree scans planes cyclically from start and returns the first plane
-// whose input gate is free at t, or NoPlane if every gate is busy (which
-// the input constraint makes impossible when K >= r', since at most r'-1
-// gates can be busy... per transmission; the fabric still checks).
-func pickFree(env Env, in cell.Port, t cell.Time, start cell.Plane, allowed func(cell.Plane) bool) cell.Plane {
-	k := env.Planes()
-	for d := 0; d < k; d++ {
-		p := cell.Plane((int(start) + d) % k)
-		if allowed != nil && !allowed(p) {
-			continue
-		}
-		if env.InputGateFreeAt(in, p) <= t {
-			return p
-		}
+// pickFree returns the first plane of allow, in cyclic order from start,
+// whose input gate is free at t, or NoPlane if there is none (with K >= r'
+// and allow = every plane, the input constraint leaves at most r'-1 gates
+// busy; the fabric still checks).
+func pickFree(env Env, in cell.Port, t cell.Time, start cell.Plane, allow uint64) cell.Plane {
+	m := env.FreeGateMask(in, t) & allow
+	if m == 0 {
+		return cell.NoPlane
 	}
-	return cell.NoPlane
+	if up := m &^ (uint64(1)<<uint(start) - 1); up != 0 {
+		m = up
+	}
+	return cell.Plane(bits.TrailingZeros64(m))
 }

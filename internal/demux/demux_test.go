@@ -1,6 +1,8 @@
 package demux
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ppsim/internal/cell"
@@ -22,19 +24,76 @@ func newFakeEnv(n, k int, rp int64) *fakeEnv {
 func (e *fakeEnv) Ports() int    { return e.n }
 func (e *fakeEnv) Planes() int   { return e.k }
 func (e *fakeEnv) RPrime() int64 { return e.rp }
-func (e *fakeEnv) InputGateFreeAt(in cell.Port, k cell.Plane) cell.Time {
-	return e.gates.Gate(int(in), int(k)).FreeAt()
-}
 func (e *fakeEnv) FreeGateMask(in cell.Port, t cell.Time) uint64 {
 	var m uint64
 	for k := 0; k < e.k; k++ {
-		if e.InputGateFreeAt(in, cell.Plane(k)) <= t {
+		if e.gateFreeAt(in, cell.Plane(k)) <= t {
 			m |= 1 << uint(k)
 		}
 	}
 	return m
 }
 func (e *fakeEnv) Log() *Log { return &e.log }
+
+// gateFreeAt is the earliest slot at which input in may start a
+// transmission to plane k.
+func (e *fakeEnv) gateFreeAt(in cell.Port, k cell.Plane) cell.Time {
+	return e.gates.Gate(int(in), int(k)).FreeAt()
+}
+
+// scanFree is the per-plane cyclic scan that pickFree's mask replaced: the
+// first plane from start that allowed admits (nil admits all) and whose
+// gate is free at t, or NoPlane.
+func scanFree(e *fakeEnv, in cell.Port, t cell.Time, start cell.Plane, allowed func(cell.Plane) bool) cell.Plane {
+	for d := 0; d < e.k; d++ {
+		p := cell.Plane((int(start) + d) % e.k)
+		if allowed != nil && !allowed(p) {
+			continue
+		}
+		if e.gateFreeAt(in, p) <= t {
+			return p
+		}
+	}
+	return cell.NoPlane
+}
+
+// TestPickFreeMatchesScan pins the mask pickFree to the cyclic scan for
+// every start over random free and allow sets, the all-busy one included.
+func TestPickFreeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range []int{1, 7, 8, 64} {
+		full := ^uint64(0) >> uint(64-k)
+		for trial := 0; trial < 200; trial++ {
+			busy := rng.Uint64() & full
+			switch trial {
+			case 0:
+				busy = full
+			case 1:
+				busy = 0
+			}
+			allow := rng.Uint64()
+			if trial%3 == 2 {
+				allow = ^uint64(0)
+			}
+			// Gates seized at slot 0 with r' = 2 are still busy at slot 1.
+			e := newFakeEnv(1, k, 2)
+			for p := 0; p < k; p++ {
+				if busy&(1<<uint(p)) != 0 {
+					if err := e.gates.SeizeAt(0, p, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			allowed := func(p cell.Plane) bool { return allow&(1<<uint(p)) != 0 }
+			for start := cell.Plane(0); int(start) < k; start++ {
+				want := scanFree(e, 0, 1, start, allowed)
+				if got := pickFree(e, 0, 1, start, allow); got != want {
+					t.Fatalf("K=%d busy %#x allow %#x start %d: pickFree = %d, scan says %d", k, busy, allow, start, got, want)
+				}
+			}
+		}
+	}
+}
 
 // exec runs one slot of the algorithm and seizes gates like the fabric.
 func exec(t *testing.T, e *fakeEnv, a Algorithm, slot cell.Time, arrivals ...cell.Cell) []Send {
@@ -233,13 +292,24 @@ func TestStaticPartitionStaysInGroup(t *testing.T) {
 func TestStaticPartitionSets(t *testing.T) {
 	e := newFakeEnv(8, 6, 2)
 	a, _ := NewStaticPartition(e, 3)
-	ps := a.PlanesOf(1) // group = 1 % 2 = 1 -> planes 3,4,5
-	if len(ps) != 3 || ps[0] != 3 || ps[2] != 5 {
-		t.Errorf("PlanesOf(1) = %v", ps)
+	// Input 1 is in group 1 % 2 = 1 and cycles over planes 3, 4, 5.
+	st := cell.NewStamper()
+	var planes []cell.Plane
+	for slot := cell.Time(0); slot < 6; slot++ {
+		planes = append(planes, exec(t, e, a, slot, arr(st, slot, 1, 0))[0].Plane)
 	}
-	ins := a.InputsOf(4) // plane 4 in group 1 -> inputs 1,3,5,7
-	if len(ins) != 4 || ins[0] != 1 || ins[3] != 7 {
-		t.Errorf("InputsOf(4) = %v", ins)
+	if want := []cell.Plane{3, 4, 5, 3, 4, 5}; !slices.Equal(planes, want) {
+		t.Errorf("input 1 dispatched to %v, want %v", planes, want)
+	}
+	// Plane 4 is shared by group 1: inputs 1, 3, 5, 7.
+	var ins []int
+	for in := 0; in < 8; in++ {
+		if a.Group(cell.Port(in)) == 1 {
+			ins = append(ins, in)
+		}
+	}
+	if want := []int{1, 3, 5, 7}; !slices.Equal(ins, want) {
+		t.Errorf("group 1 = inputs %v, want %v", ins, want)
 	}
 }
 

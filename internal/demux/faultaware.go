@@ -20,29 +20,17 @@ type PlaneHealth interface {
 	PlaneUp(k cell.Plane) bool
 }
 
-// neverFree is the gate-free time a masked environment reports for a failed
-// plane: far enough in the future that no run reaches it, so every
-// algorithm that consults InputGateFreeAt — all of them do, via pickFree or
-// directly — treats the plane as permanently busy and routes around it.
-const neverFree = cell.Time(1) << 62
-
 // maskedEnv hides failed planes from the wrapped algorithm by reporting
-// their input gates busy forever. All other environment queries pass
-// through, so the inner algorithm's information discipline is unchanged.
+// their input gates busy. All other environment queries pass through, so
+// the inner algorithm's information discipline is unchanged.
 type maskedEnv struct {
 	Env
 	health PlaneHealth
 }
 
-func (m maskedEnv) InputGateFreeAt(in cell.Port, k cell.Plane) cell.Time {
-	if !m.health.PlaneUp(k) {
-		return neverFree
-	}
-	return m.Env.InputGateFreeAt(in, k)
-}
-
-// FreeGateMask composes the wrapper with the O(1) selection structures: the
-// inner environment's mask with failed planes' bits cleared.
+// FreeGateMask is the inner environment's mask with failed planes' bits
+// cleared: every algorithm asks for its gates through it, so each routes
+// around the outage.
 func (m maskedEnv) FreeGateMask(in cell.Port, t cell.Time) uint64 {
 	mask := m.Env.FreeGateMask(in, t)
 	for b := mask; b != 0; b &= b - 1 {
@@ -55,7 +43,7 @@ func (m maskedEnv) FreeGateMask(in cell.Port, t cell.Time) uint64 {
 
 // FaultAware wraps any demultiplexing algorithm with failure-aware dispatch:
 // the inner algorithm is constructed against a masked environment in which
-// failed planes' input gates never free up, so its own candidate selection
+// failed planes' input gates are never free, so its own candidate selection
 // skips them while still honoring the input constraint on live planes. When
 // a plane recovers, its real gate state shows through again and the plane
 // rejoins the candidate set.
@@ -101,11 +89,4 @@ func (f *FaultAware) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
 		return p.WouldChoose(in, out)
 	}
 	return cell.NoPlane, false
-}
-
-// IdleInvariant delegates the idle-elision capability to the wrapped
-// algorithm: the mask itself holds no per-slot state.
-func (f *FaultAware) IdleInvariant() bool {
-	ii, ok := f.inner.(IdleInvariant)
-	return ok && ii.IdleInvariant()
 }

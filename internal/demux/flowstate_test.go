@@ -148,7 +148,7 @@ func TestPerFlowStateRejectsTooManyPlanes(t *testing.T) {
 // layout the by-value column replaced: the reference for
 // TestFTDMatchesBoolReference.
 type boolFTD struct {
-	env   Env
+	env   *fakeEnv
 	block int
 	flows map[cell.Flow]*boolFTDFlow
 	falls uint64
@@ -168,9 +168,9 @@ func (a *boolFTD) slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 			fs = &boolFTDFlow{used: make([]bool, a.env.Planes())}
 			a.flows[c.Flow] = fs
 		}
-		p := pickFree(a.env, c.Flow.In, t, fs.ptr, func(k cell.Plane) bool { return !fs.used[k] })
+		p := scanFree(a.env, c.Flow.In, t, fs.ptr, func(k cell.Plane) bool { return !fs.used[k] })
 		if p == cell.NoPlane {
-			p = pickFree(a.env, c.Flow.In, t, fs.ptr, nil)
+			p = scanFree(a.env, c.Flow.In, t, fs.ptr, nil)
 			if p == cell.NoPlane {
 				return nil, fmt.Errorf("reference: input %d has no free gate at slot %d", c.Flow.In, t)
 			}

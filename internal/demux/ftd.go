@@ -84,12 +84,11 @@ func (a *FTD) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 			a.flows = appendDoubling(a.flows, ftdFlow{})
 		}
 		fs := &a.flows[id]
-		used := fs.used
-		p := pickFree(a.env, c.Flow.In, t, fs.ptr, func(k cell.Plane) bool { return used&(1<<uint(k)) == 0 })
+		p := pickFree(a.env, c.Flow.In, t, fs.ptr, ^fs.used)
 		if p == cell.NoPlane {
 			// Block discipline unsatisfiable this slot: fall back to any
 			// free gate rather than dropping the cell.
-			p = pickFree(a.env, c.Flow.In, t, fs.ptr, nil)
+			p = pickFree(a.env, c.Flow.In, t, fs.ptr, ^uint64(0))
 			if p == cell.NoPlane {
 				return nil, fmt.Errorf("demux: ftd input %d has no free gate at slot %d", c.Flow.In, t)
 			}
@@ -127,7 +126,3 @@ func (a *FTD) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
 	}
 	return fs.ptr, true
 }
-
-// IdleInvariant certifies the idle-elision capability: flow state and block
-// fall-back counters move only on arrivals.
-func (a *FTD) IdleInvariant() bool { return true }

@@ -100,7 +100,3 @@ func (a *LocalLeastLoaded) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
 	}
 	return a.flows[id].argmin(^uint64(0)), true
 }
-
-// IdleInvariant certifies the idle-elision capability: the per-flow counts
-// change only on dispatch.
-func (a *LocalLeastLoaded) IdleInvariant() bool { return true }

@@ -40,36 +40,9 @@ func NewStaticPartition(env Env, d int) (*StaticPartition, error) {
 // Name implements Algorithm.
 func (sp *StaticPartition) Name() string { return fmt.Sprintf("partition-%d", sp.d) }
 
-// D returns the partition size.
-func (sp *StaticPartition) D() int { return sp.d }
-
 // Group returns the index of the plane group input in uses.
 func (sp *StaticPartition) Group(in cell.Port) int {
 	return int(in) % (sp.env.Planes() / sp.d)
-}
-
-// PlanesOf returns the planes input in may dispatch to.
-func (sp *StaticPartition) PlanesOf(in cell.Port) []cell.Plane {
-	base := sp.Group(in) * sp.d
-	out := make([]cell.Plane, sp.d)
-	for x := range out {
-		out[x] = cell.Plane(base + x)
-	}
-	return out
-}
-
-// InputsOf returns the inputs that share plane k, i.e. the demultiplexors
-// that can concentrate cells on it (the set I of Theorem 6's proof).
-func (sp *StaticPartition) InputsOf(k cell.Plane) []cell.Port {
-	g := int(k) / sp.d
-	groups := sp.env.Planes() / sp.d
-	var out []cell.Port
-	for i := 0; i < sp.env.Ports(); i++ {
-		if i%groups == g {
-			out = append(out, cell.Port(i))
-		}
-	}
-	return out
 }
 
 // Slot implements Algorithm.
@@ -81,10 +54,11 @@ func (sp *StaticPartition) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, erro
 	for _, c := range arrivals {
 		in := c.Flow.In
 		base := cell.Plane(sp.Group(in) * sp.d)
+		free := sp.env.FreeGateMask(in, t)
 		chosen := cell.NoPlane
 		for x := 0; x < sp.d; x++ {
 			p := base + (sp.ptr[in]+cell.Plane(x))%cell.Plane(sp.d)
-			if sp.env.InputGateFreeAt(in, p) <= t {
+			if free&(1<<uint(p)) != 0 {
 				chosen = p
 				break
 			}
@@ -106,7 +80,3 @@ func (sp *StaticPartition) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
 	base := cell.Plane(sp.Group(in) * sp.d)
 	return base + sp.ptr[in]%cell.Plane(sp.d), true
 }
-
-// IdleInvariant certifies the idle-elision capability: partition pointers
-// advance only on dispatch.
-func (sp *StaticPartition) IdleInvariant() bool { return true }

@@ -141,7 +141,7 @@ func TestRandomMatchesFreeListReference(t *testing.T) {
 				}
 				var free []cell.Plane
 				for p := 0; p < k; p++ {
-					if e.InputGateFreeAt(cell.Port(in), cell.Plane(p)) <= s {
+					if e.gateFreeAt(cell.Port(in), cell.Plane(p)) <= s {
 						free = append(free, cell.Plane(p))
 					}
 				}

@@ -69,8 +69,3 @@ func (r *Random) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 
 // Buffered implements Algorithm (bufferless).
 func (r *Random) Buffered(cell.Port) int { return 0 }
-
-// IdleInvariant certifies the idle-elision capability: Slot returns before
-// any RNG draw when there are no arrivals, so eliding silent slots preserves
-// the per-input random streams bit-for-bit.
-func (r *Random) IdleInvariant() bool { return true }

@@ -72,7 +72,7 @@ func (rr *RoundRobin) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	sends := rr.take()
 	for _, c := range arrivals {
 		start := rr.pointer(c.Flow)
-		p := pickFree(rr.env, c.Flow.In, t, start, nil)
+		p := pickFree(rr.env, c.Flow.In, t, start, ^uint64(0))
 		if p == cell.NoPlane {
 			return nil, fmt.Errorf("demux: rr input %d has no free gate at slot %d", c.Flow.In, t)
 		}
@@ -105,7 +105,3 @@ func (rr *RoundRobin) setPointer(f cell.Flow, p cell.Plane) {
 	}
 	rr.ptr[f.In] = p
 }
-
-// IdleInvariant certifies the idle-elision capability: with no arrivals,
-// Slot returns before touching any pointer state.
-func (rr *RoundRobin) IdleInvariant() bool { return true }

@@ -94,18 +94,12 @@ func (a *StaleCPA) Name() string {
 	return fmt.Sprintf("stale-cpa-u%d", a.u)
 }
 
-// Staleness returns u.
-func (a *StaleCPA) Staleness() cell.Time { return a.u }
-
 // Slot implements Algorithm.
 //
-// StaleCPA deliberately does NOT implement the IdleInvariant idle-elision
-// capability: the advanceView call below runs before the empty-arrivals
-// check, consuming global-log events up to t-u on every slot — silent ones
-// included — and mutating the cursor, the per-output oracle view and the
-// stale link reservations. Eliding a silent slot would change which events
-// the u-slot-delayed view has digested when the next burst arrives, so
-// stale-information algorithms opt out and always run stepped.
+// The advanceView call below runs before the empty-arrivals check,
+// consuming global-log events up to t-u on every slot — silent ones
+// included. A slot is never elided for it: the fabric runs every reader of
+// the global log stepped.
 func (a *StaleCPA) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	a.advanceView(t - a.u)
 	if len(arrivals) == 0 {
@@ -120,9 +114,10 @@ func (a *StaleCPA) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 		bestP := cell.NoPlane
 		var bestAvail cell.Time
 		ties := 0
+		free := a.env.FreeGateMask(in, t)
 		for kk := 0; kk < a.env.Planes(); kk++ {
 			p := cell.Plane(kk)
-			if a.env.InputGateFreeAt(in, p) > t {
+			if free&(1<<uint(kk)) == 0 {
 				continue
 			}
 			idx := kk*n + int(out)

@@ -53,7 +53,7 @@ func e9Theorem14(o Opts) (*Table, error) {
 	for _, r := range rows {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
 		src := &traffic.Flood{N: n, Out: 0, Until: floodLen}
-		res, err := harness.Run(cfg, r.mk, src, harness.Options{Utilization: true})
+		res, err := harness.Run(cfg, r.mk, src, harness.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("E9 %s h=%g: %w", r.name, r.h, err)
 		}

@@ -297,9 +297,6 @@ func (e envView) Log() *demux.Log {
 	e.p.logArmed = true
 	return &e.p.log
 }
-func (e envView) InputGateFreeAt(in cell.Port, k cell.Plane) cell.Time {
-	return e.p.inGates.Gate(int(in), int(k)).FreeAt()
-}
 
 // FreeGateMask serves the bitmask of planes whose line from input `in` is
 // free at slot t from the gate matrix's per-row busy masks in O(busy) — at
@@ -801,13 +798,11 @@ func (p *PPS) Step(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cell.C
 	return dst, nil
 }
 
-// IdleInvariant reports whether the demultiplexing algorithm certifies
-// demux.IdleInvariant — a precondition for eliding its Slot calls on idle
-// slots. Stale-information algorithms do not, so they always run stepped.
-func (p *PPS) IdleInvariant() bool {
-	ii, ok := p.alg.(demux.IdleInvariant)
-	return ok && ii.IdleInvariant()
-}
+// IdleInvariant reports whether eliding the algorithm's Slot calls on idle
+// slots is sound: true unless the global event log is armed. A u-RT
+// algorithm's view of the log advances every slot, silent ones included,
+// so its runs (and a run whose log a diagnostic armed) step.
+func (p *PPS) IdleInvariant() bool { return !p.logArmed }
 
 // NextFaultSlot reports the slot of the next unapplied fault-schedule event,
 // or cell.None. The harness truncates an idle jump at this slot so
@@ -833,10 +828,10 @@ func (p *PPS) outputBusy(j cell.Port) bool {
 // arrival inputs), the multiplexing stage sweeps only the busy-output
 // working set, and the conservation audit is the O(1) counter identity
 // instead of the structural walk. It is bit-identical to Step under the
-// engine-selection preconditions (an IdleInvariant algorithm, serial mode,
-// no tracer): eliding the algorithm's Slot call on a slot with no arrivals
-// and no pending cells is exactly the contract demux.IdleInvariant
-// certifies, and every skipped stage is a provable no-op. The sparse audit
+// engine-selection preconditions (an unarmed log, serial mode, no tracer):
+// eliding the Slot call of an algorithm that does not read the log on a
+// slot with no arrivals and no pending cells is a no-op by the
+// demux.Algorithm contract, and so is every skipped stage. The sparse audit
 // detects every buffer-capacity violation (an offender necessarily has
 // pending cells, so it is in the working set) but can miss a cheating
 // algorithm misreporting Buffered for an input the fabric believes empty —
@@ -978,7 +973,8 @@ func (p *PPS) PeakPlaneQueue() int {
 // it through their Env). The log records events only once requested: a
 // diagnostic caller that wants the full stream must call Log and register a
 // cursor with NewCursor before the first Step. Algorithms that read the log
-// register at construction, so their view is always complete.
+// register at construction, so their view is always complete. Arming the
+// log pins the run to the stepped core (see IdleInvariant).
 func (p *PPS) Log() *demux.Log {
 	p.logArmed = true
 	return &p.log

@@ -397,7 +397,7 @@ func TestStaticPartitionSurvivesOtherGroupFailure(t *testing.T) {
 }
 
 func TestLazyMuxAlsoDeliversEverything(t *testing.T) {
-	p, err := New(Config{N: 4, K: 4, RPrime: 2, Mux: mux.LazyFCFS{}, CheckInvariants: true},
+	p, err := New(Config{N: 4, K: 4, RPrime: 2, Mux: mux.BoundedEager{Max: 1}, CheckInvariants: true},
 		rrFactory(demux.PerInput))
 	if err != nil {
 		t.Fatal(err)

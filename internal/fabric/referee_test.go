@@ -162,7 +162,7 @@ func TestRefereeHonestAlgorithmPasses(t *testing.T) {
 		return func(slot cell.Time, arrivals []cell.Cell) ([]demux.Send, error) {
 			var out []demux.Send
 			for _, c := range arrivals {
-				for env.InputGateFreeAt(c.Flow.In, next) > slot {
+				for env.FreeGateMask(c.Flow.In, slot)&(1<<uint(next)) == 0 {
 					next = (next + 1) % cell.Plane(env.Planes())
 				}
 				out = append(out, demux.Send{Cell: c, Plane: next})

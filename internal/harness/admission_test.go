@@ -39,9 +39,9 @@ func TestAlwaysAdmitInert(t *testing.T) {
 			}
 			return res
 		}
-		bare := run(Options{Validate: true, Utilization: true})
+		bare := run(Options{Validate: true})
 		configured := run(Options{
-			Validate: true, Utilization: true,
+			Validate:  true,
 			Admission: mustAdmission(t, "always"),
 		})
 		if !reflect.DeepEqual(bare, configured) {
@@ -92,7 +92,7 @@ func TestAdmissionMatchesSerialMatrix(t *testing.T) {
 					src = traffic.WithDeadline(src, ac.deadline)
 				}
 				res, err := Run(cfg, alg.mk, src, Options{
-					Validate: true, Utilization: true, Workers: workers,
+					Validate: true, Workers: workers,
 					Admission: mustAdmission(t, ac.spec),
 				})
 				if err != nil {
@@ -142,7 +142,7 @@ func TestAdmissionMatchesSteppedEngines(t *testing.T) {
 			}
 			var elided cell.Time
 			res, err := Run(cfg, rrFactory, src, Options{
-				Validate: true, Utilization: true,
+				Validate:      true,
 				Engine:        eng,
 				Admission:     mustAdmission(t, ac.spec),
 				OnFastForward: func(from, to cell.Time) { elided += to - from },

@@ -108,7 +108,6 @@ func TestDriveBaselineRejectsPPSOnlyOptions(t *testing.T) {
 		{"FailPlanes", Options{FailPlanes: []cell.Plane{0}}},
 		{"FaultPolicy", Options{FaultPolicy: faults.DropCount}},
 		{"Workers", Options{Workers: -1}},
-		{"Utilization", Options{Utilization: true}},
 	}
 	for _, r := range rows {
 		sw, _ := crossbar.New(n, 1)

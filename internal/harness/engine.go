@@ -14,7 +14,7 @@ type Engine int
 
 const (
 	// EngineAuto runs the event-driven core when the run qualifies (serial,
-	// untraced, a source read ahead in spans, an IdleInvariant algorithm)
+	// untraced, a source read ahead in spans, no reader of the global log)
 	// and the stepped core otherwise.
 	EngineAuto Engine = iota
 	// EngineStepped forces the naive slot-by-slot core: every slot executes
@@ -59,11 +59,11 @@ func ParseEngine(s string) (Engine, error) {
 // Eliding idle slots needs a PPS under test (pps nil is a baseline, which
 // only steps), an untraced run, a source the feed reads ahead in spans (a
 // traffic.BatchSource — a per-slot source is only ever called at its slot, so
-// nobody can say when its next arrival is due) and a demux.IdleInvariant
-// algorithm; the event core additionally needs a fully serial run — its
-// sparse audit and busy-output sweep assume single-goroutine ownership of the
-// fabric, and the stage-parallel engine's barrier already prices in touching
-// every port.
+// nobody can say when its next arrival is due) and no u-RT reader of the
+// global event log (fabric.PPS.IdleInvariant); the event core additionally
+// needs a fully serial run — its sparse audit and busy-output sweep assume
+// single-goroutine ownership of the fabric, and the stage-parallel engine's
+// barrier already prices in touching every port.
 func selectEngine(pps *fabric.PPS, feed *traffic.SpanFeed, opts Options) (Engine, string) {
 	if opts.Engine == EngineStepped {
 		return EngineStepped, ""
@@ -76,7 +76,7 @@ func selectEngine(pps *fabric.PPS, feed *traffic.SpanFeed, opts Options) (Engine
 	case !feed.Batched():
 		return EngineStepped, "source does not implement traffic.BatchSource"
 	case !pps.IdleInvariant():
-		return EngineStepped, "algorithm " + pps.Algorithm().Name() + " does not certify demux.IdleInvariant"
+		return EngineStepped, "algorithm " + pps.Algorithm().Name() + " reads the global event log (u-RT): its view advances every slot"
 	case opts.Workers != 0 || pps.Workers() > 0:
 		return EngineStepped, "stage-parallel run: the event core is serial"
 	}

@@ -97,7 +97,6 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 					run := func(eng Engine) Result {
 						opts := Options{
 							Validate:    true,
-							Utilization: true,
 							Workers:     w,
 							Faults:      sched.mk(),
 							FaultPolicy: sched.polcy,
@@ -233,19 +232,22 @@ type opaqueSource struct{ traffic.Source }
 // TestSelectEngine is the whole engine-resolution table: every request
 // against every disqualifier. Stepped is always honored silently; auto and
 // event resolve to the event core only for a serial, untraced run over a
-// source read ahead in spans and an IdleInvariant algorithm, and otherwise
-// run stepped with the single reason that disqualified them.
+// source read ahead in spans and an unarmed global log, and otherwise run
+// stepped with the single reason that disqualified them.
 func TestSelectEngine(t *testing.T) {
 	const n = 8
 	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1}
 	stale := func(e demux.Env) (demux.Algorithm, error) { return demux.NewStaleCPA(e, 4) }
+	faultStale := func(e demux.Env) (demux.Algorithm, error) { return demux.NewFaultAware(e, stale) }
 	batch := traffic.NewBernoulli(n, 0.5, 64, 1)
+	const urt = " reads the global event log (u-RT): its view advances every slot"
 	cases := []struct {
 		name    string
 		mk      func(demux.Env) (demux.Algorithm, error)
 		src     traffic.Source
 		opts    Options
 		workers int
+		armLog  bool   // a diagnostic arms the log through PPS.Log
 		reason  string // "" = eligible for the event core
 	}{
 		{name: "eligible", mk: rrFactory, src: batch},
@@ -253,8 +255,9 @@ func TestSelectEngine(t *testing.T) {
 			reason: "tracer attached: the event stream is inherently per-slot"},
 		{name: "per-slot-source", mk: rrFactory, src: opaqueSource{batch},
 			reason: "source does not implement traffic.BatchSource"},
-		{name: "stale-family", mk: stale, src: batch,
-			reason: "algorithm stale-cpa-u4 does not certify demux.IdleInvariant"},
+		{name: "stale-family", mk: stale, src: batch, reason: "algorithm stale-cpa-u4" + urt},
+		{name: "faultaware-stale", mk: faultStale, src: batch, reason: "algorithm faultaware(stale-cpa-u4)" + urt},
+		{name: "armed-log", mk: rrFactory, src: batch, armLog: true, reason: "algorithm rr" + urt},
 		{name: "workers", mk: rrFactory, src: batch, workers: 2,
 			reason: "stage-parallel run: the event core is serial"},
 	}
@@ -266,6 +269,9 @@ func TestSelectEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer pps.Close()
+		if tc.armLog {
+			pps.Log()
+		}
 		for _, req := range []Engine{EngineAuto, EngineStepped, EngineEvent} {
 			opts := tc.opts
 			opts.Engine, opts.Workers = req, tc.workers

@@ -49,7 +49,7 @@ func TestParallelMatchesSerialFaults(t *testing.T) {
 			run := func(workers int) Result {
 				src := traffic.NewBernoulli(n, 0.6, horizon, 11)
 				opts := Options{
-					Validate: true, Utilization: true, Workers: workers,
+					Validate: true, Workers: workers,
 					FailPlanes: fc.fail, FaultPolicy: faults.DropCount,
 				}
 				if fc.sched != nil {
@@ -106,7 +106,7 @@ func TestFaultAwareMatchesSerial(t *testing.T) {
 			run := func(workers int, eng Engine) Result {
 				src := traffic.NewBernoulli(n, 0.6, horizon, 11)
 				res, err := Run(cfg, mk, src, Options{
-					Validate: true, Utilization: true, Workers: workers, Engine: eng,
+					Validate: true, Workers: workers, Engine: eng,
 					Faults:      faults.NewSchedule().Outage(0, 40, 120),
 					FaultPolicy: faults.DropCount,
 				})
@@ -157,9 +157,9 @@ func TestAbortEmptyScheduleInert(t *testing.T) {
 			}
 			return res
 		}
-		bare := run(Options{Validate: true, Utilization: true})
+		bare := run(Options{Validate: true})
 		configured := run(Options{
-			Validate: true, Utilization: true,
+			Validate:    true,
 			Faults:      faults.NewSchedule(),
 			FaultPolicy: faults.Abort,
 		})

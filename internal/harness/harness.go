@@ -63,11 +63,6 @@ type Options struct {
 	// configuration stays bit-identical (DESIGN.md §14). The spec is
 	// validated before the run starts.
 	Admission *admission.Spec
-	// Utilization computes Result.Utilization, the per-output busy
-	// fractions. Opt-in: it is O(N) per run and most internal callers
-	// never read it; the public ppsim.Run turns it on to keep its
-	// historical default behavior.
-	Utilization bool
 	// Probes are sampled once per slot, after the mux phase, so their
 	// series align with the paper's departure-time accounting (DESIGN.md
 	// §7). Probes must not be shared between concurrent runs.
@@ -122,8 +117,7 @@ type Result struct {
 	// Slots is the number of slots until both switches drained.
 	Slots cell.Time
 	// Utilization is the per-output busy fraction between first and last
-	// departure (only if Options.Utilization; the public ppsim.Run always
-	// fills it).
+	// departure; nil for a baseline switch under test.
 	Utilization []float64
 	// Series holds the time series sampled by Options.Probes, in probe
 	// order; nil when no probes were attached.
@@ -143,9 +137,9 @@ type Result struct {
 	// EngineReason is empty when the requested engine (or, under
 	// EngineAuto, the event core) ran, and otherwise explains the
 	// degradation — e.g. a tracer or a worker pool pinning the run to the
-	// stepped core, or a stale-information algorithm that cannot certify
-	// idle elision. CLIs surface it so users expecting elision learn they
-	// ran stepped.
+	// stepped core, or a u-RT algorithm whose view of the global log
+	// advances every slot. CLIs surface it so users expecting elision learn
+	// they ran stepped.
 	EngineReason string
 	// Workers records the effective stage-parallel worker count the fabric
 	// resolved for the run (0 = serial engine). Note that Options.Workers
@@ -253,7 +247,7 @@ func (v *slotView) ExpiredTotal() uint64      { return v.rec.ExpiredTotal() }
 // or the CIOQ switch. Step presents slot t's stamped arrivals and appends the
 // slot's departures, Depart set, to dst. A baseline runs on the stepped core,
 // and the PPS-only options (Probes, Tracer, Faults, FailPlanes, FaultPolicy
-// DropCount, Workers, Utilization) are errors for it.
+// DropCount, Workers) are errors for it.
 type Switch interface {
 	Ports() int
 	Step(t cell.Time, arrivals, dst []cell.Cell) ([]cell.Cell, error)
@@ -414,8 +408,8 @@ func (d *driver) sampleSlot(t cell.Time) {
 // is then O(events), not O(slots), and results are bit-identical to stepping
 // (DESIGN.md §10).
 // selectEngine guarantees the event core's preconditions: a PPS under test,
-// serial run, no tracer, a source read ahead in spans, IdleInvariant
-// algorithm. run returns where the loop stopped: the first slot at or past
+// serial run, no tracer, a source read ahead in spans, no reader of the
+// global log. run returns where the loop stopped: the first slot at or past
 // the horizon with both switches drained, or MaxSlots.
 func (d *driver) run(event bool) (cell.Time, error) {
 	sw, pps, opts, end := d.sw, d.pps, d.opts, d.end
@@ -629,8 +623,6 @@ func Drive(sw Switch, src traffic.Source, opts Options) (res Result, err error) 
 		res.PeakPlaneQueue = pps.PeakPlaneQueue()
 		res.AlgorithmName = pps.Algorithm().Name()
 		res.Workers, res.ShardPorts = pps.Workers(), pps.ShardPorts()
-	}
-	if opts.Utilization {
 		res.Utilization = make([]float64, n)
 		for j := range res.Utilization {
 			res.Utilization[j] = pps.Output(cell.Port(j)).Utilization()
@@ -658,8 +650,6 @@ func ppsOnlyOption(o *Options) string {
 		return "FaultPolicy"
 	case o.Workers != 0:
 		return "Workers"
-	case o.Utilization:
-		return "Utilization"
 	}
 	return ""
 }

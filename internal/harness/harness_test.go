@@ -20,7 +20,7 @@ func TestRunMatchesCells(t *testing.T) {
 	for s := cell.Time(0); s < 10; s++ {
 		tr.MustAdd(s, cell.Port(s%4), cell.Port((s+1)%4))
 	}
-	res, err := Run(cfg, rrFactory, tr, Options{Validate: true, Utilization: true})
+	res, err := Run(cfg, rrFactory, tr, Options{Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}

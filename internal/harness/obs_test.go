@@ -7,6 +7,7 @@ import (
 
 	"ppsim/internal/admission"
 	"ppsim/internal/cell"
+	"ppsim/internal/crossbar"
 	"ppsim/internal/fabric"
 	"ppsim/internal/faults"
 	"ppsim/internal/obs"
@@ -139,7 +140,8 @@ func TestTracerRecordsViolations(t *testing.T) {
 	}
 }
 
-// TestUtilizationOptIn: without the flag the per-output scan is skipped.
+// TestUtilizationOptIn: a PPS under test reports one busy fraction per
+// output; a baseline reports none.
 func TestUtilizationOptIn(t *testing.T) {
 	cfg := fabric.Config{N: 4, K: 2, RPrime: 1, CheckInvariants: true}
 	tr := traffic.NewTrace()
@@ -148,15 +150,15 @@ func TestUtilizationOptIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Utilization != nil {
-		t.Errorf("Utilization computed without opt-in: %v", res.Utilization)
+	if len(res.Utilization) != cfg.N || res.Utilization[1] != 1 {
+		t.Errorf("PPS Utilization = %v, want %d entries with output 1 busy", res.Utilization, cfg.N)
 	}
-	res, err = Run(cfg, rrFactory, tr, Options{Utilization: true})
-	if err != nil {
+	xb, _ := crossbar.New(cfg.N, 1)
+	if res, err = Drive(xb, tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Utilization) != cfg.N {
-		t.Errorf("opt-in Utilization has %d entries, want %d", len(res.Utilization), cfg.N)
+	if res.Utilization != nil {
+		t.Errorf("baseline Utilization = %v, want nil", res.Utilization)
 	}
 }
 
@@ -288,7 +290,7 @@ func TestResultString(t *testing.T) {
 	probes := obs.StandardProbes(cfg.N, cfg.K, 1, 64)
 	ringTr := obs.NewTracer(obs.NewRingSink(1 << 10))
 	res, err := Run(cfg, rrFactory, tr, Options{
-		Validate: true, Utilization: true, Probes: probes, Tracer: ringTr,
+		Validate: true, Probes: probes, Tracer: ringTr,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 			run := func(workers int) Result {
 				src := traffic.NewBernoulli(n, 0.6, horizon, 11)
 				res, err := Run(cfg, alg.mk, src,
-					Options{Validate: true, Utilization: true, Workers: workers})
+					Options{Validate: true, Workers: workers})
 				if err != nil {
 					t.Fatalf("%s n=%d workers=%d: %v", alg.name, n, workers, err)
 				}

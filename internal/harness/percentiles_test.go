@@ -90,7 +90,7 @@ func TestPercentilesMatchExactMatrix(t *testing.T) {
 		t.Run(alg.name, func(t *testing.T) {
 			run := func(workers int, eng Engine, on func(cell.Cell)) Result {
 				res, err := Run(cfg, alg.mk, mkSrc(),
-					Options{Validate: true, Utilization: true, Workers: workers,
+					Options{Validate: true, Workers: workers,
 						Engine: eng, OnPPSDepart: on})
 				if err != nil {
 					t.Fatalf("workers=%d engine=%v: %v", workers, eng, err)

@@ -12,8 +12,8 @@
 //     line is free. The aggregate inflow to an output can reach S*R, which
 //     the model permits (the speedup is exactly the ratio of aggregate
 //     internal capacity to the external line).
-//   - LazyFCFS: every slot, pull only the globally-earliest head among the
-//     planes whose line is free (one pull per slot).
+//   - BoundedEager: every slot, pull at most Max of those heads, earliest
+//     first; Max = 1 is lazy FCFS (one pull per slot).
 //
 // Cells are addressed by cell.Ref into the shared columnar cell.Store
 // (DESIGN.md §13): the view hands the policies a batch of eligible plane
@@ -62,17 +62,12 @@ type PlaneView interface {
 
 // Policy selects which plane queues to drain each slot.
 type Policy interface {
-	// Name returns the registry name of the policy.
-	Name() string
 	// Pull moves zero or more cells from the planes into the buffer.
 	Pull(t cell.Time, pv PlaneView, buf *Buffer) error
 }
 
 // Eager pulls from every free line with a pending cell.
 type Eager struct{}
-
-// Name implements Policy.
-func (Eager) Name() string { return "eager" }
 
 // Pull implements Policy: every eligible head is taken, in ascending plane
 // order, in a single batch.
@@ -91,7 +86,7 @@ func (Eager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 }
 
 // BoundedEager pulls at most Max cells per slot, earliest heads first — the
-// dial between LazyFCFS (Max = 1) and Eager (Max >= K). It models an
+// dial between lazy FCFS (Max = 1) and Eager (Max >= K). It models an
 // output-port whose reassembly memory bandwidth admits fewer than S*R
 // writes per slot, and quantifies how much of the eager policy's advantage
 // survives at each budget (ablation, DESIGN.md §5).
@@ -99,9 +94,6 @@ type BoundedEager struct {
 	// Max is the per-slot pull budget (>= 1).
 	Max int
 }
-
-// Name implements Policy.
-func (p BoundedEager) Name() string { return fmt.Sprintf("bounded-eager-%d", p.Max) }
 
 // Pull implements Policy. One Eligible scan suffices: a take only busies
 // the taken plane's own line and pops its own head, so the remaining
@@ -133,34 +125,6 @@ func (p BoundedEager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 		heads[best].K = -1
 		buf.Push(t, r)
 	}
-	return nil
-}
-
-// LazyFCFS pulls at most one cell per slot: the globally-earliest head among
-// planes with a free line.
-type LazyFCFS struct{}
-
-// Name implements Policy.
-func (LazyFCFS) Name() string { return "lazy-fcfs" }
-
-// Pull implements Policy.
-func (LazyFCFS) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
-	heads := pv.Eligible(t, buf.heads[:0])
-	buf.heads = heads
-	best := -1
-	for i := range heads {
-		if best < 0 || heads[i].Seq < heads[best].Seq {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	r, err := pv.Take(t, heads[best].K)
-	if err != nil {
-		return err
-	}
-	buf.Push(t, r)
 	return nil
 }
 

@@ -224,7 +224,7 @@ func TestLazyPullsEarliestOnly(t *testing.T) {
 	fv := newFakeView(0, 3, 2, 1)
 	fv.enqueue(2, mk(0, 0)) // earliest cell on plane 2
 	fv.enqueue(0, mk(1, 0))
-	o := NewOutput(0, LazyFCFS{}, fv.s, 32)
+	o := NewOutput(0, BoundedEager{Max: 1}, fv.s, 32)
 	c, ok, err := o.Step(0, fv)
 	if err != nil || !ok || c.Seq != 0 {
 		t.Fatalf("lazy should pull and emit seq 0: %v %v %v", c, ok, err)
@@ -261,7 +261,7 @@ func TestBoundedEagerBudget(t *testing.T) {
 }
 
 func TestBoundedEagerDegenerateCases(t *testing.T) {
-	// Max = 1 behaves like LazyFCFS; Max >= K like Eager.
+	// Max = 1 is lazy FCFS; Max >= K behaves like Eager.
 	fv := newFakeView(0, 3, 2, 1)
 	fv.enqueue(1, mk(0, 0))
 	fv.enqueue(2, mk(1, 0))
@@ -290,9 +290,6 @@ func TestBoundedEagerRejectsBadBudget(t *testing.T) {
 	o := NewOutput(0, BoundedEager{Max: 0}, fv.s, 32)
 	if _, _, err := o.Step(0, fv); err == nil {
 		t.Error("budget 0 must error")
-	}
-	if (BoundedEager{Max: 3}).Name() != "bounded-eager-3" {
-		t.Error("Name wrong")
 	}
 }
 
@@ -352,12 +349,12 @@ func TestNewOutputNilStorePanics(t *testing.T) {
 func TestNewOutputsMatchesNewOutput(t *testing.T) {
 	const n = 5
 	s := cell.NewStore(1)
-	outs := NewOutputs(n, LazyFCFS{}, s)
+	outs := NewOutputs(n, BoundedEager{Max: 1}, s)
 	if len(outs) != n {
 		t.Fatalf("NewOutputs built %d outputs, want %d", len(outs), n)
 	}
 	for j := range outs {
-		if want := NewOutput(cell.Port(j), LazyFCFS{}, s, n); !reflect.DeepEqual(&outs[j], want) {
+		if want := NewOutput(cell.Port(j), BoundedEager{Max: 1}, s, n); !reflect.DeepEqual(&outs[j], want) {
 			t.Errorf("output %d = %+v, NewOutput gives %+v", j, outs[j], *want)
 		}
 	}

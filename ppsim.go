@@ -95,12 +95,9 @@ type Config struct {
 	// BufferCap bounds input-port buffers: 0 = bufferless PPS (the
 	// default), -1 = unbounded, positive = per-input capacity.
 	BufferCap int
-	// LazyMux switches the output multiplexors from eager pulling to
-	// one-pull-per-slot FCFS (an ablation; see DESIGN.md §5).
-	LazyMux bool
-	// MuxBudget, when positive, bounds each output's pulls per slot
-	// (the dial between lazy = 1 and eager >= K); it takes precedence
-	// over LazyMux.
+	// MuxBudget, when positive, bounds each output's pulls per slot (an
+	// ablation, DESIGN.md §5): 1 is one-pull-per-slot FCFS, and >= K is the
+	// default eager multiplexor.
 	MuxBudget int
 	// DisableChecks turns off the per-slot conservation audit (it is on
 	// by default; turn off only for throughput benchmarking).
@@ -133,11 +130,8 @@ func (c Config) fabricConfig() fabric.Config {
 		BufferCap:       c.BufferCap,
 		CheckInvariants: !c.DisableChecks,
 	}
-	switch {
-	case c.MuxBudget > 0:
+	if c.MuxBudget > 0 {
 		fc.Mux = mux.BoundedEager{Max: c.MuxBudget}
-	case c.LazyMux:
-		fc.Mux = mux.LazyFCFS{}
 	}
 	return fc
 }
@@ -150,9 +144,6 @@ func Run(cfg Config, src Source, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// The public API always reports per-output utilization (its historical
-	// behavior); internal callers opt in per run.
-	opts.Utilization = true
 	return harness.Run(cfg.fabricConfig(), factory, src, opts)
 }
 

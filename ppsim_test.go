@@ -13,22 +13,38 @@ import (
 	"testing"
 
 	"ppsim"
+	"ppsim/internal/fabric"
 )
 
-// TestDocsNameLiveOptions fails when README.md or DESIGN.md names an
-// Options.<Field> that Options does not have: a knob deleted from the code
-// must leave the prose too.
+// TestDocsNameLiveOptions fails when README.md, DESIGN.md or MODEL.md names
+// an Options.<Field> that Options does not have, or a Config.<Ident> that is
+// neither a field nor a method of ppsim.Config or fabric.Config: a knob
+// deleted from the code must leave the prose too.
 func TestDocsNameLiveOptions(t *testing.T) {
-	opts := reflect.TypeOf(ppsim.Options{})
-	ref := regexp.MustCompile(`\bOptions\.([A-Z]\w*)`)
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	has := func(ident string, types ...reflect.Type) bool {
+		for _, typ := range types {
+			if _, ok := typ.FieldByName(ident); ok {
+				return true
+			}
+			if _, ok := reflect.PointerTo(typ).MethodByName(ident); ok {
+				return true
+			}
+		}
+		return false
+	}
+	live := map[string][]reflect.Type{
+		"Options": {reflect.TypeOf(ppsim.Options{})},
+		"Config":  {reflect.TypeOf(ppsim.Config{}), reflect.TypeOf(fabric.Config{})},
+	}
+	ref := regexp.MustCompile(`\b(Options|Config)\.([A-Z]\w*)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "MODEL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range ref.FindAllSubmatch(text, -1) {
-			if _, ok := opts.FieldByName(string(m[1])); !ok {
-				t.Errorf("%s names Options.%s, which is not a field of Options", doc, m[1])
+			if typ, ident := string(m[1]), string(m[2]); !has(ident, live[typ]...) {
+				t.Errorf("%s names %s.%s, which %s does not have", doc, typ, ident, typ)
 			}
 		}
 	}
