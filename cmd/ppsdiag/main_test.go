@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -90,6 +91,28 @@ func TestSeriesSteeringDivergence(t *testing.T) {
 	}
 	if steered < 2*rest {
 		t.Errorf("no divergence: steered peak %g vs other planes' %g", steered, rest)
+	}
+}
+
+// TestSeriesGolden holds the package comment's series run
+// (-series -n 16 -k 4 -rprime 2 -alg rr -traffic steering, every other flag
+// at its default) to the CSV checked into testdata, byte for byte.
+func TestSeriesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/series-rr-steering.golden.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	err = runSeries(&got, seriesConfig{
+		N: 16, K: 4, RPrime: 2,
+		Alg: "rr", Kind: "steering", Load: 0.6, Seed: 1,
+		Slots: 2000, Stride: 1, Format: "csv",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("series CSV differs from testdata (%d vs %d bytes)", got.Len(), len(want))
 	}
 }
 

@@ -10,15 +10,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"ppsim/internal/cell"
-	"ppsim/internal/demux"
-	"ppsim/internal/fabric"
-	"ppsim/internal/harness"
-	"ppsim/internal/obs"
-	"ppsim/internal/traffic"
+	"ppsim"
 )
 
 var glyphs = []rune(" .:-=+*#%@")
@@ -28,7 +24,7 @@ func main() {
 		n      = flag.Int("n", 32, "external ports N")
 		k      = flag.Int("k", 4, "center-stage planes K")
 		rprime = flag.Int64("rprime", 2, "internal line occupancy r'")
-		alg    = flag.String("alg", "rr", "algorithm: rr, perflow-rr, cpa, stale-cpa, random, least-loaded")
+		alg    = flag.String("alg", "rr", "algorithm: "+strings.Join(ppsim.AlgorithmNames(), ", "))
 		u      = flag.Int64("u", 4, "staleness for stale-cpa")
 		kind   = flag.String("traffic", "steering", "traffic: steering, concentration, bernoulli, flood")
 		load   = flag.Float64("load", 0.6, "load (bernoulli)")
@@ -37,38 +33,34 @@ func main() {
 		seed   = flag.Int64("seed", 1, "seed")
 	)
 	flag.Parse()
-	if err := run(*n, *k, *rprime, *alg, *u, *kind, *load, *slots, *width, *seed); err != nil {
+	if err := run(os.Stdout, *n, *k, *rprime, *alg, *u, *kind, *load, *slots, *width, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "ppsviz:", err)
 		os.Exit(1)
 	}
 }
 
-func run(n, k int, rprime int64, alg string, u int64, kind string, load float64, slots int64, width int, seed int64) error {
-	cfg := fabric.Config{N: n, K: k, RPrime: rprime, CheckInvariants: true}
-	factory, err := pickAlg(alg, u, seed)
-	if err != nil {
-		return err
-	}
-	src, err := pickTraffic(cfg, factory, kind, load, cell.Time(slots), seed)
+func run(w io.Writer, n, k int, rprime int64, alg string, u int64, kind string, load float64, slots int64, width int, seed int64) error {
+	cfg := ppsim.Config{N: n, K: k, RPrime: rprime, Algorithm: ppsim.Algorithm{Name: alg, U: ppsim.Time(u), Seed: seed}}
+	src, err := pickTraffic(cfg, kind, load, ppsim.Time(slots), seed)
 	if err != nil {
 		return err
 	}
 
 	end := src.End()
-	if end == cell.None {
+	if end == ppsim.NoTime {
 		return fmt.Errorf("traffic %q is unbounded; give -slots", kind)
 	}
 	// One point per slot until both switches drain, within a drain bound of
 	// 16x the horizon plus 64 Ki slots.
 	maxSlots := end*16 + 1<<16 + 1
-	probe := obs.NewPlaneBacklogProbe(k, 1, int(maxSlots))
-	if _, err := harness.Run(cfg, factory, src, harness.Options{MaxSlots: maxSlots, Probes: []obs.Probe{probe}}); err != nil {
+	res, err := ppsim.Run(cfg, src, ppsim.Options{MaxSlots: maxSlots, Probes: ppsim.StandardProbes(n, k, 1, int(maxSlots))})
+	if err != nil {
 		return err
 	}
 	// Downsample to the terminal width; each column shows the max backlog
-	// in its slot bucket.
-	pts := make([][]obs.Point, k)
-	for p, s := range probe.Series() {
+	// in its slot bucket. The standard set leads with plane_backlog[0..k).
+	pts := make([][]ppsim.SeriesPoint, k)
+	for p, s := range res.Series[:k] {
 		pts[p] = s.Points()
 	}
 	total := len(pts[0])
@@ -92,7 +84,7 @@ func run(n, k int, rprime int64, alg string, u int64, kind string, load float64,
 		cols[c] = col
 	}
 
-	fmt.Printf("plane backlog over %d slots (columns = %d-slot buckets, peak %d cells)\n",
+	fmt.Fprintf(w, "plane backlog over %d slots (columns = %d-slot buckets, peak %d cells)\n",
 		total, (total+width-1)/width, maxAll)
 	for p := 0; p < k; p++ {
 		var b strings.Builder
@@ -100,59 +92,27 @@ func run(n, k int, rprime int64, alg string, u int64, kind string, load float64,
 			g := cols[c][p] * (len(glyphs) - 1) / maxAll
 			b.WriteRune(glyphs[g])
 		}
-		fmt.Printf("plane %2d |%s|\n", p, b.String())
+		fmt.Fprintf(w, "plane %2d |%s|\n", p, b.String())
 	}
-	fmt.Printf("scale: '%c' empty ... '%c' = %d cells\n", glyphs[0], glyphs[len(glyphs)-1], maxAll)
+	fmt.Fprintf(w, "scale: '%c' empty ... '%c' = %d cells\n", glyphs[0], glyphs[len(glyphs)-1], maxAll)
 	return nil
 }
 
-func pickAlg(alg string, u, seed int64) (func(demux.Env) (demux.Algorithm, error), error) {
-	switch alg {
-	case "rr":
-		return func(e demux.Env) (demux.Algorithm, error) { return demux.NewRoundRobin(e, demux.PerInput) }, nil
-	case "perflow-rr":
-		return func(e demux.Env) (demux.Algorithm, error) { return demux.NewRoundRobin(e, demux.PerFlow) }, nil
-	case "cpa":
-		return func(e demux.Env) (demux.Algorithm, error) { return demux.NewCPA(e, demux.MinAvail) }, nil
-	case "stale-cpa":
-		return func(e demux.Env) (demux.Algorithm, error) { return demux.NewStaleCPA(e, cell.Time(u)) }, nil
-	case "random":
-		return func(e demux.Env) (demux.Algorithm, error) { return demux.NewRandom(e, seed) }, nil
-	case "least-loaded":
-		return func(e demux.Env) (demux.Algorithm, error) { return demux.NewLocalLeastLoaded(e) }, nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", alg)
-	}
-}
-
-func pickTraffic(cfg fabric.Config, factory func(demux.Env) (demux.Algorithm, error), kind string, load float64, slots cell.Time, seed int64) (traffic.Source, error) {
+func pickTraffic(cfg ppsim.Config, kind string, load float64, slots ppsim.Time, seed int64) (ppsim.Source, error) {
 	n := cfg.N
 	if slots <= 0 {
 		slots = 400
 	}
 	switch kind {
 	case "steering":
-		inputs := make([]cell.Port, n)
-		for i := range inputs {
-			inputs[i] = cell.Port(i)
-		}
-		return steeringOrErr(cfg, factory, inputs, seed)
+		return ppsim.SteeringTrace(cfg, ppsim.AllInputs(n), 0, ppsim.PlaneID(1%cfg.K), 16, seed)
 	case "concentration":
-		tr := traffic.NewTrace()
-		for i := 0; i < n; i++ {
-			tr.MustAdd(cell.Time(i), cell.Port(i), 0)
-		}
-		return tr, nil
+		return ppsim.ConcentrationTrace(n, n, 0)
 	case "bernoulli":
-		return traffic.NewBernoulli(n, load, slots, seed), nil
+		return ppsim.NewBernoulli(n, load, slots, seed), nil
 	case "flood":
-		return &traffic.Flood{N: n, Out: 0, Until: slots / 4}, nil
+		return ppsim.NewFlood(n, 0, slots/4), nil
 	default:
 		return nil, fmt.Errorf("unknown traffic %q", kind)
 	}
-}
-
-func steeringOrErr(cfg fabric.Config, factory func(demux.Env) (demux.Algorithm, error), inputs []cell.Port, seed int64) (traffic.Source, error) {
-	// Local import cycle avoidance: adversary lives beside us.
-	return buildSteering(cfg, factory, inputs, seed)
 }

@@ -102,7 +102,7 @@ func TestDriveBaselineRejectsPPSOnlyOptions(t *testing.T) {
 		option string
 		opts   Options
 	}{
-		{"Probes", Options{Probes: []obs.Probe{obs.NewPlaneBacklogProbe(1, 1, 0)}}},
+		{"Probes", Options{Probes: []*obs.Probe{obs.NewPlaneBacklogProbe(1, 1, 0)}}},
 		{"Tracer", Options{Tracer: obs.NewTracer(obs.NullSink{})}},
 		{"Faults", Options{Faults: faults.NewSchedule()}},
 		{"FailPlanes", Options{FailPlanes: []cell.Plane{0}}},

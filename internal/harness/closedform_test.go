@@ -28,7 +28,7 @@ func (v *steppedView) ShadowInFlight() int { return v.s.sh.Backlog() }
 
 // runStepped drives s to the horizon and until both switches drain, sampling
 // probes after every slot as Drive does, and returns the stop slot.
-func runStepped(s *slotStepper, horizon cell.Time, probes []obs.Probe) cell.Time {
+func runStepped(s *slotStepper, horizon cell.Time, probes []*obs.Probe) cell.Time {
 	view := &steppedView{
 		slotView: &slotView{pps: s.pps, rec: s.rec},
 		s:        s, shadowAt: map[uint64]cell.Time{},
@@ -104,8 +104,8 @@ func TestDriveMatchesSteppedShadow(t *testing.T) {
 					}
 					return traffic.WithDeadline(src, 12)
 				}
-				probes := func() []obs.Probe {
-					return []obs.Probe{obs.NewInFlightProbe(1, 1<<12), obs.NewFrontRQDProbe(1, 1<<12)}
+				probes := func() []*obs.Probe {
+					return []*obs.Probe{obs.NewInFlightProbe(1, 1<<12), obs.NewFrontRQDProbe(1, 1<<12)}
 				}
 
 				s := newSlotStepperAlg(t, cfg, alg.mk, source())

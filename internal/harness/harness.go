@@ -66,7 +66,7 @@ type Options struct {
 	// Probes are sampled once per slot, after the mux phase, so their
 	// series align with the paper's departure-time accounting (DESIGN.md
 	// §7). Probes must not be shared between concurrent runs.
-	Probes []obs.Probe
+	Probes []*obs.Probe
 	// Tracer, if non-nil, receives the structured event stream (arrival,
 	// dispatch, plane-enqueue, mux-pull, depart, constraint-violation)
 	// from the fabric.
@@ -231,7 +231,6 @@ func (v *slotView) Planes() int               { return v.pps.Config().K }
 func (v *slotView) PlaneBacklog(k int) int    { return v.pps.Plane(cell.Plane(k)).Backlog() }
 func (v *slotView) PlanePeak(k int) int       { return v.pps.Plane(cell.Plane(k)).PeakQueue() }
 func (v *slotView) InputDepth(i int) int      { return v.pps.InputPending(cell.Port(i)) }
-func (v *slotView) OutputBuffered(j int) int  { return v.pps.Output(cell.Port(j)).Buffered() }
 func (v *slotView) OutputPulls(j int) int64   { return v.pps.OutputPulls(cell.Port(j)) }
 func (v *slotView) DispatchedTo(k int) uint64 { return v.pps.DispatchedTo(cell.Plane(k)) }
 func (v *slotView) PPSInFlight() int          { return v.pps.Backlog() }
@@ -660,7 +659,7 @@ func ppsOnlyOption(o *Options) string {
 // slot — exactly the state the stepped loop would leave behind. Probes read
 // the view once for the whole span, so it is moved onto the span first: both
 // switches are empty from there on.
-func sampleIdleSpan(probes []obs.Probe, view *slotView, from, to cell.Time) {
+func sampleIdleSpan(probes []*obs.Probe, view *slotView, from, to cell.Time) {
 	view.slot = from
 	view.rqd, view.rqdOK = 0, false
 	for _, pb := range probes {

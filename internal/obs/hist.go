@@ -12,9 +12,9 @@ import (
 // integer slot counts.
 const (
 	histSubBits  = 6
-	histSubCount = 1 << histSubBits      // 64 exact unit buckets
-	histHalfSub  = histSubCount / 2      // 32 sub-buckets per octave
-	histMaxValue = (int64(1) << 41) - 1  // magnitudes clamp here (~2.2e12 slots)
+	histSubCount = 1 << histSubBits     // 64 exact unit buckets
+	histHalfSub  = histSubCount / 2     // 32 sub-buckets per octave
+	histMaxValue = (int64(1) << 41) - 1 // magnitudes clamp here (~2.2e12 slots)
 	histBuckets  = histSubCount + (41-histSubBits)*histHalfSub
 )
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -14,7 +15,6 @@ type fakeView struct {
 	backlog  []int
 	peak     []int
 	depth    []int
-	outBuf   []int
 	pulls    []int64
 	dispatch []uint64
 	pps, sh  int
@@ -33,7 +33,6 @@ func (v *fakeView) Planes() int               { return v.k }
 func (v *fakeView) PlaneBacklog(k int) int    { return v.backlog[k] }
 func (v *fakeView) PlanePeak(k int) int       { return v.peak[k] }
 func (v *fakeView) InputDepth(i int) int      { return v.depth[i] }
-func (v *fakeView) OutputBuffered(j int) int  { return v.outBuf[j] }
 func (v *fakeView) OutputPulls(j int) int64   { return v.pulls[j] }
 func (v *fakeView) DispatchedTo(k int) uint64 { return v.dispatch[k] }
 func (v *fakeView) PPSInFlight() int          { return v.pps }
@@ -51,13 +50,12 @@ func newFakeView(n, k int) *fakeView {
 		backlog:  make([]int, k),
 		peak:     make([]int, k),
 		depth:    make([]int, n),
-		outBuf:   make([]int, n),
 		pulls:    make([]int64, n),
 		dispatch: make([]uint64, k),
 	}
 }
 
-func seriesByName(probes []Probe, name string) *Series {
+func seriesByName(probes []*Probe, name string) *Series {
 	for _, s := range CollectSeries(probes) {
 		if s.Name() == name {
 			return s
@@ -117,7 +115,7 @@ func TestPlaneAndInputProbes(t *testing.T) {
 // TestMuxPullProbeDeltas checks the pull probe reports rates (deltas of the
 // cumulative count), including across decimated strides.
 func TestMuxPullProbeDeltas(t *testing.T) {
-	p := NewMuxPullProbe(2, 16)
+	p := newMuxPullProbe(2, 16)
 	v := newFakeView(2, 1)
 	cum := []int64{0, 3, 5, 9, 12}
 	for slot, c := range cum {
@@ -152,7 +150,7 @@ func TestFrontRQDProbeSkipsIdleSlots(t *testing.T) {
 }
 
 func TestDispatchImbalanceProbe(t *testing.T) {
-	p := NewDispatchImbalanceProbe(1, 16)
+	p := newDispatchImbalanceProbe(1, 16)
 	v := newFakeView(1, 4)
 	v.dispatch = []uint64{10, 2, 2, 2} // total 16, ideal 4, max 10
 	p.Sample(v)
@@ -174,16 +172,115 @@ func TestInFlightProbe(t *testing.T) {
 	}
 }
 
-// TestMuxPullProbeIdleSpanMatchesPerSlot is the regression guard for the
-// probe's hybrid idle-span contract: the span replays per-slot until the
-// first recorded point (which flushes the pull window accumulated since the
-// previous sample), then switches to the closed-form zero-rate span. The
-// twin probe is driven per-slot over the identical schedule; the rings must
-// match exactly.
+// TestMuxPullProbeIdleSpanMatchesPerSlot is the span contract: SampleIdleSpan
+// must leave every series exactly as per-slot Sample calls would. The rate
+// series is the delicate one — the span replays per slot until the first
+// recorded point (which flushes the pull window accumulated since the
+// previous sample), then switches to the closed-form zero-rate span — so it
+// is pinned on an absolute schedule first; then every StandardProbes series
+// is held to a per-slot twin across strides.
 func TestMuxPullProbeIdleSpanMatchesPerSlot(t *testing.T) {
+	t.Run("mux_pulls", testMuxPullIdleSpan)
+	for _, stride := range []cell.Time{1, 3, 4} {
+		t.Run(fmt.Sprintf("standard/stride%d", stride), func(t *testing.T) { testStandardIdleSpan(t, stride) })
+	}
+}
+
+// testStandardIdleSpan drives the full standard set through SampleIdleSpan
+// and a twin set through per-slot Sample over the same schedule: active
+// bursts in which every reading moves, idle spans long enough to overwrite
+// the rings several times, a span with no aligned slot, a span opening on a
+// pending forced sample, and the harness's final flush.
+func testStandardIdleSpan(t *testing.T, stride cell.Time) {
+	const n, k, capacity = 3, 2, 8
+	p, twin := StandardProbes(n, k, stride, capacity), StandardProbes(n, k, stride, capacity)
+	v := newFakeView(n, k)
+	slot := cell.Time(0)
+	sampleBoth := func() {
+		for i := range p {
+			p[i].Sample(v)
+			twin[i].Sample(v)
+		}
+	}
+	active := func(slots int) {
+		for ; slots > 0; slots-- {
+			x := int(slot)
+			v.slot = slot
+			for j := range v.backlog {
+				v.backlog[j] = (x + j) % 5
+				v.peak[j] = max(v.peak[j], v.backlog[j])
+				v.dispatch[j] += uint64(x * (j + 1) % 3)
+			}
+			for i := range v.depth {
+				v.depth[i] = (7*x + i) % 4
+				v.pulls[i] += int64((x + i) % 3)
+			}
+			v.pps, v.sh = x%6+1, x%4
+			v.rqd, v.rqdOK = int64(x%7-2), x%3 != 0
+			v.live, v.dropped = k-x%2, v.dropped+uint64(x%2)
+			v.admitted, v.rejected, v.expired = v.admitted+uint64(x%4), v.rejected+uint64(x%2), v.expired+uint64(x%3/2)
+			sampleBoth()
+			slot++
+		}
+	}
+	// idle quiets the view as an idle jump finds it — both switches empty,
+	// no departure, cumulative counters frozen — and covers [slot, slot+length).
+	idle := func(length cell.Time) {
+		clear(v.backlog)
+		clear(v.depth)
+		v.pps, v.sh, v.rqdOK = 0, 0, false
+		v.slot = slot
+		for _, pb := range p {
+			pb.SampleIdleSpan(v, slot, slot+length)
+		}
+		for end := slot + length; slot < end; slot++ {
+			v.slot = slot
+			for _, pb := range twin {
+				pb.Sample(v)
+			}
+		}
+	}
+	force := func() {
+		for _, s := range append(CollectSeries(p), CollectSeries(twin)...) {
+			s.ForceNext()
+		}
+	}
+
+	active(5)
+	idle(3*capacity*stride + 2)
+	active(2)
+	if stride > 1 {
+		for slot%stride == 0 {
+			active(1)
+		}
+		idle(stride - slot%stride) // ends just before the next aligned slot
+		active(1)
+	}
+	force()
+	idle(2*stride + 1)
+	active(3)
+	idle(stride + 1)
+	active(int(stride))
+	v.slot = slot - 1
+	force()
+	sampleBoth()
+
+	got, want := CollectSeries(p), CollectSeries(twin)
+	if got[0].Dropped() == 0 {
+		t.Fatalf("%s kept every point; the schedule must cross the ring capacity", got[0].Name())
+	}
+	for i, s := range got {
+		if !reflect.DeepEqual(s.Points(), want[i].Points()) || s.Dropped() != want[i].Dropped() {
+			t.Errorf("%s: span and per-slot rings diverge (dropped %d vs %d)\nspan: %+v\ntwin: %+v",
+				s.Name(), s.Dropped(), want[i].Dropped(), s.Points(), want[i].Points())
+		}
+	}
+}
+
+func testMuxPullIdleSpan(t *testing.T) {
 	const stride = 4
-	p := NewMuxPullProbe(stride, 16)
-	twin := NewMuxPullProbe(stride, 16)
+	p := newMuxPullProbe(stride, 16)
+	twin := newMuxPullProbe(stride, 16)
 	v := newFakeView(2, 1)
 
 	drive := func(slot cell.Time, cum int64) {

@@ -12,8 +12,9 @@ import (
 // "Observability" section for the probe list and the JSONL trace schema.
 type (
 	// Probe samples the switch once per slot (after the mux phase) into
-	// ring-buffered time series. A custom probe must also synthesize, in
-	// SampleIdleSpan, the samples of the idle slots the event core elides.
+	// ring-buffered time series; StandardProbes builds the full set. Each
+	// probe covers the idle slots the event core elides in closed form, so
+	// its series are the same on every engine.
 	Probe = obs.Probe
 	// Series is one named, ring-buffered time series with stride
 	// decimation.
@@ -51,7 +52,7 @@ type (
 // PPS-vs-shadow in-flight populations, the fault degradation state, and the
 // admission boundary counters. stride decimates sampling (1 = every slot);
 // capacity bounds each series' ring (<= 0 uses the default).
-func StandardProbes(n, k int, stride Time, capacity int) []Probe {
+func StandardProbes(n, k int, stride Time, capacity int) []*Probe {
 	return obs.StandardProbes(n, k, cell.Time(stride), capacity)
 }
 

@@ -90,6 +90,53 @@ func TestNoHandRolledReference(t *testing.T) {
 	}
 }
 
+// TestDocsNameProbeSeries fails when the README's "Per-slot probes" table
+// and StandardProbes name different series, per-plane names normalised to
+// plane_backlog[k]: a series added to the code must reach the table, and
+// one deleted or renamed must leave it.
+func TestDocsNameProbeSeries(t *testing.T) {
+	text, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(string(text), "**Per-slot probes**")
+	if !ok {
+		t.Fatal("README.md has no **Per-slot probes** section")
+	}
+	name := regexp.MustCompile("`([a-z_]+(\\[k\\])?)`")
+	documented := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(after, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		for _, m := range name.FindAllStringSubmatch(strings.Split(line, "|")[1], -1) {
+			documented[m[1]] = true
+		}
+	}
+	index := regexp.MustCompile(`\[\d+\]`)
+	code := map[string]bool{}
+	for _, p := range ppsim.StandardProbes(4, 3, 1, 0) {
+		for _, s := range p.Series() {
+			code[index.ReplaceAllString(s.Name(), "[k]")] = true
+		}
+	}
+	for s := range code {
+		if !documented[s] {
+			t.Errorf("StandardProbes records %s, which README.md's Per-slot probes table does not list", s)
+		}
+	}
+	for s := range documented {
+		if !code[s] {
+			t.Errorf("README.md's Per-slot probes table lists %s, which StandardProbes does not record", s)
+		}
+	}
+}
+
 func TestRunQuickstart(t *testing.T) {
 	cfg := ppsim.Config{
 		N: 8, K: 4, RPrime: 2,
