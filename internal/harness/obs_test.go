@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -277,6 +279,45 @@ func TestFailedRunCountedAndFlushed(t *testing.T) {
 	}
 	if snap.Totals != (obs.TelemetrySnapshot{}.Totals) {
 		t.Errorf("failed run leaked into totals: %+v", snap.Totals)
+	}
+}
+
+// telemetryGoldenJSON is the /telemetry body after two seeded runs share
+// one aggregator: a Bernoulli run whose RQD goes negative, then a flood whose
+// delays pass 1 024 slots, so its histogram columns grow between the run's
+// first and last delta flushes.
+func telemetryGoldenJSON(t *testing.T) []byte {
+	t.Helper()
+	tel := obs.NewTelemetry()
+	cfg := fabric.Config{N: 8, K: 4, RPrime: 2, CheckInvariants: true}
+	for _, src := range []traffic.Source{
+		traffic.NewBernoulli(8, 0.9, 300, 1),
+		&traffic.Flood{N: 8, Out: 0, Until: 700},
+	} {
+		if _, err := Run(cfg, rrFactory, src, Options{Telemetry: tel}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := tel.Snapshot().Delay; d.RQD.Min >= 0 || d.Total.Max < 1024 {
+		t.Fatalf("runs too tame for the golden: rqd min %d, total max %d", d.RQD.Min, d.Total.Max)
+	}
+	var buf bytes.Buffer
+	if err := tel.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTelemetryGolden pins the /telemetry values, not only the schema: the
+// delay quantiles, gauges and totals must stay byte-identical.
+func TestTelemetryGolden(t *testing.T) {
+	const path = "testdata/telemetry.golden.json"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := telemetryGoldenJSON(t); !bytes.Equal(got, want) {
+		t.Errorf("/telemetry diverged from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
 

@@ -61,25 +61,86 @@ func BucketWidth(v int64) int64 {
 	return histWidthAt(histBucket(v))
 }
 
+// histColumnLen is the length of a column that holds bucket idx: the end of
+// idx's octave, counting the unit buckets as the first (64, then +32 per
+// octave). A column's length is thus a pure function of the largest bucket
+// recorded, so histograms that saw the same samples, serially or merged,
+// have equal columns.
+func histColumnLen(idx int) int {
+	if idx < histSubCount {
+		return histSubCount
+	}
+	return idx - (idx-histSubCount)%histHalfSub + histHalfSub
+}
+
+// growColumn extends col to hold bucket idx. Every element of a column past
+// its length is zero, so growth within capacity is a reslice; otherwise the
+// capacity doubles (up to histBuckets).
+func growColumn(col []int64, idx int) []int64 {
+	n := histColumnLen(idx)
+	if n <= cap(col) {
+		return col[:n]
+	}
+	grown := make([]int64, n, min(histBuckets, max(n, 2*cap(col))))
+	copy(grown, col)
+	return grown
+}
+
+// addColumn adds add − sub into col bucket-wise, extending col to add's
+// length. sub is nil or an earlier snapshot of add, so it is no longer.
+func addColumn(col, add, sub []int64) []int64 {
+	if len(add) > len(col) {
+		col = growColumn(col, len(add)-1)
+	}
+	for i, c := range add {
+		col[i] += c
+	}
+	for i, c := range sub {
+		col[i] -= c
+	}
+	return col
+}
+
+// copyColumn makes col an exact copy of src in col's own storage. A nil src
+// gives nil, so a copy is DeepEqual to its source.
+func copyColumn(col, src []int64) []int64 {
+	if src == nil {
+		return nil
+	}
+	if len(src) > len(col) {
+		col = growColumn(col, len(src)-1)
+	} else {
+		clear(col[len(src):])
+		col = col[:len(src)]
+	}
+	copy(col, src)
+	return col
+}
+
 // LogHist is a streaming log-bucketed histogram over signed integer samples
 // (delays measured in slots; relative queuing delay can be negative).
-// Record is O(1), allocation-free after construction, and histograms merge
-// bucket-wise — per-shard histograms combined in shard order reproduce the
-// serial histogram exactly, which is what keeps the stage-parallel engine
-// bit-identical. Exact min/max/sum are tracked beside the buckets, so only
-// interior quantiles carry bucket-width error (none at all for magnitudes
-// below 64). A LogHist is driven from one goroutine.
+// Record is O(1), and histograms merge bucket-wise — per-shard histograms
+// combined in shard order reproduce the serial histogram exactly, which is
+// what keeps the stage-parallel engine bit-identical. Exact min/max/sum are
+// tracked beside the buckets, so only interior quantiles carry bucket-width
+// error (none at all for magnitudes below 64). A LogHist is driven from one
+// goroutine.
+//
+// Each sign's counts live in a column sized to its samples: it grows an
+// octave at a time, only as far as the largest bucket recorded, so a column
+// grows at most 36 times per run and recording is allocation-free once the
+// run's largest delay has been seen. neg stays nil until the first negative
+// sample.
 type LogHist struct {
-	pos [histBuckets]int64 // counts for samples >= 0
-	neg [histBuckets]int64 // counts for samples < 0, bucketed by magnitude
+	pos []int64 // counts for samples >= 0
+	neg []int64 // counts for samples < 0, bucketed by magnitude
 	n   int64
 	sum int64
 	min int64
 	max int64
 }
 
-// NewLogHist returns an empty histogram. All storage is allocated here, so
-// the record path never touches the heap.
+// NewLogHist returns an empty histogram; its columns grow on demand.
 func NewLogHist() *LogHist { return &LogHist{} }
 
 // Record adds one sample.
@@ -101,9 +162,31 @@ func (h *LogHist) RecordN(v int64, n int64) {
 	h.n += n
 	h.sum += v * n
 	if v >= 0 {
-		h.pos[histBucket(v)] += n
+		if i := histBucket(v); uint(i) < uint(len(h.pos)) {
+			h.pos[i] += n
+			return
+		}
+	} else if i := histBucket(-v); uint(i) < uint(len(h.neg)) {
+		h.neg[i] += n
+		return
+	}
+	h.grow(v, n)
+}
+
+// grow is RecordN's out-of-line path: it extends the column v's bucket lies
+// beyond, then counts v there. As a tail call it keeps RecordN's fast path
+// free of spills.
+//
+//go:noinline
+func (h *LogHist) grow(v, n int64) {
+	if v >= 0 {
+		i := histBucket(v)
+		h.pos = growColumn(h.pos, i)
+		h.pos[i] += n
 	} else {
-		h.neg[histBucket(-v)] += n
+		i := histBucket(-v)
+		h.neg = growColumn(h.neg, i)
+		h.neg[i] += n
 	}
 }
 
@@ -160,14 +243,14 @@ func (h *LogHist) Quantile(p float64) int64 {
 	var seen int64
 	// Ascending value order: most negative first (high magnitude buckets of
 	// neg), then non-negative buckets.
-	for i := histBuckets - 1; i >= 0; i-- {
+	for i := len(h.neg) - 1; i >= 0; i-- {
 		seen += h.neg[i]
 		if seen >= rank {
 			return h.clamp(-histLower(i))
 		}
 	}
-	for i := 0; i < histBuckets; i++ {
-		seen += h.pos[i]
+	for i, c := range h.pos {
+		seen += c
 		if seen >= rank {
 			return h.clamp(histLower(i))
 		}
@@ -200,15 +283,14 @@ func (h *LogHist) Merge(o *LogHist) {
 	}
 	h.n += o.n
 	h.sum += o.sum
-	for i := range h.pos {
-		h.pos[i] += o.pos[i]
-		h.neg[i] += o.neg[i]
-	}
+	h.pos = addColumn(h.pos, o.pos, nil)
+	h.neg = addColumn(h.neg, o.neg, nil)
 }
 
 // MergeDelta adds the samples cur has accumulated since prev (prev must be
-// an earlier snapshot of the same histogram). The telemetry flusher uses it
-// to fold a live run's growth into cross-run totals without double counting.
+// an earlier snapshot of the same histogram, so its columns are no longer
+// than cur's). The telemetry flusher uses it to fold a live run's growth
+// into cross-run totals without double counting.
 func (h *LogHist) MergeDelta(cur, prev *LogHist) {
 	dn := cur.n - prev.n
 	if dn <= 0 {
@@ -222,17 +304,24 @@ func (h *LogHist) MergeDelta(cur, prev *LogHist) {
 	}
 	h.n += dn
 	h.sum += cur.sum - prev.sum
-	for i := range h.pos {
-		h.pos[i] += cur.pos[i] - prev.pos[i]
-		h.neg[i] += cur.neg[i] - prev.neg[i]
-	}
+	h.pos = addColumn(h.pos, cur.pos, prev.pos)
+	h.neg = addColumn(h.neg, cur.neg, prev.neg)
 }
 
-// CopyFrom makes h an exact copy of o without allocating.
-func (h *LogHist) CopyFrom(o *LogHist) { *h = *o }
+// CopyFrom makes h an exact copy of o in h's own storage, which grows only
+// when o's columns outgrow it.
+func (h *LogHist) CopyFrom(o *LogHist) {
+	h.pos = copyColumn(h.pos, o.pos)
+	h.neg = copyColumn(h.neg, o.neg)
+	h.n, h.sum, h.min, h.max = o.n, o.sum, o.min, o.max
+}
 
 // Reset empties the histogram without releasing storage.
-func (h *LogHist) Reset() { *h = LogHist{} }
+func (h *LogHist) Reset() {
+	clear(h.pos)
+	clear(h.neg)
+	*h = LogHist{pos: h.pos[:0], neg: h.neg[:0]}
+}
 
 // Summary freezes the headline quantiles.
 func (h *LogHist) Summary() Quantiles {
@@ -270,31 +359,40 @@ func (q Quantiles) String() string {
 // delay (demultiplexor wait, plane queuing, resequencing wait), the total
 // end-to-end PPS delay, and the inter-departure gap per output (jitter).
 type DelaySet struct {
-	RQD   *LogHist
-	Demux *LogHist
-	Plane *LogHist
-	Reseq *LogHist
-	Total *LogHist
-	Gap   *LogHist
+	RQD   LogHist
+	Demux LogHist
+	Plane LogHist
+	Reseq LogHist
+	Total LogHist
+	Gap   LogHist
 }
 
-// NewDelaySet allocates all six histograms.
+// delaySlabShare is each DelaySet histogram's share of the slab NewDelaySet
+// carves its pos columns from: the unit buckets plus four octaves
+// (magnitudes below 1 024), where a sweep point's delays almost always stay.
+const delaySlabShare = histSubCount + 4*histHalfSub
+
+// NewDelaySet returns the six histograms in one object, their pos columns
+// carved from one slab. Each column starts empty with its share as capacity;
+// the full slice expression keeps neighbours apart, so a column that outgrows
+// its share moves to its own allocation.
 func NewDelaySet() *DelaySet {
-	return &DelaySet{
-		RQD:   NewLogHist(),
-		Demux: NewLogHist(),
-		Plane: NewLogHist(),
-		Reseq: NewLogHist(),
-		Total: NewLogHist(),
-		Gap:   NewLogHist(),
+	d := new(DelaySet)
+	hs := d.hists()
+	slab := make([]int64, len(hs)*delaySlabShare)
+	for i, h := range hs {
+		lo, hi := i*delaySlabShare, (i+1)*delaySlabShare
+		h.pos = slab[lo:lo:hi]
 	}
+	return d
 }
 
 func (d *DelaySet) hists() [6]*LogHist {
-	return [6]*LogHist{d.RQD, d.Demux, d.Plane, d.Reseq, d.Total, d.Gap}
+	return [6]*LogHist{&d.RQD, &d.Demux, &d.Plane, &d.Reseq, &d.Total, &d.Gap}
 }
 
-// CopyFrom snapshots src into d without allocating.
+// CopyFrom snapshots src into d, allocating only when src's columns outgrow
+// d's.
 func (d *DelaySet) CopyFrom(src *DelaySet) {
 	dh, sh := d.hists(), src.hists()
 	for i := range dh {
