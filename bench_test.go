@@ -11,7 +11,7 @@ import (
 // One benchmark per regenerated table/figure (DESIGN.md §4). Each runs the
 // experiment in quick mode and reports the headline measured value where
 // one exists, so `go test -bench` regenerates the paper's shapes end to
-// end. The full-scale tables live in EXPERIMENTS.md (cmd/ppsexp).
+// end. The full-scale tables live in EXPERIMENTS.md (ppsim exp).
 
 func benchExperiment(b *testing.B, id string) {
 	e, ok := experiments.Get(id)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -50,9 +51,8 @@ func TestRenderLineCounts(t *testing.T) {
 func TestSeriesSteeringDivergence(t *testing.T) {
 	var sb strings.Builder
 	err := runSeries(&sb, seriesConfig{
-		N: 16, K: 4, RPrime: 2,
-		Alg: "rr", Kind: "steering", Seed: 1,
-		Slots: 2000, Stride: 1, Format: "csv",
+		switchFlags: switchFlags{n: 16, k: 4, rprime: 2, alg: "rr", kind: "steering", seed: 1, slots: 2000},
+		Stride:      1, Format: "csv",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,22 +94,18 @@ func TestSeriesSteeringDivergence(t *testing.T) {
 	}
 }
 
-// TestSeriesGolden holds the package comment's series run
-// (-series -n 16 -k 4 -rprime 2 -alg rr -traffic steering, every other flag
-// at its default) to the CSV checked into testdata, byte for byte.
+// TestSeriesGolden holds the documented series run
+// (diag -series -n 16 -k 4 -rprime 2 -alg rr -traffic steering, every other
+// flag at its default) to the CSV checked into testdata, byte for byte.
 func TestSeriesGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/series-rr-steering.golden.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got strings.Builder
-	err = runSeries(&got, seriesConfig{
-		N: 16, K: 4, RPrime: 2,
-		Alg: "rr", Kind: "steering", Load: 0.6, Seed: 1,
-		Slots: 2000, Stride: 1, Format: "csv",
-	})
-	if err != nil {
-		t.Fatal(err)
+	var got, stderr strings.Builder
+	args := []string{"diag", "-series", "-n", "16", "-k", "4", "-rprime", "2", "-alg", "rr", "-traffic", "steering"}
+	if code := run(args, &got, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	if got.String() != string(want) {
 		t.Errorf("series CSV differs from testdata (%d vs %d bytes)", got.Len(), len(want))
@@ -120,9 +116,8 @@ func TestSeriesGolden(t *testing.T) {
 func TestSeriesJSONFormat(t *testing.T) {
 	var sb strings.Builder
 	err := runSeries(&sb, seriesConfig{
-		N: 4, K: 2, RPrime: 1,
-		Alg: "rr", Kind: "bernoulli", Load: 0.5, Seed: 1,
-		Slots: 50, Stride: 5, Format: "json",
+		switchFlags: switchFlags{n: 4, k: 2, rprime: 1, alg: "rr", kind: "bernoulli", load: 0.5, seed: 1, slots: 50},
+		Stride:      5, Format: "json",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,21 +128,25 @@ func TestSeriesJSONFormat(t *testing.T) {
 }
 
 // TestValidateSeriesFlags pins the parse-time rejection of knobs the series
-// layer would silently coerce.
+// layer would silently coerce: each is a usage error, exit 2.
 func TestValidateSeriesFlags(t *testing.T) {
 	for _, tc := range []struct {
-		stride, cap int64
-		ok          bool
+		stride, cap string
+		code        int
 	}{
-		{1, 0, true},
-		{7, 4096, true},
-		{0, 0, false},
-		{-3, 0, false},
-		{1, -1, false},
+		{"1", "0", 0},
+		{"7", "4096", 0},
+		{"0", "0", 2},
+		{"-3", "0", 2},
+		{"1", "-1", 2},
 	} {
-		err := validateSeriesFlags(tc.stride, tc.cap)
-		if (err == nil) != tc.ok {
-			t.Errorf("validateSeriesFlags(%d, %d) = %v, want ok=%v", tc.stride, tc.cap, err, tc.ok)
+		var stderr strings.Builder
+		code := run([]string{"diag", "-stride", tc.stride, "-cap", tc.cap}, io.Discard, &stderr)
+		if code != tc.code {
+			t.Errorf("diag -stride %s -cap %s exited %d, want %d: %s", tc.stride, tc.cap, code, tc.code, stderr.String())
+		}
+		if code == 2 && !strings.Contains(stderr.String(), "Usage of ppsim diag:") {
+			t.Errorf("diag -stride %s -cap %s: no usage on stderr", tc.stride, tc.cap)
 		}
 	}
 }
@@ -156,9 +155,8 @@ func TestValidateSeriesFlags(t *testing.T) {
 func TestSeriesCapBoundsOutput(t *testing.T) {
 	var sb strings.Builder
 	err := runSeries(&sb, seriesConfig{
-		N: 4, K: 2, RPrime: 1,
-		Alg: "rr", Kind: "bernoulli", Load: 0.5, Seed: 1,
-		Slots: 500, Stride: 1, Cap: 16, Format: "csv",
+		switchFlags: switchFlags{n: 4, k: 2, rprime: 1, alg: "rr", kind: "bernoulli", load: 0.5, seed: 1, slots: 500},
+		Stride:      1, Cap: 16, Format: "csv",
 	})
 	if err != nil {
 		t.Fatal(err)

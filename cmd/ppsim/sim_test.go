@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"strings"
 	"testing"
 
 	"ppsim"
@@ -8,8 +10,9 @@ import (
 
 func TestBuildTrafficKinds(t *testing.T) {
 	cfg := ppsim.Config{N: 8, K: 4, RPrime: 2, Algorithm: ppsim.Algorithm{Name: "rr"}}
-	for _, kind := range []string{"bernoulli", "hotspot", "onoff", "permutation", "flood", "steering", "concentration", "herding"} {
-		src, err := buildTraffic(cfg, kind, 0.5, 1, 500)
+	for _, kind := range strings.Split(trafficKinds, ", ") {
+		s := switchFlags{kind: kind, load: 0.5, seed: 1, slots: 500}
+		src, err := s.source(cfg)
 		if err != nil {
 			t.Errorf("%s: %v", kind, err)
 			continue
@@ -18,14 +21,19 @@ func TestBuildTrafficKinds(t *testing.T) {
 			t.Errorf("%s: nil source", kind)
 		}
 	}
-	if _, err := buildTraffic(cfg, "bogus", 0.5, 1, 100); err == nil {
+	if _, err := (&switchFlags{kind: "bogus"}).source(cfg); err == nil {
 		t.Error("unknown kind must error")
+	}
+	// A one-plane switch has no plane 1: the adversary steers plane 0.
+	one := ppsim.Config{N: 4, K: 1, RPrime: 1, Algorithm: ppsim.Algorithm{Name: "rr"}}
+	if _, err := (&switchFlags{kind: "steering", seed: 1}).source(one); err != nil {
+		t.Errorf("steering on K=1: %v", err)
 	}
 }
 
 func TestBuildTrafficRunsEndToEnd(t *testing.T) {
 	cfg := ppsim.Config{N: 8, K: 4, RPrime: 2, Algorithm: ppsim.Algorithm{Name: "rr"}}
-	src, err := buildTraffic(cfg, "steering", 0.5, 1, 500)
+	src, err := (&switchFlags{kind: "steering", load: 0.5, seed: 1, slots: 500}).source(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +48,7 @@ func TestBuildTrafficRunsEndToEnd(t *testing.T) {
 
 // TestValidateStride pins the parse-time rejection of coercible strides:
 // the series layer silently treats stride < 1 as 1, so the CLI must refuse
-// them before a run starts.
+// them before a run starts, with a usage error.
 func TestValidateStride(t *testing.T) {
 	for _, bad := range []int64{0, -1, -64} {
 		if err := validateStride(bad); err == nil {
@@ -51,5 +59,12 @@ func TestValidateStride(t *testing.T) {
 		if err := validateStride(good); err != nil {
 			t.Errorf("stride %d rejected: %v", good, err)
 		}
+	}
+	var stderr strings.Builder
+	if code := run([]string{"sim", "-stride", "0"}, io.Discard, &stderr); code != 2 {
+		t.Errorf("sim -stride 0 exited %d, want 2", code)
+	}
+	if want := "ppsim sim: -stride must be >= 1, got 0\nUsage of ppsim sim:\n"; !strings.HasPrefix(stderr.String(), want) {
+		t.Errorf("sim -stride 0 stderr starts %.80q, want %q", stderr.String(), want)
 	}
 }

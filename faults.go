@@ -7,7 +7,7 @@ import "ppsim/internal/faults"
 // reason every demultiplexor must reach every plane). Attach a schedule via
 // Options.Faults; pick what a dispatch into a dead plane means via
 // Options.FaultPolicy. See the faults package for the schedule builder and
-// the spec grammar of ppssim -faults.
+// the spec grammar of ppsim sim -faults.
 type (
 	// FaultSchedule is a declarative fail/recover plan (plus optional
 	// per-plane cell loss). Build with NewFaultSchedule or ParseFaultSpec;

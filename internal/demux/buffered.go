@@ -5,7 +5,6 @@ import (
 
 	"ppsim/internal/cell"
 	"ppsim/internal/queue"
-	"ppsim/internal/shadow"
 )
 
 // BufferedCPA is the input-buffered u-RT algorithm of Theorem 12: with
@@ -22,78 +21,55 @@ import (
 // slot plus u, hence the u-slot relative delay ceiling.
 type BufferedCPA struct {
 	sendScratch
-	env    Env
-	u      cell.Time
-	tie    TieBreak
-	oracle *shadow.Oracle
-	// linkNext per (k, j), as in CPA, but reservations start at the
-	// dispatch slot t (not the arrival slot).
-	linkNext []cell.Time
-	bufs     []queue.FIFO[cell.Cell]
-	misses   uint64
+	// cpa is the simulated centralized algorithm. Its reservations start at
+	// the dispatch slot t (not the arrival slot), and its oracle assigns the
+	// shadow departures at the arrival slots.
+	cpa  *CPA
+	u    cell.Time
+	bufs []queue.FIFO[cell.Cell]
 }
 
 // NewBufferedCPA returns the algorithm with lag (= buffer size) u >= 0.
-// u = 0 degenerates to the centralized CPA.
+// u = 0 degenerates to the centralized CPA. Only the MinAvail tie-break is
+// implemented: the Theorem 12 construction replays one deterministic rule.
 func NewBufferedCPA(env Env, u cell.Time, tie TieBreak) (*BufferedCPA, error) {
 	if u < 0 {
 		return nil, fmt.Errorf("demux: buffered-cpa lag must be >= 0, got %d", u)
 	}
-	n, k := env.Ports(), env.Planes()
-	return &BufferedCPA{
-		env:      env,
-		u:        u,
-		tie:      tie,
-		oracle:   shadow.NewOracle(n),
-		linkNext: make([]cell.Time, n*k),
-		bufs:     make([]queue.FIFO[cell.Cell], n),
-	}, nil
+	if tie != MinAvail {
+		return nil, fmt.Errorf("demux: buffered-cpa supports only the MinAvail tie-break, got %d", tie)
+	}
+	cpa, err := NewCPA(env, tie)
+	if err != nil {
+		return nil, err
+	}
+	return &BufferedCPA{cpa: cpa, u: u, bufs: make([]queue.FIFO[cell.Cell], env.Ports())}, nil
 }
 
 // Name implements Algorithm.
 func (a *BufferedCPA) Name() string { return fmt.Sprintf("buffered-cpa-u%d", a.u) }
 
 // Misses reports cells with no deadline-feasible plane.
-func (a *BufferedCPA) Misses() uint64 { return a.misses }
+func (a *BufferedCPA) Misses() uint64 { return a.cpa.misses }
 
 // Slot implements Algorithm.
 func (a *BufferedCPA) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	for _, c := range arrivals {
 		a.bufs[c.Flow.In].Push(c)
 	}
-	n, k := a.env.Ports(), a.env.Planes()
 	sends := a.take()
 	// Release, from every input buffer, the cells that have aged u slots.
 	// Input order equals sequence order for same-slot arrivals, so oracle
 	// deadlines are assigned in the shadow switch's FCFS order.
-	for i := 0; i < n; i++ {
+	for i := range a.bufs {
 		for !a.bufs[i].Empty() && t-a.bufs[i].Peek().Arrive >= a.u {
 			c := a.bufs[i].Pop()
-			deadline := a.oracle.Departure(c.Arrive, c.Flow.Out) + a.u
-			bestP := cell.NoPlane
-			var bestReserve cell.Time
-			free := a.env.FreeGateMask(cell.Port(i), t)
-			for kk := 0; kk < k; kk++ {
-				p := cell.Plane(kk)
-				if free&(1<<uint(kk)) == 0 {
-					continue
-				}
-				reserve := a.linkNext[kk*n+int(c.Flow.Out)]
-				if t > reserve {
-					reserve = t
-				}
-				if bestP == cell.NoPlane || reserve < bestReserve {
-					bestP, bestReserve = p, reserve
-				}
-			}
-			if bestP == cell.NoPlane {
+			deadline := a.cpa.oracle.Departure(c.Arrive, c.Flow.Out) + a.u
+			p := a.cpa.place(t, c.Flow.In, c.Flow.Out, deadline)
+			if p == cell.NoPlane {
 				return nil, fmt.Errorf("demux: buffered-cpa input %d has no free gate at slot %d", i, t)
 			}
-			if bestReserve > deadline {
-				a.misses++
-			}
-			a.linkNext[int(bestP)*n+int(c.Flow.Out)] = bestReserve + cell.Time(a.env.RPrime())
-			sends = append(sends, Send{Cell: c, Plane: bestP})
+			sends = append(sends, Send{Cell: c, Plane: p})
 			if a.u > 0 {
 				break // at most one release per input per slot keeps rate R
 			}

@@ -189,6 +189,17 @@ func TestBufferedCPAZeroLagIsImmediate(t *testing.T) {
 	}
 }
 
+// TestBufferedCPARejectsUnimplementedTie pins that a tie-break the
+// simulation does not implement is an error, not a silent MinAvail run.
+func TestBufferedCPARejectsUnimplementedTie(t *testing.T) {
+	e := newFakeEnv(2, 4, 2)
+	for _, tie := range []TieBreak{RotateTie, 7} {
+		if _, err := NewBufferedCPA(e, 2, tie); err == nil {
+			t.Errorf("tie-break %d must be rejected", tie)
+		}
+	}
+}
+
 func TestBufferedCPABufferBoundedByU(t *testing.T) {
 	const u = 4
 	e := newFakeEnv(1, 4, 2)

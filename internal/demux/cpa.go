@@ -75,18 +75,28 @@ func (a *CPA) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	}
 	sends := a.take()
 	for _, c := range arrivals {
-		deadline := a.oracle.Departure(t, c.Flow.Out)
-		p, reserve, feasible := a.choose(t, c.Flow.In, c.Flow.Out, deadline)
+		p := a.place(t, c.Flow.In, c.Flow.Out, a.oracle.Departure(t, c.Flow.Out))
 		if p == cell.NoPlane {
 			return nil, fmt.Errorf("demux: cpa input %d has no free gate at slot %d", c.Flow.In, t)
 		}
-		if !feasible {
-			a.misses++
-		}
-		a.linkNext[int(p)*a.env.Ports()+int(c.Flow.Out)] = reserve + cell.Time(a.env.RPrime())
 		sends = append(sends, Send{Cell: c, Plane: p})
 	}
 	return a.keep(sends), nil
+}
+
+// place chooses a plane for a cell from in to out due by deadline, reserves
+// the plane's line to out and counts a miss if the reservation is late. It
+// returns cell.NoPlane, reserving nothing, when every gate of in is busy.
+func (a *CPA) place(t cell.Time, in, out cell.Port, deadline cell.Time) cell.Plane {
+	p, reserve, feasible := a.choose(t, in, out, deadline)
+	if p == cell.NoPlane {
+		return p
+	}
+	if !feasible {
+		a.misses++
+	}
+	a.linkNext[int(p)*a.env.Ports()+int(out)] = reserve + cell.Time(a.env.RPrime())
+	return p
 }
 
 // choose returns the selected plane, its reservation slot, and whether the

@@ -8,6 +8,7 @@ import (
 	"ppsim/internal/fabric"
 	"ppsim/internal/harness"
 	"ppsim/internal/netcalc"
+	"ppsim/internal/obs"
 	"ppsim/internal/pipeline"
 	"ppsim/internal/traffic"
 )
@@ -112,39 +113,39 @@ func e24Failure(o Opts) (*Table, error) {
 	if o.Quick {
 		horizon = 60
 	}
+	cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
 	for _, a := range algs {
-		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
 		// The fabric halts an execution at the first dispatch into a dead
 		// plane (the model forbids drops), so probe each input on its own
 		// fresh switch: feed it a steady flow and see whether it ever
-		// routes into plane 0.
-		affected := map[cell.Port]bool{}
+		// routes into plane 0. That violation is the run's last event, so a
+		// one-event ring keeps it.
+		exposed := 0
 		firstFail := cell.Time(-1)
 		for i := 0; i < n; i++ {
-			p2, err := fabric.New(cfg, a.mk)
-			if err != nil {
+			src := traffic.NewTrace()
+			for slot := cell.Time(0); slot < horizon; slot++ {
+				src.MustAdd(slot, cell.Port(i), cell.Port(int(slot)%n))
+			}
+			ring := obs.NewRingSink(1)
+			_, err := harness.Run(cfg, a.mk, src, harness.Options{FailPlanes: []cell.Plane{0}, Tracer: obs.NewTracer(ring)})
+			if err == nil {
+				continue
+			}
+			last := ring.Events()
+			if len(last) == 0 || last[0].Kind != obs.EvViolation {
 				return nil, err
 			}
-			p2.Plane(0).Fail()
-			st := cell.NewStamper()
-			var deps []cell.Cell
-			for slot := cell.Time(0); slot < horizon; slot++ {
-				c := st.Stamp(cell.Flow{In: cell.Port(i), Out: cell.Port(int(slot) % n)}, slot)
-				deps, err = p2.Step(slot, []cell.Cell{c}, deps[:0])
-				if err != nil {
-					affected[cell.Port(i)] = true
-					if firstFail < 0 || slot < firstFail {
-						firstFail = slot
-					}
-					break
-				}
+			exposed++
+			if firstFail < 0 || last[0].T < firstFail {
+				firstFail = last[0].T
 			}
 		}
 		ff := "-"
 		if firstFail >= 0 {
 			ff = itoa(firstFail)
 		}
-		t.AddRow(a.name, itoa(len(affected)), itoa(n-len(affected)), ff)
+		t.AddRow(a.name, itoa(exposed), itoa(n-exposed), ff)
 	}
 	return t, nil
 }

@@ -2,7 +2,7 @@
 // the paper: every theorem's bound is exercised by a concrete workload and
 // reported next to the measured value. EXPERIMENTS.md at the repository
 // root records one run of the full suite; `go test -bench` at the root and
-// cmd/ppsexp re-run it.
+// ppsim exp re-run it.
 //
 // Because the paper is an extended abstract of lower bounds, its "tables
 // and figures" are the theorems themselves plus the two figures (the
@@ -24,7 +24,7 @@ import (
 // Opts tunes an experiment run.
 type Opts struct {
 	// Quick shrinks sweeps for use in unit tests and benchmarks; the full
-	// suite (cmd/ppsexp, EXPERIMENTS.md) runs with Quick=false.
+	// suite (ppsim exp, EXPERIMENTS.md) runs with Quick=false.
 	Quick bool
 	// Admission optionally overrides the token-bucket spec the admission
 	// experiment (E28) compares against always-admit; nil/empty keeps E28's

@@ -39,8 +39,8 @@ func interleaveTrace(t *testing.T, n int) *traffic.Trace {
 // TestStepInterleaveEquivalence is the property behind the event core's
 // correctness argument: ANY interleaving of Step and EventStep produces the
 // same departures, drops and backlog trajectory as a pure-Step twin
-// (EventStep is legal on every slot in serial untraced mode with an
-// idle-invariant algorithm). A seeded random walk over the two — fabrics fed
+// (EventStep is legal on every slot in serial mode with an idle-invariant
+// algorithm). A seeded random walk over the two — fabrics fed
 // identical stamped cells — must stay slot-for-slot identical, including
 // across the mid-drain plane failure.
 func TestStepInterleaveEquivalence(t *testing.T) {

@@ -828,10 +828,12 @@ func (p *PPS) outputBusy(j cell.Port) bool {
 // arrival inputs), the multiplexing stage sweeps only the busy-output
 // working set, and the conservation audit is the O(1) counter identity
 // instead of the structural walk. It is bit-identical to Step under the
-// engine-selection preconditions (an unarmed log, serial mode, no tracer):
-// eliding the Slot call of an algorithm that does not read the log on a
-// slot with no arrivals and no pending cells is a no-op by the
-// demux.Algorithm contract, and so is every skipped stage. The sparse audit
+// engine-selection preconditions (an unarmed log, serial mode): eliding the
+// Slot call of an algorithm that does not read the log on a slot with no
+// arrivals and no pending cells is a no-op by the demux.Algorithm contract,
+// and so is every skipped stage. An attached tracer sees the same event
+// stream as under Step: busy outputs are swept in ascending order, as Step
+// sweeps them, and a skipped stage has no cell to trace. The sparse audit
 // detects every buffer-capacity violation (an offender necessarily has
 // pending cells, so it is in the working set) but can miss a cheating
 // algorithm misreporting Buffered for an input the fabric believes empty —

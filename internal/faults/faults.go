@@ -290,7 +290,7 @@ func (s *Schedule) String() string {
 }
 
 // ParseSpec parses the comma-separated fault spec grammar used by the
-// ppssim -faults flag:
+// ppsim sim -faults flag:
 //
 //	fail:P@T       plane P fails at the start of slot T
 //	recover:P@T    plane P returns to service at the start of slot T

@@ -299,9 +299,9 @@ func BenchmarkHarnessSteadyStateSlot(b *testing.B) {
 // hot path stays close to the uninstrumented baseline. The design target
 // is ~5%; the assertion allows 25% because CI timing noise on a ~10ms
 // workload easily exceeds the real gap — the benchmarks above report the
-// precise ratio. Min-of-rounds filters scheduler interference. A tracer
-// forces the stepped core, so both sides pin it: the ratio then prices the
-// tracer alone, not the tracer plus the difference between the two cores.
+// precise ratio. Min-of-rounds filters scheduler interference. Both sides
+// pin the stepped core, so the ratio prices the tracer alone, not the
+// tracer plus the difference between the two cores.
 func TestIdleInstrumentationOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive guard skipped in -short mode")

@@ -14,7 +14,7 @@ type Engine int
 
 const (
 	// EngineAuto runs the event-driven core when the run qualifies (serial,
-	// untraced, a source read ahead in spans, no reader of the global log)
+	// a source read ahead in spans, no reader of the global log)
 	// and the stepped core otherwise.
 	EngineAuto Engine = iota
 	// EngineStepped forces the naive slot-by-slot core: every slot executes
@@ -57,7 +57,7 @@ func ParseEngine(s string) (Engine, error) {
 // human-readable reason, surfaced as Result.EngineReason.
 //
 // Eliding idle slots needs a PPS under test (pps nil is a baseline, which
-// only steps), an untraced run, a source the feed reads ahead in spans (a
+// only steps), a source the feed reads ahead in spans (a
 // traffic.BatchSource — a per-slot source is only ever called at its slot, so
 // nobody can say when its next arrival is due) and no u-RT reader of the
 // global event log (fabric.PPS.IdleInvariant); the event core additionally
@@ -71,8 +71,6 @@ func selectEngine(pps *fabric.PPS, feed *traffic.SpanFeed, opts Options) (Engine
 	switch {
 	case pps == nil:
 		return EngineStepped, "switch under test is not a PPS"
-	case opts.Tracer != nil:
-		return EngineStepped, "tracer attached: the event stream is inherently per-slot"
 	case !feed.Batched():
 		return EngineStepped, "source does not implement traffic.BatchSource"
 	case !pps.IdleInvariant():

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ppsim/internal/cell"
@@ -225,15 +226,70 @@ func TestIdleJumpAllocFree(t *testing.T) {
 	}
 }
 
+// TestTracedEventMatchesStepped holds a traced run on the event core to the
+// stepped oracle: every trace event belongs to a cell, so an elided idle
+// span emits nothing, and the two cores must produce DeepEqual Results and
+// DeepEqual event streams. It covers every algorithm that does not read the
+// global log, fault-free and under a mid-run outage with DropCount.
+func TestTracedEventMatchesStepped(t *testing.T) {
+	const n = 32
+	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1, CheckInvariants: true}
+	var elided cell.Time
+	for _, alg := range matrixAlgs {
+		if strings.HasPrefix(alg.name, "stale-cpa") {
+			continue // u-RT: reads the global log, so it runs stepped
+		}
+		for _, outage := range []bool{false, true} {
+			run := func(eng Engine) (Result, []obs.Event) {
+				ring := obs.NewRingSink(1 << 15)
+				opts := Options{Validate: true, Engine: eng, Tracer: obs.NewTracer(ring),
+					OnFastForward: func(from, to cell.Time) { elided += to - from }}
+				if outage {
+					opts.Faults, opts.FaultPolicy = faults.NewSchedule().Outage(1, 100, 160), faults.DropCount
+				}
+				src, err := traffic.NewOnOff(n, 4, 160, 600, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Run(cfg, alg.mk, src, opts)
+				if err != nil {
+					t.Fatalf("%s outage=%v engine=%v: %v", alg.name, outage, eng, err)
+				}
+				if ring.Dropped() > 0 {
+					t.Fatalf("%s: ring overflowed by %d events", alg.name, ring.Dropped())
+				}
+				return res, ring.Events()
+			}
+			stepped, steppedEvents := run(EngineStepped)
+			event, eventEvents := run(EngineEvent)
+			if event.Engine != "event" {
+				t.Errorf("%s outage=%v: traced run took the %s core (%q)", alg.name, outage, event.Engine, event.EngineReason)
+			}
+			if !reflect.DeepEqual(stripEngine(stepped), stripEngine(event)) {
+				t.Errorf("%s outage=%v: traced event result diverges from stepped\nstepped: %+v\nevent:   %+v", alg.name, outage, stepped, event)
+			}
+			if len(steppedEvents) == 0 || !reflect.DeepEqual(steppedEvents, eventEvents) {
+				t.Errorf("%s outage=%v: event streams differ (%d stepped, %d event events)", alg.name, outage, len(steppedEvents), len(eventEvents))
+			}
+			if outage && stepped.Drops == 0 {
+				t.Errorf("%s: the outage dropped nothing; schedule not exercised", alg.name)
+			}
+		}
+	}
+	if elided == 0 {
+		t.Error("no idle span was elided; the traffic never quiesced")
+	}
+}
+
 // opaqueSource hides the wrapped source's BatchSource capability: only the
 // embedded interface's methods promote.
 type opaqueSource struct{ traffic.Source }
 
 // TestSelectEngine is the whole engine-resolution table: every request
 // against every disqualifier. Stepped is always honored silently; auto and
-// event resolve to the event core only for a serial, untraced run over a
-// source read ahead in spans and an unarmed global log, and otherwise run
-// stepped with the single reason that disqualified them.
+// event resolve to the event core only for a serial run over a source read
+// ahead in spans and an unarmed global log, and otherwise run stepped with
+// the single reason that disqualified them. A tracer disqualifies nothing.
 func TestSelectEngine(t *testing.T) {
 	const n = 8
 	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1}
@@ -251,8 +307,7 @@ func TestSelectEngine(t *testing.T) {
 		reason  string // "" = eligible for the event core
 	}{
 		{name: "eligible", mk: rrFactory, src: batch},
-		{name: "tracer", mk: rrFactory, src: batch, opts: Options{Tracer: obs.NewTracer(obs.NewRingSink(8))},
-			reason: "tracer attached: the event stream is inherently per-slot"},
+		{name: "tracer", mk: rrFactory, src: batch, opts: Options{Tracer: obs.NewTracer(obs.NewRingSink(8))}},
 		{name: "per-slot-source", mk: rrFactory, src: opaqueSource{batch},
 			reason: "source does not implement traffic.BatchSource"},
 		{name: "stale-family", mk: stale, src: batch, reason: "algorithm stale-cpa-u4" + urt},

@@ -69,11 +69,12 @@ type Options struct {
 	Probes []*obs.Probe
 	// Tracer, if non-nil, receives the structured event stream (arrival,
 	// dispatch, plane-enqueue, mux-pull, depart, constraint-violation)
-	// from the fabric.
+	// from the fabric. Every event belongs to a cell, so an idle span the
+	// event core elides emits nothing, and both cores emit the same stream.
 	Tracer *obs.Tracer
 	// Telemetry, if non-nil, receives live run state: per-slot gauges every
 	// slot (atomic stores, allocation-free) and the delay-attribution
-	// histograms at a coarse flush cadence, so external observers (ppsexp's
+	// histograms at a coarse flush cadence, so external observers (ppsim exp's
 	// /telemetry endpoint) can snapshot a run mid-flight; a successful run
 	// adds its end-of-run totals, a failed one is counted. When nil, the
 	// process-global aggregator (obs.SetGlobalTelemetry) is used if one is
@@ -136,9 +137,9 @@ type Result struct {
 	Engine string
 	// EngineReason is empty when the requested engine (or, under
 	// EngineAuto, the event core) ran, and otherwise explains the
-	// degradation — e.g. a tracer or a worker pool pinning the run to the
-	// stepped core, or a u-RT algorithm whose view of the global log
-	// advances every slot. CLIs surface it so users expecting elision learn
+	// degradation — e.g. a worker pool pinning the run to the stepped
+	// core, or a u-RT algorithm whose view of the global log advances every
+	// slot. CLIs surface it so users expecting elision learn
 	// they ran stepped.
 	EngineReason string
 	// Workers records the effective stage-parallel worker count the fabric
@@ -397,8 +398,8 @@ func (d *driver) sampleSlot(t cell.Time) {
 
 // run is the slot loop, shared by both cores. The stepped core (event false)
 // executes every slot through the switch's Step — the naive oracle, and the
-// only core that runs baselines and traced, stage-parallel, per-slot-source
-// or stale-information configurations. The event core (event true) differs
+// only core that runs baselines and stage-parallel, per-slot-source or
+// stale-information configurations. The event core (event true) differs
 // in two places: slots execute through fabric.EventStep, which only touches
 // the pending inputs and busy outputs, and when both switches are fully
 // quiet the clock jumps in one step to the next event — the source's next
@@ -407,8 +408,7 @@ func (d *driver) sampleSlot(t cell.Time) {
 // is then O(events), not O(slots), and results are bit-identical to stepping
 // (DESIGN.md §10).
 // selectEngine guarantees the event core's preconditions: a PPS under test,
-// serial run, no tracer, a source read ahead in spans, no reader of the
-// global log. run returns where the loop stopped: the first slot at or past
+// serial run, a source read ahead in spans, no reader of the global log. run returns where the loop stopped: the first slot at or past
 // the horizon with both switches drained, or MaxSlots.
 func (d *driver) run(event bool) (cell.Time, error) {
 	sw, pps, opts, end := d.sw, d.pps, d.opts, d.end

@@ -552,7 +552,7 @@ func (r *Recorder) Report() Report {
 
 // PercentileTable renders the delay-attribution percentile block as an
 // aligned table, one row per component — the format behind the -percentiles
-// flag of ppssim/ppsdiag and the congestion example.
+// flag of ppsim sim and ppsim diag, and the congestion example.
 func (rep Report) PercentileTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %10s %10s %8s %8s %8s %8s %8s\n",

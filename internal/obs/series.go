@@ -205,7 +205,7 @@ func (s *Series) Max() (Point, bool) {
 }
 
 // WriteSeriesCSV streams the series in long format — header
-// "series,slot,value", one row per point — the format ppsdiag and ppssim
+// "series,slot,value", one row per point — the format ppsim diag and ppsim sim
 // emit for plotting.
 func WriteSeriesCSV(w io.Writer, series []*Series) error {
 	bw := bufio.NewWriter(w)

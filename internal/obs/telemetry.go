@@ -8,7 +8,7 @@ import (
 )
 
 // Telemetry is the one cross-run aggregate, served to external observers by
-// ppsexp's /telemetry endpoint. The harness ticks the per-slot gauges with
+// ppsim exp's /telemetry endpoint. The harness ticks the per-slot gauges with
 // atomic stores — the steady-state slot path stays lock- and allocation-free
 // — and, under a mutex, folds its delay histograms into the cross-run set at
 // a coarse flush cadence (every telemetry flush stride slots and at run end)
@@ -123,7 +123,7 @@ func (t *Telemetry) ObserveDelays(cur, prev *DelaySet) {
 	prev.CopyFrom(cur)
 }
 
-// TelemetrySnapshot is the frozen live state served as JSON by ppsexp's
+// TelemetrySnapshot is the frozen live state served as JSON by ppsim exp's
 // /telemetry endpoint. Field order is the stable wire schema.
 type TelemetrySnapshot struct {
 	// RunsStarted / RunsFinished count harness runs observed; Active is
@@ -188,7 +188,7 @@ func (t *Telemetry) WriteJSON(w io.Writer) error {
 
 // globalTelemetry is the process-wide default aggregator, following the
 // expvar/pprof precedent: commands whose inner layers cannot thread an
-// Options value (ppsexp's experiment suite) register one here, and the
+// Options value (ppsim exp's experiment suite) register one here, and the
 // harness falls back to it when Options.Telemetry is nil.
 var globalTelemetry atomic.Pointer[Telemetry]
 

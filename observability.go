@@ -35,7 +35,7 @@ type (
 	// and snapshot it mid-run.
 	Telemetry = obs.Telemetry
 	// TelemetrySnapshot is the frozen live state (the /telemetry JSON
-	// schema of ppsexp).
+	// schema of ppsim exp).
 	TelemetrySnapshot = obs.TelemetrySnapshot
 	// Quantiles is the headline summary of one streaming delay histogram:
 	// exact n/mean/min/max plus log-bucketed p50/p99/p999.
