@@ -137,7 +137,7 @@ func (s *switchFlags) register(fs *flag.FlagSet, names ...string) {
 		"h":       func() { fs.Float64Var(&s.h, "h", s.h, "FTD block parameter (alg=ftd)") },
 		"seed":    func() { fs.Int64Var(&s.seed, "seed", s.seed, "random seed (traffic and alg=random)") },
 		"traffic": func() { fs.StringVar(&s.kind, "traffic", s.kind, "traffic: "+trafficKinds) },
-		"load":    func() { fs.Float64Var(&s.load, "load", s.load, "per-input load (bernoulli, hotspot, onoff)") },
+		"load":    func() { fs.Float64Var(&s.load, "load", s.load, "per-input load in [0,1] (bernoulli, hotspot, onoff)") },
 		"slots":   func() { fs.Int64Var(&s.slots, "slots", s.slots, "traffic horizon in slots") },
 	}
 	for _, name := range names {
@@ -156,6 +156,13 @@ func (s *switchFlags) config() ppsim.Config {
 // source builds the traffic of kind s.kind for cfg over s.slots slots.
 func (s *switchFlags) source(cfg ppsim.Config) (ppsim.Source, error) {
 	n, slots := cfg.N, ppsim.Time(s.slots)
+	switch s.kind {
+	case "bernoulli", "hotspot", "onoff", "trickle":
+		// Written so NaN fails too: every comparison with it is false.
+		if !(s.load >= 0 && s.load <= 1) {
+			return nil, fmt.Errorf("-load %g outside [0,1]", s.load)
+		}
+	}
 	switch s.kind {
 	case "bernoulli":
 		return ppsim.NewBernoulli(n, s.load, slots, s.seed), nil

@@ -68,3 +68,21 @@ func TestValidateStride(t *testing.T) {
 		t.Errorf("sim -stride 0 stderr starts %.80q, want %q", stderr.String(), want)
 	}
 }
+
+// TestLoadOutsideUnitRejected: every kind that reads -load refuses one
+// outside [0,1] with a single error line and exit 2. NaN is among them: it
+// passes any `< 0 || > 1` check, and bernoulli then sent a cell on every
+// input every slot, while 1.5 panicked with a goroutine dump.
+func TestLoadOutsideUnitRejected(t *testing.T) {
+	for _, kind := range []string{"bernoulli", "hotspot", "onoff", "trickle"} {
+		for _, load := range []string{"1.5", "-0.1", "NaN"} {
+			var stdout, stderr strings.Builder
+			code := run([]string{"sim", "-traffic", kind, "-load", load, "-slots", "100"}, &stdout, &stderr)
+			want := "ppsim sim: -load " + load + " outside [0,1]\n"
+			if code != 2 || stderr.String() != want || stdout.Len() != 0 {
+				t.Errorf("sim -traffic %s -load %s: exit %d, stderr %q, stdout %q; want exit 2, stderr %q",
+					kind, load, code, stderr.String(), stdout.String(), want)
+			}
+		}
+	}
+}

@@ -258,7 +258,7 @@ func (s *Schedule) Validate(k int) error {
 		lastSlot[e.Plane] = e.Slot
 	}
 	for p, prob := range s.loss {
-		if prob < 0 || prob > 1 {
+		if !(prob >= 0 && prob <= 1) {
 			return fmt.Errorf("faults: plane %d loss probability %g outside [0, 1]", p, prob)
 		}
 		if prob != 0 && p >= k {
@@ -354,7 +354,7 @@ func ParseSpec(spec string) (*Schedule, error) {
 			s.Outage(p, cell.Time(from), cell.Time(to))
 		case "loss":
 			prob, err := strconv.ParseFloat(arg, 64)
-			if err != nil || prob < 0 || prob > 1 {
+			if err != nil || !(prob >= 0 && prob <= 1) {
 				return nil, fmt.Errorf("faults: bad loss probability %q in %q", arg, item)
 			}
 			s.WithLoss(p, prob)

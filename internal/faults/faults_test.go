@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -97,6 +98,7 @@ func TestValidate(t *testing.T) {
 	bad(NewSchedule().FailAt(0, 10).RecoverAt(0, 10), "two events at slot 10")
 	bad(NewSchedule().FailAt(0, 10).FailAt(0, 20), "consecutive fail events")
 	bad(NewSchedule().WithLoss(1, 1.5), "outside [0, 1]")
+	bad(NewSchedule().WithLoss(1, math.NaN()), "outside [0, 1]")
 	bad(NewSchedule().WithLoss(9, 0.1), "loss on plane 9")
 	if err := (*Schedule)(nil).Validate(4); err != nil {
 		t.Errorf("nil schedule Validate = %v", err)
@@ -148,6 +150,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"fail:0@-5",    // negative slot
 		"outage:0@9-5", // inverted window
 		"loss:0@1.5",   // probability out of range
+		"loss:0@NaN",   // NaN fails every comparison
 		"seed:x",       // bad seed
 		"justaword",    // not VERB:ARGS
 	} {

@@ -74,6 +74,9 @@ func batchTwinCases() []twinCase {
 		{"bernoulli-sparse", func(seed int64) Source { return NewBernoulli(6, 0.01, cell.None, seed) }},
 		{"bernoulli-finite", func(seed int64) Source { return NewBernoulli(8, 0.6, 100, seed) }},
 		{"bernoulli-zero-load", func(seed int64) Source { return NewBernoulli(6, 0, cell.None, seed) }},
+		// About 290 cells a slot: a one-slot span overflows the feed's
+		// 256-cell slab target, so the slab grows by append.
+		{"bernoulli-wide", func(seed int64) Source { return NewBernoulli(320, 0.9, 40, seed) }},
 		{"onoff", func(seed int64) Source { return must(NewOnOff(8, 3, 60, cell.None, seed)) }},
 		{"hotspot", func(seed int64) Source { return must(NewHotspot(8, 0.05, 0.6, 2, cell.None, seed)) }},
 		{"bvn", func(int64) Source {

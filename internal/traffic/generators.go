@@ -2,7 +2,10 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"ppsim/internal/cell"
 )
@@ -114,62 +117,72 @@ func (g *slotGuard) claim(t cell.Time) {
 // from the destination distribution. It models the admissible random traffic
 // used for average-case contrast experiments (E13).
 type Bernoulli struct {
-	n     int
-	load  float64
-	dist  []float64 // per-input CDF over outputs, row-major n*n
-	rng   *rand.Rand
-	until cell.Time
-	guard slotGuard
+	n      int
+	load   float64
+	dist   []float64 // CDF rows over outputs; input i's row starts at i*stride
+	stride int       // 0: every input shares one row
+	rng    *rand.Rand
+	until  cell.Time
+	guard  slotGuard
 }
 
 // NewBernoulli returns iid traffic on an n x n switch at the given per-input
-// load with uniformly distributed destinations.
+// load with uniformly distributed destinations; every input shares one CDF
+// row. It panics if n <= 0 or load is outside [0, 1].
 func NewBernoulli(n int, load float64, until cell.Time, seed int64) *Bernoulli {
-	w := make([]float64, n*n)
-	for i := range w {
-		w[i] = 1
+	row := make([]float64, max(n, 0))
+	for j := range row {
+		row[j] = 1
 	}
-	b, err := NewBernoulliWeighted(n, load, w, until, seed)
+	b, err := newBernoulli(n, load, row, 0, until, seed)
 	if err != nil {
-		panic(err) // uniform weights are always valid
+		panic(err)
 	}
 	return b
 }
 
 // NewBernoulliWeighted returns iid traffic where input i sends to output j
 // with probability proportional to weights[i*n+j]. It returns an error if
-// any row of weights sums to zero or load is outside [0, 1].
+// load is outside [0, 1], a weight is negative or not finite, or a row of
+// weights sums to zero.
 func NewBernoulliWeighted(n int, load float64, weights []float64, until cell.Time, seed int64) (*Bernoulli, error) {
+	if n > 0 && len(weights) != n*n {
+		return nil, fmt.Errorf("traffic: weights length %d, want %d", len(weights), n*n)
+	}
+	return newBernoulli(n, load, slices.Clone(weights), n, until, seed)
+}
+
+// newBernoulli checks n and load and turns w, whose rows of n weights it
+// takes over, into CDF rows in place. Input i draws from the row at
+// i*stride, so stride 0 gives every input w's single row.
+func newBernoulli(n int, load float64, w []float64, stride int, until cell.Time, seed int64) (*Bernoulli, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("traffic: Bernoulli needs n > 0, got %d", n)
 	}
-	if load < 0 || load > 1 {
-		return nil, fmt.Errorf("traffic: load %f outside [0,1]", load)
+	if !(load >= 0 && load <= 1) {
+		return nil, fmt.Errorf("traffic: load %g outside [0,1]", load)
 	}
-	if len(weights) != n*n {
-		return nil, fmt.Errorf("traffic: weights length %d, want %d", len(weights), n*n)
-	}
-	dist := make([]float64, n*n)
-	for i := 0; i < n; i++ {
+	for r := 0; r < len(w); r += n {
+		row := w[r : r+n]
 		var sum float64
-		for j := 0; j < n; j++ {
-			if weights[i*n+j] < 0 {
-				return nil, fmt.Errorf("traffic: negative weight at (%d,%d)", i, j)
+		for j, x := range row {
+			if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("traffic: weight %g at (%d,%d) is negative or not finite", x, r/n, j)
 			}
-			sum += weights[i*n+j]
+			sum += x
 		}
-		if sum == 0 {
-			return nil, fmt.Errorf("traffic: weight row %d sums to zero", i)
+		if sum == 0 || math.IsInf(sum, 0) {
+			return nil, fmt.Errorf("traffic: weight row %d sums to %g", r/n, sum)
 		}
 		acc := 0.0
-		for j := 0; j < n; j++ {
-			acc += weights[i*n+j] / sum
-			dist[i*n+j] = acc
+		for j, x := range row {
+			acc += x / sum
+			row[j] = acc
 		}
-		dist[i*n+n-1] = 1 // guard against rounding
+		row[n-1] = 1 // guard against rounding
 	}
 	return &Bernoulli{
-		n: n, load: load, dist: dist,
+		n: n, load: load, dist: w, stride: stride,
 		rng:   rand.New(rand.NewSource(seed)),
 		until: until,
 	}, nil
@@ -187,14 +200,16 @@ func (b *Bernoulli) Arrivals(t cell.Time, dst []Arrival) []Arrival {
 			continue
 		}
 		u := b.rng.Float64()
-		row := b.dist[i*b.n : (i+1)*b.n]
-		j := 0
-		for j < b.n-1 && u > row[j] {
-			j++
-		}
-		dst = append(dst, Arrival{In: cell.Port(i), Out: cell.Port(j)})
+		dst = append(dst, Arrival{In: cell.Port(i), Out: b.dest(i, u)})
 	}
 	return dst
+}
+
+// dest is input i's destination for the uniform draw u: the first output
+// whose CDF value reaches u, or the last output if none of the others does.
+// The row is non-decreasing and its forced final 1 is never read.
+func (b *Bernoulli) dest(i int, u float64) cell.Port {
+	return cell.Port(sort.SearchFloat64s(b.dist[i*b.stride:][:b.n-1], u))
 }
 
 // End implements Source.
@@ -221,14 +236,14 @@ type OnOff struct {
 }
 
 // NewOnOff returns bursty traffic on an n x n switch. meanOn and meanOff are
-// the mean dwell times in slots (must be >= 1). Each ON burst picks a fresh
-// uniform target output.
+// the mean dwell times in slots (must be >= 1; +Inf never leaves the state).
+// Each ON burst picks a fresh uniform target output.
 func NewOnOff(n int, meanOn, meanOff float64, until cell.Time, seed int64) (*OnOff, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("traffic: OnOff needs n > 0")
 	}
-	if meanOn < 1 || meanOff < 1 {
-		return nil, fmt.Errorf("traffic: mean dwell times must be >= 1 slot")
+	if !(meanOn >= 1 && meanOff >= 1) {
+		return nil, fmt.Errorf("traffic: mean dwell times %g and %g must be >= 1 slot", meanOn, meanOff)
 	}
 	o := &OnOff{
 		n:            n,
@@ -325,18 +340,20 @@ type Hotspot struct {
 
 // NewHotspot builds the weighted Bernoulli source described above.
 func NewHotspot(n int, load, hotFrac float64, hot cell.Port, until cell.Time, seed int64) (*Hotspot, error) {
-	if hotFrac < 0 || hotFrac > 1 {
-		return nil, fmt.Errorf("traffic: hotFrac %f outside [0,1]", hotFrac)
+	if !(hotFrac >= 0 && hotFrac <= 1) {
+		return nil, fmt.Errorf("traffic: hotFrac %g outside [0,1]", hotFrac)
 	}
-	w := make([]float64, n*n)
+	if hot < 0 || int(hot) >= n {
+		return nil, fmt.Errorf("traffic: hot output %d outside [0,%d)", hot, n)
+	}
+	// Every input has the same weights, so all share one row.
+	w := make([]float64, n)
 	cold := (1 - hotFrac) / float64(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			w[i*n+j] = cold
-		}
-		w[i*n+int(hot)] += hotFrac
+	for j := range w {
+		w[j] = cold
 	}
-	b, err := NewBernoulliWeighted(n, load, w, until, seed)
+	w[hot] += hotFrac
+	b, err := newBernoulli(n, load, w, 0, until, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -7,11 +7,14 @@ import "ppsim/internal/cell"
 // spans (bounded slab memory), sparse sources stretch toward spanMax so long
 // silent stretches cost one batch call instead of thousands of per-slot
 // interface crossings. The doubling/halving thresholds leave a 2x hysteresis
-// band so the span does not oscillate at a stable arrival rate.
+// band so the span does not oscillate at a stable arrival rate. The target is
+// small because the paper's experiments are sweeps of many short runs, each
+// with its own feed: a slab sized for a million-cell run would outweigh the
+// few thousand cells such a run streams.
 const (
 	spanInit        = cell.Time(1)
 	spanMax         = cell.Time(4096)
-	targetSlabCells = 4096
+	targetSlabCells = 256
 )
 
 // SpanFeed adapts a Source to the harness's arrival phase. A BatchSource is
@@ -34,7 +37,7 @@ type SpanFeed struct {
 	end  cell.Time // first slot the harness never consumes; cell.None = unbounded
 	span cell.Time // current span length (slots per slab)
 
-	slab []Arrival // allocated by the first refill, at targetSlabCells
+	slab []Arrival // allocated by the first refill, at targetSlabCells; grows to fit the largest slab
 	cur  int       // first unconsumed slab entry
 	to   cell.Time // first slot not yet generated
 
@@ -106,8 +109,10 @@ func (f *SpanFeed) refill() bool {
 		return false
 	}
 	if f.slab == nil {
-		// Sized once: growing by append would make the run's allocated bytes
-		// depend on which slab happens to cross a growth step.
+		// A span that yields more cells than this (a source denser than the
+		// target in one slot, where the span cannot shrink further) grows the
+		// slab by append; later refills reuse the grown capacity, so growth
+		// is paid once per run, not once per refill.
 		f.slab = make([]Arrival, 0, targetSlabCells)
 	}
 	f.slab = f.batch.AppendArrivals(f.slab[:0], f.to, to)

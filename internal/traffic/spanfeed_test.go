@@ -197,9 +197,9 @@ func TestStatefulGeneratorsPanicOnReplayedSlot(t *testing.T) {
 }
 
 // TestSpanFeedSlabSizedOnce pins the slab's allocation: made once, at the
-// span controller's target, by the first refill — not grown by append, whose
-// final capacity would depend on which slab crosses a growth step — and
-// never for a feed that reads nothing ahead.
+// span controller's target, by the first refill; kept at that capacity by a
+// source whose spans settle inside the target; and never made for a feed
+// that reads nothing ahead.
 func TestSpanFeedSlabSizedOnce(t *testing.T) {
 	feed := NewSpanFeed(NewBernoulli(8, 0.4, cell.None, 1), cell.None)
 	if feed.slab != nil {
@@ -234,15 +234,38 @@ func TestSpanFeedSlabSizedOnce(t *testing.T) {
 	}
 }
 
-// spanCounter counts the slots a feed pulls through AppendArrivals.
+// spanCounter counts the AppendArrivals calls a feed makes and the slots
+// they pull.
 type spanCounter struct {
 	BatchSource
+	calls int
 	slots cell.Time
 }
 
 func (c *spanCounter) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
+	c.calls++
 	c.slots += to - from
 	return c.BatchSource.AppendArrivals(dst, from, to)
+}
+
+// TestSpanFeedSparseReadAhead guards the sparse end of the span controller:
+// at 0.1 cells a slot the spans must still stretch to within a factor two
+// of spanMax, so a million slots cost a few hundred batch calls, not a
+// refill per slot, however small the slab target is.
+func TestSpanFeedSparseReadAhead(t *testing.T) {
+	const end = 1_000_000
+	src := &spanCounter{BatchSource: &CBR{Flows: []cell.Flow{{In: 0, Out: 1}}, Period: 10, Until: cell.None}}
+	feed := NewSpanFeed(src, end)
+	cells := 0
+	for na := feed.NextArrival(-1); na != cell.None; na = feed.NextArrival(na) {
+		cells += len(feed.SlotArrivals(na))
+	}
+	if cells != end/10 {
+		t.Fatalf("fed %d cells, want %d", cells, end/10)
+	}
+	if limit := 2*end/int(spanMax) + 16; src.calls > limit {
+		t.Errorf("%d AppendArrivals calls over %d slots, want <= %d", src.calls, end, limit)
+	}
 }
 
 // TestSpanFeedStopsAtDrainedRegulator guards the dynamic-End trap: a

@@ -1,6 +1,9 @@
 package traffic
 
 import (
+	"math"
+	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -192,21 +195,203 @@ func TestBernoulliDeterminismAndLoad(t *testing.T) {
 	}
 }
 
+// TestBernoulliWeightedErrors: a load or weight table the source cannot
+// draw from is an error. NaN and ±Inf weights are among them: a `< 0` check
+// lets them through, the CDF row turns NaN and every cell goes to output 0.
 func TestBernoulliWeightedErrors(t *testing.T) {
-	if _, err := NewBernoulliWeighted(0, 0.5, nil, 10, 1); err == nil {
-		t.Error("n=0 must error")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		n       int
+		load    float64
+		weights []float64
+	}{
+		{"n=0", 0, 0.5, nil},
+		{"load > 1", 2, 1.5, []float64{1, 1, 1, 1}},
+		{"load < 0", 2, -0.1, []float64{1, 1, 1, 1}},
+		{"load NaN", 2, nan, []float64{1, 1, 1, 1}},
+		{"bad weight length", 2, 0.5, make([]float64, 3)},
+		{"zero row", 2, 0.5, []float64{0, 0, 1, 1}},
+		{"negative weight", 2, 0.5, []float64{-1, 2, 1, 1}},
+		{"NaN weight", 2, 0.5, []float64{1, nan, 1, 1}},
+		{"+Inf weight", 2, 0.5, []float64{1, 1, inf, 1}},
+		{"-Inf weight", 2, 0.5, []float64{1, 1, 1, -inf}},
+		{"row sum overflows", 2, 0.5, []float64{1, 1, math.MaxFloat64, math.MaxFloat64}},
+	} {
+		if _, err := NewBernoulliWeighted(tc.n, tc.load, tc.weights, 10, 1); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
-	if _, err := NewBernoulliWeighted(2, 1.5, make([]float64, 4), 10, 1); err == nil {
-		t.Error("load > 1 must error")
+	w := []float64{1, 3, 0, 2}
+	if _, err := NewBernoulliWeighted(2, 0.5, w, 10, 1); err != nil || !slices.Equal(w, []float64{1, 3, 0, 2}) {
+		t.Errorf("valid table: err %v, caller's weights now %v", err, w)
 	}
-	if _, err := NewBernoulliWeighted(2, 0.5, make([]float64, 3), 10, 1); err == nil {
-		t.Error("bad weight length must error")
+}
+
+// TestGeneratorParameterErrors: the other constructors reject what their
+// range checks mean to, NaN included, and NewBernoulli panics on a load it
+// cannot draw with.
+func TestGeneratorParameterErrors(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"onoff meanOn NaN", second(NewOnOff(2, nan, 5, 10, 1))},
+		{"onoff meanOff NaN", second(NewOnOff(2, 5, nan, 10, 1))},
+		{"onoff meanOn -Inf", second(NewOnOff(2, math.Inf(-1), 5, 10, 1))},
+		{"hotspot load NaN", second(NewHotspot(4, nan, 0.5, 0, 10, 1))},
+		{"hotspot hotFrac NaN", second(NewHotspot(4, 0.5, nan, 0, 10, 1))},
+		{"hotspot hot = n", second(NewHotspot(4, 0.5, 0.5, 4, 10, 1))},
+		{"hotspot hot < 0", second(NewHotspot(4, 0.5, 0.5, -1, 10, 1))},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
-	if _, err := NewBernoulliWeighted(2, 0.5, []float64{0, 0, 1, 1}, 10, 1); err == nil {
-		t.Error("zero row must error")
+	// An infinite OFF dwell is the load-0 limit: the input never turns on.
+	o, err := NewOnOff(2, 8, math.Inf(1), 100, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewBernoulliWeighted(2, 0.5, []float64{-1, 2, 1, 1}, 10, 1); err == nil {
-		t.Error("negative weight must error")
+	if got := collect(t, o, 100); len(got) != 0 {
+		t.Errorf("meanOff +Inf emitted in %d slots", len(got))
+	}
+	for _, load := range []float64{1.5, -0.1, nan} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBernoulli(load %g) did not panic", load)
+				}
+			}()
+			NewBernoulli(4, load, 10, 1)
+		}()
+	}
+}
+
+// second returns a constructor's error.
+func second[T any](_ T, err error) error { return err }
+
+// TestUniformBernoulliSharesOneRow: the one CDF row NewBernoulli shares
+// among all inputs draws exactly the stream of n all-ones weight rows.
+func TestUniformBernoulliSharesOneRow(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 128} {
+		ones := make([]float64, n*n)
+		for i := range ones {
+			ones[i] = 1
+		}
+		weighted, err := NewBernoulliWeighted(n, 0.3, ones, cell.None, int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		uniform := NewBernoulli(n, 0.3, cell.None, int64(n))
+		if len(uniform.dist) != n {
+			t.Errorf("n=%d: uniform CDF holds %d floats, want one row of %d", n, len(uniform.dist), n)
+		}
+		var a, b []Arrival
+		for s := cell.Time(0); s < 10000; s++ {
+			a, b = uniform.Arrivals(s, a[:0]), weighted.Arrivals(s, b[:0])
+			if !slices.Equal(a, b) {
+				t.Fatalf("n=%d slot %d: uniform %v, all-ones weights %v", n, s, a, b)
+			}
+		}
+	}
+}
+
+// TestNewBernoulliAllocatesOneRow: a uniform source costs its RNG and one
+// row, not the n*n weight table and n*n CDF it once built (about 260 KiB
+// at n = 128).
+func TestNewBernoulliAllocatesOneRow(t *testing.T) {
+	const runs = 16
+	srcs := make([]*Bernoulli, runs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range srcs {
+		srcs[i] = NewBernoulli(128, 0.5, cell.None, int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 8<<10 {
+		t.Errorf("NewBernoulli(128, ...) allocates %d B, want <= 8 KiB", per)
+	}
+}
+
+// TestBernoulliDestMatchesScan holds the binary search that draws a
+// destination against the linear scan it replaced, over the row shapes the
+// constructors build: random tables, zero-weight columns (repeated CDF
+// values), one output, hotspot rows and the shared uniform row. Each row is
+// probed at its own CDF values and their neighbours, where the two could
+// disagree about ties, and each source's stream is replayed with the scan.
+func TestBernoulliDestMatchesScan(t *testing.T) {
+	scan := func(row []float64, u float64) cell.Port {
+		j := 0
+		for j < len(row)-1 && u > row[j] {
+			j++
+		}
+		return cell.Port(j)
+	}
+	// Source k is seeded k, so its scan replay can redraw its stream.
+	rng := rand.New(rand.NewSource(5))
+	random := func(n int, zeroCols bool) func(int64) *Bernoulli {
+		w := make([]float64, n*n)
+		for i := range w {
+			if !zeroCols || rng.Intn(3) > 0 {
+				w[i] = rng.Float64()
+			}
+		}
+		for i := 0; i < n; i++ {
+			w[i*n+rng.Intn(n)] += 0.1 // no zero row
+		}
+		return func(seed int64) *Bernoulli {
+			b, err := NewBernoulliWeighted(n, 0.7, w, cell.None, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+	}
+	hot := func(n int, frac float64, out cell.Port) func(int64) *Bernoulli {
+		return func(seed int64) *Bernoulli {
+			h, err := NewHotspot(n, 0.7, frac, out, cell.None, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h.inner
+		}
+	}
+	uniform := func(n int) func(int64) *Bernoulli {
+		return func(seed int64) *Bernoulli { return NewBernoulli(n, 0.7, cell.None, seed) }
+	}
+	for k, mk := range []func(int64) *Bernoulli{
+		uniform(1), uniform(9), hot(8, 0.95, 0), hot(8, 0.5, 7), hot(5, 1, 2),
+		random(1, false), random(2, true), random(16, false), random(16, true), random(33, true),
+	} {
+		b := mk(int64(k))
+		for i := 0; i < b.n; i++ {
+			row := b.dist[i*b.stride:][:b.n]
+			probes := []float64{0, 1, rng.Float64()}
+			for _, c := range row {
+				probes = append(probes, c, math.Nextafter(c, 0), math.Nextafter(c, 2))
+			}
+			for _, u := range probes {
+				if got, want := b.dest(i, u), scan(row, u); got != want {
+					t.Fatalf("source %d input %d u=%v: search %d, scan %d (row %v)", k, i, u, got, want, row)
+				}
+			}
+		}
+		twin := rand.New(rand.NewSource(int64(k)))
+		var got []Arrival
+		for s := cell.Time(0); s < 2000; s++ {
+			got = b.Arrivals(s, got[:0])
+			var want []Arrival
+			for i := 0; i < b.n; i++ {
+				if twin.Float64() < b.load {
+					want = append(want, Arrival{In: cell.Port(i), Out: scan(b.dist[i*b.stride:][:b.n], twin.Float64())})
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("source %d slot %d: %v, scan replay %v", k, s, got, want)
+			}
+		}
 	}
 }
 
