@@ -45,6 +45,9 @@ func diagCmd(fs *flag.FlagSet) func(io.Writer) int {
 			fmt.Fprint(stdout, Render(sc.n, sc.k, sc.rprime))
 			return 0
 		}
+		if sc.slots < 1 {
+			return fail(fs, 2, fmt.Errorf("-slots %d must be >= 1", sc.slots))
+		}
 		sc.Stride, sc.Cap = ppsim.Time(*stride), int(*scap)
 		if !*series {
 			sc.Percentiles = stdout

@@ -34,7 +34,7 @@ func simCmd(fs *flag.FlagSet) func(io.Writer) int {
 		trace      = fs.String("trace", "", "write a JSONL event trace to FILE")
 		series     = fs.String("series", "", "write per-slot probe series CSV to FILE")
 		stride     = fs.Int64("stride", 1, "sample every stride-th slot (with -series)")
-		failPlanes = fs.String("fail-planes", "", "comma-separated plane IDs failed before slot 0")
+		failPlanes = fs.String("fail-planes", "", "comma-separated plane IDs failed before slot 0 (fail:P@0 on the -faults schedule)")
 		faultSpec  = fs.String("faults", "", "fault schedule, e.g. fail:0@100,recover:0@500,loss:2@0.001,seed:7")
 		faultPol   = fs.String("fault-policy", "abort", "degradation policy: abort or dropcount")
 		faultaware = fs.Bool("faultaware", false, "wrap the algorithm with failure-aware dispatch (masks failed planes)")
@@ -45,9 +45,8 @@ func simCmd(fs *flag.FlagSet) func(io.Writer) int {
 		if err := validateStride(*stride); err != nil {
 			return usageError(fs, err)
 		}
-		failed, err := parseFailPlanes(*failPlanes, s.k)
-		if err != nil {
-			return usageError(fs, err)
+		if s.slots < 1 {
+			return fail(fs, 2, fmt.Errorf("-slots %d must be >= 1", s.slots))
 		}
 		eng, err := ppsim.ParseEngine(*engine)
 		if err != nil {
@@ -59,10 +58,13 @@ func simCmd(fs *flag.FlagSet) func(io.Writer) int {
 		}
 		schedule, err := ppsim.ParseFaultSpec(*faultSpec)
 		if err == nil {
+			err = failFromStart(schedule, *failPlanes)
+		}
+		if err == nil {
 			err = schedule.Validate(s.k)
 		}
 		if err != nil {
-			return usageError(fs, err)
+			return fail(fs, 2, err)
 		}
 		adm, err := ppsim.ParseAdmissionSpec(*admSpec)
 		if err != nil {
@@ -105,15 +107,10 @@ func simCmd(fs *flag.FlagSet) func(io.Writer) int {
 			Horizon:     ppsim.Time(s.slots) * 8,
 			Validate:    true,
 			Workers:     *workers,
-			FailPlanes:  failed,
+			Faults:      schedule,
 			FaultPolicy: policy,
+			Admission:   adm,
 			Engine:      eng,
-		}
-		if !adm.Empty() {
-			opts.Admission = adm
-		}
-		if !schedule.Empty() {
-			opts.Faults = schedule
 		}
 		if *trace != "" {
 			f, err := os.Create(*trace)
@@ -167,26 +164,18 @@ func simCmd(fs *flag.FlagSet) func(io.Writer) int {
 	}
 }
 
-// parseFailPlanes parses the -fail-planes list and validates every ID
-// against K, reporting all bad entries in one error.
-func parseFailPlanes(spec string, k int) ([]ppsim.PlaneID, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
+// failFromStart lowers the -fail-planes list onto the fault schedule: plane
+// P becomes the event fail:P@0. The schedule's Validate range-checks the IDs.
+func failFromStart(s *ppsim.FaultSchedule, spec string) error {
+	if spec = strings.TrimSpace(spec); spec == "" {
+		return nil
 	}
-	var planes []ppsim.PlaneID
-	var bad []string
 	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		id, err := strconv.Atoi(part)
-		if err != nil || id < 0 || id >= k {
-			bad = append(bad, part)
-			continue
+		id, err := strconv.ParseInt(strings.TrimSpace(part), 10, 32)
+		if err != nil {
+			return fmt.Errorf("-fail-planes: %q is not a plane ID", part)
 		}
-		planes = append(planes, ppsim.PlaneID(id))
+		s.FailAt(ppsim.PlaneID(id), 0)
 	}
-	if len(bad) > 0 {
-		return nil, fmt.Errorf("-fail-planes: invalid plane(s) %s (planes are 0..%d)", strings.Join(bad, ", "), k-1)
-	}
-	return planes, nil
+	return nil
 }

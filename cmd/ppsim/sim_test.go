@@ -86,3 +86,77 @@ func TestLoadOutsideUnitRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestFailPlanesIsScheduleShorthand: -fail-planes P,Q is the fault schedule
+// fail:P@0,fail:Q@0, byte for byte, under either policy and either core.
+// Under abort the fault-aware wrapper keeps the run alive to its report.
+// Fresh rr sends every slot-0 cell to plane 0, so the 0,2 rows also pin
+// that the planes are down from slot 0, not from slot 1.
+func TestFailPlanesIsScheduleShorthand(t *testing.T) {
+	for _, planes := range [][2]string{{"1,3", "fail:1@0,fail:3@0"}, {"0,2", "fail:0@0,fail:2@0"}} {
+		for _, policy := range []string{"abort", "dropcount"} {
+			for _, engine := range []string{"stepped", "event"} {
+				base := []string{"sim", "-n", "8", "-k", "4", "-slots", "300", "-fault-policy", policy, "-engine", engine}
+				if policy == "abort" {
+					base = append(base, "-faultaware")
+				}
+				var out [2]strings.Builder
+				for i, spelling := range [][]string{{"-fail-planes", planes[0]}, {"-faults", planes[1]}} {
+					var stderr strings.Builder
+					if code := run(append(base[:len(base):len(base)], spelling...), &out[i], &stderr); code != 0 {
+						t.Fatalf("%s/%s %v: exit %d: %s", policy, engine, spelling, code, stderr.String())
+					}
+				}
+				if out[0].String() != out[1].String() || out[0].Len() == 0 {
+					t.Errorf("%s/%s/%s: -fail-planes stdout differs from -faults:\n%s\n---\n%s", planes[0], policy, engine, out[0].String(), out[1].String())
+				}
+			}
+		}
+	}
+}
+
+// TestFailPlanesRejected: the IDs -fail-planes lowers onto the schedule are
+// checked by the schedule's one Validate, so a plane outside the switch, a
+// repeated plane, and a plane the -faults schedule fails again at a later
+// slot are each a single-line usage error.
+func TestFailPlanesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fail-planes", "9"}, "ppsim sim: faults: event fail plane 9 outside [0, 8)\n"},
+		{[]string{"-fail-planes", "1,1"}, "ppsim sim: faults: plane 1 has two events at slot 0\n"},
+		{[]string{"-fail-planes", "0", "-faults", "fail:0@50"}, "ppsim sim: faults: plane 0: consecutive fail events at slots 0 and 50\n"},
+		{[]string{"-fail-planes", "1,x"}, "ppsim sim: -fail-planes: \"x\" is not a plane ID\n"},
+	} {
+		var stdout, stderr strings.Builder
+		code := run(append([]string{"sim", "-slots", "100"}, tc.args...), &stdout, &stderr)
+		if code != 2 || stderr.String() != tc.want || stdout.Len() != 0 {
+			t.Errorf("sim %v: exit %d, stderr %q, stdout %q; want exit 2, stderr %q", tc.args, code, stderr.String(), stdout.String(), tc.want)
+		}
+	}
+}
+
+// TestSlotsBelowOneRejected: a traffic horizon below one slot is a
+// single-line usage error wherever a subcommand generates traffic, where it
+// used to run an empty simulation and exit 0. viz keeps -slots 0 as "pick
+// 400" and refuses only negative values.
+func TestSlotsBelowOneRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"sim", "-slots", "-5"}, "ppsim sim: -slots -5 must be >= 1\n"},
+		{[]string{"sim", "-slots", "0"}, "ppsim sim: -slots 0 must be >= 1\n"},
+		{[]string{"trace", "-gen", "bernoulli", "-slots", "-3"}, "ppsim trace: -slots -3 must be >= 1\n"},
+		{[]string{"diag", "-series", "-slots", "-3"}, "ppsim diag: -slots -3 must be >= 1\n"},
+		{[]string{"diag", "-percentiles", "-slots", "0"}, "ppsim diag: -slots 0 must be >= 1\n"},
+		{[]string{"viz", "-slots", "-1"}, "ppsim viz: -slots -1 must be >= 0 (0 picks 400)\n"},
+	} {
+		var stdout, stderr strings.Builder
+		code := run(tc.args, &stdout, &stderr)
+		if code != 2 || stderr.String() != tc.want || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 2, stderr %q", tc.args, code, stderr.String(), stdout.String(), tc.want)
+		}
+	}
+}

@@ -35,6 +35,8 @@ func traceCmd(fs *flag.FlagSet) func(io.Writer) int {
 			return exit(fs, runTrace(stdout, *replay, cfg))
 		case *stats != "":
 			return exit(fs, printStats(stdout, *stats, s.n))
+		case s.kind != "" && s.slots < 1:
+			return fail(fs, 2, fmt.Errorf("-slots %d must be >= 1", s.slots))
 		case s.kind != "":
 			tr, err := generate(cfg, s)
 			if err == nil {

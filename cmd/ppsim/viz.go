@@ -22,7 +22,12 @@ func vizCmd(fs *flag.FlagSet) func(io.Writer) int {
 	s := switchFlags{n: 32, k: 4, rprime: 2, alg: "rr", u: 4, seed: 1, kind: "steering", load: 0.6}
 	s.register(fs, "n", "k", "rprime", "alg", "u", "seed", "traffic", "load", "slots")
 	width := fs.Int("width", 100, "timeline columns")
-	return func(stdout io.Writer) int { return exit(fs, timeline(stdout, s, *width)) }
+	return func(stdout io.Writer) int {
+		if s.slots < 0 {
+			return fail(fs, 2, fmt.Errorf("-slots %d must be >= 0 (0 picks 400)", s.slots))
+		}
+		return exit(fs, timeline(stdout, s, *width))
+	}
 }
 
 // timeline draws the plane-backlog timeline of one run.

@@ -6,6 +6,7 @@ import (
 	"ppsim/internal/cell"
 	"ppsim/internal/demux"
 	"ppsim/internal/fabric"
+	"ppsim/internal/faults"
 	"ppsim/internal/harness"
 	"ppsim/internal/netcalc"
 	"ppsim/internal/obs"
@@ -114,6 +115,7 @@ func e24Failure(o Opts) (*Table, error) {
 		horizon = 60
 	}
 	cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
+	dead := faults.NewSchedule().FailAt(0, 0)
 	for _, a := range algs {
 		// The fabric halts an execution at the first dispatch into a dead
 		// plane (the model forbids drops), so probe each input on its own
@@ -128,7 +130,7 @@ func e24Failure(o Opts) (*Table, error) {
 				src.MustAdd(slot, cell.Port(i), cell.Port(int(slot)%n))
 			}
 			ring := obs.NewRingSink(1)
-			_, err := harness.Run(cfg, a.mk, src, harness.Options{FailPlanes: []cell.Plane{0}, Tracer: obs.NewTracer(ring)})
+			_, err := harness.Run(cfg, a.mk, src, harness.Options{Faults: dead, Tracer: obs.NewTracer(ring)})
 			if err == nil {
 				continue
 			}

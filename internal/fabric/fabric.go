@@ -272,8 +272,8 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 		p.faults = faults.NewRuntime(cfg.Faults, cfg.K)
 	}
 	if cfg.FaultPolicy == faults.DropCount {
-		// Allocated on policy, not schedule: planes failed before slot 0
-		// (harness FailPlanes) drop under DropCount with no schedule at all.
+		// Allocated on policy, not schedule: a plane a caller failed before
+		// slot 0 (PPS.Plane(k).Fail()) drops under DropCount with no schedule.
 		p.dropGaps = make([]queue.SeqTable, cfg.N)
 	}
 	alg, err := makeAlg(envView{p})
@@ -544,10 +544,26 @@ func (v *planeView) pop(t cell.Time, k cell.Plane) cell.Ref {
 	return r
 }
 
-// acceptArrivals runs stage 1 of a slot: validate and admit the arrivals,
-// updating the pending counters and working set. Shared by Step and
-// EventStep so the two engines cannot drift.
-func (p *PPS) acceptArrivals(t cell.Time, arrivals []cell.Cell) error {
+// beginSlot is the prologue Step and EventStep share, so the two cores
+// cannot drift: check the slot clock (monotone, and no skipped slot while
+// cells are in flight), reset the slot's drop list, apply the fault events
+// due at t before the slot's arrivals are presented (stage 0), then validate
+// and admit the arrivals, updating the pending counters and working set
+// (stage 1).
+func (p *PPS) beginSlot(t cell.Time, arrivals []cell.Cell) error {
+	if t <= p.lastSlot {
+		return fmt.Errorf("fabric: non-monotone slot %d after %d", t, p.lastSlot)
+	}
+	if t != p.lastSlot+1 && p.Backlog() > 0 {
+		return fmt.Errorf("fabric: skipped from slot %d to %d with %d cells in flight", p.lastSlot, t, p.Backlog())
+	}
+	p.lastSlot = t
+	if len(p.slotDrops) > 0 {
+		p.slotDrops = p.slotDrops[:0]
+	}
+	if p.faults != nil {
+		p.applyFaults(t)
+	}
 	for _, c := range arrivals {
 		if c.Arrive != t {
 			return p.violation(t, fmt.Errorf("fabric: cell %v presented at slot %d", c, t))
@@ -738,24 +754,8 @@ func (p *PPS) stepOutput(t cell.Time, j cell.Port, dst []cell.Cell) ([]cell.Cell
 // appended to dst and returned with Depart (and the intermediate stamps)
 // set.
 func (p *PPS) Step(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cell.Cell, error) {
-	if t <= p.lastSlot {
-		return dst, fmt.Errorf("fabric: non-monotone slot %d after %d", t, p.lastSlot)
-	}
-	if t != p.lastSlot+1 && p.Backlog() > 0 {
-		return dst, fmt.Errorf("fabric: skipped from slot %d to %d with %d cells in flight", p.lastSlot, t, p.Backlog())
-	}
-	p.lastSlot = t
-
-	// 0. Scheduled faults, before this slot's arrivals are presented.
-	if len(p.slotDrops) > 0 {
-		p.slotDrops = p.slotDrops[:0]
-	}
-	if p.faults != nil {
-		p.applyFaults(t)
-	}
-
-	// 1. Arrivals; 2. demultiplexing.
-	if err := p.acceptArrivals(t, arrivals); err != nil {
+	// 0. Scheduled faults; 1. arrivals; 2. demultiplexing.
+	if err := p.beginSlot(t, arrivals); err != nil {
 		return dst, err
 	}
 	if err := p.dispatch(t, arrivals); err != nil {
@@ -840,22 +840,7 @@ func (p *PPS) outputBusy(j cell.Port) bool {
 // the stepped engine remains the full referee, and the equivalence matrix
 // cross-checks the two.
 func (p *PPS) EventStep(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cell.Cell, error) {
-	if t <= p.lastSlot {
-		return dst, fmt.Errorf("fabric: non-monotone slot %d after %d", t, p.lastSlot)
-	}
-	if t != p.lastSlot+1 && p.Backlog() > 0 {
-		return dst, fmt.Errorf("fabric: skipped from slot %d to %d with %d cells in flight", p.lastSlot, t, p.Backlog())
-	}
-	p.lastSlot = t
-
-	if len(p.slotDrops) > 0 {
-		p.slotDrops = p.slotDrops[:0]
-	}
-	if p.faults != nil {
-		p.applyFaults(t)
-	}
-
-	if err := p.acceptArrivals(t, arrivals); err != nil {
+	if err := p.beginSlot(t, arrivals); err != nil {
 		return dst, err
 	}
 	if len(arrivals) > 0 || p.pendingTotal > 0 {
@@ -884,10 +869,8 @@ func (p *PPS) EventStep(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]c
 	}
 
 	if p.cfg.CheckInvariants {
-		total := uint64(p.pendingTotal+p.cellsInPlanes+p.cellsInOutputs) + p.departed + p.dropped
-		if total != p.arrived {
-			return dst, p.violation(t, fmt.Errorf("fabric: conservation violated: arrived %d != pending %d + planes %d + outputs %d + departed %d + dropped %d",
-				p.arrived, p.pendingTotal, p.cellsInPlanes, p.cellsInOutputs, p.departed, p.dropped))
+		if err := p.conserved(); err != nil {
+			return dst, p.violation(t, err)
 		}
 	}
 	return dst, nil
@@ -913,10 +896,17 @@ func (p *PPS) audit() error {
 	if live := p.store.Live(); live != inPlanes+inOutputs {
 		return fmt.Errorf("fabric: cell store leaked: %d live refs, planes+outputs hold %d cells", live, inPlanes+inOutputs)
 	}
-	total := uint64(p.pendingTotal+inPlanes+inOutputs) + p.departed + p.dropped
-	if total != p.arrived {
+	return p.conserved()
+}
+
+// conserved checks the cell conservation identity over the O(1) counters
+// (which audit has just checked against the structures): every cell that
+// arrived is pending, queued in a plane, parked in an output, departed, or
+// dropped.
+func (p *PPS) conserved() error {
+	if uint64(p.Backlog())+p.departed+p.dropped != p.arrived {
 		return fmt.Errorf("fabric: conservation violated: arrived %d != pending %d + planes %d + outputs %d + departed %d + dropped %d",
-			p.arrived, p.pendingTotal, inPlanes, inOutputs, p.departed, p.dropped)
+			p.arrived, p.pendingTotal, p.cellsInPlanes, p.cellsInOutputs, p.departed, p.dropped)
 	}
 	return nil
 }

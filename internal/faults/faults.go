@@ -230,8 +230,8 @@ func (s *Schedule) normalize() {
 // planes, negative slots, duplicate same-plane same-slot events,
 // consecutive same-kind events for one plane (fail-fail without a recover,
 // or recover-recover without a fail), and loss probabilities outside [0, 1].
-// A leading Recover is legal: it un-fails a plane failed before slot 0
-// (e.g. via the harness's FailPlanes option).
+// A leading Recover is legal: it un-fails a plane a caller failed before
+// slot 0 on the PPS itself (fabric.PPS.Plane(k).Fail()).
 func (s *Schedule) Validate(k int) error {
 	if s == nil {
 		return nil
@@ -325,7 +325,7 @@ func ParseSpec(spec string) (*Schedule, error) {
 		if !ok {
 			return nil, fmt.Errorf("faults: %q is not %s:PLANE@ARG", item, verb)
 		}
-		plane, err := strconv.Atoi(planeStr)
+		plane, err := strconv.ParseInt(planeStr, 10, 32)
 		if err != nil || plane < 0 {
 			return nil, fmt.Errorf("faults: bad plane %q in %q", planeStr, item)
 		}

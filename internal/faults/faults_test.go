@@ -90,7 +90,7 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	ok(NewSchedule().Outage(0, 10, 30).Outage(0, 50, 70))
-	ok(NewSchedule().RecoverAt(2, 5)) // leading recover un-fails FailPlanes
+	ok(NewSchedule().RecoverAt(2, 5)) // leading recover un-fails a plane failed on the PPS before slot 0
 	ok(NewSchedule().WithLoss(3, 0.25))
 	bad(NewSchedule().FailAt(4, 10), "outside [0, 4)")
 	bad(NewSchedule().FailAt(-1, 10), "outside [0, 4)")
@@ -143,16 +143,17 @@ func TestParseSpecOutage(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
-		"explode:0@5",  // unknown verb
-		"fail:0",       // missing @ARG
-		"fail:x@5",     // bad plane
-		"fail:-1@5",    // negative plane
-		"fail:0@-5",    // negative slot
-		"outage:0@9-5", // inverted window
-		"loss:0@1.5",   // probability out of range
-		"loss:0@NaN",   // NaN fails every comparison
-		"seed:x",       // bad seed
-		"justaword",    // not VERB:ARGS
+		"explode:0@5",       // unknown verb
+		"fail:0",            // missing @ARG
+		"fail:x@5",          // bad plane
+		"fail:-1@5",         // negative plane
+		"fail:4294967296@5", // beyond int32: would wrap to plane 0
+		"fail:0@-5",         // negative slot
+		"outage:0@9-5",      // inverted window
+		"loss:0@1.5",        // probability out of range
+		"loss:0@NaN",        // NaN fails every comparison
+		"seed:x",            // bad seed
+		"justaword",         // not VERB:ARGS
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", spec)

@@ -105,7 +105,6 @@ func TestDriveBaselineRejectsPPSOnlyOptions(t *testing.T) {
 		{"Probes", Options{Probes: []*obs.Probe{obs.NewPlaneBacklogProbe(1, 1, 0)}}},
 		{"Tracer", Options{Tracer: obs.NewTracer(obs.NullSink{})}},
 		{"Faults", Options{Faults: faults.NewSchedule()}},
-		{"FailPlanes", Options{FailPlanes: []cell.Plane{0}}},
 		{"FaultPolicy", Options{FaultPolicy: faults.DropCount}},
 		{"Workers", Options{Workers: -1}},
 	}

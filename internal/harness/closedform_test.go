@@ -202,7 +202,7 @@ func TestShadowOutlastsDroppedPPS(t *testing.T) {
 		}
 		lastPPS := cell.Time(-1)
 		opts := tc.opts
-		opts.FailPlanes = []cell.Plane{0}
+		opts.Faults = faults.NewSchedule().FailAt(0, 0)
 		opts.FaultPolicy = faults.DropCount
 		opts.OnPPSDepart = func(c cell.Cell) { lastPPS = c.Depart }
 		res, err := Run(cfg, rrFactory, tr, opts)

@@ -15,20 +15,20 @@ import (
 )
 
 // faultCases are the degraded-mode scenarios the equivalence matrix runs:
-// a plane dead from before slot 0, a mid-run transient outage, and both at
-// once with the pre-failed plane recovering mid-run (the schedule's leading
-// Recover un-fails it).
+// a plane dead from slot 0, a mid-run transient outage, and both at once
+// with the dead plane recovering mid-run.
 var faultCases = []struct {
 	name  string
-	fail  []cell.Plane
 	sched func() *faults.Schedule
 }{
-	{"prefailed", []cell.Plane{3}, nil},
-	{"outage", nil, func() *faults.Schedule {
+	{"prefailed", func() *faults.Schedule {
+		return faults.NewSchedule().FailAt(3, 0)
+	}},
+	{"outage", func() *faults.Schedule {
 		return faults.NewSchedule().Outage(0, 40, 120)
 	}},
-	{"prefailed+outage", []cell.Plane{3}, func() *faults.Schedule {
-		return faults.NewSchedule().RecoverAt(3, 64).Outage(0, 40, 120)
+	{"prefailed+outage", func() *faults.Schedule {
+		return faults.NewSchedule().Outage(3, 0, 64).Outage(0, 40, 120)
 	}},
 }
 
@@ -48,14 +48,10 @@ func TestParallelMatchesSerialFaults(t *testing.T) {
 		for _, alg := range matrixAlgs {
 			run := func(workers int) Result {
 				src := traffic.NewBernoulli(n, 0.6, horizon, 11)
-				opts := Options{
+				res, err := Run(cfg, alg.mk, src, Options{
 					Validate: true, Workers: workers,
-					FailPlanes: fc.fail, FaultPolicy: faults.DropCount,
-				}
-				if fc.sched != nil {
-					opts.Faults = fc.sched()
-				}
-				res, err := Run(cfg, alg.mk, src, opts)
+					Faults: fc.sched(), FaultPolicy: faults.DropCount,
+				})
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", fc.name, alg.name, workers, err)
 				}
@@ -227,44 +223,109 @@ func TestDropsMatchTracerEvDrops(t *testing.T) {
 	}
 }
 
-// TestFailPlanesDeduped: duplicate IDs in FailPlanes apply once and leave
-// the Result identical to the deduplicated list.
-func TestFailPlanesDeduped(t *testing.T) {
+// TestFailFromSlotZeroMatchesFailedPlane: a plane failed by the schedule
+// event FailAt(k, 0) behaves exactly like one failed on the PPS itself
+// before slot 0 — deeply equal Results, or the same error under Abort — for
+// every policy and core. The schedule is the only way Options can fail a
+// plane, so this pins that nothing was lost when the pre-slot-0 spelling
+// went away.
+func TestFailFromSlotZeroMatchesFailedPlane(t *testing.T) {
 	const n = 8
-	horizon := cell.Time(96)
-	cfg := fabric.Config{N: n, K: 4, RPrime: 2, CheckInvariants: true}
-	run := func(planes []cell.Plane) Result {
-		src := traffic.NewBernoulli(n, 0.5, horizon, 3)
-		res, err := Run(cfg, rrFactory, src, Options{
-			FailPlanes: planes, FaultPolicy: faults.DropCount,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	horizon := cell.Time(128)
+	algs := []struct {
+		name string
+		mk   func(demux.Env) (demux.Algorithm, error)
+	}{
+		{"rr", rrFactory},
+		{"cpa", func(e demux.Env) (demux.Algorithm, error) { return demux.NewCPA(e, demux.MinAvail) }},
+		{"faultaware(rr)", func(e demux.Env) (demux.Algorithm, error) { return demux.NewFaultAware(e, rrFactory) }},
 	}
-	once := run([]cell.Plane{2})
-	twice := run([]cell.Plane{2, 2, 2})
-	if !reflect.DeepEqual(once, twice) {
-		t.Errorf("duplicate FailPlanes changed the run\nonce:  %+v\ntwice: %+v", once, twice)
+	for _, alg := range algs {
+		for _, pol := range []faults.Policy{faults.Abort, faults.DropCount} {
+			for _, eng := range []Engine{EngineStepped, EngineEvent} {
+				for _, dead := range [][]cell.Plane{{1}, {0, 2}} {
+					name := fmt.Sprintf("%s/%s/%s/%v", alg.name, pol, eng, dead)
+					cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1, CheckInvariants: true, FaultPolicy: pol}
+					opts := Options{Validate: true, Engine: eng, FaultPolicy: pol}
+					sched := faults.NewSchedule()
+					for _, k := range dead {
+						sched.FailAt(k, 0)
+					}
+					scheduled := opts
+					scheduled.Faults = sched
+					want, wantErr := Run(cfg, alg.mk, traffic.NewBernoulli(n, 0.6, horizon, 11), scheduled)
+
+					pps, err := fabric.New(cfg, alg.mk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, k := range dead {
+						pps.Plane(k).Fail()
+					}
+					got, gotErr := Drive(pps, traffic.NewBernoulli(n, 0.6, horizon, 11), opts)
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+						t.Errorf("%s: errors differ\nschedule:  %v\npre-failed: %v", name, wantErr, gotErr)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: results differ\nschedule:  %+v\npre-failed: %+v", name, want, got)
+					}
+					// Only the fault-aware wrapper routes around the dead
+					// planes: the others error under Abort and drop under
+					// DropCount.
+					masked := alg.name == "faultaware(rr)"
+					if pol == faults.Abort && (wantErr == nil) != masked {
+						t.Errorf("%s: err = %v", name, wantErr)
+					}
+					if pol == faults.DropCount && (want.Drops == 0) != masked {
+						t.Errorf("%s: %d drops", name, want.Drops)
+					}
+				}
+			}
+		}
 	}
 }
 
-// TestFailPlanesConsolidatedError: every out-of-range ID is reported in one
-// error, before any plane is failed.
-func TestFailPlanesConsolidatedError(t *testing.T) {
-	cfg := fabric.Config{N: 4, K: 4, RPrime: 2}
-	src := traffic.NewBernoulli(4, 0.5, 16, 1)
-	_, err := Run(cfg, rrFactory, src, Options{
-		FailPlanes: []cell.Plane{1, 9, -1, 2, 17},
-	})
-	if err == nil {
-		t.Fatal("out-of-range FailPlanes accepted")
-	}
-	for _, want := range []string{"9", "-1", "17", "0..3"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
+// TestDriveRejectsConfigConflicts: a PPS applies Faults, FaultPolicy and
+// Workers from its own config, so Drive refuses options that set them to
+// something else instead of silently running without them, and Run refuses
+// a config and options that disagree.
+func TestDriveRejectsConfigConflicts(t *testing.T) {
+	cfg := fabric.Config{N: 4, K: 4, RPrime: 2, CheckInvariants: true}
+	sched := faults.NewSchedule().FailAt(0, 0)
+	for _, r := range []struct {
+		option string
+		opts   Options
+	}{
+		{"Faults", Options{Faults: sched, FaultPolicy: faults.DropCount}},
+		{"FaultPolicy", Options{FaultPolicy: faults.DropCount}},
+		{"Workers", Options{Workers: 2}},
+	} {
+		pps, err := fabric.New(cfg, rrFactory)
+		if err != nil {
+			t.Fatal(err)
 		}
+		tr := traffic.NewTrace()
+		tr.MustAdd(0, 0, 1)
+		if _, err := Drive(pps, tr, r.opts); err == nil || !strings.Contains(err.Error(), "Options."+r.option) {
+			t.Errorf("%s: err = %v, want it named", r.option, err)
+		}
+	}
+	// Options that repeat the PPS's config are accepted.
+	same := cfg
+	same.Faults, same.FaultPolicy, same.Workers = sched, faults.DropCount, 2
+	pps, err := fabric.New(same, rrFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Drive(pps, traffic.NewBernoulli(4, 0.5, 64, 1), Options{Faults: sched, FaultPolicy: faults.DropCount, Workers: 2})
+	if err != nil || res.Drops == 0 {
+		t.Errorf("matching options: drops %d, err %v; want drops and no error", res.Drops, err)
+	}
+	// Run forwards options into a config that leaves them zero, and
+	// refuses a config value the options contradict.
+	cfg.Workers = 1
+	if _, err := Run(cfg, rrFactory, traffic.NewBernoulli(4, 0.5, 64, 1), Options{Workers: 2}); err == nil || !strings.Contains(err.Error(), "Options.Workers") {
+		t.Errorf("Run with Config.Workers 1 and Options.Workers 2: err = %v, want it named", err)
 	}
 }
 

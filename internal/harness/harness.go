@@ -34,24 +34,21 @@ type Options struct {
 	// under test (a PPS sets all stage stamps).
 	OnPPSDepart func(cell.Cell)
 	// Validate measures the traffic's leaky-bucket burstiness during the
-	// run (cheap; on by default in the public API).
+	// run (cheap, but off by default, ppsim.Run included).
 	Validate bool
-	// FailPlanes marks these planes failed before the first slot.
-	// Duplicate IDs are applied once; out-of-range IDs error before the
-	// run starts. Under the default Abort policy the run errors at the
-	// first dispatch into a failed plane — the fault-tolerance experiments
-	// use this to find which inputs a failure strands (Section 3 of the
-	// paper); under FaultPolicy DropCount those dispatches become
-	// accounted drops instead.
-	FailPlanes []cell.Plane
-	// Faults schedules mid-run plane fail/recover events (and optional
-	// per-plane cell loss); nil injects nothing. Forwarded to
-	// fabric.Config.Faults when the config leaves it nil.
+	// Faults schedules plane fail/recover events (and optional per-plane
+	// cell loss); nil injects nothing. It is the one way to fail a plane:
+	// FailAt(k, 0) takes plane k down before the first arrival, which the
+	// fault-tolerance experiments use to find which inputs a failure
+	// strands (Section 3 of the paper). Forwarded to fabric.Config.Faults
+	// when the config leaves it nil; Drive rejects a schedule that differs
+	// from the PPS's own.
 	Faults *faults.Schedule
 	// FaultPolicy decides what a dispatch into a failed plane means:
-	// faults.Abort (default, the model's no-drop semantics) or
-	// faults.DropCount (accounted losses, Result.Drops). Forwarded to
-	// fabric.Config.FaultPolicy when the config leaves it Abort.
+	// faults.Abort (default, the model's no-drop semantics: the run errors)
+	// or faults.DropCount (accounted losses, Result.Drops). Forwarded to
+	// fabric.Config.FaultPolicy when the config leaves it Abort; Drive
+	// rejects a policy that differs from the PPS's own.
 	FaultPolicy faults.Policy
 	// Admission is the policy evaluated in front of the demux, in the
 	// serial recorder-side arrival phase: every offered arrival is admitted
@@ -92,7 +89,8 @@ type Options struct {
 	// the run to the stepped core: every slot executes, idle ones included,
 	// so sparse long-horizon runs belong on the serial event core.
 	// Results are bit-identical across all settings; Run forwards the
-	// value to fabric.Config.Workers when the config leaves it zero.
+	// value to fabric.Config.Workers when the config leaves it zero, and
+	// Drive rejects a value that differs from the PPS's own.
 	Workers int
 	// Engine selects the slot-execution core (see the Engine constants).
 	// The zero value, EngineAuto, runs the event-driven core whenever the
@@ -179,32 +177,6 @@ func Run(cfg fabric.Config, factory func(demux.Env) (demux.Algorithm, error), sr
 	if err != nil {
 		return Result{}, err
 	}
-	// Deduplicate (Fail is idempotent, but double-failing silently hid
-	// typos) and reject every out-of-range ID in one error, before any
-	// plane is touched.
-	if len(opts.FailPlanes) > 0 {
-		seen := make(map[cell.Plane]bool, len(opts.FailPlanes))
-		var uniq []cell.Plane
-		var bad []string
-		for _, k := range opts.FailPlanes {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if int(k) < 0 || int(k) >= cfg.K {
-				bad = append(bad, fmt.Sprint(k))
-				continue
-			}
-			uniq = append(uniq, k)
-		}
-		if len(bad) > 0 {
-			return Result{}, fmt.Errorf("harness: cannot fail nonexistent plane(s) %s (planes are 0..%d)",
-				strings.Join(bad, ", "), cfg.K-1)
-		}
-		for _, k := range uniq {
-			pps.Plane(k).Fail()
-		}
-	}
 	return Drive(pps, src, opts)
 }
 
@@ -246,8 +218,8 @@ func (v *slotView) ExpiredTotal() uint64      { return v.rec.ExpiredTotal() }
 // Switch is a switch under test: the PPS, or a baseline such as the crossbar
 // or the CIOQ switch. Step presents slot t's stamped arrivals and appends the
 // slot's departures, Depart set, to dst. A baseline runs on the stepped core,
-// and the PPS-only options (Probes, Tracer, Faults, FailPlanes, FaultPolicy
-// DropCount, Workers) are errors for it.
+// and the PPS-only options (Probes, Tracer, Faults, FaultPolicy DropCount,
+// Workers) are errors for it.
 type Switch interface {
 	Ports() int
 	Step(t cell.Time, arrivals, dst []cell.Cell) ([]cell.Cell, error)
@@ -490,18 +462,19 @@ func (d *driver) run(event bool) (cell.Time, error) {
 }
 
 // Drive is Run against an existing switch under test: a PPS (so callers can
-// inject plane failures or inspect internals afterwards) or a baseline. A PPS
-// must be fresh (slot -1): per-run accounting (output utilization windows,
-// peak queues, dispatch counters) is cumulative, so driving a fabric twice
-// would silently blend the runs; Drive rejects a used fabric instead.
+// inspect internals afterwards) or a baseline. A PPS must be fresh (slot -1):
+// per-run accounting (output utilization windows, peak queues, dispatch
+// counters) is cumulative, so driving a fabric twice would silently blend the
+// runs; Drive rejects a used fabric instead. The fabric applies Faults,
+// FaultPolicy and Workers from its own config, so a PPS must have been built
+// with the values opts sets.
 func Drive(sw Switch, src traffic.Source, opts Options) (res Result, err error) {
 	pps, _ := sw.(*fabric.PPS)
-	if pps == nil {
-		if name := ppsOnlyOption(&opts); name != "" {
-			return Result{}, fmt.Errorf("harness: Options.%s needs a PPS under test, not a %T", name, sw)
-		}
-	} else if s := pps.CurrentSlot(); s != -1 {
-		return Result{}, fmt.Errorf("harness: fabric already driven through slot %d; build a fresh PPS per run", s)
+	if pps != nil && pps.CurrentSlot() != -1 {
+		return Result{}, fmt.Errorf("harness: fabric already driven through slot %d; build a fresh PPS per run", pps.CurrentSlot())
+	}
+	if name := unhonoured(pps, &opts); name != "" {
+		return Result{}, fmt.Errorf("harness: a %T under test cannot honour Options.%s (Probes and Tracer need a PPS; Faults, FaultPolicy and Workers must be what the PPS was built with)", sw, name)
 	}
 	n := sw.Ports()
 	if opts.MaxSlots <= 0 {
@@ -633,21 +606,25 @@ func Drive(sw Switch, src traffic.Source, opts Options) (res Result, err error) 
 	return res, nil
 }
 
-// ppsOnlyOption names the first option set that only a PPS under test can
-// honour, or returns "" when none is.
-func ppsOnlyOption(o *Options) string {
+// unhonoured names the first option opts sets that the switch under test
+// cannot honour, or returns "": Probes and Tracer need a PPS, and a PPS
+// applies Faults, FaultPolicy and Workers from its own config, so those must
+// be the values it was built with (a baseline has none).
+func unhonoured(pps *fabric.PPS, o *Options) string {
+	var cfg fabric.Config
+	if pps != nil {
+		cfg = pps.Config()
+	}
 	switch {
-	case len(o.Probes) > 0:
+	case pps == nil && len(o.Probes) > 0:
 		return "Probes"
-	case o.Tracer != nil:
+	case pps == nil && o.Tracer != nil:
 		return "Tracer"
-	case o.Faults != nil:
+	case o.Faults != nil && o.Faults != cfg.Faults:
 		return "Faults"
-	case len(o.FailPlanes) > 0:
-		return "FailPlanes"
-	case o.FaultPolicy != faults.Abort:
+	case o.FaultPolicy != faults.Abort && o.FaultPolicy != cfg.FaultPolicy:
 		return "FaultPolicy"
-	case o.Workers != 0:
+	case o.Workers != 0 && o.Workers != cfg.Workers:
 		return "Workers"
 	}
 	return ""

@@ -7,6 +7,7 @@ import (
 	"ppsim/internal/cell"
 	"ppsim/internal/demux"
 	"ppsim/internal/fabric"
+	"ppsim/internal/faults"
 	"ppsim/internal/traffic"
 )
 
@@ -145,23 +146,27 @@ func TestDriveRejectsAlgorithmErrors(t *testing.T) {
 	}
 }
 
+// TestFailPlanesOption: a plane failed from slot 0 — the schedule event
+// FailAt(k, 0), which ppsim sim -fail-planes lowers to — under the default
+// Abort policy.
 func TestFailPlanesOption(t *testing.T) {
 	cfg := fabric.Config{N: 4, K: 2, RPrime: 1, CheckInvariants: true}
+	failed := func(k cell.Plane) Options { return Options{Faults: faults.NewSchedule().FailAt(k, 0)} }
 	tr := traffic.NewTrace()
 	tr.MustAdd(0, 0, 1)
 	// Fresh rr dispatches to plane 0 first: failing it errors the run.
-	if _, err := Run(cfg, rrFactory, tr, Options{FailPlanes: []cell.Plane{0}}); err == nil {
+	if _, err := Run(cfg, rrFactory, tr, failed(0)); err == nil {
 		t.Error("dispatch into a failed plane must error the run")
 	}
 	// Failing a plane the traffic never uses is harmless (rr starts at 0).
 	tr2 := traffic.NewTrace()
 	tr2.MustAdd(0, 0, 1)
-	if _, err := Run(cfg, rrFactory, tr2, Options{FailPlanes: []cell.Plane{1}}); err != nil {
+	if _, err := Run(cfg, rrFactory, tr2, failed(1)); err != nil {
 		t.Errorf("unused failed plane should not affect the run: %v", err)
 	}
 	// Nonexistent plane is a configuration error.
-	if _, err := Run(cfg, rrFactory, tr2, Options{FailPlanes: []cell.Plane{9}}); err == nil {
-		t.Error("failing a nonexistent plane must error")
+	if _, err := Run(cfg, rrFactory, tr2, failed(9)); err == nil || !strings.Contains(err.Error(), "outside [0, 2)") {
+		t.Errorf("failing a nonexistent plane: err = %v, want the schedule's range error", err)
 	}
 }
 

@@ -125,8 +125,8 @@ func TestTracerRecordsViolations(t *testing.T) {
 	tr.MustAdd(0, 0, 1)
 	ring := obs.NewRingSink(16)
 	_, err := Run(cfg, rrFactory, tr, Options{
-		FailPlanes: []cell.Plane{0}, // fresh rr dispatches to plane 0 first
-		Tracer:     obs.NewTracer(ring),
+		Faults: faults.NewSchedule().FailAt(0, 0), // fresh rr dispatches to plane 0 first
+		Tracer: obs.NewTracer(ring),
 	})
 	if err == nil {
 		t.Fatal("dispatch into a failed plane must error")

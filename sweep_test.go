@@ -1,6 +1,7 @@
 package ppsim_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -144,5 +145,45 @@ func TestRunSweepMoreWorkersThanPoints(t *testing.T) {
 	}
 	if res[1].Result.Report.Cells == 0 {
 		t.Error("good point ran empty")
+	}
+}
+
+// TestRunSweepSharedFaultSchedule: concurrent runs may share one fault
+// schedule. The schedule is built out of canonical order, so the runs race
+// to sort it on first use; every point must still see the same events, loss
+// streams and seed, and match a run alone over its own copy of the schedule.
+func TestRunSweepSharedFaultSchedule(t *testing.T) {
+	build := func() *ppsim.FaultSchedule {
+		return ppsim.NewFaultSchedule().
+			Outage(2, 90, 150).FailAt(1, 40).RecoverAt(1, 20).FailAt(1, 0).
+			WithLoss(3, 0.05).WithSeed(9)
+	}
+	cfg := ppsim.Config{N: 8, K: 4, RPrime: 2, Algorithm: ppsim.Algorithm{Name: "rr"}}
+	opts := ppsim.Options{FaultPolicy: ppsim.FaultDropCount, Faults: build()}
+	pts := make([]ppsim.SweepPoint, 8)
+	for i := range pts {
+		pts[i] = ppsim.SweepPoint{
+			Label:     "shared",
+			Config:    cfg,
+			NewSource: func() ppsim.Source { return ppsim.NewBernoulli(8, 0.6, 200, 3) },
+			Options:   opts,
+		}
+	}
+	alone := opts
+	alone.Faults = build()
+	want, err := ppsim.Run(cfg, ppsim.NewBernoulli(8, 0.6, 200, 3), alone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Drops == 0 {
+		t.Fatal("degraded run recorded no drops")
+	}
+	for i, r := range ppsim.RunSweep(pts, len(pts)) {
+		if r.Err != nil {
+			t.Fatalf("point %d: %v", i, r.Err)
+		}
+		if !reflect.DeepEqual(r.Result, want) {
+			t.Errorf("point %d diverges from the run alone\ngot:  %+v\nwant: %+v", i, r.Result, want)
+		}
 	}
 }
