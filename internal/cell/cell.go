@@ -40,6 +40,12 @@ type Flow struct {
 // String renders the flow as "(i->j)".
 func (f Flow) String() string { return fmt.Sprintf("(%d->%d)", f.In, f.Out) }
 
+// FlowID is a flow's dense 1-based id, minted by the Stamper the first time
+// it sees the flow: the ids of a run are exactly 1..flows, so per-flow state
+// downstream lives in columns indexed by FlowID-1 and sized to the flows the
+// run carries. Zero means unstamped.
+type FlowID uint32
+
 // Cell is one fixed-size unit of switching work.
 //
 // A Cell is created when it arrives to the switch and is annotated as it
@@ -64,6 +70,10 @@ type Cell struct {
 
 	// Via is the plane the cell was switched through (PPS only).
 	Via Plane
+
+	// FlowID is Flow's id, assigned by the Stamper (0 = unstamped). It sits
+	// in the padding after Via, so a cell stays 72 bytes.
+	FlowID FlowID
 
 	// AtOutput is the slot the cell reached its output-port buffer.
 	AtOutput Time
@@ -110,69 +120,79 @@ func (c Cell) String() string {
 		c.Seq, c.Flow, c.FlowSeq, c.Arrive, c.Dispatch, c.Via, c.AtOutput, c.Depart)
 }
 
-// Stamper hands out sequence numbers and per-flow indices for newly arriving
-// cells. It is the single authority for cell identity in an execution, so
-// that the PPS and the shadow switch see byte-identical cells.
+// Stamper hands out sequence numbers, flow ids and per-flow indices for
+// newly arriving cells. It is the single authority for cell identity in an
+// execution, so that the PPS and the shadow switch see byte-identical cells.
 //
-// Per-flow counters live either in a dense n*n table (NewStamperSized, the
-// harness's choice — profiling showed the per-cell map access dominating the
-// stamp cost) or in a map (NewStamper, for callers without a known port
-// count). Both behave identically; flows outside the sized range fall back
-// to the map, so a dense Stamper accepts arbitrary flows too.
+// The (In, Out) → FlowID index is a dense n*n table of uint32 ids when the
+// Stamper was sized (NewStamperSized, the harness's choice — profiling showed
+// the per-cell map access dominating the stamp cost) and a map otherwise;
+// flows outside the sized range fall back to the map, so a dense Stamper
+// accepts arbitrary flows too. The per-flow counters live in a Column indexed
+// by FlowID-1, so they cost one word per flow the run carries.
 type Stamper struct {
-	next    uint64
-	n       int
-	dense   []uint64
-	perFlow map[Flow]uint64
+	next  uint64
+	n     uint32
+	dense []FlowID // n*n (In, Out) → FlowID; 0 = not yet seen
+	ids   map[Flow]FlowID
+	seqs  Column[uint64] // FlowID-1 → next FlowSeq
 }
 
-// stamperDenseMax caps the dense table at 1M flows (8 MiB), i.e. n <= 1024;
-// larger switches keep the map.
+// stamperDenseMax caps the dense index at 1M flows (4 MiB of uint32 ids),
+// i.e. n <= 1024; larger switches keep the map.
 const stamperDenseMax = 1 << 20
 
 // NewStamper returns an empty Stamper.
 func NewStamper() *Stamper {
-	return &Stamper{perFlow: make(map[Flow]uint64)}
+	return &Stamper{ids: make(map[Flow]FlowID), seqs: NewColumn[uint64](0)}
 }
 
-// NewStamperSized returns a Stamper whose per-flow counters are a dense
-// n*n table when n is positive and small enough, and a plain map otherwise.
+// NewStamperSized returns a Stamper for an n-port switch: its flow index is a
+// dense n*n table when n is positive and small enough, and a plain map
+// otherwise, and its counter column is paged for at most n*n flows.
 func NewStamperSized(n int) *Stamper {
 	s := NewStamper()
+	if n > 0 {
+		s.seqs = NewColumn[uint64](n * n)
+	}
 	if n > 0 && n*n <= stamperDenseMax {
-		s.n = n
-		s.dense = make([]uint64, n*n)
+		s.n = uint32(n)
+		s.dense = make([]FlowID, n*n)
 	}
 	return s
 }
 
-// flowSeq returns a pointer to f's counter: the dense slot when f is in
-// range, the map entry otherwise.
-func (s *Stamper) flowSeq(f Flow) (uint64, bool) {
-	if uint32(f.In) < uint32(s.n) && uint32(f.Out) < uint32(s.n) {
-		return s.dense[int(f.In)*s.n+int(f.Out)], true
+// ID returns flow f's FlowID, minting the next one on first sight.
+func (s *Stamper) ID(f Flow) FlowID {
+	var slot *FlowID
+	if uint32(f.In) < s.n && uint32(f.Out) < s.n {
+		slot = &s.dense[uint32(f.In)*s.n+uint32(f.Out)]
+		if *slot != 0 {
+			return *slot
+		}
+	} else if id, ok := s.ids[f]; ok {
+		return id
 	}
-	return s.perFlow[f], false
+	s.seqs.Grow()
+	id := FlowID(s.seqs.Len())
+	if slot != nil {
+		*slot = id
+	} else {
+		s.ids[f] = id
+	}
+	return id
 }
 
-// Stamp mints the cell for an arrival on flow f at slot t.
+// Stamp mints the cell for an arrival on flow f at slot t. It spells out
+// New's literal with the id in it: the cell is built once, in place.
 func (s *Stamper) Stamp(f Flow, t Time) Cell {
-	fs, inDense := s.flowSeq(f)
-	if inDense {
-		s.dense[int(f.In)*s.n+int(f.Out)] = fs + 1
-	} else {
-		s.perFlow[f] = fs + 1
-	}
-	c := New(s.next, fs, f, t)
+	id := s.ID(f)
+	fs := s.seqs.At(int(id) - 1)
+	c := Cell{Seq: s.next, FlowSeq: *fs, Flow: f, Arrive: t, Dispatch: None, Via: NoPlane, FlowID: id, AtOutput: None, Depart: None}
+	*fs++
 	s.next++
 	return c
 }
 
 // Count reports how many cells have been stamped so far.
 func (s *Stamper) Count() uint64 { return s.next }
-
-// FlowCount reports how many cells have been stamped for flow f.
-func (s *Stamper) FlowCount(f Flow) uint64 {
-	fs, _ := s.flowSeq(f)
-	return fs
-}

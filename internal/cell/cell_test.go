@@ -3,6 +3,7 @@ package cell
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewSetsSentinels(t *testing.T) {
@@ -66,13 +67,41 @@ func TestStamperSequencing(t *testing.T) {
 	if s.Count() != 3 {
 		t.Errorf("Count = %d, want 3", s.Count())
 	}
-	if s.FlowCount(f1) != 2 || s.FlowCount(f2) != 1 {
-		t.Errorf("FlowCount: f1=%d f2=%d, want 2 1", s.FlowCount(f1), s.FlowCount(f2))
+	if a.FlowID != 1 || b.FlowID != 2 || c.FlowID != 1 {
+		t.Errorf("flow ids: %d %d %d, want 1 2 1", a.FlowID, b.FlowID, c.FlowID)
+	}
+	if s.ID(f2) != 2 || s.ID(Flow{In: 3, Out: 3}) != 3 {
+		t.Error("ID must return a seen flow's id and mint the next one for a new flow")
+	}
+}
+
+// A sized Stamper mints the same ids as a map-backed one, flows outside its
+// range included (they fall back to the map, sharing the id sequence).
+func TestStamperSizedMatchesUnsized(t *testing.T) {
+	sized, plain := NewStamperSized(4), NewStamper()
+	for i := 0; i < 200; i++ {
+		f := Flow{In: Port(i * 7 % 5), Out: Port(i * 3 % 6)} // ports 4 and 5 are out of range
+		a, b := sized.Stamp(f, Time(i)), plain.Stamp(f, Time(i))
+		if a != b {
+			t.Fatalf("stamp %d of %v: sized %v (id %d), unsized %v (id %d)", i, f, a, a.FlowID, b, b.FlowID)
+		}
+		if a.FlowID == 0 {
+			t.Fatalf("stamp %d of %v carries no flow id", i, f)
+		}
+	}
+}
+
+// The flow id lives in the padding after Via: the cell, and so every slab of
+// the columnar store, keeps its size.
+func TestCellSize(t *testing.T) {
+	if got := unsafe.Sizeof(Cell{}); got != 72 {
+		t.Errorf("unsafe.Sizeof(Cell{}) = %d, want 72", got)
 	}
 }
 
 // Property: global sequence numbers are strictly increasing and per-flow
-// sequence numbers are dense (0,1,2,...) no matter the interleaving.
+// sequence numbers are dense (0,1,2,...) no matter the interleaving, and
+// every cell of a flow carries the flow's one id.
 func TestStamperProperties(t *testing.T) {
 	prop := func(flowChoices []uint8) bool {
 		s := NewStamper()
@@ -85,7 +114,7 @@ func TestStamperProperties(t *testing.T) {
 				return false
 			}
 			lastSeq = c.Seq
-			if c.FlowSeq != perFlow[f] {
+			if c.FlowSeq != perFlow[f] || c.FlowID != s.ID(f) {
 				return false
 			}
 			perFlow[f]++

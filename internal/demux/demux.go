@@ -78,19 +78,6 @@ func (s *sendScratch) keep(sends []Send) []Send {
 	return sends
 }
 
-// appendDoubling appends v to a per-flow column, doubling its capacity (from
-// 16) whenever it is full: a run allocates about twice its final column,
-// where append's 1.25× steps past 256 entries would allocate about five
-// times.
-func appendDoubling[T any](s []T, v T) []T {
-	if len(s) == cap(s) {
-		grown := make([]T, len(s), max(2*len(s), 16))
-		copy(grown, s)
-		s = grown
-	}
-	return append(s, v)
-}
-
 // Prober is implemented by deterministic algorithms that can reveal which
 // plane they would pick next for a given (input, output) pair, assuming all
 // input gates free and no intervening arrivals. The steering adversary of

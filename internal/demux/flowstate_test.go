@@ -70,7 +70,7 @@ func TestLeastLoadedMatchesScanReference(t *testing.T) {
 					dispatch(deep, 1<<uint(p))
 				}
 			}
-			if vals := a.flows[a.ids[deep]].vals; cap(vals) <= bucketInline {
+			if vals := a.flows.At(int(a.ids[deep])).vals; cap(vals) <= bucketInline {
 				t.Fatalf("flow holds %d buckets in capacity %d: never spilled", len(vals), cap(vals))
 			}
 
@@ -86,8 +86,8 @@ func TestLeastLoadedMatchesScanReference(t *testing.T) {
 				}
 				dispatch(f, mask)
 			}
-			if len(a.flows) != len(ref) {
-				t.Errorf("column holds %d flows, reference %d", len(a.flows), len(ref))
+			if a.flows.Len() != len(ref) {
+				t.Errorf("column holds %d flows, reference %d", a.flows.Len(), len(ref))
 			}
 			for f := range ref {
 				if got, _ := a.WouldChoose(f.In, f.Out); got != scan(f, full) {
@@ -113,8 +113,8 @@ func TestLeastLoadedProbeDoesNotInsert(t *testing.T) {
 			}
 		}
 	}
-	if len(probed.ids) != 0 || len(probed.flows) != 0 {
-		t.Fatalf("probing inserted %d flows (%d records)", len(probed.ids), len(probed.flows))
+	if len(probed.ids) != 0 || probed.flows.Len() != 0 {
+		t.Fatalf("probing inserted %d flows (%d records)", len(probed.ids), probed.flows.Len())
 	}
 	st, stTwin := cell.NewStamper(), cell.NewStamper()
 	for slot := cell.Time(0); slot < 64; slot++ {

@@ -26,16 +26,17 @@ import (
 // implementation falls back to any free gate and counts the violation,
 // rather than dropping the cell.
 //
-// Each flow's block state is a 16-byte record held by value in one column
-// indexed by a flow id, its used-plane set one word (K <= MaxPlanes).
+// Each flow's block state is a 16-byte record held by value in one paged
+// cell.Column indexed by a flow id, its used-plane set one word
+// (K <= MaxPlanes).
 type FTD struct {
 	sendScratch
 	env   Env
 	h     float64
 	block int
 	ids   map[cell.Flow]int32
-	flows []ftdFlow // flow id → block state
-	falls uint64    // block-discipline violations (fallback dispatches)
+	flows cell.Column[ftdFlow] // flow id → block state
+	falls uint64               // block-discipline violations (fallback dispatches)
 }
 
 type ftdFlow struct {
@@ -58,7 +59,8 @@ func NewFTD(env Env, h float64) (*FTD, error) {
 	if block > env.Planes() {
 		return nil, fmt.Errorf("demux: ftd block %d exceeds K=%d planes", block, env.Planes())
 	}
-	return &FTD{env: env, h: h, block: block, ids: make(map[cell.Flow]int32)}, nil
+	n := env.Ports()
+	return &FTD{env: env, h: h, block: block, ids: make(map[cell.Flow]int32), flows: cell.NewColumn[ftdFlow](n * n)}, nil
 }
 
 // Name implements Algorithm.
@@ -79,11 +81,11 @@ func (a *FTD) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	for _, c := range arrivals {
 		id, ok := a.ids[c.Flow]
 		if !ok {
-			id = int32(len(a.flows))
+			id = int32(a.flows.Len())
 			a.ids[c.Flow] = id
-			a.flows = appendDoubling(a.flows, ftdFlow{})
+			a.flows.Grow()
 		}
-		fs := &a.flows[id]
+		fs := a.flows.At(int(id))
 		p := pickFree(a.env, c.Flow.In, t, fs.ptr, ^fs.used)
 		if p == cell.NoPlane {
 			// Block discipline unsatisfiable this slot: fall back to any
@@ -116,7 +118,7 @@ func (a *FTD) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
 	if !ok {
 		return 0, true
 	}
-	fs := a.flows[id]
+	fs := *a.flows.At(int(id))
 	k := a.env.Planes()
 	for d := 0; d < k; d++ {
 		p := cell.Plane((int(fs.ptr) + d) % k)

@@ -22,14 +22,15 @@ import (
 // planeBuckets structure whose bucket scan reproduces the lowest-index
 // argmin of an O(K) counter scan exactly (DESIGN.md §15), and the free-gate
 // set is one Env.FreeGateMask call. The structures are held by value in one
-// column indexed by a flow id, and their slices are cut from fixed-size
-// slabs that never move, so a new flow costs no heap object of its own.
+// paged cell.Column indexed by a flow id, and their slices are cut from
+// fixed-size slabs; neither ever moves, so a new flow costs no heap object
+// of its own and no copy of the others.
 type LocalLeastLoaded struct {
 	sendScratch
 	env   Env
 	ids   map[cell.Flow]int32
-	flows []planeBuckets // flow id → counters and buckets
-	slab  []uint64       // unused tail of the current storage slab
+	flows cell.Column[planeBuckets] // flow id → counters and buckets
+	slab  []uint64                  // unused tail of the current storage slab
 }
 
 // bucketSlabFlows is how many flows' planeBuckets storage one slab holds.
@@ -44,7 +45,8 @@ func NewLocalLeastLoaded(env Env) (*LocalLeastLoaded, error) {
 	if int64(env.Planes()) < env.RPrime() {
 		return nil, fmt.Errorf("demux: least-loaded needs K >= r' (K=%d, r'=%d)", env.Planes(), env.RPrime())
 	}
-	return &LocalLeastLoaded{env: env, ids: make(map[cell.Flow]int32)}, nil
+	n := env.Ports()
+	return &LocalLeastLoaded{env: env, ids: make(map[cell.Flow]int32), flows: cell.NewColumn[planeBuckets](n * n)}, nil
 }
 
 // Name implements Algorithm.
@@ -69,22 +71,21 @@ func (a *LocalLeastLoaded) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, erro
 }
 
 // flowBuckets returns flow f's structure, adding a fresh one on first
-// sight. The pointer is valid until the next call.
+// sight.
 func (a *LocalLeastLoaded) flowBuckets(f cell.Flow) *planeBuckets {
 	if id, ok := a.ids[f]; ok {
-		return &a.flows[id]
+		return a.flows.At(int(id))
 	}
 	k := a.env.Planes()
 	w := planeBucketWords(k)
 	if len(a.slab) < w {
 		a.slab = make([]uint64, bucketSlabFlows*w)
 	}
-	var pb planeBuckets
+	a.ids[f] = int32(a.flows.Len())
+	pb := a.flows.Grow()
 	pb.init(k, a.slab[:w:w])
 	a.slab = a.slab[w:]
-	a.ids[f] = int32(len(a.flows))
-	a.flows = appendDoubling(a.flows, pb)
-	return &a.flows[len(a.flows)-1]
+	return pb
 }
 
 // Buffered implements Algorithm (bufferless).
@@ -98,5 +99,5 @@ func (a *LocalLeastLoaded) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
 	if !ok {
 		return 0, true
 	}
-	return a.flows[id].argmin(^uint64(0)), true
+	return a.flows.At(int(id)).argmin(^uint64(0)), true
 }

@@ -1,0 +1,70 @@
+package fabric
+
+import (
+	"runtime"
+	"testing"
+
+	"ppsim/internal/cell"
+	"ppsim/internal/demux"
+)
+
+// flowBytesBudget bounds what driving the 2048-flow run below may allocate,
+// fabric construction excluded; it measures 0.82 MiB on linux/amd64 with
+// Go 1.24. The per-flow columns (order referee, resequencer cursors) cost
+// one 32 KiB page each here; the rest is the plane queues, the output heaps
+// and the cell store reaching the run's backlog. A referee or resequencer
+// table sized N² — one N-entry row per output, 2 × 1024 rows of 8 KiB —
+// spends 16 MiB more and fails the guard.
+const flowBytesBudget = 2 << 20
+
+// TestPerFlowStateSizedToFlows is the deterministic bytes guard for the
+// per-flow tables at the headline geometry: N = 1024, K = 8, carrying 2048
+// distinct flows spread over every output (two per output, one per input
+// per slot), four cells each, until the switch drains.
+func TestPerFlowStateSizedToFlows(t *testing.T) {
+	const n, flows, cellsPerFlow = 1024, 2048, 4
+	p, err := New(Config{N: n, K: 8, RPrime: 2}, rrFactory(demux.PerInput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stamp every cell before measuring: the Stamper is the harness's table,
+	// not the fabric's. Slot s carries flow block s%2 — inputs 0..n-1 to
+	// outputs in (block 0) or in+n/2 (block 1) — so each input sends one
+	// cell per slot and each output hears from two flows.
+	st := cell.NewStamper()
+	slots := make([][]cell.Cell, 2*cellsPerFlow)
+	for s := range slots {
+		block := s % 2
+		for in := 0; in < n; in++ {
+			f := cell.Flow{In: cell.Port(in), Out: cell.Port((in + block*n/2) % n)}
+			slots[s] = append(slots[s], st.Stamp(f, cell.Time(s)))
+		}
+	}
+	deps := make([]cell.Cell, 0, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	slot := cell.Time(0)
+	for ; slot < cell.Time(len(slots)) || !p.Drained(); slot++ {
+		var arrivals []cell.Cell
+		if int(slot) < len(slots) {
+			arrivals = slots[slot]
+		}
+		if deps, err = p.Step(slot, arrivals, deps[:0]); err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		if slot > 10_000 {
+			t.Fatalf("switch did not drain (backlog %d)", p.Backlog())
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if p.Departed() != flows*cellsPerFlow {
+		t.Fatalf("departed %d cells, want %d", p.Departed(), flows*cellsPerFlow)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > flowBytesBudget {
+		t.Errorf("driving %d flows allocated %.2f MiB, budget %.2f MiB: is a per-flow table sized N² again?",
+			flows, float64(got)/(1<<20), float64(flowBytesBudget)/(1<<20))
+	} else {
+		t.Logf("driving %d flows over %d slots allocated %.2f MiB", flows, slot, float64(got)/(1<<20))
+	}
+}

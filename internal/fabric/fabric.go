@@ -154,15 +154,16 @@ type PPS struct {
 	tracer *obs.Tracer
 	trace  bool
 
-	// lastFlowSeq tracks per-flow order preservation at departure,
-	// sharded per output-port: a flow (in, out) departs only at output
-	// out, so lastFlowSeq[out] — indexed by the input-port alone — is
-	// written by exactly one mux shard. Each row is a dense next-expected
-	// array (0 = flow unseen, else last departed FlowSeq + 1), lazily
-	// allocated on the output's first departure: an idle output costs
-	// nothing, and an active one replaces the historical per-flow map
-	// lookup on every departure with an array index.
-	lastFlowSeq [][]uint64
+	// lastFlowSeq is the order referee's per-flow record, indexed by
+	// FlowID-1: 0 = flow unseen, else the last departed FlowSeq + 1.
+	// flowNext is the output resequencers' shared cursor column
+	// (mux.NewOutputs), indexed the same way. beginSlot grows both to cover
+	// every arrival's FlowID in the serial prologue, so they hold one word
+	// per flow the run carries, and a flow — which departs only at its own
+	// output — has its entries written by exactly one mux shard, in pages
+	// that never move.
+	lastFlowSeq cell.Column[uint64]
+	flowNext    cell.Column[uint64]
 
 	// faults applies the configured schedule; nil when the schedule is
 	// empty, so fault-free runs pay nothing.
@@ -232,7 +233,8 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 		pendingPerIn:       make([]int, cfg.N),
 		seenStamp:          make([]cell.Time, cfg.N),
 		lastSlot:           -1,
-		lastFlowSeq:        make([][]uint64, cfg.N),
+		lastFlowSeq:        cell.NewColumn[uint64](cfg.N * cfg.N),
+		flowNext:           cell.NewColumn[uint64](cfg.N * cfg.N),
 		dispatchedPerPlane: make([]uint64, cfg.K),
 		pullsPerOut:        make([]int64, cfg.N),
 		queuedPerOut:       make([]int, cfg.N),
@@ -263,7 +265,7 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 	for k := 0; k < cfg.K; k++ {
 		p.planes = append(p.planes, plane.New(cell.Plane(k), cfg.N, p.store))
 	}
-	p.outputs = mux.NewOutputs(cfg.N, cfg.Mux, p.store)
+	p.outputs = mux.NewOutputs(cfg.N, cfg.Mux, p.store, &p.flowNext)
 	p.pviews = make([]planeView, cfg.N)
 	for j := range p.pviews {
 		p.pviews[j] = planeView{p: p, j: cell.Port(j)}
@@ -377,18 +379,13 @@ func (p *PPS) auditInput(i int) error {
 }
 
 // checkFlowOrder verifies and records per-flow order preservation for a
-// departing cell. The per-output lastFlowSeq shard is written only by the
-// goroutine driving output c.Flow.Out, so output shards need no locking.
-// Under DropCount a flow's departures may skip FlowSeqs, but only FlowSeqs
-// the fabric itself recorded as dropped — any other gap is still a
-// violation.
+// departing cell. Its lastFlowSeq entry is written only by the goroutine
+// driving output c.Flow.Out, so output shards need no locking. Under
+// DropCount a flow's departures may skip FlowSeqs, but only FlowSeqs the
+// fabric itself recorded as dropped — any other gap is still a violation.
 func (p *PPS) checkFlowOrder(c cell.Cell) error {
-	seqs := p.lastFlowSeq[c.Flow.Out]
-	if seqs == nil {
-		seqs = make([]uint64, p.cfg.N)
-		p.lastFlowSeq[c.Flow.Out] = seqs
-	}
-	expect := seqs[c.Flow.In]
+	last := p.lastFlowSeq.At(int(c.FlowID) - 1)
+	expect := *last
 	orig := expect
 	if c.FlowSeq != expect && p.dropGaps != nil {
 		// The per-output dropGaps shard is filled in the serial phases and
@@ -407,7 +404,7 @@ func (p *PPS) checkFlowOrder(c cell.Cell) error {
 		}
 		return fmt.Errorf("fabric: flow %v order violated: cell %d departed after %d", c.Flow, c.FlowSeq, orig-1)
 	}
-	seqs[c.Flow.In] = c.FlowSeq + 1
+	*last = c.FlowSeq + 1
 	return nil
 }
 
@@ -422,7 +419,7 @@ func (p *PPS) recordDrop(t cell.Time, c cell.Cell) {
 	p.dropped++
 	p.slotDrops = append(p.slotDrops, c)
 	p.dropGaps[c.Flow.Out].Put(int32(c.Flow.In), c.FlowSeq, 0)
-	p.outputs[c.Flow.Out].Skip(c.Flow, c.FlowSeq)
+	p.outputs[c.Flow.Out].Skip(c)
 	if p.trace {
 		p.tracer.Emit(obs.Event{T: t, Kind: obs.EvDrop, Seq: c.Seq, In: c.Flow.In, Out: c.Flow.Out, Plane: c.Via})
 	}
@@ -548,8 +545,8 @@ func (v *planeView) pop(t cell.Time, k cell.Plane) cell.Ref {
 // cannot drift: check the slot clock (monotone, and no skipped slot while
 // cells are in flight), reset the slot's drop list, apply the fault events
 // due at t before the slot's arrivals are presented (stage 0), then validate
-// and admit the arrivals, updating the pending counters and working set
-// (stage 1).
+// and admit the arrivals, updating the pending counters and working set and
+// growing the per-flow columns to the arrivals' FlowIDs (stage 1).
 func (p *PPS) beginSlot(t cell.Time, arrivals []cell.Cell) error {
 	if t <= p.lastSlot {
 		return fmt.Errorf("fabric: non-monotone slot %d after %d", t, p.lastSlot)
@@ -570,6 +567,15 @@ func (p *PPS) beginSlot(t cell.Time, arrivals []cell.Cell) error {
 		}
 		if int(c.Flow.In) < 0 || int(c.Flow.In) >= p.cfg.N || int(c.Flow.Out) < 0 || int(c.Flow.Out) >= p.cfg.N {
 			return p.violation(t, fmt.Errorf("fabric: cell %v outside %dx%d switch", c, p.cfg.N, p.cfg.N))
+		}
+		// An n-port switch carries at most n² flows, so no stamped id
+		// exceeds n²; the bound keeps a forged id from growing the columns.
+		if n := uint64(p.cfg.N); c.FlowID == 0 || uint64(c.FlowID) > n*n {
+			return p.violation(t, fmt.Errorf("fabric: cell %v carries flow id %d outside [1, %d] (unstamped or forged)", c, c.FlowID, n*n))
+		}
+		if id := int(c.FlowID); id > p.lastFlowSeq.Len() {
+			p.lastFlowSeq.GrowTo(id)
+			p.flowNext.GrowTo(id)
 		}
 		if p.seenStamp[c.Flow.In] == t {
 			return p.violation(t, fmt.Errorf("fabric: two cells arrived at input %d in slot %d", c.Flow.In, t))
@@ -609,6 +615,9 @@ func (p *PPS) dispatch(t cell.Time, arrivals []cell.Cell) error {
 		}
 		if p.pendingPerIn[c.Flow.In] == 0 {
 			return p.violation(t, fmt.Errorf("fabric: %s dispatched cell %v that is not pending at input %d", p.alg.Name(), c, c.Flow.In))
+		}
+		if c.FlowID == 0 || int(c.FlowID) > p.lastFlowSeq.Len() {
+			return p.violation(t, fmt.Errorf("fabric: %s dispatched cell %v with unknown flow id %d", p.alg.Name(), c, c.FlowID))
 		}
 		if p.pendingPerIn[c.Flow.In]--; p.pendingPerIn[c.Flow.In] == 0 {
 			p.removePending(c.Flow.In)

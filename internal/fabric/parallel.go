@@ -14,7 +14,9 @@
 //     column j of the output-gate matrix, the per-output queues of each
 //     plane (pops deferred from the shared backlog counter), its own
 //     mux.Output, its own columnar-store shard (frees), pullsPerOut[j] and
-//     lastFlowSeq[j]. Outputs are therefore independent within a slot, and
+//     the lastFlowSeq and flowNext entries of its own flows (both columns
+//     are grown in the serial prologue, never by a shard). Outputs are
+//     therefore independent within a slot, and
 //     running them in any order yields the same per-output outcome as the
 //     serial j-ascending loop.
 //   - Everything order-sensitive is applied after the barrier by the

@@ -125,7 +125,7 @@ func TestCloseFallsBackToSerial(t *testing.T) {
 	}
 	p.Close()
 	p.Close() // idempotent
-	cells := []cell.Cell{cell.New(0, 0, cell.Flow{In: 1, Out: 2}, 0)}
+	cells := []cell.Cell{cell.NewStamper().Stamp(cell.Flow{In: 1, Out: 2}, 0)}
 	deps, err := p.Step(0, cells, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -193,10 +193,17 @@ func TestRefereeGapTolerance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The cells below skip beginSlot, which would grow the per-flow
+		// columns to their ids: cover all N² ids up front.
+		p.lastFlowSeq.GrowTo(16)
+		p.flowNext.GrowTo(16)
 		return p
 	}
+	ids := cell.NewStamperSized(4)
 	at := func(in, out cell.Port, fs uint64) cell.Cell {
-		return cell.New(0, fs, cell.Flow{In: in, Out: out}, 0)
+		c := cell.New(0, fs, cell.Flow{In: in, Out: out}, 0)
+		c.FlowID = ids.ID(c.Flow)
+		return c
 	}
 	depart := func(t *testing.T, p *PPS, in, out cell.Port, seqs ...uint64) {
 		t.Helper()
@@ -293,5 +300,61 @@ func TestTrailingDropLeavesSwitchDrained(t *testing.T) {
 	if !p.Drained() || p.Backlog() != 0 || p.outputBusy(0) || len(p.busyList) != 0 {
 		t.Errorf("Drained %v, Backlog %d, output 0 busy %v, busy list %v; want a drained idle switch",
 			p.Drained(), p.Backlog(), p.outputBusy(0), p.busyList)
+	}
+}
+
+// TestRefereeRejectsBadFlowIDs: an arrival's FlowID indexes the referee's
+// and the resequencers' per-flow columns, so the fabric admits only ids a
+// Stamper could have minted for an N x N switch — 1..N² — on both cores,
+// and names the cell it refuses. An id beyond N² would otherwise grow the
+// columns without bound. A dispatched cell's id must be one an arrival
+// carried.
+func TestRefereeRejectsBadFlowIDs(t *testing.T) {
+	const n = 4
+	forge := func(id cell.FlowID) func(demux.Env) func(cell.Time, []cell.Cell) ([]demux.Send, error) {
+		return func(demux.Env) func(cell.Time, []cell.Cell) ([]demux.Send, error) {
+			return func(_ cell.Time, arrivals []cell.Cell) ([]demux.Send, error) {
+				var out []demux.Send
+				for _, c := range arrivals {
+					c.FlowID = id
+					out = append(out, demux.Send{Cell: c, Plane: 0})
+				}
+				return out, nil
+			}
+		}
+	}
+	honest := rrFactory(demux.PerInput)
+	for _, tc := range []struct {
+		name    string
+		arrival cell.FlowID // the Stamper mints 1 for the test's one flow
+		alg     func(demux.Env) (demux.Algorithm, error)
+		want    string
+	}{
+		{"unstamped arrival", 0, honest, "carries flow id 0 outside [1, 16]"},
+		{"arrival id past N²", n*n + 1, honest, "carries flow id 17 outside [1, 16]"},
+		{"dispatch zeroes the id", 1, rogueFactory(forge(0), nil), "unknown flow id 0"},
+		{"dispatch invents an id", 1, rogueFactory(forge(n*n+1), nil), "unknown flow id 17"},
+	} {
+		for _, core := range []string{"stepped", "event"} {
+			t.Run(tc.name+"/"+core, func(t *testing.T) {
+				p, err := New(Config{N: n, K: 2, RPrime: 1, CheckInvariants: true}, tc.alg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := cell.NewStamperSized(n).Stamp(cell.Flow{In: 1, Out: 2}, 0)
+				c.FlowID = tc.arrival
+				step := p.Step
+				if core == "event" {
+					step = p.EventStep
+				}
+				_, err = step(0, []cell.Cell{c}, nil)
+				if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "(1->2)") {
+					t.Fatalf("err = %v, want one naming cell (1->2) and containing %q", err, tc.want)
+				}
+				if got := p.lastFlowSeq.Len() + p.flowNext.Len(); got > 2*n*n {
+					t.Errorf("the rejected id grew the per-flow columns to %d entries", got)
+				}
+			})
+		}
 	}
 }

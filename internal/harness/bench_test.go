@@ -202,9 +202,12 @@ func (s *slotStepper) attachTelemetry() {
 // straddles a flush stride, so the O(buckets) fold is exercised too.
 //
 // The N = 1024 on/off case is the headline geometry (benchmark/'s
-// dense-bursty): new flows never stop appearing there, so it holds only
-// because no resequencer structure is per flow — the tables' footprint is
-// the parked population, which the warm-up reaches.
+// dense-bursty): new flows never stop appearing there. The per-flow
+// columns (stamper counters, order referee, resequencer cursors, recorder
+// records) allocate one page per 4096 new flows, a few allocations over the
+// whole window, which testing.AllocsPerRun's integer division truncates to
+// zero; the resequencer's parked-cell tables are sized by the parked
+// population, which the warm-up reaches.
 func TestSteadyStateSlotAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations; guard only meaningful on plain builds")

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"ppsim/internal/admission"
 	"ppsim/internal/cell"
+	"ppsim/internal/demux"
 	"ppsim/internal/fabric"
 	"ppsim/internal/faults"
 	"ppsim/internal/obs"
@@ -262,5 +264,46 @@ func TestSoakFlatMemory(t *testing.T) {
 	if float64(late) > 1.10*float64(early) {
 		t.Errorf("live heap grew from %d to %d B (%.1f%%) over %d cells, want <= 10%%",
 			early, late, 100*(float64(late)/float64(early)-1), res.Report.Cells)
+	}
+}
+
+// forgedIDs wraps an algorithm and overwrites the flow id of every cell it
+// sends: the one way a bad id can reach the fabric through Drive, which
+// stamps every arrival itself.
+type forgedIDs struct {
+	demux.Algorithm
+	id cell.FlowID
+}
+
+func (a forgedIDs) Slot(t cell.Time, arrivals []cell.Cell) ([]demux.Send, error) {
+	sends, err := a.Algorithm.Slot(t, arrivals)
+	for i := range sends {
+		sends[i].Cell.FlowID = a.id
+	}
+	return sends, err
+}
+
+// TestDriveRejectsForgedFlowIDs: a dispatched cell whose FlowID is 0 or
+// beyond every id the run minted comes back from Drive as the fabric's
+// error naming the cell, on both cores — never as an index panic in the
+// per-flow columns.
+func TestDriveRejectsForgedFlowIDs(t *testing.T) {
+	const n = 4
+	for _, eng := range []Engine{EngineStepped, EngineEvent} {
+		for _, id := range []cell.FlowID{0, n*n + 1} {
+			forge := func(e demux.Env) (demux.Algorithm, error) {
+				rr, err := demux.NewRoundRobin(e, demux.PerInput)
+				return forgedIDs{rr, id}, err
+			}
+			pps, err := fabric.New(fabric.Config{N: n, K: 4, RPrime: 2, CheckInvariants: true}, forge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Drive(pps, traffic.NewBernoulli(n, 0.5, 50, 1), Options{Engine: eng})
+			want := fmt.Sprintf("with unknown flow id %d", id)
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "cell{#") {
+				t.Errorf("%v, id %d: err = %v, want the fabric's error naming the cell %q", eng, id, err, want)
+			}
+		}
 	}
 }

@@ -47,9 +47,6 @@ func (m *minmax) jitter() cell.Time {
 // shadow switch, 32 bytes.
 type flowStat struct{ pps, sh minmax }
 
-// flowColumnMin is the flow column's first capacity; it doubles from there.
-const flowColumnMin = 16
-
 // dropMark flags a Seq the PPS dropped (DropCount fault policy) as its PPS
 // fate: the cell will never depart the PPS, and recording either a
 // departure or a second drop for it is a harness bug.
@@ -74,8 +71,8 @@ const fateRingCap = 256
 // Cells the PPS dropped (failed planes under the DropCount policy) are
 // reported through PPSDrop; they depart the shadow switch — the reference
 // never drops — but are excluded from every delay statistic. Per-flow state
-// is one 32-byte record per flow, held by value in a column that doubles:
-// no heap object per flow.
+// is one 32-byte record per flow, held by value in a paged cell.Column: no
+// heap object per flow, and no copy as the flows accumulate.
 type Recorder struct {
 	// ring holds the fates of the in-flight sequence window [base, hi), cell
 	// seq at ring[seq&(len-1)] (len is a power of two). hi advances when a
@@ -96,15 +93,15 @@ type Recorder struct {
 	// sized (NewRecorderSized — the harness path; profiling showed the two
 	// per-departure map lookups near the top of the slot profile) and a map
 	// otherwise; out-of-range flows of a sized recorder fall back to the
-	// map, so behavior is identical either way. The records themselves are
-	// one by-value column of 32-byte flowStats that grows by doubling, so a
-	// run allocates about twice its final column, not the ~5× that
-	// append's 1.25× steps past 256 entries would cost.
+	// map, so behavior is identical either way. The recorder keys flows by
+	// (In, Out), not by the cell's FlowID, because it is also fed cells no
+	// Stamper saw (the benchmark's shadow replay builds them with cell.New).
+	// The records themselves are one paged column of 32-byte flowStats.
 	flowN     int
 	flowDense []int32 // n*n → flow id + 1; 0 = unassigned
 	flowIDs   map[cell.Flow]int32
-	flows     []flowStat // flow id → PPS and shadow delay extremes
-	ppsFlows  int        // flows with >= 1 PPS departure (Report.Flows)
+	flows     cell.Column[flowStat] // flow id → PPS and shadow delay extremes
+	ppsFlows  int                   // flows with >= 1 PPS departure (Report.Flows)
 
 	// delays holds the streaming log-bucketed histograms behind the report's
 	// percentile block: RQD, the three-stage decomposition (input buffer,
@@ -145,6 +142,7 @@ func newRecorderRing(capacity int) *Recorder {
 	return &Recorder{
 		ring:    make([]fate, capacity),
 		flowIDs: make(map[cell.Flow]int32),
+		flows:   cell.NewColumn[flowStat](0),
 		delays:  obs.NewDelaySet(),
 	}
 }
@@ -153,11 +151,15 @@ func newRecorderRing(capacity int) *Recorder {
 // n <= 1024; larger switches keep the map.
 const recorderDenseMax = 1 << 20
 
-// NewRecorderSized returns a recorder whose flow-id table is a dense n*n
-// array when n is positive and small enough — the harness always knows n, so
-// its per-departure path avoids the map entirely.
+// NewRecorderSized returns a recorder for an n-port switch: its flow-id
+// table is a dense n*n array when n is positive and small enough — the
+// harness always knows n, so its per-departure path avoids the map entirely —
+// and its record column is paged for at most n*n flows.
 func NewRecorderSized(n int) *Recorder {
 	r := NewRecorder()
+	if n > 0 {
+		r.flows = cell.NewColumn[flowStat](n * n)
+	}
 	if n > 0 && n*n <= recorderDenseMax {
 		r.flowN = n
 		r.flowDense = make([]int32, n*n)
@@ -186,14 +188,8 @@ func (r *Recorder) flowID(f cell.Flow) int {
 }
 
 func (r *Recorder) newFlowID() int {
-	id := len(r.flows)
-	if id == cap(r.flows) {
-		grown := make([]flowStat, id, max(2*id, flowColumnMin))
-		copy(grown, r.flows)
-		r.flows = grown
-	}
-	r.flows = append(r.flows, flowStat{pps: emptyMinMax, sh: emptyMinMax})
-	return id
+	*r.flows.Grow() = flowStat{pps: emptyMinMax, sh: emptyMinMax}
+	return r.flows.Len() - 1
 }
 
 func grow(s []cell.Time, idx uint64) []cell.Time {
@@ -268,7 +264,7 @@ func (r *Recorder) ShadowDepart(c cell.Cell) {
 		panic(fmt.Sprintf("metrics: shadow departure of cell %d recorded twice", c.Seq))
 	}
 	f.shadow = c.Depart
-	r.flows[r.flowID(c.Flow)].sh.add(c.Depart - c.Arrive)
+	r.flows.At(r.flowID(c.Flow)).sh.add(c.Depart - c.Arrive)
 	r.settle(c.Seq, f)
 }
 
@@ -279,7 +275,7 @@ func (r *Recorder) PPSDepart(c cell.Cell) {
 		panic(fmt.Sprintf("metrics: PPS departure of cell %d recorded twice", c.Seq))
 	}
 	f.pps = c.Depart
-	mm := &r.flows[r.flowID(c.Flow)].pps
+	mm := &r.flows.At(r.flowID(c.Flow)).pps
 	if !mm.seen() {
 		r.ppsFlows++
 	}
@@ -526,8 +522,9 @@ func (r *Recorder) Report() Report {
 	if r.rejected > 0 {
 		rep.RejectedPerInput = append([]uint64(nil), r.rejectedPerInput...)
 	}
-	for id := range r.flows {
-		mp := &r.flows[id].pps
+	for id := 0; id < r.flows.Len(); id++ {
+		fl := r.flows.At(id)
+		mp := &fl.pps
 		if !mp.seen() {
 			continue // seen only by the shadow: not a PPS flow
 		}
@@ -538,7 +535,7 @@ func (r *Recorder) Report() Report {
 		if j > rep.MaxPPSJitter {
 			rep.MaxPPSJitter = j
 		}
-		if ms := &r.flows[id].sh; ms.seen() {
+		if ms := &fl.sh; ms.seen() {
 			if rel := j - ms.jitter(); rel > rep.RDJ {
 				rep.RDJ = rel
 			}

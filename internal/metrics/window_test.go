@@ -265,8 +265,8 @@ func TestWindowedJoinMatchesTables(t *testing.T) {
 	if len(flows) < 5000 || single == 0 || shadowOnly == 0 {
 		t.Fatalf("many-flows row too narrow: %d flows, %d single-cell, %d shadow-only", len(flows), single, shadowOnly)
 	}
-	if r := check("many-flows", records); len(r.flows) != len(flows) {
-		t.Errorf("flow column holds %d records for %d flows", len(r.flows), len(flows))
+	if r := check("many-flows", records); r.flows.Len() != len(flows) {
+		t.Errorf("flow column holds %d records for %d flows", r.flows.Len(), len(flows))
 	}
 }
 

@@ -47,7 +47,7 @@ func BenchmarkAblationParked(b *testing.B) {
 		}
 	}
 	b.Run("table", func(b *testing.B) {
-		buf, push := testBuffer(n)
+		buf, push, _ := testBuffer(n)
 		run(b, push, buf.PopEmittable)
 	})
 	b.Run("per-flow-slices", func(b *testing.B) {

@@ -137,17 +137,25 @@ func (p BoundedEager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 // waiting this induces is genuine resequencing delay and is charged to the
 // PPS, as the paper's relative-delay accounting requires.
 //
-// Every flow that can reach an output shares that output, so flow state is
-// keyed by the input-port alone. The only question ever asked of the parked
-// cells is "is (in, next[in]) here?", a point lookup: they live in one hash
-// table per output, and so do the dropped FlowSeqs the flow must step over.
+// Every flow that can reach an output shares that output, so parked cells
+// are keyed by the input-port alone. The only question ever asked of them is
+// "is (in, FlowSeq) here?", a point lookup: they live in one hash table per
+// output, and so do the dropped FlowSeqs the flow must step over.
+//
+// Each flow's cursor — the next FlowSeq it may emit — lives in a
+// cell.Column. The fabric's outputs share one column indexed by FlowID-1
+// (NewOutputs), so the cursors cost one word per flow the run carries. A
+// standalone buffer (NewBuffer, NewOutput) owns an n-entry column indexed by
+// the input-port instead: its flows are exactly one per input, and a
+// FlowID-indexed column of its own would be sized to the whole switch's flow
+// count.
 type Buffer struct {
 	s *cell.Store
-	n int // ports: bounds the In index space
 
-	emittable *queue.Heap[entry] // keyed by Seq (global FCFS)
-	next      []uint64           // [In]: next FlowSeq the output may emit
-	parked    queue.SeqTable     // (In, FlowSeq) -> ref of a cell waiting for its predecessor
+	emittable *queue.Heap[entry]   // keyed by Seq (global FCFS); nil until the first Push
+	next      *cell.Column[uint64] // flow cursors: the next FlowSeq each flow may emit
+	byInput   bool                 // standalone: next is indexed by Flow.In, not FlowID-1
+	parked    queue.SeqTable       // (In, FlowSeq) -> ref of a cell waiting for its predecessor
 	// drops holds the (In, FlowSeq) keys the fabric reported dropped ahead
 	// of the flow's frontier (failed planes, DropCount policy): a parked
 	// cell must not wait forever for a predecessor that will never be
@@ -172,37 +180,41 @@ type entry struct {
 
 func byKey(a, b entry) bool { return a.key < b.key }
 
-// NewBuffer returns a resequencing buffer for an n-port switch over store s.
+// NewBuffer returns a standalone resequencing buffer for one output of an
+// n-port switch over store s.
 func NewBuffer(s *cell.Store, n int) *Buffer {
 	if s == nil || n <= 0 {
 		panic(fmt.Sprintf("mux: buffer needs a store and n > 0 (n=%d)", n))
 	}
-	b := &Buffer{}
-	b.init(s, n)
-	return b
+	return &Buffer{s: s, next: ownCursors(n), byInput: true}
 }
 
-func (b *Buffer) init(s *cell.Store, n int) {
-	b.s = s
-	b.n = n
+// ownCursors is a standalone buffer's input-indexed cursor column: n
+// entries, one page up to n = 4096.
+func ownCursors(n int) *cell.Column[uint64] {
+	col := cell.NewColumn[uint64](n)
+	col.GrowTo(n)
+	return &col
 }
 
-// lazyInit allocates the flow cursors on the output's first activity: an
-// output that never sees traffic costs nothing.
-func (b *Buffer) lazyInit() {
-	if b.next != nil {
-		return
+// cursor returns c's flow cursor. A shared column was grown to c's FlowID by
+// its owner before the cell was pushed.
+func (b *Buffer) cursor(c *cell.Cell) *uint64 {
+	i := int(c.FlowID) - 1
+	if b.byInput {
+		i = int(c.Flow.In)
 	}
-	b.next = make([]uint64, b.n)
-	b.emittable = queue.NewHeap(byKey)
+	return b.next.At(i)
 }
 
 // Push inserts a cell delivered by a plane at slot t, stamping AtOutput.
 func (b *Buffer) Push(t cell.Time, r cell.Ref) {
-	b.lazyInit()
+	if b.emittable == nil {
+		b.emittable = queue.NewHeap(byKey)
+	}
 	c := b.s.At(r)
 	c.AtOutput = t
-	if c.FlowSeq == b.next[c.Flow.In] {
+	if c.FlowSeq == *b.cursor(c) {
 		b.emittable.Push(entry{key: c.Seq, ref: r})
 		return
 	}
@@ -224,40 +236,40 @@ func (b *Buffer) Len() int {
 	return b.emittable.Len() + b.parked.Len()
 }
 
-// Skip records that flow f's cell FlowSeq fs was dropped inside the switch
-// (a failed plane under the DropCount policy) and will never be delivered:
-// the resequencer treats it as already departed, so successors do not park
-// forever behind the gap. Skips may arrive in any order relative to the
-// flow's progression and to each other.
-func (b *Buffer) Skip(f cell.Flow, fs uint64) {
-	b.lazyInit()
-	if fs != b.next[f.In] {
+// Skip records that cell c was dropped inside the switch (a failed plane
+// under the DropCount policy) and will never be delivered: the resequencer
+// treats its FlowSeq as already departed, so successors do not park forever
+// behind the gap. Skips may arrive in any order relative to the flow's
+// progression and to each other.
+func (b *Buffer) Skip(c cell.Cell) {
+	next := b.cursor(&c)
+	if c.FlowSeq != *next {
 		if b.drops == nil {
 			b.drops = new(queue.SeqTable)
 		}
-		b.drops.Put(int32(f.In), fs, 0)
+		b.drops.Put(int32(c.Flow.In), c.FlowSeq, 0)
 		return
 	}
-	b.next[f.In] = fs + 1
-	b.advance(f.In)
+	*next = c.FlowSeq + 1
+	b.advance(c.Flow.In, next)
 }
 
-// advance moves input in's flow on from a next[in] that was just bumped:
+// advance moves input in's flow on from a cursor *next that was just bumped:
 // it releases the parked cell now in order, if there is one, and otherwise
 // steps over every consecutive dropped FlowSeq to look again.
-func (b *Buffer) advance(in cell.Port) {
+func (b *Buffer) advance(in cell.Port, next *uint64) {
 	for {
-		if r, ok := b.parked.Take(int32(in), b.next[in]); ok {
+		if r, ok := b.parked.Take(int32(in), *next); ok {
 			b.emittable.Push(entry{key: b.s.At(cell.Ref(r)).Seq, ref: cell.Ref(r)})
 			return
 		}
 		if b.drops == nil {
 			return
 		}
-		if _, dropped := b.drops.Take(int32(in), b.next[in]); !dropped {
+		if _, dropped := b.drops.Take(int32(in), *next); !dropped {
 			return
 		}
-		b.next[in]++
+		*next++
 	}
 }
 
@@ -269,8 +281,9 @@ func (b *Buffer) PopEmittable() (cell.Cell, bool) {
 		return cell.Cell{}, false
 	}
 	c := b.s.Take(b.emittable.Pop().ref)
-	b.next[c.Flow.In] = c.FlowSeq + 1
-	b.advance(c.Flow.In)
+	next := b.cursor(&c)
+	*next = c.FlowSeq + 1
+	b.advance(c.Flow.In, next)
 	return c, true
 }
 
@@ -297,23 +310,30 @@ type Output struct {
 }
 
 // NewOutput returns output-port j of an n-port switch with the given pull
-// policy, resequencing over store s. It panics on a nil policy or store.
+// policy, resequencing over store s in a standalone buffer (NewBuffer). It
+// panics on a nil policy or store.
 func NewOutput(j cell.Port, p Policy, s *cell.Store, n int) *Output {
 	checkOutputArgs(p, s, n)
 	o := &Output{}
-	o.init(j, p, s, n)
+	o.init(j, p, s, ownCursors(n), true)
 	return o
 }
 
 // NewOutputs returns all n output-ports of an n-port switch in one slab,
-// output j at index j, each as NewOutput(j, p, s, n) builds it: one heap
-// object for the whole output stage instead of one per port. It panics on
-// a nil policy or store.
-func NewOutputs(n int, p Policy, s *cell.Store) []Output {
+// output j at index j: one heap object for the whole output stage instead of
+// one per port. Their resequencers share the flow-cursor column next,
+// indexed by FlowID-1, which the caller grows to cover a cell's FlowID
+// before the cell can reach an output — serially, so outputs stepped
+// concurrently only write their own flows' entries. It panics on a nil
+// policy, store or column.
+func NewOutputs(n int, p Policy, s *cell.Store, next *cell.Column[uint64]) []Output {
 	checkOutputArgs(p, s, n)
+	if next == nil {
+		panic("mux: nil cursor column")
+	}
 	outs := make([]Output, n)
 	for j := range outs {
-		outs[j].init(cell.Port(j), p, s, n)
+		outs[j].init(cell.Port(j), p, s, next, false)
 	}
 	return outs
 }
@@ -327,9 +347,8 @@ func checkOutputArgs(p Policy, s *cell.Store, n int) {
 	}
 }
 
-func (o *Output) init(j cell.Port, p Policy, s *cell.Store, n int) {
-	*o = Output{j: j, policy: p, firstSlot: cell.None, lastSlot: cell.None}
-	o.buf.init(s, n)
+func (o *Output) init(j cell.Port, p Policy, s *cell.Store, next *cell.Column[uint64], byInput bool) {
+	*o = Output{j: j, policy: p, buf: Buffer{s: s, next: next, byInput: byInput}, firstSlot: cell.None, lastSlot: cell.None}
 }
 
 // Step advances the output by one slot: pull per policy, then emit the
@@ -359,9 +378,9 @@ func (o *Output) Step(t cell.Time, pv PlaneView) (cell.Cell, bool, error) {
 // Buffered reports the number of cells waiting in the reassembly buffer.
 func (o *Output) Buffered() int { return o.buf.Len() }
 
-// Skip informs the resequencing buffer that flow f's cell FlowSeq fs was
-// dropped inside the switch and will never arrive (see Buffer.Skip).
-func (o *Output) Skip(f cell.Flow, fs uint64) { o.buf.Skip(f, fs) }
+// Skip informs the resequencing buffer that cell c was dropped inside the
+// switch and will never arrive (see Buffer.Skip).
+func (o *Output) Skip(c cell.Cell) { o.buf.Skip(c) }
 
 // Utilization reports the fraction of slots in [firstDeparture,
 // lastDeparture] in which a cell departed — 1.0 means the output never

@@ -16,20 +16,22 @@ import (
 type fakeView struct {
 	out    cell.Port
 	s      *cell.Store
+	ids    *cell.Stamper // mints the flow ids of hand-built cells
 	planes []*plane.Plane
 	gates  *timing.Matrix // rows = planes, cols = 1
 }
 
 func newFakeView(out cell.Port, k, n int, hold int64) *fakeView {
-	fv := &fakeView{out: out, s: cell.NewStore(1), gates: timing.NewMatrix(k, 1, hold)}
+	fv := &fakeView{out: out, s: cell.NewStore(1), ids: cell.NewStamper(), gates: timing.NewMatrix(k, 1, hold)}
 	for i := 0; i < k; i++ {
 		fv.planes = append(fv.planes, plane.New(cell.Plane(i), n, fv.s))
 	}
 	return fv
 }
 
-// enqueue stores c and queues its ref on plane k.
+// enqueue gives c its flow's id, stores it and queues its ref on plane k.
 func (f *fakeView) enqueue(k int, c cell.Cell) error {
+	c.FlowID = f.ids.ID(c.Flow)
 	return f.planes[k].Enqueue(f.s.Put(0, c))
 }
 
@@ -70,16 +72,36 @@ func mk(seq uint64, out cell.Port) cell.Cell {
 	return cell.New(seq, 0, cell.Flow{In: cell.Port(seq), Out: out}, 0)
 }
 
-// testBuffer returns a buffer over its own store plus a push helper taking
-// plain cells.
-func testBuffer(n int) (*Buffer, func(cell.Cell)) {
+// testBuffer returns a buffer over its own store whose cursors sit in a
+// shared FlowID-indexed column, as the fabric's outputs' do, plus push and
+// skip helpers taking plain cells: each cell gets its flow's id from a
+// Stamper, and the column grows to cover it first, as the fabric grows it
+// at arrival.
+func testBuffer(n int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64)) {
+	s := cell.NewStore(1)
+	ids := cell.NewStamperSized(n)
+	col := cell.NewColumn[uint64](n * n)
+	b := &NewOutputs(1, Eager{}, s, &col)[0].buf
+	stamp := func(c cell.Cell) cell.Cell {
+		c.FlowID = ids.ID(c.Flow)
+		col.GrowTo(int(c.FlowID))
+		return c
+	}
+	return b, func(c cell.Cell) { b.Push(0, s.Put(0, stamp(c))) },
+		func(f cell.Flow, fs uint64) { b.Skip(stamp(cell.New(0, fs, f, 0))) }
+}
+
+// standaloneBuffer is testBuffer over NewBuffer, whose own column is
+// indexed by input-port; the cells carry no flow id.
+func standaloneBuffer(n int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64)) {
 	s := cell.NewStore(1)
 	b := NewBuffer(s, n)
-	return b, func(c cell.Cell) { b.Push(0, s.Put(0, c)) }
+	return b, func(c cell.Cell) { b.Push(0, s.Put(0, c)) },
+		func(f cell.Flow, fs uint64) { b.Skip(cell.New(0, fs, f, 0)) }
 }
 
 func TestBufferOrdersBySeq(t *testing.T) {
-	b, push := testBuffer(16)
+	b, push, _ := testBuffer(16)
 	for _, s := range []uint64{5, 1, 9, 0, 3} {
 		push(mk(s, 0))
 	}
@@ -102,7 +124,7 @@ func TestBufferResequencesWithinFlow(t *testing.T) {
 	// Cells 0,1,2 of one flow arrive out of order: 2 first, then 0, then
 	// 1. The buffer must emit 0, 1, 2 and park until predecessors depart.
 	f := cell.Flow{In: 3, Out: 0}
-	b, push := testBuffer(8)
+	b, push, _ := testBuffer(8)
 	push(cell.New(12, 2, f, 0))
 	if _, ok := b.PopEmittable(); ok {
 		t.Fatal("FlowSeq 2 must be parked before 0 and 1 departed")
@@ -136,7 +158,7 @@ func TestBufferResequencesWithinFlow(t *testing.T) {
 func TestBufferInterleavesFlowsGlobalFCFS(t *testing.T) {
 	fa := cell.Flow{In: 0, Out: 0}
 	fb := cell.Flow{In: 1, Out: 0}
-	b, push := testBuffer(8)
+	b, push, _ := testBuffer(8)
 	push(cell.New(3, 0, fb, 0))
 	push(cell.New(1, 0, fa, 0))
 	push(cell.New(4, 1, fa, 0))
@@ -345,25 +367,39 @@ func TestNewOutputNilStorePanics(t *testing.T) {
 }
 
 // TestNewOutputsMatchesNewOutput: the slab holds, at index j, exactly the
-// output NewOutput(j, ...) builds, and it panics on the same arguments.
+// output NewOutput(j, ...) builds except that its cursors live in the shared
+// column, and it panics on the same arguments and on a nil column.
 func TestNewOutputsMatchesNewOutput(t *testing.T) {
 	const n = 5
 	s := cell.NewStore(1)
-	outs := NewOutputs(n, BoundedEager{Max: 1}, s)
+	col := cell.NewColumn[uint64](n * n)
+	outs := NewOutputs(n, BoundedEager{Max: 1}, s, &col)
 	if len(outs) != n {
 		t.Fatalf("NewOutputs built %d outputs, want %d", len(outs), n)
 	}
 	for j := range outs {
-		if want := NewOutput(cell.Port(j), BoundedEager{Max: 1}, s, n); !reflect.DeepEqual(&outs[j], want) {
+		if outs[j].buf.next != &col || outs[j].buf.byInput {
+			t.Errorf("output %d does not resequence in the shared FlowID column", j)
+		}
+		want := NewOutput(cell.Port(j), BoundedEager{Max: 1}, s, n)
+		want.buf.next, want.buf.byInput = &col, false
+		if !reflect.DeepEqual(&outs[j], want) {
 			t.Errorf("output %d = %+v, NewOutput gives %+v", j, outs[j], *want)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewOutputs accepted a nil policy")
-		}
-	}()
-	NewOutputs(n, nil, s)
+	for name, build := range map[string]func(){
+		"nil policy": func() { NewOutputs(n, nil, s, &col) },
+		"nil column": func() { NewOutputs(n, Eager{}, s, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewOutputs accepted a %s", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 // Property: with eager pulling and hold 1, departures are exactly in global

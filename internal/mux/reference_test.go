@@ -78,6 +78,11 @@ func (m *refBuffer) pop() (cell.Cell, bool) {
 // drops come in runs, and a third of the flows end in a cell that never
 // arrives followed by drops only — records no frontier will ever reach.
 func TestBufferMatchesPerFlowReference(t *testing.T) {
+	t.Run("shared-flowid-column", func(t *testing.T) { matchPerFlowReference(t, testBuffer) })
+	t.Run("standalone", func(t *testing.T) { matchPerFlowReference(t, standaloneBuffer) })
+}
+
+func matchPerFlowReference(t *testing.T, newBuffer func(int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64))) {
 	const flows = 96
 	type event struct {
 		at   float64
@@ -117,7 +122,7 @@ func TestBufferMatchesPerFlowReference(t *testing.T) {
 		}
 		sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
 
-		b, push := testBuffer(flows)
+		b, push, skip := newBuffer(flows)
 		m := newRefBuffer(flows)
 		popped, idleWithRecords := 0, false
 		pop := func() bool {
@@ -147,7 +152,7 @@ func TestBufferMatchesPerFlowReference(t *testing.T) {
 		}
 		for _, e := range events {
 			if e.skip {
-				b.Skip(e.c.Flow, e.c.FlowSeq)
+				skip(e.c.Flow, e.c.FlowSeq)
 				m.skip(e.c.Flow.In, e.c.FlowSeq)
 				check("Skip")
 			} else {
