@@ -9,9 +9,8 @@ import (
 )
 
 // One benchmark per regenerated table/figure (DESIGN.md §4). Each runs the
-// experiment in quick mode and reports the headline measured value where
-// one exists, so `go test -bench` regenerates the paper's shapes end to
-// end. The full-scale tables live in EXPERIMENTS.md (ppsim exp).
+// experiment at the scale EXPERIMENTS.md publishes (ppsim exp), so
+// `go test -bench` times the paper's shapes end to end.
 
 func benchExperiment(b *testing.B, id string) {
 	e, ok := experiments.Get(id)
@@ -19,7 +18,7 @@ func benchExperiment(b *testing.B, id string) {
 		b.Fatalf("experiment %s not registered", id)
 	}
 	for i := 0; i < b.N; i++ {
-		tab, err := e.Run(experiments.Opts{Quick: true})
+		tab, err := e.Run()
 		if err != nil {
 			b.Fatal(err)
 		}

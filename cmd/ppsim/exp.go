@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,30 +18,19 @@ import (
 // expCmd regenerates the experiment tables of EXPERIMENTS.md: one table per
 // theorem/figure of the paper (see DESIGN.md §4 for the index).
 //
-//	ppsim exp [-quick] [-markdown] [-run E4,E5]
+//	ppsim exp [-markdown | -csv] [-run E4,E5]
 //
 // Without -run it executes the full suite in ID order. With -debug-addr it
 // also serves net/http/pprof and a /telemetry JSON endpoint (per-slot gauges,
 // streaming delay-percentile histograms, finished-run totals) while the suite
 // executes.
 func expCmd(fs *flag.FlagSet) func(io.Writer) int {
-	quick := fs.Bool("quick", false, "run reduced sweeps (seconds instead of minutes)")
 	markdown := fs.Bool("markdown", false, "emit GitHub-flavoured markdown instead of aligned text")
 	csv := fs.Bool("csv", false, "emit CSV rows (experiment ID as the first column)")
 	runIDs := fs.String("run", "", "comma-separated experiment IDs (default: all)")
 	list := fs.Bool("list", false, "list experiments and exit")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and /telemetry on this address (e.g. localhost:6060)")
-	admSpec := fs.String("admission", "", "override the admission experiment's (E28) token-bucket policy, e.g. rate:1/4,burst:4")
-	deadline := fs.Int64("deadline", 0, "stamp the admission experiment's (E28) traffic with deadlines of arrival slot + N (0 = off)")
 	return func(stdout io.Writer) int {
-		adm, err := ppsim.ParseAdmissionSpec(*admSpec)
-		if err != nil {
-			return fail(fs, 2, err)
-		}
-		if *deadline < 0 {
-			return fail(fs, 2, errors.New("-deadline must be >= 0"))
-		}
-
 		if *debugAddr != "" {
 			// Live telemetry is installed process-wide (the experiment layer
 			// does not thread harness options), so every run the suite starts
@@ -76,14 +64,10 @@ func expCmd(fs *flag.FlagSet) func(io.Writer) int {
 			}
 		}
 
-		opts := experiments.Opts{Quick: *quick, DeadlineRel: ppsim.Time(*deadline)}
-		if !adm.Empty() {
-			opts.Admission = adm
-		}
 		code := 0
 		for _, e := range selected {
 			start := time.Now()
-			tab, err := e.Run(opts)
+			tab, err := e.Run()
 			if err != nil {
 				code = fail(fs, 1, fmt.Errorf("%s failed: %v", e.ID, err))
 				continue

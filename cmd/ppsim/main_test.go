@@ -31,7 +31,7 @@ func TestFlagDefaults(t *testing.T) {
 		"sim": "admission= alg=rr algs=false bufcap=0 cap=-1 d=2 deadline=0 engine=auto fail-planes= " +
 			"fault-policy=abort faultaware=false faults= h=2 k=8 lazy=false load=0.6 n=16 percentiles=false " +
 			"rprime=2 seed=1 series= shape=-1 slots=5000 stride=1 trace= traffic=bernoulli u=2 v=false workers=0",
-		"exp": "admission= csv=false deadline=0 debug-addr= list=false markdown=false quick=false run=",
+		"exp": "csv=false debug-addr= list=false markdown=false run=",
 		"diag": "alg=rr cap=0 format=csv k=2 load=0.6 n=5 out= percentiles=false rprime=2 seed=1 series=false " +
 			"slots=2000 stride=1 traffic=steering",
 		"trace":  "alg=rr gen= k=4 load=0.6 n=16 o= rprime=2 run= seed=1 slots=1000 stats=",
@@ -68,33 +68,58 @@ func TestUnknownSubcommand(t *testing.T) {
 	}
 }
 
-// TestDocsNameLiveSubcommands is the command-line twin of the root package's
-// TestDocsNameLiveOptions. It fails when a document runs a ppsim subcommand
-// that does not exist or passes it a flag it does not take, and when the
-// docs, the Go sources or the build files still name one of the retired
-// per-artifact binaries.
-func TestDocsNameLiveSubcommands(t *testing.T) {
-	const root = "../.."
-	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "MODEL.md", ".claude/skills/verify/SKILL.md"}
+// docs are the documents whose ppsim command lines the tests below check.
+var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "MODEL.md", "benchmark/README.md", ".claude/skills/verify/SKILL.md"}
+
+// docCommand is one `ppsim <subcommand> …` command line found in a document.
+type docCommand struct {
+	doc, line, subcommand, args string
+}
+
+// docCommands returns every ppsim command line in docs, a shell line
+// continued with a backslash joined into one command.
+func docCommands(t *testing.T) []docCommand {
+	t.Helper()
 	command := regexp.MustCompile("(?m)(?:^[ \t]*|[`/])ppsim[ \t]+([a-z]+)([^`\n#]*)")
-	flagRef := regexp.MustCompile(`(?:^|\s)-([a-z][\w-]*)`)
+	var out []docCommand
 	for _, doc := range docs {
-		text, err := os.ReadFile(filepath.Join(root, doc))
+		text, err := os.ReadFile(filepath.Join("../..", doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A shell line continued with a backslash is one command.
 		for _, m := range command.FindAllStringSubmatch(strings.ReplaceAll(string(text), "\\\n", " "), -1) {
-			set := flagSet(m[1])
-			if set == nil {
-				t.Errorf("%s runs unknown subcommand %q: %q", doc, m[1], m[0])
-				continue
+			out = append(out, docCommand{doc: doc, line: m[0], subcommand: m[1], args: m[2]})
+		}
+	}
+	return out
+}
+
+// TestDocsNameLiveFlags is the command-line twin of the root package's
+// TestDocsNameLiveOptions: it fails when a document passes a ppsim
+// subcommand a flag that subcommand's FlagSet does not register.
+func TestDocsNameLiveFlags(t *testing.T) {
+	flagRef := regexp.MustCompile(`(?:^|\s)-([a-z][\w-]*)`)
+	for _, c := range docCommands(t) {
+		set := flagSet(c.subcommand)
+		if set == nil {
+			continue // TestDocsNameLiveSubcommands reports it
+		}
+		for _, f := range flagRef.FindAllStringSubmatch(c.args, -1) {
+			if set.Lookup(f[1]) == nil {
+				t.Errorf("%s passes -%s, which ppsim %s does not take: %q", c.doc, f[1], c.subcommand, c.line)
 			}
-			for _, f := range flagRef.FindAllStringSubmatch(m[2], -1) {
-				if set.Lookup(f[1]) == nil {
-					t.Errorf("%s passes -%s, which ppsim %s does not take: %q", doc, f[1], m[1], m[0])
-				}
-			}
+		}
+	}
+}
+
+// TestDocsNameLiveSubcommands fails when a document runs a ppsim subcommand
+// that does not exist, and when the docs, the Go sources or the build files
+// still name one of the retired per-artifact binaries.
+func TestDocsNameLiveSubcommands(t *testing.T) {
+	const root = "../.."
+	for _, c := range docCommands(t) {
+		if flagSet(c.subcommand) == nil {
+			t.Errorf("%s runs unknown subcommand %q: %q", c.doc, c.subcommand, c.line)
 		}
 	}
 

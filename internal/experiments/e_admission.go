@@ -28,7 +28,7 @@ func init() {
 // dropped + expired-at-resequencing) are asserted for every run — no
 // offered cell goes unaccounted. Hypothesis H-ADM in EXPERIMENTS.md records
 // the multi-seed dominance check this table feeds.
-func e28Admission(o Opts) (*Table, error) {
+func e28Admission() (*Table, error) {
 	const n, k, rp = 8, 4, 4 // S = 1: per-output capacity is 1 cell/slot
 	t := &Table{
 		ID:      "E28",
@@ -43,20 +43,12 @@ func e28Admission(o Opts) (*Table, error) {
 	}
 	horizon := cell.Time(4000)
 	seeds := []int64{3, 7, 11}
-	if o.Quick {
-		horizon = 600
-		seeds = seeds[:2]
-	}
-	// The default comparison policy: per-input rate 1/5 with burst 8 caps the
-	// four active inputs at an aggregate 0.8 cells/slot — back inside the
-	// capacity region, with enough burst depth to ride out short gaps.
-	spec := o.Admission
-	if spec.Empty() {
-		var err error
-		spec, err = admission.ParseSpec("rate:1/5,burst:8")
-		if err != nil {
-			return nil, err
-		}
+	// The comparison policy: per-input rate 1/5 with burst 8 caps the four
+	// active inputs at an aggregate 0.8 cells/slot — back inside the capacity
+	// region, with enough burst depth to ride out short gaps.
+	spec, err := admission.ParseSpec("rate:1/5,burst:8")
+	if err != nil {
+		return nil, err
 	}
 	policies := []struct {
 		name string
@@ -70,9 +62,6 @@ func e28Admission(o Opts) (*Table, error) {
 			src, err := overloadTrace(horizon, seed)
 			if err != nil {
 				return nil, err
-			}
-			if o.DeadlineRel > 0 {
-				src = traffic.WithDeadline(src, o.DeadlineRel)
 			}
 			res, err := harness.Run(cfg28(n, k, rp), rrFactory, src, harness.Options{
 				Validate:  true,

@@ -21,7 +21,7 @@ func init() {
 
 // e11CPABaseline sweeps the speedup: CPA mimics the FCFS OQ switch exactly
 // from S = 2 upward, and degrades gracefully below.
-func e11CPABaseline(o Opts) (*Table, error) {
+func e11CPABaseline() (*Table, error) {
 	const n, rp = 12, 3
 	t := &Table{
 		ID:      "E11",
@@ -30,13 +30,7 @@ func e11CPABaseline(o Opts) (*Table, error) {
 		Columns: []string{"K", "S", "measured RQD", "mean RQD", "zero expected?"},
 	}
 	ks := []int{3, 4, 6, 9, 12}
-	if o.Quick {
-		ks = []int{3, 6}
-	}
 	horizon := cell.Time(1500)
-	if o.Quick {
-		horizon = 300
-	}
 	for _, k := range ks {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
 		src := traffic.NewRegulator(n, 3, traffic.NewBernoulli(n, 0.8, horizon, int64(k)))
@@ -58,7 +52,7 @@ func e11CPABaseline(o Opts) (*Table, error) {
 
 // e12DistCPA bounds the fully-distributed per-flow dispatcher between the
 // Corollary 7 lower bound and the Iyer-McKeown N*R/r upper bound.
-func e12DistCPA(o Opts) (*Table, error) {
+func e12DistCPA() (*Table, error) {
 	const k, rp = 4, 2 // S = 2
 	t := &Table{
 		ID:      "E12",
@@ -67,9 +61,6 @@ func e12DistCPA(o Opts) (*Table, error) {
 		Columns: []string{"N", "measured RQD (steered)", "lower bound (r'-1)N", "upper bound N*r'"},
 	}
 	ns := []int{8, 16, 32, 64}
-	if o.Quick {
-		ns = []int{8, 16}
-	}
 	factory := func(e demux.Env) (demux.Algorithm, error) { return demux.NewRoundRobin(e, demux.PerFlow) }
 	for _, n := range ns {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
@@ -102,7 +93,7 @@ func e12DistCPA(o Opts) (*Table, error) {
 // traffic: on average the fully-distributed algorithms are fine — the
 // paper's results are about worst cases, which is why the adversary
 // matters.
-func e13AverageCase(o Opts) (*Table, error) {
+func e13AverageCase() (*Table, error) {
 	const n, k, rp = 16, 8, 2 // S = 4
 	t := &Table{
 		ID:      "E13",
@@ -111,9 +102,6 @@ func e13AverageCase(o Opts) (*Table, error) {
 		Columns: []string{"algorithm", "traffic", "mean RQD", "p99 RQD", "max RQD"},
 	}
 	horizon := cell.Time(3000)
-	if o.Quick {
-		horizon = 400
-	}
 	algs := []struct {
 		name string
 		mk   func(demux.Env) (demux.Algorithm, error)
@@ -124,9 +112,6 @@ func e13AverageCase(o Opts) (*Table, error) {
 		{"random", func(e demux.Env) (demux.Algorithm, error) { return demux.NewRandom(e, 5) }},
 		{"stale-cpa u=4", func(e demux.Env) (demux.Algorithm, error) { return demux.NewStaleCPA(e, 4) }},
 		{"ftd h=2", func(e demux.Env) (demux.Algorithm, error) { return demux.NewFTD(e, 2) }},
-	}
-	if o.Quick {
-		algs = algs[:3]
 	}
 	kinds := []struct {
 		label string
@@ -142,9 +127,6 @@ func e13AverageCase(o Opts) (*Table, error) {
 			}
 			return traffic.NewRegulator(n, 8, h)
 		}},
-	}
-	if o.Quick {
-		kinds = kinds[:1]
 	}
 	for _, a := range algs {
 		for _, kind := range kinds {

@@ -22,7 +22,7 @@ func init() {
 // the reference switch's delay and backlog are bounded by the traffic
 // burstiness, and concentration onto one plane is exactly the regime where
 // the single-plane service curve cannot carry rate R.
-func e21Calculus(o Opts) (*Table, error) {
+func e21Calculus() (*Table, error) {
 	const n, bb = 8, 5
 	t := &Table{
 		ID:      "E21",
@@ -31,9 +31,6 @@ func e21Calculus(o Opts) (*Table, error) {
 		Columns: []string{"quantity", "calculus bound", "measured"},
 	}
 	horizon := cell.Time(2000)
-	if o.Quick {
-		horizon = 300
-	}
 
 	// Measured shadow delay and backlog under shaped (R, B=bb) traffic: a
 	// cell's delay is its Oracle departure minus its arrival, and output j
@@ -110,7 +107,7 @@ func e21Calculus(o Opts) (*Table, error) {
 // e22BvN drives the switch with deterministic Birkhoff-von Neumann traffic:
 // admissible rate matrices realized as permutation schedules, the smooth
 // counterpoint to the adversarial traces.
-func e22BvN(o Opts) (*Table, error) {
+func e22BvN() (*Table, error) {
 	const n, k, rp = 8, 8, 4 // S = 2
 	t := &Table{
 		ID:      "E22",
@@ -119,9 +116,6 @@ func e22BvN(o Opts) (*Table, error) {
 		Columns: []string{"demand matrix", "perms", "measured B", "algorithm", "mean RQD", "max RQD"},
 	}
 	horizon := cell.Time(3000)
-	if o.Quick {
-		horizon = 400
-	}
 	matrices := []struct {
 		name string
 		mk   func() [][]float64

@@ -20,7 +20,7 @@ func init() {
 // backlogged (a congested period) and verifies that under the FTD extension
 // the output never idles after a warm-up — the operational meaning of "no
 // relative queuing delay in congested periods". Larger h shortens warm-up.
-func e9Theorem14(o Opts) (*Table, error) {
+func e9Theorem14() (*Table, error) {
 	const n, k, rp = 16, 8, 2 // S = 4
 	t := &Table{
 		ID:      "E9",
@@ -33,9 +33,6 @@ func e9Theorem14(o Opts) (*Table, error) {
 		},
 	}
 	floodLen := cell.Time(300)
-	if o.Quick {
-		floodLen = 80
-	}
 	type row struct {
 		name string
 		h    float64
@@ -46,9 +43,6 @@ func e9Theorem14(o Opts) (*Table, error) {
 		{"ftd", 2, func(e demux.Env) (demux.Algorithm, error) { return demux.NewFTD(e, 2) }},
 		{"ftd", 4, func(e demux.Env) (demux.Algorithm, error) { return demux.NewFTD(e, 4) }},
 		{"rr (contrast)", 0, rrFactory},
-	}
-	if o.Quick {
-		rows = rows[1:3]
 	}
 	for _, r := range rows {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
@@ -74,7 +68,7 @@ func e9Theorem14(o Opts) (*Table, error) {
 // e10Proposition15 measures the windowed burstiness of the congestion
 // traffic against leaky-bucket traffics: the former grows linearly in the
 // window length (so no fixed B bounds it), the latter stay flat.
-func e10Proposition15(o Opts) (*Table, error) {
+func e10Proposition15() (*Table, error) {
 	const n = 16
 	t := &Table{
 		ID:      "E10",
@@ -83,13 +77,7 @@ func e10Proposition15(o Opts) (*Table, error) {
 		Columns: []string{"window tau", "flood excess", "Theorem-6 trace excess", "shaped Bernoulli (B=4) excess"},
 	}
 	taus := []cell.Time{1, 10, 100, 500}
-	if o.Quick {
-		taus = []cell.Time{1, 10, 50}
-	}
 	horizon := cell.Time(600)
-	if o.Quick {
-		horizon = 100
-	}
 
 	flood := &traffic.Flood{N: n, Out: 0, Until: horizon}
 

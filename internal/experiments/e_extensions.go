@@ -24,7 +24,7 @@ func init() {
 // combined input-output queued crossbar with speedup 2 mimics output
 // queuing, speedup 1 does not. This is the "other" way to buy OQ behaviour
 // with slower memory — the PPS buys it with parallelism instead.
-func e16CIOQ(o Opts) (*Table, error) {
+func e16CIOQ() (*Table, error) {
 	const n = 8
 	t := &Table{
 		ID:      "E16",
@@ -36,13 +36,7 @@ func e16CIOQ(o Opts) (*Table, error) {
 		},
 	}
 	slots := cell.Time(800)
-	if o.Quick {
-		slots = 150
-	}
 	for _, sp := range []int{1, 2, 3} {
-		if o.Quick && sp == 3 {
-			continue
-		}
 		for _, kind := range []string{"shaped bernoulli 0.8", "contended"} {
 			var src traffic.Source
 			if kind == "shaped bernoulli 0.8" {
@@ -81,12 +75,8 @@ func e16CIOQ(o Opts) (*Table, error) {
 // e17Universality runs the identical steering construction against every
 // deterministic fully-distributed algorithm in the registry: Theorem 6 is a
 // statement about ALL of them, and the adversary indeed aligns each one.
-func e17Universality(o Opts) (*Table, error) {
-	const k, rp = 4, 2
-	n := 32
-	if o.Quick {
-		n = 16
-	}
+func e17Universality() (*Table, error) {
+	const n, k, rp = 32, 4, 2
 	t := &Table{
 		ID:      "E17",
 		Title:   "Every deterministic fully-distributed algorithm hits the Theorem 6 bound",
@@ -140,13 +130,8 @@ func e17Universality(o Opts) (*Table, error) {
 // fill, so the relative delay collapses to O(1) with high probability —
 // randomization defeats this particular adversary, while the deterministic
 // algorithms pay the full (N-1)(r'-1).
-func e18Randomized(o Opts) (*Table, error) {
-	const k, rp = 4, 3
-	n := 64
-	seeds := 200
-	if o.Quick {
-		n, seeds = 16, 30
-	}
+func e18Randomized() (*Table, error) {
+	const n, k, rp, seeds = 64, 4, 3, 200
 	t := &Table{
 		ID:      "E18",
 		Title:   "Randomized dispatch under the concentration trace: RQD distribution",

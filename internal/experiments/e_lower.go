@@ -22,7 +22,7 @@ func rrFactory(e demux.Env) (demux.Algorithm, error) { return demux.NewRoundRobi
 
 // e2Lemma4 forces c cells for one output through one plane and compares the
 // measured relative queuing delay and jitter with Lemma 4's expressions.
-func e2Lemma4(o Opts) (*Table, error) {
+func e2Lemma4() (*Table, error) {
 	t := &Table{
 		ID:      "E2",
 		Title:   "Lemma 4 concentration scenario",
@@ -34,9 +34,6 @@ func e2Lemma4(o Opts) (*Table, error) {
 		},
 	}
 	cs := []int{2, 4, 8, 16, 32, 64}
-	if o.Quick {
-		cs = []int{2, 4, 8}
-	}
 	const rp = 3
 	for _, c := range cs {
 		cfg := fabric.Config{N: c, K: 4, RPrime: rp, CheckInvariants: true}
@@ -65,7 +62,7 @@ func e2Lemma4(o Opts) (*Table, error) {
 
 // e3Theorem6 aligns the |I| demultiplexors sharing a plane via the steering
 // adversary (Figure 2 of the paper) and measures the concentration cost.
-func e3Theorem6(o Opts) (*Table, error) {
+func e3Theorem6() (*Table, error) {
 	t := &Table{
 		ID:      "E3",
 		Title:   "Theorem 6: d demultiplexors sharing a (plane, output) pair",
@@ -73,9 +70,6 @@ func e3Theorem6(o Opts) (*Table, error) {
 		Columns: []string{"N", "d=|I|", "burstiness B", "measured RQD", "measured RDJ", "bound (r'-1)d"},
 	}
 	ns := []int{8, 16, 32, 64}
-	if o.Quick {
-		ns = []int{8, 16}
-	}
 	const k, rp, part = 8, 2, 2 // partition size 2, so |I| = N*part/K = N/4
 	for _, n := range ns {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
@@ -116,7 +110,7 @@ func partitionInputs(n, k, d int, plane cell.Plane) []cell.Port {
 // e4Corollary7 is the headline scaling result: with unpartitioned
 // fully-distributed dispatch the relative queuing delay grows linearly in
 // the port count N.
-func e4Corollary7(o Opts) (*Table, error) {
+func e4Corollary7() (*Table, error) {
 	t := &Table{
 		ID:      "E4",
 		Title:   "Corollary 7: RQD of unpartitioned fully-distributed dispatch grows with N",
@@ -127,9 +121,6 @@ func e4Corollary7(o Opts) (*Table, error) {
 		},
 	}
 	ns := []int{4, 8, 16, 32, 64, 128}
-	if o.Quick {
-		ns = []int{4, 8, 16}
-	}
 	const k, rp = 4, 2
 	for _, n := range ns {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
@@ -158,7 +149,7 @@ func e4Corollary7(o Opts) (*Table, error) {
 
 // e5Theorem8 fixes N and sweeps the speedup: the measured worst case decays
 // as N/S.
-func e5Theorem8(o Opts) (*Table, error) {
+func e5Theorem8() (*Table, error) {
 	t := &Table{
 		ID:      "E5",
 		Title:   "Theorem 8: worst-case RQD decays as N/S",
@@ -167,9 +158,6 @@ func e5Theorem8(o Opts) (*Table, error) {
 	}
 	const n, rp, part = 32, 2, 2
 	ks := []int{2, 4, 8, 16, 32}
-	if o.Quick {
-		ks = []int{2, 4, 8}
-	}
 	for _, k := range ks {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
 		factory := func(e demux.Env) (demux.Algorithm, error) { return demux.NewStaticPartition(e, part) }

@@ -22,7 +22,7 @@ func init() {
 // and the "relative delay" collapses through zero — the Discussion's point
 // that only work-conserving references yield a meaningful competitive
 // measure.
-func e26NonWC(o Opts) (*Table, error) {
+func e26NonWC() (*Table, error) {
 	const n, k, rp = 16, 4, 3
 	t := &Table{
 		ID:      "E26",
@@ -47,11 +47,7 @@ func e26NonWC(o Opts) (*Table, error) {
 	// A reference that holds every cell D slots, then serializes it FCFS on
 	// its output, departs it at the work-conserving FCFS slot of a cell that
 	// arrived D slots later: score the PPS against that Oracle.
-	ds := []cell.Time{0, 8, 16, 32, 64}
-	if o.Quick {
-		ds = []cell.Time{0, 16, 64}
-	}
-	for _, d := range ds {
+	for _, d := range []cell.Time{0, 8, 16, 32, 64} {
 		ref := shadow.NewOracle(n)
 		var worst cell.Time
 		for i, c := range deps {

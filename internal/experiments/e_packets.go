@@ -22,7 +22,7 @@ func init() {
 // next to cell-level relative delay. A packet rides its slowest cell, so
 // cell-delay tails amplify at packet granularity — one more reason the
 // worst-case cell bounds of the paper matter to applications.
-func e25Packets(o Opts) (*Table, error) {
+func e25Packets() (*Table, error) {
 	const n, k, rp = 8, 8, 4 // S = 2
 	t := &Table{
 		ID:      "E25",
@@ -30,10 +30,7 @@ func e25Packets(o Opts) (*Table, error) {
 		Claim:   "(substrate, Section 1) cells are the switch's unit; packets are the application's — packet delay is the max over the packet's cells, so cell tails amplify",
 		Columns: []string{"algorithm", "packets", "mean pkt delay", "p99 pkt delay", "max pkt delay", "max cell RQD"},
 	}
-	packets := 400
-	if o.Quick {
-		packets = 80
-	}
+	const packets = 400
 	algs := []struct {
 		name string
 		mk   func(demux.Env) (demux.Algorithm, error)

@@ -22,7 +22,7 @@ func init() {
 // them, collapsing the concentration — evidence that the lower bound's
 // adversary exploits determinism, as the paper's Discussion anticipates
 // for randomized demultiplexing algorithms.
-func e19RandTie(o Opts) (*Table, error) {
+func e19RandTie() (*Table, error) {
 	const n, k, rp, u = 32, 16, 8, 4 // S = 2, u' = min(u, r'/2) = 4
 	t := &Table{
 		ID:      "E19",
@@ -33,10 +33,7 @@ func e19RandTie(o Opts) (*Table, error) {
 			"same blind-window burst for every row; random rows aggregate over seeds",
 		},
 	}
-	seeds := 50
-	if o.Quick {
-		seeds = 8
-	}
+	const seeds = 50
 	tr, err := adversary.Herding(adversary.HerdingSpec{
 		N: n, Out: 0, Slots: u, PerSlot: u * n / k, LeadIn: 4,
 	})

@@ -22,7 +22,7 @@ func init() {
 // theorem's mechanism: the fully-distributed bounds live in the plane
 // stage, Theorem 12's u-slot price lives in the input stage, and per-flow
 // spreading (perflow-rr/ftd) pays a visible resequencing component.
-func e20Stages(o Opts) (*Table, error) {
+func e20Stages() (*Table, error) {
 	const n, k, rp = 16, 8, 4 // S = 2
 	t := &Table{
 		ID:      "E20",
@@ -40,13 +40,7 @@ func e20Stages(o Opts) (*Table, error) {
 		{"cpa", func(e demux.Env) (demux.Algorithm, error) { return demux.NewCPA(e, demux.MinAvail) }, 0},
 		{"buffered-cpa u=4", func(e demux.Env) (demux.Algorithm, error) { return demux.NewBufferedCPA(e, 4, demux.MinAvail) }, 5},
 	}
-	if o.Quick {
-		algs = algs[:2]
-	}
 	horizon := cell.Time(1500)
-	if o.Quick {
-		horizon = 300
-	}
 	for _, a := range algs {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, BufferCap: a.bufCap, CheckInvariants: true}
 

@@ -21,7 +21,7 @@ func init() {
 
 // e1Figure1 instantiates the paper's Figure 1 switch, checks its Clos-
 // network structure, and smoke-runs it.
-func e1Figure1(o Opts) (*Table, error) {
+func e1Figure1() (*Table, error) {
 	const n, k, rp = 5, 2, 2
 	t := &Table{
 		ID:      "E1",
@@ -58,7 +58,7 @@ func e1Figure1(o Opts) (*Table, error) {
 // e14Crossbar runs the arbitrated input-queued crossbar — the paper's
 // example of a u-RT mechanism in deployed hardware — against the OQ shadow
 // under contention, sweeping arbiter iterations.
-func e14Crossbar(o Opts) (*Table, error) {
+func e14Crossbar() (*Table, error) {
 	const n = 8
 	t := &Table{
 		ID:      "E14",
@@ -66,20 +66,13 @@ func e14Crossbar(o Opts) (*Table, error) {
 		Claim:   "arbitrated crossbars are u-RT mechanisms: request-grant delay and HOL contention cost relative delay that more arbiter iterations only partially recover",
 		Columns: []string{"arbiter", "iterations", "traffic", "mean rel. delay", "max rel. delay"},
 	}
-	iters := []int{1, 2, 4}
-	if o.Quick {
-		iters = []int{1, 2}
-	}
 	slots := cell.Time(1500)
-	if o.Quick {
-		slots = 300
-	}
 	arbiters := []struct {
 		name string
 		arb  crossbar.Arbiter
 	}{{"islip", crossbar.ISLIP}, {"pim", crossbar.PIM}}
 	for _, ar := range arbiters {
-		for _, it := range iters {
+		for _, it := range []int{1, 2, 4} {
 			for _, kind := range []string{"uniform 0.8", "hotspot"} {
 				var src traffic.Source
 				if kind == "uniform 0.8" {
@@ -111,7 +104,7 @@ func e14Crossbar(o Opts) (*Table, error) {
 // e15JitterRegulator connects the Discussion's point: shaping the jittery
 // PPS output back to constant delay needs a regulator buffer proportional
 // to the relative queuing delay the PPS introduced.
-func e15JitterRegulator(o Opts) (*Table, error) {
+func e15JitterRegulator() (*Table, error) {
 	const n, k, rp, c = 16, 4, 3, 12
 	t := &Table{
 		ID:      "E15",
@@ -139,12 +132,8 @@ func e15JitterRegulator(o Opts) (*Table, error) {
 		return nil, err
 	}
 
-	bufs := []int{1, 4, 8, 16, 0} // 0 = unbounded
-	if o.Quick {
-		bufs = []int{1, 0}
-	}
 	targetD := cell.Time((c - 1) * (rp - 1))
-	for _, b := range bufs {
+	for _, b := range []int{1, 4, 8, 16, 0} { // 0 = unbounded
 		reg, err := jitterreg.New(targetD, b)
 		if err != nil {
 			return nil, err

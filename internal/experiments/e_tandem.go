@@ -24,7 +24,7 @@ func init() {
 // end-to-end behaviour from the convolution of the two service curves and
 // the inflated burstiness of the intermediate stream; the measured
 // end-to-end delay must respect the bound.
-func e23Tandem(o Opts) (*Table, error) {
+func e23Tandem() (*Table, error) {
 	const n, k, rp, bb = 8, 8, 4, 5 // S = 2 per stage, traffic burstiness 5
 	t := &Table{
 		ID:      "E23",
@@ -33,9 +33,6 @@ func e23Tandem(o Opts) (*Table, error) {
 		Columns: []string{"quantity", "bound", "measured"},
 	}
 	horizon := cell.Time(1500)
-	if o.Quick {
-		horizon = 250
-	}
 
 	cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
 	cpa := func(e demux.Env) (demux.Algorithm, error) { return demux.NewCPA(e, demux.MinAvail) }
@@ -91,7 +88,7 @@ func e23Tandem(o Opts) (*Table, error) {
 // conversely, with static partitioning a failed plane strands only its own
 // group while unpartitioned dispatch eventually routes *every* input into
 // the failed plane.
-func e24Failure(o Opts) (*Table, error) {
+func e24Failure() (*Table, error) {
 	const n, k, rp = 16, 4, 2
 	t := &Table{
 		ID:      "E24",
@@ -111,9 +108,6 @@ func e24Failure(o Opts) (*Table, error) {
 		{"partition d=2", func(e demux.Env) (demux.Algorithm, error) { return demux.NewStaticPartition(e, 2) }},
 	}
 	horizon := cell.Time(200)
-	if o.Quick {
-		horizon = 60
-	}
 	cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
 	dead := faults.NewSchedule().FailAt(0, 0)
 	for _, a := range algs {

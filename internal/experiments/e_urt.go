@@ -22,7 +22,7 @@ func init() {
 // inside its blind window; the herd concentrates on one plane. The sweep
 // shows the cost growing with u and saturating at u' = r'/2, the paper's
 // effective-staleness cap.
-func e6Theorem10(o Opts) (*Table, error) {
+func e6Theorem10() (*Table, error) {
 	const n, k, rp = 32, 16, 8 // S = 2
 	t := &Table{
 		ID:      "E6",
@@ -33,12 +33,8 @@ func e6Theorem10(o Opts) (*Table, error) {
 			"the CPA column replays the identical trace with current global information: the cost is stale information, not capacity",
 		},
 	}
-	us := []cell.Time{1, 2, 4, 8, 16}
-	if o.Quick {
-		us = []cell.Time{1, 4}
-	}
 	g := bounds.Params{N: n, K: k, RPrime: rp}
-	for _, u := range us {
+	for _, u := range []cell.Time{1, 2, 4, 8, 16} {
 		uEff := cell.Time(bounds.UEffective(g, int64(u)))
 		perSlot := int(uEff) * n / k
 		if perSlot < 1 {
@@ -76,7 +72,7 @@ func e6Theorem10(o Opts) (*Table, error) {
 // e7Theorem12 verifies the matching upper bound: an input-buffered u-RT
 // algorithm with buffers of size u and S >= 2 keeps the relative queuing
 // delay at most u, under both shaped random traffic and blind-window bursts.
-func e7Theorem12(o Opts) (*Table, error) {
+func e7Theorem12() (*Table, error) {
 	const n, k, rp = 16, 16, 8 // S = 2
 	t := &Table{
 		ID:      "E7",
@@ -87,15 +83,8 @@ func e7Theorem12(o Opts) (*Table, error) {
 			"u = 0 is the centralized CPA itself; the Omega(N/S) lower bound does not apply once buffers reach u (Section 4)",
 		},
 	}
-	us := []cell.Time{0, 1, 2, 4, 8}
-	if o.Quick {
-		us = []cell.Time{0, 2}
-	}
 	horizon := cell.Time(1200)
-	if o.Quick {
-		horizon = 400
-	}
-	for _, u := range us {
+	for _, u := range []cell.Time{0, 1, 2, 4, 8} {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, BufferCap: int(u) + 1, CheckInvariants: true}
 		factory := func(e demux.Env) (demux.Algorithm, error) { return demux.NewBufferedCPA(e, u, demux.MinAvail) }
 
@@ -122,7 +111,7 @@ func e7Theorem12(o Opts) (*Table, error) {
 // e8Theorem13 shows buffering without global information does not help:
 // buffered round-robin suffers the same steering concentration for every
 // buffer size.
-func e8Theorem13(o Opts) (*Table, error) {
+func e8Theorem13() (*Table, error) {
 	const n, k, rp = 32, 4, 2 // S = 2
 	t := &Table{
 		ID:      "E8",
@@ -130,16 +119,12 @@ func e8Theorem13(o Opts) (*Table, error) {
 		Claim:   "input-buffered fully-distributed demux has RQD, RDJ >= (1 - r/R) * N/S for ANY buffer size, under burstless traffic",
 		Columns: []string{"buffer cap", "measured RQD", "measured RDJ", "bound (1-r/R)N/S"},
 	}
-	caps := []int{1, 4, 16, -1}
-	if o.Quick {
-		caps = []int{1, -1}
-	}
 	bound := bounds.Theorem13(bounds.Params{N: n, K: k, RPrime: rp})
 	inputs := make([]cell.Port, n)
 	for i := range inputs {
 		inputs[i] = cell.Port(i)
 	}
-	for _, bc := range caps {
+	for _, bc := range []int{1, 4, 16, -1} {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, BufferCap: bc, CheckInvariants: true}
 		factory := func(e demux.Env) (demux.Algorithm, error) { return demux.NewBufferedRR(e, bc) }
 		tr, err := adversary.Steering(adversary.SteeringSpec{

@@ -18,20 +18,16 @@ func init() {
 // O(1/weight) regardless — which is why the *switch* must not add
 // unbounded, jittery delay of its own (the paper's subject) if end-to-end
 // guarantees are to survive.
-func e27WFQ(o Opts) (*Table, error) {
+func e27WFQ() (*Table, error) {
 	t := &Table{
 		ID:      "E27",
 		Title:   "Light flow vs a bursty rogue on one output link",
 		Claim:   "(substrate, intro + [25]) guaranteed-rate disciplines isolate flows: light-flow delay is O(1) under WFQ and O(burst) under FCFS",
 		Columns: []string{"rogue burst", "FCFS light max delay", "WFQ light max delay"},
 	}
-	bursts := []int{10, 50, 200, 1000}
-	if o.Quick {
-		bursts = []int{10, 50}
-	}
 	light := cell.Flow{In: 0, Out: 0}
 	rogue := cell.Flow{In: 1, Out: 0}
-	for _, burst := range bursts {
+	for _, burst := range []int{10, 50, 200, 1000} {
 		// FCFS: single queue.
 		var fcfsWorst stats.Summary
 		{

@@ -1,7 +1,8 @@
 // Package experiments regenerates, as tables, the quantitative content of
 // the paper: every theorem's bound is exercised by a concrete workload and
-// reported next to the measured value. EXPERIMENTS.md at the repository
-// root records one run of the full suite; `go test -bench` at the root and
+// reported next to the measured value. Each experiment has one parameter
+// set: EXPERIMENTS.md at the repository root publishes its table, the
+// goldens pin the same table, and `go test -bench` at the root and
 // ppsim exp re-run it.
 //
 // Because the paper is an extended abstract of lower bounds, its "tables
@@ -16,29 +17,13 @@ import (
 	"sort"
 	"strings"
 
-	"ppsim/internal/admission"
 	"ppsim/internal/cell"
 	"ppsim/internal/traffic"
 )
 
-// Opts tunes an experiment run.
-type Opts struct {
-	// Quick shrinks sweeps for use in unit tests and benchmarks; the full
-	// suite (ppsim exp, EXPERIMENTS.md) runs with Quick=false.
-	Quick bool
-	// Admission optionally overrides the token-bucket spec the admission
-	// experiment (E28) compares against always-admit; nil/empty keeps E28's
-	// default policy. Other experiments ignore it.
-	Admission *admission.Spec
-	// DeadlineRel, when positive, additionally stamps E28's traffic with
-	// per-cell departure deadlines of arrival slot + DeadlineRel, so the
-	// expired column becomes active. Other experiments ignore it.
-	DeadlineRel cell.Time
-}
-
 // Table is one regenerated result.
 type Table struct {
-	// ID is the experiment identifier (E1..E15), matching DESIGN.md §4.
+	// ID is the experiment identifier (E1..E28), matching DESIGN.md §4.
 	ID string
 	// Title names the experiment.
 	Title string
@@ -154,7 +139,7 @@ func (t *Table) Markdown() string {
 }
 
 // Func runs one experiment.
-type Func func(Opts) (*Table, error)
+type Func func() (*Table, error)
 
 // Entry registers an experiment.
 type Entry struct {

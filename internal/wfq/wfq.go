@@ -17,7 +17,6 @@
 package wfq
 
 import (
-	"container/heap"
 	"fmt"
 
 	"ppsim/internal/cell"
@@ -29,7 +28,7 @@ type Scheduler struct {
 	weights map[cell.Flow]float64
 	queues  map[cell.Flow]*queue.FIFO[item]
 	lastF   map[cell.Flow]float64
-	ready   itemHeap
+	ready   *queue.Heap[item] // each backlogged flow's head, by (finish, Seq)
 	// Virtual time state.
 	vtime      float64
 	vlast      cell.Time // real time of the last virtual-time update
@@ -49,8 +48,18 @@ func New() *Scheduler {
 		weights:    make(map[cell.Flow]float64),
 		queues:     make(map[cell.Flow]*queue.FIFO[item]),
 		lastF:      make(map[cell.Flow]float64),
+		ready:      queue.NewHeap(earlierFinish),
 		backlogged: make(map[cell.Flow]bool),
 	}
+}
+
+// earlierFinish orders items by virtual finish time, ties by Seq: a total
+// order, so the service order does not depend on the heap's layout.
+func earlierFinish(a, b item) bool {
+	if a.finish != b.finish {
+		return a.finish < b.finish
+	}
+	return a.c.Seq < b.c.Seq
 }
 
 // AddFlow registers a flow with a positive weight. Flows must be registered
@@ -98,7 +107,7 @@ func (s *Scheduler) Enqueue(t cell.Time, c cell.Cell) error {
 		s.backlogSum += w
 	}
 	if q.Len() == 1 {
-		heap.Push(&s.ready, item{c: c, finish: fin})
+		s.ready.Push(item{c: c, finish: fin})
 	}
 	return nil
 }
@@ -107,10 +116,10 @@ func (s *Scheduler) Enqueue(t cell.Time, c cell.Cell) error {
 // head-of-line cells); ok is false when idle.
 func (s *Scheduler) Dequeue(t cell.Time) (cell.Cell, bool) {
 	s.advance(t)
-	if len(s.ready) == 0 {
+	if s.ready.Empty() {
 		return cell.Cell{}, false
 	}
-	it := heap.Pop(&s.ready).(item)
+	it := s.ready.Pop()
 	q := s.queues[it.c.Flow]
 	q.Pop()
 	s.served++
@@ -121,7 +130,7 @@ func (s *Scheduler) Dequeue(t cell.Time) (cell.Cell, bool) {
 			s.backlogSum = 0
 		}
 	} else {
-		heap.Push(&s.ready, q.Peek())
+		s.ready.Push(q.Peek())
 	}
 	out := it.c
 	out.Depart = t
@@ -139,22 +148,3 @@ func (s *Scheduler) Backlog() int {
 
 // Served reports cells served so far.
 func (s *Scheduler) Served() uint64 { return s.served }
-
-type itemHeap []item
-
-func (h itemHeap) Len() int { return len(h) }
-func (h itemHeap) Less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
-	}
-	return h[i].c.Seq < h[j].c.Seq
-}
-func (h itemHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x interface{}) { *h = append(*h, x.(item)) }
-func (h *itemHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
-}
