@@ -57,20 +57,24 @@ func ParseEngine(s string) (Engine, error) {
 // human-readable reason, surfaced as Result.EngineReason.
 //
 // Eliding idle slots needs a PPS under test (pps nil is a baseline, which
-// only steps), a source the feed reads ahead in spans (a
-// traffic.BatchSource — a per-slot source is only ever called at its slot, so
-// nobody can say when its next arrival is due) and no u-RT reader of the
-// global event log (fabric.PPS.IdleInvariant); the event core additionally
+// only steps), a source the feed reads ahead in spans (a traffic.BatchSource
+// that wraps only BatchSources — a per-slot source is only ever called at
+// its slot, so nobody can say when its next arrival is due; when src itself
+// is a BatchSource, the reason says it wraps a per-slot one) and no u-RT
+// reader of the global event log (fabric.PPS.IdleInvariant); the event core additionally
 // needs a fully serial run — its sparse audit and busy-output sweep assume
 // single-goroutine ownership of the fabric, and the stage-parallel engine's
 // barrier already prices in touching every port.
-func selectEngine(pps *fabric.PPS, feed *traffic.SpanFeed, opts Options) (Engine, string) {
+func selectEngine(pps *fabric.PPS, src traffic.Source, feed *traffic.SpanFeed, opts Options) (Engine, string) {
 	if opts.Engine == EngineStepped {
 		return EngineStepped, ""
 	}
+	_, batch := src.(traffic.BatchSource)
 	switch {
 	case pps == nil:
 		return EngineStepped, "switch under test is not a PPS"
+	case !feed.Batched() && batch:
+		return EngineStepped, fmt.Sprintf("source %T wraps a source that does not implement traffic.BatchSource", src)
 	case !feed.Batched():
 		return EngineStepped, "source does not implement traffic.BatchSource"
 	case !pps.IdleInvariant():

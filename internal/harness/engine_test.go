@@ -310,6 +310,8 @@ func TestSelectEngine(t *testing.T) {
 		{name: "tracer", mk: rrFactory, src: batch, opts: Options{Tracer: obs.NewTracer(obs.NewRingSink(8))}},
 		{name: "per-slot-source", mk: rrFactory, src: opaqueSource{batch},
 			reason: "source does not implement traffic.BatchSource"},
+		{name: "shaped-per-slot-source", mk: rrFactory, src: traffic.NewRegulator(n, 2, opaqueSource{batch}),
+			reason: "source *traffic.Regulator wraps a source that does not implement traffic.BatchSource"},
 		{name: "stale-family", mk: stale, src: batch, reason: "algorithm stale-cpa-u4" + urt},
 		{name: "faultaware-stale", mk: faultStale, src: batch, reason: "algorithm faultaware(stale-cpa-u4)" + urt},
 		{name: "armed-log", mk: rrFactory, src: batch, armLog: true, reason: "algorithm rr" + urt},
@@ -336,7 +338,7 @@ func TestSelectEngine(t *testing.T) {
 			} else if tc.reason != "" {
 				wantEng, wantWhy = EngineStepped, tc.reason
 			}
-			if eng, why := selectEngine(pps, traffic.NewSpanFeed(tc.src, 64), opts); eng != wantEng || why != wantWhy {
+			if eng, why := selectEngine(pps, tc.src, traffic.NewSpanFeed(tc.src, 64), opts); eng != wantEng || why != wantWhy {
 				t.Errorf("%s, requested %v: got (%v, %q), want (%v, %q)", tc.name, req, eng, why, wantEng, wantWhy)
 			}
 		}

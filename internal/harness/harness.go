@@ -546,7 +546,7 @@ func Drive(sw Switch, src traffic.Source, opts Options) (res Result, err error) 
 	// The span feed serves both cores' arrival phase, and whether it reads
 	// ahead is the source's half of engine eligibility (selectEngine).
 	d.feed = traffic.NewSpanFeed(src, end)
-	eng, reason := selectEngine(pps, d.feed, opts)
+	eng, reason := selectEngine(pps, src, d.feed, opts)
 	slot, err := d.run(eng == EngineEvent)
 	if err != nil {
 		return Result{}, err

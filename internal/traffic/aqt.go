@@ -36,13 +36,12 @@ func AQTExcess(n int, src Source, w cell.Time, rho float64) (float64, error) {
 		inCount[p] = make([]int64, end)
 		outCount[p] = make([]int64, end)
 	}
-	var buf []Arrival
-	for t := cell.Time(0); t < end; t++ {
-		buf = src.Arrivals(t, buf[:0])
-		for _, a := range buf {
-			inCount[a.In][t]++
-			outCount[a.Out][t]++
+	for _, a := range appendSpan(src, nil, 0, end) {
+		if err := inSwitch(n, a); err != nil {
+			return 0, err
 		}
+		inCount[a.In][a.T]++
+		outCount[a.Out][a.T]++
 	}
 	worst := float64(0)
 	scan := func(counts []int64) {

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -18,6 +19,18 @@ func TestAQTValidation(t *testing.T) {
 	}
 	if _, err := AQTExcess(2, &Flood{N: 2, Out: 0, Until: cell.None}, 4, 1); err == nil {
 		t.Error("unbounded source must be rejected")
+	}
+}
+
+// TestAQTExcessRejectsOutOfRange: an arrival outside the switch on either
+// side is an error, as it is for MeasureSource, not an index panic.
+func TestAQTExcessRejectsOutOfRange(t *testing.T) {
+	for _, a := range []Arrival{{In: 0, Out: 5}, {In: 5, Out: 0}, {In: -1, Out: 0}} {
+		tr := NewTrace()
+		tr.MustAdd(3, a.In, a.Out)
+		if _, err := AQTExcess(2, tr, 2, 1); err == nil || !strings.Contains(err.Error(), "outside 2x2 switch") {
+			t.Errorf("arrival %d->%d: err = %v, want the outside-the-switch error", a.In, a.Out, err)
+		}
 	}
 }
 

@@ -50,12 +50,12 @@ func TestWithDeadlinePreservesStream(t *testing.T) {
 func TestWithDeadlineLookaheadForwarding(t *testing.T) {
 	// A batch inner keeps AppendArrivals — read-ahead, and with it the event
 	// core; the deadline-* rows of batchTwinCases check the stream itself...
-	if _, ok := WithDeadline(NewBernoulli(2, 0.3, 128, 3), 4).(BatchSource); !ok {
+	if !NewSpanFeed(WithDeadline(NewBernoulli(2, 0.3, 128, 3), 4), 128).Batched() {
 		t.Fatal("BatchSource inner lost the capability through WithDeadline")
 	}
 	// ...and a per-slot inner must not falsely qualify: the feed would read
 	// it ahead of its slot.
-	if _, ok := WithDeadline(opaque{NewTrace()}, 4).(BatchSource); ok {
+	if NewSpanFeed(WithDeadline(opaque{NewTrace()}, 4), 128).Batched() {
 		t.Fatal("per-slot inner falsely satisfies BatchSource through WithDeadline")
 	}
 }

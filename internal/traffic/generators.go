@@ -329,17 +329,13 @@ func (p *Permutation) AppendArrivals(dst []Arrival, from, to cell.Time) []Arriva
 	return appendPerSlot(p, dst, from, to)
 }
 
-// Hotspot sends a fraction of every input's Bernoulli traffic to a single
-// hot output and spreads the remainder uniformly. Per-output admissibility
-// requires n * load * hotFrac <= 1 for the hot output; the constructor does
-// not enforce it so that over-subscribed (flooding) scenarios can be built
-// deliberately (Section 5 of the paper).
-type Hotspot struct {
-	inner *Bernoulli
-}
-
-// NewHotspot builds the weighted Bernoulli source described above.
-func NewHotspot(n int, load, hotFrac float64, hot cell.Port, until cell.Time, seed int64) (*Hotspot, error) {
+// NewHotspot returns Bernoulli traffic that sends a fraction hotFrac of
+// every input's cells to the single hot output and spreads the remainder
+// uniformly. Per-output admissibility requires n * load * hotFrac <= 1 for
+// the hot output; the constructor does not enforce it so that
+// over-subscribed (flooding) scenarios can be built deliberately (Section 5
+// of the paper).
+func NewHotspot(n int, load, hotFrac float64, hot cell.Port, until cell.Time, seed int64) (*Bernoulli, error) {
 	if !(hotFrac >= 0 && hotFrac <= 1) {
 		return nil, fmt.Errorf("traffic: hotFrac %g outside [0,1]", hotFrac)
 	}
@@ -353,25 +349,7 @@ func NewHotspot(n int, load, hotFrac float64, hot cell.Port, until cell.Time, se
 		w[j] = cold
 	}
 	w[hot] += hotFrac
-	b, err := newBernoulli(n, load, w, 0, until, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Hotspot{inner: b}, nil
-}
-
-// Arrivals implements Source.
-func (h *Hotspot) Arrivals(t cell.Time, dst []Arrival) []Arrival {
-	return h.inner.Arrivals(t, dst)
-}
-
-// End implements Source.
-func (h *Hotspot) End() cell.Time { return h.inner.End() }
-
-// AppendArrivals implements BatchSource by delegating to the weighted
-// Bernoulli.
-func (h *Hotspot) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
-	return h.inner.AppendArrivals(dst, from, to)
+	return newBernoulli(n, load, w, 0, until, seed)
 }
 
 // Flood sends, every slot, one cell from every input to the same output —

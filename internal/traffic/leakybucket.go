@@ -61,8 +61,8 @@ func (v *Validator) Observe(t cell.Time, arrivals []Arrival) error {
 		}
 	}
 	for _, a := range arrivals {
-		if int(a.In) < 0 || int(a.In) >= v.n || int(a.Out) < 0 || int(a.Out) >= v.n {
-			return fmt.Errorf("traffic: arrival %v outside %dx%d switch", a, v.n, v.n)
+		if err := inSwitch(v.n, a); err != nil {
+			return err
 		}
 		v.inQ[a.In]++
 		v.outQ[a.Out]++
@@ -100,6 +100,14 @@ func (v *Validator) InputBurstiness() int64 { return v.maxIn }
 // OutputBurstiness returns the output-side component of the burstiness.
 func (v *Validator) OutputBurstiness() int64 { return v.maxOut }
 
+// inSwitch reports an arrival whose ports lie outside an n x n switch.
+func inSwitch(n int, a Arrival) error {
+	if int(a.In) < 0 || int(a.In) >= n || int(a.Out) < 0 || int(a.Out) >= n {
+		return fmt.Errorf("traffic: arrival %v outside %dx%d switch", a, n, n)
+	}
+	return nil
+}
+
 // MeasureSource replays a finite source through a fresh Validator and
 // returns the measured burstiness. It returns an error for unbounded
 // sources or malformed arrival streams.
@@ -108,13 +116,17 @@ func MeasureSource(n int, src Source) (int64, error) {
 	if end == cell.None {
 		return 0, fmt.Errorf("traffic: cannot measure an unbounded source")
 	}
+	// Observe drains the silent slots it skips: present only populated ones.
 	v := NewValidator(n)
-	var buf []Arrival
-	for t := cell.Time(0); t < end; t++ {
-		buf = src.Arrivals(t, buf[:0])
-		if err := v.Observe(t, buf); err != nil {
+	for as := appendSpan(src, nil, 0, end); len(as) > 0; {
+		k := 1
+		for k < len(as) && as[k].T == as[0].T {
+			k++
+		}
+		if err := v.Observe(as[0].T, as[:k]); err != nil {
 			return 0, err
 		}
+		as = as[k:]
 	}
 	return v.Burstiness(), nil
 }
@@ -132,17 +144,16 @@ func WindowBurstiness(n int, src Source, tau cell.Time) (int64, error) {
 	if tau <= 0 {
 		return 0, fmt.Errorf("traffic: window must be positive, got %d", tau)
 	}
-	// perSlot[j][t] = cells for output j arriving at slot t.
+	// counts[j][t] = cells for output j arriving at slot t.
 	counts := make([][]int64, n)
 	for j := range counts {
 		counts[j] = make([]int64, end)
 	}
-	var buf []Arrival
-	for t := cell.Time(0); t < end; t++ {
-		buf = src.Arrivals(t, buf[:0])
-		for _, a := range buf {
-			counts[a.Out][t]++
+	for _, a := range appendSpan(src, nil, 0, end) {
+		if err := inSwitch(n, a); err != nil {
+			return 0, err
 		}
+		counts[a.Out][a.T]++
 	}
 	var worst int64
 	for j := 0; j < n; j++ {
@@ -254,6 +265,8 @@ func (r *Regulator) Arrivals(t cell.Time, dst []Arrival) []Arrival {
 func (r *Regulator) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
 	return appendPerSlot(r, dst, from, to)
 }
+
+func (r *Regulator) source() Source { return r.inner }
 
 // End implements Source. The regulator itself cannot know when its backlog
 // will drain, so it reports unbounded unless both the demand has ended and

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -123,6 +124,23 @@ func TestWindowBurstinessGrowsForFlood(t *testing.T) {
 			t.Errorf("excess must grow with tau: %d then %d", prev, got)
 		}
 		prev = got
+	}
+}
+
+// TestWindowBurstinessRejectsOutOfRange: a trace does not range-check its
+// ports, so an arrival outside the switch is an error here, as it is for
+// MeasureSource, not an index panic.
+func TestWindowBurstinessRejectsOutOfRange(t *testing.T) {
+	for _, a := range []Arrival{{In: 0, Out: 5}, {In: 5, Out: 0}, {In: 0, Out: -1}} {
+		tr := NewTrace()
+		tr.MustAdd(3, a.In, a.Out)
+		_, err := WindowBurstiness(2, tr, 1)
+		if err == nil || !strings.Contains(err.Error(), "outside 2x2 switch") {
+			t.Errorf("arrival %d->%d: err = %v, want the outside-the-switch error", a.In, a.Out, err)
+		}
+		if _, merr := MeasureSource(2, tr); merr == nil || err == nil || merr.Error() != err.Error() {
+			t.Errorf("arrival %d->%d: WindowBurstiness says %v, MeasureSource %v", a.In, a.Out, err, merr)
+		}
 	}
 }
 

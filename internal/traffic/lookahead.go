@@ -5,7 +5,8 @@ import "ppsim/internal/cell"
 // Lookahead is the event core's question to the arrival phase: when is the
 // next arrival due, so idle slots can be elided without being executed.
 // SpanFeed is its only implementation — the slab it has already read ahead
-// is the answer — and sources opt in by implementing BatchSource.
+// is the answer — and sources opt in by implementing BatchSource, wrappers
+// only over sources that do.
 //
 // NextArrival returns the earliest slot strictly after `after` that holds an
 // arrival, or cell.None when there is none before the feed's end. Queries

@@ -3,7 +3,7 @@ package traffic
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ppsim/internal/cell"
 )
@@ -16,23 +16,14 @@ type record struct {
 }
 
 // MarshalJSON encodes the trace as a canonical (slot-major, then
-// input-major) array of {t, in, out} records, so two equal traces encode
-// byte-identically.
+// input-major — the order of its span) array of {t, in, out} records, so two
+// equal traces encode byte-identically.
 func (tr *Trace) MarshalJSON() ([]byte, error) {
-	recs := make([]record, 0, tr.Count())
-	var buf []Arrival
-	for t := cell.Time(0); t < tr.End(); t++ {
-		buf = tr.Arrivals(t, buf[:0])
-		for _, a := range buf {
-			recs = append(recs, record{T: int64(t), In: int32(a.In), Out: int32(a.Out)})
-		}
+	as := tr.AppendArrivals(nil, 0, tr.End())
+	recs := make([]record, len(as))
+	for i, a := range as {
+		recs[i] = record{T: int64(a.T), In: int32(a.In), Out: int32(a.Out)}
 	}
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].T != recs[j].T {
-			return recs[i].T < recs[j].T
-		}
-		return recs[i].In < recs[j].In
-	})
 	return json.Marshal(recs)
 }
 
@@ -56,21 +47,5 @@ func (tr *Trace) UnmarshalJSON(data []byte) error {
 
 // Equal reports whether two traces schedule exactly the same arrivals.
 func (tr *Trace) Equal(other *Trace) bool {
-	if tr.End() != other.End() || tr.Count() != other.Count() {
-		return false
-	}
-	var a, b []Arrival
-	for t := cell.Time(0); t < tr.End(); t++ {
-		a = tr.Arrivals(t, a[:0])
-		b = other.Arrivals(t, b[:0])
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(tr.AppendArrivals(nil, 0, tr.End()), other.AppendArrivals(nil, 0, other.End()))
 }

@@ -17,7 +17,8 @@ const (
 	targetSlabCells = 256
 )
 
-// SpanFeed adapts a Source to the harness's arrival phase. A BatchSource is
+// SpanFeed adapts a Source to the harness's arrival phase. A source that
+// implements AppendArrivals, and wraps only sources that do (readAhead), is
 // read ahead of the clock: the feed pulls one slab of arrivals per span,
 // serves each slot as a subslice — O(1) per slot, no interface call, no copy
 // — and is the run's Lookahead: the next arrival is the slab's front entry.
@@ -48,9 +49,31 @@ type SpanFeed struct {
 // means unbounded — NextArrival then only terminates if the source ends or
 // eventually emits.
 func NewSpanFeed(src Source, end cell.Time) *SpanFeed {
-	f := &SpanFeed{src: src, end: end, span: spanInit}
-	f.batch, _ = src.(BatchSource)
-	return f
+	return &SpanFeed{src: src, batch: readAhead(src), end: end, span: spanInit}
+}
+
+// wrapper is a package source that reads another: source reports which.
+type wrapper interface{ source() Source }
+
+// readAhead is the one read-ahead rule: src is read ahead — returned as a
+// BatchSource, else nil — only if it and every source it wraps implement
+// AppendArrivals, because a wrapper's span pulls its inner source ahead too.
+func readAhead(src Source) BatchSource {
+	batch, ok := src.(BatchSource)
+	if w, wraps := src.(wrapper); ok && wraps && readAhead(w.source()) == nil {
+		return nil
+	}
+	return batch
+}
+
+// appendSpan appends src's slot-stamped arrivals of [from, to) to dst, by its
+// own AppendArrivals or else the per-slot replay. The walkers over a whole
+// finite source read through it, so a closed-form one costs O(cells).
+func appendSpan(src Source, dst []Arrival, from, to cell.Time) []Arrival {
+	if batch, ok := src.(BatchSource); ok {
+		return batch.AppendArrivals(dst, from, to)
+	}
+	return appendPerSlot(src, dst, from, to)
 }
 
 // Batched reports whether the feed reads ahead in spans — the capability the

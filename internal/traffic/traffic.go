@@ -45,7 +45,8 @@ type Arrival struct {
 // closed-loop (framer.Segmenter accepts packets mid-run); the price is the
 // stepped core. A source whose stream is fixed in advance — the paper's
 // model, Definition 3 — opts into being read ahead of the clock, and into
-// the event core, by also implementing BatchSource.
+// the event core, by also implementing BatchSource; a wrapper is read ahead
+// only if every source it wraps is too (SpanFeed's one rule).
 type Source interface {
 	// Arrivals appends the arrivals of slot t to dst and returns the
 	// extended slice. A source must emit at most one arrival per
@@ -59,7 +60,8 @@ type Source interface {
 
 // BatchSource is the read-ahead capability: SpanFeed pulls one slab of
 // arrivals per span instead of one interface call per slot, ahead of the
-// clock, and answers "when is the next arrival?" from the slab.
+// clock, and answers "when is the next arrival?" from the slab — when the
+// source and every source it wraps implement it.
 //
 // AppendArrivals appends every arrival of the half-open span [from, to) to
 // dst, in slot order (and per-slot in the same order Arrivals would emit),
@@ -177,17 +179,12 @@ func (tr *Trace) Append(other *Trace, offset cell.Time) error {
 	return nil
 }
 
-// Concat is a sequential composition of sources: each source is replayed in
-// order, the next starting when the previous one ends plus its gap. All
-// sources must be finite. This realizes the proof technique of Theorem 6
-// ("LB, a sequential composition of the traffics A_i").
-type Concat struct {
-	trace *Trace
-}
-
-// NewConcat flattens the given (source, gap) pairs into a single trace.
-// It returns an error if any source is unbounded or arrivals collide.
-func NewConcat(parts ...Part) (*Concat, error) {
+// NewConcat is a sequential composition of sources, flattened into one
+// trace: each part is replayed in order, the next starting when the previous
+// one ends plus its gap. This realizes the proof technique of Theorem 6
+// ("LB, a sequential composition of the traffics A_i"). It returns an error
+// if any part is unbounded or arrivals collide.
+func NewConcat(parts ...Part) (*Trace, error) {
 	out := NewTrace()
 	var at cell.Time
 	for i, p := range parts {
@@ -195,36 +192,19 @@ func NewConcat(parts ...Part) (*Concat, error) {
 		if end == cell.None {
 			return nil, fmt.Errorf("traffic: part %d is unbounded", i)
 		}
-		var buf []Arrival
-		for t := cell.Time(0); t < end; t++ {
-			buf = p.Source.Arrivals(t, buf[:0])
-			for _, a := range buf {
-				if err := out.Add(at+t, a.In, a.Out); err != nil {
-					return nil, err
-				}
+		for _, a := range appendSpan(p.Source, nil, 0, end) {
+			if err := out.Add(at+a.T, a.In, a.Out); err != nil {
+				return nil, err
 			}
 		}
 		at += end + p.GapAfter
 	}
-	return &Concat{trace: out}, nil
+	return out, nil
 }
 
-// Part is one stage of a Concat: a finite source followed by GapAfter idle
+// Part is one stage of NewConcat: a finite source followed by GapAfter idle
 // slots.
 type Part struct {
 	Source   Source
 	GapAfter cell.Time
-}
-
-// Arrivals implements Source.
-func (c *Concat) Arrivals(t cell.Time, dst []Arrival) []Arrival {
-	return c.trace.Arrivals(t, dst)
-}
-
-// End implements Source.
-func (c *Concat) End() cell.Time { return c.trace.End() }
-
-// AppendArrivals implements BatchSource via the flattened trace.
-func (c *Concat) AppendArrivals(dst []Arrival, from, to cell.Time) []Arrival {
-	return c.trace.AppendArrivals(dst, from, to)
 }

@@ -355,7 +355,7 @@ func TestBernoulliDestMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return h.inner
+			return h
 		}
 	}
 	uniform := func(n int) func(int64) *Bernoulli {

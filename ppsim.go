@@ -52,7 +52,8 @@ type (
 	// opts into being read ahead in spans, and into the event core, by also
 	// implementing AppendArrivals(dst []Arrival, from, to Time) []Arrival:
 	// every arrival of slots [from, to), in slot order, each stamped with
-	// its slot in Arrival.T. All bundled generators do.
+	// its slot in Arrival.T. All bundled generators do. Shape and
+	// WithDeadline are read ahead exactly when the source they wrap is.
 	Source = traffic.Source
 	// Arrival is one (input, output) arrival event.
 	Arrival = traffic.Arrival

@@ -321,3 +321,44 @@ func TestWindowBurstinessPublicAPI(t *testing.T) {
 		t.Errorf("flood window excess must grow: tau=2 -> %d, tau=40 -> %d", small, big)
 	}
 }
+
+// TestShapedClosedLoopSourceRunsStepped: a Segmenter fed from the run's own
+// departures is closed-loop, and shaping it must not make it read ahead —
+// the regulator would pull the segmenter past slots the callback has yet to
+// offer packets for, and those cells would be lost without an error.
+func TestShapedClosedLoopSourceRunsStepped(t *testing.T) {
+	const n, total = 4, 31
+	seg := ppsim.NewSegmenter(n)
+	offered := 0
+	var offerErr error
+	offer := func(cells int, at ppsim.Time) {
+		in := ppsim.Port(offered % n)
+		if _, err := seg.Offer(ppsim.Flow{In: in, Out: (in + 1) % n}, cells, at); err != nil && offerErr == nil {
+			offerErr = err
+		}
+		offered += cells
+	}
+	offer(1, 0)
+	cfg := ppsim.Config{N: n, K: 2, RPrime: 2, Algorithm: ppsim.Algorithm{Name: "rr"}}
+	res, err := ppsim.Run(cfg, ppsim.Shape(n, 2, seg), ppsim.Options{
+		Horizon: 200,
+		OnPPSDepart: func(c ppsim.Cell) {
+			if offered < total {
+				offer(min(3, total-offered), c.Depart+1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if offerErr != nil {
+		t.Errorf("the loop could not offer: %v", offerErr)
+	}
+	if offered != total || res.Report.Cells != total {
+		t.Errorf("delivered %d of %d offered cells (%d planned)", res.Report.Cells, offered, total)
+	}
+	const why = "source *traffic.Regulator wraps a source that does not implement traffic.BatchSource"
+	if res.Engine != "stepped" || res.EngineReason != why {
+		t.Errorf("a shaped closed-loop source ran on the %s core (%q), want stepped (%q)", res.Engine, res.EngineReason, why)
+	}
+}

@@ -57,7 +57,8 @@ func NewCBR(flows []Flow, period Time, until Time) Source {
 
 // Shape wraps a source with an (R=1, B) leaky-bucket regulator, delaying
 // cells as needed so the offered traffic conforms to Definition 3 of the
-// paper.
+// paper. The shaped stream is read ahead, and may run on the event core,
+// only if src is; shaping a closed-loop source keeps it at its slot.
 func Shape(n int, b int64, src Source) Source {
 	return traffic.NewRegulator(n, b, src)
 }
@@ -65,7 +66,8 @@ func Shape(n int, b int64, src Source) Source {
 // WithDeadline wraps a source so every arrival carries an absolute departure
 // deadline of its arrival slot plus rel (rel >= 1). Pair it with a
 // deadline-drop AdmissionSpec to shed late cells; without one, deadlines
-// only feed the on-time-fraction accounting.
+// only feed the on-time-fraction accounting. Like Shape, it is read ahead
+// exactly when src is.
 func WithDeadline(src Source, rel Time) Source {
 	return traffic.WithDeadline(src, rel)
 }
@@ -84,8 +86,8 @@ func WindowBurstiness(n int, src Source, tau Time) (int64, error) {
 	return traffic.WindowBurstiness(n, src, tau)
 }
 
-// Concat composes finite sources sequentially with idle gaps; see
-// traffic.NewConcat.
+// Concat composes finite sources sequentially with idle gaps into one
+// trace; see traffic.NewConcat.
 func Concat(parts ...ConcatPart) (Source, error) {
 	ps := make([]traffic.Part, len(parts))
 	for i, p := range parts {
