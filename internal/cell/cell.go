@@ -124,62 +124,39 @@ func (c Cell) String() string {
 // newly arriving cells. It is the single authority for cell identity in an
 // execution, so that the PPS and the shadow switch see byte-identical cells.
 //
-// The (In, Out) → FlowID index is a dense n*n table of uint32 ids when the
-// Stamper was sized (NewStamperSized, the harness's choice — profiling showed
-// the per-cell map access dominating the stamp cost) and a map otherwise;
-// flows outside the sized range fall back to the map, so a dense Stamper
-// accepts arbitrary flows too. The per-flow counters live in a Column indexed
-// by FlowID-1, so they cost one word per flow the run carries.
+// Flow ids come from one FlowIndex, which the harness shares with the metrics
+// recorder (Flows), so a run keeps one (In, Out) → FlowID index however many
+// layers key by flow. The per-flow counters live in a Column indexed by
+// FlowID-1, so they cost one word per flow the run carries.
 type Stamper struct {
 	next  uint64
-	n     uint32
-	dense []FlowID // n*n (In, Out) → FlowID; 0 = not yet seen
-	ids   map[Flow]FlowID
+	flows *FlowIndex
 	seqs  Column[uint64] // FlowID-1 → next FlowSeq
 }
 
-// stamperDenseMax caps the dense index at 1M flows (4 MiB of uint32 ids),
-// i.e. n <= 1024; larger switches keep the map.
-const stamperDenseMax = 1 << 20
+// NewStamper returns an empty Stamper over an unsized (hashed) flow index.
+func NewStamper() *Stamper { return NewStamperSized(0) }
 
-// NewStamper returns an empty Stamper.
-func NewStamper() *Stamper {
-	return &Stamper{ids: make(map[Flow]FlowID), seqs: NewColumn[uint64](0)}
-}
-
-// NewStamperSized returns a Stamper for an n-port switch: its flow index is a
-// dense n*n table when n is positive and small enough, and a plain map
-// otherwise, and its counter column is paged for at most n*n flows.
+// NewStamperSized returns a Stamper for an n-port switch: its flow index is
+// NewFlowIndex(n) — dense on small switches, hashed on large ones, and
+// allocating nothing per possible flow either way — and its counter column is
+// paged for at most n*n flows. n <= 0 means unsized.
 func NewStamperSized(n int) *Stamper {
-	s := NewStamper()
+	hint := 0
 	if n > 0 {
-		s.seqs = NewColumn[uint64](n * n)
+		hint = n * n
 	}
-	if n > 0 && n*n <= stamperDenseMax {
-		s.n = uint32(n)
-		s.dense = make([]FlowID, n*n)
-	}
-	return s
+	return &Stamper{flows: NewFlowIndex(n), seqs: NewColumn[uint64](hint)}
 }
+
+// Flows exposes the Stamper's flow index, for layers that key their own
+// per-flow state by the same ids.
+func (s *Stamper) Flows() *FlowIndex { return s.flows }
 
 // ID returns flow f's FlowID, minting the next one on first sight.
 func (s *Stamper) ID(f Flow) FlowID {
-	var slot *FlowID
-	if uint32(f.In) < s.n && uint32(f.Out) < s.n {
-		slot = &s.dense[uint32(f.In)*s.n+uint32(f.Out)]
-		if *slot != 0 {
-			return *slot
-		}
-	} else if id, ok := s.ids[f]; ok {
-		return id
-	}
-	s.seqs.Grow()
-	id := FlowID(s.seqs.Len())
-	if slot != nil {
-		*slot = id
-	} else {
-		s.ids[f] = id
-	}
+	id := s.flows.ID(f)
+	s.seqs.GrowTo(int(id))
 	return id
 }
 

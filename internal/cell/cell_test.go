@@ -75,8 +75,9 @@ func TestStamperSequencing(t *testing.T) {
 	}
 }
 
-// A sized Stamper mints the same ids as a map-backed one, flows outside its
-// range included (they fall back to the map, sharing the id sequence).
+// A sized Stamper mints the same ids as an unsized one, flows outside its
+// range included (they are hashed beside the dense table, sharing the id
+// sequence).
 func TestStamperSizedMatchesUnsized(t *testing.T) {
 	sized, plain := NewStamperSized(4), NewStamper()
 	for i := 0; i < 200; i++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ppsim/internal/cell"
@@ -70,7 +71,8 @@ func TestLeastLoadedMatchesScanReference(t *testing.T) {
 					dispatch(deep, 1<<uint(p))
 				}
 			}
-			if vals := a.flows.At(int(a.ids[deep])).vals; cap(vals) <= bucketInline {
+			id, _ := a.ids.Find(deep)
+			if vals := a.flows.At(int(id) - 1).vals; cap(vals) <= bucketInline {
 				t.Fatalf("flow holds %d buckets in capacity %d: never spilled", len(vals), cap(vals))
 			}
 
@@ -102,19 +104,51 @@ func TestLeastLoadedMatchesScanReference(t *testing.T) {
 // every flow of a fresh instance adds no flow state, and the probed instance
 // then dispatches exactly like an unprobed twin.
 func TestLeastLoadedProbeDoesNotInsert(t *testing.T) {
+	probeDoesNotInsert(t, func(e Env) (Algorithm, error) { return NewLocalLeastLoaded(e) }, func(a Algorithm) (int, int) {
+		ll := a.(*LocalLeastLoaded)
+		return ll.ids.Len(), ll.flows.Len()
+	})
+}
+
+// TestPerFlowProbeDoesNotInsert is TestLeastLoadedProbeDoesNotInsert for the
+// other two algorithms that keep per-flow state: FTD and per-flow
+// round-robin.
+func TestPerFlowProbeDoesNotInsert(t *testing.T) {
+	t.Run("ftd-h2", func(t *testing.T) {
+		probeDoesNotInsert(t, func(e Env) (Algorithm, error) { return NewFTD(e, 2) }, func(a Algorithm) (int, int) {
+			ftd := a.(*FTD)
+			return ftd.ids.Len(), ftd.flows.Len()
+		})
+	})
+	t.Run("perflow-rr", func(t *testing.T) {
+		probeDoesNotInsert(t, func(e Env) (Algorithm, error) { return NewRoundRobin(e, PerFlow) }, func(a Algorithm) (int, int) {
+			rr := a.(*RoundRobin)
+			return rr.fids.Len(), rr.fptr.Len()
+		})
+	})
+}
+
+// probeDoesNotInsert probes every flow of a fresh instance, checks that held
+// (its flow ids and flow records) stays empty, then drives it beside an
+// unprobed twin: both must dispatch identically.
+func probeDoesNotInsert(t *testing.T, mk func(Env) (Algorithm, error), held func(Algorithm) (ids, records int)) {
+	t.Helper()
 	const n, k, rp = 8, 4, 2
 	eProbed, eTwin := newFakeEnv(n, k, rp), newFakeEnv(n, k, rp)
-	probed, _ := NewLocalLeastLoaded(eProbed)
-	twin, _ := NewLocalLeastLoaded(eTwin)
+	probed, err := mk(eProbed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, _ := mk(eTwin)
 	for in := cell.Port(0); in < n; in++ {
 		for out := cell.Port(0); out < n; out++ {
-			if p, ok := probed.WouldChoose(in, out); !ok || p != 0 {
+			if p, ok := probed.(Prober).WouldChoose(in, out); !ok || p != 0 {
 				t.Fatalf("WouldChoose(%d, %d) on a fresh instance = %d, %v; want 0, true", in, out, p, ok)
 			}
 		}
 	}
-	if len(probed.ids) != 0 || probed.flows.Len() != 0 {
-		t.Fatalf("probing inserted %d flows (%d records)", len(probed.ids), probed.flows.Len())
+	if ids, records := held(probed); ids != 0 || records != 0 {
+		t.Fatalf("probing inserted %d flows (%d records)", ids, records)
 	}
 	st, stTwin := cell.NewStamper(), cell.NewStamper()
 	for slot := cell.Time(0); slot < 64; slot++ {
@@ -123,6 +157,37 @@ func TestLeastLoadedProbeDoesNotInsert(t *testing.T) {
 		want := exec(t, eTwin, twin, slot, arr(stTwin, slot, in, out))
 		if got[0].Plane != want[0].Plane {
 			t.Fatalf("slot %d: probed instance chose %d, twin %d", slot, got[0].Plane, want[0].Plane)
+		}
+	}
+}
+
+// TestPerFlowConstructorsAllocateNoFlowTable: at the N = 1024 headline
+// geometry the three per-flow algorithms allocate nothing per possible flow
+// before their first one; an N² id table (4 MiB of ids) fails the guard.
+func TestPerFlowConstructorsAllocateNoFlowTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations; guard only meaningful on plain builds")
+	}
+	const n, k, rp, budget = 1024, 8, 2, 64 << 10
+	e := newFakeEnv(n, k, rp)
+	for _, c := range []struct {
+		name string
+		mk   func(Env) (Algorithm, error)
+	}{
+		{"least-loaded", func(e Env) (Algorithm, error) { return NewLocalLeastLoaded(e) }},
+		{"ftd-h2", func(e Env) (Algorithm, error) { return NewFTD(e, 2) }},
+		{"perflow-rr", func(e Env) (Algorithm, error) { return NewRoundRobin(e, PerFlow) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := c.mk(e)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+			t.Errorf("%s at N=%d allocated %d bytes before its first flow, want < %d", c.name, n, got, budget)
 		}
 	}
 }

@@ -27,15 +27,15 @@ import (
 // rather than dropping the cell.
 //
 // Each flow's block state is a 16-byte record held by value in one paged
-// cell.Column indexed by a flow id, its used-plane set one word
-// (K <= MaxPlanes).
+// cell.Column indexed by the flow's id - 1 in a cell.FlowIndex, its
+// used-plane set one word (K <= MaxPlanes).
 type FTD struct {
 	sendScratch
 	env   Env
 	h     float64
 	block int
-	ids   map[cell.Flow]int32
-	flows cell.Column[ftdFlow] // flow id → block state
+	ids   *cell.FlowIndex
+	flows cell.Column[ftdFlow] // flow id - 1 → block state
 	falls uint64               // block-discipline violations (fallback dispatches)
 }
 
@@ -60,7 +60,7 @@ func NewFTD(env Env, h float64) (*FTD, error) {
 		return nil, fmt.Errorf("demux: ftd block %d exceeds K=%d planes", block, env.Planes())
 	}
 	n := env.Ports()
-	return &FTD{env: env, h: h, block: block, ids: make(map[cell.Flow]int32), flows: cell.NewColumn[ftdFlow](n * n)}, nil
+	return &FTD{env: env, h: h, block: block, ids: cell.NewFlowIndex(n), flows: cell.NewColumn[ftdFlow](n * n)}, nil
 }
 
 // Name implements Algorithm.
@@ -79,13 +79,9 @@ func (a *FTD) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	}
 	sends := a.take()
 	for _, c := range arrivals {
-		id, ok := a.ids[c.Flow]
-		if !ok {
-			id = int32(a.flows.Len())
-			a.ids[c.Flow] = id
-			a.flows.Grow()
-		}
-		fs := a.flows.At(int(id))
+		id := int(a.ids.ID(c.Flow))
+		a.flows.GrowTo(id)
+		fs := a.flows.At(id - 1)
 		p := pickFree(a.env, c.Flow.In, t, fs.ptr, ^fs.used)
 		if p == cell.NoPlane {
 			// Block discipline unsatisfiable this slot: fall back to any
@@ -114,11 +110,11 @@ func (a *FTD) Buffered(cell.Port) int { return 0 }
 // WouldChoose implements Prober: the next in-block plane for the flow,
 // assuming all gates free.
 func (a *FTD) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
-	id, ok := a.ids[cell.Flow{In: in, Out: out}]
+	id, ok := a.ids.Find(cell.Flow{In: in, Out: out})
 	if !ok {
 		return 0, true
 	}
-	fs := *a.flows.At(int(id))
+	fs := *a.flows.At(int(id) - 1)
 	k := a.env.Planes()
 	for d := 0; d < k; d++ {
 		p := cell.Plane((int(fs.ptr) + d) % k)

@@ -22,14 +22,14 @@ import (
 // planeBuckets structure whose bucket scan reproduces the lowest-index
 // argmin of an O(K) counter scan exactly (DESIGN.md §15), and the free-gate
 // set is one Env.FreeGateMask call. The structures are held by value in one
-// paged cell.Column indexed by a flow id, and their slices are cut from
-// fixed-size slabs; neither ever moves, so a new flow costs no heap object
-// of its own and no copy of the others.
+// paged cell.Column indexed by the flow's id - 1 in a cell.FlowIndex, and
+// their slices are cut from fixed-size slabs; neither ever moves, so a new
+// flow costs no heap object of its own and no copy of the others.
 type LocalLeastLoaded struct {
 	sendScratch
 	env   Env
-	ids   map[cell.Flow]int32
-	flows cell.Column[planeBuckets] // flow id → counters and buckets
+	ids   *cell.FlowIndex
+	flows cell.Column[planeBuckets] // flow id - 1 → counters and buckets
 	slab  []uint64                  // unused tail of the current storage slab
 }
 
@@ -46,7 +46,7 @@ func NewLocalLeastLoaded(env Env) (*LocalLeastLoaded, error) {
 		return nil, fmt.Errorf("demux: least-loaded needs K >= r' (K=%d, r'=%d)", env.Planes(), env.RPrime())
 	}
 	n := env.Ports()
-	return &LocalLeastLoaded{env: env, ids: make(map[cell.Flow]int32), flows: cell.NewColumn[planeBuckets](n * n)}, nil
+	return &LocalLeastLoaded{env: env, ids: cell.NewFlowIndex(n), flows: cell.NewColumn[planeBuckets](n * n)}, nil
 }
 
 // Name implements Algorithm.
@@ -73,15 +73,14 @@ func (a *LocalLeastLoaded) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, erro
 // flowBuckets returns flow f's structure, adding a fresh one on first
 // sight.
 func (a *LocalLeastLoaded) flowBuckets(f cell.Flow) *planeBuckets {
-	if id, ok := a.ids[f]; ok {
-		return a.flows.At(int(id))
+	if id := int(a.ids.ID(f)); id <= a.flows.Len() {
+		return a.flows.At(id - 1)
 	}
 	k := a.env.Planes()
 	w := planeBucketWords(k)
 	if len(a.slab) < w {
 		a.slab = make([]uint64, bucketSlabFlows*w)
 	}
-	a.ids[f] = int32(a.flows.Len())
 	pb := a.flows.Grow()
 	pb.init(k, a.slab[:w:w])
 	a.slab = a.slab[w:]
@@ -95,9 +94,9 @@ func (a *LocalLeastLoaded) Buffered(cell.Port) int { return 0 }
 // assuming all gates free. It only reads: an unseen flow answers plane 0,
 // as a fresh structure would.
 func (a *LocalLeastLoaded) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
-	id, ok := a.ids[cell.Flow{In: in, Out: out}]
+	id, ok := a.ids.Find(cell.Flow{In: in, Out: out})
 	if !ok {
 		return 0, true
 	}
-	return a.flows.At(int(id)).argmin(^uint64(0)), true
+	return a.flows.At(int(id) - 1).argmin(^uint64(0)), true
 }

@@ -32,8 +32,9 @@ type RoundRobin struct {
 	sendScratch
 	env  Env
 	gran Granularity
-	ptr  []cell.Plane             // PerInput state
-	fptr map[cell.Flow]cell.Plane // PerFlow state
+	ptr  []cell.Plane            // PerInput state: input → next plane
+	fids *cell.FlowIndex         // PerFlow state: (In, Out) → flow id
+	fptr cell.Column[cell.Plane] // PerFlow state: flow id - 1 → next plane
 }
 
 // NewRoundRobin returns the round-robin algorithm with the given pointer
@@ -48,7 +49,8 @@ func NewRoundRobin(env Env, gran Granularity) (*RoundRobin, error) {
 	case PerInput:
 		rr.ptr = make([]cell.Plane, env.Ports())
 	case PerFlow:
-		rr.fptr = make(map[cell.Flow]cell.Plane)
+		n := env.Ports()
+		rr.fids, rr.fptr = cell.NewFlowIndex(n), cell.NewColumn[cell.Plane](n*n)
 	default:
 		return nil, fmt.Errorf("demux: unknown granularity %d", gran)
 	}
@@ -71,12 +73,12 @@ func (rr *RoundRobin) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 	}
 	sends := rr.take()
 	for _, c := range arrivals {
-		start := rr.pointer(c.Flow)
-		p := pickFree(rr.env, c.Flow.In, t, start, ^uint64(0))
+		ptr := rr.pointer(c.Flow)
+		p := pickFree(rr.env, c.Flow.In, t, *ptr, ^uint64(0))
 		if p == cell.NoPlane {
 			return nil, fmt.Errorf("demux: rr input %d has no free gate at slot %d", c.Flow.In, t)
 		}
-		rr.setPointer(c.Flow, (p+1)%cell.Plane(rr.env.Planes()))
+		*ptr = (p + 1) % cell.Plane(rr.env.Planes())
 		sends = append(sends, Send{Cell: c, Plane: p})
 	}
 	return rr.keep(sends), nil
@@ -86,22 +88,26 @@ func (rr *RoundRobin) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, error) {
 func (rr *RoundRobin) Buffered(cell.Port) int { return 0 }
 
 // WouldChoose implements Prober: the plane the next cell of (in -> out)
-// would take if all gates were free.
+// would take if all gates were free. It only reads: an unseen flow answers
+// plane 0, as a fresh pointer would.
 func (rr *RoundRobin) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
-	return rr.pointer(cell.Flow{In: in, Out: out}), true
+	if rr.gran == PerInput {
+		return rr.ptr[in], true
+	}
+	id, ok := rr.fids.Find(cell.Flow{In: in, Out: out})
+	if !ok {
+		return 0, true
+	}
+	return *rr.fptr.At(int(id) - 1), true
 }
 
-func (rr *RoundRobin) pointer(f cell.Flow) cell.Plane {
-	if rr.gran == PerFlow {
-		return rr.fptr[f]
+// pointer returns flow f's pointer, resolving the flow once per cell and
+// adding a pointer at plane 0 on its first sight.
+func (rr *RoundRobin) pointer(f cell.Flow) *cell.Plane {
+	if rr.gran == PerInput {
+		return &rr.ptr[f.In]
 	}
-	return rr.ptr[f.In]
-}
-
-func (rr *RoundRobin) setPointer(f cell.Flow, p cell.Plane) {
-	if rr.gran == PerFlow {
-		rr.fptr[f] = p
-		return
-	}
-	rr.ptr[f.In] = p
+	id := int(rr.fids.ID(f))
+	rr.fptr.GrowTo(id)
+	return rr.fptr.At(id - 1)
 }

@@ -499,6 +499,9 @@ func Drive(sw Switch, src traffic.Source, opts Options) (res Result, err error) 
 		// Close keeps the fabric inspectable and serially steppable.
 		defer pps.Close()
 	}
+	// The recorder keys its per-flow records by the stamper's flow index, so
+	// the run keeps one (In, Out) → FlowID index.
+	st := cell.NewStamperSized(n)
 	d := &driver{
 		sw:     sw,
 		pps:    pps,
@@ -506,8 +509,8 @@ func Drive(sw Switch, src traffic.Source, opts Options) (res Result, err error) 
 		shLast: cell.None,
 		opts:   &opts,
 		end:    end,
-		st:     cell.NewStamperSized(n),
-		rec:    metrics.NewRecorderSized(n),
+		st:     st,
+		rec:    metrics.NewRecorderOn(st.Flows(), n),
 	}
 	if opts.Validate {
 		d.vd = traffic.NewValidator(n)

@@ -71,8 +71,10 @@ const fateRingCap = 256
 // Cells the PPS dropped (failed planes under the DropCount policy) are
 // reported through PPSDrop; they depart the shadow switch — the reference
 // never drops — but are excluded from every delay statistic. Per-flow state
-// is one 32-byte record per flow, held by value in a paged cell.Column: no
-// heap object per flow, and no copy as the flows accumulate.
+// is one 32-byte record per flow, held by value in a paged cell.Column
+// indexed by the flow's id - 1 in a cell.FlowIndex: no heap object per flow,
+// no copy as the flows accumulate, and — when the index is the Stamper's
+// (NewRecorderOn, the harness path) — no second index for the run.
 type Recorder struct {
 	// ring holds the fates of the in-flight sequence window [base, hi), cell
 	// seq at ring[seq&(len-1)] (len is a power of two). hi advances when a
@@ -88,20 +90,13 @@ type Recorder struct {
 
 	rqd stats.Counts
 
-	// Per-flow delay extremes, indexed by a compact flow id assigned at
-	// first sight. The id table is a dense n*n array when the recorder was
-	// sized (NewRecorderSized — the harness path; profiling showed the two
-	// per-departure map lookups near the top of the slot profile) and a map
-	// otherwise; out-of-range flows of a sized recorder fall back to the
-	// map, so behavior is identical either way. The recorder keys flows by
-	// (In, Out), not by the cell's FlowID, because it is also fed cells no
-	// Stamper saw (the benchmark's shadow replay builds them with cell.New).
-	// The records themselves are one paged column of 32-byte flowStats.
-	flowN     int
-	flowDense []int32 // n*n → flow id + 1; 0 = unassigned
-	flowIDs   map[cell.Flow]int32
-	flows     cell.Column[flowStat] // flow id → PPS and shadow delay extremes
-	ppsFlows  int                   // flows with >= 1 PPS departure (Report.Flows)
+	// Per-flow delay extremes, indexed by the flow's id - 1 in flows. The
+	// recorder keys flows by (In, Out), not by the cell's FlowID, because it
+	// is also fed cells no Stamper saw (the benchmark's shadow replay builds
+	// them with cell.New); over the Stamper's index the two agree.
+	flows    *cell.FlowIndex
+	stats    cell.Column[flowStat] // flow id - 1 → PPS and shadow delay extremes
+	ppsFlows int                   // flows with >= 1 PPS departure (Report.Flows)
 
 	// delays holds the streaming log-bucketed histograms behind the report's
 	// percentile block: RQD, the three-stage decomposition (input buffer,
@@ -133,63 +128,47 @@ type Recorder struct {
 	onTime           uint64
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return newRecorderRing(fateRingCap) }
+// NewRecorder returns an empty recorder over its own unsized flow index.
+func NewRecorder() *Recorder { return NewRecorderSized(0) }
+
+// NewRecorderSized returns a recorder for an n-port switch over its own
+// NewFlowIndex(n), its record column paged for at most n*n flows.
+func NewRecorderSized(n int) *Recorder { return NewRecorderOn(cell.NewFlowIndex(n), n) }
+
+// NewRecorderOn returns a recorder for an n-port switch that keys its
+// per-flow records by the ids of flows — the Stamper's index, so a run keeps
+// one. Flows the recorder sees first are minted there too.
+func NewRecorderOn(flows *cell.FlowIndex, n int) *Recorder {
+	return newRecorder(flows, n, fateRingCap)
+}
 
 // newRecorderRing is NewRecorder with an explicit initial window capacity (a
 // power of two), so tests can force wrap and growth with a handful of cells.
 func newRecorderRing(capacity int) *Recorder {
-	return &Recorder{
-		ring:    make([]fate, capacity),
-		flowIDs: make(map[cell.Flow]int32),
-		flows:   cell.NewColumn[flowStat](0),
-		delays:  obs.NewDelaySet(),
-	}
+	return newRecorder(cell.NewFlowIndex(0), 0, capacity)
 }
 
-// recorderDenseMax caps the dense flow-id table at 1M flows (4 MiB), i.e.
-// n <= 1024; larger switches keep the map.
-const recorderDenseMax = 1 << 20
-
-// NewRecorderSized returns a recorder for an n-port switch: its flow-id
-// table is a dense n*n array when n is positive and small enough — the
-// harness always knows n, so its per-departure path avoids the map entirely —
-// and its record column is paged for at most n*n flows.
-func NewRecorderSized(n int) *Recorder {
-	r := NewRecorder()
+func newRecorder(flows *cell.FlowIndex, n, capacity int) *Recorder {
+	hint := 0
 	if n > 0 {
-		r.flows = cell.NewColumn[flowStat](n * n)
+		hint = n * n
 	}
-	if n > 0 && n*n <= recorderDenseMax {
-		r.flowN = n
-		r.flowDense = make([]int32, n*n)
+	return &Recorder{
+		ring:   make([]fate, capacity),
+		flows:  flows,
+		stats:  cell.NewColumn[flowStat](hint),
+		delays: obs.NewDelaySet(),
 	}
-	return r
 }
 
-// flowID returns the compact id of flow f, assigning the next id on first
-// sight (and growing the flow column in step).
-func (r *Recorder) flowID(f cell.Flow) int {
-	if uint32(f.In) < uint32(r.flowN) && uint32(f.Out) < uint32(r.flowN) {
-		idx := int(f.In)*r.flowN + int(f.Out)
-		if id := r.flowDense[idx]; id != 0 {
-			return int(id - 1)
-		}
-		id := r.newFlowID()
-		r.flowDense[idx] = int32(id + 1)
-		return id
+// flowStat returns flow f's record, growing the column to f's id with empty
+// records: ids the index minted for other layers' flows get one too.
+func (r *Recorder) flowStat(f cell.Flow) *flowStat {
+	id := int(r.flows.ID(f))
+	for r.stats.Len() < id {
+		*r.stats.Grow() = flowStat{pps: emptyMinMax, sh: emptyMinMax}
 	}
-	if id, ok := r.flowIDs[f]; ok {
-		return int(id)
-	}
-	id := r.newFlowID()
-	r.flowIDs[f] = int32(id)
-	return id
-}
-
-func (r *Recorder) newFlowID() int {
-	*r.flows.Grow() = flowStat{pps: emptyMinMax, sh: emptyMinMax}
-	return r.flows.Len() - 1
+	return r.stats.At(id - 1)
 }
 
 func grow(s []cell.Time, idx uint64) []cell.Time {
@@ -264,7 +243,7 @@ func (r *Recorder) ShadowDepart(c cell.Cell) {
 		panic(fmt.Sprintf("metrics: shadow departure of cell %d recorded twice", c.Seq))
 	}
 	f.shadow = c.Depart
-	r.flows.At(r.flowID(c.Flow)).sh.add(c.Depart - c.Arrive)
+	r.flowStat(c.Flow).sh.add(c.Depart - c.Arrive)
 	r.settle(c.Seq, f)
 }
 
@@ -275,7 +254,7 @@ func (r *Recorder) PPSDepart(c cell.Cell) {
 		panic(fmt.Sprintf("metrics: PPS departure of cell %d recorded twice", c.Seq))
 	}
 	f.pps = c.Depart
-	mm := &r.flows.At(r.flowID(c.Flow)).pps
+	mm := &r.flowStat(c.Flow).pps
 	if !mm.seen() {
 		r.ppsFlows++
 	}
@@ -522,8 +501,8 @@ func (r *Recorder) Report() Report {
 	if r.rejected > 0 {
 		rep.RejectedPerInput = append([]uint64(nil), r.rejectedPerInput...)
 	}
-	for id := 0; id < r.flows.Len(); id++ {
-		fl := r.flows.At(id)
+	for id := 0; id < r.stats.Len(); id++ {
+		fl := r.stats.At(id)
 		mp := &fl.pps
 		if !mp.seen() {
 			continue // seen only by the shadow: not a PPS flow

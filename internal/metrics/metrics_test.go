@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -156,5 +157,60 @@ func TestP99(t *testing.T) {
 	}
 	if rep.MaxRQD != 50 {
 		t.Errorf("MaxRQD = %d, want 50", rep.MaxRQD)
+	}
+}
+
+// TestSizedRecorderAllocatesNoFlowTable: a recorder for the N = 1024
+// headline geometry allocates nothing per possible flow before its first
+// one. A dense id table of 1 M entries is 4 MiB and fails the guard.
+func TestSizedRecorderAllocatesNoFlowTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations; guard only meaningful on plain builds")
+	}
+	const n, budget = 1024, 64 << 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	NewRecorderSized(n)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Errorf("NewRecorderSized(%d) allocated %d bytes before its first flow, want < %d", n, got, budget)
+	}
+}
+
+// TestRecorderOnStamperIndex: over the Stamper's index the recorder's record
+// for a cell sits at its FlowID - 1, flows the Stamper minted but the
+// recorder never saw cost an empty record and count for nothing, and a flow
+// the recorder sees first (an unstamped cell) takes the next id, which the
+// Stamper then honours.
+func TestRecorderOnStamperIndex(t *testing.T) {
+	st := cell.NewStamperSized(4)
+	r := NewRecorderOn(st.Flows(), 4)
+	a := st.Stamp(cell.Flow{In: 0, Out: 1}, 0)
+	silent := st.ID(cell.Flow{In: 2, Out: 3}) // minted, but no cell departs on it
+	foreign := cell.New(1, 0, cell.Flow{In: 3, Out: 0}, 0)
+	for _, c := range []cell.Cell{a, foreign} {
+		c.Depart = c.Arrive + 2
+		r.ShadowDepart(c)
+		c.Depart = c.Arrive + 5
+		r.PPSDepart(c)
+	}
+	if got := st.Flows().Len(); got != 3 {
+		t.Fatalf("shared index holds %d flows, want 3 (two minted by the Stamper, one foreign)", got)
+	}
+	if id, _ := st.Flows().Find(foreign.Flow); id != 3 {
+		t.Fatalf("foreign flow got id %d, want 3", id)
+	}
+	if rec := r.stats.At(int(a.FlowID) - 1); rec.pps.max != 5 || rec.sh.max != 2 {
+		t.Errorf("record at FlowID-1 = %+v, want PPS delay 5 and shadow delay 2", *rec)
+	}
+	if rec := r.stats.At(int(silent) - 1); rec.pps.seen() || rec.sh.seen() {
+		t.Errorf("silent flow's record %+v is not empty", *rec)
+	}
+	if c := st.Stamp(cell.Flow{In: 1, Out: 1}, 1); c.FlowID != 4 || c.FlowSeq != 0 {
+		t.Errorf("stamp after the foreign flow: FlowID %d FlowSeq %d, want 4 and 0", c.FlowID, c.FlowSeq)
+	}
+	if rep := r.Report(); rep.Flows != 2 || rep.Cells != 2 {
+		t.Errorf("Report: %d flows, %d cells; want 2 and 2", rep.Flows, rep.Cells)
 	}
 }
