@@ -33,27 +33,13 @@ func SteeringTrace(cfg Config, inputs []Port, out Port, plane PlaneID, scrambleS
 
 // AllInputs returns the ports 0..n-1, the input set of Corollary 7's
 // unpartitioned construction.
-func AllInputs(n int) []Port {
-	out := make([]Port, n)
-	for i := range out {
-		out[i] = Port(i)
-	}
-	return out
-}
+func AllInputs(n int) []Port { return adversary.AllInputs(n) }
 
 // PartitionInputs returns the inputs that share plane k under the
 // "partition" algorithm with partition size d on a switch with K planes —
 // the set I of Theorem 8 (|I| = N*d/K).
 func PartitionInputs(n, k, d int, plane PlaneID) []Port {
-	groups := k / d
-	g := int(plane) / d
-	var out []Port
-	for i := 0; i < n; i++ {
-		if i%groups == g {
-			out = append(out, Port(i))
-		}
-	}
-	return out
+	return adversary.PartitionInputs(n, k, d, plane)
 }
 
 // ConcentrationTrace builds the bare Lemma 4 scenario: c cells for out in c

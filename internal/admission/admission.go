@@ -68,9 +68,9 @@ func (s *Spec) Empty() bool {
 	return s.RateNum == 0 && s.AggRateNum == 0 && !s.DeadlineDrop
 }
 
-// HasRate reports whether any token bucket (per-input or aggregate) is
+// hasRate reports whether any token bucket (per-input or aggregate) is
 // configured.
-func (s *Spec) HasRate() bool {
+func (s *Spec) hasRate() bool {
 	return s != nil && (s.RateNum > 0 || s.AggRateNum > 0)
 }
 
@@ -80,9 +80,9 @@ func (s *Spec) Name() string {
 	switch {
 	case s.Empty():
 		return "always"
-	case s.HasRate() && s.DeadlineDrop:
+	case s.hasRate() && s.DeadlineDrop:
 		return "token-bucket+deadline-drop"
-	case s.HasRate():
+	case s.hasRate():
 		return "token-bucket"
 	default:
 		return "deadline-drop"

@@ -196,6 +196,29 @@ func (s *scratch) drain(extra cell.Time) error {
 	return s.idle(extra)
 }
 
+// AllInputs returns the ports 0..n-1, the input set of Corollary 7's
+// unpartitioned construction.
+func AllInputs(n int) []cell.Port {
+	out := make([]cell.Port, n)
+	for i := range out {
+		out[i] = cell.Port(i)
+	}
+	return out
+}
+
+// PartitionInputs returns the inputs that share plane under static
+// partitioning of k planes into groups of d (demux.PartitionGroup) — the
+// set I of Theorem 8 (|I| = N*d/K).
+func PartitionInputs(n, k, d int, plane cell.Plane) []cell.Port {
+	var out []cell.Port
+	for i := 0; i < n; i++ {
+		if demux.PartitionGroup(cell.Port(i), k, d) == int(plane)/d {
+			out = append(out, cell.Port(i))
+		}
+	}
+	return out
+}
+
 // Concentration builds the bare Lemma 4 scenario: c cells for the same
 // output arriving in c consecutive slots from c distinct inputs, with
 // nothing else in flight. Against any algorithm whose fresh state maps the

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,6 +105,41 @@ func TestSteeringStaticPartitionTheorem8(t *testing.T) {
 	want := cell.Time((len(inputs) - 1) * (rp - 1))
 	if res.Report.MaxRQD < want {
 		t.Errorf("MaxRQD = %d, want >= %d (Theorem 8 shape: N/S inputs concentrate)", res.Report.MaxRQD, want)
+	}
+}
+
+// TestPartitionInputsMatchGroup pins PartitionInputs to the algorithm it
+// attacks: on every geometry of a small grid it returns exactly the inputs
+// whose StaticPartition.Group holds the plane.
+func TestPartitionInputsMatchGroup(t *testing.T) {
+	for _, n := range []int{1, 5, 8} {
+		for _, k := range []int{2, 4, 6} {
+			for d := 1; d <= k; d++ {
+				if k%d != 0 {
+					continue
+				}
+				var sp *demux.StaticPartition
+				cfg := fabric.Config{N: n, K: k, RPrime: 1}
+				if _, err := fabric.New(cfg, func(e demux.Env) (demux.Algorithm, error) {
+					a, err := demux.NewStaticPartition(e, d)
+					sp = a
+					return a, err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for plane := cell.Plane(0); int(plane) < k; plane++ {
+					var want []cell.Port
+					for in := cell.Port(0); int(in) < n; in++ {
+						if sp.Group(in) == int(plane)/d {
+							want = append(want, in)
+						}
+					}
+					if got := PartitionInputs(n, k, d, plane); !slices.Equal(got, want) {
+						t.Errorf("n=%d k=%d d=%d plane %d: PartitionInputs = %v, Group gives %v", n, k, d, plane, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -56,9 +56,6 @@ func NewStore(shards int) *Store {
 	}
 }
 
-// Shards reports the shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
 // Put writes c into shard sh and returns its Ref, reusing a freed slot when
 // one exists. It panics when the shard's index space is exhausted (2^idxBits
 // cells live at once — far beyond any switch backlog this repo simulates).

@@ -202,14 +202,14 @@ func (c Network) Route(reqs []Request) ([]int, error) {
 	}
 
 	// Sanity: verify the coloring before returning it.
-	if err := c.Verify(reqs, assign); err != nil {
+	if err := c.verify(reqs, assign); err != nil {
 		return nil, fmt.Errorf("clos: internal coloring bug: %w", err)
 	}
 	return assign, nil
 }
 
-// Verify checks that a middle-switch assignment is conflict-free.
-func (c Network) Verify(reqs []Request, assign []int) error {
+// verify checks that a middle-switch assignment is conflict-free.
+func (c Network) verify(reqs []Request, assign []int) error {
 	if len(reqs) != len(assign) {
 		return fmt.Errorf("clos: %d requests but %d assignments", len(reqs), len(assign))
 	}

@@ -74,7 +74,7 @@ func TestRouteFullPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Verify(reqs, assign); err != nil {
+	if err := c.verify(reqs, assign); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -105,16 +105,16 @@ func TestRouteFailsBeyondCapacity(t *testing.T) {
 func TestVerifyCatchesConflicts(t *testing.T) {
 	c, _ := New(2, 2, 2)
 	reqs := []Request{{In: 0, Out: 0}, {In: 1, Out: 2}} // same ingress switch
-	if err := c.Verify(reqs, []int{0, 0}); err == nil {
+	if err := c.verify(reqs, []int{0, 0}); err == nil {
 		t.Error("shared middle from one ingress must be caught")
 	}
-	if err := c.Verify(reqs, []int{0}); err == nil {
+	if err := c.verify(reqs, []int{0}); err == nil {
 		t.Error("length mismatch must be caught")
 	}
-	if err := c.Verify(reqs, []int{0, 5}); err == nil {
+	if err := c.verify(reqs, []int{0, 5}); err == nil {
 		t.Error("invalid middle index must be caught")
 	}
-	if err := c.Verify(reqs, []int{0, 1}); err != nil {
+	if err := c.verify(reqs, []int{0, 1}); err != nil {
 		t.Errorf("valid assignment rejected: %v", err)
 	}
 }
@@ -141,7 +141,7 @@ func TestRearrangeableAlwaysRoutes(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return c.Verify(reqs, assign) == nil
+		return c.verify(reqs, assign) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -160,7 +160,7 @@ func TestStrictAlwaysRoutes(t *testing.T) {
 			reqs = append(reqs, Request{In: in, Out: out})
 		}
 		assign, err := c.Route(reqs)
-		return err == nil && c.Verify(reqs, assign) == nil
+		return err == nil && c.verify(reqs, assign) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -99,9 +99,6 @@ func NewWithArbiter(n, iterations int, arb Arbiter, seed int64) (*Switch, error)
 // Ports returns N.
 func (s *Switch) Ports() int { return s.n }
 
-// VOQLen reports the backlog of the (i, j) virtual output queue.
-func (s *Switch) VOQLen(i, j cell.Port) int { return s.voq[int(i)*s.n+int(j)].Len() }
-
 // Backlog reports the total queued cells.
 func (s *Switch) Backlog() int { return int(s.arrived - s.departed) }
 

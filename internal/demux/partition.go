@@ -42,7 +42,14 @@ func (sp *StaticPartition) Name() string { return fmt.Sprintf("partition-%d", sp
 
 // Group returns the index of the plane group input in uses.
 func (sp *StaticPartition) Group(in cell.Port) int {
-	return int(in) % (sp.env.Planes() / sp.d)
+	return PartitionGroup(in, sp.env.Planes(), sp.d)
+}
+
+// PartitionGroup returns the plane group that input in uses under static
+// partitioning of k planes into groups of d: group in mod (k/d), which
+// holds planes g*d .. g*d+d-1.
+func PartitionGroup(in cell.Port, k, d int) int {
+	return int(in) % (k / d)
 }
 
 // Slot implements Algorithm.

@@ -64,10 +64,7 @@ func e12DistCPA() (*Table, error) {
 	factory := func(e demux.Env) (demux.Algorithm, error) { return demux.NewRoundRobin(e, demux.PerFlow) }
 	for _, n := range ns {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
-		inputs := make([]cell.Port, n)
-		for i := range inputs {
-			inputs[i] = cell.Port(i)
-		}
+		inputs := adversary.AllInputs(n)
 		tr, err := adversary.Steering(adversary.SteeringSpec{
 			Fabric: cfg, Factory: factory, Inputs: inputs, Out: 0, Plane: 2,
 			ScrambleSlots: 16, ScrambleSeed: int64(n) + 1,

@@ -8,7 +8,6 @@ import (
 	"ppsim/internal/demux"
 	"ppsim/internal/fabric"
 	"ppsim/internal/harness"
-	"ppsim/internal/netcalc"
 	"ppsim/internal/shadow"
 	"ppsim/internal/traffic"
 )
@@ -52,11 +51,11 @@ func e21Calculus() (*Table, error) {
 			break
 		}
 	}
-	dBound, err := netcalc.DelayBound(netcalc.FromLeakyBucket(1, bb), netcalc.OQOutputPort())
+	dBound, err := delayBound(fromLeakyBucket(1, bb), oqOutputPort())
 	if err != nil {
 		return nil, err
 	}
-	qBound, err := netcalc.BacklogBound(netcalc.FromLeakyBucket(1, bb), netcalc.OQOutputPort())
+	qBound, err := backlogBound(fromLeakyBucket(1, bb), oqOutputPort())
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +76,7 @@ func e21Calculus() (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E21 c=%d: %w", c, err)
 		}
-		if _, err := netcalc.DelayBound(netcalc.FromLeakyBucket(1, 0), netcalc.PPSPlanePath(rp)); err == nil {
+		if _, err := delayBound(fromLeakyBucket(1, 0), ppsPlanePath(rp)); err == nil {
 			return nil, fmt.Errorf("E21: single-plane path should be unstable at rate R")
 		}
 		t.AddRow(fmt.Sprintf("single-plane peak backlog (c=%d)", c),
@@ -85,7 +84,7 @@ func e21Calculus() (*Table, error) {
 	}
 
 	// The aggregate of all K planes carries rate R with latency r'-1.
-	aggD, err := netcalc.DelayBound(netcalc.FromLeakyBucket(1, 0), netcalc.PPSAggregate(k, rp))
+	aggD, err := delayBound(fromLeakyBucket(1, 0), ppsAggregate(k, rp))
 	if err != nil {
 		return nil, err
 	}

@@ -82,10 +82,7 @@ func e10Proposition15() (*Table, error) {
 	flood := &traffic.Flood{N: n, Out: 0, Until: horizon}
 
 	cfg := fabric.Config{N: n, K: 4, RPrime: 2, CheckInvariants: true}
-	inputs := make([]cell.Port, n)
-	for i := range inputs {
-		inputs[i] = cell.Port(i)
-	}
+	inputs := adversary.AllInputs(n)
 	steer, err := adversary.Steering(adversary.SteeringSpec{
 		Fabric: cfg, Factory: rrFactory, Inputs: inputs, Out: 0, Plane: 1,
 		ScrambleSlots: 16, ScrambleSeed: 3,

@@ -93,10 +93,7 @@ func e17Universality() (*Table, error) {
 		{"ftd h=2", func(e demux.Env) (demux.Algorithm, error) { return demux.NewFTD(e, 2) }},
 		{"buffered-rr", func(e demux.Env) (demux.Algorithm, error) { return demux.NewBufferedRR(e, -1) }},
 	}
-	inputs := make([]cell.Port, n)
-	for i := range inputs {
-		inputs[i] = cell.Port(i)
-	}
+	inputs := adversary.AllInputs(n)
 	bound := int(bounds.Corollary7(bounds.Params{N: n, K: k, RPrime: rp}))
 	for _, a := range algs {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}

@@ -75,7 +75,7 @@ func e3Theorem6() (*Table, error) {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
 		factory := func(e demux.Env) (demux.Algorithm, error) { return demux.NewStaticPartition(e, part) }
 		plane := cell.Plane(part) // a plane in group 1
-		inputs := partitionInputs(n, k, part, plane)
+		inputs := adversary.PartitionInputs(n, k, part, plane)
 		tr, err := adversary.Steering(adversary.SteeringSpec{
 			Fabric: cfg, Factory: factory,
 			Inputs: inputs, Out: 0, Plane: plane,
@@ -95,18 +95,6 @@ func e3Theorem6() (*Table, error) {
 	return t, nil
 }
 
-func partitionInputs(n, k, d int, plane cell.Plane) []cell.Port {
-	groups := k / d
-	g := int(plane) / d
-	var out []cell.Port
-	for i := 0; i < n; i++ {
-		if i%groups == g {
-			out = append(out, cell.Port(i))
-		}
-	}
-	return out
-}
-
 // e4Corollary7 is the headline scaling result: with unpartitioned
 // fully-distributed dispatch the relative queuing delay grows linearly in
 // the port count N.
@@ -124,10 +112,7 @@ func e4Corollary7() (*Table, error) {
 	const k, rp = 4, 2
 	for _, n := range ns {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
-		inputs := make([]cell.Port, n)
-		for i := range inputs {
-			inputs[i] = cell.Port(i)
-		}
+		inputs := adversary.AllInputs(n)
 		tr, err := adversary.Steering(adversary.SteeringSpec{
 			Fabric: cfg, Factory: rrFactory,
 			Inputs: inputs, Out: 0, Plane: 1,
@@ -162,7 +147,7 @@ func e5Theorem8() (*Table, error) {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true}
 		factory := func(e demux.Env) (demux.Algorithm, error) { return demux.NewStaticPartition(e, part) }
 		plane := cell.Plane(0)
-		inputs := partitionInputs(n, k, part, plane)
+		inputs := adversary.PartitionInputs(n, k, part, plane)
 		tr, err := adversary.Steering(adversary.SteeringSpec{
 			Fabric: cfg, Factory: factory,
 			Inputs: inputs, Out: 0, Plane: plane,

@@ -9,7 +9,6 @@ import (
 	"ppsim/internal/crossbar"
 	"ppsim/internal/fabric"
 	"ppsim/internal/harness"
-	"ppsim/internal/jitterreg"
 	"ppsim/internal/traffic"
 )
 
@@ -134,7 +133,7 @@ func e15JitterRegulator() (*Table, error) {
 
 	targetD := cell.Time((c - 1) * (rp - 1))
 	for _, b := range []int{1, 4, 8, 16, 0} { // 0 = unbounded
-		reg, err := jitterreg.New(targetD, b)
+		reg, err := newJitterRegulator(targetD, b)
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +151,7 @@ func e15JitterRegulator() (*Table, error) {
 		}
 		var out []cell.Cell
 		for s := cell.Time(0); s <= last+targetD+1; s++ {
-			out, err = reg.Step(s, bySlot[s], out)
+			out, err = reg.step(s, bySlot[s], out)
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +160,7 @@ func e15JitterRegulator() (*Table, error) {
 		if b == 0 {
 			label = "unbounded"
 		}
-		t.AddRow(label, itoa(reg.Jitter()), itoa(reg.Early()))
+		t.AddRow(label, itoa(reg.jitter()), itoa(reg.early))
 	}
 	return t, nil
 }

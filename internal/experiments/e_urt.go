@@ -120,10 +120,7 @@ func e8Theorem13() (*Table, error) {
 		Columns: []string{"buffer cap", "measured RQD", "measured RDJ", "bound (1-r/R)N/S"},
 	}
 	bound := bounds.Theorem13(bounds.Params{N: n, K: k, RPrime: rp})
-	inputs := make([]cell.Port, n)
-	for i := range inputs {
-		inputs[i] = cell.Port(i)
-	}
+	inputs := adversary.AllInputs(n)
 	for _, bc := range []int{1, 4, 16, -1} {
 		cfg := fabric.Config{N: n, K: k, RPrime: rp, BufferCap: bc, CheckInvariants: true}
 		factory := func(e demux.Env) (demux.Algorithm, error) { return demux.NewBufferedRR(e, bc) }

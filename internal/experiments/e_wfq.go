@@ -4,7 +4,6 @@ import (
 	"ppsim/internal/cell"
 	"ppsim/internal/queue"
 	"ppsim/internal/stats"
-	"ppsim/internal/wfq"
 )
 
 func init() {
@@ -56,28 +55,28 @@ func e27WFQ() (*Table, error) {
 		var wfqWorst stats.Summary
 		{
 			st := cell.NewStamper()
-			s := wfq.New()
-			if err := s.AddFlow(light, 1); err != nil {
+			s := newWFQScheduler()
+			if err := s.addFlow(light, 1); err != nil {
 				return nil, err
 			}
-			if err := s.AddFlow(rogue, 1); err != nil {
+			if err := s.addFlow(rogue, 1); err != nil {
 				return nil, err
 			}
 			for i := 0; i < burst; i++ {
-				if err := s.Enqueue(0, st.Stamp(rogue, 0)); err != nil {
+				if err := s.enqueue(0, st.Stamp(rogue, 0)); err != nil {
 					return nil, err
 				}
 			}
 			slot := cell.Time(0)
 			sent := 0
-			for sent < 20 || s.Backlog() > 0 {
+			for sent < 20 || s.backlog() > 0 {
 				if slot%4 == 0 && sent < 20 {
-					if err := s.Enqueue(slot, st.Stamp(light, slot)); err != nil {
+					if err := s.enqueue(slot, st.Stamp(light, slot)); err != nil {
 						return nil, err
 					}
 					sent++
 				}
-				if c, ok := s.Dequeue(slot); ok && c.Flow == light {
+				if c, ok := s.dequeue(slot); ok && c.Flow == light {
 					wfqWorst.Add(int64(c.Depart - c.Arrive))
 				}
 				slot++

@@ -138,19 +138,16 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Func runs one experiment.
-type Func func() (*Table, error)
-
 // Entry registers an experiment.
 type Entry struct {
 	ID    string
 	Title string
-	Run   Func
+	Run   func() (*Table, error)
 }
 
 var registry []Entry
 
-func register(id, title string, run Func) {
+func register(id, title string, run func() (*Table, error)) {
 	registry = append(registry, Entry{ID: id, Title: title, Run: run})
 }
 

@@ -1,4 +1,4 @@
-package jitterreg
+package experiments
 
 import (
 	"testing"
@@ -7,48 +7,48 @@ import (
 	"ppsim/internal/cell"
 )
 
-func mk(seq uint64, arrive cell.Time) cell.Cell {
+func regCell(seq uint64, arrive cell.Time) cell.Cell {
 	return cell.New(seq, seq, cell.Flow{In: 0, Out: 0}, arrive)
 }
 
-func TestValidation(t *testing.T) {
-	if _, err := New(-1, 0); err == nil {
+func TestJitterRegValidation(t *testing.T) {
+	if _, err := newJitterRegulator(-1, 0); err == nil {
 		t.Error("negative target must be rejected")
 	}
-	r, err := New(3, 0)
+	r, err := newJitterRegulator(3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.TargetDelay() != 3 {
-		t.Errorf("TargetDelay = %d", r.TargetDelay())
+	if r.d != 3 {
+		t.Errorf("target delay = %d", r.d)
 	}
 }
 
 func TestUnboundedBufferZeroJitter(t *testing.T) {
 	// A jittery stream (delays vary by up to 4 slots upstream) through a
 	// regulator with D=5 and unbounded buffer comes out with zero jitter.
-	r, _ := New(5, 0)
+	r, _ := newJitterRegulator(5, 0)
 	arrivals := map[cell.Time][]cell.Cell{
-		0: {mk(0, 0)},
-		1: {mk(1, 1)},
-		6: {mk(2, 6), mk(3, 6)}, // a bunched pair (jitter upstream)
+		0: {regCell(0, 0)},
+		1: {regCell(1, 1)},
+		6: {regCell(2, 6), regCell(3, 6)}, // a bunched pair (jitter upstream)
 	}
 	var out []cell.Cell
 	for slot := cell.Time(0); slot < 30; slot++ {
 		var err error
-		out, err = r.Step(slot, arrivals[slot], out)
+		out, err = r.step(slot, arrivals[slot], out)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if r.Released() != 4 {
-		t.Fatalf("released %d of 4", r.Released())
+	if r.released != 4 {
+		t.Fatalf("released %d of 4", r.released)
 	}
-	if r.Jitter() != 0 {
-		t.Errorf("unbounded regulator jitter = %d, want 0", r.Jitter())
+	if r.jitter() != 0 {
+		t.Errorf("unbounded regulator jitter = %d, want 0", r.jitter())
 	}
-	if r.Early() != 0 {
-		t.Errorf("Early = %d, want 0", r.Early())
+	if r.early != 0 {
+		t.Errorf("early = %d, want 0", r.early)
 	}
 	for _, c := range out {
 		if c.Depart-c.Arrive != 5 {
@@ -60,10 +60,10 @@ func TestUnboundedBufferZeroJitter(t *testing.T) {
 func TestBoundedBufferForcesEarlyRelease(t *testing.T) {
 	// Buffer of 2 with a burst of 5 simultaneous cells and D=10: three
 	// cells must leave early, creating jitter.
-	r, _ := New(10, 2)
+	r, _ := newJitterRegulator(10, 2)
 	var cells []cell.Cell
 	for i := uint64(0); i < 5; i++ {
-		cells = append(cells, mk(i, 0))
+		cells = append(cells, regCell(i, 0))
 	}
 	var out []cell.Cell
 	for slot := cell.Time(0); slot < 30; slot++ {
@@ -72,36 +72,36 @@ func TestBoundedBufferForcesEarlyRelease(t *testing.T) {
 			in = cells
 		}
 		var err error
-		out, err = r.Step(slot, in, out)
+		out, err = r.step(slot, in, out)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if r.Released() != 5 {
-		t.Fatalf("released %d of 5", r.Released())
+	if r.released != 5 {
+		t.Fatalf("released %d of 5", r.released)
 	}
-	if r.Early() == 0 {
+	if r.early == 0 {
 		t.Error("bounded buffer must force early releases")
 	}
-	if r.Jitter() == 0 {
+	if r.jitter() == 0 {
 		t.Error("early releases must create jitter")
 	}
 }
 
 func TestMonotoneSlotEnforced(t *testing.T) {
-	r, _ := New(1, 0)
-	r.Step(5, nil, nil)
-	if _, err := r.Step(5, nil, nil); err == nil {
+	r, _ := newJitterRegulator(1, 0)
+	r.step(5, nil, nil)
+	if _, err := r.step(5, nil, nil); err == nil {
 		t.Error("repeated slot must be rejected")
 	}
-	if _, err := r.Step(4, nil, nil); err == nil {
+	if _, err := r.step(4, nil, nil); err == nil {
 		t.Error("backwards slot must be rejected")
 	}
 }
 
 func TestFutureArrivalRejected(t *testing.T) {
-	r, _ := New(1, 0)
-	if _, err := r.Step(0, []cell.Cell{mk(0, 5)}, nil); err == nil {
+	r, _ := newJitterRegulator(1, 0)
+	if _, err := r.step(0, []cell.Cell{regCell(0, 5)}, nil); err == nil {
 		t.Error("future-stamped arrival must be rejected")
 	}
 }
@@ -111,7 +111,7 @@ func TestFutureArrivalRejected(t *testing.T) {
 func TestUnboundedExactDelay(t *testing.T) {
 	prop := func(gaps []uint8, dRaw uint8) bool {
 		d := cell.Time(dRaw % 16)
-		r, err := New(d, 0)
+		r, err := newJitterRegulator(d, 0)
 		if err != nil {
 			return false
 		}
@@ -128,11 +128,11 @@ func TestUnboundedExactDelay(t *testing.T) {
 		for slot := cell.Time(0); slot <= at+d+1; slot++ {
 			var in []cell.Cell
 			if arriveAt[slot] {
-				in = []cell.Cell{mk(seq, slot)}
+				in = []cell.Cell{regCell(seq, slot)}
 				seq++
 			}
 			var err error
-			out, err = r.Step(slot, in, out)
+			out, err = r.step(slot, in, out)
 			if err != nil {
 				return false
 			}
@@ -156,7 +156,7 @@ func TestUnboundedExactDelay(t *testing.T) {
 func TestBufferBoundRespected(t *testing.T) {
 	prop := func(bursts []uint8, bRaw uint8) bool {
 		b := int(bRaw%8) + 1
-		r, err := New(20, b)
+		r, err := newJitterRegulator(20, b)
 		if err != nil {
 			return false
 		}
@@ -165,15 +165,15 @@ func TestBufferBoundRespected(t *testing.T) {
 		for slot, burst := range bursts {
 			var in []cell.Cell
 			for i := 0; i < int(burst%4); i++ {
-				in = append(in, mk(seq, cell.Time(slot)))
+				in = append(in, regCell(seq, cell.Time(slot)))
 				seq++
 			}
 			var err error
-			out, err = r.Step(cell.Time(slot), in, out)
+			out, err = r.step(cell.Time(slot), in, out)
 			if err != nil {
 				return false
 			}
-			if r.Buffered() > b {
+			if r.buf.Len() > b {
 				return false
 			}
 		}

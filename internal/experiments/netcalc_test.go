@@ -1,4 +1,4 @@
-package netcalc
+package experiments
 
 import (
 	"math"
@@ -11,86 +11,86 @@ import (
 )
 
 func TestCurveEvaluation(t *testing.T) {
-	a := Arrival{Rate: 0.5, Burst: 3}
-	if a.At(0) != 0 || a.At(-1) != 0 {
+	a := arrivalCurve{Rate: 0.5, Burst: 3}
+	if a.at(0) != 0 || a.at(-1) != 0 {
 		t.Error("alpha(<=0) must be 0")
 	}
-	if a.At(10) != 8 {
-		t.Errorf("alpha(10) = %f", a.At(10))
+	if a.at(10) != 8 {
+		t.Errorf("alpha(10) = %f", a.at(10))
 	}
-	s := Service{Rate: 2, Latency: 3}
-	if s.At(3) != 0 || s.At(2) != 0 {
+	s := serviceCurve{Rate: 2, Latency: 3}
+	if s.at(3) != 0 || s.at(2) != 0 {
 		t.Error("beta within latency must be 0")
 	}
-	if s.At(5) != 4 {
-		t.Errorf("beta(5) = %f", s.At(5))
+	if s.at(5) != 4 {
+		t.Errorf("beta(5) = %f", s.at(5))
 	}
 }
 
 func TestBounds(t *testing.T) {
-	a := Arrival{Rate: 0.5, Burst: 4}
-	s := Service{Rate: 1, Latency: 2}
-	d, err := DelayBound(a, s)
+	a := arrivalCurve{Rate: 0.5, Burst: 4}
+	s := serviceCurve{Rate: 1, Latency: 2}
+	d, err := delayBound(a, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != 6 { // 2 + 4/1
-		t.Errorf("DelayBound = %f", d)
+		t.Errorf("delayBound = %f", d)
 	}
-	b, err := BacklogBound(a, s)
+	b, err := backlogBound(a, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b != 5 { // 4 + 0.5*2
-		t.Errorf("BacklogBound = %f", b)
+		t.Errorf("backlogBound = %f", b)
 	}
-	out, err := Output(a, s)
+	out, err := outputCurve(a, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Rate != 0.5 || out.Burst != 5 {
-		t.Errorf("Output = %+v", out)
+		t.Errorf("outputCurve = %+v", out)
 	}
 }
 
 func TestUnstableSystemRejected(t *testing.T) {
-	a := Arrival{Rate: 2, Burst: 0}
-	s := Service{Rate: 1, Latency: 0}
-	if _, err := DelayBound(a, s); err == nil {
+	a := arrivalCurve{Rate: 2, Burst: 0}
+	s := serviceCurve{Rate: 1, Latency: 0}
+	if _, err := delayBound(a, s); err == nil {
 		t.Error("overloaded server must have unbounded delay")
 	}
-	if _, err := BacklogBound(a, s); err == nil {
+	if _, err := backlogBound(a, s); err == nil {
 		t.Error("overloaded server must have unbounded backlog")
 	}
-	if _, err := Output(a, s); err == nil {
+	if _, err := outputCurve(a, s); err == nil {
 		t.Error("overloaded server has no output curve")
 	}
 }
 
-func TestValidation(t *testing.T) {
-	if err := (Arrival{Rate: -1}).Validate(); err == nil {
+func TestNetcalcValidation(t *testing.T) {
+	if err := (arrivalCurve{Rate: -1}).validate(); err == nil {
 		t.Error("negative rate must be rejected")
 	}
-	if err := (Service{Rate: 0}).Validate(); err == nil {
+	if err := (serviceCurve{Rate: 0}).validate(); err == nil {
 		t.Error("zero service rate must be rejected")
 	}
-	if err := (Service{Rate: 1, Latency: -1}).Validate(); err == nil {
+	if err := (serviceCurve{Rate: 1, Latency: -1}).validate(); err == nil {
 		t.Error("negative latency must be rejected")
 	}
-	if _, err := DelayBound(Arrival{Rate: -1}, OQOutputPort()); err == nil {
-		t.Error("DelayBound must propagate validation")
+	if _, err := delayBound(arrivalCurve{Rate: -1}, oqOutputPort()); err == nil {
+		t.Error("delayBound must propagate validation")
 	}
 }
 
 func TestConvolve(t *testing.T) {
-	s, err := Convolve(Service{Rate: 2, Latency: 1}, Service{Rate: 1, Latency: 3})
+	s, err := convolve(serviceCurve{Rate: 2, Latency: 1}, serviceCurve{Rate: 1, Latency: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Rate != 1 || s.Latency != 4 {
-		t.Errorf("Convolve = %+v", s)
+		t.Errorf("convolve = %+v", s)
 	}
-	if _, err := Convolve(Service{}, Service{Rate: 1}); err == nil {
+	if _, err := convolve(serviceCurve{}, serviceCurve{Rate: 1}); err == nil {
 		t.Error("invalid operand must be rejected")
 	}
 }
@@ -99,7 +99,7 @@ func TestPaperCorollaries(t *testing.T) {
 	// The paper's two uses of the calculus:
 	// 1. A work-conserving switch under (R, B) traffic needs buffers of
 	//    at most B.
-	b, err := BacklogBound(FromLeakyBucket(1, 7), OQOutputPort())
+	b, err := backlogBound(fromLeakyBucket(1, 7), oqOutputPort())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPaperCorollaries(t *testing.T) {
 		t.Errorf("backlog bound %f, want B = 7", b)
 	}
 	// 2. The same switch delays cells at most B slots.
-	d, err := DelayBound(FromLeakyBucket(1, 7), OQOutputPort())
+	d, err := delayBound(fromLeakyBucket(1, 7), oqOutputPort())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestPaperCorollaries(t *testing.T) {
 func TestConcentrationIsUnstableSinglePlane(t *testing.T) {
 	// Lemma 4 in calculus terms: rate-R traffic into a single plane path
 	// (rate 1/r') is unstable, while the K-plane aggregate absorbs it.
-	fullRate := FromLeakyBucket(1, 0)
-	if _, err := DelayBound(fullRate, PPSPlanePath(2)); err == nil {
+	fullRate := fromLeakyBucket(1, 0)
+	if _, err := delayBound(fullRate, ppsPlanePath(2)); err == nil {
 		t.Error("one plane cannot carry rate R: expected unbounded delay")
 	}
-	d, err := DelayBound(fullRate, PPSAggregate(4, 2)) // S = 2
+	d, err := delayBound(fullRate, ppsAggregate(4, 2)) // S = 2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,11 @@ func TestShadowRespectsBounds(t *testing.T) {
 		demand := traffic.NewRegulator(n, b, traffic.NewBernoulli(n, 0.7, 150, seed))
 		sh := shadow.New(n)
 		st := cell.NewStamper()
-		dBound, err := DelayBound(FromLeakyBucket(1, b), OQOutputPort())
+		dBound, err := delayBound(fromLeakyBucket(1, b), oqOutputPort())
 		if err != nil {
 			return false
 		}
-		qBound, err := BacklogBound(FromLeakyBucket(1, b), OQOutputPort())
+		qBound, err := backlogBound(fromLeakyBucket(1, b), oqOutputPort())
 		if err != nil {
 			return false
 		}
@@ -180,9 +180,9 @@ func TestShadowRespectsBounds(t *testing.T) {
 }
 
 func TestFromLeakyBucket(t *testing.T) {
-	a := FromLeakyBucket(1, 5)
+	a := fromLeakyBucket(1, 5)
 	// A window of tau slots holds at most tau*R + B cells.
-	if got := a.At(10); math.Abs(got-15) > 1e-12 {
+	if got := a.at(10); math.Abs(got-15) > 1e-12 {
 		t.Errorf("alpha(10) = %f, want 15", got)
 	}
 }

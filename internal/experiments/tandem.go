@@ -1,15 +1,4 @@
-// Package pipeline chains switches in series: the departures of one stage
-// are re-clocked as the arrivals of the next, with a port remapping in
-// between (output j of stage s feeds input j of stage s+1; destinations are
-// rewritten per stage). Multi-stage deployments are where relative queuing
-// delay compounds — the Discussion's jitter-regulator sizing question and
-// the Cruz end-to-end bounds (experiment E23) both live here.
-//
-// Cell identity across stages is tracked by per-input FIFO order. This is
-// sound because Remap is a function of the departing output alone, so every
-// next-stage input carries exactly one flow — and the switches preserve
-// per-flow order, making per-input FIFO identical to per-flow FIFO.
-package pipeline
+package experiments
 
 import (
 	"fmt"
@@ -22,8 +11,19 @@ import (
 	"ppsim/internal/traffic"
 )
 
-// Stage is one switch in the chain.
-type Stage struct {
+// tandemStage is one switch in a chain of switches run in series by
+// runTandem: the departures of one stage are re-clocked as the arrivals of
+// the next, with a port remapping in between (output j of stage s feeds
+// input j of stage s+1; destinations are rewritten per stage). Multi-stage
+// deployments are where relative queuing delay compounds — the
+// Discussion's jitter-regulator sizing question and the Cruz end-to-end
+// bounds (experiment E23) both live here.
+//
+// Cell identity across stages is tracked by per-input FIFO order. This is
+// sound because Remap is a function of the departing output alone, so every
+// next-stage input carries exactly one flow — and the switches preserve
+// per-flow order, making per-input FIFO identical to per-flow FIFO.
+type tandemStage struct {
 	// Config is the stage's geometry.
 	Config fabric.Config
 	// Factory builds the stage's demultiplexing algorithm.
@@ -34,8 +34,8 @@ type Stage struct {
 	Remap func(out cell.Port) cell.Port
 }
 
-// Result summarizes a pipeline run.
-type Result struct {
+// tandemResult summarizes a runTandem run.
+type tandemResult struct {
 	// Stages holds each stage's own harness result (vs its own shadow).
 	Stages []harness.Result
 	// EndToEnd summarizes per-cell total delay: departure from the last
@@ -49,20 +49,21 @@ type Result struct {
 	Cells int
 }
 
-// Run pushes src through the stages. Every stage must have the same port
-// count. opts applies to each stage run (Horizon is interpreted per stage).
-func Run(stages []Stage, src traffic.Source, opts harness.Options) (Result, error) {
+// runTandem pushes src through the stages. Every stage must have the same
+// port count. opts applies to each stage run (Horizon is interpreted per
+// stage).
+func runTandem(stages []tandemStage, src traffic.Source, opts harness.Options) (tandemResult, error) {
 	if len(stages) == 0 {
-		return Result{}, fmt.Errorf("pipeline: need at least one stage")
+		return tandemResult{}, fmt.Errorf("tandem: need at least one stage")
 	}
 	n := stages[0].Config.N
 	for i, s := range stages[1:] {
 		if s.Config.N != n {
-			return Result{}, fmt.Errorf("pipeline: stage %d has %d ports, stage 0 has %d", i+1, s.Config.N, n)
+			return tandemResult{}, fmt.Errorf("tandem: stage %d has %d ports, stage 0 has %d", i+1, s.Config.N, n)
 		}
 	}
 
-	var res Result
+	var res tandemResult
 	// origin[stage][input][k] = first-stage arrival slot of the k-th cell
 	// the stage receives on that input (per-input FIFO identity).
 	cur := src
@@ -73,7 +74,7 @@ func Run(stages []Stage, src traffic.Source, opts harness.Options) (Result, erro
 		opts.OnPPSDepart = func(c cell.Cell) { departs = append(departs, c) }
 		r, err := harness.Run(st.Config, st.Factory, cur, opts)
 		if err != nil {
-			return Result{}, fmt.Errorf("pipeline: stage %d: %w", si, err)
+			return tandemResult{}, fmt.Errorf("tandem: stage %d: %w", si, err)
 		}
 		res.Stages = append(res.Stages, r)
 
@@ -91,7 +92,7 @@ func Run(stages []Stage, src traffic.Source, opts harness.Options) (Result, erro
 			for _, c := range departs {
 				in := int(c.Flow.In)
 				if idx[in] >= len(origins[in]) {
-					return Result{}, fmt.Errorf("pipeline: stage %d input %d received more cells than stage %d delivered", si, in, si-1)
+					return tandemResult{}, fmt.Errorf("tandem: stage %d input %d received more cells than stage %d delivered", si, in, si-1)
 				}
 				t0 := origins[in][idx[in]]
 				idx[in]++
@@ -135,7 +136,7 @@ func Run(stages []Stage, src traffic.Source, opts harness.Options) (Result, erro
 				dst = remap(c.Flow.Out)
 			}
 			if err := tr.Add(c.Depart, c.Flow.Out, dst); err != nil {
-				return Result{}, fmt.Errorf("pipeline: re-clocking stage %d: %w", si, err)
+				return tandemResult{}, fmt.Errorf("tandem: re-clocking stage %d: %w", si, err)
 			}
 		}
 		cur = tr

@@ -1,4 +1,4 @@
-package pipeline
+package experiments
 
 import (
 	"strings"
@@ -11,28 +11,28 @@ import (
 	"ppsim/internal/traffic"
 )
 
-func cpaStage(n, k int, rp int64, remap func(cell.Port) cell.Port) Stage {
-	return Stage{
+func cpaStage(n, k int, rp int64, remap func(cell.Port) cell.Port) tandemStage {
+	return tandemStage{
 		Config:  fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true},
 		Factory: func(e demux.Env) (demux.Algorithm, error) { return demux.NewCPA(e, demux.MinAvail) },
 		Remap:   remap,
 	}
 }
 
-func rrStage(n, k int, rp int64, remap func(cell.Port) cell.Port) Stage {
-	return Stage{
+func rrStage(n, k int, rp int64, remap func(cell.Port) cell.Port) tandemStage {
+	return tandemStage{
 		Config:  fabric.Config{N: n, K: k, RPrime: rp, CheckInvariants: true},
 		Factory: func(e demux.Env) (demux.Algorithm, error) { return demux.NewRoundRobin(e, demux.PerInput) },
 		Remap:   remap,
 	}
 }
 
-func TestValidation(t *testing.T) {
-	if _, err := Run(nil, traffic.NewTrace(), harness.Options{}); err == nil {
-		t.Error("empty pipeline must be rejected")
+func TestTandemValidation(t *testing.T) {
+	if _, err := runTandem(nil, traffic.NewTrace(), harness.Options{}); err == nil {
+		t.Error("empty tandem must be rejected")
 	}
-	stages := []Stage{cpaStage(4, 4, 2, nil), cpaStage(8, 4, 2, nil)}
-	if _, err := Run(stages, traffic.NewTrace(), harness.Options{}); err == nil ||
+	stages := []tandemStage{cpaStage(4, 4, 2, nil), cpaStage(8, 4, 2, nil)}
+	if _, err := runTandem(stages, traffic.NewTrace(), harness.Options{}); err == nil ||
 		!strings.Contains(err.Error(), "ports") {
 		t.Errorf("port mismatch must be rejected: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestSingleStageEqualsHarness(t *testing.T) {
 	for s := cell.Time(0); s < 20; s++ {
 		tr.MustAdd(s, cell.Port(s%4), cell.Port((s+1)%4))
 	}
-	res, err := Run([]Stage{cpaStage(n, 4, 2, nil)}, tr, harness.Options{})
+	res, err := runTandem([]tandemStage{cpaStage(n, 4, 2, nil)}, tr, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestTwoCleanStagesAddNoDelayOnLightTraffic(t *testing.T) {
 		tr.MustAdd(s, cell.Port(s%n), cell.Port((s+1)%n))
 	}
 	rot := func(out cell.Port) cell.Port { return (out + 1) % n }
-	res, err := Run([]Stage{cpaStage(n, 4, 2, rot), cpaStage(n, 4, 2, nil)}, tr, harness.Options{})
+	res, err := runTandem([]tandemStage{cpaStage(n, 4, 2, rot), cpaStage(n, 4, 2, nil)}, tr, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,21 +80,21 @@ func TestTwoCleanStagesAddNoDelayOnLightTraffic(t *testing.T) {
 }
 
 func TestCongestedFirstStageShowsInEndToEnd(t *testing.T) {
-	// Stage 1 concentrates (fresh rr pointers all hit plane 0); stage 2 is
+	// tandemStage 1 concentrates (fresh rr pointers all hit plane 0); stage 2 is
 	// clean. End-to-end delay must carry stage 1's concentration.
 	const n, rp = 6, 3
 	tr := traffic.NewTrace()
 	for i := 0; i < n; i++ {
 		tr.MustAdd(cell.Time(i), cell.Port(i), 0)
 	}
-	res, err := Run([]Stage{
+	res, err := runTandem([]tandemStage{
 		rrStage(n, 3, rp, nil),
 		cpaStage(n, 6, rp, nil),
 	}, tr, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stage 1 delays the last cell by (n-1)(r'-1) = 10 beyond its arrival.
+	// tandemStage 1 delays the last cell by (n-1)(r'-1) = 10 beyond its arrival.
 	want := cell.Time((n - 1) * (rp - 1))
 	if res.EndToEnd.Max < want {
 		t.Errorf("end-to-end max = %d, want >= %d", res.EndToEnd.Max, want)
@@ -119,11 +119,11 @@ func TestEndToEndDelayAtLeastSumOfArrivalSpans(t *testing.T) {
 		}
 		return tr
 	}
-	one, err := Run([]Stage{rrStage(n, 4, 2, nil)}, mk(), harness.Options{})
+	one, err := runTandem([]tandemStage{rrStage(n, 4, 2, nil)}, mk(), harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := Run([]Stage{rrStage(n, 4, 2, nil), rrStage(n, 4, 2, nil)}, mk(), harness.Options{})
+	two, err := runTandem([]tandemStage{rrStage(n, 4, 2, nil), rrStage(n, 4, 2, nil)}, mk(), harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,20 @@
-// Package wfq implements weighted fair queueing, the canonical
-// guaranteed-rate service discipline behind the QoS framing of the paper's
-// introduction ("The need to support a large variety of applications with
-// quality of service (QoS) guarantees...", citing Zhang's survey of service
-// disciplines). It is the discipline a QoS-aware deployment would run at
-// the external output links downstream of the switch: the PPS delivers
-// cells to the output, and WFQ decides which flow's cell uses the line.
+package experiments
+
+import (
+	"fmt"
+
+	"ppsim/internal/cell"
+	"ppsim/internal/queue"
+)
+
+// wfqScheduler is a single-server weighted fair queueing scheduler over a
+// fixed set of flows: the canonical guaranteed-rate service discipline
+// behind the QoS framing of the paper's introduction ("The need to support
+// a large variety of applications with quality of service (QoS)
+// guarantees...", citing Zhang's survey of service disciplines). It is the
+// discipline a QoS-aware deployment would run at the external output links
+// downstream of the switch: the PPS delivers cells to the output, and WFQ
+// decides which flow's cell uses the line.
 //
 // The implementation is the standard virtual-time approximation of
 // generalized processor sharing (PGPS): each backlogged flow f with weight
@@ -14,21 +24,11 @@
 // finish-time order. Per-flow delay is then bounded independently of the
 // other flows' arrival behaviour — the isolation property experiment E27
 // contrasts with FCFS.
-package wfq
-
-import (
-	"fmt"
-
-	"ppsim/internal/cell"
-	"ppsim/internal/queue"
-)
-
-// Scheduler is a single-server WFQ over a fixed set of flows.
-type Scheduler struct {
+type wfqScheduler struct {
 	weights map[cell.Flow]float64
-	queues  map[cell.Flow]*queue.FIFO[item]
+	queues  map[cell.Flow]*queue.FIFO[wfqItem]
 	lastF   map[cell.Flow]float64
-	ready   *queue.Heap[item] // each backlogged flow's head, by (finish, Seq)
+	ready   *queue.Heap[wfqItem] // each backlogged flow's head, by (finish, Seq)
 	// Virtual time state.
 	vtime      float64
 	vlast      cell.Time // real time of the last virtual-time update
@@ -37,16 +37,16 @@ type Scheduler struct {
 	served     uint64
 }
 
-type item struct {
+type wfqItem struct {
 	c      cell.Cell
 	finish float64
 }
 
-// New returns an empty scheduler.
-func New() *Scheduler {
-	return &Scheduler{
+// newWFQScheduler returns an empty scheduler.
+func newWFQScheduler() *wfqScheduler {
+	return &wfqScheduler{
 		weights:    make(map[cell.Flow]float64),
-		queues:     make(map[cell.Flow]*queue.FIFO[item]),
+		queues:     make(map[cell.Flow]*queue.FIFO[wfqItem]),
 		lastF:      make(map[cell.Flow]float64),
 		ready:      queue.NewHeap(earlierFinish),
 		backlogged: make(map[cell.Flow]bool),
@@ -55,16 +55,16 @@ func New() *Scheduler {
 
 // earlierFinish orders items by virtual finish time, ties by Seq: a total
 // order, so the service order does not depend on the heap's layout.
-func earlierFinish(a, b item) bool {
+func earlierFinish(a, b wfqItem) bool {
 	if a.finish != b.finish {
 		return a.finish < b.finish
 	}
 	return a.c.Seq < b.c.Seq
 }
 
-// AddFlow registers a flow with a positive weight. Flows must be registered
+// addFlow registers a flow with a positive weight. Flows must be registered
 // before their first cell.
-func (s *Scheduler) AddFlow(f cell.Flow, weight float64) error {
+func (s *wfqScheduler) addFlow(f cell.Flow, weight float64) error {
 	if weight <= 0 {
 		return fmt.Errorf("wfq: weight must be positive, got %g", weight)
 	}
@@ -72,13 +72,13 @@ func (s *Scheduler) AddFlow(f cell.Flow, weight float64) error {
 		return fmt.Errorf("wfq: flow %v already registered", f)
 	}
 	s.weights[f] = weight
-	s.queues[f] = queue.New[item](4)
+	s.queues[f] = queue.New[wfqItem](4)
 	return nil
 }
 
 // advance moves virtual time to real slot t: V grows at rate
 // 1/backlogSum while any flow is backlogged (unit-capacity server).
-func (s *Scheduler) advance(t cell.Time) {
+func (s *wfqScheduler) advance(t cell.Time) {
 	if t > s.vlast {
 		if s.backlogSum > 0 {
 			s.vtime += float64(t-s.vlast) / s.backlogSum
@@ -87,8 +87,8 @@ func (s *Scheduler) advance(t cell.Time) {
 	}
 }
 
-// Enqueue accepts a cell of flow c.Flow at slot t.
-func (s *Scheduler) Enqueue(t cell.Time, c cell.Cell) error {
+// enqueue accepts a cell of flow c.Flow at slot t.
+func (s *wfqScheduler) enqueue(t cell.Time, c cell.Cell) error {
 	w, ok := s.weights[c.Flow]
 	if !ok {
 		return fmt.Errorf("wfq: flow %v not registered", c.Flow)
@@ -101,20 +101,20 @@ func (s *Scheduler) Enqueue(t cell.Time, c cell.Cell) error {
 	fin := start + 1/w
 	s.lastF[c.Flow] = fin
 	q := s.queues[c.Flow]
-	q.Push(item{c: c, finish: fin})
+	q.Push(wfqItem{c: c, finish: fin})
 	if !s.backlogged[c.Flow] {
 		s.backlogged[c.Flow] = true
 		s.backlogSum += w
 	}
 	if q.Len() == 1 {
-		s.ready.Push(item{c: c, finish: fin})
+		s.ready.Push(wfqItem{c: c, finish: fin})
 	}
 	return nil
 }
 
-// Dequeue serves one cell at slot t (the smallest virtual finish time among
+// dequeue serves one cell at slot t (the smallest virtual finish time among
 // head-of-line cells); ok is false when idle.
-func (s *Scheduler) Dequeue(t cell.Time) (cell.Cell, bool) {
+func (s *wfqScheduler) dequeue(t cell.Time) (cell.Cell, bool) {
 	s.advance(t)
 	if s.ready.Empty() {
 		return cell.Cell{}, false
@@ -137,14 +137,11 @@ func (s *Scheduler) Dequeue(t cell.Time) (cell.Cell, bool) {
 	return out, true
 }
 
-// Backlog reports queued cells.
-func (s *Scheduler) Backlog() int {
+// backlog reports queued cells.
+func (s *wfqScheduler) backlog() int {
 	n := 0
 	for _, q := range s.queues {
 		n += q.Len()
 	}
 	return n
 }
-
-// Served reports cells served so far.
-func (s *Scheduler) Served() uint64 { return s.served }

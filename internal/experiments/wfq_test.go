@@ -1,4 +1,4 @@
-package wfq
+package experiments
 
 import (
 	"testing"
@@ -6,45 +6,41 @@ import (
 	"ppsim/internal/cell"
 )
 
-func mk(st *cell.Stamper, f cell.Flow, t cell.Time) cell.Cell {
-	return st.Stamp(f, t)
-}
-
-func TestValidation(t *testing.T) {
-	s := New()
+func TestWFQValidation(t *testing.T) {
+	s := newWFQScheduler()
 	f := cell.Flow{In: 0, Out: 0}
-	if err := s.AddFlow(f, 0); err == nil {
+	if err := s.addFlow(f, 0); err == nil {
 		t.Error("zero weight must be rejected")
 	}
-	if err := s.AddFlow(f, 1); err != nil {
+	if err := s.addFlow(f, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddFlow(f, 1); err == nil {
+	if err := s.addFlow(f, 1); err == nil {
 		t.Error("duplicate registration must be rejected")
 	}
 	st := cell.NewStamper()
-	if err := s.Enqueue(0, mk(st, cell.Flow{In: 9, Out: 9}, 0)); err == nil {
+	if err := s.enqueue(0, st.Stamp(cell.Flow{In: 9, Out: 9}, 0)); err == nil {
 		t.Error("unregistered flow must be rejected")
 	}
 }
 
 func TestSingleFlowFIFO(t *testing.T) {
-	s := New()
+	s := newWFQScheduler()
 	f := cell.Flow{In: 0, Out: 0}
-	s.AddFlow(f, 1)
+	s.addFlow(f, 1)
 	st := cell.NewStamper()
 	for i := cell.Time(0); i < 5; i++ {
-		if err := s.Enqueue(i, mk(st, f, i)); err != nil {
+		if err := s.enqueue(i, st.Stamp(f, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 5; i++ {
-		c, ok := s.Dequeue(cell.Time(10 + i))
+		c, ok := s.dequeue(cell.Time(10 + i))
 		if !ok || c.FlowSeq != uint64(i) {
 			t.Fatalf("dequeue %d: %v %v", i, c, ok)
 		}
 	}
-	if _, ok := s.Dequeue(100); ok {
+	if _, ok := s.dequeue(100); ok {
 		t.Error("empty scheduler must be idle")
 	}
 }
@@ -52,19 +48,19 @@ func TestSingleFlowFIFO(t *testing.T) {
 func TestWeightedShareUnderSaturation(t *testing.T) {
 	// Two permanently backlogged flows with weights 3:1 must be served
 	// ~3:1.
-	s := New()
+	s := newWFQScheduler()
 	heavy := cell.Flow{In: 0, Out: 0}
 	light := cell.Flow{In: 1, Out: 0}
-	s.AddFlow(heavy, 3)
-	s.AddFlow(light, 1)
+	s.addFlow(heavy, 3)
+	s.addFlow(light, 1)
 	st := cell.NewStamper()
 	for i := cell.Time(0); i < 400; i++ {
-		s.Enqueue(0, mk(st, heavy, 0))
-		s.Enqueue(0, mk(st, light, 0))
+		s.enqueue(0, st.Stamp(heavy, 0))
+		s.enqueue(0, st.Stamp(light, 0))
 	}
 	counts := map[cell.Flow]int{}
 	for slot := cell.Time(0); slot < 200; slot++ {
-		c, ok := s.Dequeue(slot)
+		c, ok := s.dequeue(slot)
 		if !ok {
 			t.Fatal("scheduler idle while backlogged")
 		}
@@ -82,24 +78,24 @@ func TestIsolationFromBursts(t *testing.T) {
 	// A light flow sending one cell per 4 slots keeps low delay even when
 	// a misbehaving flow dumps a huge burst — the WFQ isolation property.
 	// Under FCFS the same light cell would wait behind the entire burst.
-	s := New()
+	s := newWFQScheduler()
 	light := cell.Flow{In: 0, Out: 0}
 	rogue := cell.Flow{In: 1, Out: 0}
-	s.AddFlow(light, 1)
-	s.AddFlow(rogue, 1)
+	s.addFlow(light, 1)
+	s.addFlow(rogue, 1)
 	st := cell.NewStamper()
 	// Burst of 100 rogue cells at slot 0.
 	for i := 0; i < 100; i++ {
-		s.Enqueue(0, mk(st, rogue, 0))
+		s.enqueue(0, st.Stamp(rogue, 0))
 	}
 	var worstLight cell.Time
 	slot := cell.Time(0)
 	for sent := 0; sent < 20; {
 		if slot%4 == 0 {
-			s.Enqueue(slot, mk(st, light, slot))
+			s.enqueue(slot, st.Stamp(light, slot))
 			sent++
 		}
-		if c, ok := s.Dequeue(slot); ok && c.Flow == light {
+		if c, ok := s.dequeue(slot); ok && c.Flow == light {
 			if d := c.Depart - c.Arrive; d > worstLight {
 				worstLight = d
 			}
@@ -107,8 +103,8 @@ func TestIsolationFromBursts(t *testing.T) {
 		slot++
 	}
 	// Drain any remaining light cells.
-	for s.Backlog() > 0 {
-		if c, ok := s.Dequeue(slot); ok && c.Flow == light {
+	for s.backlog() > 0 {
+		if c, ok := s.dequeue(slot); ok && c.Flow == light {
 			if d := c.Depart - c.Arrive; d > worstLight {
 				worstLight = d
 			}
@@ -123,18 +119,18 @@ func TestIsolationFromBursts(t *testing.T) {
 }
 
 func TestWorkConservation(t *testing.T) {
-	s := New()
+	s := newWFQScheduler()
 	a := cell.Flow{In: 0, Out: 0}
-	s.AddFlow(a, 2)
+	s.addFlow(a, 2)
 	st := cell.NewStamper()
-	s.Enqueue(0, mk(st, a, 0))
-	if _, ok := s.Dequeue(0); !ok {
+	s.enqueue(0, st.Stamp(a, 0))
+	if _, ok := s.dequeue(0); !ok {
 		t.Error("WFQ must serve a backlogged flow immediately")
 	}
-	if s.Served() != 1 {
-		t.Errorf("Served = %d", s.Served())
+	if s.served != 1 {
+		t.Errorf("served = %d", s.served)
 	}
-	if s.Backlog() != 0 {
-		t.Errorf("Backlog = %d", s.Backlog())
+	if s.backlog() != 0 {
+		t.Errorf("backlog = %d", s.backlog())
 	}
 }

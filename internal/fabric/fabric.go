@@ -139,10 +139,9 @@ type PPS struct {
 	// cell this slot (allocation-free duplicate-arrival check).
 	seenStamp []cell.Time
 
-	arrived    uint64
-	dispatched uint64
-	departed   uint64
-	lastSlot   cell.Time
+	arrived  uint64
+	departed uint64
+	lastSlot cell.Time
 
 	// dispatchedPerPlane and pullsPerOut are cumulative per-stage traffic
 	// counters exposed to the per-slot probes (internal/obs).
@@ -337,9 +336,6 @@ func (p *PPS) SetTracer(tr *obs.Tracer) {
 // InputPending reports the number of arrived-but-undispatched cells at
 // input in (the fabric's own count, not the algorithm's report).
 func (p *PPS) InputPending(in cell.Port) int { return p.pendingPerIn[in] }
-
-// Dispatched reports the total number of cells sent into the center stage.
-func (p *PPS) Dispatched() uint64 { return p.dispatched }
 
 // DispatchedTo reports the cumulative number of cells dispatched into
 // plane k — the distribution the demux-imbalance probe compares against
@@ -623,7 +619,6 @@ func (p *PPS) dispatch(t cell.Time, arrivals []cell.Cell) error {
 			p.removePending(c.Flow.In)
 		}
 		p.pendingTotal--
-		p.dispatched++
 		p.dispatchedPerPlane[s.Plane]++
 		c.Dispatch = t
 		c.Via = s.Plane

@@ -190,8 +190,8 @@ func (s *Schedule) HasLoss() bool {
 	return false
 }
 
-// Loss reports plane p's per-cell loss probability.
-func (s *Schedule) Loss(p cell.Plane) float64 {
+// lossOf reports plane p's per-cell loss probability.
+func (s *Schedule) lossOf(p cell.Plane) float64 {
 	if int(p) >= len(s.loss) {
 		return 0
 	}
@@ -387,7 +387,7 @@ func NewRuntime(s *Schedule, k int) *Runtime {
 	if s.HasLoss() {
 		rt.rng = make([]*lossRNG, k)
 		for p := 0; p < k; p++ {
-			if s.Loss(cell.Plane(p)) > 0 {
+			if s.lossOf(cell.Plane(p)) > 0 {
 				rt.rng[p] = newLossRNG(s.seed, p)
 			}
 		}
@@ -427,7 +427,7 @@ func (r *Runtime) Lose(p cell.Plane) bool {
 	if r.rng == nil || int(p) >= len(r.rng) || r.rng[p] == nil {
 		return false
 	}
-	return r.rng[p].float64() < r.sched.Loss(p)
+	return r.rng[p].float64() < r.sched.lossOf(p)
 }
 
 // HasLoss reports whether any plane draws a loss stream.

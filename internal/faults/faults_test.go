@@ -114,8 +114,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	if err := s.Validate(4); err != nil {
 		t.Fatal(err)
 	}
-	if s.Seed() != 7 || s.Loss(2) != 0.001 || s.Loss(0) != 0 || !s.HasLoss() {
-		t.Errorf("parsed schedule: seed=%d loss2=%g", s.Seed(), s.Loss(2))
+	if s.Seed() != 7 || s.lossOf(2) != 0.001 || s.lossOf(0) != 0 || !s.HasLoss() {
+		t.Errorf("parsed schedule: seed=%d loss2=%g", s.Seed(), s.lossOf(2))
 	}
 	if got := s.String(); got != spec {
 		t.Errorf("String() = %q, want %q", got, spec)

@@ -155,8 +155,8 @@ func (s *Segmenter) Backlog() int { return s.backlog }
 // Offered returns all offered packets.
 func (s *Segmenter) Offered() []Packet { return s.offered }
 
-// PacketOf resolves which packet a flow's cell (by FlowSeq) belongs to.
-func (s *Segmenter) PacketOf(f cell.Flow, flowSeq uint64) (Packet, error) {
+// packetOf resolves which packet a flow's cell (by FlowSeq) belongs to.
+func (s *Segmenter) packetOf(f cell.Flow, flowSeq uint64) (Packet, error) {
 	ps := s.perFlow[f]
 	i := sort.Search(len(ps), func(i int) bool {
 		return ps[i].flowStart+uint64(ps[i].pkt.Cells) > flowSeq
@@ -182,7 +182,7 @@ func NewReassembler(seg *Segmenter) *Reassembler {
 
 // OnDepart consumes one departed cell.
 func (r *Reassembler) OnDepart(c cell.Cell) error {
-	p, err := r.seg.PacketOf(c.Flow, c.FlowSeq)
+	p, err := r.seg.packetOf(c.Flow, c.FlowSeq)
 	if err != nil {
 		return err
 	}

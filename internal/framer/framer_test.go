@@ -64,7 +64,7 @@ func TestPacketOfResolvesBoundaries(t *testing.T) {
 		buf = s.Arrivals(slot, buf[:0])
 	}
 	for fs, want := range map[uint64]uint64{0: a, 1: a, 2: b, 4: b} {
-		p, err := s.PacketOf(f, fs)
+		p, err := s.packetOf(f, fs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestPacketOfResolvesBoundaries(t *testing.T) {
 			t.Errorf("FlowSeq %d -> packet %d, want %d", fs, p.ID, want)
 		}
 	}
-	if _, err := s.PacketOf(f, 9); err == nil {
+	if _, err := s.packetOf(f, 9); err == nil {
 		t.Error("unowned cell must error")
 	}
 }
@@ -164,7 +164,7 @@ func TestSegmentationConsistency(t *testing.T) {
 				f := cell.Flow{In: a.In, Out: a.Out}
 				fs := perFlowSeq[f]
 				perFlowSeq[f] = fs + 1
-				p, err := seg.PacketOf(f, fs)
+				p, err := seg.packetOf(f, fs)
 				if err != nil {
 					return false
 				}

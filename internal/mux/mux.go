@@ -81,7 +81,7 @@ func (Eager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 	buf.refs = refs
 	// Push whatever was taken even on error, so every popped cell is
 	// accounted in the buffer before the violation aborts the run.
-	buf.PushBatch(t, refs)
+	buf.pushBatch(t, refs)
 	return err
 }
 
@@ -221,8 +221,8 @@ func (b *Buffer) Push(t cell.Time, r cell.Ref) {
 	b.parked.Put(int32(c.Flow.In), c.FlowSeq, uint32(r))
 }
 
-// PushBatch inserts every ref in order (the batched form of Push).
-func (b *Buffer) PushBatch(t cell.Time, refs []cell.Ref) {
+// pushBatch inserts every ref in order (the batched form of Push).
+func (b *Buffer) pushBatch(t cell.Time, refs []cell.Ref) {
 	for _, r := range refs {
 		b.Push(t, r)
 	}
@@ -285,14 +285,6 @@ func (b *Buffer) PopEmittable() (cell.Cell, bool) {
 	*next = c.FlowSeq + 1
 	b.advance(c.Flow.In, next)
 	return c, true
-}
-
-// PeekEmittable returns the earliest in-order cell without removing it.
-func (b *Buffer) PeekEmittable() (cell.Cell, bool) {
-	if b.emittable == nil || b.emittable.Empty() {
-		return cell.Cell{}, false
-	}
-	return *b.s.At(b.emittable.Peek().ref), true
 }
 
 // Output is one PPS output-port: a pull policy plus the reassembly buffer
@@ -399,6 +391,3 @@ func (o *Output) Utilization() float64 {
 	span := int64(o.lastSlot-o.firstSlot) + 1
 	return float64(o.busySlots) / float64(span)
 }
-
-// BusySlots reports how many slots emitted a cell.
-func (o *Output) BusySlots() int64 { return o.busySlots }

@@ -112,9 +112,6 @@ func TestBufferOrdersBySeq(t *testing.T) {
 			t.Errorf("PopEmittable = %d (%v), want %d", c.Seq, ok, w)
 		}
 	}
-	if _, ok := b.PeekEmittable(); ok {
-		t.Error("PeekEmittable on empty should be !ok")
-	}
 	if _, ok := b.PopEmittable(); ok {
 		t.Error("PopEmittable on empty should be !ok")
 	}
@@ -343,8 +340,8 @@ func TestUtilization(t *testing.T) {
 	if got := o.Utilization(); got != 0.5 {
 		t.Errorf("Utilization = %f, want 0.5", got)
 	}
-	if o.BusySlots() != 2 {
-		t.Errorf("BusySlots = %d", o.BusySlots())
+	if o.busySlots != 2 {
+		t.Errorf("busySlots = %d", o.busySlots)
 	}
 }
 

@@ -144,12 +144,12 @@ type LogHist struct {
 func NewLogHist() *LogHist { return &LogHist{} }
 
 // Record adds one sample.
-func (h *LogHist) Record(v int64) { h.RecordN(v, 1) }
+func (h *LogHist) Record(v int64) { h.recordN(v, 1) }
 
-// RecordN adds n identical samples in O(1) — the closed-form batch path
+// recordN adds n identical samples in O(1) — the closed-form batch path
 // idle-span synthesis and span-style callers rely on. n <= 0 records
 // nothing.
-func (h *LogHist) RecordN(v int64, n int64) {
+func (h *LogHist) recordN(v int64, n int64) {
 	if n <= 0 {
 		return
 	}
@@ -173,8 +173,8 @@ func (h *LogHist) RecordN(v int64, n int64) {
 	h.grow(v, n)
 }
 
-// grow is RecordN's out-of-line path: it extends the column v's bucket lies
-// beyond, then counts v there. As a tail call it keeps RecordN's fast path
+// grow is recordN's out-of-line path: it extends the column v's bucket lies
+// beyond, then counts v there. As a tail call it keeps recordN's fast path
 // free of spills.
 //
 //go:noinline
@@ -217,13 +217,13 @@ func (h *LogHist) Mean() float64 {
 	return float64(h.sum) / float64(h.n)
 }
 
-// Quantile returns the p-th percentile (0 <= p <= 100) by the nearest-rank
+// quantile returns the p-th percentile (0 <= p <= 100) by the nearest-rank
 // method — the same convention as stats.Summary.Percentile, so the two agree
 // to within the width of the bucket holding the exact answer. The returned
 // value is the lower bound of the selected bucket (for negative samples, the
 // bucket's upper bound), clamped into [Min, Max]; magnitudes below 64 are
 // exact. Returns 0 when empty.
-func (h *LogHist) Quantile(p float64) int64 {
+func (h *LogHist) quantile(p float64) int64 {
 	if h.n == 0 {
 		return 0
 	}
@@ -268,25 +268,6 @@ func (h *LogHist) clamp(v int64) int64 {
 	return v
 }
 
-// Merge adds o's samples into h. Merging per-shard histograms in shard order
-// is exactly equivalent to recording the union serially (bucket counts and
-// the exact min/max/sum are all order-free).
-func (h *LogHist) Merge(o *LogHist) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if h.n == 0 || o.max > h.max {
-		h.max = o.max
-	}
-	h.n += o.n
-	h.sum += o.sum
-	h.pos = addColumn(h.pos, o.pos, nil)
-	h.neg = addColumn(h.neg, o.neg, nil)
-}
-
 // MergeDelta adds the samples cur has accumulated since prev (prev must be
 // an earlier snapshot of the same histogram, so its columns are no longer
 // than cur's). The telemetry flusher uses it to fold a live run's growth
@@ -308,9 +289,9 @@ func (h *LogHist) MergeDelta(cur, prev *LogHist) {
 	h.neg = addColumn(h.neg, cur.neg, prev.neg)
 }
 
-// CopyFrom makes h an exact copy of o in h's own storage, which grows only
+// copyFrom makes h an exact copy of o in h's own storage, which grows only
 // when o's columns outgrow it.
-func (h *LogHist) CopyFrom(o *LogHist) {
+func (h *LogHist) copyFrom(o *LogHist) {
 	h.pos = copyColumn(h.pos, o.pos)
 	h.neg = copyColumn(h.neg, o.neg)
 	h.n, h.sum, h.min, h.max = o.n, o.sum, o.min, o.max
@@ -329,9 +310,9 @@ func (h *LogHist) Summary() Quantiles {
 		N:    h.N(),
 		Mean: h.Mean(),
 		Min:  h.Min(),
-		P50:  h.Quantile(50),
-		P99:  h.Quantile(99),
-		P999: h.Quantile(99.9),
+		P50:  h.quantile(50),
+		P99:  h.quantile(99),
+		P999: h.quantile(99.9),
 		Max:  h.Max(),
 	}
 }
@@ -391,12 +372,12 @@ func (d *DelaySet) hists() [6]*LogHist {
 	return [6]*LogHist{&d.RQD, &d.Demux, &d.Plane, &d.Reseq, &d.Total, &d.Gap}
 }
 
-// CopyFrom snapshots src into d, allocating only when src's columns outgrow
+// copyFrom snapshots src into d, allocating only when src's columns outgrow
 // d's.
-func (d *DelaySet) CopyFrom(src *DelaySet) {
+func (d *DelaySet) copyFrom(src *DelaySet) {
 	dh, sh := d.hists(), src.hists()
 	for i := range dh {
-		dh[i].CopyFrom(sh[i])
+		dh[i].copyFrom(sh[i])
 	}
 }
 

@@ -85,7 +85,7 @@ func TestLogHistQuantileMatchesExact(t *testing.T) {
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	for _, p := range []float64{0, 1, 10, 50, 90, 99, 99.9, 100} {
 		exact := exactPercentile(samples, p)
-		got := h.Quantile(p)
+		got := h.quantile(p)
 		w := BucketWidth(exact)
 		if got > exact || exact-got >= w {
 			if !(got <= exact+w && got >= exact-w) {
@@ -114,7 +114,7 @@ func TestLogHistExactBelow64(t *testing.T) {
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	for _, p := range []float64{25, 50, 75, 99, 99.9} {
-		if got, want := h.Quantile(p), exactPercentile(samples, p); got != want {
+		if got, want := h.quantile(p), exactPercentile(samples, p); got != want {
 			t.Fatalf("p%v: got %d want exact %d", p, got, want)
 		}
 	}
@@ -129,9 +129,12 @@ func TestLogHistMergeEquivalence(t *testing.T) {
 		serial.Record(v)
 		shards[i%3].Record(v)
 	}
+	// Folding each shard in as its growth since an empty snapshot is exactly
+	// recording the union serially: bucket counts and the exact
+	// min/max/sum are all order-free.
 	merged := NewLogHist()
 	for _, s := range shards {
-		merged.Merge(s)
+		merged.MergeDelta(s, NewLogHist())
 	}
 	if !reflect.DeepEqual(serial, merged) {
 		t.Fatalf("merged shards differ from serial histogram: %+v vs %+v", serial.Summary(), merged.Summary())
@@ -151,7 +154,7 @@ func TestLogHistMergeDeltaNoDoubleCount(t *testing.T) {
 			want.Record(v)
 		}
 		totals.MergeDelta(run, prev)
-		prev.CopyFrom(run)
+		prev.copyFrom(run)
 	}
 	if !reflect.DeepEqual(totals, want) {
 		t.Fatalf("delta-merged totals differ from direct recording: %+v vs %+v", totals.Summary(), want.Summary())
@@ -167,15 +170,15 @@ func TestLogHistMergeDeltaNoDoubleCount(t *testing.T) {
 func TestLogHistRecordN(t *testing.T) {
 	a, b := NewLogHist(), NewLogHist()
 	for _, v := range []int64{-7, 0, 3, 100, 1 << 22} {
-		a.RecordN(v, 13)
+		a.recordN(v, 13)
 		for i := 0; i < 13; i++ {
 			b.Record(v)
 		}
 	}
-	a.RecordN(42, 0)
-	a.RecordN(42, -5)
+	a.recordN(42, 0)
+	a.recordN(42, -5)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("RecordN differs from repeated Record: %+v vs %+v", a.Summary(), b.Summary())
+		t.Fatalf("recordN differs from repeated Record: %+v vs %+v", a.Summary(), b.Summary())
 	}
 }
 
@@ -186,7 +189,7 @@ func TestLogHistEmptyAndReset(t *testing.T) {
 	}
 	h.Record(9)
 	h.Reset()
-	if h.N() != 0 || h.Quantile(50) != 0 {
+	if h.N() != 0 || h.quantile(50) != 0 {
 		t.Fatal("reset did not empty the histogram")
 	}
 }
@@ -209,7 +212,7 @@ var (
 	longSamples  = []int64{-3, 2000, 1 << 20, -(1 << 12), 64, 1023}
 )
 
-// TestLogHistColumnsUnequalLengths pins Merge, MergeDelta and CopyFrom
+// TestLogHistColumnsUnequalLengths pins MergeDelta and copyFrom
 // between histograms whose columns have different lengths, in both
 // directions and with nil vs non-nil neg: every result is DeepEqual to
 // recording the same samples directly.
@@ -220,15 +223,15 @@ func TestLogHistColumnsUnequalLengths(t *testing.T) {
 		want := recorded(a, b)
 
 		merged := recorded(a)
-		merged.Merge(recorded(b))
+		merged.MergeDelta(recorded(b), NewLogHist())
 		if !reflect.DeepEqual(merged, want) {
-			t.Errorf("Merge %v into %v: %+v, want %+v", b, a, merged, want)
+			t.Errorf("MergeDelta of all of %v into %v: %+v, want %+v", b, a, merged, want)
 		}
 
 		// The run records a, is snapshotted into prev, then records b: prev's
 		// columns are shorter than the run's (or nil where the run's are not).
 		run, prev := recorded(a), NewLogHist()
-		prev.CopyFrom(run)
+		prev.copyFrom(run)
 		for _, v := range b {
 			run.Record(v)
 		}
@@ -238,18 +241,18 @@ func TestLogHistColumnsUnequalLengths(t *testing.T) {
 			t.Errorf("MergeDelta of %v after %v: %+v, want %+v", b, a, totals, want)
 		}
 
-		// CopyFrom into storage of the other length, then keep recording:
+		// copyFrom into storage of the other length, then keep recording:
 		// a stale tail left in the copy's storage would show up here.
 		cp := recorded(b)
-		cp.CopyFrom(recorded(a))
+		cp.copyFrom(recorded(a))
 		if !reflect.DeepEqual(cp, recorded(a)) {
-			t.Errorf("CopyFrom %v over %v: %+v, want %+v", a, b, cp, recorded(a))
+			t.Errorf("copyFrom %v over %v: %+v, want %+v", a, b, cp, recorded(a))
 		}
 		for _, v := range b {
 			cp.Record(v)
 		}
 		if !reflect.DeepEqual(cp, want) {
-			t.Errorf("recording %v after CopyFrom %v: %+v, want %+v", b, a, cp, want)
+			t.Errorf("recording %v after copyFrom %v: %+v, want %+v", b, a, cp, want)
 		}
 	}
 	if recorded(shortSamples).neg != nil {
@@ -261,10 +264,10 @@ func TestLogHistColumnsUnequalLengths(t *testing.T) {
 // leaves the copy unchanged.
 func TestLogHistCopyFromDoesNotAlias(t *testing.T) {
 	src, dst := recorded(longSamples), NewLogHist()
-	dst.CopyFrom(src)
+	dst.copyFrom(src)
 	before := dst.Summary()
 	for _, v := range longSamples {
-		src.RecordN(v, 1000)
+		src.recordN(v, 1000)
 	}
 	if got := dst.Summary(); got != before {
 		t.Fatalf("copy changed after recording into its source: %v, want %v", got, before)
@@ -297,7 +300,7 @@ func TestLogHistClampsIntoLastBucket(t *testing.T) {
 			t.Errorf("%s column: the clamped sample is not in the last bucket", name)
 		}
 	}
-	if h.Max() != histMaxValue+100 || h.Quantile(100) != histMaxValue+100 {
+	if h.Max() != histMaxValue+100 || h.quantile(100) != histMaxValue+100 {
 		t.Errorf("max not exact: %d", h.Max())
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"ppsim/internal/cell"
 )
 
-// DefaultSeriesCapacity bounds a series when the caller passes capacity <= 0.
-const DefaultSeriesCapacity = 1 << 16
+// defaultSeriesCapacity bounds a series when the caller passes capacity <= 0.
+const defaultSeriesCapacity = 1 << 16
 
 // Point is one sampled value of a time series.
 type Point struct {
@@ -47,13 +47,13 @@ type Series struct {
 }
 
 // NewSeries returns an empty series. stride < 1 is treated as 1 (sample
-// every slot); capacity <= 0 uses DefaultSeriesCapacity.
+// every slot); capacity <= 0 keeps the last 65 536 points.
 func NewSeries(name string, stride cell.Time, capacity int) *Series {
 	if stride < 1 {
 		stride = 1
 	}
 	if capacity <= 0 {
-		capacity = DefaultSeriesCapacity
+		capacity = defaultSeriesCapacity
 	}
 	return &Series{name: name, stride: stride, cap: capacity}
 }

@@ -120,7 +120,7 @@ func (t *Telemetry) ObserveDelays(cur, prev *DelaySet) {
 	t.mu.Lock()
 	t.delays.MergeDelta(cur, prev)
 	t.mu.Unlock()
-	prev.CopyFrom(cur)
+	prev.copyFrom(cur)
 }
 
 // TelemetrySnapshot is the frozen live state served as JSON by ppsim exp's

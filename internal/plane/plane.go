@@ -118,21 +118,6 @@ func (p *Plane) PopDeferred(j cell.Port) cell.Ref {
 	return p.queues[j].Pop()
 }
 
-// PopBatch removes up to max head refs for output j (all of them when
-// max < 0), appending to dst. The backlog counter is updated inline; use it
-// from single-goroutine contexts only.
-func (p *Plane) PopBatch(j cell.Port, max int, dst []cell.Ref) []cell.Ref {
-	q := &p.queues[j]
-	for !q.Empty() && max != 0 {
-		dst = append(dst, q.Pop())
-		p.total--
-		if max > 0 {
-			max--
-		}
-	}
-	return dst
-}
-
 // AddBacklogDelta adjusts the backlog counter by d (negative for pops taken
 // through PopDeferred). It must only be called from a single goroutine.
 func (p *Plane) AddBacklogDelta(d int) { p.total += d }

@@ -111,33 +111,6 @@ func TestPeakQueue(t *testing.T) {
 	}
 }
 
-func TestPopBatch(t *testing.T) {
-	b := newBank(0, 2)
-	for i := uint64(0); i < 6; i++ {
-		b.enqueue(mk(i, 1))
-	}
-	refs := b.p.PopBatch(1, 4, nil)
-	if len(refs) != 4 {
-		t.Fatalf("PopBatch(max=4) returned %d refs", len(refs))
-	}
-	for i, r := range refs {
-		if got := b.s.At(r).Seq; got != uint64(i) {
-			t.Errorf("batch[%d].Seq = %d, want %d", i, got, i)
-		}
-	}
-	if b.p.Backlog() != 2 || b.p.QueueLen(1) != 2 {
-		t.Errorf("Backlog = %d, QueueLen = %d after batch", b.p.Backlog(), b.p.QueueLen(1))
-	}
-	// max < 0 drains the rest; appending to the same dst keeps FIFO order.
-	refs = b.p.PopBatch(1, -1, refs)
-	if len(refs) != 6 || b.p.Backlog() != 0 {
-		t.Fatalf("full drain: %d refs, backlog %d", len(refs), b.p.Backlog())
-	}
-	if got := b.s.At(refs[5]).Seq; got != 5 {
-		t.Errorf("last batch ref Seq = %d, want 5", got)
-	}
-}
-
 func TestNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -152,12 +152,6 @@ func (s *Switch) QueueLen(j cell.Port) int { return s.queues[j].Len() }
 // Drained reports whether every queue is empty.
 func (s *Switch) Drained() bool { return s.arrived == s.departed }
 
-// Arrived reports the total number of cells accepted so far.
-func (s *Switch) Arrived() uint64 { return s.arrived }
-
-// Departed reports the total number of cells emitted so far.
-func (s *Switch) Departed() uint64 { return s.departed }
-
 // Oracle predicts FCFS output-queued departure times without running a full
 // switch. It is the bookkeeping the centralized CPA algorithm performs: the
 // departure slot of a cell arriving at slot t for output j is

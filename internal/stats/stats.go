@@ -53,21 +53,6 @@ func (s *Summary) Mean() float64 {
 	return float64(s.sum) / float64(len(s.samples))
 }
 
-// Stddev returns the population standard deviation, or 0 when empty.
-func (s *Summary) Stddev() float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var acc float64
-	for _, v := range s.samples {
-		d := float64(v) - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(n))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using the
 // nearest-rank method, or 0 when empty.
 func (s *Summary) Percentile(p float64) int64 {

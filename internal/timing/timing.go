@@ -25,17 +25,10 @@ type Gate struct {
 	freeAt    cell.Time // first slot at which the gate may be seized again
 }
 
-// NewGate returns a gate that is busy for hold slots per transmission.
-// It panics if hold < 1.
-func NewGate(hold int64) *Gate {
-	g := &Gate{}
-	g.Init(hold)
-	return g
-}
-
-// Init (re)initializes the gate in place; used by Matrix to lay gates out
-// contiguously. It panics if hold < 1.
-func (g *Gate) Init(hold int64) {
+// init (re)initializes the gate in place, busy for hold slots per
+// transmission; Matrix lays its gates out contiguously. It panics if
+// hold < 1.
+func (g *Gate) init(hold int64) {
 	if hold < 1 {
 		panic("timing: gate hold must be >= 1 slot")
 	}
@@ -48,9 +41,6 @@ func (g *Gate) Free(t cell.Time) bool { return t >= g.freeAt }
 
 // FreeAt returns the earliest slot at which the gate may be seized.
 func (g *Gate) FreeAt() cell.Time { return g.freeAt }
-
-// Hold returns the per-transmission occupancy r' in slots.
-func (g *Gate) Hold() int64 { return g.holdSlots }
 
 // Seize marks the gate busy starting at slot t. It returns an error if the
 // gate is not free at t — the caller (the fabric) treats that as a rate
@@ -87,7 +77,7 @@ func NewMatrix(rows, cols int, hold int64) *Matrix {
 	}
 	m := &Matrix{rows: rows, cols: cols, gates: make([]Gate, rows*cols)}
 	for i := range m.gates {
-		m.gates[i].Init(hold)
+		m.gates[i].init(hold)
 	}
 	if cols <= 64 {
 		m.busy = make([]uint64, rows)
@@ -98,9 +88,6 @@ func NewMatrix(rows, cols int, hold int64) *Matrix {
 // Rows returns the row count.
 func (m *Matrix) Rows() int { return m.rows }
 
-// Cols returns the column count.
-func (m *Matrix) Cols() int { return m.cols }
-
 // Gate returns the gate at (row, col).
 func (m *Matrix) Gate(row, col int) *Gate {
 	if row < 0 || row >= m.rows || col < 0 || col >= m.cols {
@@ -108,9 +95,6 @@ func (m *Matrix) Gate(row, col int) *Gate {
 	}
 	return &m.gates[row*m.cols+col]
 }
-
-// Masked reports whether the matrix maintains per-row busy masks (cols <= 64).
-func (m *Matrix) Masked() bool { return m.busy != nil }
 
 // SeizeAt seizes gate (row, col) at slot t, keeping the row's busy mask (if
 // any) current. Callers that consult FreeColsMask must seize exclusively
@@ -126,10 +110,11 @@ func (m *Matrix) SeizeAt(row, col int, t cell.Time) error {
 }
 
 // FreeColsMask returns the bitmask of columns whose gate in the given row is
-// free at slot t. Only valid on a Masked matrix. Queries for a row must come
-// with non-decreasing t: busy bits whose gates have expired by t are cleared
-// as they are discovered, which keeps each call O(busy bits) — at most
-// hold-1 per row — but would mis-report a later query at an earlier slot.
+// free at slot t. Only valid on a matrix with cols <= 64. Queries for a row
+// must come with non-decreasing t: busy bits whose gates have expired by t
+// are cleared as they are discovered, which keeps each call O(busy bits) —
+// at most hold-1 per row — but would mis-report a later query at an earlier
+// slot.
 func (m *Matrix) FreeColsMask(row int, t cell.Time) uint64 {
 	if m.busy == nil {
 		panic("timing: FreeColsMask on an unmasked matrix (cols > 64)")
@@ -144,29 +129,4 @@ func (m *Matrix) FreeColsMask(row int, t cell.Time) uint64 {
 	}
 	m.busy[row] = b
 	return ^uint64(0) >> uint(64-m.cols) &^ b
-}
-
-// FreeCols returns the columns whose gate in the given row is free at t,
-// appended to dst (which may be nil). Demultiplexors use this to enumerate
-// the planes an input may legally dispatch to this slot.
-func (m *Matrix) FreeCols(row int, t cell.Time, dst []int) []int {
-	base := row * m.cols
-	for c := 0; c < m.cols; c++ {
-		if m.gates[base+c].Free(t) {
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}
-
-// CountFreeCols reports how many gates in the row are free at t.
-func (m *Matrix) CountFreeCols(row int, t cell.Time) int {
-	n := 0
-	base := row * m.cols
-	for c := 0; c < m.cols; c++ {
-		if m.gates[base+c].Free(t) {
-			n++
-		}
-	}
-	return n
 }

@@ -7,8 +7,14 @@ import (
 	"ppsim/internal/cell"
 )
 
+func newGate(hold int64) *Gate {
+	g := &Gate{}
+	g.init(hold)
+	return g
+}
+
 func TestGateSeizeAndFree(t *testing.T) {
-	g := NewGate(3)
+	g := newGate(3)
 	if !g.Free(0) {
 		t.Fatal("new gate should be free")
 	}
@@ -29,7 +35,7 @@ func TestGateSeizeAndFree(t *testing.T) {
 }
 
 func TestGateSeizeBusyErrors(t *testing.T) {
-	g := NewGate(2)
+	g := newGate(2)
 	if err := g.Seize(5); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +48,7 @@ func TestGateSeizeBusyErrors(t *testing.T) {
 }
 
 func TestGateHoldOne(t *testing.T) {
-	g := NewGate(1)
+	g := newGate(1)
 	for slot := cell.Time(0); slot < 5; slot++ {
 		if err := g.Seize(slot); err != nil {
 			t.Fatalf("hold-1 gate must allow back-to-back seizes: %v", err)
@@ -56,7 +62,7 @@ func TestGateBadHoldPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewGate(0)
+	newGate(0)
 }
 
 func TestMatrixIndependence(t *testing.T) {
@@ -77,18 +83,16 @@ func TestMatrixIndependence(t *testing.T) {
 
 func TestMatrixFreeCols(t *testing.T) {
 	m := NewMatrix(1, 4, 2)
-	m.Gate(0, 0).Seize(0)
-	m.Gate(0, 2).Seize(0)
-	got := m.FreeCols(0, 1, nil)
-	want := []int{1, 3}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("FreeCols = %v, want %v", got, want)
+	for _, c := range []int{0, 2} {
+		if err := m.SeizeAt(0, c, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if m.CountFreeCols(0, 1) != 2 {
-		t.Errorf("CountFreeCols = %d", m.CountFreeCols(0, 1))
+	if got := m.FreeColsMask(0, 1); got != 0b1010 {
+		t.Errorf("FreeColsMask at slot 1 = %#b, want 0b1010", got)
 	}
-	if m.CountFreeCols(0, 2) != 4 {
-		t.Errorf("all should be free at slot 2, got %d", m.CountFreeCols(0, 2))
+	if got := m.FreeColsMask(0, 2); got != 0b1111 {
+		t.Errorf("all should be free at slot 2, got %#b", got)
 	}
 }
 
@@ -108,7 +112,7 @@ func TestGateOccupancyWindow(t *testing.T) {
 	prop := func(holdRaw uint8, startRaw uint16) bool {
 		hold := int64(holdRaw%16) + 1
 		start := cell.Time(startRaw)
-		g := NewGate(hold)
+		g := newGate(hold)
 		if err := g.Seize(start); err != nil {
 			return false
 		}
@@ -129,7 +133,7 @@ func TestGateOccupancyWindow(t *testing.T) {
 func TestGateRateLimit(t *testing.T) {
 	prop := func(holdRaw uint8, tries []bool) bool {
 		hold := int64(holdRaw%8) + 1
-		g := NewGate(hold)
+		g := newGate(hold)
 		seizes := 0
 		slots := cell.Time(0)
 		for _, attempt := range tries {

@@ -94,12 +94,6 @@ func (v *Validator) Burstiness() int64 {
 	return v.maxIn
 }
 
-// InputBurstiness returns the input-side component of the burstiness.
-func (v *Validator) InputBurstiness() int64 { return v.maxIn }
-
-// OutputBurstiness returns the output-side component of the burstiness.
-func (v *Validator) OutputBurstiness() int64 { return v.maxOut }
-
 // inSwitch reports an arrival whose ports lie outside an n x n switch.
 func inSwitch(n int, a Arrival) error {
 	if int(a.In) < 0 || int(a.In) >= n || int(a.Out) < 0 || int(a.Out) >= n {

@@ -44,8 +44,8 @@ func TestValidatorBurstMeasured(t *testing.T) {
 	if v.Burstiness() != 2 {
 		t.Errorf("burstiness = %d, want 2", v.Burstiness())
 	}
-	if v.OutputBurstiness() != 2 || v.InputBurstiness() != 0 {
-		t.Errorf("in/out = %d/%d, want 0/2", v.InputBurstiness(), v.OutputBurstiness())
+	if v.maxOut != 2 || v.maxIn != 0 {
+		t.Errorf("in/out = %d/%d, want 0/2", v.maxIn, v.maxOut)
 	}
 }
 

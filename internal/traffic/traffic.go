@@ -155,17 +155,6 @@ func (tr *Trace) Count() int {
 	return n
 }
 
-// Shift returns a copy of the trace with every arrival delayed by d slots.
-func (tr *Trace) Shift(d cell.Time) *Trace {
-	out := NewTrace()
-	for _, t := range tr.keys {
-		for _, a := range tr.slots[t] {
-			out.MustAdd(t+d, a.In, a.Out)
-		}
-	}
-	return out
-}
-
 // Append merges other into tr, delaying other's arrivals by offset slots.
 // It returns an error on any per-input per-slot collision.
 func (tr *Trace) Append(other *Trace, offset cell.Time) error {

@@ -56,9 +56,12 @@ func TestTraceAddAndReplay(t *testing.T) {
 func TestTraceShiftAppend(t *testing.T) {
 	a := NewTrace()
 	a.MustAdd(0, 0, 1)
-	b := a.Shift(5)
+	b := NewTrace()
+	if err := b.Append(a, 5); err != nil {
+		t.Fatal(err)
+	}
 	if b.End() != 6 || len(b.Arrivals(5, nil)) != 1 {
-		t.Error("Shift misplaced arrivals")
+		t.Error("Append with offset misplaced arrivals")
 	}
 	if err := a.Append(b, 0); err != nil {
 		t.Fatal(err)
