@@ -8,16 +8,19 @@ import (
 // Ref is a 32-bit handle into a Store: the owning shard in the top bits and
 // the slot index within the shard's slab in the low bits (the split is
 // chosen per Store from its shard count). Queues and heaps hold Refs instead
-// of 64-byte Cell values, so moving a cell between stages copies four bytes
+// of 72-byte Cell values, so moving a cell between stages copies four bytes
 // and the cell body is written once, at dispatch, into a contiguous slab.
 type Ref uint32
 
 // Store is a columnar arena for in-flight cells. Cells live in per-shard
-// contiguous slabs; each shard has a LIFO freelist so the steady state
-// allocates nothing. Shards exist for the stage-parallel engine: a cell is
-// allocated in the serial dispatch phase into the shard owning its output,
-// and freed only by that shard's mux worker — allocation and free of one
-// shard never race, and the stage barrier orders them, so no atomics are
+// contiguous slabs, beside a link column of one Ref per slot that threads
+// the shard's LIFO freelist and every List (a plane queue) holding the
+// shard's refs: a slot is on at most one of them, so the steady state
+// allocates nothing and no queue owns memory of its own. Shards exist for
+// the stage-parallel engine: a cell is allocated in the serial dispatch
+// phase into the shard owning its output, and popped and freed only by that
+// shard's mux worker — the links of one shard are never written
+// concurrently, and the stage barrier orders the phases, so no atomics are
 // needed.
 //
 // A Store is not safe for concurrent use of the *same* shard; distinct
@@ -29,14 +32,37 @@ type Store struct {
 	shards  []storeShard
 }
 
-// storeShard is one slab + freelist. The trailing pad keeps the mutable
-// slice headers and live counter of adjacent shards on different cache
-// lines, since different workers write them concurrently.
+// storeShard is one slab, its link column and the freelist threaded
+// through it (free is the top slot when nfree > 0). The trailing pad keeps
+// the mutable fields of adjacent shards on different cache lines, since
+// different workers write them concurrently.
 type storeShard struct {
 	cells []Cell
-	free  []uint32
+	link  []Ref
+	free  Ref
+	nfree int32
 	live  int
 	_     [64]byte
+}
+
+// List is a FIFO of refs threaded through a Store's link column: 12 bytes,
+// and pushing or popping allocates nothing. The zero value is an empty
+// list. A ref is on at most one list at a time, and only while allocated.
+type List struct {
+	head, tail Ref
+	n          int32
+}
+
+// Len reports the number of refs on the list.
+func (l *List) Len() int { return int(l.n) }
+
+// Front returns the oldest ref without removing it; ok is false when the
+// list is empty.
+func (l *List) Front() (Ref, bool) {
+	if l.n == 0 {
+		return 0, false
+	}
+	return l.head, true
 }
 
 // NewStore returns a Store with the given shard count (>= 1). The Ref
@@ -56,25 +82,30 @@ func NewStore(shards int) *Store {
 	}
 }
 
-// Put writes c into shard sh and returns its Ref, reusing a freed slot when
-// one exists. It panics when the shard's index space is exhausted (2^idxBits
-// cells live at once — far beyond any switch backlog this repo simulates).
+// Put writes c into shard sh and returns its Ref, reusing the most recently
+// freed slot when one exists. It panics when the shard's index space is
+// exhausted (2^idxBits cells live at once — far beyond any switch backlog
+// this repo simulates).
 func (s *Store) Put(sh int, c Cell) Ref {
 	shard := &s.shards[sh]
-	var idx uint32
-	if n := len(shard.free); n > 0 {
-		idx = shard.free[n-1]
-		shard.free = shard.free[:n-1]
+	var r Ref
+	if shard.nfree > 0 {
+		r = shard.free
+		idx := uint32(r) & s.idxMask
+		shard.free = shard.link[idx]
+		shard.nfree--
 		shard.cells[idx] = c
 	} else {
-		idx = uint32(len(shard.cells))
+		idx := uint32(len(shard.cells))
 		if idx > s.idxMask {
 			panic(fmt.Sprintf("cell: store shard %d overflow (%d cells live)", sh, idx))
 		}
 		shard.cells = append(shard.cells, c)
+		shard.link = append(shard.link, 0)
+		r = Ref(uint32(sh)<<s.idxBits | idx)
 	}
 	shard.live++
-	return Ref(uint32(sh)<<s.idxBits | idx)
+	return r
 }
 
 // At returns a pointer to the cell r refers to. The pointer is valid until
@@ -84,12 +115,20 @@ func (s *Store) At(r Ref) *Cell {
 	return &s.shards[uint32(r)>>s.idxBits].cells[uint32(r)&s.idxMask]
 }
 
-// Free returns r's slot to its shard's freelist. Freeing a ref twice
-// corrupts the freelist; the fabric's conservation audit cross-checks
-// Live() against the structural cell counts to catch such bugs.
+// link returns r's entry in its shard's link column.
+func (s *Store) link(r Ref) *Ref {
+	return &s.shards[uint32(r)>>s.idxBits].link[uint32(r)&s.idxMask]
+}
+
+// Free pushes r's slot onto its shard's freelist. Freeing a ref twice, or
+// one still on a List, corrupts the links; the fabric's conservation audit
+// cross-checks Live() against the structural cell counts to catch such
+// bugs.
 func (s *Store) Free(r Ref) {
 	shard := &s.shards[uint32(r)>>s.idxBits]
-	shard.free = append(shard.free, uint32(r)&s.idxMask)
+	shard.link[uint32(r)&s.idxMask] = shard.free
+	shard.free = r
+	shard.nfree++
 	shard.live--
 }
 
@@ -98,6 +137,29 @@ func (s *Store) Take(r Ref) Cell {
 	c := *s.At(r)
 	s.Free(r)
 	return c
+}
+
+// PushBack appends the allocated ref r, which must be on no list, to l.
+func (s *Store) PushBack(l *List, r Ref) {
+	if l.n == 0 {
+		l.head = r
+	} else {
+		*s.link(l.tail) = r
+	}
+	l.tail = r
+	l.n++
+}
+
+// PopFront removes and returns l's oldest ref. It panics on an empty list
+// (reading from an empty switch queue is a scheduling bug).
+func (s *Store) PopFront(l *List) Ref {
+	if l.n == 0 {
+		panic("cell: PopFront on empty List")
+	}
+	r := l.head
+	l.head = *s.link(r)
+	l.n--
+	return r
 }
 
 // Live reports the number of refs currently allocated across all shards —

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -136,4 +137,123 @@ func TestStoreMatchesMapModel(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+func TestListPopFrontEmptyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	var l List
+	NewStore(1).PopFront(&l)
+}
+
+// FuzzStoreLists drives four Lists over a store of 1–4 shards with random
+// Put, PushBack, PopFront and Take operations, against a model of one
+// []Ref per list and one freed-slot stack per shard: every list pops in
+// FIFO order, Live counts the allocated refs, a Put reuses its shard's most
+// recently freed slot (LIFO), and no live cell is clobbered by the links
+// threading the lists and the freelists through the same column.
+func FuzzStoreLists(f *testing.F) {
+	f.Add(byte(0), []byte{0, 0, 0, 0, 1, 0, 1, 64, 2, 0, 2, 1, 3, 0, 0, 0})
+	f.Add(byte(3), []byte{0, 1, 0, 2, 0, 3, 1, 0, 1, 65, 1, 130, 3, 0, 2, 0, 2, 1, 0, 1, 1, 3})
+	rng := rand.New(rand.NewSource(1))
+	long := make([]byte, 2*2000)
+	rng.Read(long)
+	f.Add(byte(1), long)
+	f.Add(byte(2), long)
+	f.Fuzz(func(t *testing.T, shardsRaw byte, ops []byte) {
+		shards := 1 + int(shardsRaw)%4
+		s := NewStore(shards)
+		var lists [4]List
+		var model [4][]Ref
+		freed := make([][]Ref, shards) // per-shard model of the freelist
+		seqOf := map[Ref]uint64{}      // every allocated ref
+		var loose []Ref                // allocated refs on no list
+		seq := uint64(0)
+		shardOf := func(r Ref) int { return int(uint32(r) >> s.idxBits) }
+		for k := 0; k+1 < len(ops); k += 2 {
+			arg := int(ops[k+1])
+			switch ops[k] % 4 {
+			case 0: // Put
+				sh := arg % shards
+				seq++
+				r := s.Put(sh, storeCell(seq))
+				if _, dup := seqOf[r]; dup {
+					t.Fatalf("op %d: Put handed out live ref %v", k/2, r)
+				}
+				if st := freed[sh]; len(st) > 0 {
+					if want := st[len(st)-1]; r != want {
+						t.Fatalf("op %d: Put = %v, want the last freed slot %v", k/2, r, want)
+					}
+					freed[sh] = st[:len(st)-1]
+				}
+				if shardOf(r) != sh {
+					t.Fatalf("op %d: Put into shard %d returned %v of shard %d", k/2, sh, r, shardOf(r))
+				}
+				seqOf[r] = seq
+				loose = append(loose, r)
+			case 1: // PushBack a loose ref
+				if len(loose) == 0 {
+					continue
+				}
+				l, i := arg>>6, arg&63%len(loose)
+				r := loose[i]
+				loose[i] = loose[len(loose)-1]
+				loose = loose[:len(loose)-1]
+				s.PushBack(&lists[l], r)
+				model[l] = append(model[l], r)
+			case 2: // PopFront
+				l := arg % len(lists)
+				if len(model[l]) == 0 {
+					if _, ok := lists[l].Front(); ok {
+						t.Fatalf("op %d: empty list %d reports a front", k/2, l)
+					}
+					continue
+				}
+				want := model[l][0]
+				if r, ok := lists[l].Front(); !ok || r != want {
+					t.Fatalf("op %d: list %d Front = %v, %v, want %v", k/2, l, r, ok, want)
+				}
+				if r := s.PopFront(&lists[l]); r != want {
+					t.Fatalf("op %d: list %d PopFront = %v, want %v", k/2, l, r, want)
+				}
+				model[l] = model[l][1:]
+				loose = append(loose, want)
+			case 3: // Take a loose ref
+				if len(loose) == 0 {
+					continue
+				}
+				i := arg % len(loose)
+				r := loose[i]
+				loose[i] = loose[len(loose)-1]
+				loose = loose[:len(loose)-1]
+				if c := s.Take(r); c.Seq != seqOf[r] {
+					t.Fatalf("op %d: Take(%v).Seq = %d, want %d", k/2, r, c.Seq, seqOf[r])
+				}
+				delete(seqOf, r)
+				freed[shardOf(r)] = append(freed[shardOf(r)], r)
+			}
+			if s.Live() != len(seqOf) {
+				t.Fatalf("op %d: Live = %d, want %d", k/2, s.Live(), len(seqOf))
+			}
+			for l := range lists {
+				if lists[l].Len() != len(model[l]) {
+					t.Fatalf("op %d: list %d Len = %d, want %d", k/2, l, lists[l].Len(), len(model[l]))
+				}
+			}
+		}
+		for l := range lists {
+			for _, want := range model[l] {
+				r := s.PopFront(&lists[l])
+				if r != want || s.At(r).Seq != seqOf[r] {
+					t.Fatalf("drain list %d: got %v (seq %d), want %v (seq %d)", l, r, s.At(r).Seq, want, seqOf[want])
+				}
+			}
+			if lists[l].Len() != 0 {
+				t.Fatalf("drained list %d still has Len %d", l, lists[l].Len())
+			}
+		}
+	})
 }

@@ -28,7 +28,7 @@ type wfqScheduler struct {
 	weights map[cell.Flow]float64
 	queues  map[cell.Flow]*queue.FIFO[wfqItem]
 	lastF   map[cell.Flow]float64
-	ready   *queue.Heap[wfqItem] // each backlogged flow's head, by (finish, Seq)
+	ready   queue.Heap[wfqItem] // each backlogged flow's head, by (finish, Seq)
 	// Virtual time state.
 	vtime      float64
 	vlast      cell.Time // real time of the last virtual-time update
@@ -48,14 +48,13 @@ func newWFQScheduler() *wfqScheduler {
 		weights:    make(map[cell.Flow]float64),
 		queues:     make(map[cell.Flow]*queue.FIFO[wfqItem]),
 		lastF:      make(map[cell.Flow]float64),
-		ready:      queue.NewHeap(earlierFinish),
 		backlogged: make(map[cell.Flow]bool),
 	}
 }
 
-// earlierFinish orders items by virtual finish time, ties by Seq: a total
-// order, so the service order does not depend on the heap's layout.
-func earlierFinish(a, b wfqItem) bool {
+// Less orders items by virtual finish time, ties by Seq: a total order, so
+// the service order does not depend on the heap's layout.
+func (a wfqItem) Less(b wfqItem) bool {
 	if a.finish != b.finish {
 		return a.finish < b.finish
 	}

@@ -68,3 +68,28 @@ func TestPerFlowStateSizedToFlows(t *testing.T) {
 		t.Logf("driving %d flows over %d slots allocated %.2f MiB", flows, slot, float64(got)/(1<<20))
 	}
 }
+
+// TestNewBytesPerPortPlane bounds what fabric.New allocates per (port,
+// plane) at N = 16384, K = 8, where the K·N plane queues and the 2·K·N
+// line gates are most of the fabric. A queue is a 12-byte cell.List and a
+// gate one 8-byte free-at slot: 64.6 B per (port, plane) on linux/amd64
+// with Go 1.24. Ring-buffer queue headers (40 B) and 16-byte gates put it
+// at 106.6 B and fail the guard.
+func TestNewBytesPerPortPlane(t *testing.T) {
+	const n, k, budget = 16384, 8, 72
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, err := New(Config{N: n, K: k, RPrime: 2}, rrFactory(demux.PerInput))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := float64(after.TotalAlloc-before.TotalAlloc) / (n * k)
+	if per > budget {
+		t.Errorf("fabric.New allocated %.1f B per (port, plane), budget %d B", per, budget)
+	} else {
+		t.Logf("fabric.New allocated %.1f B per (port, plane)", per)
+	}
+	runtime.KeepAlive(p)
+}

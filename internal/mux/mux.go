@@ -72,6 +72,10 @@ type Eager struct{}
 // Pull implements Policy: every eligible head is taken, in ascending plane
 // order, in a single batch.
 func (Eager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
+	if buf.heads == nil {
+		k := pv.Planes()
+		buf.heads, buf.refs = make([]Head, 0, k), make([]cell.Ref, 0, k)
+	}
 	heads := pv.Eligible(t, buf.heads[:0])
 	buf.heads = heads
 	if len(heads) == 0 {
@@ -102,6 +106,9 @@ type BoundedEager struct {
 func (p BoundedEager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 	if p.Max < 1 {
 		return fmt.Errorf("mux: bounded-eager budget must be >= 1, got %d", p.Max)
+	}
+	if buf.heads == nil {
+		buf.heads = make([]Head, 0, pv.Planes())
 	}
 	heads := pv.Eligible(t, buf.heads[:0])
 	buf.heads = heads
@@ -152,7 +159,7 @@ func (p BoundedEager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 type Buffer struct {
 	s *cell.Store
 
-	emittable *queue.Heap[entry]   // keyed by Seq (global FCFS); nil until the first Push
+	emittable queue.Heap[entry]    // keyed by Seq (global FCFS)
 	next      *cell.Column[uint64] // flow cursors: the next FlowSeq each flow may emit
 	byInput   bool                 // standalone: next is indexed by Flow.In, not FlowID-1
 	parked    queue.SeqTable       // (In, FlowSeq) -> ref of a cell waiting for its predecessor
@@ -166,7 +173,8 @@ type Buffer struct {
 	drops *queue.SeqTable
 
 	// heads and refs are the pull policies' per-slot scratch, owned by the
-	// buffer so policies stay stateless values.
+	// buffer so policies stay stateless values; sized to K on the first
+	// pull, since a slot surfaces at most one head per plane.
 	heads []Head
 	refs  []cell.Ref
 }
@@ -178,7 +186,8 @@ type entry struct {
 	ref cell.Ref
 }
 
-func byKey(a, b entry) bool { return a.key < b.key }
+// Less orders entries by global Seq.
+func (a entry) Less(b entry) bool { return a.key < b.key }
 
 // NewBuffer returns a standalone resequencing buffer for one output of an
 // n-port switch over store s.
@@ -209,9 +218,6 @@ func (b *Buffer) cursor(c *cell.Cell) *uint64 {
 
 // Push inserts a cell delivered by a plane at slot t, stamping AtOutput.
 func (b *Buffer) Push(t cell.Time, r cell.Ref) {
-	if b.emittable == nil {
-		b.emittable = queue.NewHeap(byKey)
-	}
 	c := b.s.At(r)
 	c.AtOutput = t
 	if c.FlowSeq == *b.cursor(c) {
@@ -230,9 +236,6 @@ func (b *Buffer) pushBatch(t cell.Time, refs []cell.Ref) {
 
 // Len reports the number of buffered cells (emittable and parked).
 func (b *Buffer) Len() int {
-	if b.emittable == nil {
-		return 0
-	}
 	return b.emittable.Len() + b.parked.Len()
 }
 
@@ -277,7 +280,7 @@ func (b *Buffer) advance(in cell.Port, next *uint64) {
 // ref back to the store); ok is false when every buffered cell is waiting
 // for a predecessor (or the buffer is empty).
 func (b *Buffer) PopEmittable() (cell.Cell, bool) {
-	if b.emittable == nil || b.emittable.Empty() {
+	if b.emittable.Empty() {
 		return cell.Cell{}, false
 	}
 	c := b.s.Take(b.emittable.Pop().ref)

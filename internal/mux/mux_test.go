@@ -363,9 +363,23 @@ func TestNewOutputNilStorePanics(t *testing.T) {
 	NewOutput(0, Eager{}, nil, 2)
 }
 
+func TestNewBufferZeroPortsPanics(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBuffer accepted n = %d", n)
+				}
+			}()
+			NewBuffer(cell.NewStore(1), n)
+		}()
+	}
+}
+
 // TestNewOutputsMatchesNewOutput: the slab holds, at index j, exactly the
 // output NewOutput(j, ...) builds except that its cursors live in the shared
-// column, and it panics on the same arguments and on a nil column.
+// column, and it panics on the same arguments, on a nil column and on zero
+// ports.
 func TestNewOutputsMatchesNewOutput(t *testing.T) {
 	const n = 5
 	s := cell.NewStore(1)
@@ -387,6 +401,7 @@ func TestNewOutputsMatchesNewOutput(t *testing.T) {
 	for name, build := range map[string]func(){
 		"nil policy": func() { NewOutputs(n, nil, s, &col) },
 		"nil column": func() { NewOutputs(n, Eager{}, s, nil) },
+		"zero ports": func() { NewOutputs(0, Eager{}, s, &col) },
 	} {
 		func() {
 			defer func() {

@@ -1,6 +1,7 @@
 package plane
 
 import (
+	"math/rand"
 	"testing"
 
 	"ppsim/internal/cell"
@@ -81,5 +82,54 @@ func TestRecoverRejoinsEmpty(t *testing.T) {
 	b.p.Recover()
 	if b.p.Failed() || b.p.Backlog() != 1 {
 		t.Error("no-op Recover perturbed the plane")
+	}
+}
+
+// TestFailDropOrderWithInterleavedPlanes fills two planes over one store
+// in a random interleaving, so their queues' links alternate through the
+// same link column, then fails one: its cells drain in ascending output
+// order, FIFO within each output, and the other plane's queues are intact.
+func TestFailDropOrderWithInterleavedPlanes(t *testing.T) {
+	const n = 5
+	s := cell.NewStore(1)
+	planes := [2]*Plane{New(0, n, s), New(1, n, s)}
+	var model [2][n][]uint64
+	rng := rand.New(rand.NewSource(5))
+	for seq := uint64(0); seq < 200; seq++ {
+		k, out := rng.Intn(2), rng.Intn(n)
+		if err := planes[k].Enqueue(s.Put(0, mk(seq, cell.Port(out)))); err != nil {
+			t.Fatal(err)
+		}
+		model[k][out] = append(model[k][out], seq)
+		if rng.Intn(4) == 0 { // free a departed cell, so Puts reuse slots
+			k, out := rng.Intn(2), rng.Intn(n)
+			if len(model[k][out]) > 0 {
+				s.Free(planes[k].Pop(cell.Port(out)))
+				model[k][out] = model[k][out][1:]
+			}
+		}
+	}
+	var want []uint64
+	for out := 0; out < n; out++ {
+		want = append(want, model[0][out]...)
+	}
+	dropped := planes[0].FailDrop(nil)
+	if len(dropped) != len(want) {
+		t.Fatalf("FailDrop returned %d cells, want %d", len(dropped), len(want))
+	}
+	for i, c := range dropped {
+		if c.Seq != want[i] {
+			t.Fatalf("dropped[%d].Seq = %d, want %d", i, c.Seq, want[i])
+		}
+	}
+	for out := 0; out < n; out++ {
+		for _, seq := range model[1][out] {
+			if c := s.Take(planes[1].Pop(cell.Port(out))); c.Seq != seq {
+				t.Fatalf("plane 1 output %d popped seq %d, want %d", out, c.Seq, seq)
+			}
+		}
+	}
+	if s.Live() != 0 || planes[1].Backlog() != 0 {
+		t.Errorf("Live = %d, plane 1 backlog = %d after draining", s.Live(), planes[1].Backlog())
 	}
 }

@@ -10,9 +10,9 @@
 // which "may be optimal" (remark after Lemma 4) — only on the fact that
 // cells are not dropped.
 //
-// Queues hold cell.Ref handles into the shared columnar cell.Store, not
-// cell values: pushing or popping moves four bytes, and the queue rings of
-// all K planes stay dense in cache.
+// Each queue is a 12-byte cell.List threaded through the shared columnar
+// cell.Store's link column: pushing or popping moves four bytes, and no
+// queue of the K·N ever allocates.
 //
 // A plane can be marked failed to exercise the fault-tolerance argument of
 // Section 3 (static plane partitioning amplifies the damage of a single
@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"ppsim/internal/cell"
-	"ppsim/internal/queue"
 )
 
 // Plane is one center-stage switch.
@@ -31,7 +30,7 @@ type Plane struct {
 	id     cell.Plane
 	n      int
 	s      *cell.Store
-	queues []queue.FIFO[cell.Ref]
+	queues []cell.List
 	total  int
 	failed bool
 	// peak tracks the largest per-output backlog ever observed; large
@@ -48,7 +47,7 @@ func New(id cell.Plane, n int, s *cell.Store) *Plane {
 	if s == nil {
 		panic("plane: nil cell store")
 	}
-	return &Plane{id: id, n: n, s: s, queues: make([]queue.FIFO[cell.Ref], n)}
+	return &Plane{id: id, n: n, s: s, queues: make([]cell.List, n)}
 }
 
 // ID returns the plane's index in the center stage.
@@ -71,7 +70,7 @@ func (p *Plane) Enqueue(r cell.Ref) error {
 	if j < 0 || j >= p.n {
 		return fmt.Errorf("plane %d: destination out of range: %v", p.id, *c)
 	}
-	p.queues[j].Push(r)
+	p.s.PushBack(&p.queues[j], r)
 	p.total++
 	if l := p.queues[j].Len(); l > p.peak {
 		p.peak = l
@@ -85,10 +84,7 @@ func (p *Plane) QueueLen(j cell.Port) int { return p.queues[j].Len() }
 // HeadRef returns the head ref for output j without removing it; ok is
 // false when the queue is empty.
 func (p *Plane) HeadRef(j cell.Port) (cell.Ref, bool) {
-	if p.queues[j].Empty() {
-		return 0, false
-	}
-	return p.queues[j].Peek(), true
+	return p.queues[j].Front()
 }
 
 // Head returns a copy of the head cell for output j (diagnostics and tests;
@@ -104,7 +100,7 @@ func (p *Plane) Head(j cell.Port) (cell.Cell, bool) {
 // Pop removes and returns the head ref for output j. It panics on an empty
 // queue (a multiplexor bug).
 func (p *Plane) Pop(j cell.Port) cell.Ref {
-	r := p.queues[j].Pop()
+	r := p.s.PopFront(&p.queues[j])
 	p.total--
 	return r
 }
@@ -115,7 +111,7 @@ func (p *Plane) Pop(j cell.Port) cell.Ref {
 // caller must reconcile the counter with AddBacklogDelta after its stage
 // barrier, before anything reads Backlog again.
 func (p *Plane) PopDeferred(j cell.Port) cell.Ref {
-	return p.queues[j].Pop()
+	return p.s.PopFront(&p.queues[j])
 }
 
 // AddBacklogDelta adjusts the backlog counter by d (negative for pops taken
@@ -142,8 +138,8 @@ func (p *Plane) FailDrop(dst []cell.Cell) []cell.Cell {
 	p.failed = true
 	for j := range p.queues {
 		q := &p.queues[j]
-		for !q.Empty() {
-			dst = append(dst, p.s.Take(q.Pop()))
+		for q.Len() > 0 {
+			dst = append(dst, p.s.Take(p.s.PopFront(q)))
 		}
 	}
 	p.total = 0

@@ -1,6 +1,7 @@
 package plane
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -156,5 +157,45 @@ func TestPerOutputOrder(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFirstPushAllocatesNothing pushes one ref into each of the K·N plane
+// queues of a store already warmed to K·N cells: a queue is a list threaded
+// through the store's link column, so no queue allocates on first use.
+func TestFirstPushAllocatesNothing(t *testing.T) {
+	const n, k = 64, 8
+	s := cell.NewStore(1)
+	refs := make([]cell.Ref, 0, n*k)
+	for i := 0; i < n*k; i++ {
+		refs = append(refs, s.Put(0, mk(uint64(i), 0)))
+	}
+	for _, r := range refs {
+		s.Free(r)
+	}
+	planes := make([]*Plane, k)
+	for i := range planes {
+		planes[i] = New(cell.Plane(i), n, s)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range planes {
+		for j := 0; j < n; j++ {
+			if err := p.Enqueue(s.Put(0, mk(uint64(j), cell.Port(j)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Errorf("first push into %d plane queues allocated %d times, want 0", n*k, got)
+	}
+	for _, p := range planes {
+		for j := 0; j < n; j++ {
+			s.Free(p.Pop(cell.Port(j)))
+		}
+	}
+	if s.Live() != 0 {
+		t.Errorf("Live = %d after draining", s.Live())
 	}
 }

@@ -1,22 +1,17 @@
 package queue
 
-// Heap is a binary min-heap with an explicit ordering function, backed by a
-// slice that keeps its capacity across Push/Pop cycles. It replaces
-// container/heap in the per-slot hot path: the standard library's interface
-// signature boxes every element into an interface{}, which costs one heap
-// allocation per Push and Pop of a value type like cell.Cell, while this
-// heap stores elements inline.
+// Heap is a binary min-heap ordered by its element type's Less method,
+// backed by a slice that keeps its capacity across Push/Pop cycles. It
+// replaces container/heap in the per-slot hot path: the standard library's
+// interface signature boxes every element into an interface{}, which costs
+// one heap allocation per Push and Pop of a value type like cell.Cell, while
+// this heap stores elements inline.
 //
-// The zero value is unusable — the ordering must be supplied via NewHeap.
-type Heap[T any] struct {
-	less func(a, b T) bool
-	buf  []T
-}
-
-// NewHeap returns an empty heap ordered by less (a strict weak ordering;
-// the minimum element under less is popped first).
-func NewHeap[T any](less func(a, b T) bool) *Heap[T] {
-	return &Heap[T]{less: less}
+// The zero value is an empty heap ready for use, so a Heap can be held by
+// value. Less must be a strict weak ordering; the minimum element is popped
+// first.
+type Heap[T interface{ Less(T) bool }] struct {
+	buf []T
 }
 
 // Len reports the number of elements held.
@@ -72,7 +67,7 @@ func (h *Heap[T]) Reset() {
 func (h *Heap[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.buf[i], h.buf[parent]) {
+		if !h.buf[i].Less(h.buf[parent]) {
 			return
 		}
 		h.buf[i], h.buf[parent] = h.buf[parent], h.buf[i]
@@ -88,10 +83,10 @@ func (h *Heap[T]) down(i int) {
 			return
 		}
 		min := l
-		if r := l + 1; r < n && h.less(h.buf[r], h.buf[l]) {
+		if r := l + 1; r < n && h.buf[r].Less(h.buf[l]) {
 			min = r
 		}
-		if !h.less(h.buf[min], h.buf[i]) {
+		if !h.buf[min].Less(h.buf[i]) {
 			return
 		}
 		h.buf[i], h.buf[min] = h.buf[min], h.buf[i]

@@ -6,20 +6,25 @@ import (
 	"testing"
 )
 
+// key is an int ordered ascending: the element type of the tests' heaps.
+type key int
+
+func (a key) Less(b key) bool { return a < b }
+
 func TestHeapOrdersElements(t *testing.T) {
-	h := NewHeap[int](func(a, b int) bool { return a < b })
+	h := &Heap[key]{}
 	rng := rand.New(rand.NewSource(7))
 	in := make([]int, 500)
 	for i := range in {
 		in[i] = rng.Intn(100)
-		h.Push(in[i])
+		h.Push(key(in[i]))
 	}
 	sort.Ints(in)
 	for i, want := range in {
-		if got := h.Peek(); got != want {
+		if got := h.Peek(); int(got) != want {
 			t.Fatalf("Peek #%d = %d, want %d", i, got, want)
 		}
-		if got := h.Pop(); got != want {
+		if got := h.Pop(); int(got) != want {
 			t.Fatalf("Pop #%d = %d, want %d", i, got, want)
 		}
 	}
@@ -29,17 +34,17 @@ func TestHeapOrdersElements(t *testing.T) {
 }
 
 func TestHeapInterleavedPushPop(t *testing.T) {
-	h := NewHeap[int](func(a, b int) bool { return a < b })
+	h := &Heap[key]{}
 	rng := rand.New(rand.NewSource(3))
 	var mirror []int
 	for op := 0; op < 5000; op++ {
 		if h.Len() == 0 || rng.Intn(3) != 0 {
 			v := rng.Intn(1000)
-			h.Push(v)
+			h.Push(key(v))
 			mirror = append(mirror, v)
 			sort.Ints(mirror)
 		} else {
-			if got := h.Pop(); got != mirror[0] {
+			if got := h.Pop(); int(got) != mirror[0] {
 				t.Fatalf("op %d: Pop = %d, want %d", op, got, mirror[0])
 			}
 			mirror = mirror[1:]
@@ -48,9 +53,9 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 }
 
 func TestHeapPanicsWhenEmpty(t *testing.T) {
-	for _, f := range []func(*Heap[int]){
-		func(h *Heap[int]) { h.Pop() },
-		func(h *Heap[int]) { h.Peek() },
+	for _, f := range []func(*Heap[key]){
+		func(h *Heap[key]) { h.Pop() },
+		func(h *Heap[key]) { h.Peek() },
 	} {
 		func() {
 			defer func() {
@@ -58,14 +63,14 @@ func TestHeapPanicsWhenEmpty(t *testing.T) {
 					t.Error("expected panic on empty heap")
 				}
 			}()
-			f(NewHeap[int](func(a, b int) bool { return a < b }))
+			f(&Heap[key]{})
 		}()
 	}
 }
 
 func TestHeapReset(t *testing.T) {
-	h := NewHeap[int](func(a, b int) bool { return a < b })
-	for i := 0; i < 10; i++ {
+	var h Heap[key] // the zero value is ready to use
+	for i := key(0); i < 10; i++ {
 		h.Push(i)
 	}
 	h.Reset()
@@ -81,15 +86,15 @@ func TestHeapReset(t *testing.T) {
 // TestHeapSteadyStateAllocs pins the hot-path property the mux relies on:
 // once warm, a Push/Pop cycle performs zero heap allocations.
 func TestHeapSteadyStateAllocs(t *testing.T) {
-	h := NewHeap[int](func(a, b int) bool { return a < b })
-	for i := 0; i < 64; i++ {
+	h := &Heap[key]{}
+	for i := key(0); i < 64; i++ {
 		h.Push(i)
 	}
 	for !h.Empty() {
 		h.Pop()
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
+		for i := key(0); i < 64; i++ {
 			h.Push(63 - i)
 		}
 		for !h.Empty() {

@@ -1,12 +1,14 @@
-// Package queue provides the FIFO queues used throughout the switch models:
-// the per-output queues of each plane, the shadow switch's output queues, the
-// PPS output-port reassembly buffers and the input-port buffers of the
-// buffered PPS variant.
+// Package queue provides the queue structures of the switch models: the
+// FIFO (the shadow switch's output queues, the crossbar and CIOQ virtual
+// output queues, the input-port buffers of the buffered PPS variant and the
+// regulator's per-input queues), the Heap that orders each PPS output's
+// emittable cells, and the SeqTable of its parked cells. The PPS plane
+// queues are not FIFOs: they are cell.Lists threaded through the cell store.
 //
-// The implementation is a growable ring buffer. Switch simulations enqueue
-// and dequeue on every time-slot, so avoiding per-operation allocation
-// dominates the engine's throughput (see BenchmarkAblationQueueImpl at the
-// repository root for the ablation against a naive slice-append queue).
+// The FIFO is a growable ring buffer. Switch simulations enqueue and dequeue
+// on every time-slot, so avoiding per-operation allocation dominates the
+// engine's throughput (BenchmarkAblationQueueImpl, in this package, is the
+// ablation against a naive slice-append queue).
 package queue
 
 // FIFO is a first-in first-out queue backed by a growable ring buffer.

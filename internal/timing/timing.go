@@ -18,44 +18,36 @@ import (
 	"ppsim/internal/cell"
 )
 
-// Gate is one internal line running at rate r = R/holdSlots. Seizing the
-// gate at slot t makes it busy for slots t .. t+holdSlots-1.
+// Gate is a view of one internal line of a Matrix, running at rate
+// r = R/hold. Seizing the gate at slot t makes it busy for slots
+// t .. t+hold-1. A Gate is a value: it points at the line's free-at slot in
+// its matrix, so copies seize the same line.
 type Gate struct {
-	holdSlots int64
-	freeAt    cell.Time // first slot at which the gate may be seized again
-}
-
-// init (re)initializes the gate in place, busy for hold slots per
-// transmission; Matrix lays its gates out contiguously. It panics if
-// hold < 1.
-func (g *Gate) init(hold int64) {
-	if hold < 1 {
-		panic("timing: gate hold must be >= 1 slot")
-	}
-	g.holdSlots = hold
-	g.freeAt = 0
+	hold   int64
+	freeAt *cell.Time // first slot at which the line may be seized again
 }
 
 // Free reports whether the gate may be seized at slot t.
-func (g *Gate) Free(t cell.Time) bool { return t >= g.freeAt }
+func (g Gate) Free(t cell.Time) bool { return t >= *g.freeAt }
 
 // FreeAt returns the earliest slot at which the gate may be seized.
-func (g *Gate) FreeAt() cell.Time { return g.freeAt }
+func (g Gate) FreeAt() cell.Time { return *g.freeAt }
 
 // Seize marks the gate busy starting at slot t. It returns an error if the
 // gate is not free at t — the caller (the fabric) treats that as a rate
 // constraint violation by the algorithm under test.
-func (g *Gate) Seize(t cell.Time) error {
+func (g Gate) Seize(t cell.Time) error {
 	if !g.Free(t) {
-		return fmt.Errorf("timing: gate seized at slot %d but busy until %d", t, g.freeAt)
+		return fmt.Errorf("timing: gate seized at slot %d but busy until %d", t, *g.freeAt)
 	}
-	g.freeAt = t + cell.Time(g.holdSlots)
+	*g.freeAt = t + cell.Time(g.hold)
 	return nil
 }
 
-// Matrix is a dense rows x cols bank of gates, all with the same hold time.
-// For the input side rows index input-ports and cols index planes; for the
-// output side rows index planes and cols index output-ports.
+// Matrix is a dense rows x cols bank of lines, all with the same hold time,
+// stored once: each line costs only its free-at slot. For the input side
+// rows index input-ports and cols index planes; for the output side rows
+// index planes and cols index output-ports.
 //
 // When cols <= 64 the matrix additionally keeps one busy bitmask per row, so
 // FreeColsMask answers "which columns may row r use at slot t" in O(busy)
@@ -65,20 +57,21 @@ func (g *Gate) Seize(t cell.Time) error {
 // SeizeAt (the fabric does this for the input-side matrix).
 type Matrix struct {
 	rows, cols int
-	gates      []Gate
+	hold       int64
+	freeAt     []cell.Time
 	busy       []uint64 // per-row over-approximation of busy cols; nil when cols > 64
 }
 
 // NewMatrix returns a rows x cols matrix of gates with the given hold.
-// It panics on non-positive dimensions.
+// It panics on non-positive dimensions or a hold below one slot.
 func NewMatrix(rows, cols int, hold int64) *Matrix {
 	if rows <= 0 || cols <= 0 {
 		panic("timing: matrix dimensions must be positive")
 	}
-	m := &Matrix{rows: rows, cols: cols, gates: make([]Gate, rows*cols)}
-	for i := range m.gates {
-		m.gates[i].init(hold)
+	if hold < 1 {
+		panic("timing: gate hold must be >= 1 slot")
 	}
+	m := &Matrix{rows: rows, cols: cols, hold: hold, freeAt: make([]cell.Time, rows*cols)}
 	if cols <= 64 {
 		m.busy = make([]uint64, rows)
 	}
@@ -89,11 +82,11 @@ func NewMatrix(rows, cols int, hold int64) *Matrix {
 func (m *Matrix) Rows() int { return m.rows }
 
 // Gate returns the gate at (row, col).
-func (m *Matrix) Gate(row, col int) *Gate {
+func (m *Matrix) Gate(row, col int) Gate {
 	if row < 0 || row >= m.rows || col < 0 || col >= m.cols {
 		panic(fmt.Sprintf("timing: gate (%d,%d) out of %dx%d matrix", row, col, m.rows, m.cols))
 	}
-	return &m.gates[row*m.cols+col]
+	return Gate{hold: m.hold, freeAt: &m.freeAt[row*m.cols+col]}
 }
 
 // SeizeAt seizes gate (row, col) at slot t, keeping the row's busy mask (if
@@ -123,7 +116,7 @@ func (m *Matrix) FreeColsMask(row int, t cell.Time) uint64 {
 	base := row * m.cols
 	for rem := b; rem != 0; rem &= rem - 1 {
 		c := bits.TrailingZeros64(rem)
-		if m.gates[base+c].Free(t) {
+		if t >= m.freeAt[base+c] {
 			b &^= 1 << uint(c)
 		}
 	}

@@ -7,11 +7,8 @@ import (
 	"ppsim/internal/cell"
 )
 
-func newGate(hold int64) *Gate {
-	g := &Gate{}
-	g.init(hold)
-	return g
-}
+// newGate returns the one line of a fresh 1x1 matrix.
+func newGate(hold int64) Gate { return NewMatrix(1, 1, hold).Gate(0, 0) }
 
 func TestGateSeizeAndFree(t *testing.T) {
 	g := newGate(3)
