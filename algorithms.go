@@ -19,8 +19,8 @@ import (
 //	random       uniform among free planes, fully distributed; Seed
 //	cpa          centralized CPA [14]: zero relative delay at S >= 2
 //	cpa-rotate   CPA with rotating tie-break (ablation)
-//	cpa-sets     independent AIL/AOL-set formulation of CPA, kept for
-//	             differential testing against cpa
+//	cpa-sets     cpa under the name of its AIL/AOL-set formulation, which
+//	             makes the same choices
 //	stale-cpa    u-RT dispatch on u-slot-stale global information
 //	             (Theorem 10); U
 //	stale-cpa-randtie  stale-cpa with randomized tie-breaking (E19

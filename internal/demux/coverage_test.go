@@ -21,6 +21,8 @@ func TestNamesAndBufferedContracts(t *testing.T) {
 		{func() (Algorithm, error) { return NewRandom(e, 1) }, "random", false},
 		{func() (Algorithm, error) { return NewLocalLeastLoaded(e) }, "local-least-loaded", false},
 		{func() (Algorithm, error) { return NewCPA(e, MinAvail) }, "cpa", false},
+		{func() (Algorithm, error) { return NewCPA(e, RotateTie) }, "cpa-rotate", false},
+		{func() (Algorithm, error) { return NewCPASets(e) }, "cpa-sets", false},
 		{func() (Algorithm, error) { return NewStaleCPA(e, 2) }, "stale-cpa-u2", false},
 		{func() (Algorithm, error) { return NewFTD(e, 2) }, "ftd-h2", false},
 		{func() (Algorithm, error) { return NewBufferedCPA(e, 3, MinAvail) }, "buffered-cpa-u3", true},

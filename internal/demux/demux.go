@@ -112,8 +112,8 @@ type Env interface {
 }
 
 // MaxPlanes is the widest center stage the simulator supports: plane sets
-// are one-word bitmasks everywhere (Env.FreeGateMask, planeBuckets,
-// linkBuckets), and fabric.Config.Validate rejects anything wider.
+// are one-word bitmasks everywhere (Env.FreeGateMask, planeBuckets), and
+// fabric.Config.Validate rejects anything wider.
 const MaxPlanes = 64
 
 // EventKind discriminates global log entries.
@@ -217,7 +217,12 @@ func (l *Log) compact() {
 // and allow = every plane, the input constraint leaves at most r'-1 gates
 // busy; the fabric still checks).
 func pickFree(env Env, in cell.Port, t cell.Time, start cell.Plane, allow uint64) cell.Plane {
-	m := env.FreeGateMask(in, t) & allow
+	return cyclicFirst(env.FreeGateMask(in, t)&allow, start)
+}
+
+// cyclicFirst returns the first plane of m in cyclic order from start: its
+// lowest set bit at or above start, else its lowest set bit, else NoPlane.
+func cyclicFirst(m uint64, start cell.Plane) cell.Plane {
 	if m == 0 {
 		return cell.NoPlane
 	}

@@ -18,18 +18,19 @@ import (
 // universality check). No amount of local cleverness escapes the
 // Omega((R/r - 1) N) bound; only global information does.
 //
-// Selection is O(1) amortized per cell: the per-flow counters live in a
-// planeBuckets structure whose bucket scan reproduces the lowest-index
-// argmin of an O(K) counter scan exactly (DESIGN.md §15), and the free-gate
-// set is one Env.FreeGateMask call. The structures are held by value in one
-// paged cell.Column indexed by the flow's id - 1 in a cell.FlowIndex, and
-// their slices are cut from fixed-size slabs; neither ever moves, so a new
-// flow costs no heap object of its own and no copy of the others.
+// Selection is O(1) amortized per cell: each flow's planes are bucketed by
+// dispatch count in a planeBuckets structure, whose first bucket meeting
+// the free-gate mask reproduces the lowest-index argmin of an O(K) count
+// scan exactly (DESIGN.md §15), and the free-gate set is one
+// Env.FreeGateMask call. The structures are held by value in one paged
+// cell.Column indexed by the flow's id - 1 in a cell.FlowIndex, and their
+// slices are cut from fixed-size slabs; neither ever moves, so a new flow
+// costs no heap object of its own and no copy of the others.
 type LocalLeastLoaded struct {
 	sendScratch
 	env   Env
 	ids   *cell.FlowIndex
-	flows cell.Column[planeBuckets] // flow id - 1 → counters and buckets
+	flows cell.Column[planeBuckets] // flow id - 1 → planes by dispatch count
 	slab  []uint64                  // unused tail of the current storage slab
 }
 
@@ -60,11 +61,11 @@ func (a *LocalLeastLoaded) Slot(t cell.Time, arrivals []cell.Cell) ([]Send, erro
 	sends := a.take()
 	for _, c := range arrivals {
 		pb := a.flowBuckets(c.Flow)
-		best := pb.argmin(a.env.FreeGateMask(c.Flow.In, t))
+		best, n := pb.first(a.env.FreeGateMask(c.Flow.In, t))
 		if best == cell.NoPlane {
 			return nil, fmt.Errorf("demux: least-loaded input %d has no free gate at slot %d", c.Flow.In, t)
 		}
-		pb.inc(best)
+		pb.move(best, n, n+1)
 		sends = append(sends, Send{Cell: c, Plane: best})
 	}
 	return a.keep(sends), nil
@@ -76,13 +77,12 @@ func (a *LocalLeastLoaded) flowBuckets(f cell.Flow) *planeBuckets {
 	if id := int(a.ids.ID(f)); id <= a.flows.Len() {
 		return a.flows.At(id - 1)
 	}
-	k := a.env.Planes()
-	w := planeBucketWords(k)
+	const w = 2 * bucketInline
 	if len(a.slab) < w {
 		a.slab = make([]uint64, bucketSlabFlows*w)
 	}
 	pb := a.flows.Grow()
-	pb.init(k, a.slab[:w:w])
+	pb.init(a.env.Planes(), a.slab[:w:w])
 	a.slab = a.slab[w:]
 	return pb
 }
@@ -98,5 +98,6 @@ func (a *LocalLeastLoaded) WouldChoose(in, out cell.Port) (cell.Plane, bool) {
 	if !ok {
 		return 0, true
 	}
-	return a.flows.At(int(id) - 1).argmin(^uint64(0)), true
+	p, _ := a.flows.At(int(id) - 1).first(^uint64(0))
+	return p, true
 }

@@ -6,89 +6,99 @@ import (
 	"ppsim/internal/cell"
 )
 
-// planeBuckets is the incremental bucketed-counter argmin over per-plane
-// dispatch counts: planes are grouped by counter value
-// into ascending buckets, each bucket a (value, plane-bitmask) pair, so
-// "least-loaded free plane, lowest index on ties" is answered by scanning
-// buckets from the front and taking the lowest set bit of bits & freeMask —
-// exactly the plane the O(K) scan `if counts[p] < counts[best]` picks,
-// because buckets ascend by value and the lowest set bit is the lowest
-// index within a value class.
+// planeBuckets groups planes by a per-plane key into ascending buckets,
+// each a (key, plane-bitmask) pair; every plane is in exactly one bucket.
+// "Least key among the planes in a mask, lowest index on ties" is then the
+// lowest set bit of the first bucket meeting the mask — exactly the plane
+// the O(K) scan `if key[p] < key[best]` over ascending p picks, because
+// buckets ascend by key and the lowest set bit is the lowest index within
+// a key class (DESIGN.md §15).
 //
-// inc moves one plane from its bucket to the value-above bucket. Because a
-// counter only ever grows by one, the target bucket is adjacent (or created
-// in place), so the slice juggling is O(distinct values touched) — O(1)
-// amortized over a run, and in the common saturated state (all counts within
-// one of each other) exactly two buckets exist.
+// Least-loaded keys a flow's planes by dispatch count; CPA keys an
+// output's planes by the next-free slot of their (plane, output) line.
+// Both only ever move a plane to a larger key, so the bucket juggling is
+// O(distinct keys touched) per cell, O(1) amortized.
 //
-// The three slices are cut from caller-provided storage (init), so a table
-// of flows can keep its structures by value over shared slabs: vals and
-// bits start with room for bucketInline buckets each, and a flow that ever
-// holds more distinct counter values spills to the heap through append.
+// vals and bits are cut from caller-provided storage (init), so a table of
+// structures can be held by value over shared slabs. A structure holding
+// more distinct keys than its storage has room for spills to the heap
+// through append; the three-index slices keep it off its neighbours.
 type planeBuckets struct {
-	count []uint64 // per-plane dispatch counters (the scan's counts slice)
-	vals  []uint64 // ascending distinct counter values present
-	bits  []uint64 // bits[i] = planes whose counter equals vals[i]; never 0
+	vals []uint64 // ascending distinct keys present
+	bits []uint64 // bits[i] = planes whose key is vals[i]; never 0
 }
 
-// bucketInline is the bucket capacity a planeBuckets gets from its storage
-// before spilling; the saturated steady state needs two.
+// bucketInline is the bucket capacity of a least-loaded flow's storage;
+// the saturated steady state needs two.
 const bucketInline = 4
 
-// planeBucketWords is the storage init takes for k planes.
-func planeBucketWords(k int) int { return k + 2*bucketInline }
-
-// init sets up the structure for k planes, all counters zero, over words
-// (zeroed, planeBucketWords(k) long). k must be in (0, 64].
+// init sets up the structure for k planes, every key zero, over words
+// (zeroed, even length): half holds keys, half plane sets. k must be in
+// (0, 64].
 func (b *planeBuckets) init(k int, words []uint64) {
-	b.count = words[:k:k]
-	b.vals = words[k : k+1 : k+bucketInline]
-	b.bits = words[k+bucketInline : k+bucketInline+1 : k+2*bucketInline]
+	c := len(words) / 2
+	b.vals = words[:1:c]
+	b.bits = words[c : c+1 : 2*c]
 	b.bits[0] = ^uint64(0) >> uint(64-k)
 }
 
-// argmin returns the lowest-indexed plane among those in mask with the
-// minimal counter, or cell.NoPlane when mask selects no plane.
-func (b *planeBuckets) argmin(mask uint64) cell.Plane {
-	for _, bm := range b.bits {
+// first returns the lowest-indexed plane among those in mask with the
+// least key, and that key; cell.NoPlane when mask selects no plane.
+func (b *planeBuckets) first(mask uint64) (cell.Plane, uint64) {
+	for i, bm := range b.bits {
 		if hit := bm & mask; hit != 0 {
-			return cell.Plane(bits.TrailingZeros64(hit))
+			return cell.Plane(bits.TrailingZeros64(hit)), b.vals[i]
 		}
 	}
-	return cell.NoPlane
+	return cell.NoPlane, 0
 }
 
-// inc advances plane p's counter by one, relocating its bucket bit.
-func (b *planeBuckets) inc(p cell.Plane) {
-	c := b.count[p]
-	b.count[p] = c + 1
+// clamp raises every key below t to t, merging their buckets into one front
+// bucket. The merge is what keeps first's tie-break right: planes whose
+// keys differ but clamp equal form one class, whose lowest index may sit
+// in a later raw-key bucket. Amortized O(1): a bucket is merged at most
+// once per creation.
+func (b *planeBuckets) clamp(t uint64) {
+	if b.vals[0] >= t {
+		return
+	}
+	m := 0
+	var acc uint64
+	for m < len(b.vals) && b.vals[m] <= t {
+		acc |= b.bits[m]
+		m++
+	}
+	b.vals[m-1], b.bits[m-1] = t, acc
+	if m > 1 {
+		b.vals = append(b.vals[:0], b.vals[m-1:]...)
+		b.bits = append(b.bits[:0], b.bits[m-1:]...)
+	}
+}
+
+// move changes plane p's key from `from` to `to`, which must be larger.
+func (b *planeBuckets) move(p cell.Plane, from, to uint64) {
 	i := 0
-	for b.vals[i] != c {
+	for b.vals[i] != from {
 		i++
 	}
 	bit := uint64(1) << uint(p)
-	next := i + 1
 	if b.bits[i] == bit {
-		// p was the bucket's last plane: absorb into an adjacent c+1 bucket,
-		// or just relabel this one in place.
-		if next < len(b.vals) && b.vals[next] == c+1 {
-			b.bits[next] |= bit
-			b.vals = append(b.vals[:i], b.vals[next:]...)
-			b.bits = append(b.bits[:i], b.bits[next:]...)
-		} else {
-			b.vals[i] = c + 1
-		}
-		return
+		b.vals = append(b.vals[:i], b.vals[i+1:]...)
+		b.bits = append(b.bits[:i], b.bits[i+1:]...)
+	} else {
+		b.bits[i] &^= bit
+		i++
 	}
-	b.bits[i] &^= bit
-	if next < len(b.vals) && b.vals[next] == c+1 {
-		b.bits[next] |= bit
+	for i < len(b.vals) && b.vals[i] < to {
+		i++
+	}
+	if i < len(b.vals) && b.vals[i] == to {
+		b.bits[i] |= bit
 		return
 	}
 	b.vals = append(b.vals, 0)
 	b.bits = append(b.bits, 0)
-	copy(b.vals[next+1:], b.vals[next:])
-	copy(b.bits[next+1:], b.bits[next:])
-	b.vals[next] = c + 1
-	b.bits[next] = bit
+	copy(b.vals[i+1:], b.vals[i:])
+	copy(b.bits[i+1:], b.bits[i:])
+	b.vals[i], b.bits[i] = to, bit
 }

@@ -2,6 +2,7 @@ package demux
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,16 +10,41 @@ import (
 	"ppsim/internal/cell"
 )
 
-// newPlaneBuckets returns the structure for k planes over storage of its own.
+// newPlaneBuckets returns the structure for k planes over storage of its
+// own, with a least-loaded flow's inline capacity.
 func newPlaneBuckets(k int) *planeBuckets {
 	b := &planeBuckets{}
-	b.init(k, make([]uint64, planeBucketWords(k)))
+	b.init(k, make([]uint64, 2*bucketInline))
 	return b
 }
 
-// TestPlaneBucketsMatchScan pins the bucketed argmin to the historical
-// counter scan: for random masks and increment sequences, argmin(mask) must
-// return exactly the plane `counts[p] < counts[best]` over ascending p picks.
+// keysOf checks the bucket invariants — keys strictly ascending, plane sets
+// nonempty, disjoint and covering the k planes — and reads every plane's
+// key back from its bucket.
+func keysOf(t *testing.T, b *planeBuckets, k int) []uint64 {
+	t.Helper()
+	keys := make([]uint64, k)
+	var seen uint64
+	for i, bm := range b.bits {
+		if bm == 0 || seen&bm != 0 || (i > 0 && b.vals[i-1] >= b.vals[i]) {
+			t.Fatalf("malformed buckets: vals %v bits %#x", b.vals, b.bits)
+		}
+		seen |= bm
+		for ; bm != 0; bm &= bm - 1 {
+			keys[bits.TrailingZeros64(bm)] = b.vals[i]
+		}
+	}
+	if seen != ^uint64(0)>>uint(64-k) {
+		t.Fatalf("buckets hold planes %#x, want all %d", seen, k)
+	}
+	return keys
+}
+
+// TestPlaneBucketsMatchScan pins least-loaded's use of the buckets to the
+// historical counter scan: for random masks and increment sequences,
+// first(mask) must return exactly the plane `counts[p] < counts[best]` over
+// ascending p picks, and its count, and the keys read back from the buckets
+// must equal the counters.
 func TestPlaneBucketsMatchScan(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 8, 32, 64} {
 		rng := rand.New(rand.NewSource(int64(k)))
@@ -39,12 +65,15 @@ func TestPlaneBucketsMatchScan(t *testing.T) {
 					want = cell.Plane(p)
 				}
 			}
-			got := pb.argmin(mask)
+			got, n := pb.first(mask)
 			if got != want {
-				t.Fatalf("k=%d step %d: argmin(%#x) = %d, scan says %d (counts %v)", k, step, mask, got, want, counts)
+				t.Fatalf("k=%d step %d: first(%#x) = %d, scan says %d (counts %v)", k, step, mask, got, want, counts)
 			}
 			if got == cell.NoPlane {
 				continue
+			}
+			if n != counts[got] {
+				t.Fatalf("k=%d step %d: first(%#x) keys plane %d at %d, counter is %d", k, step, mask, got, n, counts[got])
 			}
 			// Mostly advance the chosen plane (the production pattern), but
 			// sometimes a random one, to diversify the bucket shapes.
@@ -52,54 +81,62 @@ func TestPlaneBucketsMatchScan(t *testing.T) {
 			if step%11 == 0 {
 				p = cell.Plane(rng.Intn(k))
 			}
-			pb.inc(p)
+			pb.move(p, counts[p], counts[p]+1)
 			counts[p]++
-			if !reflect.DeepEqual(pb.count, counts) {
-				t.Fatalf("k=%d step %d: bucket counters diverged: %v vs %v", k, step, pb.count, counts)
+			if keys := keysOf(t, pb, k); !reflect.DeepEqual(keys, counts) {
+				t.Fatalf("k=%d step %d: bucket keys diverged: %v vs %v", k, step, keys, counts)
 			}
 		}
 	}
 }
 
-// TestLinkBucketsMatchScan pins linkBuckets to the clamped-argmin scan the
-// cpa-sets wide path performs: choose must return the plane in mask whose
-// max(next, t) is earliest with lowest-index ties (including planes whose
-// raw next differs but clamps equal — the merge-on-clamp case).
+// TestLinkBucketsMatchScan pins CPA's use of the buckets — clamp to the
+// slot, first over the free mask, move by a hold — to the clamped-argmin
+// scan: first must return the plane in mask whose max(next, t) is earliest
+// with lowest-index ties (including planes whose raw next differs but
+// clamps equal — the merge-on-clamp case), over CPA's K-bucket storage.
 func TestLinkBucketsMatchScan(t *testing.T) {
 	for _, k := range []int{1, 2, 8, 64} {
 		rng := rand.New(rand.NewSource(int64(100 + k)))
-		lb := newLinkBuckets(k)
-		next := make([]cell.Time, k)
+		var lb planeBuckets
+		lb.init(k, make([]uint64, 2*k))
+		next := make([]uint64, k)
 		full := ^uint64(0) >> uint(64-k)
-		now := cell.Time(0)
+		now := uint64(0)
 		for step := 0; step < 5000; step++ {
-			now += cell.Time(rng.Intn(3))
+			now += uint64(rng.Intn(3))
 			mask := rng.Uint64() & full
 			if mask == 0 {
 				mask = full
 			}
 			want := cell.NoPlane
-			var wantNext cell.Time
+			var wantNext uint64
 			for p := 0; p < k; p++ {
 				if mask&(1<<uint(p)) == 0 {
 					continue
 				}
-				nx := next[p]
-				if nx < now {
-					nx = now
-				}
+				nx := max(next[p], now)
 				if want == cell.NoPlane || nx < wantNext {
 					want, wantNext = cell.Plane(p), nx
 				}
 			}
-			gotP, gotNext := lb.choose(mask, now)
+			lb.clamp(now)
+			gotP, gotNext := lb.first(mask)
 			if gotP != want || gotNext != wantNext {
-				t.Fatalf("k=%d step %d t=%d: choose(%#x) = (%d, %d), scan says (%d, %d); next %v",
+				t.Fatalf("k=%d step %d t=%d: first(%#x) = (%d, %d), scan says (%d, %d); next %v",
 					k, step, now, mask, gotP, gotNext, want, wantNext, next)
 			}
-			hold := gotNext + cell.Time(1+rng.Intn(4))
+			hold := gotNext + uint64(1+rng.Intn(4))
 			lb.move(gotP, gotNext, hold)
 			next[gotP] = hold
+			for p, key := range keysOf(t, &lb, k) {
+				if key != max(next[p], now) {
+					t.Fatalf("k=%d step %d t=%d: plane %d keyed %d, clamped scan says %d", k, step, now, p, key, max(next[p], now))
+				}
+			}
+			if cap(lb.vals) != k || cap(lb.bits) != k {
+				t.Fatalf("k=%d step %d: %d buckets spilled out of K-bucket storage", k, step, len(lb.vals))
+			}
 		}
 	}
 }
@@ -215,7 +252,8 @@ func BenchmarkPlaneArgmin(b *testing.B) {
 			pb := newPlaneBuckets(k)
 			full := ^uint64(0) >> uint(64-k)
 			for i := 0; i < b.N; i++ {
-				pb.inc(pb.argmin(full))
+				p, n := pb.first(full)
+				pb.move(p, n, n+1)
 			}
 		})
 	}

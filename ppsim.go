@@ -149,7 +149,9 @@ func Run(cfg Config, src Source, opts Options) (Result, error) {
 }
 
 // Compare runs the same finite source through one switch per algorithm and
-// returns the results keyed by algorithm name, for side-by-side tables.
+// returns the results keyed by the name each algorithm reports, for
+// side-by-side tables. Two algorithms that report the same name (two
+// random seeds, say) are an error, not a silently overwritten result.
 func Compare(cfg Config, algs []Algorithm, src *Trace, opts Options) (map[string]Result, error) {
 	out := make(map[string]Result, len(algs))
 	for _, a := range algs {
@@ -158,6 +160,9 @@ func Compare(cfg Config, algs []Algorithm, src *Trace, opts Options) (map[string
 		res, err := Run(c, src, opts)
 		if err != nil {
 			return nil, fmt.Errorf("ppsim: algorithm %q: %w", a.Name, err)
+		}
+		if _, dup := out[res.AlgorithmName]; dup {
+			return nil, fmt.Errorf("ppsim: algorithm %q reports the name %q of an earlier one; Compare keys results by name", a.Name, res.AlgorithmName)
 		}
 		out[res.AlgorithmName] = res
 	}

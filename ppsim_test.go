@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -196,6 +197,69 @@ func TestCompare(t *testing.T) {
 	if res["rr"].Report.MaxRQD <= res["cpa"].Report.MaxRQD {
 		t.Errorf("rr should lose to cpa under concentration: %d vs %d",
 			res["rr"].Report.MaxRQD, res["cpa"].Report.MaxRQD)
+	}
+}
+
+// TestCompareKeepsEveryCPAVariant runs the three CPA-family names and
+// least-loaded side by side: each must come back under its own key.
+func TestCompareKeepsEveryCPAVariant(t *testing.T) {
+	cfg := ppsim.Config{N: 6, K: 6, RPrime: 2}
+	tr, err := ppsim.ConcentrationTrace(6, 6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ppsim.Compare(cfg, []ppsim.Algorithm{
+		{Name: "cpa"}, {Name: "cpa-rotate"}, {Name: "cpa-sets"}, {Name: "least-loaded"},
+	}, tr, ppsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range res {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if want := []string{"cpa", "cpa-rotate", "cpa-sets", "local-least-loaded"}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("Compare keys = %v, want %v", keys, want)
+	}
+}
+
+// TestCompareRejectsNameCollision: two random seeds report one name, so
+// Compare must refuse rather than keep only the last result.
+func TestCompareRejectsNameCollision(t *testing.T) {
+	cfg := ppsim.Config{N: 6, K: 6, RPrime: 2}
+	tr, err := ppsim.ConcentrationTrace(6, 6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ppsim.Compare(cfg, []ppsim.Algorithm{{Name: "random", Seed: 1}, {Name: "random", Seed: 2}}, tr, ppsim.Options{})
+	if err == nil || !strings.Contains(err.Error(), `reports the name "random"`) {
+		t.Errorf("Compare of two random seeds = %d results, error %v; want a name-collision error", len(res), err)
+	}
+}
+
+// TestAlgorithmDocListsRegistry holds the name table in the doc comment of
+// Algorithm (algorithms.go) to AlgorithmNames: one line per registered
+// name, and no line for a name the registry does not know.
+func TestAlgorithmDocListsRegistry(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "algorithms.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if g, ok := n.(*ast.GenDecl); ok && g.Tok == token.TYPE && g.Specs[0].(*ast.TypeSpec).Name.Name == "Algorithm" {
+			doc = g.Doc.Text()
+		}
+		return doc == ""
+	})
+	var documented []string
+	for _, m := range regexp.MustCompile(`(?m)^\t(\S+) `).FindAllStringSubmatch(doc, -1) {
+		documented = append(documented, m[1])
+	}
+	sort.Strings(documented)
+	if names := ppsim.AlgorithmNames(); !reflect.DeepEqual(documented, names) {
+		t.Errorf("Algorithm's doc comment documents %v, the registry holds %v", documented, names)
 	}
 }
 
