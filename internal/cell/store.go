@@ -14,14 +14,14 @@ type Ref uint32
 
 // Store is a columnar arena for in-flight cells. Cells live in per-shard
 // contiguous slabs, beside a link column of one Ref per slot that threads
-// the shard's LIFO freelist and every List (a plane queue) holding the
-// shard's refs: a slot is on at most one of them, so the steady state
-// allocates nothing and no queue owns memory of its own. Shards exist for
-// the stage-parallel engine: a cell is allocated in the serial dispatch
-// phase into the shard owning its output, and popped and freed only by that
-// shard's mux worker — the links of one shard are never written
-// concurrently, and the stage barrier orders the phases, so no atomics are
-// needed.
+// the shard's LIFO freelist, every List (a plane queue) and every Ring (a
+// resequencer's parked cells of one flow) holding the shard's refs: a slot
+// is on at most one of them, so the steady state allocates nothing and no
+// queue owns memory of its own. Shards exist for the stage-parallel engine:
+// a cell is allocated in the serial dispatch phase into the shard owning
+// its output, and popped and freed only by that shard's mux worker — the
+// links of one shard are never written concurrently, and the stage barrier
+// orders the phases, so no atomics are needed.
 //
 // A Store is not safe for concurrent use of the *same* shard; distinct
 // shards may be used concurrently (each field below is only written under
@@ -65,6 +65,14 @@ func (l *List) Front() (Ref, bool) {
 	return l.head, true
 }
 
+// Ring is a circular list of refs threaded through a Store's link column,
+// kept sorted by the cells' FlowSeq: 4 bytes, and inserting or popping
+// allocates nothing. It holds the tail ref + 1, 0 meaning empty, and the
+// tail links to the head; Put never hands out the all-ones ref, so no live
+// tail reads as empty. The zero value is an empty ring. A ref is on at most
+// one ring or List at a time, and only while allocated.
+type Ring uint32
+
 // NewStore returns a Store with the given shard count (>= 1). The Ref
 // encoding reserves ceil(log2(shards)) top bits for the shard, leaving the
 // rest for the per-shard index; with one shard the full 32 bits index the
@@ -84,8 +92,9 @@ func NewStore(shards int) *Store {
 
 // Put writes c into shard sh and returns its Ref, reusing the most recently
 // freed slot when one exists. It panics when the shard's index space is
-// exhausted (2^idxBits cells live at once — far beyond any switch backlog
-// this repo simulates).
+// exhausted (2^idxBits - 1 cells live at once — far beyond any switch
+// backlog this repo simulates): the all-ones index is never handed out, so
+// the all-ones ref, which would collide with an empty Ring, is never live.
 func (s *Store) Put(sh int, c Cell) Ref {
 	shard := &s.shards[sh]
 	var r Ref
@@ -97,7 +106,7 @@ func (s *Store) Put(sh int, c Cell) Ref {
 		shard.cells[idx] = c
 	} else {
 		idx := uint32(len(shard.cells))
-		if idx > s.idxMask {
+		if idx >= s.idxMask {
 			panic(fmt.Sprintf("cell: store shard %d overflow (%d cells live)", sh, idx))
 		}
 		shard.cells = append(shard.cells, c)
@@ -160,6 +169,58 @@ func (s *Store) PopFront(l *List) Ref {
 	l.head = *s.link(r)
 	l.n--
 	return r
+}
+
+// RingInsert adds the allocated ref r, which must be on no list or ring, to
+// g in FlowSeq order. A cell whose FlowSeq is above the tail's, the common
+// case, is appended in O(1); otherwise the walk starts at the head.
+func (s *Store) RingInsert(g *Ring, r Ref) {
+	if *g == 0 {
+		*s.link(r) = r
+		*g = Ring(r + 1)
+		return
+	}
+	tail := Ref(*g - 1)
+	fs := s.At(r).FlowSeq
+	if fs > s.At(tail).FlowSeq {
+		*s.link(r) = *s.link(tail)
+		*s.link(tail) = r
+		*g = Ring(r + 1)
+		return
+	}
+	// fs <= the tail's FlowSeq, so the walk stops at the tail at the latest.
+	prev := tail
+	cur := *s.link(tail)
+	for s.At(cur).FlowSeq < fs {
+		prev, cur = cur, *s.link(cur)
+	}
+	*s.link(r) = cur
+	*s.link(prev) = r
+}
+
+// RingFront returns the ref with the lowest FlowSeq without removing it; ok
+// is false when the ring is empty.
+func (s *Store) RingFront(g *Ring) (Ref, bool) {
+	if *g == 0 {
+		return 0, false
+	}
+	return *s.link(Ref(*g - 1)), true
+}
+
+// RingPop removes and returns the ref with the lowest FlowSeq. It panics on
+// an empty ring.
+func (s *Store) RingPop(g *Ring) Ref {
+	if *g == 0 {
+		panic("cell: RingPop on empty Ring")
+	}
+	tail := Ref(*g - 1)
+	head := *s.link(tail)
+	if head == tail {
+		*g = 0
+	} else {
+		*s.link(tail) = *s.link(head)
+	}
+	return head
 }
 
 // Live reports the number of refs currently allocated across all shards —

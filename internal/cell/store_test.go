@@ -2,6 +2,7 @@ package cell
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -149,12 +150,42 @@ func TestListPopFrontEmptyPanics(t *testing.T) {
 	NewStore(1).PopFront(&l)
 }
 
-// FuzzStoreLists drives four Lists over a store of 1–4 shards with random
-// Put, PushBack, PopFront and Take operations, against a model of one
-// []Ref per list and one freed-slot stack per shard: every list pops in
-// FIFO order, Live counts the allocated refs, a Put reuses its shard's most
+func TestRingPopEmptyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	var g Ring
+	NewStore(1).RingPop(&g)
+}
+
+// TestPutNeverHandsOutAllOnes: an empty Ring is the tail ref + 1 wrapping
+// to 0, so the all-ones ref must never be live. A store whose index space
+// is three bits wide hands out indices 0..6 and panics on the eighth Put.
+func TestPutNeverHandsOutAllOnes(t *testing.T) {
+	s := &Store{idxBits: 3, idxMask: 7, shards: make([]storeShard, 1)}
+	for i := 0; i < 7; i++ {
+		if r := s.Put(0, storeCell(uint64(i))); uint32(r) == s.idxMask {
+			t.Fatalf("Put %d handed out the all-ones index %v", i, r)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Put handed out the all-ones index instead of panicking")
+		}
+	}()
+	s.Put(0, storeCell(7))
+}
+
+// FuzzStoreLists drives four Lists and two Rings over a store of 1–4 shards
+// with random Put, PushBack, PopFront, RingInsert, RingPop and Take
+// operations, against a model of one []Ref per list, one FlowSeq-sorted
+// []Ref per ring and one freed-slot stack per shard: every list pops in
+// FIFO order, every ring in FlowSeq order (a new cell goes before any it
+// ties with), Live counts the allocated refs, a Put reuses its shard's most
 // recently freed slot (LIFO), and no live cell is clobbered by the links
-// threading the lists and the freelists through the same column.
+// threading the lists, the rings and the freelists through the same column.
 func FuzzStoreLists(f *testing.F) {
 	f.Add(byte(0), []byte{0, 0, 0, 0, 1, 0, 1, 64, 2, 0, 2, 1, 3, 0, 0, 0})
 	f.Add(byte(3), []byte{0, 1, 0, 2, 0, 3, 1, 0, 1, 65, 1, 130, 3, 0, 2, 0, 2, 1, 0, 1, 1, 3})
@@ -163,11 +194,16 @@ func FuzzStoreLists(f *testing.F) {
 	rng.Read(long)
 	f.Add(byte(1), long)
 	f.Add(byte(2), long)
+	// One ring built by an append, a middle insert and a head insert, with a
+	// List and the freelist threaded through the same column.
+	f.Add(byte(0), []byte{0, 0, 4, 10, 0, 0, 4, 14, 0, 0, 4, 12, 0, 0, 4, 2, 0, 0, 1, 0, 0, 0, 3, 0, 5, 0, 5, 0, 5, 1})
 	f.Fuzz(func(t *testing.T, shardsRaw byte, ops []byte) {
 		shards := 1 + int(shardsRaw)%4
 		s := NewStore(shards)
 		var lists [4]List
 		var model [4][]Ref
+		var rings [2]Ring
+		var ringModel [2][]Ref         // ascending FlowSeq
 		freed := make([][]Ref, shards) // per-shard model of the freelist
 		seqOf := map[Ref]uint64{}      // every allocated ref
 		var loose []Ref                // allocated refs on no list
@@ -175,7 +211,7 @@ func FuzzStoreLists(f *testing.F) {
 		shardOf := func(r Ref) int { return int(uint32(r) >> s.idxBits) }
 		for k := 0; k+1 < len(ops); k += 2 {
 			arg := int(ops[k+1])
-			switch ops[k] % 4 {
+			switch ops[k] % 6 {
 			case 0: // Put
 				sh := arg % shards
 				seq++
@@ -234,6 +270,35 @@ func FuzzStoreLists(f *testing.F) {
 				}
 				delete(seqOf, r)
 				freed[shardOf(r)] = append(freed[shardOf(r)], r)
+			case 4: // RingInsert the newest loose ref with FlowSeq arg>>1
+				if len(loose) == 0 {
+					continue
+				}
+				g, fs := arg&1, uint64(arg>>1)
+				r := loose[len(loose)-1]
+				loose = loose[:len(loose)-1]
+				s.At(r).FlowSeq = fs
+				s.RingInsert(&rings[g], r)
+				m := ringModel[g]
+				i := sort.Search(len(m), func(i int) bool { return s.At(m[i]).FlowSeq >= fs })
+				ringModel[g] = append(m[:i], append([]Ref{r}, m[i:]...)...)
+			case 5: // RingPop
+				g := arg & 1
+				if len(ringModel[g]) == 0 {
+					if _, ok := s.RingFront(&rings[g]); ok || rings[g] != 0 {
+						t.Fatalf("op %d: empty ring %d reports a front", k/2, g)
+					}
+					continue
+				}
+				want := ringModel[g][0]
+				if r, ok := s.RingFront(&rings[g]); !ok || r != want {
+					t.Fatalf("op %d: ring %d RingFront = %v, %v, want %v", k/2, g, r, ok, want)
+				}
+				if r := s.RingPop(&rings[g]); r != want {
+					t.Fatalf("op %d: ring %d RingPop = %v, want %v", k/2, g, r, want)
+				}
+				ringModel[g] = ringModel[g][1:]
+				loose = append(loose, want)
 			}
 			if s.Live() != len(seqOf) {
 				t.Fatalf("op %d: Live = %d, want %d", k/2, s.Live(), len(seqOf))
@@ -242,6 +307,22 @@ func FuzzStoreLists(f *testing.F) {
 				if lists[l].Len() != len(model[l]) {
 					t.Fatalf("op %d: list %d Len = %d, want %d", k/2, l, lists[l].Len(), len(model[l]))
 				}
+			}
+			for g := range rings {
+				if (rings[g] == 0) != (len(ringModel[g]) == 0) {
+					t.Fatalf("op %d: ring %d = %d, model holds %d", k/2, g, rings[g], len(ringModel[g]))
+				}
+			}
+		}
+		for g := range rings {
+			for _, want := range ringModel[g] {
+				r := s.RingPop(&rings[g])
+				if r != want || s.At(r).Seq != seqOf[r] {
+					t.Fatalf("drain ring %d: got %v (seq %d), want %v (seq %d)", g, r, s.At(r).Seq, want, seqOf[want])
+				}
+			}
+			if rings[g] != 0 {
+				t.Fatalf("drained ring %d is not empty", g)
 			}
 		}
 		for l := range lists {

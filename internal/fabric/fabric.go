@@ -156,13 +156,14 @@ type PPS struct {
 	// lastFlowSeq is the order referee's per-flow record, indexed by
 	// FlowID-1: 0 = flow unseen, else the last departed FlowSeq + 1.
 	// flowNext is the output resequencers' shared cursor column
-	// (mux.NewOutputs), indexed the same way. beginSlot grows both to cover
-	// every arrival's FlowID in the serial prologue, so they hold one word
-	// per flow the run carries, and a flow — which departs only at its own
+	// (mux.NewOutputs), indexed the same way: each flow's next FlowSeq and
+	// its ring of parked cells. beginSlot grows both to cover every
+	// arrival's FlowID in the serial prologue, so they hold one word per
+	// flow the run carries, and a flow — which departs only at its own
 	// output — has its entries written by exactly one mux shard, in pages
 	// that never move.
 	lastFlowSeq cell.Column[uint64]
-	flowNext    cell.Column[uint64]
+	flowNext    cell.Column[mux.Cursor]
 
 	// faults applies the configured schedule; nil when the schedule is
 	// empty, so fault-free runs pay nothing.
@@ -233,7 +234,7 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 		seenStamp:          make([]cell.Time, cfg.N),
 		lastSlot:           -1,
 		lastFlowSeq:        cell.NewColumn[uint64](cfg.N * cfg.N),
-		flowNext:           cell.NewColumn[uint64](cfg.N * cfg.N),
+		flowNext:           cell.NewColumn[mux.Cursor](cfg.N * cfg.N),
 		dispatchedPerPlane: make([]uint64, cfg.K),
 		pullsPerOut:        make([]int64, cfg.N),
 		queuedPerOut:       make([]int, cfg.N),
@@ -264,7 +265,7 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 	for k := 0; k < cfg.K; k++ {
 		p.planes = append(p.planes, plane.New(cell.Plane(k), cfg.N, p.store))
 	}
-	p.outputs = mux.NewOutputs(cfg.N, cfg.Mux, p.store, &p.flowNext)
+	p.outputs = mux.NewOutputs(cfg.N, cfg.Mux, p.store, &p.flowNext, p.outShard)
 	p.pviews = make([]planeView, cfg.N)
 	for j := range p.pviews {
 		p.pviews[j] = planeView{p: p, j: cell.Port(j)}

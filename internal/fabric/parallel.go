@@ -13,9 +13,11 @@
 //   - In stage 4, output j touches only row j of the departure scratch,
 //     column j of the output-gate matrix, the per-output queues of each
 //     plane (pops deferred from the shared backlog counter), its own
-//     mux.Output, its own columnar-store shard (frees), pullsPerOut[j] and
-//     the lastFlowSeq and flowNext entries of its own flows (both columns
-//     are grown in the serial prologue, never by a shard). Outputs are
+//     mux.Output, its own columnar-store shard (frees, and the links of
+//     its flows' parked rings), the pull scratch its shard's outputs share
+//     (stepped one after another by the shard's worker), pullsPerOut[j]
+//     and the lastFlowSeq and flowNext entries of its own flows (both
+//     columns are grown in the serial prologue, never by a shard). Outputs are
 //     therefore independent within a slot, and
 //     running them in any order yields the same per-output outcome as the
 //     serial j-ascending loop.

@@ -69,6 +69,40 @@ func TestRefereeCatchesGateViolation(t *testing.T) {
 	}
 }
 
+// TestDeadPlaneSendHoldsInputLine: under DropCount a send into a failed
+// plane is a drop, not an error, but the input still drove the cell down
+// its line (input, plane), which stays busy for r' slots. A second send on
+// that line inside the window is an input-constraint violation, dead plane
+// or not: a demultiplexor must not gain line capacity by aiming at a
+// failed plane.
+func TestDeadPlaneSendHoldsInputLine(t *testing.T) {
+	factory := rogueFactory(func(demux.Env) func(cell.Time, []cell.Cell) ([]demux.Send, error) {
+		return func(_ cell.Time, arrivals []cell.Cell) ([]demux.Send, error) {
+			var out []demux.Send
+			for _, c := range arrivals {
+				out = append(out, demux.Send{Cell: c, Plane: 1})
+			}
+			return out, nil
+		}
+	}, nil)
+	p, err := New(Config{N: 2, K: 2, RPrime: 2, CheckInvariants: true, FaultPolicy: faults.DropCount}, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Plane(1).Fail()
+	st := cell.NewStamper()
+	if err := stepOne(t, p, 0, st.Stamp(cell.Flow{In: 0, Out: 0}, 0)); err != nil {
+		t.Fatalf("a send into the dead plane is a drop: %v", err)
+	}
+	if p.Dropped() != 1 {
+		t.Fatalf("dropped %d cells, want 1", p.Dropped())
+	}
+	err = stepOne(t, p, 1, st.Stamp(cell.Flow{In: 0, Out: 1}, 1))
+	if err == nil || !strings.Contains(err.Error(), "input constraint") {
+		t.Errorf("reusing the held line to the dead plane must be caught: %v", err)
+	}
+}
+
 func TestRefereeCatchesNonexistentPlane(t *testing.T) {
 	factory := rogueFactory(func(demux.Env) func(cell.Time, []cell.Cell) ([]demux.Send, error) {
 		return func(_ cell.Time, arrivals []cell.Cell) ([]demux.Send, error) {

@@ -206,8 +206,9 @@ func (s *slotStepper) attachTelemetry() {
 // columns (stamper counters, order referee, resequencer cursors, recorder
 // records) allocate one page per 4096 new flows, a few allocations over the
 // whole window, which testing.AllocsPerRun's integer division truncates to
-// zero; the resequencer's parked-cell tables are sized by the parked
-// population, which the warm-up reaches.
+// zero; parked cells wait on rings threaded through the cell store, whose
+// slabs, like the emittable heaps, are sized by the population the warm-up
+// reaches.
 func TestSteadyStateSlotAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations; guard only meaningful on plain builds")

@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkAblationParked is the DESIGN.md §5 ablation of the parked-cell
-// structure: Buffer's one (In, FlowSeq) table per output against the
-// per-flow sorted slices of refBuffer. The churn is on/off-shaped: each
+// structure: Buffer's per-flow rings threaded through the cell store's
+// link column against the per-flow sorted slices of refBuffer. The churn is on/off-shaped: each
 // step a fresh input's burst reaches the output with its head cell late,
 // so the rest of the burst parks; the head of the burst from `standing`
 // steps ago then lands and that burst drains. Inputs rotate over all n
@@ -46,8 +46,8 @@ func BenchmarkAblationParked(b *testing.B) {
 			step(2*n + i)
 		}
 	}
-	b.Run("table", func(b *testing.B) {
-		buf, push, _ := testBuffer(n)
+	b.Run("rings", func(b *testing.B) {
+		buf, push, _, _ := testBuffer(n)
 		run(b, push, buf.PopEmittable)
 	})
 	b.Run("per-flow-slices", func(b *testing.B) {

@@ -54,8 +54,9 @@ func (repeatedPull) Name() string { return "repeated-pull" }
 
 func (repeatedPull) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 	for {
-		heads := pv.Eligible(t, buf.heads[:0])
-		buf.heads = heads
+		sc := buf.scratch(pv)
+		sc.heads = pv.Eligible(t, sc.heads[:0])
+		heads := sc.heads
 		if len(heads) == 0 {
 			return nil
 		}
@@ -106,8 +107,9 @@ func (p rescanBounded) Name() string { return "rescan-bounded" }
 
 func (p rescanBounded) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 	for pulled := 0; pulled < p.Max; pulled++ {
-		heads := pv.Eligible(t, buf.heads[:0])
-		buf.heads = heads
+		sc := buf.scratch(pv)
+		sc.heads = pv.Eligible(t, sc.heads[:0])
+		heads := sc.heads
 		best := -1
 		for i := range heads {
 			if best < 0 || heads[i].Seq < heads[best].Seq {

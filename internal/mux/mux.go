@@ -72,20 +72,18 @@ type Eager struct{}
 // Pull implements Policy: every eligible head is taken, in ascending plane
 // order, in a single batch.
 func (Eager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
-	if buf.heads == nil {
-		k := pv.Planes()
-		buf.heads, buf.refs = make([]Head, 0, k), make([]cell.Ref, 0, k)
-	}
-	heads := pv.Eligible(t, buf.heads[:0])
-	buf.heads = heads
-	if len(heads) == 0 {
+	sc := buf.scratch(pv)
+	sc.heads = pv.Eligible(t, sc.heads[:0])
+	if len(sc.heads) == 0 {
 		return nil
 	}
-	refs, err := pv.PullBatch(t, heads, buf.refs[:0])
-	buf.refs = refs
+	var err error
+	sc.refs, err = pv.PullBatch(t, sc.heads, sc.refs[:0])
 	// Push whatever was taken even on error, so every popped cell is
 	// accounted in the buffer before the violation aborts the run.
-	buf.pushBatch(t, refs)
+	for _, r := range sc.refs {
+		buf.Push(t, r)
+	}
 	return err
 }
 
@@ -107,11 +105,9 @@ func (p BoundedEager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 	if p.Max < 1 {
 		return fmt.Errorf("mux: bounded-eager budget must be >= 1, got %d", p.Max)
 	}
-	if buf.heads == nil {
-		buf.heads = make([]Head, 0, pv.Planes())
-	}
-	heads := pv.Eligible(t, buf.heads[:0])
-	buf.heads = heads
+	sc := buf.scratch(pv)
+	sc.heads = pv.Eligible(t, sc.heads[:0])
+	heads := sc.heads
 	for pulled := 0; pulled < p.Max; pulled++ {
 		best := -1
 		for i := range heads {
@@ -144,39 +140,71 @@ func (p BoundedEager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 // waiting this induces is genuine resequencing delay and is charged to the
 // PPS, as the paper's relative-delay accounting requires.
 //
-// Every flow that can reach an output shares that output, so parked cells
-// are keyed by the input-port alone. The only question ever asked of them is
-// "is (in, FlowSeq) here?", a point lookup: they live in one hash table per
-// output, and so do the dropped FlowSeqs the flow must step over.
-//
-// Each flow's cursor — the next FlowSeq it may emit — lives in a
-// cell.Column. The fabric's outputs share one column indexed by FlowID-1
-// (NewOutputs), so the cursors cost one word per flow the run carries. A
-// standalone buffer (NewBuffer, NewOutput) owns an n-entry column indexed by
-// the input-port instead: its flows are exactly one per input, and a
-// FlowID-indexed column of its own would be sized to the whole switch's flow
-// count.
+// Each flow's resequencing state is one 8-byte Cursor in a cell.Column: the
+// next FlowSeq the flow may emit, and a cell.Ring of its parked cells
+// sorted by FlowSeq, threaded through the store's link column (a parked
+// cell is on no plane queue and not free, so its link slot is unused). The
+// fabric's outputs share one column indexed by FlowID-1 (NewOutputs), so
+// the resequencers cost one 8-byte word per flow the run carries and
+// allocate nothing to park. A standalone buffer (NewBuffer, NewOutput) owns
+// an n-entry column indexed by the input-port instead: its flows are
+// exactly one per input, and a FlowID-indexed column of its own would be
+// sized to the whole switch's flow count.
 type Buffer struct {
 	s *cell.Store
 
 	emittable queue.Heap[entry]    // keyed by Seq (global FCFS)
-	next      *cell.Column[uint64] // flow cursors: the next FlowSeq each flow may emit
+	next      *cell.Column[Cursor] // flow cursors and parked rings
 	byInput   bool                 // standalone: next is indexed by Flow.In, not FlowID-1
-	parked    queue.SeqTable       // (In, FlowSeq) -> ref of a cell waiting for its predecessor
-	// drops holds the (In, FlowSeq) keys the fabric reported dropped ahead
-	// of the flow's frontier (failed planes, DropCount policy): a parked
-	// cell must not wait forever for a predecessor that will never be
-	// delivered. A record waits for the flow's frontier to reach it and is
-	// not a cell: Len does not count it, so an output holding only records
-	// is idle. Nil until the first such Skip, which keeps an Output the
-	// size it was before the tables (fabric.New builds N of them).
+	parked    int                  // cells on the flows' rings
+	// drops holds the (In, FlowSeq mod 2^32) keys the fabric reported
+	// dropped ahead of the flow's frontier (failed planes, DropCount
+	// policy): a parked cell must not wait forever for a predecessor that
+	// will never be delivered. A record waits for the flow's frontier to
+	// reach it and is not a cell: Len does not count it, so an output
+	// holding only records is idle. Nil until the first such Skip, which
+	// keeps an Output small (fabric.New builds N of them).
 	drops *queue.SeqTable
 
-	// heads and refs are the pull policies' per-slot scratch, owned by the
-	// buffer so policies stay stateless values; sized to K on the first
-	// pull, since a slot surfaces at most one head per plane.
+	// sc is the pull policies' per-slot scratch, so policies stay stateless
+	// values. The outputs of one store shard share it (NewOutputs): they are
+	// stepped one after another by the same goroutine.
+	sc *pullScratch
+}
+
+// Cursor is one flow's resequencing state: 8 bytes, in a cell.Column.
+//
+// next is the FlowSeq the flow may emit next, modulo 2^32. Comparing a
+// cell's FlowSeq to it modulo 2^32 is exact: every FlowSeq between the
+// flow's frontier and a cell of the flow at the output belongs to a cell
+// still in the switch (a store holds fewer than 2^32 refs) or to a drop
+// record, so two FlowSeqs 2^32 apart would need 2^32 cells or records held
+// at once (64 GiB of records alone). The order referee keeps the full
+// 64-bit FlowSeq of each flow apart from the resequencer, so a cursor that
+// wrapped wrongly would surface as an order violation.
+type Cursor struct {
+	next   uint32
+	parked cell.Ring // the flow's parked cells, lowest FlowSeq first
+}
+
+// pullScratch holds the heads and refs of one pull, sized to K on the
+// first pull, since a slot surfaces at most one head per plane.
+type pullScratch struct {
 	heads []Head
 	refs  []cell.Ref
+}
+
+// scratch returns the buffer's pull scratch, creating a standalone
+// buffer's own on its first pull and sizing either to pv's K.
+func (b *Buffer) scratch(pv PlaneView) *pullScratch {
+	if b.sc == nil {
+		b.sc = new(pullScratch)
+	}
+	if b.sc.heads == nil {
+		k := pv.Planes()
+		b.sc.heads, b.sc.refs = make([]Head, 0, k), make([]cell.Ref, 0, k)
+	}
+	return b.sc
 }
 
 // entry is one emittable-heap element: the global Seq alongside the ref, so
@@ -200,15 +228,15 @@ func NewBuffer(s *cell.Store, n int) *Buffer {
 
 // ownCursors is a standalone buffer's input-indexed cursor column: n
 // entries, one page up to n = 4096.
-func ownCursors(n int) *cell.Column[uint64] {
-	col := cell.NewColumn[uint64](n)
+func ownCursors(n int) *cell.Column[Cursor] {
+	col := cell.NewColumn[Cursor](n)
 	col.GrowTo(n)
 	return &col
 }
 
 // cursor returns c's flow cursor. A shared column was grown to c's FlowID by
 // its owner before the cell was pushed.
-func (b *Buffer) cursor(c *cell.Cell) *uint64 {
+func (b *Buffer) cursor(c *cell.Cell) *Cursor {
 	i := int(c.FlowID) - 1
 	if b.byInput {
 		i = int(c.Flow.In)
@@ -220,23 +248,18 @@ func (b *Buffer) cursor(c *cell.Cell) *uint64 {
 func (b *Buffer) Push(t cell.Time, r cell.Ref) {
 	c := b.s.At(r)
 	c.AtOutput = t
-	if c.FlowSeq == *b.cursor(c) {
+	cur := b.cursor(c)
+	if uint32(c.FlowSeq) == cur.next {
 		b.emittable.Push(entry{key: c.Seq, ref: r})
 		return
 	}
-	b.parked.Put(int32(c.Flow.In), c.FlowSeq, uint32(r))
-}
-
-// pushBatch inserts every ref in order (the batched form of Push).
-func (b *Buffer) pushBatch(t cell.Time, refs []cell.Ref) {
-	for _, r := range refs {
-		b.Push(t, r)
-	}
+	b.s.RingInsert(&cur.parked, r)
+	b.parked++
 }
 
 // Len reports the number of buffered cells (emittable and parked).
 func (b *Buffer) Len() int {
-	return b.emittable.Len() + b.parked.Len()
+	return b.emittable.Len() + b.parked
 }
 
 // Skip records that cell c was dropped inside the switch (a failed plane
@@ -245,34 +268,36 @@ func (b *Buffer) Len() int {
 // behind the gap. Skips may arrive in any order relative to the flow's
 // progression and to each other.
 func (b *Buffer) Skip(c cell.Cell) {
-	next := b.cursor(&c)
-	if c.FlowSeq != *next {
+	cur := b.cursor(&c)
+	if uint32(c.FlowSeq) != cur.next {
 		if b.drops == nil {
 			b.drops = new(queue.SeqTable)
 		}
-		b.drops.Put(int32(c.Flow.In), c.FlowSeq, 0)
+		b.drops.Put(int32(c.Flow.In), uint64(uint32(c.FlowSeq)), 0)
 		return
 	}
-	*next = c.FlowSeq + 1
-	b.advance(c.Flow.In, next)
+	cur.next++
+	b.advance(c.Flow.In, cur)
 }
 
-// advance moves input in's flow on from a cursor *next that was just bumped:
-// it releases the parked cell now in order, if there is one, and otherwise
+// advance moves input in's flow on from a cursor that was just bumped: it
+// releases the parked cell now in order, if there is one, and otherwise
 // steps over every consecutive dropped FlowSeq to look again.
-func (b *Buffer) advance(in cell.Port, next *uint64) {
+func (b *Buffer) advance(in cell.Port, cur *Cursor) {
 	for {
-		if r, ok := b.parked.Take(int32(in), *next); ok {
-			b.emittable.Push(entry{key: b.s.At(cell.Ref(r)).Seq, ref: cell.Ref(r)})
+		if r, ok := b.s.RingFront(&cur.parked); ok && uint32(b.s.At(r).FlowSeq) == cur.next {
+			b.s.RingPop(&cur.parked)
+			b.parked--
+			b.emittable.Push(entry{key: b.s.At(r).Seq, ref: r})
 			return
 		}
 		if b.drops == nil {
 			return
 		}
-		if _, dropped := b.drops.Take(int32(in), *next); !dropped {
+		if _, dropped := b.drops.Take(int32(in), uint64(cur.next)); !dropped {
 			return
 		}
-		*next++
+		cur.next++
 	}
 }
 
@@ -284,9 +309,9 @@ func (b *Buffer) PopEmittable() (cell.Cell, bool) {
 		return cell.Cell{}, false
 	}
 	c := b.s.Take(b.emittable.Pop().ref)
-	next := b.cursor(&c)
-	*next = c.FlowSeq + 1
-	b.advance(c.Flow.In, next)
+	cur := b.cursor(&c)
+	cur.next = uint32(c.FlowSeq) + 1
+	b.advance(c.Flow.In, cur)
 	return c, true
 }
 
@@ -319,16 +344,27 @@ func NewOutput(j cell.Port, p Policy, s *cell.Store, n int) *Output {
 // one per port. Their resequencers share the flow-cursor column next,
 // indexed by FlowID-1, which the caller grows to cover a cell's FlowID
 // before the cell can reach an output — serially, so outputs stepped
-// concurrently only write their own flows' entries. It panics on a nil
-// policy, store or column.
-func NewOutputs(n int, p Policy, s *cell.Store, next *cell.Column[uint64]) []Output {
+// concurrently only write their own flows' entries. outShard[j] is the
+// store shard output j's cells live in; the outputs of one shard share one
+// pull scratch, so they must be stepped by one goroutine at a time. It
+// panics on a nil policy, store or column, or an outShard not of length n.
+func NewOutputs(n int, p Policy, s *cell.Store, next *cell.Column[Cursor], outShard []int32) []Output {
 	checkOutputArgs(p, s, n)
 	if next == nil {
 		panic("mux: nil cursor column")
 	}
+	if len(outShard) != n {
+		panic(fmt.Sprintf("mux: outShard maps %d outputs, want %d", len(outShard), n))
+	}
+	shards := 0
+	for _, sh := range outShard {
+		shards = max(shards, int(sh)+1)
+	}
+	scratch := make([]pullScratch, shards)
 	outs := make([]Output, n)
 	for j := range outs {
 		outs[j].init(cell.Port(j), p, s, next, false)
+		outs[j].buf.sc = &scratch[outShard[j]]
 	}
 	return outs
 }
@@ -342,7 +378,7 @@ func checkOutputArgs(p Policy, s *cell.Store, n int) {
 	}
 }
 
-func (o *Output) init(j cell.Port, p Policy, s *cell.Store, next *cell.Column[uint64], byInput bool) {
+func (o *Output) init(j cell.Port, p Policy, s *cell.Store, next *cell.Column[Cursor], byInput bool) {
 	*o = Output{j: j, policy: p, buf: Buffer{s: s, next: next, byInput: byInput}, firstSlot: cell.None, lastSlot: cell.None}
 }
 

@@ -74,34 +74,36 @@ func mk(seq uint64, out cell.Port) cell.Cell {
 
 // testBuffer returns a buffer over its own store whose cursors sit in a
 // shared FlowID-indexed column, as the fabric's outputs' do, plus push and
-// skip helpers taking plain cells: each cell gets its flow's id from a
-// Stamper, and the column grows to cover it first, as the fabric grows it
-// at arrival.
-func testBuffer(n int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64)) {
+// skip helpers taking plain cells and a helper returning a flow's cursor:
+// each cell gets its flow's id from a Stamper, and the column grows to
+// cover it first, as the fabric grows it at arrival.
+func testBuffer(n int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64), func(cell.Flow) *Cursor) {
 	s := cell.NewStore(1)
 	ids := cell.NewStamperSized(n)
-	col := cell.NewColumn[uint64](n * n)
-	b := &NewOutputs(1, Eager{}, s, &col)[0].buf
+	col := cell.NewColumn[Cursor](n * n)
+	b := &NewOutputs(1, Eager{}, s, &col, []int32{0})[0].buf
 	stamp := func(c cell.Cell) cell.Cell {
 		c.FlowID = ids.ID(c.Flow)
 		col.GrowTo(int(c.FlowID))
 		return c
 	}
 	return b, func(c cell.Cell) { b.Push(0, s.Put(0, stamp(c))) },
-		func(f cell.Flow, fs uint64) { b.Skip(stamp(cell.New(0, fs, f, 0))) }
+		func(f cell.Flow, fs uint64) { b.Skip(stamp(cell.New(0, fs, f, 0))) },
+		func(f cell.Flow) *Cursor { c := stamp(cell.New(0, 0, f, 0)); return b.cursor(&c) }
 }
 
 // standaloneBuffer is testBuffer over NewBuffer, whose own column is
 // indexed by input-port; the cells carry no flow id.
-func standaloneBuffer(n int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64)) {
+func standaloneBuffer(n int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64), func(cell.Flow) *Cursor) {
 	s := cell.NewStore(1)
 	b := NewBuffer(s, n)
 	return b, func(c cell.Cell) { b.Push(0, s.Put(0, c)) },
-		func(f cell.Flow, fs uint64) { b.Skip(cell.New(0, fs, f, 0)) }
+		func(f cell.Flow, fs uint64) { b.Skip(cell.New(0, fs, f, 0)) },
+		func(f cell.Flow) *Cursor { c := cell.New(0, 0, f, 0); return b.cursor(&c) }
 }
 
 func TestBufferOrdersBySeq(t *testing.T) {
-	b, push, _ := testBuffer(16)
+	b, push, _, _ := testBuffer(16)
 	for _, s := range []uint64{5, 1, 9, 0, 3} {
 		push(mk(s, 0))
 	}
@@ -121,7 +123,7 @@ func TestBufferResequencesWithinFlow(t *testing.T) {
 	// Cells 0,1,2 of one flow arrive out of order: 2 first, then 0, then
 	// 1. The buffer must emit 0, 1, 2 and park until predecessors depart.
 	f := cell.Flow{In: 3, Out: 0}
-	b, push, _ := testBuffer(8)
+	b, push, _, _ := testBuffer(8)
 	push(cell.New(12, 2, f, 0))
 	if _, ok := b.PopEmittable(); ok {
 		t.Fatal("FlowSeq 2 must be parked before 0 and 1 departed")
@@ -155,7 +157,7 @@ func TestBufferResequencesWithinFlow(t *testing.T) {
 func TestBufferInterleavesFlowsGlobalFCFS(t *testing.T) {
 	fa := cell.Flow{In: 0, Out: 0}
 	fb := cell.Flow{In: 1, Out: 0}
-	b, push, _ := testBuffer(8)
+	b, push, _, _ := testBuffer(8)
 	push(cell.New(3, 0, fb, 0))
 	push(cell.New(1, 0, fa, 0))
 	push(cell.New(4, 1, fa, 0))
@@ -378,13 +380,15 @@ func TestNewBufferZeroPortsPanics(t *testing.T) {
 
 // TestNewOutputsMatchesNewOutput: the slab holds, at index j, exactly the
 // output NewOutput(j, ...) builds except that its cursors live in the shared
-// column, and it panics on the same arguments, on a nil column and on zero
-// ports.
+// column and its pull scratch is its shard's, and it panics on the same
+// arguments, on a nil column, on zero ports and on a shard map of the wrong
+// length.
 func TestNewOutputsMatchesNewOutput(t *testing.T) {
 	const n = 5
-	s := cell.NewStore(1)
-	col := cell.NewColumn[uint64](n * n)
-	outs := NewOutputs(n, BoundedEager{Max: 1}, s, &col)
+	s := cell.NewStore(2)
+	col := cell.NewColumn[Cursor](n * n)
+	outShard := []int32{0, 0, 1, 1, 1}
+	outs := NewOutputs(n, BoundedEager{Max: 1}, s, &col, outShard)
 	if len(outs) != n {
 		t.Fatalf("NewOutputs built %d outputs, want %d", len(outs), n)
 	}
@@ -392,16 +396,22 @@ func TestNewOutputsMatchesNewOutput(t *testing.T) {
 		if outs[j].buf.next != &col || outs[j].buf.byInput {
 			t.Errorf("output %d does not resequence in the shared FlowID column", j)
 		}
+		for i := range outs {
+			if same := outs[i].buf.sc == outs[j].buf.sc; same != (outShard[i] == outShard[j]) || outs[j].buf.sc == nil {
+				t.Errorf("outputs %d and %d (shards %d, %d) share a pull scratch: %v", i, j, outShard[i], outShard[j], same)
+			}
+		}
 		want := NewOutput(cell.Port(j), BoundedEager{Max: 1}, s, n)
-		want.buf.next, want.buf.byInput = &col, false
+		want.buf.next, want.buf.byInput, want.buf.sc = &col, false, outs[j].buf.sc
 		if !reflect.DeepEqual(&outs[j], want) {
 			t.Errorf("output %d = %+v, NewOutput gives %+v", j, outs[j], *want)
 		}
 	}
 	for name, build := range map[string]func(){
-		"nil policy": func() { NewOutputs(n, nil, s, &col) },
-		"nil column": func() { NewOutputs(n, Eager{}, s, nil) },
-		"zero ports": func() { NewOutputs(0, Eager{}, s, &col) },
+		"nil policy":      func() { NewOutputs(n, nil, s, &col, outShard) },
+		"nil column":      func() { NewOutputs(n, Eager{}, s, nil, outShard) },
+		"zero ports":      func() { NewOutputs(0, Eager{}, s, &col, nil) },
+		"short shard map": func() { NewOutputs(n, Eager{}, s, &col, outShard[1:]) },
 	} {
 		func() {
 			defer func() {

@@ -82,7 +82,11 @@ func TestBufferMatchesPerFlowReference(t *testing.T) {
 	t.Run("standalone", func(t *testing.T) { matchPerFlowReference(t, standaloneBuffer) })
 }
 
-func matchPerFlowReference(t *testing.T, newBuffer func(int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64))) {
+// bufferBuilder builds a buffer under test over n input-ports with its
+// helpers (testBuffer, standaloneBuffer).
+type bufferBuilder func(n int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64), func(cell.Flow) *Cursor)
+
+func matchPerFlowReference(t *testing.T, newBuffer bufferBuilder) {
 	const flows = 96
 	type event struct {
 		at   float64
@@ -122,7 +126,7 @@ func matchPerFlowReference(t *testing.T, newBuffer func(int) (*Buffer, func(cell
 		}
 		sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
 
-		b, push, skip := newBuffer(flows)
+		b, push, skip, _ := newBuffer(flows)
 		m := newRefBuffer(flows)
 		popped, idleWithRecords := 0, false
 		pop := func() bool {
@@ -168,8 +172,8 @@ func matchPerFlowReference(t *testing.T, newBuffer func(int) (*Buffer, func(cell
 		for pop() {
 			check("PopEmittable")
 		}
-		if popped != delivered || b.Len() != 0 || b.parked.Len() != 0 {
-			t.Errorf("seed %d: popped %d of %d delivered cells, Len %d, %d parked", seed, popped, delivered, b.Len(), b.parked.Len())
+		if popped != delivered || b.Len() != 0 || b.parked != 0 {
+			t.Errorf("seed %d: popped %d of %d delivered cells, Len %d, %d parked", seed, popped, delivered, b.Len(), b.parked)
 		}
 		if records() != stranded || stranded == 0 || !idleWithRecords {
 			t.Errorf("seed %d: %d drop records left, want the %d stranded ones (empty buffer seen holding records: %v)",

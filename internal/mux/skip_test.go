@@ -26,7 +26,7 @@ func popAll(b *Buffer) []uint64 {
 
 func TestSkipReleasesParkedSuccessor(t *testing.T) {
 	f := cell.Flow{In: 0, Out: 0}
-	b, push, skip := testBuffer(4)
+	b, push, skip, _ := testBuffer(4)
 	push(skipCell(f, 1, 1)) // parks: waiting for FlowSeq 0
 	if _, ok := b.PopEmittable(); ok {
 		t.Fatal("successor emitted before its gap was resolved")
@@ -44,7 +44,7 @@ func TestSkipOutOfOrder(t *testing.T) {
 	// Two planes failing in turn can drop a flow's cells out of FlowSeq
 	// order: skip 2 arrives before skip 1. Cell 3 must wait for both.
 	f := cell.Flow{In: 1, Out: 0}
-	b, push, skip := testBuffer(4)
+	b, push, skip, _ := testBuffer(4)
 	push(skipCell(f, 0, 0))
 	push(skipCell(f, 3, 3))
 	skip(f, 2)
@@ -57,7 +57,7 @@ func TestSkipOutOfOrder(t *testing.T) {
 func TestSkipBeforeFirstPush(t *testing.T) {
 	// The gap can be the very first cell the output ever hears about.
 	f := cell.Flow{In: 0, Out: 2}
-	b, push, skip := testBuffer(4)
+	b, push, skip, _ := testBuffer(4)
 	skip(f, 0)
 	push(skipCell(f, 5, 1))
 	if got := popAll(b); len(got) != 1 || got[0] != 1 {
@@ -69,7 +69,7 @@ func TestSkipFarAheadParksUntilReached(t *testing.T) {
 	// A skip beyond the flow's frontier must not advance anything until the
 	// intervening cells are delivered.
 	f := cell.Flow{In: 2, Out: 0}
-	b, push, skip := testBuffer(4)
+	b, push, skip, _ := testBuffer(4)
 	skip(f, 2) // dropped, but 0 and 1 are still in flight
 	if b.Len() != 0 {
 		t.Fatalf("Len = %d: a drop record was counted as a buffered cell", b.Len())
@@ -88,7 +88,7 @@ func TestSkipFarAheadParksUntilReached(t *testing.T) {
 func TestSkipDoesNotTouchOtherFlows(t *testing.T) {
 	fa := cell.Flow{In: 0, Out: 0}
 	fb := cell.Flow{In: 1, Out: 0}
-	b, push, skip := testBuffer(4)
+	b, push, skip, _ := testBuffer(4)
 	push(skipCell(fb, 2, 1)) // parks: fb waiting for 0
 	skip(fa, 0)
 	if _, ok := b.PopEmittable(); ok {

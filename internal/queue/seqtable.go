@@ -3,9 +3,10 @@ package queue
 import "math/bits"
 
 // SeqTable is an open-addressed hash table from a (port, seq) key to a
-// 32-bit payload, built for the PPS resequencers: an output-port parks the
-// ref of an out-of-order cell under (In, FlowSeq) and only ever asks "is
-// the flow's next cell here?" — a point lookup, never an order query. The
+// 32-bit payload, built for the PPS drop bookkeeping: an output's
+// resequencer and the order referee each record a FlowSeq dropped ahead of
+// its flow's frontier under (In, FlowSeq), and only ever ask "is the
+// flow's next FlowSeq here?" — a point lookup, never an order query. The
 // load is pure insert/delete churn, so Take shifts the tail of the probe
 // cluster back over the hole instead of leaving a tombstone: a table that
 // has seen a billion keys probes as one that has seen only those it holds.

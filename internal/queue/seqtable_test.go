@@ -140,10 +140,10 @@ func TestSeqTableGrowthKeepsEveryKey(t *testing.T) {
 	}
 }
 
-// TestSeqTableConcentration pins the hash on the traffic the resequencer
-// actually sees. The first shape is the paper's Lemma 4 concentration:
-// every input holds a few consecutive FlowSeqs at one output. The second
-// is its transpose, a few flows with long parked runs. A hash that ignores
+// TestSeqTableConcentration pins the hash on the keys the drop records
+// see. The first shape is the paper's Lemma 4 concentration: every input
+// holds a few consecutive FlowSeqs at one output. The second is its
+// transpose, a few flows with long dropped runs. A hash that ignores
 // the port piles the first into four homes, one that ignores the seq piles
 // the second — either fails here rather than in a benchmark.
 func TestSeqTableConcentration(t *testing.T) {
