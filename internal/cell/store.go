@@ -15,13 +15,14 @@ type Ref uint32
 // Store is a columnar arena for in-flight cells. Cells live in per-shard
 // contiguous slabs, beside a link column of one Ref per slot that threads
 // the shard's LIFO freelist, every List (a plane queue) and every Ring (a
-// resequencer's parked cells of one flow) holding the shard's refs: a slot
-// is on at most one of them, so the steady state allocates nothing and no
-// queue owns memory of its own. Shards exist for the stage-parallel engine:
-// a cell is allocated in the serial dispatch phase into the shard owning
-// its output, and popped and freed only by that shard's mux worker — the
-// links of one shard are never written concurrently, and the stage barrier
-// orders the phases, so no atomics are needed.
+// resequencer's parked cells of one flow, or an output's emittable cells)
+// holding the shard's refs: a slot is on at most one of them, so the
+// steady state allocates nothing and no queue owns memory of its own.
+// Shards exist for the stage-parallel engine: a cell is allocated in the
+// serial dispatch phase into the shard owning its output, and popped and
+// freed only by that shard's mux worker — the links of one shard are never
+// written concurrently, and the stage barrier orders the phases, so no
+// atomics are needed.
 //
 // A Store is not safe for concurrent use of the *same* shard; distinct
 // shards may be used concurrently (each field below is only written under
@@ -66,7 +67,8 @@ func (l *List) Front() (Ref, bool) {
 }
 
 // Ring is a circular list of refs threaded through a Store's link column,
-// kept sorted by the cells' FlowSeq: 4 bytes, and inserting or popping
+// kept sorted by the cells' FlowSeq (RingInsert) or global Seq
+// (RingInsertSeq), one key per ring: 4 bytes, and inserting or popping
 // allocates nothing. It holds the tail ref + 1, 0 meaning empty, and the
 // tail links to the head; Put never hands out the all-ones ref, so no live
 // tail reads as empty. The zero value is an empty ring. A ref is on at most
@@ -172,34 +174,53 @@ func (s *Store) PopFront(l *List) Ref {
 }
 
 // RingInsert adds the allocated ref r, which must be on no list or ring, to
-// g in FlowSeq order. A cell whose FlowSeq is above the tail's, the common
-// case, is appended in O(1); otherwise the walk starts at the head.
-func (s *Store) RingInsert(g *Ring, r Ref) {
+// g in FlowSeq order: a resequencer's parked cells of one flow.
+func (s *Store) RingInsert(g *Ring, r Ref) { s.ringInsert(g, r, false) }
+
+// RingInsertSeq adds the allocated ref r, which must be on no list or ring,
+// to g in global Seq order: an output's emittable cells, popped in FCFS
+// order.
+func (s *Store) RingInsertSeq(g *Ring, r Ref) { s.ringInsert(g, r, true) }
+
+// ringKey returns the field a ring is sorted by: Seq or FlowSeq.
+func (s *Store) ringKey(r Ref, bySeq bool) uint64 {
+	c := s.At(r)
+	if bySeq {
+		return c.Seq
+	}
+	return c.FlowSeq
+}
+
+// ringInsert is the one walk behind RingInsert and RingInsertSeq. A cell
+// whose key is above the tail's, the common case, is appended in O(1);
+// otherwise the walk starts at the head and stops before the first cell
+// whose key is not below r's, so r goes before any cell it ties with.
+func (s *Store) ringInsert(g *Ring, r Ref, bySeq bool) {
 	if *g == 0 {
 		*s.link(r) = r
 		*g = Ring(r + 1)
 		return
 	}
 	tail := Ref(*g - 1)
-	fs := s.At(r).FlowSeq
-	if fs > s.At(tail).FlowSeq {
+	key := s.ringKey(r, bySeq)
+	if key > s.ringKey(tail, bySeq) {
 		*s.link(r) = *s.link(tail)
 		*s.link(tail) = r
 		*g = Ring(r + 1)
 		return
 	}
-	// fs <= the tail's FlowSeq, so the walk stops at the tail at the latest.
+	// key <= the tail's, so the walk stops at the tail at the latest.
 	prev := tail
 	cur := *s.link(tail)
-	for s.At(cur).FlowSeq < fs {
+	for s.ringKey(cur, bySeq) < key {
 		prev, cur = cur, *s.link(cur)
 	}
 	*s.link(r) = cur
 	*s.link(prev) = r
 }
 
-// RingFront returns the ref with the lowest FlowSeq without removing it; ok
-// is false when the ring is empty.
+// RingFront returns the ref with the lowest key without removing it; ok is
+// false when the ring is empty.
 func (s *Store) RingFront(g *Ring) (Ref, bool) {
 	if *g == 0 {
 		return 0, false
@@ -207,8 +228,8 @@ func (s *Store) RingFront(g *Ring) (Ref, bool) {
 	return *s.link(Ref(*g - 1)), true
 }
 
-// RingPop removes and returns the ref with the lowest FlowSeq. It panics on
-// an empty ring.
+// RingPop removes and returns the ref with the lowest key. It panics on an
+// empty ring.
 func (s *Store) RingPop(g *Ring) Ref {
 	if *g == 0 {
 		panic("cell: RingPop on empty Ring")

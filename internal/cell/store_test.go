@@ -178,12 +178,13 @@ func TestPutNeverHandsOutAllOnes(t *testing.T) {
 	s.Put(0, storeCell(7))
 }
 
-// FuzzStoreLists drives four Lists and two Rings over a store of 1–4 shards
-// with random Put, PushBack, PopFront, RingInsert, RingPop and Take
-// operations, against a model of one []Ref per list, one FlowSeq-sorted
-// []Ref per ring and one freed-slot stack per shard: every list pops in
-// FIFO order, every ring in FlowSeq order (a new cell goes before any it
-// ties with), Live counts the allocated refs, a Put reuses its shard's most
+// FuzzStoreLists drives four Lists and four Rings over a store of 1–4
+// shards with random Put, PushBack, PopFront, RingInsert, RingInsertSeq,
+// RingPop and Take operations, against a model of one []Ref per list, one
+// key-sorted []Ref per ring and one freed-slot stack per shard: every list
+// pops in FIFO order, rings 0 and 1 in FlowSeq order and rings 2 and 3 in
+// Seq order (a new cell goes before any it ties with), Live counts the
+// allocated refs, a Put reuses its shard's most
 // recently freed slot (LIFO), and no live cell is clobbered by the links
 // threading the lists, the rings and the freelists through the same column.
 func FuzzStoreLists(f *testing.F) {
@@ -197,13 +198,16 @@ func FuzzStoreLists(f *testing.F) {
 	// One ring built by an append, a middle insert and a head insert, with a
 	// List and the freelist threaded through the same column.
 	f.Add(byte(0), []byte{0, 0, 4, 10, 0, 0, 4, 14, 0, 0, 4, 12, 0, 0, 4, 2, 0, 0, 1, 0, 0, 0, 3, 0, 5, 0, 5, 0, 5, 1})
+	// The same shapes on a Seq ring beside a FlowSeq ring, the two
+	// interleaved, then both drained by pops.
+	f.Add(byte(1), []byte{0, 0, 6, 20, 0, 1, 4, 8, 0, 0, 6, 28, 0, 1, 4, 4, 0, 0, 6, 24, 0, 0, 6, 2, 5, 2, 5, 0, 5, 2, 5, 2, 5, 2, 5, 0})
 	f.Fuzz(func(t *testing.T, shardsRaw byte, ops []byte) {
 		shards := 1 + int(shardsRaw)%4
 		s := NewStore(shards)
 		var lists [4]List
 		var model [4][]Ref
-		var rings [2]Ring
-		var ringModel [2][]Ref         // ascending FlowSeq
+		var rings [4]Ring
+		var ringModel [4][]Ref         // ascending FlowSeq (rings 0, 1) or Seq (2, 3)
 		freed := make([][]Ref, shards) // per-shard model of the freelist
 		seqOf := map[Ref]uint64{}      // every allocated ref
 		var loose []Ref                // allocated refs on no list
@@ -211,7 +215,7 @@ func FuzzStoreLists(f *testing.F) {
 		shardOf := func(r Ref) int { return int(uint32(r) >> s.idxBits) }
 		for k := 0; k+1 < len(ops); k += 2 {
 			arg := int(ops[k+1])
-			switch ops[k] % 6 {
+			switch ops[k] % 7 {
 			case 0: // Put
 				sh := arg % shards
 				seq++
@@ -270,20 +274,28 @@ func FuzzStoreLists(f *testing.F) {
 				}
 				delete(seqOf, r)
 				freed[shardOf(r)] = append(freed[shardOf(r)], r)
-			case 4: // RingInsert the newest loose ref with FlowSeq arg>>1
+			case 4, 6: // RingInsert (4) or RingInsertSeq (6) the newest loose ref with key arg>>1
 				if len(loose) == 0 {
 					continue
 				}
-				g, fs := arg&1, uint64(arg>>1)
+				g, key := arg&1, uint64(arg>>1)
 				r := loose[len(loose)-1]
 				loose = loose[:len(loose)-1]
-				s.At(r).FlowSeq = fs
-				s.RingInsert(&rings[g], r)
+				keyOf := func(r Ref) uint64 { return s.At(r).FlowSeq }
+				if ops[k]%7 == 4 {
+					s.At(r).FlowSeq = key
+					s.RingInsert(&rings[g], r)
+				} else {
+					g += 2
+					s.At(r).Seq, seqOf[r] = key, key
+					s.RingInsertSeq(&rings[g], r)
+					keyOf = func(r Ref) uint64 { return s.At(r).Seq }
+				}
 				m := ringModel[g]
-				i := sort.Search(len(m), func(i int) bool { return s.At(m[i]).FlowSeq >= fs })
+				i := sort.Search(len(m), func(i int) bool { return keyOf(m[i]) >= key })
 				ringModel[g] = append(m[:i], append([]Ref{r}, m[i:]...)...)
 			case 5: // RingPop
-				g := arg & 1
+				g := arg % len(rings)
 				if len(ringModel[g]) == 0 {
 					if _, ok := s.RingFront(&rings[g]); ok || rings[g] != 0 {
 						t.Fatalf("op %d: empty ring %d reports a front", k/2, g)

@@ -28,7 +28,7 @@ type wfqScheduler struct {
 	weights map[cell.Flow]float64
 	queues  map[cell.Flow]*queue.FIFO[wfqItem]
 	lastF   map[cell.Flow]float64
-	ready   queue.Heap[wfqItem] // each backlogged flow's head, by (finish, Seq)
+	ready   minHeap[wfqItem] // each backlogged flow's head, by (finish, Seq)
 	// Virtual time state.
 	vtime      float64
 	vlast      cell.Time // real time of the last virtual-time update

@@ -73,10 +73,11 @@ func TestPerFlowStateSizedToFlows(t *testing.T) {
 // plane) at N = 16384, K = 8, where the K·N plane queues and the 2·K·N
 // line gates are most of the fabric. A queue is a 12-byte cell.List, a
 // gate one 8-byte free-at slot, and an output's resequencer holds no
-// parked table and no pull scratch of its own: 56.6 B per (port, plane) on
-// linux/amd64 with Go 1.24. A per-output parked table and scratch put it at
-// 64.6 B; ring-buffer queue headers (40 B) and 16-byte gates at 106.6 B.
-// Both fail the guard.
+// parked table, no emittable heap and no pull scratch of its own: 53.6 B
+// per (port, plane) on linux/amd64 with Go 1.24. The emittable heap's
+// slice header put it at 56.6 B, a per-output parked table and scratch at
+// 64.6 B, and ring-buffer queue headers (40 B) with 16-byte gates at
+// 106.6 B; the last two fail the guard.
 func TestNewBytesPerPortPlane(t *testing.T) {
 	const n, k, budget = 16384, 8, 60
 	var before, after runtime.MemStats

@@ -13,6 +13,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ppsim/internal/cell"
 	"ppsim/internal/demux"
@@ -188,15 +189,19 @@ type PPS struct {
 	pool *workerPool
 
 	// cellsInPlanes and cellsInOutputs incrementally mirror the structural
-	// sums audit() computes, and queuedPerOut[j] mirrors the sum of plane
-	// backlogs destined to output j. Together with pendingTotal they make
-	// Backlog and the per-output busy predicate O(1) — the event engine
-	// consults both every slot, where the structural walk would reintroduce
-	// the O(N+K) cost the engine exists to avoid. audit() cross-checks the
-	// totals against the structures whenever it runs.
+	// sums audit() computes; together with pendingTotal they make Backlog
+	// O(1). audit() cross-checks them against the structures whenever it
+	// runs.
 	cellsInPlanes  int
 	cellsInOutputs int
-	queuedPerOut   []int
+	// planeMask[j] has bit k set exactly when plane k's queue for output j
+	// is non-empty (Validate caps K at 64). dispatch sets the bit, and the
+	// pop that empties the queue — run by the goroutine driving output j —
+	// or a DropCount plane failure clears it. Eligible walks only the set
+	// bits, so the pull scan costs the planes holding cells for the output
+	// instead of all K, and the per-output busy predicate the event engine
+	// consults every slot is one word test.
+	planeMask []uint64
 
 	// busyList is the sorted working set of outputs that may still hold
 	// work (cells queued in a plane or parked in the resequencer). Dispatch
@@ -237,7 +242,7 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 		flowNext:           cell.NewColumn[mux.Cursor](cfg.N * cfg.N),
 		dispatchedPerPlane: make([]uint64, cfg.K),
 		pullsPerOut:        make([]int64, cfg.N),
-		queuedPerOut:       make([]int, cfg.N),
+		planeMask:          make([]uint64, cfg.N),
 		busyMark:           make([]bool, cfg.N),
 		pendingIdx:         make([]int32, cfg.N),
 	}
@@ -436,7 +441,7 @@ func (p *PPS) applyFaults(t cell.Time) {
 				p.failScratch = p.planes[e.Plane].FailDrop(p.failScratch[:0])
 				for _, c := range p.failScratch {
 					p.cellsInPlanes--
-					p.queuedPerOut[c.Flow.Out]--
+					p.planeMask[c.Flow.Out] &^= 1 << e.Plane
 					p.recordDrop(t, c)
 				}
 			} else {
@@ -467,16 +472,18 @@ type planeView struct {
 func (v *planeView) Planes() int { return v.p.cfg.K }
 
 // Eligible implements mux.PlaneView: ascending plane order, non-empty queue
-// for this output, free output-side line. The Seq comes from one store
-// deref of the head ref; the snapshot stays valid for the whole slot
-// because a Take only busies the taken plane's own line (Seize holds it for
-// r' >= 1 slots) and pops its own head.
+// for this output, free output-side line. Only the planes whose bit is set
+// in the output's plane mask are visited, lowest bit first. The Seq comes
+// from one store deref of the head ref; the snapshot stays valid for the
+// whole slot because a Take only busies the taken plane's own line (Seize
+// holds it for r' >= 1 slots) and pops its own head.
 func (v *planeView) Eligible(t cell.Time, dst []mux.Head) []mux.Head {
-	for k := range v.p.planes {
-		r, ok := v.p.planes[k].HeadRef(v.j)
-		if !ok || !v.p.outGates.Gate(k, int(v.j)).Free(t) {
+	for m := v.p.planeMask[v.j]; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		if !v.p.outGates.Gate(k, int(v.j)).Free(t) {
 			continue
 		}
+		r, _ := v.p.planes[k].HeadRef(v.j)
 		dst = append(dst, mux.Head{K: cell.Plane(k), Seq: v.p.store.At(r).Seq})
 	}
 	return dst
@@ -517,9 +524,11 @@ func (v *planeView) pop(t cell.Time, k cell.Plane) cell.Ref {
 		v.p.cellsInPlanes--
 		v.p.cellsInOutputs++
 	}
-	// queuedPerOut[j] is written only by the goroutine driving output j, so
-	// it needs no deferral (same ownership argument as pullsPerOut).
-	v.p.queuedPerOut[v.j]--
+	// planeMask[j] is written only by the goroutine driving output j, so it
+	// needs no deferral (same ownership argument as pullsPerOut).
+	if v.p.planes[k].QueueLen(v.j) == 0 {
+		v.p.planeMask[v.j] &^= 1 << k
+	}
 	v.p.pullsPerOut[v.j]++
 	if v.p.logArmed || v.p.trace {
 		c := v.p.store.At(r)
@@ -651,7 +660,7 @@ func (p *PPS) dispatch(t cell.Time, arrivals []cell.Cell) error {
 			return p.violation(t, err)
 		}
 		p.cellsInPlanes++
-		p.queuedPerOut[c.Flow.Out]++
+		p.planeMask[c.Flow.Out] |= 1 << s.Plane
 		if !p.busyMark[c.Flow.Out] {
 			p.busyMark[c.Flow.Out] = true
 			p.busyAdd = append(p.busyAdd, c.Flow.Out)
@@ -820,11 +829,11 @@ func (p *PPS) NextFaultSlot() cell.Time {
 	return p.faults.Next()
 }
 
-// outputBusy reports whether output j still has work: cells parked in its
+// outputBusy reports whether output j still has work: cells in its
 // resequencing buffer or queued for it in any plane. O(1) via the
-// incremental per-output plane-backlog counter.
+// per-output plane mask.
 func (p *PPS) outputBusy(j cell.Port) bool {
-	return p.outputs[j].Buffered() > 0 || p.queuedPerOut[j] > 0
+	return p.outputs[j].Buffered() > 0 || p.planeMask[j] != 0
 }
 
 // EventStep advances the PPS by one slot at O(events) cost: the dispatch

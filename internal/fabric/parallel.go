@@ -353,8 +353,8 @@ func (p *PPS) stepSharded(t cell.Time, dst []cell.Cell) ([]cell.Cell, error) {
 		}
 	}
 	// Every deferred pop moved one cell from a plane to an output buffer;
-	// the per-output queuedPerOut deltas were applied inline by the owning
-	// shards (planeView.pop), only the global totals are deferred here.
+	// the per-output plane masks were updated inline by the owning shards
+	// (planeView.pop), only the global totals are deferred here.
 	p.cellsInPlanes -= totalPulls
 	p.cellsInOutputs += totalPulls
 	if p.logArmed {

@@ -206,9 +206,8 @@ func (s *slotStepper) attachTelemetry() {
 // columns (stamper counters, order referee, resequencer cursors, recorder
 // records) allocate one page per 4096 new flows, a few allocations over the
 // whole window, which testing.AllocsPerRun's integer division truncates to
-// zero; parked cells wait on rings threaded through the cell store, whose
-// slabs, like the emittable heaps, are sized by the population the warm-up
-// reaches.
+// zero; parked and emittable cells wait on rings threaded through the cell
+// store, whose slabs are sized by the population the warm-up reaches.
 func TestSteadyStateSlotAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations; guard only meaningful on plain builds")

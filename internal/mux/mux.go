@@ -18,7 +18,8 @@
 // Cells are addressed by cell.Ref into the shared columnar cell.Store
 // (DESIGN.md §13): the view hands the policies a batch of eligible plane
 // heads in one call, the policy takes the refs it wants in one call, and
-// the resequencer files {key, ref} pairs without touching the cell bodies.
+// the resequencer threads the refs onto rings through the store's link
+// column, so no output owns a container of its own.
 package mux
 
 import (
@@ -150,13 +151,18 @@ func (p BoundedEager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 // an n-entry column indexed by the input-port instead: its flows are
 // exactly one per input, and a FlowID-indexed column of its own would be
 // sized to the whole switch's flow count.
+//
+// The emittable cells wait the same way, on one ring per output sorted by
+// global Seq: an emittable cell is on no plane queue, on no parked ring and
+// not free. Most inserts are the new maximum and append at the tail; the
+// rest walk from the head (DESIGN.md §13 bounds the walk).
 type Buffer struct {
 	s *cell.Store
 
-	emittable queue.Heap[entry]    // keyed by Seq (global FCFS)
-	next      *cell.Column[Cursor] // flow cursors and parked rings
+	emittable cell.Ring            // in-order cells, lowest Seq first (global FCFS)
 	byInput   bool                 // standalone: next is indexed by Flow.In, not FlowID-1
-	parked    int                  // cells on the flows' rings
+	next      *cell.Column[Cursor] // flow cursors and parked rings
+	held      int                  // cells buffered: emittable and parked
 	// drops holds the (In, FlowSeq mod 2^32) keys the fabric reported
 	// dropped ahead of the flow's frontier (failed planes, DropCount
 	// policy): a parked cell must not wait forever for a predecessor that
@@ -207,16 +213,6 @@ func (b *Buffer) scratch(pv PlaneView) *pullScratch {
 	return b.sc
 }
 
-// entry is one emittable-heap element: the global Seq alongside the ref, so
-// sift operations never dereference the store.
-type entry struct {
-	key uint64
-	ref cell.Ref
-}
-
-// Less orders entries by global Seq.
-func (a entry) Less(b entry) bool { return a.key < b.key }
-
 // NewBuffer returns a standalone resequencing buffer for one output of an
 // n-port switch over store s.
 func NewBuffer(s *cell.Store, n int) *Buffer {
@@ -248,19 +244,17 @@ func (b *Buffer) cursor(c *cell.Cell) *Cursor {
 func (b *Buffer) Push(t cell.Time, r cell.Ref) {
 	c := b.s.At(r)
 	c.AtOutput = t
+	b.held++
 	cur := b.cursor(c)
 	if uint32(c.FlowSeq) == cur.next {
-		b.emittable.Push(entry{key: c.Seq, ref: r})
+		b.s.RingInsertSeq(&b.emittable, r)
 		return
 	}
 	b.s.RingInsert(&cur.parked, r)
-	b.parked++
 }
 
 // Len reports the number of buffered cells (emittable and parked).
-func (b *Buffer) Len() int {
-	return b.emittable.Len() + b.parked
-}
+func (b *Buffer) Len() int { return b.held }
 
 // Skip records that cell c was dropped inside the switch (a failed plane
 // under the DropCount policy) and will never be delivered: the resequencer
@@ -287,8 +281,7 @@ func (b *Buffer) advance(in cell.Port, cur *Cursor) {
 	for {
 		if r, ok := b.s.RingFront(&cur.parked); ok && uint32(b.s.At(r).FlowSeq) == cur.next {
 			b.s.RingPop(&cur.parked)
-			b.parked--
-			b.emittable.Push(entry{key: b.s.At(r).Seq, ref: r})
+			b.s.RingInsertSeq(&b.emittable, r)
 			return
 		}
 		if b.drops == nil {
@@ -305,10 +298,11 @@ func (b *Buffer) advance(in cell.Port, cur *Cursor) {
 // ref back to the store); ok is false when every buffered cell is waiting
 // for a predecessor (or the buffer is empty).
 func (b *Buffer) PopEmittable() (cell.Cell, bool) {
-	if b.emittable.Empty() {
+	if b.emittable == 0 {
 		return cell.Cell{}, false
 	}
-	c := b.s.Take(b.emittable.Pop().ref)
+	c := b.s.Take(b.s.RingPop(&b.emittable))
+	b.held--
 	cur := b.cursor(&c)
 	cur.next = uint32(c.FlowSeq) + 1
 	b.advance(c.Flow.In, cur)

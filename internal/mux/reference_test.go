@@ -172,8 +172,8 @@ func matchPerFlowReference(t *testing.T, newBuffer bufferBuilder) {
 		for pop() {
 			check("PopEmittable")
 		}
-		if popped != delivered || b.Len() != 0 || b.parked != 0 {
-			t.Errorf("seed %d: popped %d of %d delivered cells, Len %d, %d parked", seed, popped, delivered, b.Len(), b.parked)
+		if popped != delivered || b.Len() != 0 || b.emittable != 0 {
+			t.Errorf("seed %d: popped %d of %d delivered cells, Len %d, emittable ring %d", seed, popped, delivered, b.Len(), b.emittable)
 		}
 		if records() != stranded || stranded == 0 || !idleWithRecords {
 			t.Errorf("seed %d: %d drop records left, want the %d stranded ones (empty buffer seen holding records: %v)",

@@ -28,10 +28,9 @@ var surfaceAllowlist = map[string]string{
 	"NewBernoulliWeighted": "traffic: per-(i, j) weighted iid source whose weight checks the traffic tests pin",
 	"NewBuffer":            "mux: standalone resequencing buffer the mux tests drive without a fabric",
 	"NewRecorder":          "metrics: unsized recorder the metrics tests build without a stamper",
-	"QueueLen":             "plane.Plane and shadow.Switch per-output backlog, the witness their tests check",
 	"QueuingDelay":         "cell: Depart - Arrive, the delay the shadow and calculus tests bound",
 	"Reconstruct":          "bvn: sum of weighted permutations, the witness that a decomposition is exact",
-	"Reset":                "queue.FIFO, queue.Heap and obs.LogHist reuse, pinned by their tests",
+	"Reset":                "queue.FIFO and obs.LogHist reuse, pinned by their tests",
 	"Route":                "clos: Slepian-Duguid routing, the witness that a PPS is a rearrangeable Clos network",
 	"StrictlyNonBlocking":  "clos: Clos's m >= 2n-1 condition, checked by the Clos tests",
 	"UnmarshalJSON":        "traffic.Trace decoding, called by encoding/json through json.Unmarshaler",
