@@ -1,7 +1,6 @@
 package ppsim_test
 
 import (
-	"fmt"
 	"testing"
 
 	"ppsim"
@@ -76,16 +75,6 @@ func runOnce(b *testing.B, cfg ppsim.Config, seed int64) {
 	b.ReportMetric(cells, "cells")
 }
 
-// BenchmarkAblationMuxPolicy contrasts eager pulling with one-pull-per-slot
-// lazy FCFS at the output multiplexors.
-func BenchmarkAblationMuxPolicy(b *testing.B) {
-	base := ppsim.Config{N: 16, K: 8, RPrime: 2, Algorithm: ppsim.Algorithm{Name: "rr"}}
-	b.Run("eager", func(b *testing.B) { runOnce(b, base, 1) })
-	lazy := base
-	lazy.MuxBudget = 1
-	b.Run("lazy-fcfs", func(b *testing.B) { runOnce(b, lazy, 1) })
-}
-
 // BenchmarkAblationRRGranularity contrasts per-input and per-flow pointers.
 func BenchmarkAblationRRGranularity(b *testing.B) {
 	base := ppsim.Config{N: 16, K: 8, RPrime: 2, Algorithm: ppsim.Algorithm{Name: "rr"}}
@@ -93,18 +82,6 @@ func BenchmarkAblationRRGranularity(b *testing.B) {
 	pf := base
 	pf.Algorithm.Name = "perflow-rr"
 	b.Run("per-flow", func(b *testing.B) { runOnce(b, pf, 2) })
-}
-
-// BenchmarkAblationMuxBudget sweeps the per-slot pull budget between lazy
-// (1) and eager (K).
-func BenchmarkAblationMuxBudget(b *testing.B) {
-	for _, budget := range []int{1, 2, 4, 8} {
-		budget := budget
-		b.Run(fmt.Sprintf("budget-%d", budget), func(b *testing.B) {
-			cfg := ppsim.Config{N: 16, K: 8, RPrime: 2, MuxBudget: budget, Algorithm: ppsim.Algorithm{Name: "rr"}}
-			runOnce(b, cfg, 4)
-		})
-	}
 }
 
 // BenchmarkAblationCPATieBreak contrasts min-availability and rotating

@@ -23,7 +23,13 @@ func boundsCmd(fs *flag.FlagSet) func(io.Writer) int {
 		if err := p.Validate(); err != nil {
 			return fail(fs, 2, err)
 		}
-		if *d <= 0 {
+		if *u < 0 {
+			return fail(fs, 2, fmt.Errorf("-u %d must be >= 0", *u))
+		}
+		if *d < 0 {
+			return fail(fs, 2, fmt.Errorf("-d %d must be >= 0 (0 uses r')", *d))
+		}
+		if *d == 0 {
 			*d = int(s.rprime)
 		}
 

@@ -29,7 +29,7 @@ func flagSet(name string) *flag.FlagSet {
 func TestFlagDefaults(t *testing.T) {
 	want := map[string]string{
 		"sim": "admission= alg=rr algs=false bufcap=0 cap=-1 d=2 deadline=0 engine=auto fail-planes= " +
-			"fault-policy=abort faultaware=false faults= h=2 k=8 lazy=false load=0.6 n=16 percentiles=false " +
+			"fault-policy=abort faultaware=false faults= h=2 k=8 load=0.6 n=16 percentiles=false " +
 			"rprime=2 seed=1 series= shape=-1 slots=5000 stride=1 trace= traffic=bernoulli u=2 v=false workers=0",
 		"exp": "csv=false debug-addr= list=false markdown=false run=",
 		"diag": "alg=rr cap=0 format=csv k=2 load=0.6 n=5 out= percentiles=false rprime=2 seed=1 series=false " +

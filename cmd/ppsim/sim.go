@@ -24,7 +24,6 @@ func simCmd(fs *flag.FlagSet) func(io.Writer) int {
 	var (
 		capacity   = fs.Int("cap", -1, "input buffer capacity (alg=buffered-rr)")
 		bufcap     = fs.Int("bufcap", 0, "fabric input-buffer bound: 0 bufferless, -1 unbounded")
-		lazy       = fs.Bool("lazy", false, "use the lazy FCFS output multiplexor")
 		shapeB     = fs.Int64("shape", -1, "wrap traffic in an (R,B) regulator; -1 = off")
 		algs       = fs.Bool("algs", false, "list algorithms and exit")
 		verbose    = fs.Bool("v", false, "print utilization per output")
@@ -47,6 +46,9 @@ func simCmd(fs *flag.FlagSet) func(io.Writer) int {
 		}
 		if s.slots < 1 {
 			return fail(fs, 2, fmt.Errorf("-slots %d must be >= 1", s.slots))
+		}
+		if *workers < -1 {
+			return fail(fs, 2, fmt.Errorf("-workers %d must be -1 (auto), 0 (serial) or positive", *workers))
 		}
 		eng, err := ppsim.ParseEngine(*engine)
 		if err != nil {
@@ -85,9 +87,6 @@ func simCmd(fs *flag.FlagSet) func(io.Writer) int {
 		cfg := s.config()
 		cfg.BufferCap = *bufcap
 		cfg.Algorithm.Capacity, cfg.Algorithm.FaultAware = *capacity, *faultaware
-		if *lazy {
-			cfg.MuxBudget = 1
-		}
 		if err := cfg.Validate(); err != nil {
 			return fail(fs, 2, err)
 		}

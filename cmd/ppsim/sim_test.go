@@ -137,6 +137,29 @@ func TestFailPlanesRejected(t *testing.T) {
 	}
 }
 
+// TestFlagsOutOfRangeRejected: a flag value no run can honour is a
+// single-line usage error before anything runs. viz -width 0 used to divide
+// by zero, bounds -u -1 printed negative bounds, bounds -d -1 silently
+// became r', and sim -workers -2 exited 1 as a failed run.
+func TestFlagsOutOfRangeRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"viz", "-width", "0"}, "ppsim viz: -width 0 must be >= 1\n"},
+		{[]string{"viz", "-width", "-3"}, "ppsim viz: -width -3 must be >= 1\n"},
+		{[]string{"bounds", "-u", "-1"}, "ppsim bounds: -u -1 must be >= 0\n"},
+		{[]string{"bounds", "-d", "-1"}, "ppsim bounds: -d -1 must be >= 0 (0 uses r')\n"},
+		{[]string{"sim", "-workers", "-2"}, "ppsim sim: -workers -2 must be -1 (auto), 0 (serial) or positive\n"},
+	} {
+		var stdout, stderr strings.Builder
+		code := run(tc.args, &stdout, &stderr)
+		if code != 2 || stderr.String() != tc.want || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 2, stderr %q", tc.args, code, stderr.String(), stdout.String(), tc.want)
+		}
+	}
+}
+
 // TestSlotsBelowOneRejected: a traffic horizon below one slot is a
 // single-line usage error wherever a subcommand generates traffic, where it
 // used to run an empty simulation and exit 0. viz keeps -slots 0 as "pick

@@ -26,6 +26,9 @@ func vizCmd(fs *flag.FlagSet) func(io.Writer) int {
 		if s.slots < 0 {
 			return fail(fs, 2, fmt.Errorf("-slots %d must be >= 0 (0 picks 400)", s.slots))
 		}
+		if *width < 1 {
+			return fail(fs, 2, fmt.Errorf("-width %d must be >= 1", *width))
+		}
 		return exit(fs, timeline(stdout, s, *width))
 	}
 }

@@ -42,8 +42,6 @@ type Config struct {
 	// (every arrival must be dispatched in its arrival slot), a positive
 	// value bounds the buffered variant, and -1 means unbounded buffers.
 	BufferCap int
-	// Mux selects the output-side pull policy; nil defaults to mux.Eager.
-	Mux mux.Policy
 	// CheckInvariants enables per-slot conservation auditing (O(N+K) per
 	// slot; cheap enough to default on in experiments).
 	CheckInvariants bool
@@ -203,14 +201,13 @@ type PPS struct {
 	// consults every slot is one word test.
 	planeMask []uint64
 
-	// busyList is the sorted working set of outputs that may still hold
-	// work (cells queued in a plane or parked in the resequencer). Dispatch
-	// stages a newly-busy output in busyAdd (guarded by busyMark); the
-	// sparse mux sweep (EventStep) merges the additions, walks the set in
-	// ascending output order — preserving the serial engine's departure and
-	// EvXmit order — and compacts drained outputs out. The set is a
-	// conservative superset: a full Step never shrinks it, so any
-	// Step/EventStep interleaving keeps it valid.
+	// busyList is the sorted working set of outputs that hold work (cells
+	// queued in a plane or buffered in the resequencer), and busyMark[j]
+	// holds exactly when j is on it. Dispatch stages a newly-busy output in
+	// busyAdd (guarded by busyMark) and merges the additions; both serial
+	// cores' mux sweep (sweepBusy) walks the set in ascending output order
+	// and compacts drained outputs out. The sharded mux stage steps every
+	// output and leaves the set alone, so under it the set is a superset.
 	busyMark []bool
 	busyList []cell.Port
 	busyAdd  []cell.Port
@@ -227,9 +224,6 @@ type PPS struct {
 func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Mux == nil {
-		cfg.Mux = mux.Eager{}
 	}
 	p := &PPS{
 		cfg:                cfg,
@@ -270,7 +264,7 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 	for k := 0; k < cfg.K; k++ {
 		p.planes = append(p.planes, plane.New(cell.Plane(k), cfg.N, p.store))
 	}
-	p.outputs = mux.NewOutputs(cfg.N, cfg.Mux, p.store, &p.flowNext, p.outShard)
+	p.outputs = mux.NewOutputs(cfg.N, p.store, &p.flowNext, p.outShard)
 	p.pviews = make([]planeView, cfg.N)
 	for j := range p.pviews {
 		p.pviews[j] = planeView{p: p, j: cell.Port(j)}
@@ -453,9 +447,9 @@ func (p *PPS) applyFaults(t cell.Time) {
 
 // planeView adapts the center stage for one output's multiplexor, speaking
 // the batched mux.PlaneView protocol: one Eligible scan surfaces every
-// pullable plane head for the slot, then one PullBatch (or per-selection
-// Take) seizes the lines and pops the refs — two interface crossings per
-// output-slot for the eager policy instead of four per cell.
+// pullable plane head for the slot, then one PullBatch seizes the lines and
+// pops the refs — two interface crossings per output-slot instead of four
+// per cell.
 type planeView struct {
 	p *PPS
 	j cell.Port
@@ -475,7 +469,7 @@ func (v *planeView) Planes() int { return v.p.cfg.K }
 // for this output, free output-side line. Only the planes whose bit is set
 // in the output's plane mask are visited, lowest bit first. The Seq comes
 // from one store deref of the head ref; the snapshot stays valid for the
-// whole slot because a Take only busies the taken plane's own line (Seize
+// whole slot because a pull only busies the pulled plane's own line (Seize
 // holds it for r' >= 1 slots) and pops its own head.
 func (v *planeView) Eligible(t cell.Time, dst []mux.Head) []mux.Head {
 	for m := v.p.planeMask[v.j]; m != 0; m &= m - 1 {
@@ -487,14 +481,6 @@ func (v *planeView) Eligible(t cell.Time, dst []mux.Head) []mux.Head {
 		dst = append(dst, mux.Head{K: cell.Plane(k), Seq: v.p.store.At(r).Seq})
 	}
 	return dst
-}
-
-// Take implements mux.PlaneView: seize plane k's line at t and pop its head.
-func (v *planeView) Take(t cell.Time, k cell.Plane) (cell.Ref, error) {
-	if err := v.p.outGates.Gate(int(k), int(v.j)).Seize(t); err != nil {
-		return 0, err
-	}
-	return v.pop(t, k), nil
 }
 
 // PullBatch implements mux.PlaneView: take every listed head in order. On a
@@ -706,16 +692,28 @@ func (p *PPS) mergeBusy() {
 	p.busyAdd = p.busyAdd[:0]
 }
 
-// sweepBusy runs the multiplexing stage over the busy working set in
-// ascending output order (the serial engine's departure and EvXmit order)
-// and compacts outputs that drained.
+// sweepBusy is the multiplexing stage of both serial cores: it steps the
+// busy outputs in ascending output order (pull, emit, verify flow order,
+// account the departure) and compacts out those that drained. Stepping an
+// output with no queued or buffered cell pulls and emits nothing, so
+// skipping the idle ones changes no departure and no event.
 func (p *PPS) sweepBusy(t cell.Time, dst []cell.Cell) ([]cell.Cell, error) {
 	keep := p.busyList[:0]
 	for _, j := range p.busyList {
-		var err error
-		dst, err = p.stepOutput(t, j, dst)
+		c, ok, err := p.outputs[j].Step(t, &p.pviews[j])
 		if err != nil {
 			return dst, err
+		}
+		if ok {
+			if err := p.checkFlowOrder(c); err != nil {
+				return dst, p.violation(t, err)
+			}
+			p.departed++
+			p.cellsInOutputs--
+			if p.trace {
+				p.tracer.Emit(obs.Event{T: t, Kind: obs.EvDepart, Seq: c.Seq, In: c.Flow.In, Out: c.Flow.Out, Plane: c.Via})
+			}
+			dst = append(dst, c)
 		}
 		if p.outputBusy(j) {
 			keep = append(keep, j)
@@ -740,29 +738,6 @@ func (p *PPS) removePending(in cell.Port) {
 	p.pendingIdx[in] = -1
 }
 
-// stepOutput runs the multiplexing stage for one output: pull per policy,
-// emit, verify flow order, and account the departure. Shared by the serial
-// Step loop and EventStep.
-func (p *PPS) stepOutput(t cell.Time, j cell.Port, dst []cell.Cell) ([]cell.Cell, error) {
-	pv := &p.pviews[j]
-	c, ok, err := p.outputs[j].Step(t, pv)
-	if err != nil {
-		return dst, err
-	}
-	if !ok {
-		return dst, nil
-	}
-	if err := p.checkFlowOrder(c); err != nil {
-		return dst, p.violation(t, err)
-	}
-	p.departed++
-	p.cellsInOutputs--
-	if p.trace {
-		p.tracer.Emit(obs.Event{T: t, Kind: obs.EvDepart, Seq: c.Seq, In: c.Flow.In, Out: c.Flow.Out, Plane: c.Via})
-	}
-	return append(dst, c), nil
-}
-
 // Step advances the PPS by one slot. arrivals must be stamped cells with
 // Arrive == t, at most one per input, in sequence order. Departing cells are
 // appended to dst and returned with Depart (and the intermediate stamps)
@@ -779,7 +754,7 @@ func (p *PPS) Step(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cell.C
 	// 3. Buffer discipline; 4. multiplexing and departures. The sharded
 	// engine runs stage 3 across input shards and stage 4 across output
 	// shards with a barrier in between; it is bit-identical to the serial
-	// loops below (see parallel.go for why) but falls back to them while a
+	// stages below (see parallel.go for why) but falls back to them while a
 	// tracer is attached, since the tracer's event stream is globally
 	// ordered and tracing is a diagnostic, not a throughput, mode.
 	if p.pool != nil && !p.trace && !p.pool.closed {
@@ -794,12 +769,9 @@ func (p *PPS) Step(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cell.C
 				return dst, p.violation(t, err)
 			}
 		}
-		for j := 0; j < p.cfg.N; j++ {
-			var err error
-			dst, err = p.stepOutput(t, cell.Port(j), dst)
-			if err != nil {
-				return dst, err
-			}
+		var err error
+		if dst, err = p.sweepBusy(t, dst); err != nil {
+			return dst, err
 		}
 	}
 

@@ -7,7 +7,6 @@ import (
 
 	"ppsim/internal/cell"
 	"ppsim/internal/demux"
-	"ppsim/internal/mux"
 	"ppsim/internal/shadow"
 	"ppsim/internal/traffic"
 )
@@ -393,22 +392,6 @@ func TestStaticPartitionSurvivesOtherGroupFailure(t *testing.T) {
 	deps, _ := drive(t, p, tr, 50)
 	if len(deps) != 1 {
 		t.Errorf("unaffected input should still deliver, got %d departures", len(deps))
-	}
-}
-
-func TestLazyMuxAlsoDeliversEverything(t *testing.T) {
-	p, err := New(Config{N: 4, K: 4, RPrime: 2, Mux: mux.BoundedEager{Max: 1}, CheckInvariants: true},
-		rrFactory(demux.PerInput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := traffic.NewTrace()
-	for s := cell.Time(0); s < 20; s++ {
-		tr.MustAdd(s, cell.Port(s%4), cell.Port((s+1)%4))
-	}
-	deps, _ := drive(t, p, tr, 500)
-	if len(deps) != 20 {
-		t.Errorf("lazy mux lost cells: %d of 20", len(deps))
 	}
 }
 

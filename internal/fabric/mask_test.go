@@ -12,11 +12,12 @@ import (
 
 // TestPlaneMaskMirrorsQueues holds the per-output plane mask to the plane
 // queues after every slot: bit k of planeMask[j] is set exactly when plane k
-// holds a cell for output j. The check is O(N·K) per slot, so it lives here
-// rather than in audit(). It covers the stepped core, the event core and the
-// 2-worker engine, under both fault policies, at K = 1, 8 and 64. Plane 0
-// fails twice while it holds a burst for output 0: under DropCount the
-// failure drains it, under Abort it keeps draining through the outage.
+// holds a cell for output j. It holds the busy-output set to the outputs
+// the same way (checkBusySet). The check is O(N·K) per slot, so it lives
+// here rather than in audit(). It covers the stepped core, the event core
+// and the 2-worker engine, under both fault policies, at K = 1, 8 and 64.
+// Plane 0 fails twice while it holds a burst for output 0: under DropCount
+// the failure drains it, under Abort it keeps draining through the outage.
 func TestPlaneMaskMirrorsQueues(t *testing.T) {
 	const n = 16
 	tr := interleaveTrace(t, n)
@@ -68,6 +69,7 @@ func TestPlaneMaskMirrorsQueues(t *testing.T) {
 						if checkPlaneMask(t, p, slot) {
 							multi++
 						}
+						checkBusySet(t, p, slot, core != "workers2")
 					}
 					if policy == faults.DropCount && p.Dropped() == 0 {
 						t.Error("no cell was dropped: the failures hit empty planes")
@@ -98,4 +100,30 @@ func checkPlaneMask(t *testing.T, p *PPS, slot cell.Time) (multi bool) {
 		multi = multi || want&(want-1) != 0
 	}
 	return multi
+}
+
+// checkBusySet fails the test unless the busy-output list is sorted without
+// duplicates, busyMark marks exactly its members, and it holds every output
+// with work: exactly those under a serial core, whose mux sweep compacts
+// it, and a superset of them under the sharded mux stage, which does not.
+func checkBusySet(t *testing.T, p *PPS, slot cell.Time, exact bool) {
+	t.Helper()
+	on := make([]bool, p.cfg.N)
+	for i, j := range p.busyList {
+		if i > 0 && j <= p.busyList[i-1] {
+			t.Fatalf("slot %d: busy list %v is not strictly ascending", slot, p.busyList)
+		}
+		on[j] = true
+	}
+	for j := range on {
+		busy := p.outputBusy(cell.Port(j))
+		switch {
+		case p.busyMark[j] != on[j]:
+			t.Fatalf("slot %d: busyMark[%d] = %v, busy list has it: %v", slot, j, p.busyMark[j], on[j])
+		case busy && !on[j]:
+			t.Fatalf("slot %d: output %d holds work but is not on the busy list %v", slot, j, p.busyList)
+		case exact && on[j] && !busy:
+			t.Fatalf("slot %d: drained output %d is still on the busy list %v", slot, j, p.busyList)
+		}
+	}
 }

@@ -547,8 +547,11 @@ func Drive(sw Switch, src traffic.Source, opts Options) (res Result, err error) 
 	}
 
 	// The span feed serves both cores' arrival phase, and whether it reads
-	// ahead is the source's half of engine eligibility (selectEngine).
-	d.feed = traffic.NewSpanFeed(src, end)
+	// ahead is the source's half of engine eligibility (selectEngine). It
+	// ends at MaxSlots too: no run reads a slot past the cap, and a feed
+	// that did would walk a hostile trace's silent spans up to its first
+	// far-off arrival before the cap could stop the run.
+	d.feed = traffic.NewSpanFeed(src, min(end, opts.MaxSlots))
 	eng, reason := selectEngine(pps, src, d.feed, opts)
 	slot, err := d.run(eng == EngineEvent)
 	if err != nil {

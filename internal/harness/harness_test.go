@@ -105,6 +105,34 @@ func TestMaxSlotsBeforeHorizonErrors(t *testing.T) {
 	}
 }
 
+// countingSource is a trace read ahead in spans that counts the spans read.
+type countingSource struct {
+	*traffic.Trace
+	calls int
+}
+
+func (c *countingSource) AppendArrivals(dst []traffic.Arrival, from, to cell.Time) []traffic.Arrival {
+	c.calls++
+	return c.Trace.AppendArrivals(dst, from, to)
+}
+
+// TestMaxSlotsBoundsTheFeed: a run reads no span past MaxSlots. One cell
+// at slot 2^36 under MaxSlots 2^16 used to make the event core's first
+// look-ahead walk every silent span up to the cell, about 2^24 reads,
+// before the cap stopped the run; now the walk ends at the cap.
+func TestMaxSlotsBoundsTheFeed(t *testing.T) {
+	src := &countingSource{Trace: traffic.NewTrace()}
+	src.MustAdd(1<<36, 0, 1)
+	_, err := Run(fabric.Config{N: 4, K: 4, RPrime: 2}, rrFactory, src, Options{MaxSlots: 1 << 16})
+	if err == nil || !strings.Contains(err.Error(), "MaxSlots 65536") {
+		t.Fatalf("run of a cell past MaxSlots: %v, want the MaxSlots error", err)
+	}
+	if src.calls > 32 {
+		t.Errorf("the feed read %d spans of a run capped at 2^16 slots", src.calls)
+	}
+	t.Logf("%d spans read", src.calls)
+}
+
 func TestOnPPSDepartSeesStamps(t *testing.T) {
 	cfg := fabric.Config{N: 2, K: 2, RPrime: 1, CheckInvariants: true}
 	tr := traffic.NewTrace()

@@ -2,6 +2,10 @@ package mux
 
 import "ppsim/internal/cell"
 
+// StandaloneBuffer returns the resequencing buffer of a standalone output
+// of an n-port switch over store s, for tests outside the package.
+func StandaloneBuffer(s *cell.Store, n int) *Buffer { return &NewOutput(0, Eager{}, s, n).buf }
+
 // EmittableLen counts the cells on b's emittable ring by popping them all
 // and appending them back in Seq order, which leaves the ring as it was.
 func (b *Buffer) EmittableLen() int {

@@ -165,7 +165,7 @@ func TestResequencingAllocatesOncePerOutput(t *testing.T) {
 	s := cell.NewStore(1)
 	ids := cell.NewStamperSized(n)
 	col := cell.NewColumn[Cursor](n * n)
-	outs := NewOutputs(n, Eager{}, s, &col, make([]int32, n))
+	outs := NewOutputs(n, s, &col, make([]int32, n))
 	planes := make([]*plane.Plane, k)
 	for p := range planes {
 		planes[p] = plane.New(cell.Plane(p), n, s)

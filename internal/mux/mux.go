@@ -4,22 +4,17 @@
 //
 // The multiplexor enforces the global FCFS discipline of the reference
 // switch: among cells present in the output-port buffer, the one that
-// arrived to the PPS earliest (globally, across inputs) departs first. Two
-// pull policies are provided; their comparison is one of the ablations
-// called out in DESIGN.md §5:
-//
-//   - Eager: every slot, pull the head of every plane queue whose output
-//     line is free. The aggregate inflow to an output can reach S*R, which
-//     the model permits (the speedup is exactly the ratio of aggregate
-//     internal capacity to the external line).
-//   - BoundedEager: every slot, pull at most Max of those heads, earliest
-//     first; Max = 1 is lazy FCFS (one pull per slot).
+// arrived to the PPS earliest (globally, across inputs) departs first. It
+// pulls by the model's one rule (Section 2): every slot, it takes the head
+// of every plane queue whose output-side line is free, so the aggregate
+// inflow to an output can reach S*R (the speedup is exactly the ratio of
+// aggregate internal capacity to the external line).
 //
 // Cells are addressed by cell.Ref into the shared columnar cell.Store
-// (DESIGN.md §13): the view hands the policies a batch of eligible plane
-// heads in one call, the policy takes the refs it wants in one call, and
-// the resequencer threads the refs onto rings through the store's link
-// column, so no output owns a container of its own.
+// (DESIGN.md §13): the view hands the output every eligible plane head in
+// one call and pops them all in a second, and the resequencer threads the
+// refs onto rings through the store's link column, so no output owns a
+// container of its own.
 package mux
 
 import (
@@ -30,8 +25,7 @@ import (
 )
 
 // Head is one eligible plane head as reported by PlaneView.Eligible: the
-// plane and the global sequence number of its head cell (the only field the
-// pull policies order by).
+// plane and the global sequence number of its head cell.
 type Head struct {
 	K   cell.Plane
 	Seq uint64
@@ -40,9 +34,8 @@ type Head struct {
 // PlaneView is the fabric-provided view of the center stage restricted to
 // one output-port: the per-plane queues destined to that output and the
 // output-side line gates. The protocol is batched: one Eligible call per
-// slot surfaces every pullable head, then one Take (or a single PullBatch)
-// per selection — two interface crossings per output-slot for the eager
-// policy instead of four per cell.
+// slot surfaces every pullable head and one PullBatch takes them all, two
+// interface crossings per output-slot instead of four per cell.
 type PlaneView interface {
 	// Planes returns K.
 	Planes() int
@@ -50,87 +43,17 @@ type PlaneView interface {
 	// whose queue for this output is non-empty and whose output-side line
 	// is free at slot t.
 	Eligible(t cell.Time, dst []Head) []Head
-	// Take seizes plane k's line at t and pops its head ref. Within one
-	// slot a plane can be taken at most once (the seize holds the line for
-	// r' >= 1 slots), so the Eligible set never goes stale mid-slot except
-	// for the entries already taken.
-	Take(t cell.Time, k cell.Plane) (cell.Ref, error)
-	// PullBatch takes every listed head in order, appending the popped
-	// refs to dst. On a gate violation it returns the refs taken so far
-	// together with the error; the caller still owns those refs.
+	// PullBatch seizes the line of every listed head at t and pops the head
+	// refs in order, appending them to dst. On a gate violation it returns
+	// the refs taken so far together with the error; the caller still owns
+	// those refs.
 	PullBatch(t cell.Time, heads []Head, dst []cell.Ref) ([]cell.Ref, error)
 }
 
-// Policy selects which plane queues to drain each slot.
-type Policy interface {
-	// Pull moves zero or more cells from the planes into the buffer.
-	Pull(t cell.Time, pv PlaneView, buf *Buffer) error
-}
-
-// Eager pulls from every free line with a pending cell.
+// Eager names the output stage's one pull rule: every slot, take every
+// eligible head. It carries nothing; it stays a type only because NewOutput
+// takes it, and the benchmark's mux kernel calls NewOutput(j, Eager{}, s, n).
 type Eager struct{}
-
-// Pull implements Policy: every eligible head is taken, in ascending plane
-// order, in a single batch.
-func (Eager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
-	sc := buf.scratch(pv)
-	sc.heads = pv.Eligible(t, sc.heads[:0])
-	if len(sc.heads) == 0 {
-		return nil
-	}
-	var err error
-	sc.refs, err = pv.PullBatch(t, sc.heads, sc.refs[:0])
-	// Push whatever was taken even on error, so every popped cell is
-	// accounted in the buffer before the violation aborts the run.
-	for _, r := range sc.refs {
-		buf.Push(t, r)
-	}
-	return err
-}
-
-// BoundedEager pulls at most Max cells per slot, earliest heads first — the
-// dial between lazy FCFS (Max = 1) and Eager (Max >= K). It models an
-// output-port whose reassembly memory bandwidth admits fewer than S*R
-// writes per slot, and quantifies how much of the eager policy's advantage
-// survives at each budget (ablation, DESIGN.md §5).
-type BoundedEager struct {
-	// Max is the per-slot pull budget (>= 1).
-	Max int
-}
-
-// Pull implements Policy. One Eligible scan suffices: a take only busies
-// the taken plane's own line and pops its own head, so the remaining
-// entries stay eligible — selecting the minimum-Seq survivor per round over
-// the snapshot is exactly the historical rescan loop.
-func (p BoundedEager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
-	if p.Max < 1 {
-		return fmt.Errorf("mux: bounded-eager budget must be >= 1, got %d", p.Max)
-	}
-	sc := buf.scratch(pv)
-	sc.heads = pv.Eligible(t, sc.heads[:0])
-	heads := sc.heads
-	for pulled := 0; pulled < p.Max; pulled++ {
-		best := -1
-		for i := range heads {
-			if heads[i].K < 0 {
-				continue // already taken this slot
-			}
-			if best < 0 || heads[i].Seq < heads[best].Seq {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		r, err := pv.Take(t, heads[best].K)
-		if err != nil {
-			return err
-		}
-		heads[best].K = -1
-		buf.Push(t, r)
-	}
-	return nil
-}
 
 // Buffer is the output-port resequencing buffer. The PPS must preserve the
 // order of cells within a flow, but cells of one flow switched through
@@ -147,7 +70,7 @@ func (p BoundedEager) Pull(t cell.Time, pv PlaneView, buf *Buffer) error {
 // cell is on no plane queue and not free, so its link slot is unused). The
 // fabric's outputs share one column indexed by FlowID-1 (NewOutputs), so
 // the resequencers cost one 8-byte word per flow the run carries and
-// allocate nothing to park. A standalone buffer (NewBuffer, NewOutput) owns
+// allocate nothing to park. A standalone output's buffer (NewOutput) owns
 // an n-entry column indexed by the input-port instead: its flows are
 // exactly one per input, and a FlowID-indexed column of its own would be
 // sized to the whole switch's flow count.
@@ -172,9 +95,9 @@ type Buffer struct {
 	// keeps an Output small (fabric.New builds N of them).
 	drops *queue.SeqTable
 
-	// sc is the pull policies' per-slot scratch, so policies stay stateless
-	// values. The outputs of one store shard share it (NewOutputs): they are
-	// stepped one after another by the same goroutine.
+	// sc is the per-slot pull scratch. The outputs of one store shard share
+	// it (NewOutputs): they are stepped one after another by the same
+	// goroutine.
 	sc *pullScratch
 }
 
@@ -200,29 +123,33 @@ type pullScratch struct {
 	refs  []cell.Ref
 }
 
-// scratch returns the buffer's pull scratch, creating a standalone
-// buffer's own on its first pull and sizing either to pv's K.
-func (b *Buffer) scratch(pv PlaneView) *pullScratch {
+// pull moves every eligible head at slot t into the buffer, in ascending
+// plane order and in a single batch. A standalone output creates its own
+// scratch on its first pull; either is sized to pv's K then.
+func (b *Buffer) pull(t cell.Time, pv PlaneView) error {
 	if b.sc == nil {
 		b.sc = new(pullScratch)
 	}
-	if b.sc.heads == nil {
+	sc := b.sc
+	if sc.heads == nil {
 		k := pv.Planes()
-		b.sc.heads, b.sc.refs = make([]Head, 0, k), make([]cell.Ref, 0, k)
+		sc.heads, sc.refs = make([]Head, 0, k), make([]cell.Ref, 0, k)
 	}
-	return b.sc
+	sc.heads = pv.Eligible(t, sc.heads[:0])
+	if len(sc.heads) == 0 {
+		return nil
+	}
+	var err error
+	sc.refs, err = pv.PullBatch(t, sc.heads, sc.refs[:0])
+	// Push whatever was taken even on error, so every popped cell is
+	// accounted in the buffer before the violation aborts the run.
+	for _, r := range sc.refs {
+		b.Push(t, r)
+	}
+	return err
 }
 
-// NewBuffer returns a standalone resequencing buffer for one output of an
-// n-port switch over store s.
-func NewBuffer(s *cell.Store, n int) *Buffer {
-	if s == nil || n <= 0 {
-		panic(fmt.Sprintf("mux: buffer needs a store and n > 0 (n=%d)", n))
-	}
-	return &Buffer{s: s, next: ownCursors(n), byInput: true}
-}
-
-// ownCursors is a standalone buffer's input-indexed cursor column: n
+// ownCursors is a standalone output's input-indexed cursor column: n
 // entries, one page up to n = 4096.
 func ownCursors(n int) *cell.Column[Cursor] {
 	col := cell.NewColumn[Cursor](n)
@@ -309,13 +236,12 @@ func (b *Buffer) PopEmittable() (cell.Cell, bool) {
 	return c, true
 }
 
-// Output is one PPS output-port: a pull policy plus the reassembly buffer
-// and the external-line emission logic (at most one cell per slot; a cell
-// may depart in the very slot it reached the output-port).
+// Output is one PPS output-port: the reassembly buffer and the
+// external-line emission logic (at most one cell per slot; a cell may
+// depart in the very slot it reached the output-port).
 type Output struct {
-	j      cell.Port
-	policy Policy
-	buf    Buffer
+	j   cell.Port
+	buf Buffer
 
 	busySlots  int64 // slots in which a cell departed
 	firstSlot  cell.Time
@@ -323,13 +249,13 @@ type Output struct {
 	everActive bool
 }
 
-// NewOutput returns output-port j of an n-port switch with the given pull
-// policy, resequencing over store s in a standalone buffer (NewBuffer). It
-// panics on a nil policy or store.
-func NewOutput(j cell.Port, p Policy, s *cell.Store, n int) *Output {
-	checkOutputArgs(p, s, n)
+// NewOutput returns output-port j of an n-port switch, resequencing over
+// store s in a standalone buffer whose flow cursors are indexed by
+// input-port. It panics on a nil store or n <= 0.
+func NewOutput(j cell.Port, _ Eager, s *cell.Store, n int) *Output {
+	checkOutputArgs(s, n)
 	o := &Output{}
-	o.init(j, p, s, ownCursors(n), true)
+	o.init(j, s, ownCursors(n), true)
 	return o
 }
 
@@ -341,9 +267,9 @@ func NewOutput(j cell.Port, p Policy, s *cell.Store, n int) *Output {
 // concurrently only write their own flows' entries. outShard[j] is the
 // store shard output j's cells live in; the outputs of one shard share one
 // pull scratch, so they must be stepped by one goroutine at a time. It
-// panics on a nil policy, store or column, or an outShard not of length n.
-func NewOutputs(n int, p Policy, s *cell.Store, next *cell.Column[Cursor], outShard []int32) []Output {
-	checkOutputArgs(p, s, n)
+// panics on a nil store or column, n <= 0, or an outShard not of length n.
+func NewOutputs(n int, s *cell.Store, next *cell.Column[Cursor], outShard []int32) []Output {
+	checkOutputArgs(s, n)
 	if next == nil {
 		panic("mux: nil cursor column")
 	}
@@ -357,30 +283,27 @@ func NewOutputs(n int, p Policy, s *cell.Store, next *cell.Column[Cursor], outSh
 	scratch := make([]pullScratch, shards)
 	outs := make([]Output, n)
 	for j := range outs {
-		outs[j].init(cell.Port(j), p, s, next, false)
+		outs[j].init(cell.Port(j), s, next, false)
 		outs[j].buf.sc = &scratch[outShard[j]]
 	}
 	return outs
 }
 
-func checkOutputArgs(p Policy, s *cell.Store, n int) {
-	if p == nil {
-		panic("mux: nil policy")
-	}
+func checkOutputArgs(s *cell.Store, n int) {
 	if s == nil || n <= 0 {
 		panic(fmt.Sprintf("mux: output needs a store and n > 0 (n=%d)", n))
 	}
 }
 
-func (o *Output) init(j cell.Port, p Policy, s *cell.Store, next *cell.Column[Cursor], byInput bool) {
-	*o = Output{j: j, policy: p, buf: Buffer{s: s, next: next, byInput: byInput}, firstSlot: cell.None, lastSlot: cell.None}
+func (o *Output) init(j cell.Port, s *cell.Store, next *cell.Column[Cursor], byInput bool) {
+	*o = Output{j: j, buf: Buffer{s: s, next: next, byInput: byInput}, firstSlot: cell.None, lastSlot: cell.None}
 }
 
-// Step advances the output by one slot: pull per policy, then emit the
-// earliest buffered cell, if any. It returns the departed cell (ok=false if
-// the output was idle) or an error if the policy violated a gate.
+// Step advances the output by one slot: pull every eligible head, then emit
+// the earliest buffered cell, if any. It returns the departed cell (ok=false
+// if the output was idle) or an error if a pull violated a gate.
 func (o *Output) Step(t cell.Time, pv PlaneView) (cell.Cell, bool, error) {
-	if err := o.policy.Pull(t, pv, &o.buf); err != nil {
+	if err := o.buf.pull(t, pv); err != nil {
 		return cell.Cell{}, false, err
 	}
 	c, ok := o.buf.PopEmittable()

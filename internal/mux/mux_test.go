@@ -81,7 +81,7 @@ func testBuffer(n int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64), func(
 	s := cell.NewStore(1)
 	ids := cell.NewStamperSized(n)
 	col := cell.NewColumn[Cursor](n * n)
-	b := &NewOutputs(1, Eager{}, s, &col, []int32{0})[0].buf
+	b := &NewOutputs(1, s, &col, []int32{0})[0].buf
 	stamp := func(c cell.Cell) cell.Cell {
 		c.FlowID = ids.ID(c.Flow)
 		col.GrowTo(int(c.FlowID))
@@ -92,11 +92,11 @@ func testBuffer(n int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64), func(
 		func(f cell.Flow) *Cursor { c := stamp(cell.New(0, 0, f, 0)); return b.cursor(&c) }
 }
 
-// standaloneBuffer is testBuffer over NewBuffer, whose own column is
-// indexed by input-port; the cells carry no flow id.
+// standaloneBuffer is testBuffer over a standalone output's buffer, whose
+// own column is indexed by input-port; the cells carry no flow id.
 func standaloneBuffer(n int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64), func(cell.Flow) *Cursor) {
 	s := cell.NewStore(1)
-	b := NewBuffer(s, n)
+	b := &NewOutput(0, Eager{}, s, n).buf
 	return b, func(c cell.Cell) { b.Push(0, s.Put(0, c)) },
 		func(f cell.Flow, fs uint64) { b.Skip(cell.New(0, fs, f, 0)) },
 		func(f cell.Flow) *Cursor { c := cell.New(0, 0, f, 0); return b.cursor(&c) }
@@ -179,7 +179,7 @@ func TestBufferInterleavesFlowsGlobalFCFS(t *testing.T) {
 
 func TestBufferFreesRefsOnPop(t *testing.T) {
 	s := cell.NewStore(1)
-	b := NewBuffer(s, 4)
+	b := &NewOutput(0, Eager{}, s, 4).buf
 	b.Push(0, s.Put(0, mk(0, 0)))
 	b.Push(0, s.Put(0, mk(1, 0)))
 	if s.Live() != 2 {
@@ -241,79 +241,6 @@ func TestOutputConstraintLimitsDrainRate(t *testing.T) {
 	}
 }
 
-func TestLazyPullsEarliestOnly(t *testing.T) {
-	fv := newFakeView(0, 3, 2, 1)
-	fv.enqueue(2, mk(0, 0)) // earliest cell on plane 2
-	fv.enqueue(0, mk(1, 0))
-	o := NewOutput(0, BoundedEager{Max: 1}, fv.s, 32)
-	c, ok, err := o.Step(0, fv)
-	if err != nil || !ok || c.Seq != 0 {
-		t.Fatalf("lazy should pull and emit seq 0: %v %v %v", c, ok, err)
-	}
-	if o.Buffered() != 0 {
-		t.Errorf("lazy pulled extra cells: %d buffered", o.Buffered())
-	}
-	if fv.planes[0].QueueLen(0) != 1 {
-		t.Error("plane 0 should still hold its cell")
-	}
-}
-
-func TestBoundedEagerBudget(t *testing.T) {
-	fv := newFakeView(0, 4, 2, 1)
-	for i := uint64(0); i < 4; i++ {
-		fv.enqueue(int(i), mk(i, 0))
-	}
-	o := NewOutput(0, BoundedEager{Max: 2}, fv.s, 32)
-	c, ok, err := o.Step(0, fv)
-	if err != nil || !ok || c.Seq != 0 {
-		t.Fatalf("Step: %v %v %v", c, ok, err)
-	}
-	// Budget 2: one emitted, one buffered, two still in planes.
-	if o.Buffered() != 1 {
-		t.Errorf("Buffered = %d, want 1", o.Buffered())
-	}
-	left := 0
-	for k := 0; k < 4; k++ {
-		left += fv.planes[k].QueueLen(0)
-	}
-	if left != 2 {
-		t.Errorf("planes hold %d cells, want 2", left)
-	}
-}
-
-func TestBoundedEagerDegenerateCases(t *testing.T) {
-	// Max = 1 is lazy FCFS; Max >= K behaves like Eager.
-	fv := newFakeView(0, 3, 2, 1)
-	fv.enqueue(1, mk(0, 0))
-	fv.enqueue(2, mk(1, 0))
-	o := NewOutput(0, BoundedEager{Max: 1}, fv.s, 32)
-	if c, ok, _ := o.Step(0, fv); !ok || c.Seq != 0 {
-		t.Fatal("Max=1 must pull the earliest head only")
-	}
-	if o.Buffered() != 0 {
-		t.Error("Max=1 must not over-pull")
-	}
-	fv2 := newFakeView(0, 3, 2, 1)
-	o2 := NewOutput(0, BoundedEager{Max: 8}, fv2.s, 32)
-	fv2.enqueue(0, mk(2, 0))
-	fv2.enqueue(1, mk(3, 0))
-	if _, ok, _ := o2.Step(0, fv2); !ok {
-		t.Fatal("Max>=K must behave eagerly")
-	}
-	if o2.Buffered() != 1 {
-		t.Errorf("eager-equivalent should have buffered the second cell, got %d", o2.Buffered())
-	}
-}
-
-func TestBoundedEagerRejectsBadBudget(t *testing.T) {
-	fv := newFakeView(0, 2, 2, 1)
-	fv.enqueue(0, mk(0, 0))
-	o := NewOutput(0, BoundedEager{Max: 0}, fv.s, 32)
-	if _, _, err := o.Step(0, fv); err == nil {
-		t.Error("budget 0 must error")
-	}
-}
-
 func TestOutputRejectsForeignCell(t *testing.T) {
 	fv := newFakeView(1, 1, 2, 1)
 	fv.enqueue(0, mk(0, 1))
@@ -347,15 +274,6 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestNewOutputNilPolicyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewOutput(0, nil, cell.NewStore(1), 2)
-}
-
 func TestNewOutputNilStorePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -365,30 +283,29 @@ func TestNewOutputNilStorePanics(t *testing.T) {
 	NewOutput(0, Eager{}, nil, 2)
 }
 
-func TestNewBufferZeroPortsPanics(t *testing.T) {
+func TestNewOutputZeroPortsPanics(t *testing.T) {
 	for _, n := range []int{0, -1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewBuffer accepted n = %d", n)
+					t.Errorf("NewOutput accepted n = %d", n)
 				}
 			}()
-			NewBuffer(cell.NewStore(1), n)
+			NewOutput(0, Eager{}, cell.NewStore(1), n)
 		}()
 	}
 }
 
 // TestNewOutputsMatchesNewOutput: the slab holds, at index j, exactly the
 // output NewOutput(j, ...) builds except that its cursors live in the shared
-// column and its pull scratch is its shard's, and it panics on the same
-// arguments, on a nil column, on zero ports and on a shard map of the wrong
-// length.
+// column and its pull scratch is its shard's, and it panics on a nil
+// column, on zero ports and on a shard map of the wrong length.
 func TestNewOutputsMatchesNewOutput(t *testing.T) {
 	const n = 5
 	s := cell.NewStore(2)
 	col := cell.NewColumn[Cursor](n * n)
 	outShard := []int32{0, 0, 1, 1, 1}
-	outs := NewOutputs(n, BoundedEager{Max: 1}, s, &col, outShard)
+	outs := NewOutputs(n, s, &col, outShard)
 	if len(outs) != n {
 		t.Fatalf("NewOutputs built %d outputs, want %d", len(outs), n)
 	}
@@ -401,17 +318,16 @@ func TestNewOutputsMatchesNewOutput(t *testing.T) {
 				t.Errorf("outputs %d and %d (shards %d, %d) share a pull scratch: %v", i, j, outShard[i], outShard[j], same)
 			}
 		}
-		want := NewOutput(cell.Port(j), BoundedEager{Max: 1}, s, n)
+		want := NewOutput(cell.Port(j), Eager{}, s, n)
 		want.buf.next, want.buf.byInput, want.buf.sc = &col, false, outs[j].buf.sc
 		if !reflect.DeepEqual(&outs[j], want) {
 			t.Errorf("output %d = %+v, NewOutput gives %+v", j, outs[j], *want)
 		}
 	}
 	for name, build := range map[string]func(){
-		"nil policy":      func() { NewOutputs(n, nil, s, &col, outShard) },
-		"nil column":      func() { NewOutputs(n, Eager{}, s, nil, outShard) },
-		"zero ports":      func() { NewOutputs(0, Eager{}, s, &col, nil) },
-		"short shard map": func() { NewOutputs(n, Eager{}, s, &col, outShard[1:]) },
+		"nil column":      func() { NewOutputs(n, s, nil, outShard) },
+		"zero ports":      func() { NewOutputs(0, s, &col, nil) },
+		"short shard map": func() { NewOutputs(n, s, &col, outShard[1:]) },
 	} {
 		func() {
 			defer func() {

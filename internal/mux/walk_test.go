@@ -1,6 +1,7 @@
 package mux_test
 
 import (
+	"slices"
 	"testing"
 
 	"ppsim/internal/adversary"
@@ -9,40 +10,8 @@ import (
 	"ppsim/internal/fabric"
 	"ppsim/internal/harness"
 	"ppsim/internal/mux"
+	"ppsim/internal/obs"
 )
-
-// walkProbe is the eager pull policy, recording the emittable-set size
-// before every insert into an output's emittable ring: the most links that
-// insert's walk can follow.
-type walkProbe struct {
-	sizes []int
-	// after is each buffer's emittable-set size when its last pull ended.
-	after map[*mux.Buffer]int
-}
-
-// Pull implements mux.Policy as mux.Eager does. Inserts happen in two
-// places: a pushed cell that is in order joins the ring here, and the
-// emission after the pull (Buffer.PopEmittable) may release the popped
-// cell's parked successor onto it. A release leaves the set as large as
-// the pull left it (one popped, one inserted into a set one smaller), so
-// the next pull finds it unchanged; without a release it finds it one
-// smaller. A buffer with emittable cells is busy, so its output is stepped
-// again the next slot.
-func (w *walkProbe) Pull(t cell.Time, pv mux.PlaneView, buf *mux.Buffer) error {
-	if last := w.after[buf]; last > 0 && buf.EmittableLen() == last {
-		w.sizes = append(w.sizes, last-1)
-	}
-	refs, err := pv.PullBatch(t, pv.Eligible(t, nil), nil)
-	for _, r := range refs {
-		before := buf.EmittableLen()
-		buf.Push(t, r)
-		if buf.EmittableLen() > before {
-			w.sizes = append(w.sizes, before)
-		}
-	}
-	w.after[buf] = buf.EmittableLen()
-	return err
-}
 
 // TestEmittableWalkBoundedUnderConcentration bounds the emittable ring's
 // insert walk, which is O(emittable set) where a heap was O(log). It runs
@@ -50,6 +19,13 @@ func (w *walkProbe) Pull(t cell.Time, pv mux.PlaneView, buf *mux.Buffer) error {
 // inputs on plane 1 of output 0, K = 4, r' = 2, round-robin dispatch), the
 // suite's deepest concentration on one output, and asserts the mean and
 // max set size at insert (DESIGN.md §13 records the figures).
+//
+// The run is traced, and its pulls are replayed per output through a
+// standalone buffer, as the benchmark's mux kernel replays them. Inserts
+// happen in two places: a pushed cell that is in order joins the ring, and
+// an emission may release the popped cell's parked successor onto it. The
+// replay reads the set size before every push and after every emission, so
+// it sees each insert's walk.
 func TestEmittableWalkBoundedUnderConcentration(t *testing.T) {
 	const n = 128
 	rr := func(e demux.Env) (demux.Algorithm, error) { return demux.NewRoundRobin(e, demux.PerInput) }
@@ -62,26 +38,91 @@ func TestEmittableWalkBoundedUnderConcentration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := &walkProbe{after: map[*mux.Buffer]int{}}
-	cfg.Mux = probe
-	res, err := harness.Run(cfg, rr, tr, harness.Options{Validate: true})
+	ring := obs.NewRingSink(1 << 14)
+	res, err := harness.Run(cfg, rr, tr, harness.Options{Validate: true, Tracer: obs.NewTracer(ring)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Report.MaxRQD != n-1 {
 		t.Fatalf("max RQD %d, E4 measures %d at N = %d: not E4's run", res.Report.MaxRQD, n-1, n)
 	}
+	evs := ring.Events()
+	if res.TraceEvents != uint64(len(evs)) {
+		t.Fatalf("ring kept %d of %d trace events", len(evs), res.TraceEvents)
+	}
+
+	// A cell's FlowSeq is its rank among its flow's arrivals; the trace
+	// lists arrivals in Seq order. pulls[j] is output j's pulls in the
+	// order the fabric made them.
+	type flow struct{ in, out cell.Port }
+	flowSeq := map[uint64]uint64{}
+	arrived := map[flow]uint64{}
+	depart := map[uint64]cell.Time{}
+	pulls := make([][]obs.Event, n)
+	for _, ev := range evs {
+		switch ev.Kind {
+		case obs.EvArrival:
+			f := flow{ev.In, ev.Out}
+			flowSeq[ev.Seq] = arrived[f]
+			arrived[f]++
+		case obs.EvMuxPull:
+			pulls[ev.Out] = append(pulls[ev.Out], ev)
+		case obs.EvDepart:
+			depart[ev.Seq] = ev.T
+		}
+	}
+
+	var sizes []int
+	departed := 0
+	for j, ps := range pulls {
+		if len(ps) == 0 {
+			continue
+		}
+		s := cell.NewStore(1)
+		buf := mux.StandaloneBuffer(s, n)
+		for slot, i := ps[0].T, 0; ; slot++ {
+			for ; i < len(ps) && ps[i].T == slot; i++ {
+				c := cell.New(ps[i].Seq, flowSeq[ps[i].Seq], cell.Flow{In: ps[i].In, Out: cell.Port(j)}, 0)
+				before := buf.EmittableLen()
+				buf.Push(slot, s.Put(0, c))
+				if buf.EmittableLen() > before {
+					sizes = append(sizes, before)
+				}
+			}
+			before := buf.EmittableLen()
+			if c, ok := buf.PopEmittable(); ok {
+				if depart[c.Seq] != slot {
+					t.Fatalf("replay departed cell %d at slot %d, the run at %d", c.Seq, slot, depart[c.Seq])
+				}
+				departed++
+				// A release leaves the set as large as the pop found it: the
+				// released cell walked a set one smaller.
+				if buf.EmittableLen() == before {
+					sizes = append(sizes, before-1)
+				}
+			}
+			if buf.Len() == 0 {
+				if i == len(ps) {
+					break
+				}
+				slot = ps[i].T - 1 // an empty output idles until its next pull
+			}
+		}
+	}
+	if departed != tr.Count() {
+		t.Fatalf("replay departed %d of %d cells", departed, tr.Count())
+	}
 	// Every departed cell joined the emittable ring exactly once.
-	if len(probe.sizes) != tr.Count() {
-		t.Fatalf("recorded %d emittable inserts for %d cells", len(probe.sizes), tr.Count())
+	if len(sizes) != tr.Count() {
+		t.Fatalf("recorded %d emittable inserts for %d cells", len(sizes), tr.Count())
 	}
-	sum, peak := 0, 0
-	for _, s := range probe.sizes {
+	sum := 0
+	for _, s := range sizes {
 		sum += s
-		peak = max(peak, s)
 	}
-	mean := float64(sum) / float64(len(probe.sizes))
-	t.Logf("%d emittable inserts: set size mean %.2f, max %d", len(probe.sizes), mean, peak)
+	mean := float64(sum) / float64(len(sizes))
+	peak := slices.Max(sizes)
+	t.Logf("%d emittable inserts: set size mean %.2f, max %d", len(sizes), mean, peak)
 	if mean > 0.25 || peak > 2 {
 		t.Errorf("emittable set at insert: mean %.2f, max %d; want mean <= 0.25, max <= 2", mean, peak)
 	}

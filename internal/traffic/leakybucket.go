@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"slices"
 
 	"ppsim/internal/cell"
 	"ppsim/internal/queue"
@@ -130,6 +131,13 @@ func MeasureSource(n int, src Source) (int64, error) {
 // output-port. Proposition 15 is demonstrated by showing this grows without
 // bound in tau for congestion traffic, whereas it is capped by B for any
 // (R, B) leaky-bucket stream.
+//
+// The window ending at slot t covers (t-tau, t], clipped at slot 0, and
+// its excess is its cell count minus its length. A slot with no arrival
+// for the output drops a cell out of the window or lengthens it, so the
+// excess only peaks at arrival slots: the scan visits each output's
+// arrivals with a two-pointer window and costs O(cells + n), whatever the
+// horizon.
 func WindowBurstiness(n int, src Source, tau cell.Time) (int64, error) {
 	end := src.End()
 	if end == cell.None {
@@ -138,30 +146,37 @@ func WindowBurstiness(n int, src Source, tau cell.Time) (int64, error) {
 	if tau <= 0 {
 		return 0, fmt.Errorf("traffic: window must be positive, got %d", tau)
 	}
-	// counts[j][t] = cells for output j arriving at slot t.
-	counts := make([][]int64, n)
-	for j := range counts {
-		counts[j] = make([]int64, end)
-	}
-	for _, a := range appendSpan(src, nil, 0, end) {
+	arrs := appendSpan(src, nil, 0, end)
+	// Counting sort by output: at[first[j]:first[j+1]] holds output j's
+	// arrival slots in ascending order.
+	first := make([]int, n+1)
+	for _, a := range arrs {
 		if err := inSwitch(n, a); err != nil {
 			return 0, err
 		}
-		counts[a.Out][a.T]++
+		first[a.Out+1]++
+	}
+	for j := 0; j < n; j++ {
+		first[j+1] += first[j]
+	}
+	at := make([]cell.Time, len(arrs))
+	next := slices.Clone(first[:n])
+	for _, a := range arrs {
+		at[next[a.Out]] = a.T
+		next[a.Out]++
 	}
 	var worst int64
 	for j := 0; j < n; j++ {
-		var window int64
-		for t := cell.Time(0); t < end; t++ {
-			window += counts[j][t]
-			if t >= tau {
-				window -= counts[j][t-tau]
+		ts := at[first[j]:first[j+1]]
+		lo := 0
+		for i, t := range ts {
+			if i+1 < len(ts) && ts[i+1] == t {
+				continue // the window ending at t counts all of t's cells
 			}
-			w := tau
-			if t+1 < tau {
-				w = t + 1
+			for ts[lo] <= t-tau {
+				lo++
 			}
-			if excess := window - int64(w); excess > worst {
+			if excess := int64(i+1-lo) - int64(min(tau, t+1)); excess > worst {
 				worst = excess
 			}
 		}

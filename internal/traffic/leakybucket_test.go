@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -161,6 +162,70 @@ func TestWindowBurstinessBoundedForLeakyBucket(t *testing.T) {
 	}
 	if _, err := WindowBurstiness(3, tr, 0); err == nil {
 		t.Error("tau=0 must error")
+	}
+}
+
+// denseWindowBurstiness is WindowBurstiness's oracle, the historical dense
+// scan: an n × End() table of per-slot counts, and every window ending at
+// every slot of every output.
+func denseWindowBurstiness(n int, src Source, tau cell.Time) (int64, error) {
+	end := src.End()
+	if end == cell.None {
+		return 0, fmt.Errorf("traffic: cannot measure an unbounded source")
+	}
+	if tau <= 0 {
+		return 0, fmt.Errorf("traffic: window must be positive, got %d", tau)
+	}
+	counts := make([][]int64, n)
+	for j := range counts {
+		counts[j] = make([]int64, end)
+	}
+	for _, a := range appendSpan(src, nil, 0, end) {
+		if err := inSwitch(n, a); err != nil {
+			return 0, err
+		}
+		counts[a.Out][a.T]++
+	}
+	var worst int64
+	for j := 0; j < n; j++ {
+		var window int64
+		for t := cell.Time(0); t < end; t++ {
+			window += counts[j][t]
+			if t >= tau {
+				window -= counts[j][t-tau]
+			}
+			if excess := window - int64(min(tau, t+1)); excess > worst {
+				worst = excess
+			}
+		}
+	}
+	return worst, nil
+}
+
+// Property: the arrival-slot scan equals the dense scan of every window on
+// traces of up to 64 cells over 200 slots, several to a slot, at every
+// window length up to past the horizon.
+func TestWindowBurstinessMatchesDenseScan(t *testing.T) {
+	prop := func(cells []uint16, tauRaw uint8) bool {
+		const n = 4
+		tr := NewTrace()
+		for i, c := range cells {
+			if i == 64 {
+				break
+			}
+			tr.Add(cell.Time(c%200), cell.Port(c/200%n), cell.Port(c/800%n)) // collisions skipped
+		}
+		tau := 1 + cell.Time(tauRaw)
+		got, err := WindowBurstiness(n, tr, tau)
+		want, werr := denseWindowBurstiness(n, tr, tau)
+		if got != want || (err == nil) != (werr == nil) {
+			t.Logf("tau %d: scan %d (%v), dense %d (%v)", tau, got, err, want, werr)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"ppsim/internal/fabric"
 	"ppsim/internal/harness"
 	"ppsim/internal/metrics"
-	"ppsim/internal/mux"
 	"ppsim/internal/traffic"
 )
 
@@ -96,10 +95,6 @@ type Config struct {
 	// BufferCap bounds input-port buffers: 0 = bufferless PPS (the
 	// default), -1 = unbounded, positive = per-input capacity.
 	BufferCap int
-	// MuxBudget, when positive, bounds each output's pulls per slot (an
-	// ablation, DESIGN.md §5): 1 is one-pull-per-slot FCFS, and >= K is the
-	// default eager multiplexor.
-	MuxBudget int
 	// DisableChecks turns off the per-slot conservation audit (it is on
 	// by default; turn off only for throughput benchmarking).
 	DisableChecks bool
@@ -124,17 +119,13 @@ func ResolveWorkers(workers, n int) int { return fabric.ResolveWorkers(workers, 
 
 // fabricConfig lowers the public config.
 func (c Config) fabricConfig() fabric.Config {
-	fc := fabric.Config{
+	return fabric.Config{
 		N:               c.N,
 		K:               c.K,
 		RPrime:          c.RPrime,
 		BufferCap:       c.BufferCap,
 		CheckInvariants: !c.DisableChecks,
 	}
-	if c.MuxBudget > 0 {
-		fc.Mux = mux.BoundedEager{Max: c.MuxBudget}
-	}
-	return fc
 }
 
 // Run executes src through a fresh PPS configured by cfg and through the

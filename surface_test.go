@@ -26,7 +26,6 @@ var surfaceAllowlist = map[string]string{
 	"MarshalJSON":          "traffic.Trace encoding, called by encoding/json through json.Marshaler",
 	"Misses":               "demux CPA-family deadline misses, the witness the CPA tests check",
 	"NewBernoulliWeighted": "traffic: per-(i, j) weighted iid source whose weight checks the traffic tests pin",
-	"NewBuffer":            "mux: standalone resequencing buffer the mux tests drive without a fabric",
 	"NewRecorder":          "metrics: unsized recorder the metrics tests build without a stamper",
 	"QueuingDelay":         "cell: Depart - Arrive, the delay the shadow and calculus tests bound",
 	"Reconstruct":          "bvn: sum of weighted permutations, the witness that a decomposition is exact",
