@@ -1,7 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -140,12 +143,25 @@ func TestFailPlanesRejected(t *testing.T) {
 // TestFlagsOutOfRangeRejected: a flag value no run can honour is a
 // single-line usage error before anything runs. viz -width 0 used to divide
 // by zero, bounds -u -1 printed negative bounds, bounds -d -1 silently
-// became r', and sim -workers -2 exited 1 as a failed run.
+// became r', and sim -workers -2 exited 1 as a failed run. viz and trace
+// -run validate the configuration (and viz builds the traffic) before the
+// run, as sim does; they exited 1 on these.
 func TestFlagsOutOfRangeRejected(t *testing.T) {
+	// A well-formed trace, so the -run rows fail on their configuration.
+	tr := filepath.Join(t.TempDir(), "t.json")
+	if err := os.WriteFile(tr, []byte(`[{"t":0,"in":0,"out":1}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	unknownAlg := fmt.Sprintf("unknown algorithm \"nosuch\" (one of %v)", ppsim.AlgorithmNames())
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
+		{[]string{"viz", "-u", "-1", "-alg", "stale-cpa"}, "ppsim viz: demux: stale-cpa staleness must be >= 1, got -1\n"},
+		{[]string{"viz", "-k", "0"}, "ppsim viz: fabric: K must be positive, got 0\n"},
+		{[]string{"viz", "-traffic", "nosuch"}, "ppsim viz: unknown traffic kind \"nosuch\"\n"},
+		{[]string{"trace", "-run", tr, "-k", "0"}, "ppsim trace: fabric: K must be positive, got 0\n"},
+		{[]string{"trace", "-run", tr, "-alg", "nosuch"}, "ppsim trace: ppsim: " + unknownAlg + "\n"},
 		{[]string{"viz", "-width", "0"}, "ppsim viz: -width 0 must be >= 1\n"},
 		{[]string{"viz", "-width", "-3"}, "ppsim viz: -width -3 must be >= 1\n"},
 		{[]string{"bounds", "-u", "-1"}, "ppsim bounds: -u -1 must be >= 0\n"},

@@ -32,6 +32,9 @@ func traceCmd(fs *flag.FlagSet) func(io.Writer) int {
 		cfg.Algorithm.Seed = 0
 		switch {
 		case *replay != "":
+			if err := cfg.Validate(); err != nil {
+				return fail(fs, 2, err)
+			}
 			return exit(fs, runTrace(stdout, *replay, cfg))
 		case *stats != "":
 			return exit(fs, printStats(stdout, *stats, s.n))

@@ -29,30 +29,40 @@ func vizCmd(fs *flag.FlagSet) func(io.Writer) int {
 		if *width < 1 {
 			return fail(fs, 2, fmt.Errorf("-width %d must be >= 1", *width))
 		}
-		return exit(fs, timeline(stdout, s, *width))
+		cfg, src, err := s.vizRun()
+		if err != nil {
+			return fail(fs, 2, err)
+		}
+		return exit(fs, timeline(stdout, cfg, src, *width))
 	}
 }
 
-// timeline draws the plane-backlog timeline of one run.
-func timeline(w io.Writer, s switchFlags, width int) error {
+// vizRun validates the run's configuration and builds its traffic; -slots
+// 0 picks 400 slots.
+func (s switchFlags) vizRun() (ppsim.Config, ppsim.Source, error) {
 	if s.slots <= 0 {
 		s.slots = 400
 	}
 	cfg := s.config()
-	src, err := s.source(cfg)
-	if err != nil {
-		return err
+	if err := cfg.Validate(); err != nil {
+		return cfg, nil, err
 	}
+	src, err := s.source(cfg)
+	return cfg, src, err
+}
+
+// timeline runs cfg over src and draws its plane-backlog timeline.
+func timeline(w io.Writer, cfg ppsim.Config, src ppsim.Source, width int) error {
 	// One point per slot until both switches drain, within a drain bound of
 	// 16x the horizon plus 64 Ki slots.
 	maxSlots := src.End()*16 + 1<<16 + 1
-	res, err := ppsim.Run(cfg, src, ppsim.Options{MaxSlots: maxSlots, Probes: ppsim.StandardProbes(s.n, s.k, 1, int(maxSlots))})
+	res, err := ppsim.Run(cfg, src, ppsim.Options{MaxSlots: maxSlots, Probes: ppsim.StandardProbes(cfg.N, cfg.K, 1, int(maxSlots))})
 	if err != nil {
 		return err
 	}
 	// Downsample to the terminal width; each column shows the max backlog
 	// in its slot bucket. The standard set leads with plane_backlog[0..k).
-	k := s.k
+	k := cfg.K
 	pts := make([][]ppsim.SeriesPoint, k)
 	for p, ser := range res.Series[:k] {
 		pts[p] = ser.Points()

@@ -8,10 +8,19 @@ import (
 	"testing"
 )
 
+// runTimeline builds and draws the run the flags s describe, as viz does.
+func runTimeline(w io.Writer, s switchFlags, width int) error {
+	cfg, src, err := s.vizRun()
+	if err != nil {
+		return err
+	}
+	return timeline(w, cfg, src, width)
+}
+
 func TestRunAllTrafficKinds(t *testing.T) {
 	for _, kind := range strings.Split(trafficKinds, ", ") {
 		s := switchFlags{n: 16, k: 4, rprime: 2, alg: "rr", u: 4, kind: kind, load: 0.5, slots: 200, seed: 1}
-		if err := timeline(io.Discard, s, 40); err != nil {
+		if err := runTimeline(io.Discard, s, 40); err != nil {
 			t.Errorf("%s: %v", kind, err)
 		}
 	}
@@ -20,7 +29,7 @@ func TestRunAllTrafficKinds(t *testing.T) {
 func TestRunAllAlgorithms(t *testing.T) {
 	for _, alg := range []string{"rr", "perflow-rr", "cpa", "cpa-rotate", "cpa-sets", "stale-cpa", "stale-cpa-randtie", "random", "least-loaded"} {
 		s := switchFlags{n: 8, k: 4, rprime: 2, alg: alg, u: 2, kind: "concentration", load: 0.5, seed: 1}
-		if err := timeline(io.Discard, s, 40); err != nil {
+		if err := runTimeline(io.Discard, s, 40); err != nil {
 			t.Errorf("%s: %v", alg, err)
 		}
 	}
@@ -28,11 +37,11 @@ func TestRunAllAlgorithms(t *testing.T) {
 
 func TestRunRejectsUnknown(t *testing.T) {
 	s := switchFlags{n: 8, k: 4, rprime: 2, alg: "bogus", u: 2, kind: "concentration", load: 0.5, seed: 1}
-	if err := timeline(io.Discard, s, 40); err == nil {
+	if err := runTimeline(io.Discard, s, 40); err == nil {
 		t.Error("unknown algorithm must error")
 	}
 	s.alg, s.kind = "rr", "bogus"
-	if err := timeline(io.Discard, s, 40); err == nil {
+	if err := runTimeline(io.Discard, s, 40); err == nil {
 		t.Error("unknown traffic must error")
 	}
 }

@@ -16,7 +16,8 @@ import "math/bits"
 // holds ids in a power-of-two []FlowID (0 = empty), doubles at load 1/2 and
 // allocates nothing until its first flow; the keys sit in a Column indexed
 // by id-1, and only hashed flows store one. Nothing iterates the table, so
-// hash and capacity cannot reach a simulation result.
+// hash and capacity cannot reach a simulation result. A sized hashed index
+// also remembers each input's last flow, read before the probe.
 //
 // A FlowIndex is not safe for concurrent use.
 type FlowIndex struct {
@@ -26,6 +27,15 @@ type FlowIndex struct {
 	keys  Column[Flow]
 	held  int // hashed flows
 	len   int // ids minted
+	// last[in] is input in's last hashed flow, for in < ports (n for a
+	// sized index without a dense table, else 0), grown to the inputs seen.
+	last  Column[flowMemo]
+	ports uint32
+}
+
+type flowMemo struct {
+	out Port
+	id  FlowID // 0 = none
 }
 
 // flowIndexDenseMax caps the dense table at 2¹⁶ flows, i.e. n <= 256.
@@ -43,6 +53,7 @@ func NewFlowIndex(n int) *FlowIndex {
 		x.keys = NewColumn[Flow](n * n)
 	} else {
 		x.keys = NewColumn[Flow](0)
+		x.last, x.ports = NewColumn[flowMemo](n), uint32(max(n, 0))
 	}
 	return x
 }
@@ -59,6 +70,15 @@ func (x *FlowIndex) ID(f Flow) FlowID {
 			*slot = FlowID(x.len)
 		}
 		return *slot
+	}
+	if uint32(f.In) < x.ports {
+		// Consecutive cells of an input mostly share an output.
+		x.last.GrowTo(int(f.In) + 1)
+		m := x.last.At(int(f.In))
+		if m.id == 0 || m.out != f.Out {
+			*m = flowMemo{out: f.Out, id: x.hashed(f)}
+		}
+		return m.id
 	}
 	return x.hashed(f)
 }

@@ -18,6 +18,16 @@ var flowIndexSizes = [...]int{16, 1024, 0}
 func FuzzFlowIndexAgainstMap(f *testing.F) {
 	f.Add(byte(0), []byte{0, 1, 2, 0, 1, 2, 1, 1, 2, 1, 3, 3})
 	f.Add(byte(1), []byte{0, 0x80, 0x7f, 1, 0x80, 0x7f, 0, 0x80, 0x7f})
+	// A hashed index's per-input memo: inputs that alternate two outputs
+	// (every ID replaces the memo), two inputs sharing those outputs, and
+	// inputs outside [0, n), which the memo does not cover.
+	alternate := []byte{0, 10, 20, 0, 10, 30, 0, 10, 20, 1, 10, 30, 0, 11, 20, 0, 10, 30, 0, 11, 30, 0, 11, 20, 1, 11, 30, 0, 10, 20}
+	outside := []byte{0, 0x7f, 20, 0, 0x7f, 30, 0, 0x80, 20, 0, 0x80, 30, 0, 0x7f, 20, 1, 0x80, 20, 0, 0x9c, 20, 0, 0x9c, 30, 0, 0x9c, 20}
+	for _, mode := range []byte{1, 2} {
+		f.Add(mode, alternate)
+		f.Add(mode, outside)
+		f.Add(mode, append(append([]byte{}, alternate...), outside...))
+	}
 	rng := rand.New(rand.NewSource(1))
 	long := make([]byte, 3*1500) // hundreds of distinct flows: several doublings
 	rng.Read(long)
@@ -124,19 +134,23 @@ func allocBytes(f func()) uint64 {
 }
 
 // TestSizedStamperAllocatesNoFlowTable: an index or Stamper for the N = 1024
-// headline geometry allocates nothing per possible flow before its first
-// one. A dense table of 1 M uint32 ids is 4 MiB and fails the guard.
+// headline geometry, or for N = 16384, allocates nothing per possible flow
+// or per input before its first flow. A dense table of 1 M uint32 ids is
+// 4 MiB, and an up-front per-input memo at N = 16384 is 128 KiB; either
+// fails the guard.
 func TestSizedStamperAllocatesNoFlowTable(t *testing.T) {
-	const n, budget = 1024, 64 << 10
-	for _, c := range []struct {
-		name string
-		mk   func()
-	}{
-		{"NewFlowIndex", func() { NewFlowIndex(n) }},
-		{"NewStamperSized", func() { NewStamperSized(n) }},
-	} {
-		if got := allocBytes(c.mk); got >= budget {
-			t.Errorf("%s(%d) allocated %d bytes before its first flow, want < %d", c.name, n, got, budget)
+	const budget = 64 << 10
+	for _, n := range []int{1024, 16384} {
+		for _, c := range []struct {
+			name string
+			mk   func()
+		}{
+			{"NewFlowIndex", func() { NewFlowIndex(n) }},
+			{"NewStamperSized", func() { NewStamperSized(n) }},
+		} {
+			if got := allocBytes(c.mk); got >= budget {
+				t.Errorf("%s(%d) allocated %d bytes before its first flow, want < %d", c.name, n, got, budget)
+			}
 		}
 	}
 }

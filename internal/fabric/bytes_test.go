@@ -72,13 +72,15 @@ func TestPerFlowStateSizedToFlows(t *testing.T) {
 // TestNewBytesPerPortPlane bounds what fabric.New allocates per (port,
 // plane) at N = 16384, K = 8, where the K·N plane queues and the 2·K·N
 // line gates are most of the fabric. A queue is a 12-byte cell.List, a
-// gate one 8-byte free-at slot, and an output's resequencer holds no
-// parked table, no emittable heap, no pull scratch and no pull-policy
-// interface of its own: 51.6 B per (port, plane) on linux/amd64 with Go
-// 1.24. The policy interface value put it at 53.6 B, the emittable heap's
-// slice header at 56.6 B, a per-output parked table and scratch at
-// 64.6 B, and ring-buffer queue headers (40 B) with 16-byte gates at
-// 106.6 B; the last two fail the guard.
+// gate one 8-byte free-at slot, an output's resequencer holds no parked
+// table, no emittable heap, no pull scratch, no drop table and no
+// pull-policy interface of its own, and the busy outputs are one bit
+// each: 50.5 B per (port, plane) on linux/amd64 with Go 1.24. A drop-table
+// pointer and a busy flag per output put it at 51.6 B, the policy
+// interface value at 53.6 B, the emittable heap's slice header at 56.6 B,
+// a per-output parked table and scratch at 64.6 B, and ring-buffer queue
+// headers (40 B) with 16-byte gates at 106.6 B; the last two fail the
+// guard.
 func TestNewBytesPerPortPlane(t *testing.T) {
 	const n, k, budget = 16384, 8, 60
 	var before, after runtime.MemStats

@@ -175,12 +175,13 @@ type PPS struct {
 	// failScratch is the reusable buffer FailDrop drains a dying plane's
 	// backlog into.
 	failScratch []cell.Cell
-	// dropGaps[out], allocated only under DropCount, holds the (In,
-	// FlowSeq) keys of dropped cells so checkFlowOrder can verify that a
-	// departure gap is exactly the flow's accounted drops — the referee's
-	// own record, not the resequencer's. Written in the serial phases (slot
-	// start, dispatch), consumed by the output's own mux shard after the
-	// stage barrier.
+	// dropGaps, allocated only under DropCount, holds per store shard the
+	// (FlowID, FlowSeq) keys of its outputs' dropped cells so checkFlowOrder
+	// can verify that a departure gap is exactly the flow's accounted drops
+	// — the referee's own record, not the resequencer's. Written in the
+	// serial phases (slot start, dispatch), consumed by the shard's mux
+	// goroutine after the stage barrier. Keyed by flow, not by (In, FlowSeq),
+	// which two outputs of one shard can each drop.
 	dropGaps []queue.SeqTable
 
 	// pool is the stage-parallel worker pool, nil for the serial engine.
@@ -201,16 +202,15 @@ type PPS struct {
 	// consults every slot is one word test.
 	planeMask []uint64
 
-	// busyList is the sorted working set of outputs that hold work (cells
-	// queued in a plane or buffered in the resequencer), and busyMark[j]
-	// holds exactly when j is on it. Dispatch stages a newly-busy output in
-	// busyAdd (guarded by busyMark) and merges the additions; both serial
-	// cores' mux sweep (sweepBusy) walks the set in ascending output order
-	// and compacts drained outputs out. The sharded mux stage steps every
-	// output and leaves the set alone, so under it the set is a superset.
-	busyMark []bool
-	busyList []cell.Port
-	busyAdd  []cell.Port
+	// busy is the two-level bitmap of outputs that hold work (cells queued
+	// in a plane or buffered in the resequencer): bit j&63 of busy[j>>6]
+	// marks output j, and bit w&63 of busySum[w>>6] a non-zero leaf word w.
+	// Dispatch sets both bits; both serial cores' mux sweep (sweepBusy)
+	// walks the set bits in ascending output order and clears drained
+	// outputs. The sharded mux stage steps every output and leaves the set
+	// alone, so under it the set is a superset.
+	busy    []uint64
+	busySum []uint64
 
 	// pendingList is the working set of inputs holding arrived-but-
 	// undispatched cells, with pendingIdx[i] its position (-1 when absent).
@@ -237,7 +237,9 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 		dispatchedPerPlane: make([]uint64, cfg.K),
 		pullsPerOut:        make([]int64, cfg.N),
 		planeMask:          make([]uint64, cfg.N),
-		busyMark:           make([]bool, cfg.N),
+		busy:               make([]uint64, (cfg.N+63)/64),
+		busySum:            make([]uint64, (cfg.N+64*64-1)/(64*64)),
+		planes:             make([]*plane.Plane, cfg.K),
 		pendingIdx:         make([]int32, cfg.N),
 	}
 	for i := range p.pendingIdx {
@@ -261,8 +263,8 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 			p.outShard[j] = int32(i)
 		}
 	}
-	for k := 0; k < cfg.K; k++ {
-		p.planes = append(p.planes, plane.New(cell.Plane(k), cfg.N, p.store))
+	for k := range p.planes {
+		p.planes[k] = plane.New(cell.Plane(k), cfg.N, p.store)
 	}
 	p.outputs = mux.NewOutputs(cfg.N, p.store, &p.flowNext, p.outShard)
 	p.pviews = make([]planeView, cfg.N)
@@ -275,7 +277,7 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 	if cfg.FaultPolicy == faults.DropCount {
 		// Allocated on policy, not schedule: a plane a caller failed before
 		// slot 0 (PPS.Plane(k).Fail()) drops under DropCount with no schedule.
-		p.dropGaps = make([]queue.SeqTable, cfg.N)
+		p.dropGaps = make([]queue.SeqTable, shards)
 	}
 	alg, err := makeAlg(envView{p})
 	if err != nil {
@@ -384,11 +386,11 @@ func (p *PPS) checkFlowOrder(c cell.Cell) error {
 	expect := *last
 	orig := expect
 	if c.FlowSeq != expect && p.dropGaps != nil {
-		// The per-output dropGaps shard is filled in the serial phases and
-		// consumed only here, by the shard that owns output c.Flow.Out.
-		gaps := &p.dropGaps[c.Flow.Out]
+		// The shard's gap table is filled in the serial phases and consumed
+		// only here, by the shard that owns output c.Flow.Out.
+		gaps := &p.dropGaps[p.outShard[c.Flow.Out]]
 		for {
-			if _, dropped := gaps.Take(int32(c.Flow.In), expect); !dropped {
+			if _, dropped := gaps.Take(uint32(c.FlowID), expect); !dropped {
 				break
 			}
 			expect++
@@ -414,7 +416,7 @@ func (p *PPS) checkFlowOrder(c cell.Cell) error {
 func (p *PPS) recordDrop(t cell.Time, c cell.Cell) {
 	p.dropped++
 	p.slotDrops = append(p.slotDrops, c)
-	p.dropGaps[c.Flow.Out].Put(int32(c.Flow.In), c.FlowSeq, 0)
+	p.dropGaps[p.outShard[c.Flow.Out]].Put(uint32(c.FlowID), c.FlowSeq, 0)
 	p.outputs[c.Flow.Out].Skip(c)
 	if p.trace {
 		p.tracer.Emit(obs.Event{T: t, Kind: obs.EvDrop, Seq: c.Seq, In: c.Flow.In, Out: c.Flow.Out, Plane: c.Via})
@@ -590,8 +592,8 @@ func (p *PPS) beginSlot(t cell.Time, arrivals []cell.Cell) error {
 }
 
 // dispatch runs stage 2 of a slot: present the arrivals to the algorithm and
-// execute its sends, updating the plane/output backlog counters and staging
-// newly-busy outputs. Shared by Step and EventStep.
+// execute its sends, updating the plane/output backlog counters and marking
+// the destination outputs busy. Shared by Step and EventStep.
 func (p *PPS) dispatch(t cell.Time, arrivals []cell.Cell) error {
 	sends, err := p.alg.Slot(t, arrivals)
 	if err != nil {
@@ -647,10 +649,8 @@ func (p *PPS) dispatch(t cell.Time, arrivals []cell.Cell) error {
 		}
 		p.cellsInPlanes++
 		p.planeMask[c.Flow.Out] |= 1 << s.Plane
-		if !p.busyMark[c.Flow.Out] {
-			p.busyMark[c.Flow.Out] = true
-			p.busyAdd = append(p.busyAdd, c.Flow.Out)
-		}
+		p.busy[c.Flow.Out>>6] |= 1 << (c.Flow.Out & 63)
+		p.busySum[c.Flow.Out>>12] |= 1 << (c.Flow.Out >> 6 & 63)
 		if p.logArmed {
 			p.log.Append(demux.Event{T: t, Kind: demux.EvDispatch, In: c.Flow.In, Out: c.Flow.Out, K: s.Plane})
 		}
@@ -658,70 +658,44 @@ func (p *PPS) dispatch(t cell.Time, arrivals []cell.Cell) error {
 			p.tracer.Emit(obs.Event{T: t, Kind: obs.EvPlaneEnqueue, Seq: c.Seq, In: c.Flow.In, Out: c.Flow.Out, Plane: s.Plane})
 		}
 	}
-	p.mergeBusy()
 	return nil
-}
-
-// mergeBusy folds the outputs staged by dispatch into the sorted busy list.
-// Additions within one slot arrive in dispatch order, which tracks arrival
-// order — nearly sorted — so an insertion sort beats the generic sort; the
-// busyMark guard guarantees the two runs are disjoint, making the in-place
-// back-to-front merge safe.
-func (p *PPS) mergeBusy() {
-	add := p.busyAdd
-	if len(add) == 0 {
-		return
-	}
-	for i := 1; i < len(add); i++ {
-		for k := i; k > 0 && add[k] < add[k-1]; k-- {
-			add[k], add[k-1] = add[k-1], add[k]
-		}
-	}
-	old := len(p.busyList)
-	p.busyList = append(p.busyList, add...)
-	i, k := old-1, len(add)-1
-	for w := len(p.busyList) - 1; k >= 0; w-- {
-		if i >= 0 && p.busyList[i] > add[k] {
-			p.busyList[w] = p.busyList[i]
-			i--
-		} else {
-			p.busyList[w] = add[k]
-			k--
-		}
-	}
-	p.busyAdd = p.busyAdd[:0]
 }
 
 // sweepBusy is the multiplexing stage of both serial cores: it steps the
 // busy outputs in ascending output order (pull, emit, verify flow order,
-// account the departure) and compacts out those that drained. Stepping an
-// output with no queued or buffered cell pulls and emits nothing, so
-// skipping the idle ones changes no departure and no event.
+// account the departure) and clears the bits of those that drained.
+// Stepping an output with no queued or buffered cell pulls and emits
+// nothing, so skipping the idle ones changes no departure and no event.
 func (p *PPS) sweepBusy(t cell.Time, dst []cell.Cell) ([]cell.Cell, error) {
-	keep := p.busyList[:0]
-	for _, j := range p.busyList {
-		c, ok, err := p.outputs[j].Step(t, &p.pviews[j])
-		if err != nil {
-			return dst, err
-		}
-		if ok {
-			if err := p.checkFlowOrder(c); err != nil {
-				return dst, p.violation(t, err)
+	for s, sum := range p.busySum {
+		for ; sum != 0; sum &= sum - 1 {
+			w := s<<6 | bits.TrailingZeros64(sum)
+			for m := p.busy[w]; m != 0; m &= m - 1 {
+				j := cell.Port(w<<6 | bits.TrailingZeros64(m))
+				c, ok, err := p.outputs[j].Step(t, &p.pviews[j])
+				if err != nil {
+					return dst, err
+				}
+				if ok {
+					if err := p.checkFlowOrder(c); err != nil {
+						return dst, p.violation(t, err)
+					}
+					p.departed++
+					p.cellsInOutputs--
+					if p.trace {
+						p.tracer.Emit(obs.Event{T: t, Kind: obs.EvDepart, Seq: c.Seq, In: c.Flow.In, Out: c.Flow.Out, Plane: c.Via})
+					}
+					dst = append(dst, c)
+				}
+				if !p.outputBusy(j) {
+					p.busy[w] &^= 1 << (j & 63)
+				}
 			}
-			p.departed++
-			p.cellsInOutputs--
-			if p.trace {
-				p.tracer.Emit(obs.Event{T: t, Kind: obs.EvDepart, Seq: c.Seq, In: c.Flow.In, Out: c.Flow.Out, Plane: c.Via})
+			if p.busy[w] == 0 {
+				p.busySum[s] &^= 1 << (w & 63)
 			}
-			dst = append(dst, c)
-		}
-		if p.outputBusy(j) {
-			keep = append(keep, j)
-		} else {
-			p.busyMark[j] = false
 		}
 	}
-	p.busyList = keep
 	return dst, nil
 }
 

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ppsim/internal/cell"
@@ -102,28 +103,92 @@ func checkPlaneMask(t *testing.T, p *PPS, slot cell.Time) (multi bool) {
 	return multi
 }
 
-// checkBusySet fails the test unless the busy-output list is sorted without
-// duplicates, busyMark marks exactly its members, and it holds every output
-// with work: exactly those under a serial core, whose mux sweep compacts
-// it, and a superset of them under the sharded mux stage, which does not.
+// checkBusySet fails the test unless the busy bitmap is consistent — a
+// summary bit is set exactly when its leaf word is non-zero, and no bit
+// names an output past N — and it holds every output with work: exactly
+// those under a serial core, whose mux sweep clears drained outputs, and a
+// superset of them under the sharded mux stage, which does not.
 func checkBusySet(t *testing.T, p *PPS, slot cell.Time, exact bool) {
 	t.Helper()
-	on := make([]bool, p.cfg.N)
-	for i, j := range p.busyList {
-		if i > 0 && j <= p.busyList[i-1] {
-			t.Fatalf("slot %d: busy list %v is not strictly ascending", slot, p.busyList)
+	for w, leaf := range p.busy {
+		if sum := p.busySum[w>>6]&(1<<(w&63)) != 0; sum != (leaf != 0) {
+			t.Fatalf("slot %d: summary bit of leaf word %d is %v, leaf %#x", slot, w, sum, leaf)
 		}
-		on[j] = true
 	}
-	for j := range on {
-		busy := p.outputBusy(cell.Port(j))
-		switch {
-		case p.busyMark[j] != on[j]:
-			t.Fatalf("slot %d: busyMark[%d] = %v, busy list has it: %v", slot, j, p.busyMark[j], on[j])
-		case busy && !on[j]:
-			t.Fatalf("slot %d: output %d holds work but is not on the busy list %v", slot, j, p.busyList)
-		case exact && on[j] && !busy:
-			t.Fatalf("slot %d: drained output %d is still on the busy list %v", slot, j, p.busyList)
+	for w := len(p.busy); w < len(p.busySum)*64; w++ {
+		if p.busySum[w>>6]&(1<<(w&63)) != 0 {
+			t.Fatalf("slot %d: summary bit set for leaf word %d past the %d leaves", slot, w, len(p.busy))
 		}
+	}
+	for j := 0; j < len(p.busy)*64; j++ {
+		on := p.busy[j>>6]&(1<<(j&63)) != 0
+		switch {
+		case j >= p.cfg.N:
+			if on {
+				t.Fatalf("slot %d: busy bit set for output %d of %d", slot, j, p.cfg.N)
+			}
+		case p.outputBusy(cell.Port(j)) && !on:
+			t.Fatalf("slot %d: output %d holds work but is not in the busy set", slot, j)
+		case exact && on && !p.outputBusy(cell.Port(j)):
+			t.Fatalf("slot %d: drained output %d is still in the busy set", slot, j)
+		}
+	}
+}
+
+// TestBusySetSpansSummaryWords: at N = 8200 the busy bitmap has 129 leaf
+// words and 3 summary words. One slot makes outputs busy on both sides of
+// a leaf boundary (63, 64), of a summary boundary (4095, 4096) and at both
+// ends of the switch, dispatched in descending output order. Both serial
+// cores must depart them in ascending output order, and the set must be
+// empty once they have.
+func TestBusySetSpansSummaryWords(t *testing.T) {
+	const n = 8200
+	outs := []cell.Port{8199, 4096, 4095, 64, 63, 0}
+	for _, core := range []string{"stepped", "event"} {
+		t.Run(core, func(t *testing.T) {
+			p, err := New(Config{N: n, K: 2, RPrime: 2, CheckInvariants: true}, rrFactory(demux.PerInput))
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := p.Step
+			if core == "event" {
+				step = p.EventStep
+			}
+			st := cell.NewStamperSized(n)
+			var cells []cell.Cell
+			for i, out := range outs {
+				cells = append(cells, st.Stamp(cell.Flow{In: cell.Port(i), Out: out}, 0))
+			}
+			var deps []cell.Cell
+			for slot := cell.Time(0); slot == 0 || !p.Drained(); slot++ {
+				if slot > 8 {
+					t.Fatalf("switch did not drain (backlog %d)", p.Backlog())
+				}
+				if deps, err = step(slot, cells, deps); err != nil {
+					t.Fatalf("slot %d: %v", slot, err)
+				}
+				if slot == 0 {
+					checkBusySet(t, p, slot, true)
+				}
+				cells = nil
+			}
+			var got []cell.Port
+			for _, c := range deps {
+				got = append(got, c.Flow.Out)
+			}
+			if want := []cell.Port{0, 63, 64, 4095, 4096, 8199}; !slices.Equal(got, want) {
+				t.Errorf("departures by output %v, want %v", got, want)
+			}
+			for w, leaf := range p.busy {
+				if leaf != 0 {
+					t.Errorf("drained switch keeps busy leaf word %d = %#x", w, leaf)
+				}
+			}
+			for s, sum := range p.busySum {
+				if sum != 0 {
+					t.Errorf("drained switch keeps busy summary word %d = %#x", s, sum)
+				}
+			}
+		})
 	}
 }

@@ -324,10 +324,10 @@ func (pl *workerPool) muxShard(w int) {
 // phases of Step (schedule application at slot start, the dispatch loop of
 // stage 2), so by the time the shards run, the drop counters, the dropGaps
 // referee tables, and the resequencers' drop tables are final for the slot.
-// A shard only takes from the tables of its own outputs — checkFlowOrder
-// from dropGaps[out], Buffer.advance from that output's buffer — which
-// keeps the sharded engine bit-identical to the serial one under any
-// schedule.
+// A shard only takes from its own tables — checkFlowOrder from its
+// dropGaps entry, Buffer.advance from its pull scratch — and only the
+// records of its own outputs' flows, which keeps the sharded engine
+// bit-identical to the serial one under any schedule.
 func (p *PPS) stepSharded(t cell.Time, dst []cell.Cell) ([]cell.Cell, error) {
 	pl := p.pool
 	pl.t = t

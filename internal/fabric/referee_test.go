@@ -12,6 +12,7 @@ import (
 	"ppsim/internal/cell"
 	"ppsim/internal/demux"
 	"ppsim/internal/faults"
+	"ppsim/internal/traffic"
 )
 
 // rogue is a configurable misbehaving algorithm.
@@ -261,7 +262,7 @@ func TestRefereeGapTolerance(t *testing.T) {
 			p.recordDrop(0, at(0, 1, fs))
 		}
 		depart(t, p, 0, 1, 6)
-		if left := p.dropGaps[1].Len(); left != 0 {
+		if left := p.dropGaps[0].Len(); left != 0 {
 			t.Errorf("%d gap records left after the gap was crossed", left)
 		}
 	})
@@ -331,9 +332,9 @@ func TestTrailingDropLeavesSwitchDrained(t *testing.T) {
 	if p.dropGaps[0].Len() != 1 {
 		t.Fatalf("%d gap records, want the one trailing drop", p.dropGaps[0].Len())
 	}
-	if !p.Drained() || p.Backlog() != 0 || p.outputBusy(0) || len(p.busyList) != 0 {
-		t.Errorf("Drained %v, Backlog %d, output 0 busy %v, busy list %v; want a drained idle switch",
-			p.Drained(), p.Backlog(), p.outputBusy(0), p.busyList)
+	if !p.Drained() || p.Backlog() != 0 || p.outputBusy(0) || p.busy[0] != 0 || p.busySum[0] != 0 {
+		t.Errorf("Drained %v, Backlog %d, output 0 busy %v, busy set %#x/%#x; want a drained idle switch",
+			p.Drained(), p.Backlog(), p.outputBusy(0), p.busy[0], p.busySum[0])
 	}
 }
 
@@ -387,6 +388,106 @@ func TestRefereeRejectsBadFlowIDs(t *testing.T) {
 				}
 				if got := p.lastFlowSeq.Len() + p.flowNext.Len(); got > 2*n*n {
 					t.Errorf("the rejected id grew the per-flow columns to %d entries", got)
+				}
+			})
+		}
+	}
+}
+
+// TestDropRecordsKeyedByFlow: input 0's flows to outputs 2 and 3, which
+// share a store shard serially and under 2 workers, each lose the same
+// FlowSeq. Both the order referee and the resequencers keep one drop table
+// per shard, so a record keyed by (In, FlowSeq) alone would let one flow's
+// record overwrite the other's. In "FlowSeq 0" the loss is at the flow's
+// frontier, which only the referee records. In "FlowSeq 1" it is ahead of
+// the frontier (FlowSeq 0 waits in a plane behind a busy output line), so
+// both outputs' resequencers hold a record too. Either way both flows'
+// successors must depart and the referee must accept both gaps.
+func TestDropRecordsKeyedByFlow(t *testing.T) {
+	type send struct {
+		slot    cell.Time
+		in, out cell.Port
+		fs      uint64
+		k       cell.Plane
+	}
+	// Planes 4 and 5 are failed: a send there is a drop. r' = 4, so a
+	// pull holds its output line for four slots.
+	for _, tc := range []struct {
+		name  string
+		sends []send
+	}{
+		{"FlowSeq 0", []send{
+			{0, 0, 2, 0, 4}, {1, 0, 3, 0, 5}, {2, 0, 2, 1, 0}, {3, 0, 3, 1, 1},
+		}},
+		{"FlowSeq 1", []send{
+			// Busy the lines (0, 2) and (1, 3) until slot 4.
+			{0, 3, 2, 0, 0}, {0, 2, 3, 0, 1},
+			{1, 0, 2, 0, 0}, {2, 0, 3, 0, 1}, // wait in the planes until slot 4
+			{3, 0, 2, 1, 4}, {4, 0, 3, 1, 5}, // dropped ahead of the frontier
+			{5, 0, 2, 2, 2}, {6, 0, 3, 2, 3},
+		}},
+	} {
+		plane := map[[3]uint64]cell.Plane{}
+		tr := traffic.NewTrace()
+		for _, s := range tc.sends {
+			plane[[3]uint64{uint64(s.in), uint64(s.out), s.fs}] = s.k
+			tr.MustAdd(s.slot, s.in, s.out)
+		}
+		factory := rogueFactory(func(demux.Env) func(cell.Time, []cell.Cell) ([]demux.Send, error) {
+			return func(_ cell.Time, arrivals []cell.Cell) ([]demux.Send, error) {
+				var out []demux.Send
+				for _, c := range arrivals {
+					k := plane[[3]uint64{uint64(c.Flow.In), uint64(c.Flow.Out), c.FlowSeq}]
+					out = append(out, demux.Send{Cell: c, Plane: k})
+				}
+				return out, nil
+			}
+		}, nil)
+		for _, core := range []string{"stepped", "event", "workers2"} {
+			t.Run(tc.name+"/"+core, func(t *testing.T) {
+				cfg := Config{N: 4, K: 6, RPrime: 4, CheckInvariants: true, FaultPolicy: faults.DropCount}
+				if core == "workers2" {
+					cfg.Workers = 2
+				}
+				p, err := New(cfg, factory)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				if p.outShard[2] != p.outShard[3] {
+					t.Fatalf("outputs 2 and 3 in shards %d and %d, want one", p.outShard[2], p.outShard[3])
+				}
+				p.Plane(4).Fail()
+				p.Plane(5).Fail()
+				step := p.Step
+				if core == "event" {
+					step = p.EventStep
+				}
+				st := cell.NewStamper()
+				var deps []cell.Cell
+				for slot := cell.Time(0); slot < tr.End() || !p.Drained(); slot++ {
+					if slot > 4*tr.End() {
+						t.Fatalf("switch did not drain: backlog %d, %d departed", p.Backlog(), len(deps))
+					}
+					var cells []cell.Cell
+					for _, a := range tr.Arrivals(slot, nil) {
+						cells = append(cells, st.Stamp(cell.Flow{In: a.In, Out: a.Out}, slot))
+					}
+					if deps, err = step(slot, cells, deps); err != nil {
+						t.Fatalf("slot %d: %v", slot, err)
+					}
+				}
+				if p.Dropped() != 2 || int(p.Departed()) != len(tc.sends)-2 {
+					t.Fatalf("dropped %d, departed %d of %d cells, want 2 dropped", p.Dropped(), p.Departed(), len(tc.sends))
+				}
+				last := map[cell.Port]uint64{}
+				for _, c := range deps {
+					if c.Flow.In == 0 {
+						last[c.Flow.Out] = c.FlowSeq
+					}
+				}
+				if want := tc.sends[len(tc.sends)-1].fs; last[2] != want || last[3] != want {
+					t.Errorf("input 0's last departures to outputs 2 and 3 carry FlowSeq %d and %d, want %d", last[2], last[3], want)
 				}
 			})
 		}

@@ -6,6 +6,7 @@ import (
 
 	"ppsim/internal/cell"
 	"ppsim/internal/fabric"
+	"ppsim/internal/faults"
 	"ppsim/internal/traffic"
 )
 
@@ -48,5 +49,45 @@ func TestRunPerFlowStateSizedToFlows(t *testing.T) {
 			2*n, float64(got)/(1<<20), float64(runBytesBudget)/(1<<20))
 	} else {
 		t.Logf("Run over %d flows allocated %.2f MiB", 2*n, float64(got)/(1<<20))
+	}
+}
+
+// shapedFaultRunAllocs bounds the mallocs of one sweep-small point: N = 32,
+// K = 8, r' = 2 round-robin over Shape(32, 4, Bernoulli 0.75) for 1 000
+// slots, Validate on, plane 1 failed over [250, 750) under DropCount. It
+// read 367 when the regulator grew a FIFO per input, the referee and every
+// resequencer grew a drop table per output, and the busy outputs were a
+// growable sorted list; it reads 167 with one regulator node slab, one
+// drop table of each kind per store shard and the busy bitmap.
+const shapedFaultRunAllocs = 180
+
+// TestShapedFaultRunAllocsPerPort is the mallocs guard of that point: a
+// per-run table that grows one backing array per port or per output, one
+// doubling at a time, fails it with the count.
+func TestShapedFaultRunAllocsPerPort(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations; guard only meaningful on plain builds")
+	}
+	const n = 32
+	var res Result
+	var err error
+	allocs := testing.AllocsPerRun(2, func() {
+		src := traffic.NewRegulator(n, 4, traffic.NewBernoulli(n, 0.75, 1000, 1))
+		res, err = Run(fabric.Config{N: n, K: 8, RPrime: 2}, rrFactory, src, Options{
+			Horizon: 20000, MaxSlots: 20000 + 1<<20, Validate: true,
+			Faults: faults.NewSchedule().Outage(1, 250, 750), FaultPolicy: faults.DropCount,
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Drops == 0 || res.Report.Cells == 0 {
+		t.Fatalf("run delivered %d cells and dropped %d: the outage hit nothing", res.Report.Cells, res.Report.Drops)
+	}
+	if allocs > shapedFaultRunAllocs {
+		t.Errorf("one shaped DropCount run at N = %d made %.0f mallocs, budget %d: does a per-run table grow per port again?",
+			n, allocs, shapedFaultRunAllocs)
+	} else {
+		t.Logf("one shaped DropCount run at N = %d made %.0f mallocs (%d cells, %d dropped)", n, allocs, res.Report.Cells, res.Report.Drops)
 	}
 }

@@ -64,10 +64,7 @@ func matchReferenceOps(t *testing.T, name string, build bufferBuilder, wrap bool
 		return ok
 	}
 	check := func(op int) {
-		records, skips := 0, 0
-		if b.drops != nil {
-			records = b.drops.Len()
-		}
+		records, skips := dropRecords(b), 0
 		for _, s := range m.skips {
 			skips += len(s)
 		}

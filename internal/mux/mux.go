@@ -86,18 +86,10 @@ type Buffer struct {
 	byInput   bool                 // standalone: next is indexed by Flow.In, not FlowID-1
 	next      *cell.Column[Cursor] // flow cursors and parked rings
 	held      int                  // cells buffered: emittable and parked
-	// drops holds the (In, FlowSeq mod 2^32) keys the fabric reported
-	// dropped ahead of the flow's frontier (failed planes, DropCount
-	// policy): a parked cell must not wait forever for a predecessor that
-	// will never be delivered. A record waits for the flow's frontier to
-	// reach it and is not a cell: Len does not count it, so an output
-	// holding only records is idle. Nil until the first such Skip, which
-	// keeps an Output small (fabric.New builds N of them).
-	drops *queue.SeqTable
 
-	// sc is the per-slot pull scratch. The outputs of one store shard share
-	// it (NewOutputs): they are stepped one after another by the same
-	// goroutine.
+	// sc is the per-slot pull scratch and drop table. The outputs of one
+	// store shard share it (NewOutputs): they are stepped one after another
+	// by the same goroutine.
 	sc *pullScratch
 }
 
@@ -121,11 +113,18 @@ type Cursor struct {
 type pullScratch struct {
 	heads []Head
 	refs  []cell.Ref
+	// drops holds the (flow key, FlowSeq mod 2^32) of each cell the fabric
+	// reported dropped ahead of its flow's frontier (failed planes,
+	// DropCount policy), so a parked successor does not wait forever. A
+	// record is not a cell: Len does not count it, so an output holding
+	// only records is idle. A flow departs at one output, so the outputs
+	// sharing the scratch share the table without colliding.
+	drops queue.SeqTable
 }
 
 // pull moves every eligible head at slot t into the buffer, in ascending
 // plane order and in a single batch. A standalone output creates its own
-// scratch on its first pull; either is sized to pv's K then.
+// scratch on its first pull or Skip; either is sized to pv's K then.
 func (b *Buffer) pull(t cell.Time, pv PlaneView) error {
 	if b.sc == nil {
 		b.sc = new(pullScratch)
@@ -157,14 +156,15 @@ func ownCursors(n int) *cell.Column[Cursor] {
 	return &col
 }
 
-// cursor returns c's flow cursor. A shared column was grown to c's FlowID by
-// its owner before the cell was pushed.
-func (b *Buffer) cursor(c *cell.Cell) *Cursor {
+// flow returns c's flow key — its cursor index plus one, so never zero —
+// and its cursor. A shared column was grown to c's FlowID by its owner
+// before the cell was pushed.
+func (b *Buffer) flow(c *cell.Cell) (uint32, *Cursor) {
 	i := int(c.FlowID) - 1
 	if b.byInput {
 		i = int(c.Flow.In)
 	}
-	return b.next.At(i)
+	return uint32(i) + 1, b.next.At(i)
 }
 
 // Push inserts a cell delivered by a plane at slot t, stamping AtOutput.
@@ -172,7 +172,7 @@ func (b *Buffer) Push(t cell.Time, r cell.Ref) {
 	c := b.s.At(r)
 	c.AtOutput = t
 	b.held++
-	cur := b.cursor(c)
+	_, cur := b.flow(c)
 	if uint32(c.FlowSeq) == cur.next {
 		b.s.RingInsertSeq(&b.emittable, r)
 		return
@@ -189,32 +189,32 @@ func (b *Buffer) Len() int { return b.held }
 // behind the gap. Skips may arrive in any order relative to the flow's
 // progression and to each other.
 func (b *Buffer) Skip(c cell.Cell) {
-	cur := b.cursor(&c)
+	key, cur := b.flow(&c)
 	if uint32(c.FlowSeq) != cur.next {
-		if b.drops == nil {
-			b.drops = new(queue.SeqTable)
+		if b.sc == nil {
+			b.sc = new(pullScratch)
 		}
-		b.drops.Put(int32(c.Flow.In), uint64(uint32(c.FlowSeq)), 0)
+		b.sc.drops.Put(key, uint64(uint32(c.FlowSeq)), 0)
 		return
 	}
 	cur.next++
-	b.advance(c.Flow.In, cur)
+	b.advance(key, cur)
 }
 
-// advance moves input in's flow on from a cursor that was just bumped: it
-// releases the parked cell now in order, if there is one, and otherwise
-// steps over every consecutive dropped FlowSeq to look again.
-func (b *Buffer) advance(in cell.Port, cur *Cursor) {
+// advance moves flow key's cursor on after it was just bumped: it releases
+// the parked cell now in order, if there is one, and otherwise steps over
+// every consecutive dropped FlowSeq to look again.
+func (b *Buffer) advance(key uint32, cur *Cursor) {
 	for {
 		if r, ok := b.s.RingFront(&cur.parked); ok && uint32(b.s.At(r).FlowSeq) == cur.next {
 			b.s.RingPop(&cur.parked)
 			b.s.RingInsertSeq(&b.emittable, r)
 			return
 		}
-		if b.drops == nil {
+		if b.sc == nil {
 			return
 		}
-		if _, dropped := b.drops.Take(int32(in), uint64(cur.next)); !dropped {
+		if _, dropped := b.sc.drops.Take(key, uint64(cur.next)); !dropped {
 			return
 		}
 		cur.next++
@@ -230,9 +230,9 @@ func (b *Buffer) PopEmittable() (cell.Cell, bool) {
 	}
 	c := b.s.Take(b.s.RingPop(&b.emittable))
 	b.held--
-	cur := b.cursor(&c)
+	key, cur := b.flow(&c)
 	cur.next = uint32(c.FlowSeq) + 1
-	b.advance(c.Flow.In, cur)
+	b.advance(key, cur)
 	return c, true
 }
 
@@ -266,8 +266,8 @@ func NewOutput(j cell.Port, _ Eager, s *cell.Store, n int) *Output {
 // before the cell can reach an output — serially, so outputs stepped
 // concurrently only write their own flows' entries. outShard[j] is the
 // store shard output j's cells live in; the outputs of one shard share one
-// pull scratch, so they must be stepped by one goroutine at a time. It
-// panics on a nil store or column, n <= 0, or an outShard not of length n.
+// pull scratch and drop table, so one goroutine at a time must step them.
+// It panics on a nil store or column, n <= 0, or an outShard not of length n.
 func NewOutputs(n int, s *cell.Store, next *cell.Column[Cursor], outShard []int32) []Output {
 	checkOutputArgs(s, n)
 	if next == nil {

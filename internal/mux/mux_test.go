@@ -89,7 +89,7 @@ func testBuffer(n int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64), func(
 	}
 	return b, func(c cell.Cell) { b.Push(0, s.Put(0, stamp(c))) },
 		func(f cell.Flow, fs uint64) { b.Skip(stamp(cell.New(0, fs, f, 0))) },
-		func(f cell.Flow) *Cursor { c := stamp(cell.New(0, 0, f, 0)); return b.cursor(&c) }
+		func(f cell.Flow) *Cursor { c := stamp(cell.New(0, 0, f, 0)); _, cur := b.flow(&c); return cur }
 }
 
 // standaloneBuffer is testBuffer over a standalone output's buffer, whose
@@ -99,7 +99,16 @@ func standaloneBuffer(n int) (*Buffer, func(cell.Cell), func(cell.Flow, uint64),
 	b := &NewOutput(0, Eager{}, s, n).buf
 	return b, func(c cell.Cell) { b.Push(0, s.Put(0, c)) },
 		func(f cell.Flow, fs uint64) { b.Skip(cell.New(0, fs, f, 0)) },
-		func(f cell.Flow) *Cursor { c := cell.New(0, 0, f, 0); return b.cursor(&c) }
+		func(f cell.Flow) *Cursor { c := cell.New(0, 0, f, 0); _, cur := b.flow(&c); return cur }
+}
+
+// dropRecords reports the drop records held in b's scratch, which it shares
+// with the other outputs of its shard.
+func dropRecords(b *Buffer) int {
+	if b.sc == nil {
+		return 0
+	}
+	return b.sc.drops.Len()
 }
 
 func TestBufferOrdersBySeq(t *testing.T) {

@@ -140,12 +140,7 @@ func matchPerFlowReference(t *testing.T, newBuffer bufferBuilder) {
 			}
 			return ok
 		}
-		records := func() int {
-			if b.drops == nil {
-				return 0
-			}
-			return b.drops.Len()
-		}
+		records := func() int { return dropRecords(b) }
 		check := func(op string) {
 			if b.Len() != m.cells {
 				t.Fatalf("seed %d: Len = %d after %s, reference holds %d cells", seed, b.Len(), op, m.cells)

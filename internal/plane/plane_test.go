@@ -1,7 +1,6 @@
 package plane
 
 import (
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -163,39 +162,57 @@ func TestPerOutputOrder(t *testing.T) {
 // TestFirstPushAllocatesNothing pushes one ref into each of the K·N plane
 // queues of a store already warmed to K·N cells: a queue is a list threaded
 // through the store's link column, so no queue allocates on first use.
+// testing.AllocsPerRun runs the pushes with GOMAXPROCS pinned to 1, and each
+// of its calls (one warm-up, then the measured runs) gets its own store and
+// planes, built beforehand, so every measured push is a first push.
 func TestFirstPushAllocatesNothing(t *testing.T) {
-	const n, k = 64, 8
-	s := cell.NewStore(1)
-	refs := make([]cell.Ref, 0, n*k)
-	for i := 0; i < n*k; i++ {
-		refs = append(refs, s.Put(0, mk(uint64(i), 0)))
+	const n, k, runs = 64, 8, 4
+	type fixture struct {
+		s      *cell.Store
+		planes []*Plane
 	}
-	for _, r := range refs {
-		s.Free(r)
+	fixtures := make([]fixture, runs+1)
+	for f := range fixtures {
+		s := cell.NewStore(1)
+		refs := make([]cell.Ref, 0, n*k)
+		for i := 0; i < n*k; i++ {
+			refs = append(refs, s.Put(0, mk(uint64(i), 0)))
+		}
+		for _, r := range refs {
+			s.Free(r)
+		}
+		planes := make([]*Plane, k)
+		for i := range planes {
+			planes[i] = New(cell.Plane(i), n, s)
+		}
+		fixtures[f] = fixture{s, planes}
 	}
-	planes := make([]*Plane, k)
-	for i := range planes {
-		planes[i] = New(cell.Plane(i), n, s)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, p := range planes {
-		for j := 0; j < n; j++ {
-			if err := p.Enqueue(s.Put(0, mk(uint64(j), cell.Port(j)))); err != nil {
-				t.Fatal(err)
+	calls := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		x := fixtures[calls]
+		calls++
+		for _, p := range x.planes {
+			for j := 0; j < n; j++ {
+				if err := p.Enqueue(x.s.Put(0, mk(uint64(j), cell.Port(j)))); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+	})
+	if allocs != 0 {
+		t.Errorf("first push into %d plane queues allocated %.0f times, want 0", n*k, allocs)
 	}
-	runtime.ReadMemStats(&after)
-	if got := after.Mallocs - before.Mallocs; got != 0 {
-		t.Errorf("first push into %d plane queues allocated %d times, want 0", n*k, got)
+	if calls != len(fixtures) {
+		t.Fatalf("AllocsPerRun made %d calls, want %d", calls, len(fixtures))
 	}
-	for _, p := range planes {
-		for j := 0; j < n; j++ {
-			s.Free(p.Pop(cell.Port(j)))
+	for _, x := range fixtures {
+		for _, p := range x.planes {
+			for j := 0; j < n; j++ {
+				x.s.Free(p.Pop(cell.Port(j)))
+			}
 		}
-	}
-	if s.Live() != 0 {
-		t.Errorf("Live = %d after draining", s.Live())
+		if x.s.Live() != 0 {
+			t.Errorf("Live = %d after draining", x.s.Live())
+		}
 	}
 }

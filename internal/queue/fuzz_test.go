@@ -61,10 +61,10 @@ func FuzzFIFOAgainstModel(f *testing.F) {
 	})
 }
 
-// FuzzSeqTableAgainstModel drives the (port, seq) table with an arbitrary op
+// FuzzSeqTableAgainstModel drives the (flow, seq) table with an arbitrary op
 // stream over a 64-key space and compares against a map. The low six bits of
 // a byte pick the key (keyOf); the top two pick Put (0, 1), Take (2) or Take
-// of a key from a port range Put never uses — a guaranteed miss that must
+// of a key from a flow range Put never uses — a guaranteed miss that must
 // probe to an empty slot (3).
 func FuzzSeqTableAgainstModel(f *testing.F) {
 	const put, take, miss = 0 << 6, 2 << 6, 3 << 6
@@ -91,15 +91,15 @@ func FuzzSeqTableAgainstModel(f *testing.F) {
 			k := keyOf(b)
 			switch b >> 6 {
 			case 0, 1:
-				tab.Put(k.port, k.seq, uint32(i))
+				tab.Put(k.flow, k.seq, uint32(i))
 				model[k] = uint32(i)
 			case 3:
-				k.port += 8
+				k.flow += 8
 				fallthrough
 			case 2:
 				want, held := model[k]
 				delete(model, k)
-				if got, ok := tab.Take(k.port, k.seq); ok != held || got != want {
+				if got, ok := tab.Take(k.flow, k.seq); ok != held || got != want {
 					t.Fatalf("op %d: Take(%v) = %d, %v; model %d, %v", i, k, got, ok, want, held)
 				}
 			}
@@ -108,7 +108,7 @@ func FuzzSeqTableAgainstModel(f *testing.F) {
 			}
 		}
 		for k, want := range model {
-			if got, ok := tab.Take(k.port, k.seq); !ok || got != want {
+			if got, ok := tab.Take(k.flow, k.seq); !ok || got != want {
 				t.Fatalf("drain: Take(%v) = %d, %v; model %d", k, got, ok, want)
 			}
 		}

@@ -1,9 +1,9 @@
 // Package queue provides the queue structures of the switch models: the
 // FIFO (the shadow switch's output queues, the crossbar and CIOQ virtual
-// output queues, the input-port buffers of the buffered PPS variant and the
-// regulator's per-input queues) and the SeqTable of the FlowSeqs dropped
-// ahead of a flow's frontier (the resequencer's drop records and the order
-// referee's gap table). The PPS plane queues are not FIFOs: they are
+// output queues and the input-port buffers of the buffered PPS variant) and
+// the SeqTable of the FlowSeqs dropped ahead of a flow's frontier (the
+// resequencers' drop records and the order referee's gap table, one table
+// of each per store shard). The PPS plane queues are not FIFOs: they are
 // cell.Lists threaded through the cell store, and a resequencer's parked
 // and emittable cells wait on cell.Rings threaded the same way.
 //

@@ -2,10 +2,10 @@ package queue
 
 import "math/bits"
 
-// SeqTable is an open-addressed hash table from a (port, seq) key to a
-// 32-bit payload, built for the PPS drop bookkeeping: an output's
-// resequencer and the order referee each record a FlowSeq dropped ahead of
-// its flow's frontier under (In, FlowSeq), and only ever ask "is the
+// SeqTable is an open-addressed hash table from a (flow, seq) key to a
+// 32-bit payload, built for the PPS drop bookkeeping: a store shard's
+// resequencers and its order referee each record a FlowSeq dropped ahead
+// of its flow's frontier under (flow, FlowSeq), and only ever ask "is the
 // flow's next FlowSeq here?" — a point lookup, never an order query. The
 // load is pure insert/delete churn, so Take shifts the tail of the probe
 // cluster back over the hole instead of leaving a tombstone: a table that
@@ -13,7 +13,7 @@ import "math/bits"
 //
 // Entries are 16 bytes; the capacity is a power of two, doubles when an
 // insert would pass load 1/2 and never shrinks. The zero value is an empty
-// table that has allocated nothing. Ports must be non-negative. Nothing
+// table that has allocated nothing. Flow keys must be non-zero. Nothing
 // iterates a table, so hash and capacity cannot reach a simulation result.
 type SeqTable struct {
 	slots []seqSlot
@@ -22,7 +22,7 @@ type SeqTable struct {
 
 type seqSlot struct {
 	seq uint64
-	tag uint32 // port+1, so the zero slot reads as empty
+	tag uint32 // the flow key, non-zero, so the zero slot reads as empty
 	val uint32
 }
 
@@ -41,12 +41,12 @@ func (t *SeqTable) home(tag uint32, seq uint64) int {
 // Len reports the number of keys held.
 func (t *SeqTable) Len() int { return t.n }
 
-// Put stores v under (port, seq), replacing the payload already there.
-func (t *SeqTable) Put(port int32, seq uint64, v uint32) {
+// Put stores v under (flow, seq), replacing the payload already there.
+func (t *SeqTable) Put(flow uint32, seq uint64, v uint32) {
 	if 2*(t.n+1) > len(t.slots) {
 		t.grow()
 	}
-	tag, mask := uint32(port)+1, len(t.slots)-1
+	tag, mask := flow, len(t.slots)-1
 	i := t.home(tag, seq)
 	for ; t.slots[i].tag != 0; i = (i + 1) & mask {
 		if t.slots[i].tag == tag && t.slots[i].seq == seq {
@@ -58,17 +58,17 @@ func (t *SeqTable) Put(port int32, seq uint64, v uint32) {
 	t.n++
 }
 
-// Take removes (port, seq) and returns its payload; !ok when it is absent.
+// Take removes (flow, seq) and returns its payload; !ok when it is absent.
 // A miss on an empty table, the common case, inlines to this one branch.
-func (t *SeqTable) Take(port int32, seq uint64) (v uint32, ok bool) {
+func (t *SeqTable) Take(flow uint32, seq uint64) (v uint32, ok bool) {
 	if t.n == 0 {
 		return 0, false
 	}
-	return t.take(port, seq)
+	return t.take(flow, seq)
 }
 
-func (t *SeqTable) take(port int32, seq uint64) (v uint32, ok bool) {
-	tag, mask := uint32(port)+1, len(t.slots)-1
+func (t *SeqTable) take(tag uint32, seq uint64) (v uint32, ok bool) {
+	mask := len(t.slots) - 1
 	i := t.home(tag, seq)
 	for ; t.slots[i].tag != tag || t.slots[i].seq != seq; i = (i + 1) & mask {
 		if t.slots[i].tag == 0 {
@@ -95,7 +95,7 @@ func (t *SeqTable) grow() {
 	t.n = 0
 	for _, s := range old {
 		if s.tag != 0 {
-			t.Put(int32(s.tag-1), s.seq, s.val)
+			t.Put(s.tag, s.seq, s.val)
 		}
 	}
 }

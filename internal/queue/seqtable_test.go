@@ -19,13 +19,13 @@ func maxProbe(t *SeqTable) int {
 }
 
 // tableKey is a key of the 64-key space the fuzz target and the cluster
-// tests share: one byte, port in bits 3-5, seq in bits 0-2.
+// tests share: one byte, flow key in bits 3-5 (plus one), seq in bits 0-2.
 type tableKey struct {
-	port int32
+	flow uint32
 	seq  uint64
 }
 
-func keyOf(b byte) tableKey { return tableKey{port: int32(b >> 3 & 7), seq: uint64(b & 7)} }
+func keyOf(b byte) tableKey { return tableKey{flow: uint32(b>>3&7) + 1, seq: uint64(b & 7)} }
 
 // sameHome returns count key bytes that all hash to slot `home` of a
 // minimum-size table — the raw material for cluster tests.
@@ -33,7 +33,7 @@ func sameHome(tb testing.TB, home, count int) []byte {
 	t := SeqTable{slots: make([]seqSlot, seqTableMinSlots)}
 	var keys []byte
 	for b := byte(0); b < 64 && len(keys) < count; b++ {
-		if k := keyOf(b); t.home(uint32(k.port)+1, k.seq) == home {
+		if k := keyOf(b); t.home(k.flow, k.seq) == home {
 			keys = append(keys, b)
 		}
 	}
@@ -83,19 +83,19 @@ func TestSeqTableBackwardShiftWraps(t *testing.T) {
 	var keys []tableKey
 	for i, b := range sameHome(t, seqTableMinSlots-1, 3) {
 		keys = append(keys, keyOf(b))
-		tab.Put(keys[i].port, keys[i].seq, uint32(i))
+		tab.Put(keys[i].flow, keys[i].seq, uint32(i))
 	}
 	if len(tab.slots) != seqTableMinSlots || tab.slots[0].tag == 0 || tab.slots[1].tag == 0 {
 		t.Fatalf("cluster did not wrap: %+v", tab.slots)
 	}
-	if v, ok := tab.Take(keys[0].port, keys[0].seq); !ok || v != 0 {
+	if v, ok := tab.Take(keys[0].flow, keys[0].seq); !ok || v != 0 {
 		t.Fatalf("Take(first) = %d, %v", v, ok)
 	}
 	if tab.slots[seqTableMinSlots-1].val != 1 || tab.slots[0].val != 2 || tab.slots[1].tag != 0 {
 		t.Errorf("cluster not shifted back across the array end: %+v", tab.slots)
 	}
 	for i, k := range keys[1:] {
-		if v, ok := tab.Take(k.port, k.seq); !ok || v != uint32(i+1) {
+		if v, ok := tab.Take(k.flow, k.seq); !ok || v != uint32(i+1) {
 			t.Errorf("Take(%v) = %d, %v after the shift", k, v, ok)
 		}
 	}
@@ -108,9 +108,9 @@ func TestSeqTableBackwardShiftKeepsHomedEntry(t *testing.T) {
 	a := sameHome(t, 2, 2) // slots 2, 3
 	b := sameHome(t, 4, 1) // slot 4, at home
 	for i, kb := range []byte{a[0], a[1], b[0]} {
-		tab.Put(keyOf(kb).port, keyOf(kb).seq, uint32(i+1))
+		tab.Put(keyOf(kb).flow, keyOf(kb).seq, uint32(i+1))
 	}
-	tab.Take(keyOf(a[0]).port, keyOf(a[0]).seq)
+	tab.Take(keyOf(a[0]).flow, keyOf(a[0]).seq)
 	if tab.slots[2].val != 2 || tab.slots[3].tag != 0 || tab.slots[4].val != 3 {
 		t.Errorf("slots after Take: %+v", tab.slots)
 	}
@@ -120,13 +120,13 @@ func TestSeqTableGrowthKeepsEveryKey(t *testing.T) {
 	var tab SeqTable
 	const keys = 1000
 	for i := 0; i < keys; i++ {
-		tab.Put(int32(i%7), uint64(i), uint32(i))
+		tab.Put(uint32(i%7)+1, uint64(i), uint32(i))
 		if 2*tab.Len() > len(tab.slots) {
 			t.Fatalf("load above 1/2: %d keys in %d slots", tab.Len(), len(tab.slots))
 		}
 	}
 	for i := 0; i < keys; i++ {
-		if v, ok := tab.Take(int32(i%7), uint64(i)); !ok || v != uint32(i) {
+		if v, ok := tab.Take(uint32(i%7)+1, uint64(i)); !ok || v != uint32(i) {
 			t.Fatalf("Take(%d) = %d, %v", i, v, ok)
 		}
 	}
@@ -134,7 +134,7 @@ func TestSeqTableGrowthKeepsEveryKey(t *testing.T) {
 		t.Errorf("Len = %d after draining", tab.Len())
 	}
 	size := len(tab.slots)
-	tab.Put(0, 0, 0)
+	tab.Put(1, 0, 0)
 	if len(tab.slots) != size {
 		t.Errorf("table shrank or regrew: %d -> %d slots", size, len(tab.slots))
 	}
@@ -144,14 +144,14 @@ func TestSeqTableGrowthKeepsEveryKey(t *testing.T) {
 // see. The first shape is the paper's Lemma 4 concentration: every input
 // holds a few consecutive FlowSeqs at one output. The second is its
 // transpose, a few flows with long dropped runs. A hash that ignores
-// the port piles the first into four homes, one that ignores the seq piles
+// the flow piles the first into four homes, one that ignores the seq piles
 // the second — either fails here rather than in a benchmark.
 func TestSeqTableConcentration(t *testing.T) {
 	for _, shape := range []struct{ ports, seqs int }{{1024, 4}, {4, 1024}} {
 		var tab SeqTable
 		for p := 0; p < shape.ports; p++ {
 			for s := 0; s < shape.seqs; s++ {
-				tab.Put(int32(p), uint64(1000+s), 0)
+				tab.Put(uint32(p)+1, uint64(1000+s), 0)
 			}
 		}
 		if 2*tab.Len() != len(tab.slots) {

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"ppsim/internal/cell"
-	"ppsim/internal/queue"
 )
 
 // Validator checks (R, B) leaky-bucket conformance of an arrival stream with
@@ -192,18 +191,30 @@ func WindowBurstiness(n int, src Source, tau cell.Time) (int64, error) {
 //
 // The regulator preserves per-flow order. It is used to build conformant
 // versions of bursty demands and in property tests asserting that its output
-// always validates. In steady state it allocates nothing: the pull buffer and
-// the ring queues keep their backing arrays across slots.
+// always validates. Its shaping queues are lists through one node slab, so
+// a run grows one slab to its peak backlog rather than a queue per input,
+// and in steady state nothing allocates: released nodes are reused, and the
+// pull buffer keeps its backing array across slots.
 type Regulator struct {
 	n      int
 	inner  Source
 	b      int64
 	tokens []int64
-	queues []queue.FIFO[Arrival] // per-input FIFO of pending arrivals
-	held   int                   // cells across all queues
-	pull   []Arrival             // reused buffer for the inner source's slots
+	queues []regQueue // per-input FIFO of pending arrivals
+	nodes  []regNode  // the queues' slab
+	free   int32      // first node of the free list
+	held   int        // cells across all queues
+	pull   []Arrival  // reused buffer for the inner source's slots
 	last   cell.Time
 	walked cell.Time // next slot to pull from inner
+}
+
+// regQueue and regNode link by slab index; -1 ends a list.
+type regQueue struct{ head, tail int32 }
+
+type regNode struct {
+	a    Arrival
+	next int32 // in the input's queue, or on the free list
 }
 
 // NewRegulator wraps src (which must be bounded for End to be meaningful)
@@ -213,11 +224,27 @@ func NewRegulator(n int, b int64, src Source) *Regulator {
 	for j := range tok {
 		tok[j] = b + 1 // bucket starts full: a burst of B+1 <= tau*R+B for tau>=1
 	}
-	return &Regulator{
-		n: n, inner: src, b: b,
-		tokens: tok,
-		queues: make([]queue.FIFO[Arrival], n),
-		last:   -1,
+	queues := make([]regQueue, n)
+	for i := range queues {
+		queues[i] = regQueue{-1, -1}
+	}
+	return &Regulator{n: n, inner: src, b: b, tokens: tok, queues: queues, free: -1, last: -1}
+}
+
+// push appends a to its input's queue in a free node, or a new one.
+func (r *Regulator) push(a Arrival) {
+	x := r.free
+	if x < 0 {
+		x = int32(len(r.nodes))
+		r.nodes = append(r.nodes, regNode{})
+	} else {
+		r.free = r.nodes[x].next
+	}
+	r.nodes[x] = regNode{a: a, next: -1}
+	if q := &r.queues[a.In]; q.tail < 0 {
+		q.head, q.tail = x, x
+	} else {
+		r.nodes[q.tail].next, q.tail = x, x
 	}
 }
 
@@ -247,7 +274,7 @@ func (r *Regulator) Arrivals(t cell.Time, dst []Arrival) []Arrival {
 		}
 		r.pull = r.inner.Arrivals(r.walked, r.pull[:0])
 		for _, a := range r.pull {
-			r.queues[a.In].Push(a)
+			r.push(a)
 		}
 		r.held += len(r.pull)
 	}
@@ -255,16 +282,20 @@ func (r *Regulator) Arrivals(t cell.Time, dst []Arrival) []Arrival {
 	// Release at most one cell per input, head-of-line, token permitting.
 	for i := range r.queues {
 		q := &r.queues[i]
-		if q.Empty() {
+		if q.head < 0 {
 			continue
 		}
-		out := q.Peek().Out
-		if r.tokens[out] <= 0 {
+		x, nd := q.head, &r.nodes[q.head]
+		if r.tokens[nd.a.Out] <= 0 {
 			continue // head-of-line blocks to preserve flow order
 		}
-		r.tokens[out]--
+		r.tokens[nd.a.Out]--
 		r.held--
-		dst = append(dst, q.Pop())
+		dst = append(dst, nd.a)
+		if q.head = nd.next; q.head < 0 {
+			q.tail = -1
+		}
+		nd.next, r.free = r.free, x
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -336,8 +337,9 @@ func TestRegulatorSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// sliceRegulator is the slice-queue regulator the ring-queue one replaced,
-// kept as the reference its released stream must match cell for cell.
+// sliceRegulator is a regulator over per-input slice FIFOs, the plainest
+// form of the shaping queues, kept as the reference the node-slab
+// Regulator's released stream must match cell for cell.
 type sliceRegulator struct {
 	n      int
 	inner  Source
@@ -421,7 +423,7 @@ func (r *sliceRegulator) Backlog() int {
 	return n
 }
 
-// Property: the ring-queue regulator releases exactly the slice reference's
+// Property: the slab regulator releases exactly the slice reference's
 // stream, and reports the same End and Backlog, at every slot — including
 // skipped slots, which exercise the multi-slot pull and token refill.
 func TestRegulatorMatchesSliceReference(t *testing.T) {
@@ -509,6 +511,79 @@ func TestValidatorMatchesBruteForce(t *testing.T) {
 		return got == want
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// repeatSource replays one pattern of arrivals, pattern[t mod len], forever.
+type repeatSource struct{ pattern [][]Arrival }
+
+func (s repeatSource) Arrivals(t cell.Time, dst []Arrival) []Arrival {
+	return append(dst, s.pattern[int(t)%len(s.pattern)]...)
+}
+
+func (s repeatSource) End() cell.Time { return cell.None }
+
+// Property: on random bursty demand — up to 160 cells in a 32-slot window,
+// many inputs converging on one output, so queues grow deep and drain at
+// different rates — the slab regulator releases exactly the per-input FIFO
+// reference's stream, across skipped slots too. The demand repeats after a
+// silence long enough to drain every queue (each slot with a backlog
+// releases at least one cell, because every output regains a token per
+// slot), so after one period the slab has reached its peak and later
+// periods reuse freed nodes: the regulator allocates nothing.
+func TestRegulatorSlabMatchesFIFOReference(t *testing.T) {
+	prop := func(nRaw, bRaw uint8, seed int64) bool {
+		n := 1 + int(nRaw%8)
+		b := int64(bRaw % 4)
+		const window, maxCells = 32, 160
+		rng := rand.New(rand.NewSource(seed))
+		pattern := make([][]Arrival, window+maxCells+8)
+		used := map[[2]int]bool{}
+		for k := rng.Intn(maxCells + 1); k > 0; k-- {
+			// Outputs skew low, so many inputs converge on output 0.
+			slot, in, out := rng.Intn(window), rng.Intn(n), rng.Intn(1+rng.Intn(n))
+			if used[[2]int{slot, in}] {
+				continue // one arrival per input per slot
+			}
+			used[[2]int{slot, in}] = true
+			pattern[slot] = append(pattern[slot], Arrival{In: cell.Port(in), Out: cell.Port(out)})
+		}
+		period := cell.Time(len(pattern))
+		src := repeatSource{pattern}
+
+		got, want := NewRegulator(n, b, src), newSliceRegulator(n, b, src)
+		var g, w []Arrival
+		for s := cell.Time(0); s < 2*period; s += 1 + s%3/2 {
+			g, w = got.Arrivals(s, g[:0]), want.Arrivals(s, w[:0])
+			if !slices.Equal(g, w) || got.Backlog() != want.Backlog() {
+				t.Logf("n=%d b=%d slot %d: arrivals %v / %v, Backlog %d / %d", n, b, s, g, w, got.Backlog(), want.Backlog())
+				return false
+			}
+		}
+
+		reg := NewRegulator(n, b, src)
+		dst := make([]Arrival, 0, n)
+		slot := cell.Time(0)
+		periods := func(count cell.Time) {
+			for end := slot + count*period; slot < end; slot++ {
+				dst = reg.Arrivals(slot, dst[:0])
+			}
+		}
+		periods(1)
+		if reg.Backlog() != 0 {
+			t.Logf("n=%d b=%d: backlog %d after a period", n, b, reg.Backlog())
+			return false
+		}
+		// AllocsPerRun rounds the count per call down: one measured call of
+		// eight periods sees a slab that grows by a node a period.
+		if allocs := testing.AllocsPerRun(1, func() { periods(8) }); allocs != 0 {
+			t.Logf("n=%d b=%d: %.0f allocations in eight periods after the first", n, b, allocs)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
