@@ -48,17 +48,21 @@ func diagCmd(fs *flag.FlagSet) func(io.Writer) int {
 		if sc.slots < 1 {
 			return fail(fs, 2, fmt.Errorf("-slots %d must be >= 1", sc.slots))
 		}
+		src, err := sc.build(sc.config(), nil)
+		if err != nil {
+			return fail(fs, 2, err)
+		}
 		sc.Stride, sc.Cap = ppsim.Time(*stride), int(*scap)
 		if !*series {
 			sc.Percentiles = stdout
-			return exit(fs, runSeries(nil, sc))
+			return exit(fs, runSeries(nil, sc, src))
 		}
 		// Combined with -series the table moves to stderr so piped CSV/JSON
 		// stays machine-readable.
 		if *pctl {
 			sc.Percentiles = fs.Output()
 		}
-		return exit(fs, writeOutput(*out, stdout, func(w io.Writer) error { return runSeries(w, sc) }))
+		return exit(fs, writeOutput(*out, stdout, func(w io.Writer) error { return runSeries(w, sc, src) }))
 	}
 }
 
@@ -107,12 +111,12 @@ type seriesConfig struct {
 	Percentiles io.Writer
 }
 
-// runSeries executes one instrumented run and streams every standard probe
-// series to w (long-format CSV or JSON). This is the diagnostic companion to
-// the static Figure-1 rendering: instead of the architecture it shows the
-// per-slot trajectory — plane backlogs, buffer depths, front RQD — of an
-// actual execution through that architecture.
-func runSeries(w io.Writer, sc seriesConfig) error {
+// runSeries executes one instrumented run of sc's switch over src and
+// streams every standard probe series to w (long-format CSV or JSON). This
+// is the diagnostic companion to the static Figure-1 rendering: instead of
+// the architecture it shows the per-slot trajectory — plane backlogs, buffer
+// depths, front RQD — of an actual execution through that architecture.
+func runSeries(w io.Writer, sc seriesConfig, src ppsim.Source) error {
 	write := ppsim.WriteSeriesCSV
 	switch sc.Format {
 	case "", "csv":
@@ -121,19 +125,11 @@ func runSeries(w io.Writer, sc seriesConfig) error {
 	default:
 		return fmt.Errorf("unknown series format %q (want csv or json)", sc.Format)
 	}
-	cfg := sc.config()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	src, err := sc.source(cfg)
-	if err != nil {
-		return err
-	}
 	var opts ppsim.Options
 	if w != nil {
 		opts.Probes = ppsim.StandardProbes(sc.n, sc.k, sc.Stride, sc.Cap)
 	}
-	res, err := ppsim.Run(cfg, src, opts)
+	res, err := ppsim.Run(sc.config(), src, opts)
 	if err != nil {
 		return err
 	}

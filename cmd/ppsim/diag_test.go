@@ -44,13 +44,23 @@ func TestRenderLineCounts(t *testing.T) {
 	}
 }
 
+// series builds the run sc describes, as diag does, and streams its probe
+// series to w.
+func series(w io.Writer, sc seriesConfig) error {
+	src, err := sc.build(sc.config(), nil)
+	if err != nil {
+		return err
+	}
+	return runSeries(w, sc, src)
+}
+
 // TestSeriesSteeringDivergence is the acceptance check for series mode: under
 // the Theorem 6 steering adversary (N=16, K=4, r'=2, rr) the per-slot
 // plane-backlog series must show the steered plane's queue diverging toward
 // the N/S = 8 bound while the remaining planes stay near-empty.
 func TestSeriesSteeringDivergence(t *testing.T) {
 	var sb strings.Builder
-	err := runSeries(&sb, seriesConfig{
+	err := series(&sb, seriesConfig{
 		switchFlags: switchFlags{n: 16, k: 4, rprime: 2, alg: "rr", kind: "steering", seed: 1, slots: 2000},
 		Stride:      1, Format: "csv",
 	})
@@ -115,7 +125,7 @@ func TestSeriesGolden(t *testing.T) {
 // TestSeriesJSONFormat smoke-checks the JSON output path.
 func TestSeriesJSONFormat(t *testing.T) {
 	var sb strings.Builder
-	err := runSeries(&sb, seriesConfig{
+	err := series(&sb, seriesConfig{
 		switchFlags: switchFlags{n: 4, k: 2, rprime: 1, alg: "rr", kind: "bernoulli", load: 0.5, seed: 1, slots: 50},
 		Stride:      5, Format: "json",
 	})
@@ -154,7 +164,7 @@ func TestValidateSeriesFlags(t *testing.T) {
 // TestSeriesCapBoundsOutput checks the -cap knob actually bounds the series.
 func TestSeriesCapBoundsOutput(t *testing.T) {
 	var sb strings.Builder
-	err := runSeries(&sb, seriesConfig{
+	err := series(&sb, seriesConfig{
 		switchFlags: switchFlags{n: 4, k: 2, rprime: 1, alg: "rr", kind: "bernoulli", load: 0.5, seed: 1, slots: 500},
 		Stride:      1, Cap: 16, Format: "csv",
 	})

@@ -153,6 +153,20 @@ func (s *switchFlags) config() ppsim.Config {
 	}
 }
 
+// build validates cfg, then builds the run's traffic: src when it is
+// non-nil (trace -run replays a file), the flags' traffic kind otherwise. It
+// is the one path from the flags to a run, so its error is a command-line
+// error (exit 2).
+func (s *switchFlags) build(cfg ppsim.Config, src ppsim.Source) (ppsim.Source, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if src != nil {
+		return src, nil
+	}
+	return s.source(cfg)
+}
+
 // source builds the traffic of kind s.kind for cfg over s.slots slots.
 func (s *switchFlags) source(cfg ppsim.Config) (ppsim.Source, error) {
 	n, slots := cfg.N, ppsim.Time(s.slots)

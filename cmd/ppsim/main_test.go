@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"ppsim"
 )
 
 // flagSet returns the flags of the named subcommand, or nil.
@@ -65,6 +68,29 @@ func TestUnknownSubcommand(t *testing.T) {
 	}
 	if code := run([]string{"bounds", "-h"}, io.Discard, io.Discard); code != 0 {
 		t.Errorf("bounds -h exited %d, want 0", code)
+	}
+}
+
+// TestConfigErrorsExitTwo: every subcommand that builds a run from the
+// switch flags validates the configuration first (switchFlags.build), so a
+// configuration no switch can have exits 2 with one line, as sim does. Each
+// of these exited 1 when only sim validated before building.
+func TestConfigErrorsExitTwo(t *testing.T) {
+	unknownAlg := fmt.Sprintf("ppsim: unknown algorithm \"nosuch\" (one of %v)", ppsim.AlgorithmNames())
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"diag", "-series", "-alg", "nosuch", "-slots", "10"}, "ppsim diag: " + unknownAlg + "\n"},
+		{[]string{"diag", "-percentiles", "-alg", "nosuch", "-slots", "10"}, "ppsim diag: " + unknownAlg + "\n"},
+		{[]string{"trace", "-gen", "steering", "-k", "0"}, "ppsim trace: fabric: K must be positive, got 0\n"},
+		{[]string{"trace", "-gen", "steering", "-n", "8", "-k", "4", "-alg", "nosuch", "-slots", "10"}, "ppsim trace: " + unknownAlg + "\n"},
+	} {
+		var stdout, stderr strings.Builder
+		code := run(tc.args, &stdout, &stderr)
+		if code != 2 || stderr.String() != tc.want || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 2, stderr %q", tc.args, code, stderr.String(), stdout.String(), tc.want)
+		}
 	}
 }
 

@@ -87,10 +87,7 @@ func simCmd(fs *flag.FlagSet) func(io.Writer) int {
 		cfg := s.config()
 		cfg.BufferCap = *bufcap
 		cfg.Algorithm.Capacity, cfg.Algorithm.FaultAware = *capacity, *faultaware
-		if err := cfg.Validate(); err != nil {
-			return fail(fs, 2, err)
-		}
-		src, err := s.source(cfg)
+		src, err := s.build(cfg, nil)
 		if err != nil {
 			return fail(fs, 2, err)
 		}

@@ -32,16 +32,25 @@ func traceCmd(fs *flag.FlagSet) func(io.Writer) int {
 		cfg.Algorithm.Seed = 0
 		switch {
 		case *replay != "":
-			if err := cfg.Validate(); err != nil {
+			tr, err := readTrace(*replay)
+			if err != nil {
+				return fail(fs, 1, err)
+			}
+			src, err := s.build(cfg, tr)
+			if err != nil {
 				return fail(fs, 2, err)
 			}
-			return exit(fs, runTrace(stdout, *replay, cfg))
+			return exit(fs, runTrace(stdout, cfg, src))
 		case *stats != "":
 			return exit(fs, printStats(stdout, *stats, s.n))
 		case s.kind != "" && s.slots < 1:
 			return fail(fs, 2, fmt.Errorf("-slots %d must be >= 1", s.slots))
 		case s.kind != "":
-			tr, err := generate(cfg, s)
+			src, err := s.build(cfg, nil)
+			if err != nil {
+				return fail(fs, 2, err)
+			}
+			tr, err := generate(src, ppsim.Time(s.slots))
 			if err == nil {
 				// Trace implements json.Marshaler with a canonical record encoding.
 				err = writeOutput(*out, stdout, func(w io.Writer) error { return json.NewEncoder(w).Encode(tr) })
@@ -53,19 +62,15 @@ func traceCmd(fs *flag.FlagSet) func(io.Writer) int {
 	}
 }
 
-// generate materializes the traffic of kind s.kind for cfg: an adversary's
-// trace as built, any other source over its first s.slots slots.
-func generate(cfg ppsim.Config, s switchFlags) (*ppsim.Trace, error) {
-	src, err := s.source(cfg)
-	if err != nil {
-		return nil, err
-	}
+// generate materializes src: an adversary's trace as built, any other
+// source over its first slots slots.
+func generate(src ppsim.Source, slots ppsim.Time) (*ppsim.Trace, error) {
 	if tr, ok := src.(*ppsim.Trace); ok {
 		return tr, nil
 	}
 	tr := ppsim.NewTrace()
 	var buf []ppsim.Arrival
-	for t := ppsim.Time(0); t < ppsim.Time(s.slots); t++ {
+	for t := ppsim.Time(0); t < slots; t++ {
 		buf = src.Arrivals(t, buf[:0])
 		for _, a := range buf {
 			if err := tr.Add(t, a.In, a.Out); err != nil {
@@ -114,12 +119,8 @@ func printStats(w io.Writer, path string, n int) error {
 }
 
 // runTrace replays a stored trace through a configured switch.
-func runTrace(w io.Writer, path string, cfg ppsim.Config) error {
-	tr, err := readTrace(path)
-	if err != nil {
-		return err
-	}
-	res, err := ppsim.Run(cfg, tr, ppsim.Options{Validate: true})
+func runTrace(w io.Writer, cfg ppsim.Config, src ppsim.Source) error {
+	res, err := ppsim.Run(cfg, src, ppsim.Options{Validate: true})
 	if err != nil {
 		return err
 	}

@@ -11,10 +11,20 @@ import (
 	"ppsim"
 )
 
+// gen builds the traffic s describes for cfg and materializes it, as trace
+// -gen does.
+func gen(cfg ppsim.Config, s switchFlags) (*ppsim.Trace, error) {
+	src, err := s.build(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return generate(src, ppsim.Time(s.slots))
+}
+
 func TestGenerateKinds(t *testing.T) {
 	cfg := ppsim.Config{N: 8, K: 4, RPrime: 2, Algorithm: ppsim.Algorithm{Name: "rr"}}
 	for _, kind := range strings.Split(trafficKinds, ", ") {
-		tr, err := generate(cfg, switchFlags{kind: kind, seed: 1, slots: 200, load: 0.5})
+		tr, err := gen(cfg, switchFlags{kind: kind, seed: 1, slots: 200, load: 0.5})
 		if err != nil {
 			t.Errorf("%s: %v", kind, err)
 			continue
@@ -23,13 +33,13 @@ func TestGenerateKinds(t *testing.T) {
 			t.Errorf("%s produced an empty trace", kind)
 		}
 	}
-	if _, err := generate(cfg, switchFlags{kind: "bogus", seed: 1, slots: 10, load: 0.5}); err == nil {
+	if _, err := gen(cfg, switchFlags{kind: "bogus", seed: 1, slots: 10, load: 0.5}); err == nil {
 		t.Error("unknown generator must error")
 	}
 }
 
 func TestWriteAndStatsRoundTrip(t *testing.T) {
-	tr, err := generate(ppsim.Config{N: 8}, switchFlags{kind: "concentration"})
+	tr, err := gen(ppsim.Config{N: 8, K: 4, RPrime: 2, Algorithm: ppsim.Algorithm{Name: "rr"}}, switchFlags{kind: "concentration"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +71,23 @@ func TestRunTraceReplay(t *testing.T) {
 		t.Fatalf("trace -gen exited %d", code)
 	}
 	cfg := ppsim.Config{N: 8, K: 4, RPrime: 2, Algorithm: ppsim.Algorithm{Name: "rr"}}
-	if err := runTrace(io.Discard, path, cfg); err != nil {
+	tr, err := readTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s switchFlags
+	src, err := s.build(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runTrace(io.Discard, cfg, src); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Algorithm.Name = "no-such-alg"
-	if err := runTrace(io.Discard, path, cfg); err == nil {
+	if _, err := s.build(cfg, tr); err == nil {
 		t.Error("unknown algorithm must error")
 	}
-	cfg.Algorithm.Name = "rr"
-	if err := runTrace(io.Discard, "/nonexistent.json", cfg); err == nil {
+	if _, err := readTrace("/nonexistent.json"); err == nil {
 		t.Error("missing file must error")
 	}
 }

@@ -29,26 +29,16 @@ func vizCmd(fs *flag.FlagSet) func(io.Writer) int {
 		if *width < 1 {
 			return fail(fs, 2, fmt.Errorf("-width %d must be >= 1", *width))
 		}
-		cfg, src, err := s.vizRun()
+		if s.slots == 0 {
+			s.slots = 400
+		}
+		cfg := s.config()
+		src, err := s.build(cfg, nil)
 		if err != nil {
 			return fail(fs, 2, err)
 		}
 		return exit(fs, timeline(stdout, cfg, src, *width))
 	}
-}
-
-// vizRun validates the run's configuration and builds its traffic; -slots
-// 0 picks 400 slots.
-func (s switchFlags) vizRun() (ppsim.Config, ppsim.Source, error) {
-	if s.slots <= 0 {
-		s.slots = 400
-	}
-	cfg := s.config()
-	if err := cfg.Validate(); err != nil {
-		return cfg, nil, err
-	}
-	src, err := s.source(cfg)
-	return cfg, src, err
 }
 
 // timeline runs cfg over src and draws its plane-backlog timeline.

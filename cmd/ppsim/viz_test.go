@@ -10,7 +10,8 @@ import (
 
 // runTimeline builds and draws the run the flags s describe, as viz does.
 func runTimeline(w io.Writer, s switchFlags, width int) error {
-	cfg, src, err := s.vizRun()
+	cfg := s.config()
+	src, err := s.build(cfg, nil)
 	if err != nil {
 		return err
 	}

@@ -156,8 +156,8 @@ type PPS struct {
 	// FlowID-1: 0 = flow unseen, else the last departed FlowSeq + 1.
 	// flowNext is the output resequencers' shared cursor column
 	// (mux.NewOutputs), indexed the same way: each flow's next FlowSeq and
-	// its ring of parked cells. beginSlot grows both to cover every
-	// arrival's FlowID in the serial prologue, so they hold one word per
+	// its ring of parked cells. Stage 1 of slot grows both to cover every
+	// arrival's FlowID before any shard runs, so they hold one word per
 	// flow the run carries, and a flow — which departs only at its own
 	// output — has its entries written by exactly one mux shard, in pages
 	// that never move.
@@ -169,7 +169,7 @@ type PPS struct {
 	faults *faults.Runtime
 	// dropped counts cells lost under the DropCount policy; slotDrops
 	// lists the current slot's losses for the harness's drop accounting
-	// (reset at the top of every Step, capacity reused).
+	// (reset at the top of every slot, capacity reused).
 	dropped   uint64
 	slotDrops []cell.Cell
 	// failScratch is the reusable buffer FailDrop drains a dying plane's
@@ -188,9 +188,8 @@ type PPS struct {
 	pool *workerPool
 
 	// cellsInPlanes and cellsInOutputs incrementally mirror the structural
-	// sums audit() computes; together with pendingTotal they make Backlog
-	// O(1). audit() cross-checks them against the structures whenever it
-	// runs.
+	// sums a full audit computes; together with pendingTotal they make
+	// Backlog O(1). A full audit cross-checks them against the structures.
 	cellsInPlanes  int
 	cellsInOutputs int
 	// planeMask[j] has bit k set exactly when plane k's queue for output j
@@ -205,16 +204,16 @@ type PPS struct {
 	// busy is the two-level bitmap of outputs that hold work (cells queued
 	// in a plane or buffered in the resequencer): bit j&63 of busy[j>>6]
 	// marks output j, and bit w&63 of busySum[w>>6] a non-zero leaf word w.
-	// Dispatch sets both bits; both serial cores' mux sweep (sweepBusy)
-	// walks the set bits in ascending output order and clears drained
-	// outputs. The sharded mux stage steps every output and leaves the set
-	// alone, so under it the set is a superset.
+	// Dispatch sets both bits; the serial mux stage (sweepBusy) walks the
+	// set bits in ascending output order and clears drained outputs. The
+	// sharded mux stage steps every output and leaves the set alone, so
+	// under it the set is a superset.
 	busy    []uint64
 	busySum []uint64
 
 	// pendingList is the working set of inputs holding arrived-but-
 	// undispatched cells, with pendingIdx[i] its position (-1 when absent).
-	// EventStep audits only these inputs plus the slot's arrival inputs.
+	// Without full, slot audits only these inputs plus the arrival inputs.
 	pendingList []cell.Port
 	pendingIdx  []int32
 }
@@ -357,7 +356,7 @@ func (p *PPS) violation(t cell.Time, err error) error {
 }
 
 // auditInput cross-checks the algorithm's buffer report for input i against
-// the fabric's own count and the configured capacity (stage 3 of Step for
+// the fabric's own count and the configured capacity (stage 3 of slot for
 // one input). It only reads fabric and algorithm state, so input shards may
 // run it concurrently.
 func (p *PPS) auditInput(i int) error {
@@ -535,65 +534,9 @@ func (v *planeView) pop(t cell.Time, k cell.Plane) cell.Ref {
 	return r
 }
 
-// beginSlot is the prologue Step and EventStep share, so the two cores
-// cannot drift: check the slot clock (monotone, and no skipped slot while
-// cells are in flight), reset the slot's drop list, apply the fault events
-// due at t before the slot's arrivals are presented (stage 0), then validate
-// and admit the arrivals, updating the pending counters and working set and
-// growing the per-flow columns to the arrivals' FlowIDs (stage 1).
-func (p *PPS) beginSlot(t cell.Time, arrivals []cell.Cell) error {
-	if t <= p.lastSlot {
-		return fmt.Errorf("fabric: non-monotone slot %d after %d", t, p.lastSlot)
-	}
-	if t != p.lastSlot+1 && p.Backlog() > 0 {
-		return fmt.Errorf("fabric: skipped from slot %d to %d with %d cells in flight", p.lastSlot, t, p.Backlog())
-	}
-	p.lastSlot = t
-	if len(p.slotDrops) > 0 {
-		p.slotDrops = p.slotDrops[:0]
-	}
-	if p.faults != nil {
-		p.applyFaults(t)
-	}
-	for _, c := range arrivals {
-		if c.Arrive != t {
-			return p.violation(t, fmt.Errorf("fabric: cell %v presented at slot %d", c, t))
-		}
-		if int(c.Flow.In) < 0 || int(c.Flow.In) >= p.cfg.N || int(c.Flow.Out) < 0 || int(c.Flow.Out) >= p.cfg.N {
-			return p.violation(t, fmt.Errorf("fabric: cell %v outside %dx%d switch", c, p.cfg.N, p.cfg.N))
-		}
-		// An n-port switch carries at most n² flows, so no stamped id
-		// exceeds n²; the bound keeps a forged id from growing the columns.
-		if n := uint64(p.cfg.N); c.FlowID == 0 || uint64(c.FlowID) > n*n {
-			return p.violation(t, fmt.Errorf("fabric: cell %v carries flow id %d outside [1, %d] (unstamped or forged)", c, c.FlowID, n*n))
-		}
-		if id := int(c.FlowID); id > p.lastFlowSeq.Len() {
-			p.lastFlowSeq.GrowTo(id)
-			p.flowNext.GrowTo(id)
-		}
-		if p.seenStamp[c.Flow.In] == t {
-			return p.violation(t, fmt.Errorf("fabric: two cells arrived at input %d in slot %d", c.Flow.In, t))
-		}
-		p.seenStamp[c.Flow.In] = t
-		p.arrived++
-		if p.pendingPerIn[c.Flow.In]++; p.pendingPerIn[c.Flow.In] == 1 {
-			p.pendingIdx[c.Flow.In] = int32(len(p.pendingList))
-			p.pendingList = append(p.pendingList, c.Flow.In)
-		}
-		p.pendingTotal++
-		if p.logArmed {
-			p.log.Append(demux.Event{T: t, Kind: demux.EvArrival, In: c.Flow.In, Out: c.Flow.Out})
-		}
-		if p.trace {
-			p.tracer.Emit(obs.Event{T: t, Kind: obs.EvArrival, Seq: c.Seq, In: c.Flow.In, Out: c.Flow.Out, Plane: cell.NoPlane})
-		}
-	}
-	return nil
-}
-
 // dispatch runs stage 2 of a slot: present the arrivals to the algorithm and
 // execute its sends, updating the plane/output backlog counters and marking
-// the destination outputs busy. Shared by Step and EventStep.
+// the destination outputs busy.
 func (p *PPS) dispatch(t cell.Time, arrivals []cell.Cell) error {
 	sends, err := p.alg.Slot(t, arrivals)
 	if err != nil {
@@ -661,7 +604,7 @@ func (p *PPS) dispatch(t cell.Time, arrivals []cell.Cell) error {
 	return nil
 }
 
-// sweepBusy is the multiplexing stage of both serial cores: it steps the
+// sweepBusy is the serial multiplexing stage (stage 4 of slot): it steps the
 // busy outputs in ascending output order (pull, emit, verify flow order,
 // account the departure) and clears the bits of those that drained.
 // Stepping an output with no queued or buffered cell pulls and emits
@@ -701,7 +644,7 @@ func (p *PPS) sweepBusy(t cell.Time, dst []cell.Cell) ([]cell.Cell, error) {
 
 // removePending drops input in from the pending working set (its last
 // buffered cell was dispatched). O(1) swap-remove; order is irrelevant — the
-// set only scopes EventStep's sparse audit.
+// set only scopes the sparse audit of slot.
 func (p *PPS) removePending(in cell.Port) {
 	idx := p.pendingIdx[in]
 	last := len(p.pendingList) - 1
@@ -712,38 +655,128 @@ func (p *PPS) removePending(in cell.Port) {
 	p.pendingIdx[in] = -1
 }
 
-// Step advances the PPS by one slot. arrivals must be stamped cells with
-// Arrive == t, at most one per input, in sequence order. Departing cells are
-// appended to dst and returned with Depart (and the intermediate stamps)
-// set.
+// Step advances the PPS by one slot with every check the model defines (see
+// slot, full). arrivals must be stamped cells with Arrive == t, at most one
+// per input, in sequence order. Departing cells are appended to dst and
+// returned with Depart (and the intermediate stamps) set.
 func (p *PPS) Step(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cell.Cell, error) {
-	// 0. Scheduled faults; 1. arrivals; 2. demultiplexing.
-	if err := p.beginSlot(t, arrivals); err != nil {
-		return dst, err
+	return p.slot(t, arrivals, dst, true)
+}
+
+// EventStep advances the PPS by one slot at O(events) cost, with the same
+// contract and the same result as Step under the event core's preconditions
+// (an unarmed log, serial mode); see slot for what it checks less.
+func (p *PPS) EventStep(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cell.Cell, error) {
+	return p.slot(t, arrivals, dst, false)
+}
+
+// slot runs stages 0–5 of slot t, the one body behind Step (full) and
+// EventStep (!full). full changes how much is checked, never what happens:
+//   - the algorithm is consulted every slot. Without full an idle slot (no
+//     arrival, no pending cell) skips its Slot call, a no-op by the
+//     demux.Algorithm contract under IdleInvariant; only the call catches a
+//     send forged on an idle slot;
+//   - all N input buffers are audited, not just the pending set and the
+//     arrival inputs, which hold every capacity violation but may miss a
+//     misreport for an input the fabric believes empty;
+//   - stages 3 and 4 run sharded (parallel.go) when a pool is open and no
+//     tracer is attached;
+//   - the conservation audit also checks the counters against the
+//     structures they mirror.
+//
+// Either way the serial mux stage sweeps only the busy outputs, in
+// ascending order, so an attached tracer, which keeps the stages serial,
+// sees one event stream.
+func (p *PPS) slot(t cell.Time, arrivals, dst []cell.Cell, full bool) ([]cell.Cell, error) {
+	// 0. The slot clock is monotone and skips no slot while cells are in
+	// flight; the fault events due at t apply before the arrivals.
+	if t <= p.lastSlot {
+		return dst, fmt.Errorf("fabric: non-monotone slot %d after %d", t, p.lastSlot)
 	}
-	if err := p.dispatch(t, arrivals); err != nil {
-		return dst, err
+	if t != p.lastSlot+1 && p.Backlog() > 0 {
+		return dst, fmt.Errorf("fabric: skipped from slot %d to %d with %d cells in flight", p.lastSlot, t, p.Backlog())
+	}
+	p.lastSlot = t
+	if len(p.slotDrops) > 0 {
+		p.slotDrops = p.slotDrops[:0]
+	}
+	if p.faults != nil {
+		p.applyFaults(t)
+	}
+
+	// 1. Arrivals: validate each, count it pending, and grow the per-flow
+	// columns to its FlowID.
+	for _, c := range arrivals {
+		if c.Arrive != t {
+			return dst, p.violation(t, fmt.Errorf("fabric: cell %v presented at slot %d", c, t))
+		}
+		if int(c.Flow.In) < 0 || int(c.Flow.In) >= p.cfg.N || int(c.Flow.Out) < 0 || int(c.Flow.Out) >= p.cfg.N {
+			return dst, p.violation(t, fmt.Errorf("fabric: cell %v outside %dx%d switch", c, p.cfg.N, p.cfg.N))
+		}
+		// An n-port switch carries at most n² flows, so no stamped id
+		// exceeds n²; the bound keeps a forged id from growing the columns.
+		if n := uint64(p.cfg.N); c.FlowID == 0 || uint64(c.FlowID) > n*n {
+			return dst, p.violation(t, fmt.Errorf("fabric: cell %v carries flow id %d outside [1, %d] (unstamped or forged)", c, c.FlowID, n*n))
+		}
+		if id := int(c.FlowID); id > p.lastFlowSeq.Len() {
+			p.lastFlowSeq.GrowTo(id)
+			p.flowNext.GrowTo(id)
+		}
+		if p.seenStamp[c.Flow.In] == t {
+			return dst, p.violation(t, fmt.Errorf("fabric: two cells arrived at input %d in slot %d", c.Flow.In, t))
+		}
+		p.seenStamp[c.Flow.In] = t
+		p.arrived++
+		if p.pendingPerIn[c.Flow.In]++; p.pendingPerIn[c.Flow.In] == 1 {
+			p.pendingIdx[c.Flow.In] = int32(len(p.pendingList))
+			p.pendingList = append(p.pendingList, c.Flow.In)
+		}
+		p.pendingTotal++
+		if p.logArmed {
+			p.log.Append(demux.Event{T: t, Kind: demux.EvArrival, In: c.Flow.In, Out: c.Flow.Out})
+		}
+		if p.trace {
+			p.tracer.Emit(obs.Event{T: t, Kind: obs.EvArrival, Seq: c.Seq, In: c.Flow.In, Out: c.Flow.Out, Plane: cell.NoPlane})
+		}
+	}
+
+	// 2. Demultiplexing.
+	if full || len(arrivals) > 0 || p.pendingTotal > 0 {
+		if err := p.dispatch(t, arrivals); err != nil {
+			return dst, err
+		}
 	}
 
 	// 3. Buffer discipline; 4. multiplexing and departures. The sharded
-	// engine runs stage 3 across input shards and stage 4 across output
-	// shards with a barrier in between; it is bit-identical to the serial
-	// stages below (see parallel.go for why) but falls back to them while a
-	// tracer is attached, since the tracer's event stream is globally
-	// ordered and tracing is a diagnostic, not a throughput, mode.
-	if p.pool != nil && !p.trace && !p.pool.closed {
-		var err error
-		dst, err = p.stepSharded(t, dst)
-		if err != nil {
+	// stages fall back to the serial ones while a tracer is attached: its
+	// event stream is globally ordered, and tracing is a diagnostic mode.
+	var err error
+	if full && p.pool != nil && !p.trace && !p.pool.closed {
+		if dst, err = p.stepSharded(t, dst); err != nil {
 			return dst, p.violation(t, err)
 		}
 	} else {
-		for i := 0; i < p.cfg.N; i++ {
-			if err := p.auditInput(i); err != nil {
-				return dst, p.violation(t, err)
+		if full {
+			for i := 0; i < p.cfg.N; i++ {
+				if err := p.auditInput(i); err != nil {
+					return dst, p.violation(t, err)
+				}
+			}
+		} else {
+			for _, in := range p.pendingList {
+				if err := p.auditInput(int(in)); err != nil {
+					return dst, p.violation(t, err)
+				}
+			}
+			for _, c := range arrivals {
+				// Arrival inputs still pending were audited above.
+				if p.pendingPerIn[c.Flow.In] == 0 {
+					if err := p.auditInput(int(c.Flow.In)); err != nil {
+						return dst, p.violation(t, err)
+					}
+				}
 			}
 		}
-		var err error
 		if dst, err = p.sweepBusy(t, dst); err != nil {
 			return dst, err
 		}
@@ -751,7 +784,7 @@ func (p *PPS) Step(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cell.C
 
 	// 5. Conservation audit.
 	if p.cfg.CheckInvariants {
-		if err := p.audit(); err != nil {
+		if err := p.audit(full); err != nil {
 			return dst, p.violation(t, err)
 		}
 	}
@@ -782,88 +815,28 @@ func (p *PPS) outputBusy(j cell.Port) bool {
 	return p.outputs[j].Buffered() > 0 || p.planeMask[j] != 0
 }
 
-// EventStep advances the PPS by one slot at O(events) cost: the dispatch
-// stage runs only when some input holds work, the buffer audit covers only
-// inputs that could have changed (the pending working set plus this slot's
-// arrival inputs), the multiplexing stage sweeps only the busy-output
-// working set, and the conservation audit is the O(1) counter identity
-// instead of the structural walk. It is bit-identical to Step under the
-// engine-selection preconditions (an unarmed log, serial mode): eliding the
-// Slot call of an algorithm that does not read the log on a slot with no
-// arrivals and no pending cells is a no-op by the demux.Algorithm contract,
-// and so is every skipped stage. An attached tracer sees the same event
-// stream as under Step: busy outputs are swept in ascending order, as Step
-// sweeps them, and a skipped stage has no cell to trace. The sparse audit
-// detects every buffer-capacity violation (an offender necessarily has
-// pending cells, so it is in the working set) but can miss a cheating
-// algorithm misreporting Buffered for an input the fabric believes empty —
-// the stepped engine remains the full referee, and the equivalence matrix
-// cross-checks the two.
-func (p *PPS) EventStep(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cell.Cell, error) {
-	if err := p.beginSlot(t, arrivals); err != nil {
-		return dst, err
-	}
-	if len(arrivals) > 0 || p.pendingTotal > 0 {
-		if err := p.dispatch(t, arrivals); err != nil {
-			return dst, err
-		}
-		for _, in := range p.pendingList {
-			if err := p.auditInput(int(in)); err != nil {
-				return dst, p.violation(t, err)
-			}
-		}
-		for _, c := range arrivals {
-			// Arrival inputs still pending were audited above.
-			if p.pendingPerIn[c.Flow.In] == 0 {
-				if err := p.auditInput(int(c.Flow.In)); err != nil {
-					return dst, p.violation(t, err)
-				}
-			}
-		}
-	}
-
-	var err error
-	dst, err = p.sweepBusy(t, dst)
-	if err != nil {
-		return dst, err
-	}
-
-	if p.cfg.CheckInvariants {
-		if err := p.conserved(); err != nil {
-			return dst, p.violation(t, err)
-		}
-	}
-	return dst, nil
-}
-
-// audit checks cell conservation across the stages, and that the
-// incremental backlog counters agree with the structures they mirror.
-// Accounted drops are a legitimate cell fate under DropCount; p.dropped is
-// always zero under Abort.
-func (p *PPS) audit() error {
-	inPlanes := 0
-	for _, pl := range p.planes {
-		inPlanes += pl.Backlog()
-	}
-	inOutputs := 0
-	for j := range p.outputs {
-		inOutputs += p.outputs[j].Buffered()
-	}
-	if inPlanes != p.cellsInPlanes || inOutputs != p.cellsInOutputs {
-		return fmt.Errorf("fabric: backlog counters drifted: planes hold %d (counter %d), outputs hold %d (counter %d)",
-			inPlanes, p.cellsInPlanes, inOutputs, p.cellsInOutputs)
-	}
-	if live := p.store.Live(); live != inPlanes+inOutputs {
-		return fmt.Errorf("fabric: cell store leaked: %d live refs, planes+outputs hold %d cells", live, inPlanes+inOutputs)
-	}
-	return p.conserved()
-}
-
-// conserved checks the cell conservation identity over the O(1) counters
-// (which audit has just checked against the structures): every cell that
+// audit checks cell conservation over the O(1) counters: every cell that
 // arrived is pending, queued in a plane, parked in an output, departed, or
-// dropped.
-func (p *PPS) conserved() error {
+// dropped (p.dropped is always zero under Abort). full first checks the
+// counters against the structures they mirror, and the store's live refs.
+func (p *PPS) audit(full bool) error {
+	if full {
+		inPlanes := 0
+		for _, pl := range p.planes {
+			inPlanes += pl.Backlog()
+		}
+		inOutputs := 0
+		for j := range p.outputs {
+			inOutputs += p.outputs[j].Buffered()
+		}
+		if inPlanes != p.cellsInPlanes || inOutputs != p.cellsInOutputs {
+			return fmt.Errorf("fabric: backlog counters drifted: planes hold %d (counter %d), outputs hold %d (counter %d)",
+				inPlanes, p.cellsInPlanes, inOutputs, p.cellsInOutputs)
+		}
+		if live := p.store.Live(); live != inPlanes+inOutputs {
+			return fmt.Errorf("fabric: cell store leaked: %d live refs, planes+outputs hold %d cells", live, inPlanes+inOutputs)
+		}
+	}
 	if uint64(p.Backlog())+p.departed+p.dropped != p.arrived {
 		return fmt.Errorf("fabric: conservation violated: arrived %d != pending %d + planes %d + outputs %d + departed %d + dropped %d",
 			p.arrived, p.pendingTotal, p.cellsInPlanes, p.cellsInOutputs, p.departed, p.dropped)

@@ -6,6 +6,7 @@ package fabric
 // every violation is caught.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,6 +105,80 @@ func TestDeadPlaneSendHoldsInputLine(t *testing.T) {
 	}
 }
 
+// TestDeadPlaneSendDrawsNoLoss: a plane's loss stream draws once per cell
+// sent into the live plane. Sends into it while it is down are dead-plane
+// drops and draw nothing, so the cells it loses after it recovers are the
+// same whether or not anything was sent to it during the outage.
+func TestDeadPlaneSendDrawsNoLoss(t *testing.T) {
+	factory := rogueFactory(func(demux.Env) func(cell.Time, []cell.Cell) ([]demux.Send, error) {
+		return func(_ cell.Time, arrivals []cell.Cell) ([]demux.Send, error) {
+			var out []demux.Send
+			for _, c := range arrivals {
+				out = append(out, demux.Send{Cell: c, Plane: 0})
+			}
+			return out, nil
+		}
+	}, nil)
+	lostAfterOutage := func(sendDuringOutage bool) []cell.Time {
+		sched := faults.NewSchedule().Outage(0, 0, 10).WithLoss(0, 0.5).WithSeed(3)
+		p, err := New(Config{N: 2, K: 2, RPrime: 1, CheckInvariants: true, FaultPolicy: faults.DropCount, Faults: sched}, factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := cell.NewStamper()
+		var lost []cell.Time
+		for slot := cell.Time(0); slot < 40; slot++ {
+			var cells []cell.Cell
+			if slot >= 10 || sendDuringOutage {
+				cells = append(cells, st.Stamp(cell.Flow{In: 0, Out: 1}, slot))
+			}
+			if _, err := p.Step(slot, cells, nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range p.SlotDrops() {
+				if slot >= 10 {
+					lost = append(lost, c.Arrive)
+				}
+			}
+		}
+		return lost
+	}
+	with, without := lostAfterOutage(true), lostAfterOutage(false)
+	if len(without) == 0 || !slices.Equal(with, without) {
+		t.Errorf("cells lost after the outage: %v with sends into the dead plane, %v without", with, without)
+	}
+}
+
+// TestRefereeCatchesIdleSlotForgery: Step consults the algorithm on every
+// slot, idle ones included, so a send forged on a slot with no arrival and
+// nothing pending is caught. EventStep elides that call by design (an idle
+// Slot is a no-op for an honest algorithm); Step is the referee that keeps it.
+func TestRefereeCatchesIdleSlotForgery(t *testing.T) {
+	st := cell.NewStamper()
+	forged := st.Stamp(cell.Flow{In: 1, Out: 0}, 3)
+	factory := rogueFactory(func(demux.Env) func(cell.Time, []cell.Cell) ([]demux.Send, error) {
+		return func(t cell.Time, arrivals []cell.Cell) ([]demux.Send, error) {
+			if t == 3 && len(arrivals) == 0 {
+				return []demux.Send{{Cell: forged, Plane: 0}}, nil
+			}
+			return nil, nil
+		}
+	}, nil)
+	p, err := New(Config{N: 2, K: 2, RPrime: 1, CheckInvariants: true}, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := cell.Time(0); slot < 3; slot++ {
+		if err := stepOne(t, p, slot); err != nil {
+			t.Fatalf("slot %d: idle slot failed: %v", slot, err)
+		}
+	}
+	err = stepOne(t, p, 3)
+	if err == nil || !strings.Contains(err.Error(), "not pending") {
+		t.Errorf("a send forged on an idle slot must be caught: %v", err)
+	}
+}
+
 func TestRefereeCatchesNonexistentPlane(t *testing.T) {
 	factory := rogueFactory(func(demux.Env) func(cell.Time, []cell.Cell) ([]demux.Send, error) {
 		return func(_ cell.Time, arrivals []cell.Cell) ([]demux.Send, error) {
@@ -171,6 +246,9 @@ func TestRefereeCatchesSilentDrop(t *testing.T) {
 	}
 }
 
+// TestRefereeCatchesOverclaimedBuffer: both entry points catch it. The
+// sparse audit of EventStep covers the input because it had an arrival this
+// slot, although its cell left in that slot and it holds nothing pending.
 func TestRefereeCatchesOverclaimedBuffer(t *testing.T) {
 	// Dispatches everything but claims cells are still buffered.
 	factory := rogueFactory(func(env demux.Env) func(cell.Time, []cell.Cell) ([]demux.Send, error) {
@@ -182,11 +260,13 @@ func TestRefereeCatchesOverclaimedBuffer(t *testing.T) {
 			return out, nil
 		}
 	}, func(cell.Port) int { return 3 })
-	p, _ := New(Config{N: 2, K: 2, RPrime: 1, BufferCap: -1, CheckInvariants: true}, factory)
-	st := cell.NewStamper()
-	err := stepOne(t, p, 0, st.Stamp(cell.Flow{In: 0, Out: 0}, 0))
-	if err == nil || !strings.Contains(err.Error(), "cell lost or duplicated") {
-		t.Errorf("phantom buffered cells must be caught: %v", err)
+	for _, step := range []func(*PPS, cell.Time, []cell.Cell, []cell.Cell) ([]cell.Cell, error){(*PPS).Step, (*PPS).EventStep} {
+		p, _ := New(Config{N: 2, K: 2, RPrime: 1, BufferCap: -1, CheckInvariants: true}, factory)
+		st := cell.NewStamper()
+		_, err := step(p, 0, []cell.Cell{st.Stamp(cell.Flow{In: 0, Out: 0}, 0)}, nil)
+		if err == nil || !strings.Contains(err.Error(), "cell lost or duplicated") {
+			t.Errorf("phantom buffered cells must be caught: %v", err)
+		}
 	}
 }
 
@@ -228,7 +308,7 @@ func TestRefereeGapTolerance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The cells below skip beginSlot, which would grow the per-flow
+		// The cells below skip stage 1 of slot, which would grow the per-flow
 		// columns to their ids: cover all N² ids up front.
 		p.lastFlowSeq.GrowTo(16)
 		p.flowNext.GrowTo(16)

@@ -372,16 +372,20 @@ func (d *driver) sampleSlot(t cell.Time) {
 // executes every slot through the switch's Step — the naive oracle, and the
 // only core that runs baselines and stage-parallel, per-slot-source or
 // stale-information configurations. The event core (event true) differs
-// in two places: slots execute through fabric.EventStep, which only touches
-// the pending inputs and busy outputs, and when both switches are fully
-// quiet the clock jumps in one step to the next event — the source's next
-// arrival, the next fault due time, or the horizon, whichever comes first —
-// with the probe samples of the elided span synthesized in closed form. Cost
-// is then O(events), not O(slots), and results are bit-identical to stepping
-// (DESIGN.md §10).
+// in two places: slots execute through fabric.EventStep, the same slot body
+// with the sparse checks, which only touches the pending inputs and busy
+// outputs; and when both switches are fully quiet the clock jumps in one
+// step to the next event — the source's next arrival, the next fault due
+// time, or the horizon, whichever comes first — with the probe samples of
+// the elided span synthesized in closed form. Cost is then O(events), not
+// O(slots), and results are bit-identical to stepping (DESIGN.md §10).
+//
 // selectEngine guarantees the event core's preconditions: a PPS under test,
-// serial run, a source read ahead in spans, no reader of the global log. run returns where the loop stopped: the first slot at or past
-// the horizon with both switches drained, or MaxSlots.
+// a serial run, a source read ahead in spans, and no reader of the global
+// log.
+//
+// run returns where the loop stopped: the first slot at or past the horizon
+// with both switches drained, or MaxSlots.
 func (d *driver) run(event bool) (cell.Time, error) {
 	sw, pps, opts, end := d.sw, d.pps, d.opts, d.end
 

@@ -51,6 +51,54 @@ func TestDocsNameLiveOptions(t *testing.T) {
 	}
 }
 
+// TestDocsNameLiveTests fails when README.md, DESIGN.md, MODEL.md or
+// EXPERIMENTS.md cites a Test*, Fuzz* or Benchmark* name that no Go file of
+// the module declares: a test deleted or renamed must leave the prose too.
+func TestDocsNameLiveTests(t *testing.T) {
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// benchmark/ is a module of its own.
+			if path == "benchmark" || path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				declared[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "MODEL.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range ref.FindAllString(string(text), -1) {
+			if !declared[name] {
+				t.Errorf("%s cites %s, which no test file of the module declares", doc, name)
+			}
+		}
+	}
+}
+
 // TestNoHandRolledReference fails when a non-test Go file outside
 // benchmark/ and internal/shadow names shadow.New, shadow.Switch or
 // shadow.NewShaped: every switch under test is measured through
