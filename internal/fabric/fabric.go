@@ -672,21 +672,19 @@ func (p *PPS) EventStep(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]c
 
 // slot runs stages 0–5 of slot t, the one body behind Step (full) and
 // EventStep (!full). full changes how much is checked, never what happens:
-//   - the algorithm is consulted every slot. Without full an idle slot (no
-//     arrival, no pending cell) skips its Slot call, a no-op by the
-//     demux.Algorithm contract under IdleInvariant; only the call catches a
-//     send forged on an idle slot;
-//   - all N input buffers are audited, not just the pending set and the
-//     arrival inputs, which hold every capacity violation but may miss a
-//     misreport for an input the fabric believes empty;
+//   - the algorithm is consulted every slot, so a send forged on an idle
+//     slot is caught; without full an idle slot skips its Slot call, a no-op
+//     under IdleInvariant;
+//   - all N input buffers are audited, not just the pending and arrival
+//     inputs, which hold every capacity violation but may miss a misreport
+//     for an input the fabric believes empty;
 //   - stages 3 and 4 run sharded (parallel.go) when a pool is open and no
 //     tracer is attached;
 //   - the conservation audit also checks the counters against the
 //     structures they mirror.
 //
 // Either way the serial mux stage sweeps only the busy outputs, in
-// ascending order, so an attached tracer, which keeps the stages serial,
-// sees one event stream.
+// ascending order, so an attached tracer sees one event stream.
 func (p *PPS) slot(t cell.Time, arrivals, dst []cell.Cell, full bool) ([]cell.Cell, error) {
 	// 0. The slot clock is monotone and skips no slot while cells are in
 	// flight; the fault events due at t apply before the arrivals.
@@ -704,39 +702,10 @@ func (p *PPS) slot(t cell.Time, arrivals, dst []cell.Cell, full bool) ([]cell.Ce
 		p.applyFaults(t)
 	}
 
-	// 1. Arrivals: validate each, count it pending, and grow the per-flow
-	// columns to its FlowID.
-	for _, c := range arrivals {
-		if c.Arrive != t {
-			return dst, p.violation(t, fmt.Errorf("fabric: cell %v presented at slot %d", c, t))
-		}
-		if int(c.Flow.In) < 0 || int(c.Flow.In) >= p.cfg.N || int(c.Flow.Out) < 0 || int(c.Flow.Out) >= p.cfg.N {
-			return dst, p.violation(t, fmt.Errorf("fabric: cell %v outside %dx%d switch", c, p.cfg.N, p.cfg.N))
-		}
-		// An n-port switch carries at most n² flows, so no stamped id
-		// exceeds n²; the bound keeps a forged id from growing the columns.
-		if n := uint64(p.cfg.N); c.FlowID == 0 || uint64(c.FlowID) > n*n {
-			return dst, p.violation(t, fmt.Errorf("fabric: cell %v carries flow id %d outside [1, %d] (unstamped or forged)", c, c.FlowID, n*n))
-		}
-		if id := int(c.FlowID); id > p.lastFlowSeq.Len() {
-			p.lastFlowSeq.GrowTo(id)
-			p.flowNext.GrowTo(id)
-		}
-		if p.seenStamp[c.Flow.In] == t {
-			return dst, p.violation(t, fmt.Errorf("fabric: two cells arrived at input %d in slot %d", c.Flow.In, t))
-		}
-		p.seenStamp[c.Flow.In] = t
-		p.arrived++
-		if p.pendingPerIn[c.Flow.In]++; p.pendingPerIn[c.Flow.In] == 1 {
-			p.pendingIdx[c.Flow.In] = int32(len(p.pendingList))
-			p.pendingList = append(p.pendingList, c.Flow.In)
-		}
-		p.pendingTotal++
-		if p.logArmed {
-			p.log.Append(demux.Event{T: t, Kind: demux.EvArrival, In: c.Flow.In, Out: c.Flow.Out})
-		}
-		if p.trace {
-			p.tracer.Emit(obs.Event{T: t, Kind: obs.EvArrival, Seq: c.Seq, In: c.Flow.In, Out: c.Flow.Out, Plane: cell.NoPlane})
+	// 1. Arrivals.
+	for i := range arrivals {
+		if err := p.arrive(t, &arrivals[i]); err != nil {
+			return dst, p.violation(t, err)
 		}
 	}
 
@@ -747,9 +716,8 @@ func (p *PPS) slot(t cell.Time, arrivals, dst []cell.Cell, full bool) ([]cell.Ce
 		}
 	}
 
-	// 3. Buffer discipline; 4. multiplexing and departures. The sharded
-	// stages fall back to the serial ones while a tracer is attached: its
-	// event stream is globally ordered, and tracing is a diagnostic mode.
+	// 3. Buffer discipline; 4. multiplexing and departures, serial while a
+	// tracer, whose event stream is globally ordered, is attached.
 	var err error
 	if full && p.pool != nil && !p.trace && !p.pool.closed {
 		if dst, err = p.stepSharded(t, dst); err != nil {
@@ -791,6 +759,43 @@ func (p *PPS) slot(t cell.Time, arrivals, dst []cell.Cell, full bool) ([]cell.Ce
 	return dst, nil
 }
 
+// arrive runs stage 1 of slot for one arrival, kept out of slot's per-slot
+// path: validate it, count it pending, grow the per-flow columns to its id.
+func (p *PPS) arrive(t cell.Time, c *cell.Cell) error {
+	if c.Arrive != t {
+		return fmt.Errorf("fabric: cell %v presented at slot %d", *c, t)
+	}
+	if int(c.Flow.In) < 0 || int(c.Flow.In) >= p.cfg.N || int(c.Flow.Out) < 0 || int(c.Flow.Out) >= p.cfg.N {
+		return fmt.Errorf("fabric: cell %v outside %dx%d switch", *c, p.cfg.N, p.cfg.N)
+	}
+	// An n-port switch carries at most n² flows, so no stamped id exceeds
+	// n²; the bound keeps a forged id from growing the columns.
+	if n := uint64(p.cfg.N); c.FlowID == 0 || uint64(c.FlowID) > n*n {
+		return fmt.Errorf("fabric: cell %v carries flow id %d outside [1, %d] (unstamped or forged)", *c, c.FlowID, n*n)
+	}
+	if id := int(c.FlowID); id > p.lastFlowSeq.Len() {
+		p.lastFlowSeq.GrowTo(id)
+		p.flowNext.GrowTo(id)
+	}
+	if p.seenStamp[c.Flow.In] == t {
+		return fmt.Errorf("fabric: two cells arrived at input %d in slot %d", c.Flow.In, t)
+	}
+	p.seenStamp[c.Flow.In] = t
+	p.arrived++
+	if p.pendingPerIn[c.Flow.In]++; p.pendingPerIn[c.Flow.In] == 1 {
+		p.pendingIdx[c.Flow.In] = int32(len(p.pendingList))
+		p.pendingList = append(p.pendingList, c.Flow.In)
+	}
+	p.pendingTotal++
+	if p.logArmed {
+		p.log.Append(demux.Event{T: t, Kind: demux.EvArrival, In: c.Flow.In, Out: c.Flow.Out})
+	}
+	if p.trace {
+		p.tracer.Emit(obs.Event{T: t, Kind: obs.EvArrival, Seq: c.Seq, In: c.Flow.In, Out: c.Flow.Out, Plane: cell.NoPlane})
+	}
+	return nil
+}
+
 // IdleInvariant reports whether eliding the algorithm's Slot calls on idle
 // slots is sound: true unless the global event log is armed. A u-RT
 // algorithm's view of the log advances every slot, silent ones included,
@@ -811,9 +816,7 @@ func (p *PPS) NextFaultSlot() cell.Time {
 // outputBusy reports whether output j still has work: cells in its
 // resequencing buffer or queued for it in any plane. O(1) via the
 // per-output plane mask.
-func (p *PPS) outputBusy(j cell.Port) bool {
-	return p.outputs[j].Buffered() > 0 || p.planeMask[j] != 0
-}
+func (p *PPS) outputBusy(j cell.Port) bool { return p.outputs[j].Buffered() > 0 || p.planeMask[j] != 0 }
 
 // audit checks cell conservation over the O(1) counters: every cell that
 // arrived is pending, queued in a plane, parked in an output, departed, or
@@ -847,9 +850,7 @@ func (p *PPS) audit(full bool) error {
 // Backlog reports the number of cells inside the switch (input buffers,
 // planes and output buffers). O(1): the terms are maintained incrementally
 // at every enqueue, pop, departure and fault-drop site.
-func (p *PPS) Backlog() int {
-	return p.pendingTotal + p.cellsInPlanes + p.cellsInOutputs
-}
+func (p *PPS) Backlog() int { return p.pendingTotal + p.cellsInPlanes + p.cellsInOutputs }
 
 // Drained reports whether every cell that arrived has left the switch —
 // departed on an external line or, under DropCount, lost to a failed plane.
