@@ -41,6 +41,9 @@ func diagCmd(fs *flag.FlagSet) func(io.Writer) int {
 		if *scap < 0 {
 			return usageError(fs, fmt.Errorf("-cap must be >= 0 (0 = default ring capacity), got %d", *scap))
 		}
+		if _, err := seriesWriter(sc.Format); err != nil {
+			return fail(fs, 2, err)
+		}
 		if !*series && !*pctl {
 			fmt.Fprint(stdout, Render(sc.n, sc.k, sc.rprime))
 			return 0
@@ -111,19 +114,27 @@ type seriesConfig struct {
 	Percentiles io.Writer
 }
 
+// seriesWriter returns the writer of a -format name: csv (the default) or
+// json.
+func seriesWriter(format string) (func(io.Writer, []*ppsim.Series) error, error) {
+	switch format {
+	case "", "csv":
+		return ppsim.WriteSeriesCSV, nil
+	case "json":
+		return ppsim.WriteSeriesJSON, nil
+	}
+	return nil, fmt.Errorf("unknown series format %q (want csv or json)", format)
+}
+
 // runSeries executes one instrumented run of sc's switch over src and
 // streams every standard probe series to w (long-format CSV or JSON). This
 // is the diagnostic companion to the static Figure-1 rendering: instead of
 // the architecture it shows the per-slot trajectory — plane backlogs, buffer
 // depths, front RQD — of an actual execution through that architecture.
 func runSeries(w io.Writer, sc seriesConfig, src ppsim.Source) error {
-	write := ppsim.WriteSeriesCSV
-	switch sc.Format {
-	case "", "csv":
-	case "json":
-		write = ppsim.WriteSeriesJSON
-	default:
-		return fmt.Errorf("unknown series format %q (want csv or json)", sc.Format)
+	write, err := seriesWriter(sc.Format)
+	if err != nil {
+		return err
 	}
 	var opts ppsim.Options
 	if w != nil {

@@ -83,6 +83,7 @@ func TestConfigErrorsExitTwo(t *testing.T) {
 	}{
 		{[]string{"diag", "-series", "-alg", "nosuch", "-slots", "10"}, "ppsim diag: " + unknownAlg + "\n"},
 		{[]string{"diag", "-percentiles", "-alg", "nosuch", "-slots", "10"}, "ppsim diag: " + unknownAlg + "\n"},
+		{[]string{"diag", "-series", "-format", "xml", "-slots", "10"}, "ppsim diag: unknown series format \"xml\" (want csv or json)\n"},
 		{[]string{"trace", "-gen", "steering", "-k", "0"}, "ppsim trace: fabric: K must be positive, got 0\n"},
 		{[]string{"trace", "-gen", "steering", "-n", "8", "-k", "4", "-alg", "nosuch", "-slots", "10"}, "ppsim trace: " + unknownAlg + "\n"},
 	} {

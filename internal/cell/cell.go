@@ -30,6 +30,16 @@ type Plane int32
 // "infinity" in Definition 2 of the paper).
 const NoPlane Plane = -1
 
+// StartCap is the capacity a per-run table starts at in an n-port switch
+// when its size follows the ports a run touches — the cells arriving or
+// departing in one slot, the inputs holding cells, the outputs that have
+// departed one — rather than n itself: min(n, 64). Such a table is sized
+// once, when the run is built, so a short run on a small switch never
+// regrows it; a large switch that touches a handful of its ports (a sparse
+// trace on N = 16 384) sets aside a few hundred bytes rather than a table
+// per port, and grows past the cap only as far as its traffic reaches.
+func StartCap(n int) int { return max(0, min(n, 64)) }
+
 // Flow identifies the (input, output) pair a cell belongs to. The switch
 // must preserve the order of cells within a flow and must not drop cells.
 type Flow struct {

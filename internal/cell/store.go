@@ -3,6 +3,7 @@ package cell
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Ref is a 32-bit handle into a Store: the owning shard in the top bits and
@@ -89,6 +90,19 @@ func NewStore(shards int) *Store {
 		idxBits: idxBits,
 		idxMask: uint32(uint64(1)<<idxBits - 1),
 		shards:  make([]storeShard, shards),
+	}
+}
+
+// Reserve grows every shard's slab and link column to hold at least n
+// cells before either grows again: a run that sizes its store once, from the
+// switch geometry, skips the doublings a store grown from empty goes
+// through. Reserve never shrinks a shard and moves no live cell's ref.
+func (s *Store) Reserve(n int) {
+	for i := range s.shards {
+		if sh := &s.shards[i]; n > len(sh.cells) {
+			sh.cells = slices.Grow(sh.cells, n-len(sh.cells))
+			sh.link = slices.Grow(sh.link, n-len(sh.link))
+		}
 	}
 }
 

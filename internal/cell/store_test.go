@@ -43,6 +43,34 @@ func TestStoreReusesFreedSlots(t *testing.T) {
 	}
 }
 
+// TestStoreReserve: after Reserve(n) each shard takes n cells without
+// growing, live cells keep their refs and bodies across a Reserve, and a
+// Reserve below the slab's length is a no-op.
+func TestStoreReserve(t *testing.T) {
+	s := NewStore(2)
+	a := s.Put(1, storeCell(1))
+	s.Reserve(8)
+	if s.At(a).Seq != 1 {
+		t.Fatalf("Reserve moved a live cell: %v", s.At(a))
+	}
+	slabs := [2]*Cell{&s.shards[0].cells[:1][0], &s.shards[1].cells[:1][0]}
+	for sh := 0; sh < 2; sh++ {
+		for len(s.shards[sh].cells) < 8 {
+			s.Put(sh, storeCell(uint64(len(s.shards[sh].cells))))
+		}
+		if &s.shards[sh].cells[0] != slabs[sh] {
+			t.Errorf("shard %d regrew within its reserved 8 cells", sh)
+		}
+	}
+	s.Reserve(2)
+	if got := cap(s.shards[0].cells); got < 8 {
+		t.Errorf("Reserve(2) shrank shard 0 to %d cells", got)
+	}
+	if s.At(a).Seq != 1 || s.Live() != 16 {
+		t.Errorf("after Reserve: cell %v, Live %d; want Seq 1 and 16 live", s.At(a), s.Live())
+	}
+}
+
 func TestStoreShardsAreIndependent(t *testing.T) {
 	s := NewStore(4)
 	refs := make([]Ref, 4)

@@ -347,3 +347,34 @@ func TestFTDWouldChoose(t *testing.T) {
 		t.Error("after a dispatch the in-block prediction must move on")
 	}
 }
+
+// TestStaleCPABlindWindowHoldsLastUSlots drives two inputs with one cell a
+// slot and checks each input's blind window after every slot: it holds the
+// dispatches of the last min(t+1, u) slots, and, for u within the slab's
+// cap, stays on its slab cut. u = 20 is past blindSlabCap, so its windows
+// grow off the slab.
+func TestStaleCPABlindWindowHoldsLastUSlots(t *testing.T) {
+	for _, u := range []cell.Time{1, 4, blindSlabCap, 20} {
+		e := newFakeEnv(2, 4, 1)
+		a, err := NewStaleCPA(e, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slab := &a.blind[0][:1][0]
+		st := cell.NewStamper()
+		for slot := cell.Time(0); slot < 3*u+5; slot++ {
+			exec(t, e, a, slot, arr(st, slot, 0, 1), arr(st, slot, 1, 0))
+			for in, w := range a.blind {
+				if want := int(min(slot+1, u)); len(w) != want {
+					t.Fatalf("u=%d slot %d: input %d window holds %d dispatches, want %d", u, slot, in, len(w), want)
+				}
+				if first := w[0].t; first != slot+1-cell.Time(len(w)) {
+					t.Fatalf("u=%d slot %d: input %d window starts at slot %d, want %d", u, slot, in, first, slot+1-cell.Time(len(w)))
+				}
+			}
+		}
+		if onSlab := &a.blind[0][0] == slab; onSlab != (u <= blindSlabCap) {
+			t.Errorf("u=%d: input 0's window on its slab cut = %v, want %v", u, onSlab, u <= blindSlabCap)
+		}
+	}
+}

@@ -40,9 +40,17 @@ type StaleCPA struct {
 	backlog    []int64     // per (k, j): stale plane queue length
 	// Blind-window overlay: this algorithm instance serves all inputs, but
 	// each input may only overlay its *own* recent dispatches. blind[i]
-	// holds input i's dispatches with T > t-u.
+	// holds input i's dispatches with T > t-u. An input dispatches at most
+	// one cell per slot, and trimBlind keeps only the last u slots, so a
+	// window never holds more than u entries: each is cut from one slab
+	// (blindWindows) and never regrows while u <= blindSlabCap.
 	blind [][]blindDispatch
 }
+
+// blindSlabCap bounds the slab's entries per input, so a huge staleness
+// does not set aside N·u entries up front: a wider window grows off the
+// slab, as far as u.
+const blindSlabCap = 16
 
 type blindDispatch struct {
 	t   cell.Time
@@ -67,8 +75,18 @@ func NewStaleCPA(env Env, u cell.Time) (*StaleCPA, error) {
 		oracleNext: make([]cell.Time, n),
 		linkNext:   make([]cell.Time, n*k),
 		backlog:    make([]int64, n*k),
-		blind:      make([][]blindDispatch, n),
+		blind:      blindWindows(n, int(min(u, blindSlabCap))),
 	}, nil
+}
+
+// blindWindows returns n empty windows of capacity w, cut from one slab.
+func blindWindows(n, w int) [][]blindDispatch {
+	slab := make([]blindDispatch, n*w)
+	windows := make([][]blindDispatch, n)
+	for i := range windows {
+		windows[i] = slab[i*w : i*w : (i+1)*w]
+	}
+	return windows
 }
 
 // NewStaleCPARandomTie is NewStaleCPA with randomized tie-breaking among

@@ -100,9 +100,12 @@ func (c Config) Validate() error {
 
 // PPS is one parallel packet switch instance.
 type PPS struct {
-	cfg    Config
-	alg    demux.Algorithm
-	planes []*plane.Plane
+	cfg Config
+	alg demux.Algorithm
+	// planes and the two gate banks are held by value: the K planes' N·K
+	// queues are one slab (plane.NewPlanes), so building a fabric makes the
+	// same number of objects at any K and N (TestNewAllocsFlatInKAndN).
+	planes []plane.Plane
 	// store is the shared columnar cell arena (DESIGN.md §13): cell bodies
 	// live in per-shard contiguous slabs and the plane queues and output
 	// resequencers hold 32-bit refs into it. A cell is allocated into the
@@ -112,9 +115,9 @@ type PPS struct {
 	// stage barrier orders the two, so the store needs no atomics.
 	store    *cell.Store
 	outShard []int32
-	inGates  *timing.Matrix // N x K
-	outGates *timing.Matrix // K x N
-	outputs  []mux.Output   // one slab, output j at index j
+	inGates  timing.Matrix // N x K
+	outGates timing.Matrix // K x N
+	outputs  []mux.Output  // one slab, output j at index j
 	// pviews are the persistent per-output planeView adapters. Passing a
 	// value-type view would box it into the mux.PlaneView interface — one
 	// heap allocation per output per slot; pointers into this slice convert
@@ -224,10 +227,23 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// The store is sharded by the same output geometry the worker pool
+	// uses, so each mux shard frees only from its own slab; a serial
+	// fabric gets a single shard.
+	workers := ResolveWorkers(cfg.Workers, cfg.N)
+	shards := max(1, workers)
+	store := cell.NewStore(shards)
 	p := &PPS{
-		cfg:                cfg,
-		inGates:            timing.NewMatrix(cfg.N, cfg.K, cfg.RPrime),
-		outGates:           timing.NewMatrix(cfg.K, cfg.N, cfg.RPrime),
+		cfg:   cfg,
+		store: store,
+		// The planes' K·N queues are the fabric's largest object (1.5 MiB
+		// at N = 16 384, K = 8), so they are made first: made after the
+		// per-port tables, the one slab set sparse-long up 16 % slower than
+		// K slabs of one plane each did, and made first, 16 % faster
+		// (benchmark setup_s, 10 pairs each).
+		planes:             plane.NewPlanes(cfg.K, cfg.N, store),
+		inGates:            timing.MakeMatrix(cfg.N, cfg.K, cfg.RPrime),
+		outGates:           timing.MakeMatrix(cfg.K, cfg.N, cfg.RPrime),
 		pendingPerIn:       make([]int, cfg.N),
 		seenStamp:          make([]cell.Time, cfg.N),
 		lastSlot:           -1,
@@ -238,8 +254,8 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 		planeMask:          make([]uint64, cfg.N),
 		busy:               make([]uint64, (cfg.N+63)/64),
 		busySum:            make([]uint64, (cfg.N+64*64-1)/(64*64)),
-		planes:             make([]*plane.Plane, cfg.K),
 		pendingIdx:         make([]int32, cfg.N),
+		pendingList:        make([]cell.Port, 0, cell.StartCap(cfg.N)),
 	}
 	for i := range p.pendingIdx {
 		p.pendingIdx[i] = -1
@@ -247,23 +263,16 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 	for i := range p.seenStamp {
 		p.seenStamp[i] = cell.None
 	}
-	// The store is sharded by the same output geometry the worker pool
-	// uses, so each mux shard frees only from its own slab; a serial
-	// fabric gets a single shard.
-	workers := ResolveWorkers(cfg.Workers, cfg.N)
-	shards := workers
-	if shards < 1 {
-		shards = 1
-	}
-	p.store = cell.NewStore(shards)
+	// The store starts at two cells in flight per touched port
+	// (cell.StartCap), split over the shards: a short run at load below one
+	// on a small switch never regrows it, and one that holds more doubles
+	// from there.
+	p.store.Reserve(2 * cell.StartCap(cfg.N) / shards)
 	p.outShard = make([]int32, cfg.N)
 	for i := 0; i < shards; i++ {
 		for j := i * cfg.N / shards; j < (i+1)*cfg.N/shards; j++ {
 			p.outShard[j] = int32(i)
 		}
-	}
-	for k := range p.planes {
-		p.planes[k] = plane.New(cell.Plane(k), cfg.N, p.store)
 	}
 	p.outputs = mux.NewOutputs(cfg.N, p.store, &p.flowNext, p.outShard)
 	p.pviews = make([]planeView, cfg.N)
@@ -322,7 +331,7 @@ func (p *PPS) Ports() int { return p.cfg.N }
 func (p *PPS) Algorithm() demux.Algorithm { return p.alg }
 
 // Plane returns center-stage plane k (for inspection and failure injection).
-func (p *PPS) Plane(k cell.Plane) *plane.Plane { return p.planes[k] }
+func (p *PPS) Plane(k cell.Plane) *plane.Plane { return &p.planes[k] }
 
 // Output returns output-port j's multiplexor (for utilization reports).
 func (p *PPS) Output(j cell.Port) *mux.Output { return &p.outputs[j] }
@@ -825,8 +834,8 @@ func (p *PPS) outputBusy(j cell.Port) bool { return p.outputs[j].Buffered() > 0 
 func (p *PPS) audit(full bool) error {
 	if full {
 		inPlanes := 0
-		for _, pl := range p.planes {
-			inPlanes += pl.Backlog()
+		for k := range p.planes {
+			inPlanes += p.planes[k].Backlog()
 		}
 		inOutputs := 0
 		for j := range p.outputs {
@@ -875,8 +884,8 @@ func (p *PPS) SlotDrops() []cell.Cell { return p.slotDrops }
 // LivePlanes reports the number of planes currently in service.
 func (p *PPS) LivePlanes() int {
 	n := 0
-	for _, pl := range p.planes {
-		if !pl.Failed() {
+	for k := range p.planes {
+		if !p.planes[k].Failed() {
 			n++
 		}
 	}
@@ -887,10 +896,8 @@ func (p *PPS) LivePlanes() int {
 // planes — the buffer provisioning the measured delays imply (Section 1.2).
 func (p *PPS) PeakPlaneQueue() int {
 	peak := 0
-	for _, pl := range p.planes {
-		if q := pl.PeakQueue(); q > peak {
-			peak = q
-		}
+	for k := range p.planes {
+		peak = max(peak, p.planes[k].PeakQueue())
 	}
 	return peak
 }

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -61,6 +63,33 @@ func BenchmarkHarnessBaseline(b *testing.B) {
 		}
 		b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
 	})
+}
+
+// BenchmarkHarnessSweepPoint is one fault-free sweep-small point of the
+// benchmark at N = 8, 16 and 32: rr at K = 8, r' = 2 over Shape(N, 4,
+// Bernoulli 0.75) for 1 000 slots, Validate on. Such runs are short, so
+// their objects are construction and per-run tables; allocs/op is the
+// per-run object count and allocs/kcell the benchmark's figure of merit.
+func BenchmarkHarnessSweepPoint(b *testing.B) {
+	for _, n := range []int{8, 16, 32} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var cells uint64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				src := traffic.NewRegulator(n, 4, traffic.NewBernoulli(n, 0.75, 1000, 1))
+				res, err := Run(fabric.Config{N: n, K: 8, RPrime: 2}, rrFactory, src,
+					Options{Horizon: 20000, MaxSlots: 20000 + 1<<20, Validate: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells += res.Report.Offered
+			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(cells)*1000, "allocs/kcell")
+		})
+	}
 }
 
 // BenchmarkHarnessIdleInstrumentation is the same run with the

@@ -57,9 +57,12 @@ func TestRunPerFlowStateSizedToFlows(t *testing.T) {
 // slots, Validate on, plane 1 failed over [250, 750) under DropCount. It
 // read 367 when the regulator grew a FIFO per input, the referee and every
 // resequencer grew a drop table per output, and the busy outputs were a
-// growable sorted list; it reads 167 with one regulator node slab, one
-// drop table of each kind per store shard and the busy bitmap.
-const shapedFaultRunAllocs = 180
+// growable sorted list; it read 167 with one regulator node slab, one
+// drop table of each kind per store shard and the busy bitmap, and reads
+// 104 with the planes and gate banks held by value and the store, the
+// regulator's slab and pull buffer, the driver's buffers and the recorder's
+// tables sized once at the start (DESIGN.md §13, "Per-run object budget").
+const shapedFaultRunAllocs = 114
 
 // TestShapedFaultRunAllocsPerPort is the mallocs guard of that point: a
 // per-run table that grows one backing array per port or per output, one

@@ -515,6 +515,10 @@ func Drive(sw Switch, src traffic.Source, opts Options) (res Result, err error) 
 		end:    end,
 		st:     st,
 		rec:    metrics.NewRecorderOn(st.Flows(), n),
+		// A slot brings at most n arrivals and n departures; the buffers
+		// start at the ports a run touches (cell.StartCap).
+		deps:     make([]cell.Cell, 0, cell.StartCap(n)),
+		cellsBuf: make([]cell.Cell, 0, cell.StartCap(n)),
 	}
 	if opts.Validate {
 		d.vd = traffic.NewValidator(n)

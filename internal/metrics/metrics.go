@@ -90,11 +90,14 @@ type Recorder struct {
 
 	rqd stats.Counts
 
-	// Per-flow delay extremes, indexed by the flow's id - 1 in flows. The
-	// recorder keys flows by (In, Out), not by the cell's FlowID, because it
-	// is also fed cells no Stamper saw (the benchmark's shadow replay builds
-	// them with cell.New); over the Stamper's index the two agree.
+	// Per-flow delay extremes, indexed by the flow's id - 1 in flows.
+	// trustIDs is set when flows is the index that stamped the cells
+	// (NewRecorderOn, the Stamper's): a stamped cell's FlowID is then its id
+	// here and is not looked up. Otherwise, and for a cell no Stamper saw
+	// (the benchmark's shadow replay builds them with cell.New), the flow is
+	// looked up by (In, Out): another index's FlowID would name another flow.
 	flows    *cell.FlowIndex
+	trustIDs bool
 	stats    cell.Column[flowStat] // flow id - 1 → PPS and shadow delay extremes
 	ppsFlows int                   // flows with >= 1 PPS departure (Report.Flows)
 
@@ -133,42 +136,61 @@ func NewRecorder() *Recorder { return NewRecorderSized(0) }
 
 // NewRecorderSized returns a recorder for an n-port switch over its own
 // NewFlowIndex(n), its record column paged for at most n*n flows.
-func NewRecorderSized(n int) *Recorder { return NewRecorderOn(cell.NewFlowIndex(n), n) }
+func NewRecorderSized(n int) *Recorder {
+	return newRecorder(cell.NewFlowIndex(n), false, n, fateRingCap)
+}
 
 // NewRecorderOn returns a recorder for an n-port switch that keys its
 // per-flow records by the ids of flows — the Stamper's index, so a run keeps
 // one. Flows the recorder sees first are minted there too.
 func NewRecorderOn(flows *cell.FlowIndex, n int) *Recorder {
-	return newRecorder(flows, n, fateRingCap)
+	return newRecorder(flows, true, n, fateRingCap)
 }
 
 // newRecorderRing is NewRecorder with an explicit initial window capacity (a
 // power of two), so tests can force wrap and growth with a handful of cells.
 func newRecorderRing(capacity int) *Recorder {
-	return newRecorder(cell.NewFlowIndex(0), 0, capacity)
+	return newRecorder(cell.NewFlowIndex(0), false, 0, capacity)
 }
 
-func newRecorder(flows *cell.FlowIndex, n, capacity int) *Recorder {
+func newRecorder(flows *cell.FlowIndex, trustIDs bool, n, capacity int) *Recorder {
 	hint := 0
 	if n > 0 {
 		hint = n * n
 	}
 	return &Recorder{
-		ring:   make([]fate, capacity),
-		flows:  flows,
-		stats:  cell.NewColumn[flowStat](hint),
-		delays: obs.NewDelaySet(),
+		ring:       make([]fate, capacity),
+		flows:      flows,
+		trustIDs:   trustIDs,
+		stats:      cell.NewColumn[flowStat](hint),
+		delays:     obs.NewDelaySet(),
+		lastDepart: make([]cell.Time, 0, cell.StartCap(n)),
 	}
 }
 
-// flowStat returns flow f's record, growing the column to f's id with empty
-// records: ids the index minted for other layers' flows get one too.
-func (r *Recorder) flowStat(f cell.Flow) *flowStat {
-	id := int(r.flows.ID(f))
+// flowStat returns cell c's flow record, growing the column to the flow's
+// id with empty records: ids the index minted for other layers' flows get
+// one too. A cell stamped over flows names its id; any other is looked up
+// by (In, Out).
+func (r *Recorder) flowStat(c *cell.Cell) *flowStat {
+	id := int(c.FlowID)
+	if id == 0 || !r.trustIDs {
+		id = int(r.flows.ID(c.Flow))
+	}
 	for r.stats.Len() < id {
 		*r.stats.Grow() = flowStat{pps: emptyMinMax, sh: emptyMinMax}
 	}
 	return r.stats.At(id - 1)
+}
+
+// count adds one to s[i], first extending s with zeros to cover i in one
+// step.
+func count(s []uint64, i int) []uint64 {
+	if i >= len(s) {
+		s = append(s, make([]uint64, i+1-len(s))...)
+	}
+	s[i]++
+	return s
 }
 
 func grow(s []cell.Time, idx uint64) []cell.Time {
@@ -243,7 +265,7 @@ func (r *Recorder) ShadowDepart(c cell.Cell) {
 		panic(fmt.Sprintf("metrics: shadow departure of cell %d recorded twice", c.Seq))
 	}
 	f.shadow = c.Depart
-	r.flowStat(c.Flow).sh.add(c.Depart - c.Arrive)
+	r.flowStat(&c).sh.add(c.Depart - c.Arrive)
 	r.settle(c.Seq, f)
 }
 
@@ -254,7 +276,7 @@ func (r *Recorder) PPSDepart(c cell.Cell) {
 		panic(fmt.Sprintf("metrics: PPS departure of cell %d recorded twice", c.Seq))
 	}
 	f.pps = c.Depart
-	mm := &r.flowStat(c.Flow).pps
+	mm := &r.flowStat(&c).pps
 	if !mm.seen() {
 		r.ppsFlows++
 	}
@@ -282,14 +304,8 @@ func (r *Recorder) PPSDepart(c cell.Cell) {
 func (r *Recorder) PPSDrop(c cell.Cell) {
 	r.setPPSFate(c.Seq, dropMark)
 	r.drops++
-	for int(c.Via) >= len(r.dropsPerPlane) {
-		r.dropsPerPlane = append(r.dropsPerPlane, 0)
-	}
-	r.dropsPerPlane[c.Via]++
-	for int(c.Flow.In) >= len(r.dropsPerInput) {
-		r.dropsPerInput = append(r.dropsPerInput, 0)
-	}
-	r.dropsPerInput[c.Flow.In]++
+	r.dropsPerPlane = count(r.dropsPerPlane, int(c.Via))
+	r.dropsPerInput = count(r.dropsPerInput, int(c.Flow.In))
 }
 
 // Drops reports the number of cells the PPS dropped so far.
@@ -308,10 +324,7 @@ func (r *Recorder) AdmitCell() { r.admitted++ }
 // cell is never stamped; neither switch sees it.
 func (r *Recorder) RejectCell(in cell.Port) {
 	r.rejected++
-	for int(in) >= len(r.rejectedPerInput) {
-		r.rejectedPerInput = append(r.rejectedPerInput, 0)
-	}
-	r.rejectedPerInput[in]++
+	r.rejectedPerInput = count(r.rejectedPerInput, int(in))
 }
 
 // ExpireAtAdmission counts one arrival that was already past its deadline

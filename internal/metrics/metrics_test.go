@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -212,5 +214,64 @@ func TestRecorderOnStamperIndex(t *testing.T) {
 	}
 	if rep := r.Report(); rep.Flows != 2 || rep.Cells != 2 {
 		t.Errorf("Report: %d flows, %d cells; want 2 and 2", rep.Flows, rep.Cells)
+	}
+}
+
+// TestStampedAndUnstampedReportsAgree feeds three recorders the same
+// departures: the stamped cells over the Stamper's index (the recorder
+// reads each cell's FlowID); the same cells with FlowID zeroed over an
+// index of its own (it looks each flow up by (In, Out), minting ids in the
+// order it first sees them); and, over an index of its own, stamped PPS
+// departures with unstamped shadow ones, the mix the benchmark's recorder
+// kernel replays (it must look the stamped ones up too: the Stamper's ids
+// are not its own). The Reports are DeepEqual.
+func TestStampedAndUnstampedReportsAgree(t *testing.T) {
+	const n = 4
+	st := cell.NewStamperSized(n)
+	rng := rand.New(rand.NewSource(3))
+	var shs, ppss []cell.Cell
+	for s := cell.Time(0); s < 200; s++ {
+		for in := 0; in < n; in++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			out := rng.Intn(n)
+			c := st.Stamp(cell.Flow{In: cell.Port(in), Out: cell.Port(out)}, s)
+			c.Dispatch, c.AtOutput = s+cell.Time(rng.Intn(2)), s+2+cell.Time(rng.Intn(3))
+			// Each flow gets its own jitter in each switch, so a flow's PPS
+			// record paired with another flow's shadow record moves RDJ.
+			sh, pps := c, c
+			sh.Depart = s + cell.Time(rng.Intn(1+(in*n+out)%7))
+			pps.Depart = c.AtOutput + cell.Time(rng.Intn(1+(in+3*out)%5))
+			shs, ppss = append(shs, sh), append(ppss, pps)
+		}
+	}
+	stamped := NewRecorderOn(st.Flows(), n)
+	unstamped, mixed := NewRecorderSized(n), NewRecorderSized(n)
+	for i := range shs {
+		stamped.ShadowDepart(shs[i])
+		stamped.PPSDepart(ppss[i])
+		mixed.PPSDepart(ppss[i])
+	}
+	for i := range shs {
+		sh, pps := shs[i], ppss[i]
+		sh.FlowID, pps.FlowID = 0, 0
+		unstamped.PPSDepart(pps)
+		unstamped.ShadowDepart(sh)
+	}
+	// The mixed recorder meets the flows in another order than the Stamper.
+	for i := len(shs) - 1; i >= 0; i-- {
+		sh := shs[i]
+		sh.FlowID = 0
+		mixed.ShadowDepart(sh)
+	}
+	want := stamped.Report()
+	if want.Flows == 0 || want.RDJ == 0 {
+		t.Fatalf("degenerate run: %v", want)
+	}
+	for name, r := range map[string]*Recorder{"unstamped": unstamped, "mixed": mixed} {
+		if got := r.Report(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s cells report\n%v\nstamped cells report\n%v", name, got, want)
+		}
 	}
 }

@@ -41,13 +41,33 @@ type Plane struct {
 // New returns plane id for an n x n PPS, backed by store s. It panics if
 // n <= 0 or s is nil.
 func New(id cell.Plane, n int, s *cell.Store) *Plane {
+	check(n, s)
+	return &Plane{id: id, n: n, s: s, queues: make([]cell.List, n)}
+}
+
+// NewPlanes returns the k planes of an n x n PPS by value, backed by store
+// s: two objects in all, the planes and one slab of their k·n queues, plane
+// k's queues at [k·n, (k+1)·n). It panics if k <= 0, n <= 0 or s is nil.
+func NewPlanes(k, n int, s *cell.Store) []Plane {
+	if k <= 0 {
+		panic(fmt.Sprintf("plane: invalid plane count %d", k))
+	}
+	check(n, s)
+	planes := make([]Plane, k)
+	queues := make([]cell.List, k*n)
+	for i := range planes {
+		planes[i] = Plane{id: cell.Plane(i), n: n, s: s, queues: queues[i*n : (i+1)*n : (i+1)*n]}
+	}
+	return planes
+}
+
+func check(n int, s *cell.Store) {
 	if n <= 0 {
 		panic(fmt.Sprintf("plane: invalid port count %d", n))
 	}
 	if s == nil {
 		panic("plane: nil cell store")
 	}
-	return &Plane{id: id, n: n, s: s, queues: make([]cell.List, n)}
 }
 
 // ID returns the plane's index in the center stage.

@@ -216,3 +216,48 @@ func TestFirstPushAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestNewPlanesShareOneSlab: the planes NewPlanes returns are independent
+// (a cell queued in one is in no other) although their queues are cut from
+// one slab, and each carries its id.
+func TestNewPlanesShareOneSlab(t *testing.T) {
+	s := cell.NewStore(1)
+	ps := NewPlanes(3, 4, s)
+	st := cell.NewStamper()
+	for k := range ps {
+		if ps[k].ID() != cell.Plane(k) || ps[k].Ports() != 4 {
+			t.Fatalf("plane %d: ID %d, Ports %d", k, ps[k].ID(), ps[k].Ports())
+		}
+		for j := 0; j < 4; j++ {
+			for i := 0; i <= k; i++ {
+				if err := ps[k].Enqueue(s.Put(0, st.Stamp(cell.Flow{In: 0, Out: cell.Port(j)}, 0))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for k := range ps {
+		for j := 0; j < 4; j++ {
+			if got := ps[k].QueueLen(cell.Port(j)); got != k+1 {
+				t.Errorf("plane %d output %d holds %d cells, want %d", k, j, got, k+1)
+			}
+		}
+		if ps[k].Backlog() != 4*(k+1) {
+			t.Errorf("plane %d backlog %d, want %d", k, ps[k].Backlog(), 4*(k+1))
+		}
+	}
+	for _, bad := range []func(){
+		func() { NewPlanes(0, 4, s) },
+		func() { NewPlanes(2, 0, s) },
+		func() { NewPlanes(2, 4, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("NewPlanes accepted an invalid geometry")
+				}
+			}()
+			bad()
+		}()
+	}
+}

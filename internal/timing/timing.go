@@ -59,21 +59,37 @@ type Matrix struct {
 	rows, cols int
 	hold       int64
 	freeAt     []cell.Time
-	busy       []uint64 // per-row over-approximation of busy cols; nil when cols > 64
+	// busy is the per-row over-approximation of busy cols, a bitmask held
+	// in a cell.Time word so that it shares freeAt's slab; nil when
+	// cols > 64.
+	busy []cell.Time
 }
 
 // NewMatrix returns a rows x cols matrix of gates with the given hold.
 // It panics on non-positive dimensions or a hold below one slot.
 func NewMatrix(rows, cols int, hold int64) *Matrix {
+	m := MakeMatrix(rows, cols, hold)
+	return &m
+}
+
+// MakeMatrix is NewMatrix by value, for a matrix held inside its owner (the
+// fabric keeps both of its banks so): one object, the slab of the lines'
+// free-at slots and the rows' busy masks.
+func MakeMatrix(rows, cols int, hold int64) Matrix {
 	if rows <= 0 || cols <= 0 {
 		panic("timing: matrix dimensions must be positive")
 	}
 	if hold < 1 {
 		panic("timing: gate hold must be >= 1 slot")
 	}
-	m := &Matrix{rows: rows, cols: cols, hold: hold, freeAt: make([]cell.Time, rows*cols)}
+	masks := 0
 	if cols <= 64 {
-		m.busy = make([]uint64, rows)
+		masks = rows
+	}
+	slab := make([]cell.Time, rows*cols+masks)
+	m := Matrix{rows: rows, cols: cols, hold: hold, freeAt: slab[: rows*cols : rows*cols]}
+	if masks > 0 {
+		m.busy = slab[rows*cols:]
 	}
 	return m
 }
@@ -112,7 +128,7 @@ func (m *Matrix) FreeColsMask(row int, t cell.Time) uint64 {
 	if m.busy == nil {
 		panic("timing: FreeColsMask on an unmasked matrix (cols > 64)")
 	}
-	b := m.busy[row]
+	b := uint64(m.busy[row])
 	base := row * m.cols
 	for rem := b; rem != 0; rem &= rem - 1 {
 		c := bits.TrailingZeros64(rem)
@@ -120,6 +136,6 @@ func (m *Matrix) FreeColsMask(row int, t cell.Time) uint64 {
 			b &^= 1 << uint(c)
 		}
 	}
-	m.busy[row] = b
+	m.busy[row] = cell.Time(b)
 	return ^uint64(0) >> uint(64-m.cols) &^ b
 }

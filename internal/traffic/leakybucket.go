@@ -228,7 +228,11 @@ func NewRegulator(n int, b int64, src Source) *Regulator {
 	for i := range queues {
 		queues[i] = regQueue{-1, -1}
 	}
-	return &Regulator{n: n, inner: src, b: b, tokens: tok, queues: queues, free: -1, last: -1}
+	// The pull buffer starts at one slot's arrivals and the slab at four
+	// held cells per touched input (cell.StartCap): a shaped run at load
+	// below one rarely holds more, so it seldom regrows either.
+	return &Regulator{n: n, inner: src, b: b, tokens: tok, queues: queues, free: -1, last: -1,
+		nodes: make([]regNode, 0, 4*cell.StartCap(n)), pull: make([]Arrival, 0, cell.StartCap(n))}
 }
 
 // push appends a to its input's queue in a free node, or a new one.

@@ -99,6 +99,54 @@ func TestDocsNameLiveTests(t *testing.T) {
 	}
 }
 
+// TestDocsCiteLiveDesignSections fails when a Go file cites a DESIGN.md
+// section by number ("DESIGN.md §13", the two halves possibly on
+// consecutive comment lines) that no "## N." heading of DESIGN.md carries:
+// a section renumbered or deleted must take its citations along.
+func TestDocsCiteLiveDesignSections(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## (\d+)\.`).FindAllSubmatch(design, -1) {
+		headings[string(m[1])] = true
+	}
+	cite := regexp.MustCompile(`DESIGN\.md\s*(?://\s*)?§(\d+)`)
+	cited := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range cite.FindAllSubmatch(text, -1) {
+			cited++
+			if !headings[string(m[1])] {
+				t.Errorf("%s cites DESIGN.md §%s, which no DESIGN.md heading carries", path, m[1])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cited == 0 {
+		t.Fatal("no Go file cites a DESIGN.md section: is the citation pattern stale?")
+	}
+}
+
 // TestNoHandRolledReference fails when a non-test Go file outside
 // benchmark/ and internal/shadow names shadow.New, shadow.Switch or
 // shadow.NewShaped: every switch under test is measured through
